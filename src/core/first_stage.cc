@@ -85,34 +85,6 @@ std::vector<FirstStageVerdict> FirstStageFilter::Apply(
   return verdicts;
 }
 
-std::vector<FirstStageVerdict> FirstStageFilter::Apply(
-    std::vector<std::vector<float>>* uploads, double sigma_upload,
-    FirstStageReport* report) const {
-  DPBR_CHECK(uploads != nullptr);
-  std::vector<FirstStageVerdict> verdicts(uploads->size());
-  FirstStageReport rep;
-  rep.total = uploads->size();
-  ParallelFor(0, uploads->size(), [&](size_t i) {
-    verdicts[i] = Test((*uploads)[i], sigma_upload);
-    if (!verdicts[i].accepted()) {
-      std::fill((*uploads)[i].begin(), (*uploads)[i].end(), 0.0f);
-    }
-  });
-  for (size_t i = 0; i < uploads->size(); ++i) {
-    if (!verdicts[i].accepted()) {
-      if (!verdicts[i].passed_norm) {
-        ++rep.rejected_norm;
-      } else {
-        ++rep.rejected_ks;
-      }
-    } else {
-      ++rep.accepted;
-    }
-  }
-  if (report != nullptr) *report = rep;
-  return verdicts;
-}
-
 std::pair<double, double> FirstStageFilter::EnvelopeInterval(
     size_t k, size_t d, double d_ks, double sigma_upload) {
   DPBR_CHECK_GE(k, 1u);

@@ -57,11 +57,6 @@ class FirstStageFilter {
       RowSpan uploads, double sigma_upload,
       FirstStageReport* report = nullptr) const;
 
-  /// Legacy vector-of-vectors form of Apply (same zeroing semantics).
-  std::vector<FirstStageVerdict> Apply(
-      std::vector<std::vector<float>>* uploads, double sigma_upload,
-      FirstStageReport* report = nullptr) const;
-
   /// Theorem 2: the closed interval the k-th smallest coordinate (k in
   /// [1, d]) must occupy to pass the KS test with statistic bound d_ks.
   /// Unbounded ends are returned as ±infinity.

@@ -27,7 +27,11 @@ KsResult KsTest(const std::vector<double>& sample,
                 const std::function<double(double)>& cdf);
 
 /// Tests float data (gradient coordinates) against N(0, stddev²) without
-/// converting the container. This is the hot path of FirstAgg.
+/// converting the container. This is the hot path of FirstAgg: the sample
+/// is radix-sorted as order-preserving keys in per-thread grow-only
+/// buffers, so warm calls do not allocate, and Φ is evaluated only on the
+/// sorted ranges where D's maximum can lie. D and the p-value are bitwise
+/// what sorting the floats and scanning every Φ value would give.
 KsResult KsTestGaussian(const float* data, size_t n, double stddev);
 
 /// Convenience overload.

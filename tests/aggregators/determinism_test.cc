@@ -163,16 +163,16 @@ TEST(FirstStageDeterminismTest, ApplyVerdictsAndZeroing) {
   // window) so the zeroing path runs under every pool size.
   std::fill(uploads[3].begin(), uploads[3].end(), 2.0f);
   std::fill(uploads[17].begin(), uploads[17].end(), -1.5f);
+  std::vector<float> block;
+  block.reserve(kN * kDim);
+  for (const auto& u : uploads) block.insert(block.end(), u.begin(), u.end());
   core::FirstStageFilter filter{core::ProtocolOptions{}};
   ExpectPoolInvariant([&] {
-    auto copy = uploads;
+    // Verdict side effects: the zeroed upload block is the output.
+    auto copy = block;
     core::FirstStageReport report;
-    filter.Apply(&copy, 0.3, &report);
-    // Flatten verdict side effects: the zeroed uploads are the output.
-    std::vector<float> flat;
-    flat.reserve(kN * kDim);
-    for (const auto& u : copy) flat.insert(flat.end(), u.begin(), u.end());
-    return flat;
+    filter.Apply(RowSpan(copy.data(), kN, kDim), 0.3, &report);
+    return copy;
   });
 }
 

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "stats/distributions.h"
@@ -119,16 +122,16 @@ TEST(FirstStageTest, LargeOutlierCoordinateFailsKs) {
 
 TEST(FirstStageTest, ApplyZeroesRejectsAndReports) {
   FirstStageFilter f{ProtocolOptions{}};
-  std::vector<std::vector<float>> uploads;
-  uploads.push_back(HonestLikeUpload(11));
-  uploads.push_back(std::vector<float>(kDim, 0.0f));  // rejected by norm
-  std::vector<float> loud(kDim);
+  // Row 1 stays all-zero: rejected by norm.
+  std::vector<float> block(3 * kDim, 0.0f);
+  RowSpan uploads(block.data(), 3, kDim);
+  std::vector<float> honest = HonestLikeUpload(11);
+  std::copy(honest.begin(), honest.end(), uploads.Row(0));
   SplitRng rng(4);
-  rng.FillGaussian(loud.data(), kDim, 3.0 * kSigmaUp);
-  uploads.push_back(loud);
+  rng.FillGaussian(uploads.Row(2), kDim, 3.0 * kSigmaUp);
 
   FirstStageReport report;
-  auto verdicts = f.Apply(&uploads, kSigmaUp, &report);
+  auto verdicts = f.Apply(uploads, kSigmaUp, &report);
   ASSERT_EQ(verdicts.size(), 3u);
   EXPECT_TRUE(verdicts[0].accepted());
   EXPECT_FALSE(verdicts[1].accepted());
@@ -137,9 +140,101 @@ TEST(FirstStageTest, ApplyZeroesRejectsAndReports) {
   EXPECT_EQ(report.accepted, 1u);
   EXPECT_EQ(report.rejected_norm, 2u);
   // Rejected uploads are zeroed in place (Algorithm 2's g ← 0).
-  EXPECT_EQ(ops::Norm(uploads[1]), 0.0);
-  EXPECT_EQ(ops::Norm(uploads[2]), 0.0);
-  EXPECT_GT(ops::Norm(uploads[0]), 0.0);
+  EXPECT_EQ(ops::Norm(uploads.Row(1), kDim), 0.0);
+  EXPECT_EQ(ops::Norm(uploads.Row(2), kDim), 0.0);
+  EXPECT_GT(ops::Norm(uploads.Row(0), kDim), 0.0);
+}
+
+TEST(FirstStageTest, ApplyRejectsAndZeroesNonFiniteRows) {
+  // Rows reach the filter here without Server::Step's non-finite
+  // sanitize pass: the filter alone must reject and zero them.
+  FirstStageFilter f{ProtocolOptions{}};
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  const float kInf = std::numeric_limits<float>::infinity();
+  const size_t kRows = 6;
+  std::vector<float> honest = HonestLikeUpload(11);
+  std::vector<float> block(kRows * kDim);
+  RowSpan uploads(block.data(), kRows, kDim);
+  for (size_t r = 0; r < kRows; ++r) {
+    std::copy(honest.begin(), honest.end(), uploads.Row(r));
+  }
+  uploads.Row(0)[17] = kNan;
+  uploads.Row(1)[0] = kInf;
+  uploads.Row(2)[kDim - 1] = -kInf;
+  uploads.Row(3)[5] = -kNan;  // sign bit set: sorts below -inf
+  std::fill(uploads.Row(4), uploads.Row(4) + kDim, kNan);
+  // Row 5 stays the clean honest upload (the control).
+
+  FirstStageReport report;
+  auto verdicts = f.Apply(uploads, kSigmaUp, &report);
+  ASSERT_EQ(verdicts.size(), kRows);
+  for (size_t r = 0; r + 1 < kRows; ++r) {
+    EXPECT_FALSE(verdicts[r].accepted()) << "row " << r;
+    for (size_t j = 0; j < kDim; ++j) {
+      ASSERT_EQ(uploads.Row(r)[j], 0.0f) << "row " << r << " coord " << j;
+    }
+  }
+  EXPECT_TRUE(verdicts[kRows - 1].accepted());
+  EXPECT_TRUE(std::equal(honest.begin(), honest.end(),
+                         uploads.Row(kRows - 1)));
+  EXPECT_EQ(report.total, kRows);
+  EXPECT_EQ(report.accepted, 1u);
+}
+
+// Two-sided (1 - alpha) acceptance interval [lo, hi] on the count X of
+// Binomial(n, p): Pr(X < lo) <= alpha/2 and Pr(X > hi) <= alpha/2.
+std::pair<size_t, size_t> BinomialInterval(size_t n, double p,
+                                           double alpha) {
+  std::vector<double> pmf(n + 1);
+  for (size_t k = 0; k <= n; ++k) {
+    double kd = static_cast<double>(k);
+    double nd = static_cast<double>(n);
+    pmf[k] = std::exp(std::lgamma(nd + 1) - std::lgamma(kd + 1) -
+                      std::lgamma(nd - kd + 1) + kd * std::log(p) +
+                      (nd - kd) * std::log1p(-p));
+  }
+  size_t lo = 0;
+  for (double tail = 0.0; lo <= n && tail + pmf[lo] <= alpha / 2; ++lo) {
+    tail += pmf[lo];
+  }
+  size_t hi = n;
+  for (double tail = 0.0; hi > 0 && tail + pmf[hi] <= alpha / 2; --hi) {
+    tail += pmf[hi];
+  }
+  return {lo, hi};
+}
+
+TEST(FirstStageConformanceTest, NullRowsRejectAtNominalRates) {
+  // Algorithm 2's promise, measured: uploads drawn from the KS null
+  // N(0, σ_up²) fail the KS test at the configured significance and the
+  // ±3σ chi-squared norm window at 2(1 − Φ(3)). Rows go through Apply in
+  // arena-sized batches, as the round runs them.
+  ProtocolOptions options;
+  FirstStageFilter f{options};
+  const size_t kBatches = 8;
+  const size_t kBatchRows = 500;
+  const size_t kRows = kBatches * kBatchRows;
+  std::vector<float> block(kBatchRows * kDim);
+  size_t ks_rejected = 0;
+  size_t norm_rejected = 0;
+  for (size_t b = 0; b < kBatches; ++b) {
+    SplitRng rng(0xC0F, {b});
+    rng.FillGaussian(block.data(), block.size(), kSigmaUp);
+    auto verdicts =
+        f.Apply(RowSpan(block.data(), kBatchRows, kDim), kSigmaUp);
+    for (const FirstStageVerdict& v : verdicts) {
+      if (!v.passed_ks) ++ks_rejected;
+      if (!v.passed_norm) ++norm_rejected;
+    }
+  }
+  auto [ks_lo, ks_hi] =
+      BinomialInterval(kRows, options.ks_significance, 0.01);
+  EXPECT_GE(ks_rejected, ks_lo);
+  EXPECT_LE(ks_rejected, ks_hi);
+  double norm_rate = 2.0 * (1.0 - stats::NormalCdf(3.0));
+  auto [norm_lo, norm_hi] = BinomialInterval(kRows, norm_rate, 0.01);
+  EXPECT_GE(norm_rejected, norm_lo);
+  EXPECT_LE(norm_rejected, norm_hi);
 }
 
 TEST(EnvelopeTest, IntervalsAreOrderedAndContainGaussianQuantiles) {

@@ -2,11 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <new>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "stats/distributions.h"
+#include "stats/kolmogorov.h"
+
+// Counts this thread's heap allocations, so a test can assert that a warm
+// call allocates nothing. Replacing the global operator new/delete pair
+// is legal C++; both forward to malloc/free.
+namespace {
+thread_local size_t t_heap_allocs = 0;
+}  // namespace
+
+// GCC flags free() on an operator-new pointer once both are inlined; in a
+// replacement pair that forwards to malloc/free the match is exact.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(size_t size) {
+  ++t_heap_allocs;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace dpbr {
 namespace stats {
@@ -83,6 +116,173 @@ TEST(KsTestGaussianTest, ZeroVectorIsRejected) {
   // ECDF jumps 0→1 at 0 while Φ(0) = 0.5, so D = 0.5.
   EXPECT_NEAR(r.statistic, 0.5, 1e-6);
   EXPECT_LT(r.p_value, 1e-10);
+}
+
+// The comparison-sort KsTestGaussian that the radix sort replaced, kept
+// as the bitwise reference: copy, sort, map every value through Φ, then
+// scan D over all of them. `less` is std::sort's default for finite data.
+template <typename Less = std::less<float>>
+KsResult SortReferenceKsTestGaussian(const float* data, size_t n,
+                                     double stddev, Less less = Less()) {
+  std::vector<float> sorted(data, data + n);
+  std::sort(sorted.begin(), sorted.end(), less);
+  double inv_sigma = 1.0 / stddev;
+  std::vector<double> u(n);
+  for (size_t i = 0; i < n; ++i) {
+    u[i] = NormalCdf(static_cast<double>(sorted[i]) * inv_sigma);
+  }
+  double d = 0.0;
+  double inv_n = 1.0 / static_cast<double>(n);
+  for (size_t i = 0; i < n; ++i) {
+    double above = static_cast<double>(i + 1) * inv_n - u[i];
+    double below = u[i] - static_cast<double>(i) * inv_n;
+    if (above > d) d = above;
+    if (below > d) d = below;
+  }
+  KsResult r;
+  r.n = n;
+  r.statistic = d;
+  r.p_value = KsPValue(n, d);
+  return r;
+}
+
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+// Every row shape the bitwise test sweeps, built at exactly n floats.
+std::vector<std::pair<std::string, std::vector<float>>> ReferenceRows(
+    size_t n) {
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kDenorm = std::numeric_limits<float>::denorm_min();
+  SplitRng rng(0x4B5, {n});
+  std::vector<float> gauss(n);
+  rng.FillGaussian(gauss.data(), n, 0.3);
+
+  std::vector<std::pair<std::string, std::vector<float>>> rows;
+  rows.emplace_back("gaussian", gauss);
+  rows.emplace_back("all_equal", std::vector<float>(n, 0.25f));
+  rows.emplace_back("all_neg_zero", std::vector<float>(n, -0.0f));
+  std::vector<float> zeros = gauss;
+  for (size_t i = 0; i < n; i += 3) zeros[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+  rows.emplace_back("mixed_signed_zeros", zeros);
+  std::vector<float> denorm = gauss;
+  for (size_t i = 0; i < n; i += 2) {
+    float mag = kDenorm * static_cast<float>(1 + i % 1000);
+    denorm[i] = (i % 4 == 0) ? mag : -mag;
+  }
+  rows.emplace_back("denormals", denorm);
+  std::vector<float> inf = gauss;
+  for (size_t i = 0; i < n; i += 5) inf[i] = (i % 2 == 0) ? kInf : -kInf;
+  rows.emplace_back("infinities", inf);
+  std::vector<float> dup(n);
+  const float kLevels[] = {-0.6f, -0.3f, -0.0f, 0.0f, 0.3f, 0.6f};
+  for (size_t i = 0; i < n; ++i) dup[i] = kLevels[(i * 7 + i / 3) % 6];
+  rows.emplace_back("heavy_duplicates", dup);
+  std::vector<float> ascending = gauss;
+  std::sort(ascending.begin(), ascending.end());
+  // Long runs of one value: D sits at the first or last index of a run,
+  // in the middle of the sorted row.
+  std::vector<float> runs = gauss;
+  for (size_t i = 0; i < n; i += 8) runs[i] = 0.1f;
+  for (size_t i = 3; i < n; i += 16) runs[i] = -0.2f;
+  rows.emplace_back("tie_runs", runs);
+  // Every term of D within rounding of every other: no range of the
+  // scan can be skipped.
+  std::vector<float> grid(n);
+  for (size_t i = 0; i < n; ++i) {
+    double p = (static_cast<double>(i) + 0.5) / static_cast<double>(n);
+    grid[i] = static_cast<float>(0.3 * NormalQuantile(p));
+  }
+  rows.emplace_back("quantile_grid", grid);
+  rows.emplace_back("sorted", ascending);
+  rows.emplace_back("reverse_sorted",
+                    std::vector<float>(ascending.rbegin(), ascending.rend()));
+  return rows;
+}
+
+TEST(KsTestGaussianTest, BitwiseEqualToComparisonSortReference) {
+  for (size_t n : {size_t{1}, size_t{2}, size_t{7}, size_t{2047},
+                   size_t{2048}, size_t{2049}, size_t{21802},
+                   size_t{25450}}) {
+    for (const auto& [name, row] : ReferenceRows(n)) {
+      ASSERT_EQ(row.size(), n);
+      KsResult want = SortReferenceKsTestGaussian(row.data(), n, 0.3);
+      KsResult got = KsTestGaussian(row.data(), n, 0.3);
+      EXPECT_EQ(got.n, n);
+      EXPECT_EQ(Bits(got.statistic), Bits(want.statistic))
+          << name << " n=" << n << ": " << got.statistic << " vs "
+          << want.statistic;
+      EXPECT_EQ(Bits(got.p_value), Bits(want.p_value))
+          << name << " n=" << n;
+    }
+  }
+}
+
+TEST(KsTestGaussianTest, SmallTiedRowsMatchReference) {
+  // Short rows drawn from a handful of levels put D next to ties at
+  // every position of the sorted row, where an off-by-one range bound
+  // in the scan would skip the maximum.
+  SplitRng rng(0x71E);
+  const float kLevels[] = {-0.5f, -0.2f, -0.1f, 0.0f, 0.05f, 0.3f, 0.6f};
+  for (int trial = 0; trial < 1000; ++trial) {
+    size_t n = 2 + static_cast<size_t>(rng.Uniform() * 62);
+    std::vector<float> row(n);
+    for (float& v : row) v = kLevels[static_cast<size_t>(rng.Uniform() * 7)];
+    KsResult want = SortReferenceKsTestGaussian(row.data(), n, 0.3);
+    KsResult got = KsTestGaussian(row.data(), n, 0.3);
+    ASSERT_EQ(Bits(got.statistic), Bits(want.statistic))
+        << "trial " << trial << " n=" << n;
+  }
+}
+
+// A strict total order on float bit patterns: −NaN < −inf < … < −0 < +0 <
+// … < +inf < +NaN, under which std::sort is defined on NaN rows.
+bool TotalOrderLess(float a, float b) {
+  auto key = [](float x) {
+    uint32_t bits;
+    std::memcpy(&bits, &x, sizeof(bits));
+    return (bits & 0x80000000u) ? ~bits : (bits | 0x80000000u);
+  };
+  return key(a) < key(b);
+}
+
+TEST(KsTestGaussianTest, NanRowsMatchTotalOrderReference) {
+  // NaN terms never raise D; the scan must still find the maximum among
+  // the finite values next to them.
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  for (size_t n : {size_t{2}, size_t{7}, size_t{2049}, size_t{25450}}) {
+    std::vector<float> row(n);
+    SplitRng rng(0x4E4, {n});
+    rng.FillGaussian(row.data(), n, 0.3);
+    row[0] = kNan;
+    row[n - 1] = -kNan;
+    for (size_t i = 3; i < n; i += 97) row[i] = (i % 2 == 0) ? kNan : -kNan;
+    KsResult want =
+        SortReferenceKsTestGaussian(row.data(), n, 0.3, TotalOrderLess);
+    KsResult got = KsTestGaussian(row.data(), n, 0.3);
+    EXPECT_EQ(Bits(got.statistic), Bits(want.statistic)) << "n=" << n;
+    EXPECT_EQ(Bits(got.p_value), Bits(want.p_value)) << "n=" << n;
+  }
+}
+
+TEST(KsTestGaussianTest, WarmCallsDoNotAllocate) {
+  std::vector<float> row(25450);  // d of the paper MLP
+  SplitRng rng(24);
+  rng.FillGaussian(row.data(), row.size(), 0.3);
+  // The first call grows this thread's key buffers to the largest d.
+  KsResult warm = KsTestGaussian(row.data(), row.size(), 0.3);
+  size_t before = t_heap_allocs;
+  KsResult again = KsTestGaussian(row.data(), row.size(), 0.3);
+  KsResult smaller = KsTestGaussian(row.data(), 2410, 0.3);
+  EXPECT_EQ(t_heap_allocs, before);
+  EXPECT_EQ(Bits(again.statistic), Bits(warm.statistic));
+  EXPECT_GT(smaller.statistic, 0.0);
+  // Control: the counter does see this thread's allocations.
+  auto probe = std::make_unique<double>(1.0);
+  EXPECT_EQ(t_heap_allocs, before + 1);
 }
 
 class KsSigmaSweepTest : public ::testing::TestWithParam<double> {};
