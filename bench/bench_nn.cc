@@ -99,8 +99,8 @@ void BM_Conv2dBackwardNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackwardNaive)->Unit(benchmark::kMicrosecond);
 
-// --- Batched conv forward: the fused single-GEMM path against the same
-// work run example-by-example (what ForwardBatch did before the fusion).
+// --- Batched conv forward: the single batched-GEMM dispatch against the
+// same work run example by example.
 
 constexpr size_t kBatch = 16;
 
@@ -143,7 +143,7 @@ void BM_Conv2dForwardBatchPerExample(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForwardBatchPerExample)->Unit(benchmark::kMicrosecond);
 
-// --- Batched conv backward: the fused single-dispatch path (per-example
+// --- Batched conv backward: the single-dispatch batched path (per-example
 // dW/db rows into the sink + dX via col2im) against the same work run
 // example by example. The cached-state contract ties every per-example
 // Backward to its own Forward, so both sides time a full
@@ -388,25 +388,22 @@ void BM_LocalStepCnn(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalStepCnn)->Unit(benchmark::kMillisecond);
 
-// --- Whole-CNN batched step, fused (FusionPlan active, ~3 dispatches
-// per direction) against the plain one-dispatch-per-layer loop
-// (SetFusionEnabled(false)). Forward-only and forward+loss+backward
-// variants; the fused/unfused pairs feed parity-floor ratio gates in
-// scripts/check_bench_regression.py. The backward variants time the
-// full round trip (the cached-state contract ties each backward to its
-// own forward), so the ratio there mixes both directions.
+// --- Whole-CNN batched step: the per-layer ForwardBatch /
+// BackwardBatch loop (one dispatch per Conv2d / Linear per direction).
+// Forward-only and forward+loss+backward variants; the backward variant
+// times the full round trip (the cached-state contract ties each
+// backward to its own forward).
 
-std::unique_ptr<nn::Sequential> StepCnn(bool fused, SplitRng* rng) {
+std::unique_ptr<nn::Sequential> StepCnn(SplitRng* rng) {
   std::unique_ptr<nn::Sequential> model =
       nn::CnnFactory(1, kOutCh, kKernel, 10)();
-  model->SetFusionEnabled(fused);
   model->InitParams(rng);
   return model;
 }
 
-void LocalStepCnnForward(benchmark::State& state, bool fused) {
+void BM_LocalStepCnnForward(benchmark::State& state) {
   SplitRng rng(31);
-  std::unique_ptr<nn::Sequential> model = StepCnn(fused, &rng);
+  std::unique_ptr<nn::Sequential> model = StepCnn(&rng);
   constexpr size_t kN = 16;
   Tensor batch({kN, 1, kImg, kImg});
   batch.FillGaussian(&rng, 1.0);
@@ -415,24 +412,15 @@ void LocalStepCnnForward(benchmark::State& state, bool fused) {
   }
   state.SetItemsProcessed(state.iterations() * kN);
 }
-
-void BM_LocalStepCnnForward(benchmark::State& state) {
-  LocalStepCnnForward(state, /*fused=*/true);
-}
 BENCHMARK(BM_LocalStepCnnForward)->Unit(benchmark::kMillisecond);
-
-void BM_LocalStepCnnForwardUnfused(benchmark::State& state) {
-  LocalStepCnnForward(state, /*fused=*/false);
-}
-BENCHMARK(BM_LocalStepCnnForwardUnfused)->Unit(benchmark::kMillisecond);
 
 // The backward-dominated unit of the worker step in isolation: batched
 // forward + loss + per-example-gradient backward through the whole CNN.
-// This is the surface the batched backward GEMMs and the fused stages
-// accelerate (BM_LocalStepCnn adds clipping, momentum and noise on top).
-void LocalStepCnnBackward(benchmark::State& state, bool fused) {
+// This is the surface the batched backward GEMMs accelerate
+// (BM_LocalStepCnn adds clipping, momentum and noise on top).
+void BM_LocalStepCnnBackward(benchmark::State& state) {
   SplitRng rng(31);
-  std::unique_ptr<nn::Sequential> model = StepCnn(fused, &rng);
+  std::unique_ptr<nn::Sequential> model = StepCnn(&rng);
   constexpr size_t kN = 16;
   Tensor batch({kN, 1, kImg, kImg});
   batch.FillGaussian(&rng, 1.0);
@@ -449,16 +437,7 @@ void LocalStepCnnBackward(benchmark::State& state, bool fused) {
   state.counters["d"] = static_cast<double>(dim);
   state.SetItemsProcessed(state.iterations() * kN);
 }
-
-void BM_LocalStepCnnBackward(benchmark::State& state) {
-  LocalStepCnnBackward(state, /*fused=*/true);
-}
 BENCHMARK(BM_LocalStepCnnBackward)->Unit(benchmark::kMillisecond);
-
-void BM_LocalStepCnnBackwardUnfused(benchmark::State& state) {
-  LocalStepCnnBackward(state, /*fused=*/false);
-}
-BENCHMARK(BM_LocalStepCnnBackwardUnfused)->Unit(benchmark::kMillisecond);
 
 // GEMM conv must agree with itself bit-for-bit across pool sizes, and
 // with the naive kernel to 1e-4 — checked before the timing loops so a
@@ -491,7 +470,7 @@ void CheckConvDeterminism() {
       std::exit(1);
     }
   }
-  // The fused batch forward must reproduce the per-example forward bit
+  // The batched conv forward must reproduce the per-example forward bit
   // for bit (same per-element accumulation order).
   nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
   Tensor xb = RandomBatch(13);
@@ -505,14 +484,13 @@ void CheckConvDeterminism() {
     Tensor y = conv.Forward(one);
     for (size_t j = 0; j < y.size(); ++j) {
       if (yb[ex * out_stride + j] != y[j]) {
-        std::fprintf(
-            stderr,
-            "FATAL: fused batch-conv forward differs from per-example\n");
+        std::fprintf(stderr,
+                     "FATAL: batched conv forward differs from per-example\n");
         std::exit(1);
       }
     }
   }
-  // The fused batch backward (one dispatch: sink dW/db rows + col2im dX)
+  // The batched conv backward (one dispatch: sink dW/db rows + col2im dX)
   // must likewise reproduce the per-example backward bit for bit.
   SplitRng grng(37);
   Tensor gyb({kBatch, kOutCh, kImg, kImg});
@@ -537,17 +515,16 @@ void CheckConvDeterminism() {
     }
     for (size_t j = 0; j < dx.size(); ++j) {
       if (dxb[ex * feat + j] != dx[j]) {
-        std::fprintf(
-            stderr,
-            "FATAL: fused batch-conv backward dX differs from "
-            "per-example\n");
+        std::fprintf(stderr,
+                     "FATAL: batched conv backward dX differs from "
+                     "per-example\n");
         std::exit(1);
       }
     }
     for (size_t j = 0; j < dim; ++j) {
       if (sink[ex * dim + j] != ex_grads[j]) {
         std::fprintf(stderr,
-                     "FATAL: fused batch-conv backward sink row differs "
+                     "FATAL: batched conv backward sink row differs "
                      "from per-example gradients\n");
         std::exit(1);
       }
@@ -555,7 +532,7 @@ void CheckConvDeterminism() {
   }
   std::fprintf(stderr,
                "conv determinism check: pools {1,2,%zu} bit-identical, "
-               "naive agreement within 1e-4, fused batch fwd+bwd == "
+               "naive agreement within 1e-4, batched fwd+bwd == "
                "per-example\n",
                hw);
 }

@@ -99,11 +99,11 @@ RATIO_GATES = [
         "radix KS test >= 2.5x std::sort reference",
     ),
     # Parity floors for the batched backward dispatches: on one core the
-    # fused single-dispatch backward sits at parity with the per-example
+    # single-dispatch batched backward sits at parity with the per-example
     # loop (identical serial per-element work; the multi-core win from
     # example-level parallelism only shows on CI runners — see
     # BENCH_ci.json), so the bound is parity minus run-to-run noise
-    # (~8% observed at min_time=0.05). A lost fused path fails this by a
+    # (~8% observed at min_time=0.05). A lost batched path fails this by a
     # wide margin (e.g. a mis-batched kernel measured ~0.1x during
     # development); the structural one-dispatch + bitwise guarantees are
     # enforced exactly in tests/nn/kernel_equivalence_test.cc.
@@ -125,30 +125,6 @@ RATIO_GATES = [
         "BM_LinearBackwardBatch",
         0.85,
         "batched linear backward >= per-example loop (parity floor)",
-    ),
-    # Stage-fusion floors: the fused whole-CNN batched step (FusionPlan
-    # active, ~3 dispatches per direction) against the plain per-layer
-    # loop in the SAME run. Flop count and accumulation order are
-    # bitwise identical; the fused win is dispatch amortization plus
-    # panel locality (intermediate activations stay in per-thread
-    # panels instead of round-tripping full batch tensors), so on one
-    # core the bound is parity minus run-to-run noise (~8% observed at
-    # min_time=0.05) and multi-core runners gain on top. A planner that
-    # silently stops fusing degenerates to exactly 1.0x here — caught
-    # first by the exact dispatch-count assertions in
-    # tests/nn/kernel_equivalence_test.cc; these floors catch a fused
-    # path that became slower than the loop it replaced.
-    (
-        "BM_LocalStepCnnForwardUnfused",
-        "BM_LocalStepCnnForward",
-        0.9,
-        "fused CNN batched forward >= per-layer loop (parity floor)",
-    ),
-    (
-        "BM_LocalStepCnnBackwardUnfused",
-        "BM_LocalStepCnnBackward",
-        0.9,
-        "fused CNN fwd+bwd step >= per-layer loop (parity floor)",
     ),
     # SIMD-vs-scalar floors for the dispatched kernel layer
     # (bench_simd.cc): each pair runs the same kernel on the best

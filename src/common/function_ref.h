@@ -13,8 +13,7 @@
 // from. Binding a temporary lambda in a call expression is safe (the
 // temporary lives until the call returns); *storing* a FunctionRef
 // beyond the callable's lifetime is not. Kernel hooks satisfy this by
-// construction; longer-lived chains (nn::EpilogueChain) keep their
-// callables in stable side arrays.
+// construction: every one is a parameter, never a stored member.
 
 #ifndef DPBR_COMMON_FUNCTION_REF_H_
 #define DPBR_COMMON_FUNCTION_REF_H_

@@ -1,11 +1,9 @@
 #include "nn/activations.h"
 
-#include <cmath>
 #include <cstring>
 
 #include "common/logging.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace dpbr {
 namespace nn {
@@ -13,172 +11,58 @@ namespace {
 
 constexpr size_t kOutSlot = 0;  // cached output(s)
 
-// Elements per task in the batched elementwise dispatches. Fixed, so the
-// split depends on the tensor size only; every element is independent,
-// making the parallel result trivially bitwise equal to the serial loop.
-constexpr size_t kEltBlock = 4096;
-
 }  // namespace
 
-Tensor Elu::Forward(const Tensor& x) {
+Tensor ElementwiseActivation::Activate(const Tensor& x) {
   Tensor y = x;
-  float a = static_cast<float>(alpha_);
   float* cached = ws_.Get(kOutSlot, y.size());
-  simd::Kernels().elu_f32(y.data(), y.size(), a);
+  Apply(y.data(), y.size());
   std::memcpy(cached, y.data(), y.size() * sizeof(float));
-  state_.SetPerExample(x.shape());
   return y;
 }
 
-Tensor Elu::Backward(const Tensor& grad_out) {
+Tensor ElementwiseActivation::Gradient(const Tensor& grad_out) {
+  Tensor dx = grad_out;
+  const float* y = ws_.Get(kOutSlot, dx.size());
+  ApplyGrad(dx.data(), y, dx.size());
+  return dx;
+}
+
+Tensor ElementwiseActivation::Forward(const Tensor& x) {
+  state_.SetPerExample(x.shape());
+  return Activate(x);
+}
+
+Tensor ElementwiseActivation::Backward(const Tensor& grad_out) {
   const std::vector<size_t>& in = RequirePerExampleState();
   DPBR_CHECK(grad_out.shape() == in);
-  Tensor dx = grad_out;
-  float a = static_cast<float>(alpha_);
-  const float* y = ws_.Get(kOutSlot, dx.size());
-  simd::Kernels().elu_grad_f32(dx.data(), y, dx.size(), a);
-  return dx;
+  return Gradient(grad_out);
 }
 
-Tensor Elu::ForwardBatch(const Tensor& x) {
+Tensor ElementwiseActivation::ForwardBatch(const Tensor& x) {
   RequireBatchedInput(x, 2, /*at_least_rank=*/true);
-  Tensor y = x;
-  float a = static_cast<float>(alpha_);
-  float* cached = ws_.Get(kOutSlot, y.size());
-  float* yd = y.data();
   state_.SetBatched(x.shape());
-  const simd::SimdKernels& kern = simd::Kernels();
-  ParallelForBlocked(y.size(), kEltBlock, [&](size_t lo, size_t hi) {
-    kern.elu_f32(yd + lo, hi - lo, a);
-    std::memcpy(cached + lo, yd + lo, (hi - lo) * sizeof(float));
-  });
-  return y;
+  return Activate(x);
 }
 
-Tensor Elu::BackwardBatch(const Tensor& grad_out,
-                          const PerExampleGradSink& /*sink*/) {
-  const std::vector<size_t>& in = RequireBatchedState();
-  RequireGradShape(grad_out, in);
-  Tensor dx = grad_out;
-  float a = static_cast<float>(alpha_);
-  const float* y = ws_.Get(kOutSlot, dx.size());
-  float* dxd = dx.data();
-  const simd::SimdKernels& kern = simd::Kernels();
-  ParallelForBlocked(dx.size(), kEltBlock, [&](size_t lo, size_t hi) {
-    kern.elu_grad_f32(dxd + lo, y + lo, hi - lo, a);
-  });
-  return dx;
+Tensor ElementwiseActivation::BackwardBatch(
+    const Tensor& grad_out, const PerExampleGradSink& /*sink*/) {
+  RequireGradShape(grad_out, RequireBatchedState());
+  return Gradient(grad_out);
 }
 
-std::vector<size_t> Elu::FuseForwardPrepare(
-    size_t batch, const std::vector<size_t>& in_shape) {
-  fused_n_ = 1;
-  for (size_t d : in_shape) fused_n_ *= d;
-  fused_cache_ = ws_.Get(kOutSlot, batch * fused_n_);
-  std::vector<size_t> shape;
-  shape.reserve(in_shape.size() + 1);
-  shape.push_back(batch);
-  shape.insert(shape.end(), in_shape.begin(), in_shape.end());
-  state_.SetBatchedFused(shape);
-  return in_shape;
+void Elu::Apply(float* y, size_t n) const {
+  simd::Kernels().elu_f32(y, n, static_cast<float>(alpha_));
 }
 
-void Elu::FuseForwardEpilogue(size_t ex, float* block) {
-  // In place on the anchor's hot panel; the elementwise kernel is
-  // chunking-invariant, so this equals the unfused blocked dispatch.
-  float a = static_cast<float>(alpha_);
-  simd::Kernels().elu_f32(block, fused_n_, a);
-  std::memcpy(fused_cache_ + ex * fused_n_, block, fused_n_ * sizeof(float));
+void Elu::ApplyGrad(float* dy, const float* y, size_t n) const {
+  simd::Kernels().elu_grad_f32(dy, y, n, static_cast<float>(alpha_));
 }
 
-void Elu::FuseBackwardPrepare() {
-  const std::vector<size_t>& in = RequireBatchedState();
-  fused_n_ = 1;
-  for (size_t i = 1; i < in.size(); ++i) fused_n_ *= in[i];
-  fused_cache_ = ws_.Get(kOutSlot, in[0] * fused_n_);
-}
+void Relu::Apply(float* y, size_t n) const { simd::Kernels().relu_f32(y, n); }
 
-void Elu::FuseBackwardEpilogue(size_t ex, float* block,
-                               const PerExampleGradSink& /*sink*/) {
-  float a = static_cast<float>(alpha_);
-  simd::Kernels().elu_grad_f32(block, fused_cache_ + ex * fused_n_, fused_n_,
-                               a);
-}
-
-Tensor Relu::Forward(const Tensor& x) {
-  Tensor y = x;
-  float* cached = ws_.Get(kOutSlot, y.size());
-  simd::Kernels().relu_f32(y.data(), y.size());
-  std::memcpy(cached, y.data(), y.size() * sizeof(float));
-  state_.SetPerExample(x.shape());
-  return y;
-}
-
-Tensor Relu::Backward(const Tensor& grad_out) {
-  const std::vector<size_t>& in = RequirePerExampleState();
-  DPBR_CHECK(grad_out.shape() == in);
-  Tensor dx = grad_out;
-  const float* y = ws_.Get(kOutSlot, dx.size());
-  simd::Kernels().relu_grad_f32(dx.data(), y, dx.size());
-  return dx;
-}
-
-Tensor Relu::ForwardBatch(const Tensor& x) {
-  RequireBatchedInput(x, 2, /*at_least_rank=*/true);
-  Tensor y = x;
-  float* cached = ws_.Get(kOutSlot, y.size());
-  float* yd = y.data();
-  state_.SetBatched(x.shape());
-  const simd::SimdKernels& kern = simd::Kernels();
-  ParallelForBlocked(y.size(), kEltBlock, [&](size_t lo, size_t hi) {
-    kern.relu_f32(yd + lo, hi - lo);
-    std::memcpy(cached + lo, yd + lo, (hi - lo) * sizeof(float));
-  });
-  return y;
-}
-
-Tensor Relu::BackwardBatch(const Tensor& grad_out,
-                           const PerExampleGradSink& /*sink*/) {
-  const std::vector<size_t>& in = RequireBatchedState();
-  RequireGradShape(grad_out, in);
-  Tensor dx = grad_out;
-  const float* y = ws_.Get(kOutSlot, dx.size());
-  float* dxd = dx.data();
-  const simd::SimdKernels& kern = simd::Kernels();
-  ParallelForBlocked(dx.size(), kEltBlock, [&](size_t lo, size_t hi) {
-    kern.relu_grad_f32(dxd + lo, y + lo, hi - lo);
-  });
-  return dx;
-}
-
-std::vector<size_t> Relu::FuseForwardPrepare(
-    size_t batch, const std::vector<size_t>& in_shape) {
-  fused_n_ = 1;
-  for (size_t d : in_shape) fused_n_ *= d;
-  fused_cache_ = ws_.Get(kOutSlot, batch * fused_n_);
-  std::vector<size_t> shape;
-  shape.reserve(in_shape.size() + 1);
-  shape.push_back(batch);
-  shape.insert(shape.end(), in_shape.begin(), in_shape.end());
-  state_.SetBatchedFused(shape);
-  return in_shape;
-}
-
-void Relu::FuseForwardEpilogue(size_t ex, float* block) {
-  simd::Kernels().relu_f32(block, fused_n_);
-  std::memcpy(fused_cache_ + ex * fused_n_, block, fused_n_ * sizeof(float));
-}
-
-void Relu::FuseBackwardPrepare() {
-  const std::vector<size_t>& in = RequireBatchedState();
-  fused_n_ = 1;
-  for (size_t i = 1; i < in.size(); ++i) fused_n_ *= in[i];
-  fused_cache_ = ws_.Get(kOutSlot, in[0] * fused_n_);
-}
-
-void Relu::FuseBackwardEpilogue(size_t ex, float* block,
-                                const PerExampleGradSink& /*sink*/) {
-  simd::Kernels().relu_grad_f32(block, fused_cache_ + ex * fused_n_, fused_n_);
+void Relu::ApplyGrad(float* dy, const float* y, size_t n) const {
+  simd::Kernels().relu_grad_f32(dy, y, n);
 }
 
 }  // namespace nn

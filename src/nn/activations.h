@@ -4,14 +4,15 @@
 // recoverable from the output sign (x <= 0 ⟺ y <= 0 for ELU, y == 0 for
 // ReLU), which halves the cached state. The cached output lives in a
 // grow-only Workspace slot shared between the per-example and batched
-// paths under a BatchState guard, and the batched path runs the whole
-// microbatch as one threaded elementwise dispatch (fixed block size, so
-// the split is shape-only and results are bitwise equal to the
-// per-example loop under any pool size).
+// paths under a BatchState guard. Both paths run the same elementwise
+// kernel over the whole tensor, serially: a batched pass is just a
+// longer run of independent elements, bitwise equal to the per-example
+// loop.
 
 #ifndef DPBR_NN_ACTIVATIONS_H_
 #define DPBR_NN_ACTIVATIONS_H_
 
+#include <cstddef>
 #include <string>
 
 #include "nn/gemm.h"
@@ -20,66 +21,53 @@
 namespace dpbr {
 namespace nn {
 
-/// ELU(x) = x for x > 0, α(eˣ - 1) otherwise.
-class Elu : public Layer {
+/// Shared driver for output-cached elementwise activations: subclasses
+/// supply the in-place forward kernel and its output-based derivative.
+class ElementwiseActivation : public Layer {
  public:
-  explicit Elu(double alpha = 1.0) : alpha_(alpha) {}
-
   Tensor Forward(const Tensor& x) override;
   Tensor Backward(const Tensor& grad_out) override;
   Tensor ForwardBatch(const Tensor& x) override;
   Tensor BackwardBatch(const Tensor& grad_out,
                        const PerExampleGradSink& sink) override;
+
+ protected:
+  /// y ← f(y) in place over n elements.
+  virtual void Apply(float* y, size_t n) const = 0;
+  /// dy ← dy ⊙ f'(x), with f' recovered from the cached output y.
+  virtual void ApplyGrad(float* dy, const float* y, size_t n) const = 0;
+
+ private:
+  /// Applies f to a copy of `x`, caching the output.
+  Tensor Activate(const Tensor& x);
+  /// Input gradient from `grad_out` and the cached output.
+  Tensor Gradient(const Tensor& grad_out);
+
+  Workspace ws_;  // slot 0: cached output(s)
+};
+
+/// ELU(x) = x for x > 0, α(eˣ - 1) otherwise.
+class Elu : public ElementwiseActivation {
+ public:
+  explicit Elu(double alpha = 1.0) : alpha_(alpha) {}
   std::string name() const override { return "ELU"; }
 
-  // Stage-fusion epilogue: in-place elementwise transform of the
-  // anchor's output block, caching the output at the example's offset —
-  // the same elu_f32 / elu_grad_f32 kernels as the unfused dispatches,
-  // so fused == unfused bitwise.
-  FusionInfo fusion_info() const override {
-    return {/*anchor=*/false, /*epilogue=*/true};
-  }
-  std::vector<size_t> FuseForwardPrepare(
-      size_t batch, const std::vector<size_t>& in_shape) override;
-  void FuseForwardEpilogue(size_t ex, float* block) override;
-  void FuseBackwardPrepare() override;
-  void FuseBackwardEpilogue(size_t ex, float* block,
-                            const PerExampleGradSink& sink) override;
+ protected:
+  void Apply(float* y, size_t n) const override;
+  void ApplyGrad(float* dy, const float* y, size_t n) const override;
 
  private:
   double alpha_;
-  Workspace ws_;  // slot 0: cached output(s)
-  // Fused per-example element count and cache pointer (stashed by the
-  // serial prepare hooks; in-dispatch hooks never grow the Workspace).
-  size_t fused_n_ = 0;
-  float* fused_cache_ = nullptr;
 };
 
 /// ReLU(x) = max(x, 0).
-class Relu : public Layer {
+class Relu : public ElementwiseActivation {
  public:
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  Tensor ForwardBatch(const Tensor& x) override;
-  Tensor BackwardBatch(const Tensor& grad_out,
-                       const PerExampleGradSink& sink) override;
   std::string name() const override { return "ReLU"; }
 
-  // Stage-fusion epilogue (see Elu).
-  FusionInfo fusion_info() const override {
-    return {/*anchor=*/false, /*epilogue=*/true};
-  }
-  std::vector<size_t> FuseForwardPrepare(
-      size_t batch, const std::vector<size_t>& in_shape) override;
-  void FuseForwardEpilogue(size_t ex, float* block) override;
-  void FuseBackwardPrepare() override;
-  void FuseBackwardEpilogue(size_t ex, float* block,
-                            const PerExampleGradSink& sink) override;
-
- private:
-  Workspace ws_;  // slot 0: cached output(s)
-  size_t fused_n_ = 0;
-  float* fused_cache_ = nullptr;
+ protected:
+  void Apply(float* y, size_t n) const override;
+  void ApplyGrad(float* dy, const float* y, size_t n) const override;
 };
 
 }  // namespace nn

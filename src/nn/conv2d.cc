@@ -10,7 +10,7 @@ namespace nn {
 namespace {
 
 // Workspace slots (per layer instance). All hold single-example buffers:
-// the fused batch forward and backward stream their per-example
+// the batched forward and backward stream their per-example
 // im2col/col2im panels through the batched kernels' per-thread scratch
 // instead, so nothing here scales with the batch size (kColSlot/
 // kDcolSlot serve only the per-example path).
@@ -19,7 +19,7 @@ constexpr size_t kInputSlot = 1;  // cached forward input(s)
 constexpr size_t kDcolSlot = 2;   // column-space gradient, K × OH·OW
 
 // db[oc] += Σ_i gy[oc·q + i], accumulated in double. Shared by the
-// per-example backward and the fused batched epilogue so the bitwise
+// per-example backward and the batched backward's epilogue so the bitwise
 // contract between the two paths is pinned in one place.
 void AccumulateBiasRowSums(const float* gy, size_t out_ch, size_t q,
                            float* bgrad) {
@@ -196,7 +196,7 @@ Tensor Conv2d::ForwardBatch(const Tensor& x) {
     }
     return y;
   }
-  // Fused path: the whole microbatch is one batched-GEMM dispatch that
+  // Batched path: the whole microbatch is one batched-GEMM dispatch that
   // writes straight into the (N, OC, Q) output. Each example's im2col
   // panel is expanded into the dispatch's per-thread scratch right
   // before its tiles are computed, so it is consumed while cache-hot.
@@ -234,7 +234,7 @@ Tensor Conv2d::BackwardBatch(const Tensor& grad_out,
     }
     return dx;
   }
-  // Fused path: the whole backward — per-example dW/db rows into the
+  // Batched path: the whole backward — per-example dW/db rows into the
   // sink, dX through col2im — is one batched dispatch split over
   // examples. Each example's task re-expands its im2col panel into
   // per-thread scratch (one K×Q buffer per thread, not per example) and
@@ -271,109 +271,6 @@ Tensor Conv2d::BackwardBatch(const Tensor& grad_out,
                       });
       });
   return dx;
-}
-
-std::vector<size_t> Conv2d::FuseForwardPrepare(
-    size_t batch, const std::vector<size_t>& in_shape) {
-  DPBR_CHECK(kernel_ == Conv2dKernel::kGemm);
-  DPBR_CHECK_EQ(in_shape.size(), 3u);
-  DPBR_CHECK_EQ(in_shape[0], in_ch_);
-  size_t h = in_shape[1], w = in_shape[2];
-  DPBR_CHECK_GE(h + 2 * pad_ + 1, k_);
-  DPBR_CHECK_GE(w + 2 * pad_ + 1, k_);
-  fused_h_ = h;
-  fused_w_ = w;
-  fused_oh_ = h + 2 * pad_ - k_ + 1;
-  fused_ow_ = w + 2 * pad_ - k_ + 1;
-  fused_q_ = fused_oh_ * fused_ow_;
-  fused_kk_ = in_ch_ * k_ * k_;
-  fused_in_stride_ = in_ch_ * h * w;
-  fused_out_stride_ = out_ch_ * fused_q_;
-  // Grown here, serially — the in-dispatch hooks only read the pointer.
-  fused_in_cache_ = ws_.Get(kInputSlot, batch * fused_in_stride_);
-  state_.SetBatchedFused({batch, in_ch_, h, w});
-  return {out_ch_, fused_oh_, fused_ow_};
-}
-
-void Conv2d::FuseForwardAnchor(size_t ex, const float* x, float* y,
-                               EpilogueChain chain) {
-  // Cache this example's input slice (upstream groups hand panels whose
-  // contents die with the task; the backward re-expands im2col from
-  // here, exactly like the unfused batched path).
-  float* cached = fused_in_cache_ + ex * fused_in_stride_;
-  std::memcpy(cached, x, fused_in_stride_ * sizeof(float));
-  // Batch-1 batched GEMM: runs inline inside the enclosing fused
-  // dispatch (dispatch-free) with the identical tile sweep the unfused
-  // whole-batch GemmBatchedNN performs for this example — bitwise equal.
-  GemmBatchedNN(out_ch_, fused_kk_, fused_q_, 1, weight_.data(), y,
-                bias_.data(), [&](size_t, float* col) {
-                  Im2Col(cached, in_ch_, fused_h_, fused_w_, k_, pad_, col);
-                });
-  // The group's post-ops, on the output block while its tiles are hot —
-  // same statements, same order as the in-kernel chain of the
-  // whole-batch path.
-  chain.Apply(ex, y);
-}
-
-bool Conv2d::FuseForwardWholeBatch(size_t batch, const float* x, float* y,
-                                   EpilogueChain chain) {
-  if (kernel_ != Conv2dKernel::kGemm) return false;
-  std::memcpy(fused_in_cache_, x,
-              batch * fused_in_stride_ * sizeof(float));
-  const float* cached = fused_in_cache_;
-  size_t in_stride = fused_in_stride_;
-  size_t h = fused_h_, w = fused_w_;
-  // One dispatch for the whole group: conv tiles, then the epilogue
-  // chain (activation, normalization) applied to each example's output
-  // block inside its own task.
-  GemmBatchedNN(out_ch_, fused_kk_, fused_q_, batch, weight_.data(), y,
-                bias_.data(),
-                [&](size_t ex, float* col) {
-                  Im2Col(cached + ex * in_stride, in_ch_, h, w, k_, pad_,
-                         col);
-                },
-                chain);
-  return true;
-}
-
-void Conv2d::FuseBackwardPrepare() {
-  const std::vector<size_t>& in = RequireBatchedState();
-  size_t batch = in[0], h = in[2], w = in[3];
-  fused_h_ = h;
-  fused_w_ = w;
-  fused_oh_ = h + 2 * pad_ - k_ + 1;
-  fused_ow_ = w + 2 * pad_ - k_ + 1;
-  fused_q_ = fused_oh_ * fused_ow_;
-  fused_kk_ = in_ch_ * k_ * k_;
-  fused_in_stride_ = in_ch_ * h * w;
-  fused_out_stride_ = out_ch_ * fused_q_;
-  // No growth when a batched forward (fused or not) ran at this shape;
-  // re-deriving from state_ keeps the backward valid after either.
-  fused_in_cache_ = ws_.Get(kInputSlot, batch * fused_in_stride_);
-}
-
-void Conv2d::FuseBackwardAnchor(size_t ex, const float* gy, float* gx,
-                                const PerExampleGradSink& sink) {
-  // The unfused fused-batched backward's per-example task body, verbatim
-  // (same kernels, same order), against batch-1 views: dW row, bias row
-  // sums, then the col2im'd dX panel product.
-  const float* x_ex = fused_in_cache_ + ex * fused_in_stride_;
-  float* wgrad = sink.Slot(ex);
-  GemmBatchedNT(out_ch_, fused_q_, fused_kk_, 1, gy, 0,
-                [&](size_t, float* col) {
-                  Im2Col(x_ex, in_ch_, fused_h_, fused_w_, k_, pad_, col);
-                },
-                [&](size_t) { return wgrad; },
-                /*accumulate=*/true);
-  AccumulateBiasRowSums(gy, out_ch_, fused_q_, wgrad + weight_.size());
-  // Col2Im accumulates onto its target, so the panel (or dx slice) must
-  // start from zero like the unfused path's zero-initialized dx tensor.
-  std::memset(gx, 0, fused_in_stride_ * sizeof(float));
-  GemmBatchedTN(fused_kk_, out_ch_, fused_q_, 1, weight_.data(), gy, 0,
-                [&](size_t, const float* dcol) {
-                  Col2ImAccumulate(dcol, in_ch_, fused_h_, fused_w_, k_,
-                                   pad_, gx);
-                });
 }
 
 std::vector<ParamView> Conv2d::Params() {

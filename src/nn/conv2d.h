@@ -3,8 +3,8 @@
 // The production kernel lowers the convolution to im2col + blocked GEMM
 // (src/nn/gemm.h) with all scratch held in a per-layer Workspace, so hot
 // training loops neither allocate nor re-derive loop bounds. ForwardBatch
-// fuses the whole microbatch into one batched-GEMM dispatch
-// (GemmBatchedNN) and BackwardBatch into one batched backward dispatch
+// runs the whole microbatch as one batched-GEMM dispatch
+// (GemmBatchedNN) and BackwardBatch as one batched backward dispatch
 // (GemmBatchedNT + an embedded per-example GemmBatchedTN/col2im), both
 // bitwise identical to the per-example loop (same per-element
 // accumulation order) with each example's dW/db row written to its own
@@ -46,22 +46,6 @@ class Conv2d : public Layer {
   void InitParams(SplitRng* rng) override;
   std::string name() const override { return "Conv2d"; }
 
-  // Stage-fusion anchor (GEMM path only; the naive reference kernel
-  // stays unfused). Per-example hooks run the exact kernel sequence of
-  // the unfused batched paths, so fused == unfused bitwise.
-  FusionInfo fusion_info() const override {
-    return {/*anchor=*/kernel_ == Conv2dKernel::kGemm, /*epilogue=*/false};
-  }
-  std::vector<size_t> FuseForwardPrepare(
-      size_t batch, const std::vector<size_t>& in_shape) override;
-  void FuseForwardAnchor(size_t ex, const float* x, float* y,
-                         EpilogueChain chain) override;
-  bool FuseForwardWholeBatch(size_t batch, const float* x, float* y,
-                             EpilogueChain chain) override;
-  void FuseBackwardPrepare() override;
-  void FuseBackwardAnchor(size_t ex, const float* gy, float* gx,
-                          const PerExampleGradSink& sink) override;
-
   size_t out_channels() const { return out_ch_; }
 
  private:
@@ -94,13 +78,6 @@ class Conv2d : public Layer {
   std::vector<float> bias_grad_;
   // im2col / dcol scratch plus the cached forward input(s).
   Workspace ws_;
-  // Fused-stage geometry and cache pointer, stashed by the serial
-  // prepare hooks so the in-dispatch hooks never touch the Workspace
-  // (which must not grow concurrently).
-  float* fused_in_cache_ = nullptr;
-  size_t fused_h_ = 0, fused_w_ = 0, fused_oh_ = 0, fused_ow_ = 0;
-  size_t fused_q_ = 0, fused_kk_ = 0;
-  size_t fused_in_stride_ = 0, fused_out_stride_ = 0;
 };
 
 }  // namespace nn

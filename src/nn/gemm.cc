@@ -26,7 +26,7 @@ constexpr size_t kPanelK = 64;
 // cached while every A row is dotted against it.
 constexpr size_t kTileN = 32;
 
-// Column-tile width for the NN kernel. Wide outputs (the fused batch-conv
+// Column-tile width for the NN kernel. Wide outputs (the batched conv
 // panel is N·OH·OW columns) are cut into tiles so one C-row tile (4 KB)
 // stays in L1 across the whole ascending-p sweep instead of being
 // re-streamed from L2 once per panel row. Column tiling never touches an
@@ -156,16 +156,9 @@ void GemmNNSerialRow(size_t k, size_t n, const float* a, const float* b,
   }
 }
 
-void GemmNTSerialRow(size_t k, size_t n, const float* a, const float* b,
-                     float* c) {
-  if (n == 0) return;
-  GemmNTRows(0, 1, k, n, a, b, c, /*accumulate=*/false);
-}
-
 void GemmBatchedNN(size_t m, size_t k, size_t n, size_t batch,
                    const float* a, float* c, const float* row_init,
-                   FunctionRef<void(size_t ex, float* panel)> fill_panel,
-                   EpilogueChain epilogue) {
+                   FunctionRef<void(size_t ex, float* panel)> fill_panel) {
   if (m == 0 || n == 0 || batch == 0) return;
   ParallelForBlocked(batch, 1, [&](size_t e0, size_t e1) {
     // One panel per worker thread (tasks run inline or on distinct pool
@@ -184,9 +177,6 @@ void GemmBatchedNN(size_t m, size_t k, size_t n, size_t batch,
                      row_init);
         }
       }
-      // Post-op chain on the example's output block while its tiles are
-      // still cache-hot: the whole fused group stays inside this task.
-      epilogue.Apply(ex, cx);
     }
   });
 }

@@ -52,52 +52,24 @@ class Workspace {
 
 // --- Per-thread panel arena -----------------------------------------
 //
-// The batched kernels and the fused-stage drivers stream transient
-// per-example panels through per-thread grow-only scratch: one buffer
-// per (thread, slot), reused across examples and dispatches, never
-// shrunk. Panel contents never outlive the example that filled them, so
-// the sharing cannot change any output bit. The slot map keeps nested
-// callers disjoint — a fused driver panel is never the panel a nested
-// batch-1 batched kernel fills inside it.
+// The batched kernels stream transient per-example panels through
+// per-thread grow-only scratch: one buffer per (thread, slot), reused
+// across examples and dispatches, never shrunk. Panel contents never
+// outlive the example that filled them, so the sharing cannot change
+// any output bit. The slot map keeps nested callers disjoint — the
+// batch-1 GemmBatchedTN inside a GemmBatchedNT epilogue never fills the
+// panel its caller was handed.
 
 /// Slots used internally by GemmBatchedNN / GemmBatchedNT /
 /// GemmBatchedTN for their streamed operand panels.
 constexpr size_t kPanelSlotNNFill = 0;
 constexpr size_t kPanelSlotNTFill = 1;
 constexpr size_t kPanelSlotTNOut = 2;
-/// Ping-pong activation panels of the fused forward driver
-/// (nn::FusedStage), and gradient panels of the fused backward driver.
-constexpr size_t kPanelSlotFusedFwdA = 3;
-constexpr size_t kPanelSlotFusedFwdB = 4;
-constexpr size_t kPanelSlotFusedBwdA = 5;
-constexpr size_t kPanelSlotFusedBwdB = 6;
 
 /// Returns the calling thread's panel `slot` grown to at least `n`
 /// floats. Grow-only and thread-local: after warm-up no call allocates,
 /// which is what lets dispatch bodies use it freely.
 float* ThreadPanel(size_t slot, size_t n);
-
-// --- Epilogue chain -------------------------------------------------
-
-/// One post-op applied to a per-thread output panel while cache-hot:
-/// op(ex, block) transforms example `ex`'s m×n output block in place.
-/// Non-owning (FunctionRef) — callables live in the caller's frame or in
-/// a stable side array for the duration of the kernel call.
-using EpilogueOp = FunctionRef<void(size_t ex, float* block)>;
-
-/// Ordered list of post-ops a batched GEMM applies to each example's
-/// output block inside that example's task, immediately after its tiles
-/// are computed — bias, activation, normalization — so a whole fused
-/// layer group costs one dispatch. A default-constructed chain is empty
-/// (the plain GEMM).
-struct EpilogueChain {
-  const EpilogueOp* ops = nullptr;
-  size_t count = 0;
-
-  void Apply(size_t ex, float* block) const {
-    for (size_t i = 0; i < count; ++i) ops[i](ex, block);
-  }
-};
 
 /// C (m×n) = A (m×k) · B (k×n), all row-major. When `row_init` is
 /// non-null, row i of C starts from the scalar row_init[i] (broadcast
@@ -112,18 +84,11 @@ void GemmNN(size_t m, size_t k, size_t n, const float* a, const float* b,
 /// Serial single-row NN GEMM: c (1×n) = a (1×k) · B (k×n), with row 0 of
 /// c starting from the scalar row_init[0] when non-null. Runs the same
 /// tile kernel GemmNN dispatches, so the per-element ascending-p values
-/// are bitwise identical to GemmNN(1, k, n, ...) — the shared primitive
-/// for fused batched dispatches that compute one dX row per example
-/// inside their own task (Linear::BackwardBatch).
+/// are bitwise identical to GemmNN(1, k, n, ...) — the primitive for
+/// batched dispatches that compute one dX row per example inside their
+/// own task (Linear::BackwardBatch).
 void GemmNNSerialRow(size_t k, size_t n, const float* a, const float* b,
                      float* c, const float* row_init = nullptr);
-
-/// Serial single-row NT GEMM: c (1×n) = a (1×k) · Bᵀ for row-major B
-/// (n×k). Per-element values are the same dot8_f32 folds as GemmNT's row
-/// — the fused forward primitive for one Linear output row computed
-/// inside another dispatch's task.
-void GemmNTSerialRow(size_t k, size_t n, const float* a, const float* b,
-                     float* c);
 
 /// Batched NN GEMM sharing one left operand: for each ex in [0, batch),
 /// C_ex (m×n) = A (m×k) · B_ex (k×n) with C_ex = c + ex·m·n. Bitwise
@@ -136,18 +101,11 @@ void GemmNTSerialRow(size_t k, size_t n, const float* a, const float* b,
 /// k×n matrix B_ex into `panel`, a per-thread grow-only scratch buffer
 /// that is consumed immediately while cache-hot (its contents are
 /// transient, so sharing it per thread cannot affect results). This is
-/// the fused batch-conv forward kernel: fill_panel is Im2Col and C the
+/// the batched conv forward kernel: fill_panel is Im2Col and C the
 /// (N, OC, OH·OW) output tensor written in place.
-///
-/// `epilogue` is applied to C_ex inside example ex's task right after
-/// its tiles — the block is still cache-hot, so a conv→activation→norm
-/// group runs start to finish without the intermediates ever leaving the
-/// thread (bias is already folded via row_init). Ops see the real
-/// example index.
 void GemmBatchedNN(size_t m, size_t k, size_t n, size_t batch,
                    const float* a, float* c, const float* row_init,
-                   FunctionRef<void(size_t ex, float* panel)> fill_panel,
-                   EpilogueChain epilogue = {});
+                   FunctionRef<void(size_t ex, float* panel)> fill_panel);
 
 /// C (m×n) = Aᵀ · B for row-major A (k×m), B (k×n). Same fixed
 /// ascending-p accumulation order as GemmNN.
@@ -183,7 +141,7 @@ void GemmTN(size_t m, size_t k, size_t n, const float* a, const float* b,
 /// sink's accumulate-onto-prezeroed-rows contract. Per-element values
 /// match GemmNT's fixed DotChained order bit for bit. The optional
 /// epilogue(ex, panel) runs inside the same task after the product, with
-/// the filled panel still valid — the fusion point for the rest of an
+/// the filled panel still valid — the hook for the rest of an
 /// example's backward (bias row sums, the dX panel product), which is
 /// what makes a whole layer backward a single dispatch.
 void GemmBatchedNT(

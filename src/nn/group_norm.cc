@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace dpbr {
 namespace nn {
@@ -146,16 +145,10 @@ Tensor GroupNorm::ForwardBatch(const Tensor& x) {
   size_t stride = channels_ * h * w;
   const float* xd = x.data();
   float* yd = y.data();
-  // One dispatch per microbatch: examples touch disjoint slices of x̂, y
-  // and 1/std, and per-example statistics are independent, so the split
-  // (by example, shape-only) is race-free, pool-size invariant and
-  // bitwise equal to the serial per-example loop.
-  ParallelForBlocked(batch, 1, [&](size_t e0, size_t e1) {
-    for (size_t ex = e0; ex < e1; ++ex) {
-      ForwardOne(xd + ex * stride, h * w, xhat + ex * stride,
-                 yd + ex * stride, inv_std + ex * groups_);
-    }
-  });
+  for (size_t ex = 0; ex < batch; ++ex) {
+    ForwardOne(xd + ex * stride, h * w, xhat + ex * stride, yd + ex * stride,
+               inv_std + ex * groups_);
+  }
   return y;
 }
 
@@ -170,69 +163,19 @@ Tensor GroupNorm::BackwardBatch(const Tensor& grad_out,
   Tensor dx({batch, channels_, h, w});
   const float* gy = grad_out.data();
   float* dxd = dx.data();
-  // Per-example gradients stay separated (each example's affine gradient
-  // lands in its own sink row), but the per-example work runs inside one
-  // threaded dispatch: every example writes disjoint dx / sink slices.
-  ParallelForBlocked(batch, 1, [&](size_t e0, size_t e1) {
-    for (size_t ex = e0; ex < e1; ++ex) {
-      float* ggrad = nullptr;
-      float* bgrad = nullptr;
-      if (affine_) {
-        ggrad = sink.Slot(ex);
-        bgrad = ggrad + gamma_.size();
-      }
-      BackwardOne(gy + ex * stride, xhat + ex * stride,
-                  inv_std + ex * groups_, h * w, dxd + ex * stride, ggrad,
-                  bgrad);
+  // Per-example gradients stay separated: each example's affine gradient
+  // lands in its own sink row.
+  for (size_t ex = 0; ex < batch; ++ex) {
+    float* ggrad = nullptr;
+    float* bgrad = nullptr;
+    if (affine_) {
+      ggrad = sink.Slot(ex);
+      bgrad = ggrad + gamma_.size();
     }
-  });
-  return dx;
-}
-
-std::vector<size_t> GroupNorm::FuseForwardPrepare(
-    size_t batch, const std::vector<size_t>& in_shape) {
-  DPBR_CHECK_EQ(in_shape.size(), 3u);
-  DPBR_CHECK_EQ(in_shape[0], channels_);
-  size_t h = in_shape[1], w = in_shape[2];
-  fused_spatial_ = h * w;
-  fused_stride_ = channels_ * fused_spatial_;
-  fused_xhat_ = ws_.Get(kXhatSlot, batch * fused_stride_);
-  fused_inv_std_ = ws_.GetDouble(kInvStdSlot, batch * groups_);
-  state_.SetBatchedFused({batch, channels_, h, w});
-  return in_shape;
-}
-
-void GroupNorm::FuseForwardEpilogue(size_t ex, float* block) {
-  // In place (y == x): ForwardOne reads each element before writing its
-  // slot (stats sweeps read only; the normalize sweep loads before it
-  // stores), so this is bitwise equal to the out-of-place unfused call.
-  ForwardOne(block, fused_spatial_, fused_xhat_ + ex * fused_stride_, block,
-             fused_inv_std_ + ex * groups_);
-}
-
-void GroupNorm::FuseBackwardPrepare() {
-  const std::vector<size_t>& in = RequireBatchedState();
-  size_t batch = in[0];
-  fused_spatial_ = in[2] * in[3];
-  fused_stride_ = channels_ * fused_spatial_;
-  fused_xhat_ = ws_.Get(kXhatSlot, batch * fused_stride_);
-  fused_inv_std_ = ws_.GetDouble(kInvStdSlot, batch * groups_);
-}
-
-void GroupNorm::FuseBackwardEpilogue(size_t ex, float* block,
-                                     const PerExampleGradSink& sink) {
-  float* ggrad = nullptr;
-  float* bgrad = nullptr;
-  if (affine_) {
-    ggrad = sink.Slot(ex);
-    bgrad = ggrad + gamma_.size();
+    BackwardOne(gy + ex * stride, xhat + ex * stride, inv_std + ex * groups_,
+                h * w, dxd + ex * stride, ggrad, bgrad);
   }
-  // In place (dx == dy): the affine and per-group reduction sweeps read
-  // dy before the dx sweep overwrites it, group by group, and each
-  // group's dx sweep touches only that group's slice.
-  BackwardOne(block, fused_xhat_ + ex * fused_stride_,
-              fused_inv_std_ + ex * groups_, fused_spatial_, block, ggrad,
-              bgrad);
+  return dx;
 }
 
 std::vector<ParamView> GroupNorm::Params() {

@@ -1,9 +1,8 @@
 // GroupNorm over (C, H, W) examples and (N, C, H, W) microbatches, as
 // used by the paper's MNIST and Colorectal CNNs (NumGroups=4,
 // NumChannels=16). Statistics are always per example, so the batched
-// path runs the per-example kernel over all examples inside a single
-// threaded dispatch (examples are independent, the split is shape-only,
-// and the result is bitwise equal to the serial per-example loop).
+// path runs the per-example kernel over the examples in a serial loop,
+// bitwise equal to the per-example path.
 
 #ifndef DPBR_NN_GROUP_NORM_H_
 #define DPBR_NN_GROUP_NORM_H_
@@ -37,20 +36,6 @@ class GroupNorm : public Layer {
   void InitParams(SplitRng* rng) override;  // γ=1, β=0
   std::string name() const override { return "GroupNorm"; }
 
-  // Stage-fusion epilogue: ForwardOne/BackwardOne applied in place on
-  // the anchor's output panel (both are aliasing-safe for y==x / dx==dy:
-  // every element is loaded before its slot is stored), so fused ==
-  // unfused bitwise.
-  FusionInfo fusion_info() const override {
-    return {/*anchor=*/false, /*epilogue=*/true};
-  }
-  std::vector<size_t> FuseForwardPrepare(
-      size_t batch, const std::vector<size_t>& in_shape) override;
-  void FuseForwardEpilogue(size_t ex, float* block) override;
-  void FuseBackwardPrepare() override;
-  void FuseBackwardEpilogue(size_t ex, float* block,
-                            const PerExampleGradSink& sink) override;
-
  private:
   /// Normalizes one example: writes x̂ and y, records 1/std per group.
   void ForwardOne(const float* x, size_t spatial, float* xhat, float* y,
@@ -72,11 +57,6 @@ class GroupNorm : public Layer {
   // 1/std per (example, group) (double slot). Both grow-only and shared
   // between the per-example and batched paths under `state_`'s guard.
   Workspace ws_;
-  // Fused geometry and cache pointers, stashed by the serial prepare
-  // hooks (the in-dispatch hooks never grow the Workspace).
-  size_t fused_spatial_ = 0, fused_stride_ = 0;
-  float* fused_xhat_ = nullptr;
-  double* fused_inv_std_ = nullptr;
 };
 
 }  // namespace nn

@@ -7,19 +7,11 @@ namespace nn {
 
 void BatchState::SetPerExample(const std::vector<size_t>& shape) {
   path_ = Path::kPerExample;
-  fused_ = false;
   shape_ = shape;
 }
 
 void BatchState::SetBatched(const std::vector<size_t>& shape) {
   path_ = Path::kBatched;
-  fused_ = false;
-  shape_ = shape;
-}
-
-void BatchState::SetBatchedFused(const std::vector<size_t>& shape) {
-  path_ = Path::kBatched;
-  fused_ = true;
   shape_ = shape;
 }
 
@@ -57,43 +49,6 @@ Tensor Layer::BackwardBatch(const Tensor& /*grad_out*/,
                             const PerExampleGradSink& /*sink*/) {
   DPBR_LOG_STREAM(Fatal) << name() << " does not implement BackwardBatch";
   return Tensor();
-}
-
-std::vector<size_t> Layer::FuseForwardPrepare(
-    size_t /*batch*/, const std::vector<size_t>& /*in_shape*/) {
-  DPBR_LOG_STREAM(Fatal) << name() << " does not implement FuseForwardPrepare";
-  return {};
-}
-
-void Layer::FuseForwardAnchor(size_t /*ex*/, const float* /*x*/, float* /*y*/,
-                              EpilogueChain /*chain*/) {
-  DPBR_LOG_STREAM(Fatal) << name() << " does not implement FuseForwardAnchor";
-}
-
-bool Layer::FuseForwardWholeBatch(size_t /*batch*/, const float* /*x*/,
-                                  float* /*y*/, EpilogueChain /*chain*/) {
-  return false;
-}
-
-void Layer::FuseForwardEpilogue(size_t /*ex*/, float* /*block*/) {
-  DPBR_LOG_STREAM(Fatal) << name()
-                         << " does not implement FuseForwardEpilogue";
-}
-
-void Layer::FuseBackwardPrepare() {
-  DPBR_LOG_STREAM(Fatal) << name() << " does not implement FuseBackwardPrepare";
-}
-
-void Layer::FuseBackwardEpilogue(size_t /*ex*/, float* /*block*/,
-                                 const PerExampleGradSink& /*sink*/) {
-  DPBR_LOG_STREAM(Fatal) << name()
-                         << " does not implement FuseBackwardEpilogue";
-}
-
-void Layer::FuseBackwardAnchor(size_t /*ex*/, const float* /*gy*/,
-                               float* /*gx*/,
-                               const PerExampleGradSink& /*sink*/) {
-  DPBR_LOG_STREAM(Fatal) << name() << " does not implement FuseBackwardAnchor";
 }
 
 size_t Layer::RequireBatchedInput(const Tensor& x, size_t rank,

@@ -16,13 +16,13 @@
 // interleaving Forward and ForwardBatch (eval between training steps)
 // can therefore never silently read stale shapes or activations.
 //
-// On top of the two paths sits the fused-stage protocol: layers that
-// advertise a FusionInfo role take part in cross-layer stage fusion
-// (nn::FusionPlan), where a run of layers executes as ONE dispatch with
-// intermediate activations streamed through per-thread panels. The fused
-// hooks fill exactly the same caches and record the same BatchState the
-// unfused batched path does, so fused and unfused passes interoperate
-// bitwise (a fused forward can feed an unfused backward and vice versa).
+// Parallelism lives in one place per layer type: only the layers that
+// own a GEMM (Conv2d, Linear) split a batched pass across the thread
+// pool, one dispatch per direction. The cheap layers (activations,
+// GroupNorm, pooling, Flatten) run their batched loops serially: their
+// work is small next to the GEMMs', and inside a federated round every
+// local step already runs on a pool worker, where nested dispatches
+// execute inline anyway.
 
 #ifndef DPBR_NN_LAYER_H_
 #define DPBR_NN_LAYER_H_
@@ -33,13 +33,10 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "nn/gemm.h"
 #include "tensor/tensor.h"
 
 namespace dpbr {
 namespace nn {
-
-class Sequential;
 
 /// Tag + shape record for a layer's cached forward state.
 ///
@@ -51,12 +48,6 @@ class Sequential;
 /// contract checked — each forward records its path and input shape,
 /// each backward asserts the matching path and reads the shape back;
 /// a mismatch DPBR_CHECK-fails loudly instead of corrupting gradients.
-///
-/// The batched path additionally records *how* it ran: a fused-stage
-/// forward (one dispatch for a whole layer group) marks the state
-/// fused. The caches it fills are bitwise identical to the unfused
-/// batched ones, so RequireBatched accepts both; the flag exists so
-/// tests and diagnostics can tell which driver produced the state.
 class BatchState {
  public:
   /// Records a per-example forward whose cached input shape is `shape`.
@@ -65,26 +56,18 @@ class BatchState {
   /// Records a batched forward; `shape`'s leading dimension is the batch.
   void SetBatched(const std::vector<size_t>& shape);
 
-  /// Records a batched forward executed by a fused stage driver.
-  void SetBatchedFused(const std::vector<size_t>& shape);
-
-  /// True when the last forward was batched AND ran fused.
-  bool last_forward_fused() const { return fused_; }
-
   /// Returns the cached per-example input shape; fails fatally (naming
   /// `layer`) unless the last forward was the per-example path.
   const std::vector<size_t>& RequirePerExample(const char* layer) const;
 
   /// Returns the cached batched input shape (dim 0 = batch size); fails
-  /// fatally unless the last forward was the batched path (fused or
-  /// not — their caches are interchangeable).
+  /// fatally unless the last forward was the batched path.
   const std::vector<size_t>& RequireBatched(const char* layer) const;
 
  private:
   enum class Path : uint8_t { kNone, kPerExample, kBatched };
 
   Path path_ = Path::kNone;
-  bool fused_ = false;
   // Assigned (not reallocated, after the first call of equal rank) each
   // forward; reads hand out a const reference, never a copy.
   std::vector<size_t> shape_;
@@ -102,9 +85,9 @@ struct ParamView {
 /// base[j * stride + offset + p]; rows must be zeroed by the caller
 /// before the backward pass (layers accumulate into them).
 ///
-/// Row ownership under batched dispatches: layers write sink rows from
-/// inside their single ParallelForBlocked backward dispatch, where the
-/// task handling example j owns row j exclusively (examples are split
+/// Row ownership under batched dispatches: GEMM layers write sink rows
+/// from inside their single ParallelForBlocked backward dispatch, where
+/// the task handling example j owns row j exclusively (examples are split
 /// across tasks by the shape only, and no two examples share a row), so
 /// the writes are race-free and the row contents are independent of the
 /// pool size — the TSan-tier case in
@@ -121,16 +104,6 @@ struct PerExampleGradSink {
   PerExampleGradSink Shifted(size_t delta) const {
     return {base, stride, offset + delta};
   }
-};
-
-/// A layer's stage-fusion capabilities. A fused group is one anchor
-/// (the layer that runs the group's GEMM) followed by zero or more
-/// epilogue layers (elementwise / per-example post-ops applied to the
-/// anchor's output block while cache-hot); nn::FusionPlan folds runs of
-/// such groups into single-dispatch FusedStage nodes.
-struct FusionInfo {
-  bool anchor = false;    ///< can start a fused group (Conv2d, Linear)
-  bool epilogue = false;  ///< can run as a panel post-op (ELU, ReLU, GN)
 };
 
 /// Base class for all layers.
@@ -158,69 +131,6 @@ class Layer {
   virtual Tensor BackwardBatch(const Tensor& grad_out,
                                const PerExampleGradSink& sink);
 
-  // --- stage-fusion protocol (see nn/fusion.h) -----------------------
-  //
-  // All hooks default to a fatal error; layers implement exactly the
-  // subset their fusion_info() advertises. Prepare hooks run serially
-  // before the stage dispatch (the only place workspace may grow); the
-  // per-example hooks run inside the dispatch, one call per example,
-  // and must therefore neither allocate nor touch shared mutable state
-  // outside their example's slices.
-
-  /// This layer's fusion capabilities ({} = opaque, never fused).
-  virtual FusionInfo fusion_info() const { return {}; }
-
-  /// Anchor, serial: asserts the per-example input shape, grows caches
-  /// for `batch` examples, records the (fused) batched state. Returns
-  /// the per-example output shape.
-  virtual std::vector<size_t> FuseForwardPrepare(
-      size_t batch, const std::vector<size_t>& in_shape);
-
-  /// Anchor, in-dispatch: full per-example forward from `x` (this
-  /// example's input slice or panel) into `y` (its output slice or
-  /// panel), then applies `chain` to the output block while cache-hot.
-  virtual void FuseForwardAnchor(size_t ex, const float* x, float* y,
-                                 EpilogueChain chain);
-
-  /// Anchor, serial: whole-microbatch fast path — runs all examples as
-  /// one batched-GEMM dispatch with `chain` applied per example inside
-  /// the kernel (the single-group stage case). Returns false when the
-  /// anchor has no such kernel (driver falls back to the per-example
-  /// path).
-  virtual bool FuseForwardWholeBatch(size_t batch, const float* x, float* y,
-                                     EpilogueChain chain);
-
-  /// Epilogue, in-dispatch: in-place post-op on example ex's block
-  /// (size = the group's per-example output size), caching whatever its
-  /// backward needs at example ex's offsets.
-  virtual void FuseForwardEpilogue(size_t ex, float* block);
-
-  /// Serial, before the backward dispatch (reverse layer order):
-  /// asserts the batched-forward state so the fused backward fails
-  /// exactly like an unfused BackwardBatch would on a stale cache.
-  virtual void FuseBackwardPrepare();
-
-  /// Epilogue, in-dispatch: in-place transform of example ex's gradient
-  /// block (dL/d(output) → dL/d(input) of this layer), accumulating any
-  /// parameter gradient into `sink` row ex (sink pre-shifted to this
-  /// layer).
-  virtual void FuseBackwardEpilogue(size_t ex, float* block,
-                                    const PerExampleGradSink& sink);
-
-  /// Anchor, in-dispatch: per-example backward — parameter gradients
-  /// into `sink` row ex, input gradient written to `gx` (fully
-  /// overwritten; callers need not pre-zero).
-  virtual void FuseBackwardAnchor(size_t ex, const float* gy, float* gx,
-                                  const PerExampleGradSink& sink);
-
-  /// Containers the fusion planner can flatten return themselves.
-  virtual Sequential* AsSequential() { return nullptr; }
-
-  /// Enables/disables stage fusion in this layer and every container it
-  /// owns (Sequential and Residual propagate; leaves ignore it). Tests
-  /// use it to pin the unfused reference path.
-  virtual void SetFusionEnabled(bool /*enabled*/) {}
-
   /// Views over this layer's parameters (empty for stateless layers).
   virtual std::vector<ParamView> Params() { return {}; }
 
@@ -238,10 +148,9 @@ class Layer {
  protected:
   // --- shared precondition helpers ----------------------------------
   //
-  // Every batched entry point — unfused ForwardBatch/BackwardBatch and
-  // the fused prepare hooks — asserts through these, so the two drivers
-  // fail identically on the same contract violation (same message, same
-  // check) instead of each layer hand-rolling its own copies.
+  // Every batched entry point asserts through these, so all layers fail
+  // identically on the same contract violation (same message, same
+  // check) instead of each hand-rolling its own copies.
 
   /// Batched-forward input check: `x` must have rank `rank` (at least
   /// `rank` when `at_least_rank`) and a positive leading batch
@@ -263,8 +172,8 @@ class Layer {
   void RequireGradShape(const Tensor& grad_out,
                         const std::vector<size_t>& expected) const;
 
-  /// Which path (per-example, batched, fused-batched) last filled this
-  /// layer's shared caches.
+  /// Which path (per-example or batched) last filled this layer's shared
+  /// caches.
   BatchState state_;
 };
 

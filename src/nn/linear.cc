@@ -78,7 +78,7 @@ Tensor Linear::BackwardBatch(const Tensor& grad_out,
   float* dxd = dx.data();
   size_t wsize = weight_.size();
   // The whole backward is one batched dispatch split over examples, the
-  // same shape as Conv2d's fused backward but on the raw per-example
+  // same shape as Conv2d's batched backward but on the raw per-example
   // kernels: dW_j = dy_j ⊗ x_j is a rank-1 update (a panel GEMM would
   // pay per-element reduction overhead for k=1), so each task runs the
   // per-example path's exact Ger/Axpy calls against its own sink row,
@@ -96,41 +96,6 @@ Tensor Linear::BackwardBatch(const Tensor& grad_out,
     }
   });
   return dx;
-}
-
-std::vector<size_t> Linear::FuseForwardPrepare(
-    size_t batch, const std::vector<size_t>& in_shape) {
-  DPBR_CHECK_EQ(in_shape.size(), 1u);
-  DPBR_CHECK_EQ(in_shape[0], in_);
-  fused_in_cache_ = ws_.Get(kInputSlot, batch * in_);
-  state_.SetBatchedFused({batch, in_});
-  return {out_};
-}
-
-void Linear::FuseForwardAnchor(size_t ex, const float* x, float* y,
-                               EpilogueChain chain) {
-  // Cache the input row, then one serial NT row — per-element dot8_f32
-  // values identical to the unfused whole-batch GemmNT's row ex — plus
-  // the bias, then the group's post-ops while the row is hot.
-  float* cached = fused_in_cache_ + ex * in_;
-  std::memcpy(cached, x, in_ * sizeof(float));
-  GemmNTSerialRow(in_, out_, cached, weight_.data(), y);
-  for (size_t r = 0; r < out_; ++r) y[r] += bias_[r];
-  chain.Apply(ex, y);
-}
-
-void Linear::FuseBackwardPrepare() {
-  const std::vector<size_t>& in = RequireBatchedState();
-  fused_in_cache_ = ws_.Get(kInputSlot, in[0] * in_);
-}
-
-void Linear::FuseBackwardAnchor(size_t ex, const float* gy, float* gx,
-                                const PerExampleGradSink& sink) {
-  // The unfused batched backward's per-example task body, verbatim.
-  float* wgrad = sink.Slot(ex);
-  ops::Ger(1.0f, gy, fused_in_cache_ + ex * in_, wgrad, out_, in_);
-  ops::Axpy(1.0f, gy, wgrad + weight_.size(), out_);
-  GemmNNSerialRow(out_, in_, gy, weight_.data(), gx);
 }
 
 std::vector<ParamView> Linear::Params() {

@@ -34,20 +34,6 @@ class Linear : public Layer {
 
   std::string name() const override { return "Linear"; }
 
-  // Stage-fusion anchor: the per-example hooks run the unfused batched
-  // paths' exact per-row kernels (GemmNTSerialRow / Ger / Axpy /
-  // GemmNNSerialRow), so fused == unfused bitwise.
-  FusionInfo fusion_info() const override {
-    return {/*anchor=*/true, /*epilogue=*/false};
-  }
-  std::vector<size_t> FuseForwardPrepare(
-      size_t batch, const std::vector<size_t>& in_shape) override;
-  void FuseForwardAnchor(size_t ex, const float* x, float* y,
-                         EpilogueChain chain) override;
-  void FuseBackwardPrepare() override;
-  void FuseBackwardAnchor(size_t ex, const float* gy, float* gx,
-                          const PerExampleGradSink& sink) override;
-
   size_t in_features() const { return in_; }
   size_t out_features() const { return out_; }
 
@@ -60,9 +46,6 @@ class Linear : public Layer {
   std::vector<float> bias_grad_;
   // Workspace-cached input(s) from the last forward pass.
   Workspace ws_;
-  // Cache pointer stashed by the fused prepare hooks (the in-dispatch
-  // hooks never touch the Workspace, which must not grow concurrently).
-  float* fused_in_cache_ = nullptr;
 };
 
 }  // namespace nn

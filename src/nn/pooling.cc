@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace dpbr {
 namespace nn {
@@ -108,17 +107,9 @@ Tensor AdaptiveAvgPool2d::ForwardBatch(const Tensor& x) {
   DPBR_CHECK_GE(w, out_w_);
   state_.SetBatched(x.shape());
   Tensor y({batch, c, out_h_, out_w_});
-  const float* xd = x.data();
-  float* yd = y.data();
-  // One dispatch over all batch·C planes: the (N, C, H, W) layout makes
-  // plane p's input slice xd + p·H·W and output slice yd + p·oh·ow, all
-  // disjoint, so the plane-level split (shape-only) is race-free, pool-
-  // size invariant and bitwise equal to the per-example channel loop.
-  ParallelForBlocked(batch * c, 1, [&](size_t p0, size_t p1) {
-    for (size_t p = p0; p < p1; ++p) {
-      PlaneForward(xd + p * h * w, h, w, yd + p * out_h_ * out_w_);
-    }
-  });
+  // The (N, C, H, W) layout is batch·C consecutive planes, so the batch
+  // is one plane loop — bitwise equal to the per-example channel loop.
+  ForwardOne(x.data(), batch * c, h, w, y.data());
   return y;
 }
 
@@ -128,16 +119,8 @@ Tensor AdaptiveAvgPool2d::BackwardBatch(const Tensor& grad_out,
   size_t batch = in[0], c = in[1], h = in[2], w = in[3];
   RequireGradShape(grad_out, {batch, c, out_h_, out_w_});
   Tensor dx({batch, c, h, w});
-  const float* gy = grad_out.data();
-  float* dxd = dx.data();
-  // Same plane-level dispatch as the forward; dx planes are disjoint and
-  // pre-zeroed by the Tensor constructor, so the scatter-add per plane
-  // accumulates in the same fixed order as the serial loop.
-  ParallelForBlocked(batch * c, 1, [&](size_t p0, size_t p1) {
-    for (size_t p = p0; p < p1; ++p) {
-      PlaneBackward(gy + p * out_h_ * out_w_, h, w, dxd + p * h * w);
-    }
-  });
+  // Same plane loop as the forward, onto the zero-initialized dx.
+  BackwardOne(grad_out.data(), batch * c, h, w, dx.data());
   return dx;
 }
 

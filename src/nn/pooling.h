@@ -1,8 +1,8 @@
 // Adaptive average pooling and flattening, with batched variants. Both
 // layers cache only the input *shape* (never activations), recorded in a
 // BatchState so the per-example and batched paths can never read each
-// other's cached shape undetected; the batched pool runs all (example,
-// channel) planes inside a single threaded dispatch.
+// other's cached shape undetected; the batched pool runs the same plane
+// kernel over all (example, channel) planes in a serial loop.
 
 #ifndef DPBR_NN_POOLING_H_
 #define DPBR_NN_POOLING_H_
@@ -31,15 +31,16 @@ class AdaptiveAvgPool2d : public Layer {
 
  private:
   /// Pools one (H, W) plane; the `dx` variant scatters the gradient.
-  /// Planes are the unit of batched parallelism: each (example, channel)
-  /// plane is independent, so both the per-example channel loop and the
-  /// batched dispatch run the identical plane kernel.
+  /// Each (example, channel) plane is independent, so both paths are
+  /// loops over this one plane kernel.
   void PlaneForward(const float* plane, size_t h, size_t w,
                     float* out_plane) const;
   void PlaneBackward(const float* gy_plane, size_t h, size_t w,
                      float* dx_plane) const;
 
-  /// Pools one (C, H, W) example; `dx` variant scatters the gradient.
+  /// Pools `c` consecutive (H, W) planes — one (C, H, W) example, or a
+  /// whole (N, C, H, W) batch as N·C planes; `dx` variant scatters the
+  /// gradient.
   void ForwardOne(const float* x, size_t c, size_t h, size_t w, float* y);
   void BackwardOne(const float* gy, size_t c, size_t h, size_t w, float* dx);
 

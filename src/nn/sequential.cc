@@ -3,13 +3,9 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "nn/fusion.h"
 
 namespace dpbr {
 namespace nn {
-
-Sequential::Sequential() = default;
-Sequential::~Sequential() = default;
 
 Sequential& Sequential::Add(LayerPtr layer) {
   DPBR_CHECK(layer != nullptr);
@@ -18,20 +14,7 @@ Sequential& Sequential::Add(LayerPtr layer) {
   param_offsets_.push_back(total_params_);
   total_params_ += layer->NumParams();
   layers_.push_back(std::move(layer));
-  plan_.reset();  // stale against the new layer list
   return *this;
-}
-
-void Sequential::SetFusionEnabled(bool enabled) {
-  fusion_enabled_ = enabled;
-  plan_.reset();
-  for (auto& l : layers_) l->SetFusionEnabled(enabled);
-}
-
-FusionPlan* Sequential::plan() {
-  if (!fusion_enabled_) return nullptr;
-  if (!plan_) plan_ = FusionPlan::Build(this);
-  return plan_.get();
 }
 
 Tensor Sequential::Forward(const Tensor& x) {
@@ -49,10 +32,6 @@ Tensor Sequential::Backward(const Tensor& grad_out) {
 }
 
 Tensor Sequential::ForwardBatch(const Tensor& x) {
-  // Route through the fusion plan only when it actually fuses something;
-  // an all-plain plan is the loop below with extra indirection.
-  FusionPlan* p = plan();
-  if (p != nullptr && p->has_fused_stage()) return p->ForwardBatch(x);
   Tensor h = x;
   for (auto& l : layers_) h = l->ForwardBatch(h);
   return h;
@@ -60,10 +39,6 @@ Tensor Sequential::ForwardBatch(const Tensor& x) {
 
 Tensor Sequential::BackwardBatch(const Tensor& grad_out,
                                  const PerExampleGradSink& sink) {
-  FusionPlan* p = plan();
-  if (p != nullptr && p->has_fused_stage()) {
-    return p->BackwardBatch(grad_out, sink);
-  }
   Tensor g = grad_out;
   for (size_t i = layers_.size(); i-- > 0;) {
     g = layers_[i]->BackwardBatch(g, sink.Shifted(param_offsets_[i]));
@@ -169,10 +144,6 @@ Tensor Residual::BackwardBatch(const Tensor& grad_out,
   DPBR_CHECK(dx.SameShape(grad_out));
   for (size_t i = 0; i < dx.size(); ++i) dx[i] += grad_out[i];
   return dx;
-}
-
-void Residual::SetFusionEnabled(bool enabled) {
-  body_->SetFusionEnabled(enabled);
 }
 
 std::vector<ParamView> Residual::Params() { return body_->Params(); }

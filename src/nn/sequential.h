@@ -15,23 +15,11 @@
 namespace dpbr {
 namespace nn {
 
-class FusionPlan;
-
-/// Chain of layers applied in order.
-///
-/// The batched paths route through a lazily built FusionPlan
-/// (nn/fusion.h): runs of fusable layers (Conv2d→ELU→GroupNorm,
-/// Linear→ReLU, ...) collapse into single-dispatch FusedStage nodes,
-/// bitwise equal to the plain per-layer loop. The plan is an execution
-/// overlay only — `layers_`, parameter offsets and InitParams streams
-/// are never restructured by it.
+/// Chain of layers applied in order; the batched paths call each
+/// layer's ForwardBatch / BackwardBatch in turn.
 class Sequential : public Layer {
  public:
-  // Out of line: FusionPlan is incomplete here (unique_ptr member).
-  Sequential();
-  ~Sequential() override;
-
-  /// Appends a layer (builder style). Invalidates the fusion plan.
+  /// Appends a layer (builder style).
   Sequential& Add(LayerPtr layer);
 
   Tensor Forward(const Tensor& x) override;
@@ -43,34 +31,18 @@ class Sequential : public Layer {
   void InitParams(SplitRng* rng) override;
   std::string name() const override { return "Sequential"; }
 
-  Sequential* AsSequential() override { return this; }
-
-  /// Toggles stage fusion (default on), recursively through nested
-  /// containers, and drops any built plan. With fusion off the batched
-  /// paths run the plain one-dispatch-per-layer loops — the reference
-  /// the equivalence tests compare the fused paths against.
-  void SetFusionEnabled(bool enabled) override;
-  bool fusion_enabled() const { return fusion_enabled_; }
-
-  /// The fusion plan the batched paths execute (built on first use).
-  /// Null when fusion is disabled.
-  FusionPlan* plan();
-
   /// Batched backward writing example j's full flat parameter gradient
   /// (dimension NumParams()) to grads + j·NumParams(). Zeroes the rows
   /// first; returns dL/d(input) with leading batch dimension. This is
   /// the per-example gradient entry point the DP worker clips against.
-  /// Every sublayer's batched backward (like its batched forward) runs
-  /// as one threaded dispatch per microbatch, so a whole worker backward
-  /// pass costs one dispatch per layer.
+  /// Each GEMM sublayer's batched backward (like its batched forward)
+  /// runs as one threaded dispatch per microbatch and every other
+  /// sublayer runs serially, so a whole worker backward pass costs one
+  /// dispatch per Conv2d / Linear.
   Tensor BackwardBatchTo(const Tensor& grad_out, size_t batch, float* grads);
 
   size_t num_layers() const { return layers_.size(); }
   Layer* layer(size_t i) { return layers_[i].get(); }
-
-  /// Flat-parameter offset of sublayer `i` (the fusion planner addresses
-  /// PerExampleGradSink rows through it).
-  size_t param_offset(size_t i) const { return param_offsets_[i]; }
 
   // --- flat parameter bridge (dimension d = NumParams()) ---
 
@@ -93,9 +65,6 @@ class Sequential : public Layer {
   // per-microbatch BackwardBatch never re-derives or reallocates it).
   std::vector<size_t> param_offsets_;
   size_t total_params_ = 0;
-  // Lazily built execution overlay for the batched paths.
-  std::unique_ptr<FusionPlan> plan_;
-  bool fusion_enabled_ = true;
 };
 
 /// Residual wrapper: y = x + body(x). Requires body to preserve shape
@@ -112,10 +81,6 @@ class Residual : public Layer {
   std::vector<ParamView> Params() override;
   void InitParams(SplitRng* rng) override;
   std::string name() const override { return "Residual"; }
-
-  /// Residual is a fusion barrier itself (the skip-add needs the whole
-  /// input), but its body fuses internally; the toggle propagates.
-  void SetFusionEnabled(bool enabled) override;
 
   Sequential* body() { return body_.get(); }
 

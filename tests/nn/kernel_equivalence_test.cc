@@ -5,7 +5,10 @@
 //    hardware concurrency (the determinism contract from PR 1),
 //  * the batched microbatch path reproduces the per-example path
 //    bit-for-bit, including the per-example parameter gradients the DP
-//    protocol clips, and
+//    protocol clips,
+//  * only the GEMM layers dispatch: a local step costs exactly one
+//    dispatch per Conv2d / Linear per direction, and the cheap layers'
+//    batched passes issue none, and
 //  * the cached-state contract is *checked*: a backward whose path does
 //    not match the last forward (per-example vs batched) dies loudly
 //    instead of consuming stale caches, while legal interleavings
@@ -202,9 +205,7 @@ PerExampleRun RunPerExample(Sequential* model, const Tensor& batch,
 
 void CheckBatchedMatchesPerExample(std::unique_ptr<Sequential> model,
                                    std::vector<size_t> example_shape,
-                                   size_t num_classes, uint64_t seed,
-                                   bool fused = true) {
-  if (!fused) model->SetFusionEnabled(false);
+                                   size_t num_classes, uint64_t seed) {
   SplitRng rng(seed);
   model->InitParams(&rng);
   // N=1 exercises the degenerate microbatch, 3 and 7 leave ragged
@@ -240,13 +241,13 @@ void CheckBatchedMatchesPerExample(std::unique_ptr<Sequential> model,
   }
 }
 
-// --- Fused batch-conv forward: ForwardBatch runs one (OC × N·OHW) GEMM
-// over concatenated im2col panels. Per output element the accumulation
-// order is unchanged, so the fused path must be bitwise equal to looping
-// the single-example forward — including odd batch sizes that leave a
-// ragged panel — and to the naive batch kernel within 1e-4.
+// --- Batched conv forward: ForwardBatch runs the microbatch as one
+// batched-GEMM dispatch over streamed per-example im2col panels. Per
+// output element the accumulation order is unchanged, so the batched
+// path must be bitwise equal to looping the single-example forward — at
+// odd batch sizes too — and to the naive batch kernel within 1e-4.
 
-TEST(KernelEquivalenceTest, FusedBatchForwardMatchesPerExampleBitwise) {
+TEST(KernelEquivalenceTest, ConvForwardBatchMatchesPerExampleBitwise) {
   for (size_t batch : {size_t{1}, size_t{3}, size_t{7}}) {
     for (const ConvCase& c : kCases) {
       ConvPair p = MakePair(c.in_ch, c.out_ch, c.k, c.pad, 53);
@@ -269,7 +270,7 @@ TEST(KernelEquivalenceTest, FusedBatchForwardMatchesPerExampleBitwise) {
   }
 }
 
-TEST(KernelEquivalenceTest, FusedBatchForwardMatchesNaiveBatch) {
+TEST(KernelEquivalenceTest, ConvForwardBatchMatchesNaiveBatch) {
   for (size_t batch : {size_t{1}, size_t{3}, size_t{7}}) {
     for (const ConvCase& c : kCases) {
       ConvPair p = MakePair(c.in_ch, c.out_ch, c.k, c.pad, 61);
@@ -279,7 +280,7 @@ TEST(KernelEquivalenceTest, FusedBatchForwardMatchesNaiveBatch) {
   }
 }
 
-TEST(KernelEquivalenceTest, FusedBatchForwardPoolInvariant) {
+TEST(KernelEquivalenceTest, ConvForwardBatchPoolInvariant) {
   size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
   for (const ConvCase& c : kCases) {
     std::vector<Tensor> outs;
@@ -445,9 +446,8 @@ TEST(KernelEquivalenceTest, ConvAndLinearBatchedPassesAreOneDispatch) {
   EXPECT_EQ(ParallelDispatchCount() - before, 1u) << "linear backward";
 }
 
-// Fusion is on by default, so these three pin fused == per-example at
-// N = 1, 3, 7; the Unfused* variants below pin unfused == per-example,
-// and the stage-fusion section pins fused == unfused directly.
+// Every model-zoo family's batched local step (ForwardBatch + the
+// per-example-gradient BackwardBatchTo) against the per-example path.
 
 TEST(KernelEquivalenceTest, BatchedCnnMatchesPerExampleBitwise) {
   CheckBatchedMatchesPerExample(MakeCnn(1, 8, 3, 4), {1, 8, 8}, 4, 41);
@@ -462,190 +462,97 @@ TEST(KernelEquivalenceTest, BatchedMlpMatchesPerExampleBitwise) {
   CheckBatchedMatchesPerExample(MakeMlp(20, 8, 5), {20}, 5, 47);
 }
 
-TEST(KernelEquivalenceTest, UnfusedBatchedCnnMatchesPerExampleBitwise) {
-  CheckBatchedMatchesPerExample(MakeCnn(1, 8, 3, 4), {1, 8, 8}, 4, 41,
-                                /*fused=*/false);
-}
-
-TEST(KernelEquivalenceTest, UnfusedBatchedResidualCnnMatchesPerExampleBitwise) {
-  CheckBatchedMatchesPerExample(MakeResidualCnn(1, 8, 3, 4), {1, 8, 8}, 4, 43,
-                                /*fused=*/false);
-}
-
-TEST(KernelEquivalenceTest, UnfusedBatchedMlpMatchesPerExampleBitwise) {
-  CheckBatchedMatchesPerExample(MakeMlp(20, 8, 5), {20}, 5, 47,
-                                /*fused=*/false);
-}
-
-// --- Stage fusion (nn/fusion.h): Sequential's batched paths fold
-// Conv2d→ELU→GroupNorm and Linear→activation runs into single-dispatch
-// FusedStage nodes. The fused hooks run the unfused batched paths' exact
-// per-example kernel sequences, so fused == unfused == per-example
-// bitwise on every input, at every pool size, on every SIMD tier — and
-// the dispatch-count gates below prove the fusion actually collapses the
-// pool barriers instead of merely claiming to.
-
-struct FusionModelCase {
-  const char* name;
-  std::function<std::unique_ptr<Sequential>()> make;
-  std::vector<size_t> example_shape;
-  size_t num_classes;
-};
+// --- Dispatch contract: parallelism lives in the GEMM layers only.
+// Conv2d and Linear each fan a batched pass out to the pool once per
+// direction; activations, GroupNorm, pooling and Flatten run serially.
+// A whole local step therefore costs one dispatch per GEMM layer per
+// direction, which the counters below pin.
 
 // Defined in the cached-state section below.
 std::vector<size_t> WithBatch(size_t n, const std::vector<size_t>& shape);
 
-std::vector<FusionModelCase> FusionModelCases() {
-  return {
-      {"cnn", [] { return MakeCnn(1, 8, 3, 4); }, {1, 8, 8}, 4},
-      {"residual_cnn",
-       [] { return MakeResidualCnn(1, 8, 3, 4); },
-       {1, 8, 8},
-       4},
-      {"mlp", [] { return MakeMlp(20, 8, 5); }, {20}, 5},
-  };
-}
-
-struct LocalStepRun {
-  Tensor logits;
-  std::vector<float> grads;
-};
-
-LocalStepRun RunLocalStep(Sequential* model, const Tensor& batch,
-                          const std::vector<size_t>& labels) {
-  LocalStepRun r;
-  r.logits = model->ForwardBatch(batch);
-  BatchLossGrad lg = SoftmaxCrossEntropyBatch(r.logits, labels);
-  r.grads.resize(batch.dim(0) * model->NumParams());
-  model->BackwardBatchTo(lg.grad_logits, batch.dim(0), r.grads.data());
-  return r;
-}
-
-TEST(KernelEquivalenceTest, FusedMatchesUnfusedBitwiseAcrossPools) {
-  size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
-  for (const FusionModelCase& mc : FusionModelCases()) {
-    for (size_t batch_n : {size_t{1}, size_t{3}, size_t{7}}) {
-      for (size_t threads : {size_t{1}, size_t{2}, hw}) {
-        SCOPED_TRACE(std::string(mc.name) + " batch " +
-                     std::to_string(batch_n) + " pool " +
-                     std::to_string(threads));
-        ThreadPool pool(threads);
-        ScopedPoolOverride override_pool(&pool);
-        std::unique_ptr<Sequential> fused = mc.make();
-        std::unique_ptr<Sequential> unfused = mc.make();
-        unfused->SetFusionEnabled(false);
-        SplitRng rng_a(277), rng_b(277);
-        fused->InitParams(&rng_a);
-        unfused->InitParams(&rng_b);
-        Tensor batch =
-            RandomTensor(WithBatch(batch_n, mc.example_shape), 281 + batch_n);
-        std::vector<size_t> labels(batch_n);
-        for (size_t ex = 0; ex < batch_n; ++ex) {
-          labels[ex] = ex % mc.num_classes;
-        }
-        LocalStepRun a = RunLocalStep(fused.get(), batch, labels);
-        LocalStepRun b = RunLocalStep(unfused.get(), batch, labels);
-        ASSERT_EQ(a.logits.shape(), b.logits.shape());
-        for (size_t i = 0; i < a.logits.size(); ++i) {
-          ASSERT_EQ(a.logits[i], b.logits[i]) << "logit " << i;
-        }
-        ASSERT_EQ(a.grads, b.grads);
-      }
-    }
-  }
-}
-
-TEST(KernelEquivalenceTest, FusedMatchesUnfusedBitwiseAcrossSimdTiers) {
-  constexpr size_t kN = 7;
-  for (simd::IsaLevel level :
-       {simd::IsaLevel::kScalar, simd::IsaLevel::kSse2, simd::IsaLevel::kAvx2,
-        simd::IsaLevel::kAvx512}) {
-    if (simd::KernelsFor(level) == nullptr) continue;
-    simd::ScopedForceIsa force(level);
-    for (const FusionModelCase& mc : FusionModelCases()) {
-      SCOPED_TRACE(std::string(mc.name) + " on " + simd::IsaName(level));
-      std::unique_ptr<Sequential> fused = mc.make();
-      std::unique_ptr<Sequential> unfused = mc.make();
-      unfused->SetFusionEnabled(false);
-      SplitRng rng_a(293), rng_b(293);
-      fused->InitParams(&rng_a);
-      unfused->InitParams(&rng_b);
-      Tensor batch = RandomTensor(WithBatch(kN, mc.example_shape), 307);
-      std::vector<size_t> labels(kN);
-      for (size_t ex = 0; ex < kN; ++ex) labels[ex] = ex % mc.num_classes;
-      LocalStepRun a = RunLocalStep(fused.get(), batch, labels);
-      LocalStepRun b = RunLocalStep(unfused.get(), batch, labels);
-      ASSERT_EQ(a.logits.shape(), b.logits.shape());
-      for (size_t i = 0; i < a.logits.size(); ++i) {
-        ASSERT_EQ(a.logits[i], b.logits[i]) << "logit " << i;
-      }
-      ASSERT_EQ(a.grads, b.grads);
-    }
-  }
-}
-
 // Dispatch accounting for a whole local step, with a multi-thread pool
 // and a multi-example microbatch so every dispatch is a real fan-out.
+// kN = 9 exceeds Linear's 8-row GEMM block, so its forward genuinely
+// fans out too.
 struct StepDispatchCounts {
   uint64_t forward = 0;
   uint64_t backward = 0;
 };
 
-StepDispatchCounts CountStepDispatches(Sequential* model, const Tensor& batch,
-                                       const std::vector<size_t>& labels) {
+StepDispatchCounts CountStepDispatches(std::unique_ptr<Sequential> model,
+                                       const std::vector<size_t>& ex_shape,
+                                       size_t num_classes) {
+  ThreadPool pool(4);
+  ScopedPoolOverride override_pool(&pool);
+  constexpr size_t kN = 9;
+  SplitRng rng(311);
+  model->InitParams(&rng);
+  Tensor batch = RandomTensor(WithBatch(kN, ex_shape), 313);
+  std::vector<size_t> labels(kN);
+  for (size_t ex = 0; ex < kN; ++ex) labels[ex] = ex % num_classes;
   StepDispatchCounts c;
   uint64_t before = ParallelDispatchCount();
   Tensor logits = model->ForwardBatch(batch);
   c.forward = ParallelDispatchCount() - before;
   BatchLossGrad lg = SoftmaxCrossEntropyBatch(logits, labels);
-  std::vector<float> grads(batch.dim(0) * model->NumParams());
+  std::vector<float> grads(kN * model->NumParams());
   before = ParallelDispatchCount();
-  model->BackwardBatchTo(lg.grad_logits, batch.dim(0), grads.data());
+  model->BackwardBatchTo(lg.grad_logits, kN, grads.data());
   c.backward = ParallelDispatchCount() - before;
   return c;
 }
 
-// The tentpole contract, proven by counter: the fused CNN local step is
-// exactly 3 dispatches per microbatch per direction (one per fused
-// conv-stage run, one for the pool barrier, one for the linear tail;
-// Flatten is free), the MLP is 1, and the residual CNN is 5 (its two
-// extra conv stages are separated by the Residual barrier). The unfused
-// paths must be strictly more expensive.
-TEST(KernelEquivalenceTest, FusedLocalStepDispatchCounts) {
-  ThreadPool pool(4);
+// The CNN and the residual CNN have three convolutions and two linear
+// layers (5 per direction; Residual's skip-add is serial), the MLP two
+// linear layers.
+TEST(KernelEquivalenceTest, LocalStepDispatchCounts) {
+  StepDispatchCounts cnn =
+      CountStepDispatches(MakeCnn(1, 8, 3, 4), {1, 8, 8}, 4);
+  EXPECT_EQ(cnn.forward, 5u);
+  EXPECT_EQ(cnn.backward, 5u);
+  StepDispatchCounts res =
+      CountStepDispatches(MakeResidualCnn(1, 8, 3, 4), {1, 8, 8}, 4);
+  EXPECT_EQ(res.forward, 5u);
+  EXPECT_EQ(res.backward, 5u);
+  StepDispatchCounts mlp = CountStepDispatches(MakeMlp(20, 8, 5), {20}, 5);
+  EXPECT_EQ(mlp.forward, 2u);
+  EXPECT_EQ(mlp.backward, 2u);
+}
+
+// The serial half of the rule, per layer: large enough batched passes
+// that any per-example or per-block split would fan out, yet zero
+// dispatches at pool size hw.
+TEST(KernelEquivalenceTest, CheapLayersBatchedPassesDispatchNothing) {
+  size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
+  ThreadPool pool(hw);
   ScopedPoolOverride override_pool(&pool);
   constexpr size_t kN = 9;
-  struct Expect {
+  struct Case {
     const char* name;
-    uint64_t forward, backward;
+    LayerPtr layer;
   };
-  const Expect kExpect[] = {
-      {"cnn", 3, 3},
-      {"residual_cnn", 5, 5},
-      {"mlp", 1, 1},
+  Case cases[] = {
+      {"Elu", std::make_unique<Elu>()},
+      {"Relu", std::make_unique<Relu>()},
+      {"GroupNorm", std::make_unique<GroupNorm>(4, 8, 1e-5, true)},
+      {"AdaptiveAvgPool2d", std::make_unique<AdaptiveAvgPool2d>(4, 4)},
+      {"Flatten", std::make_unique<Flatten>()},
   };
-  for (const FusionModelCase& mc : FusionModelCases()) {
-    SCOPED_TRACE(mc.name);
-    const Expect* want = nullptr;
-    for (const Expect& e : kExpect) {
-      if (std::string(e.name) == mc.name) want = &e;
-    }
-    ASSERT_NE(want, nullptr);
-    std::unique_ptr<Sequential> fused = mc.make();
-    std::unique_ptr<Sequential> unfused = mc.make();
-    unfused->SetFusionEnabled(false);
-    SplitRng rng_a(311), rng_b(311);
-    fused->InitParams(&rng_a);
-    unfused->InitParams(&rng_b);
-    Tensor batch = RandomTensor(WithBatch(kN, mc.example_shape), 313);
-    std::vector<size_t> labels(kN);
-    for (size_t ex = 0; ex < kN; ++ex) labels[ex] = ex % mc.num_classes;
-    StepDispatchCounts f = CountStepDispatches(fused.get(), batch, labels);
-    StepDispatchCounts u = CountStepDispatches(unfused.get(), batch, labels);
-    EXPECT_EQ(f.forward, want->forward) << "fused forward";
-    EXPECT_EQ(f.backward, want->backward) << "fused backward";
-    EXPECT_GT(u.forward, f.forward) << "unfused forward not more expensive";
-    EXPECT_GT(u.backward, f.backward) << "unfused backward not more expensive";
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SplitRng rng(317);
+    c.layer->InitParams(&rng);
+    Tensor xb = RandomTensor({kN, 8, 24, 24}, 331);
+    uint64_t before = ParallelDispatchCount();
+    Tensor yb = c.layer->ForwardBatch(xb);
+    EXPECT_EQ(ParallelDispatchCount() - before, 0u) << "forward";
+    Tensor gyb = RandomTensor(yb.shape(), 337);
+    size_t dim = c.layer->NumParams();
+    std::vector<float> sink(kN * std::max<size_t>(1, dim), 0.0f);
+    before = ParallelDispatchCount();
+    c.layer->BackwardBatch(gyb, {sink.data(), dim, 0});
+    EXPECT_EQ(ParallelDispatchCount() - before, 0u) << "backward";
   }
 }
 
@@ -674,8 +581,8 @@ TEST(KernelEquivalenceTest, WorkspaceReusesAndGrowsBuffers) {
 }
 
 // --- Batched GroupNorm / pooling / activation kernels: each layer runs
-// its microbatch as one threaded dispatch, and must stay bitwise equal
-// to the per-example reference path at N = 1, 3, 7.
+// its microbatch as one serial loop, and must stay bitwise equal to the
+// per-example reference path at N = 1, 3, 7.
 
 TEST(KernelEquivalenceTest, GroupNormBatchedMatchesPerExampleBitwise) {
   constexpr size_t kC = 6, kH = 5, kW = 4;
@@ -749,7 +656,7 @@ TEST(KernelEquivalenceTest, PoolBatchedMatchesPerExampleBitwise) {
 }
 
 TEST(KernelEquivalenceTest, ActivationBatchedMatchesPerExampleBitwise) {
-  constexpr size_t kFeat = 300;  // not a multiple of the dispatch block
+  constexpr size_t kFeat = 300;  // not a multiple of any SIMD width
   for (size_t batch : {size_t{1}, size_t{3}, size_t{7}}) {
     Elu elu;
     Relu relu;
@@ -779,8 +686,8 @@ TEST(KernelEquivalenceTest, ActivationBatchedMatchesPerExampleBitwise) {
 }
 
 // The whole batched model path (conv, GroupNorm, pooling, activations,
-// linear — every new dispatch) must be bit-identical under pool sizes
-// 1, 2 and hardware concurrency.
+// linear) must be bit-identical under pool sizes 1, 2 and hardware
+// concurrency.
 
 struct BatchedModelRun {
   Tensor logits;
@@ -992,26 +899,6 @@ TEST(KernelEquivalenceDeathTest, BackwardWithoutForwardDies) {
   GroupNorm gn(2, 4);
   Tensor gy = RandomTensor({4, 5, 5}, 191);
   EXPECT_DEATH(gn.Backward(gy), "no forward has run");
-}
-
-TEST(KernelEquivalenceDeathTest, FusedBackwardWithoutFusedForwardDies) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // An unfused forward fills the same layer caches a fused one would,
-  // but the FusedStage backward additionally needs the stage geometry
-  // its own forward recorded. Toggling fusion on between passes must
-  // fail loudly, not misdrive the panels.
-  constexpr size_t kN = 3;
-  auto model = MakeCnn(1, 8, 3, 4);
-  model->SetFusionEnabled(false);
-  SplitRng rng(397);
-  model->InitParams(&rng);
-  Tensor xb = RandomTensor({kN, 1, 8, 8}, 401);
-  Tensor logits = model->ForwardBatch(xb);
-  Tensor gy = RandomTensor(logits.shape(), 409);
-  std::vector<float> grads(kN * model->NumParams(), 0.0f);
-  model->SetFusionEnabled(true);
-  EXPECT_DEATH(model->BackwardBatchTo(gy, kN, grads.data()),
-               "cached-state contract violated");
 }
 
 }  // namespace
