@@ -4,9 +4,10 @@
 // throughput, batched Linear, and a full DP worker local step
 // (HonestDpWorker::ComputeUpdate) on both MLP and CNN models.
 //
-// Before timing, main() asserts the GEMM conv is bit-identical under
-// serial and parallel pools at the acceptance shape, mirroring
-// bench_micro's Krum determinism check.
+// Before timing, main() asserts at the acceptance shape that the GEMM
+// conv is bit-identical under serial and parallel pools, agrees with the
+// naive kernel, and reproduces every batch-of-1 pass row for row,
+// mirroring bench_micro's Krum determinism check.
 
 #include <benchmark/benchmark.h>
 
@@ -42,13 +43,6 @@ constexpr size_t kImg = 32;
 constexpr size_t kKernel = 3;
 constexpr size_t kPad = 1;
 
-Tensor RandomImage(uint64_t seed) {
-  SplitRng rng(seed);
-  Tensor x({kInCh, kImg, kImg});
-  x.FillGaussian(&rng, 1.0);
-  return x;
-}
-
 nn::Conv2d MakeConv(nn::Conv2dKernel kernel) {
   nn::Conv2d conv(kInCh, kOutCh, kKernel, kPad, kernel);
   SplitRng rng(3);
@@ -56,51 +50,9 @@ nn::Conv2d MakeConv(nn::Conv2dKernel kernel) {
   return conv;
 }
 
-void ConvForward(benchmark::State& state, nn::Conv2dKernel kernel) {
-  nn::Conv2d conv = MakeConv(kernel);
-  Tensor x = RandomImage(5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.Forward(x));
-  }
-  state.SetItemsProcessed(state.iterations() * kOutCh * kImg * kImg);
-}
-
-void BM_Conv2dForward(benchmark::State& state) {
-  ConvForward(state, nn::Conv2dKernel::kGemm);
-}
-BENCHMARK(BM_Conv2dForward)->Unit(benchmark::kMicrosecond);
-
-void BM_Conv2dForwardNaive(benchmark::State& state) {
-  ConvForward(state, nn::Conv2dKernel::kNaive);
-}
-BENCHMARK(BM_Conv2dForwardNaive)->Unit(benchmark::kMicrosecond);
-
-void ConvBackward(benchmark::State& state, nn::Conv2dKernel kernel) {
-  nn::Conv2d conv = MakeConv(kernel);
-  Tensor x = RandomImage(5);
-  Tensor y = conv.Forward(x);
-  SplitRng rng(7);
-  Tensor gy(y.shape());
-  gy.FillGaussian(&rng, 1.0);
-  for (auto _ : state) {
-    conv.ZeroGrad();
-    benchmark::DoNotOptimize(conv.Backward(gy));
-  }
-  state.SetItemsProcessed(state.iterations() * kOutCh * kImg * kImg);
-}
-
-void BM_Conv2dBackward(benchmark::State& state) {
-  ConvBackward(state, nn::Conv2dKernel::kGemm);
-}
-BENCHMARK(BM_Conv2dBackward)->Unit(benchmark::kMicrosecond);
-
-void BM_Conv2dBackwardNaive(benchmark::State& state) {
-  ConvBackward(state, nn::Conv2dKernel::kNaive);
-}
-BENCHMARK(BM_Conv2dBackwardNaive)->Unit(benchmark::kMicrosecond);
-
 // --- Batched conv forward: the single batched-GEMM dispatch against the
-// same work run example by example.
+// naive reference kernel and against the same work run as kBatch
+// batch-of-1 passes.
 
 constexpr size_t kBatch = 16;
 
@@ -111,8 +63,17 @@ Tensor RandomBatch(uint64_t seed) {
   return x;
 }
 
-void BM_Conv2dForwardBatch(benchmark::State& state) {
-  nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
+// Example `ex` of a batch tensor, as a batch of 1.
+Tensor Example(const Tensor& batch, size_t ex) {
+  std::vector<size_t> shape = batch.shape();
+  size_t stride = batch.size() / shape[0];
+  shape[0] = 1;
+  return Tensor(shape, std::vector<float>(batch.data() + ex * stride,
+                                          batch.data() + (ex + 1) * stride));
+}
+
+void ConvForwardBatch(benchmark::State& state, nn::Conv2dKernel kernel) {
+  nn::Conv2d conv = MakeConv(kernel);
   Tensor x = RandomBatch(13);
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.ForwardBatch(x));
@@ -120,22 +81,25 @@ void BM_Conv2dForwardBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
                           kImg);
 }
+
+void BM_Conv2dForwardBatch(benchmark::State& state) {
+  ConvForwardBatch(state, nn::Conv2dKernel::kGemm);
+}
 BENCHMARK(BM_Conv2dForwardBatch)->Unit(benchmark::kMicrosecond);
+
+void BM_Conv2dForwardBatchNaive(benchmark::State& state) {
+  ConvForwardBatch(state, nn::Conv2dKernel::kNaive);
+}
+BENCHMARK(BM_Conv2dForwardBatchNaive)->Unit(benchmark::kMicrosecond);
 
 void BM_Conv2dForwardBatchPerExample(benchmark::State& state) {
   nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
   Tensor x = RandomBatch(13);
-  size_t feat = kInCh * kImg * kImg;
   std::vector<Tensor> examples;
-  for (size_t ex = 0; ex < kBatch; ++ex) {
-    examples.emplace_back(
-        std::vector<size_t>{kInCh, kImg, kImg},
-        std::vector<float>(x.data() + ex * feat,
-                           x.data() + (ex + 1) * feat));
-  }
+  for (size_t ex = 0; ex < kBatch; ++ex) examples.push_back(Example(x, ex));
   for (auto _ : state) {
     for (const Tensor& example : examples) {
-      benchmark::DoNotOptimize(conv.Forward(example));
+      benchmark::DoNotOptimize(conv.ForwardBatch(example));
     }
   }
   state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
@@ -144,9 +108,9 @@ void BM_Conv2dForwardBatchPerExample(benchmark::State& state) {
 BENCHMARK(BM_Conv2dForwardBatchPerExample)->Unit(benchmark::kMicrosecond);
 
 // --- Batched conv backward: the single-dispatch batched path (per-example
-// dW/db rows into the sink + dX via col2im) against the same work run
-// example by example. The cached-state contract ties every per-example
-// Backward to its own Forward, so both sides time a full
+// dW/db rows into the sink + dX via col2im) against the same work run as
+// kBatch batch-of-1 passes, each into one re-zeroed gradient row. Every
+// backward needs its own forward, so both sides time a full
 // forward+backward round trip — the forward work is identical, so the
 // ratio isolates the backward dispatch shape.
 
@@ -174,23 +138,19 @@ void BM_Conv2dBackwardBatchPerExample(benchmark::State& state) {
   SplitRng rng(29);
   Tensor gyb({kBatch, kOutCh, kImg, kImg});
   gyb.FillGaussian(&rng, 1.0);
-  size_t feat = kInCh * kImg * kImg;
-  size_t out_stride = kOutCh * kImg * kImg;
   std::vector<Tensor> examples, grads;
   for (size_t ex = 0; ex < kBatch; ++ex) {
-    examples.emplace_back(
-        std::vector<size_t>{kInCh, kImg, kImg},
-        std::vector<float>(x.data() + ex * feat, x.data() + (ex + 1) * feat));
-    grads.emplace_back(
-        std::vector<size_t>{kOutCh, kImg, kImg},
-        std::vector<float>(gyb.data() + ex * out_stride,
-                           gyb.data() + (ex + 1) * out_stride));
+    examples.push_back(Example(x, ex));
+    grads.push_back(Example(gyb, ex));
   }
+  size_t dim = conv.NumParams();
+  std::vector<float> row(dim);
   for (auto _ : state) {
     for (size_t ex = 0; ex < kBatch; ++ex) {
-      benchmark::DoNotOptimize(conv.Forward(examples[ex]));
-      conv.ZeroGrad();
-      benchmark::DoNotOptimize(conv.Backward(grads[ex]));
+      benchmark::DoNotOptimize(conv.ForwardBatch(examples[ex]));
+      std::fill(row.begin(), row.end(), 0.0f);
+      benchmark::DoNotOptimize(
+          conv.BackwardBatch(grads[ex], {row.data(), dim, 0}));
     }
   }
   state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
@@ -199,7 +159,7 @@ void BM_Conv2dBackwardBatchPerExample(benchmark::State& state) {
 BENCHMARK(BM_Conv2dBackwardBatchPerExample)->Unit(benchmark::kMicrosecond);
 
 // Batched Linear backward (one dispatch: dW/db sink rows + dX rows) at
-// the e2e model shape, against the per-example reference.
+// the e2e model shape, against 16 batch-of-1 passes.
 void BM_LinearBackwardBatch(benchmark::State& state) {
   nn::Linear linear(512, 32);
   SplitRng rng(11);
@@ -230,19 +190,17 @@ void BM_LinearBackwardBatchPerExample(benchmark::State& state) {
   gyb.FillGaussian(&rng, 1.0);
   std::vector<Tensor> examples, grads;
   for (size_t ex = 0; ex < 16; ++ex) {
-    examples.emplace_back(
-        std::vector<size_t>{512},
-        std::vector<float>(xb.data() + ex * 512,
-                           xb.data() + (ex + 1) * 512));
-    grads.emplace_back(std::vector<size_t>{32},
-                       std::vector<float>(gyb.data() + ex * 32,
-                                          gyb.data() + (ex + 1) * 32));
+    examples.push_back(Example(xb, ex));
+    grads.push_back(Example(gyb, ex));
   }
+  size_t dim = linear.NumParams();
+  std::vector<float> row(dim);
   for (auto _ : state) {
     for (size_t ex = 0; ex < 16; ++ex) {
-      benchmark::DoNotOptimize(linear.Forward(examples[ex]));
-      linear.ZeroGrad();
-      benchmark::DoNotOptimize(linear.Backward(grads[ex]));
+      benchmark::DoNotOptimize(linear.ForwardBatch(examples[ex]));
+      std::fill(row.begin(), row.end(), 0.0f);
+      benchmark::DoNotOptimize(
+          linear.BackwardBatch(grads[ex], {row.data(), dim, 0}));
     }
   }
   state.SetItemsProcessed(state.iterations() * 16 * 512 * 32);
@@ -439,101 +397,76 @@ void BM_LocalStepCnnBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalStepCnnBackward)->Unit(benchmark::kMillisecond);
 
-// GEMM conv must agree with itself bit-for-bit across pool sizes, and
-// with the naive kernel to 1e-4 — checked before the timing loops so a
-// regression fails the bench smoke job loudly.
+// GEMM conv must agree with itself bit-for-bit across pool sizes, with
+// the naive kernel to 1e-4, and row for row with batch-of-1 passes —
+// checked before the timing loops so a regression fails the bench smoke
+// job loudly.
+void Fail(const char* what) {
+  std::fprintf(stderr, "FATAL: %s\n", what);
+  std::exit(1);
+}
+
 void CheckConvDeterminism() {
   size_t hw = std::max<size_t>(4, std::thread::hardware_concurrency());
-  Tensor x = RandomImage(5);
+  Tensor xb = RandomBatch(13);
   std::vector<Tensor> outs;
   for (size_t threads : {size_t{1}, size_t{2}, hw}) {
     ThreadPool pool(threads);
     ScopedPoolOverride override_pool(&pool);
     nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
-    outs.push_back(conv.Forward(x));
+    outs.push_back(conv.ForwardBatch(xb));
   }
   for (size_t i = 1; i < outs.size(); ++i) {
     for (size_t j = 0; j < outs[0].size(); ++j) {
-      if (outs[0][j] != outs[i][j]) {
-        std::fprintf(stderr,
-                     "FATAL: GEMM conv differs across pool sizes\n");
-        std::exit(1);
-      }
+      if (outs[0][j] != outs[i][j]) Fail("GEMM conv differs across pools");
     }
   }
   nn::Conv2d naive = MakeConv(nn::Conv2dKernel::kNaive);
-  Tensor yn = naive.Forward(x);
+  Tensor yn = naive.ForwardBatch(xb);
   for (size_t j = 0; j < yn.size(); ++j) {
     double scale = std::max(1.0, std::abs(static_cast<double>(yn[j])));
     if (std::abs(static_cast<double>(yn[j]) - outs[0][j]) > 1e-4 * scale) {
-      std::fprintf(stderr, "FATAL: GEMM conv diverges from naive kernel\n");
-      std::exit(1);
+      Fail("GEMM conv diverges from naive kernel");
     }
   }
-  // The batched conv forward must reproduce the per-example forward bit
-  // for bit (same per-element accumulation order).
+  // Row j of the batched forward+backward (one dispatch each: sink dW/db
+  // rows + col2im dX) must reproduce the batch-1 pass of example j bit
+  // for bit.
   nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
-  Tensor xb = RandomBatch(13);
-  Tensor yb = conv.ForwardBatch(xb);
-  size_t feat = kInCh * kImg * kImg;
-  size_t out_stride = kOutCh * kImg * kImg;
-  for (size_t ex = 0; ex < kBatch; ++ex) {
-    Tensor one({kInCh, kImg, kImg},
-               std::vector<float>(xb.data() + ex * feat,
-                                  xb.data() + (ex + 1) * feat));
-    Tensor y = conv.Forward(one);
-    for (size_t j = 0; j < y.size(); ++j) {
-      if (yb[ex * out_stride + j] != y[j]) {
-        std::fprintf(stderr,
-                     "FATAL: batched conv forward differs from per-example\n");
-        std::exit(1);
-      }
-    }
-  }
-  // The batched conv backward (one dispatch: sink dW/db rows + col2im dX)
-  // must likewise reproduce the per-example backward bit for bit.
   SplitRng grng(37);
   Tensor gyb({kBatch, kOutCh, kImg, kImg});
   gyb.FillGaussian(&grng, 1.0);
   size_t dim = conv.NumParams();
   std::vector<float> sink(kBatch * dim, 0.0f);
-  conv.ForwardBatch(xb);  // re-arm the batched caches after the loop above
+  Tensor yb = conv.ForwardBatch(xb);
   Tensor dxb = conv.BackwardBatch(gyb, {sink.data(), dim, 0});
+  size_t feat = kInCh * kImg * kImg;
+  size_t out_stride = kOutCh * kImg * kImg;
+  std::vector<float> row(dim);
   for (size_t ex = 0; ex < kBatch; ++ex) {
-    Tensor one({kInCh, kImg, kImg},
-               std::vector<float>(xb.data() + ex * feat,
-                                  xb.data() + (ex + 1) * feat));
-    Tensor gy({kOutCh, kImg, kImg},
-              std::vector<float>(gyb.data() + ex * out_stride,
-                                 gyb.data() + (ex + 1) * out_stride));
-    conv.Forward(one);
-    conv.ZeroGrad();
-    Tensor dx = conv.Backward(gy);
-    std::vector<float> ex_grads;
-    for (const nn::ParamView& v : conv.Params()) {
-      ex_grads.insert(ex_grads.end(), v.grad, v.grad + v.size);
+    Tensor y = conv.ForwardBatch(Example(xb, ex));
+    std::fill(row.begin(), row.end(), 0.0f);
+    Tensor dx = conv.BackwardBatch(Example(gyb, ex), {row.data(), dim, 0});
+    for (size_t j = 0; j < out_stride; ++j) {
+      if (yb[ex * out_stride + j] != y[j]) {
+        Fail("batched conv forward row differs from batch of 1");
+      }
     }
-    for (size_t j = 0; j < dx.size(); ++j) {
+    for (size_t j = 0; j < feat; ++j) {
       if (dxb[ex * feat + j] != dx[j]) {
-        std::fprintf(stderr,
-                     "FATAL: batched conv backward dX differs from "
-                     "per-example\n");
-        std::exit(1);
+        Fail("batched conv backward dX row differs from batch of 1");
       }
     }
     for (size_t j = 0; j < dim; ++j) {
-      if (sink[ex * dim + j] != ex_grads[j]) {
-        std::fprintf(stderr,
-                     "FATAL: batched conv backward sink row differs "
-                     "from per-example gradients\n");
-        std::exit(1);
+      if (sink[ex * dim + j] != row[j]) {
+        Fail("batched conv backward sink row differs from batch of 1");
       }
     }
   }
   std::fprintf(stderr,
                "conv determinism check: pools {1,2,%zu} bit-identical, "
-               "naive agreement within 1e-4, batched fwd+bwd == "
-               "per-example\n",
+               "naive agreement within 1e-4, batched fwd+bwd rows == "
+               "batch of 1\n",
                hw);
 }
 

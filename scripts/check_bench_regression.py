@@ -43,9 +43,7 @@ HOT_BENCHMARKS = [
     "BM_DpbrAggregate/50",
     "BM_RdpEpsilon",
     "BM_NoiseMultiplierSearch",
-    "BM_Conv2dForward",
     "BM_Conv2dForwardBatch",
-    "BM_Conv2dBackward",
     "BM_Conv2dBackwardBatch",
     "BM_LinearBackwardBatch",
     "BM_GroupNormForwardBatch",
@@ -81,8 +79,8 @@ RATIO_GATES = [
         "ziggurat >= 3x Box-Muller per bulk Gaussian draw",
     ),
     (
-        "BM_Conv2dForwardNaive",
-        "BM_Conv2dForward",
+        "BM_Conv2dForwardBatchNaive",
+        "BM_Conv2dForwardBatch",
         3.0,
         "GEMM conv forward >= 3x naive reference",
     ),
@@ -99,14 +97,15 @@ RATIO_GATES = [
         "radix KS test >= 2.5x std::sort reference",
     ),
     # Parity floors for the batched backward dispatches: on one core the
-    # single-dispatch batched backward sits at parity with the per-example
-    # loop (identical serial per-element work; the multi-core win from
-    # example-level parallelism only shows on CI runners — see
-    # BENCH_ci.json), so the bound is parity minus run-to-run noise
-    # (~8% observed at min_time=0.05). A lost batched path fails this by a
-    # wide margin (e.g. a mis-batched kernel measured ~0.1x during
-    # development); the structural one-dispatch + bitwise guarantees are
-    # enforced exactly in tests/nn/kernel_equivalence_test.cc.
+    # single-dispatch batched backward sits at parity with a loop of
+    # batch-of-1 passes (identical serial per-element work; the
+    # multi-core win from example-level parallelism only shows on
+    # multi-core runs — see BENCH_ci.json), so the bound is parity minus
+    # run-to-run noise (~8% observed at min_time=0.05). A lost batched
+    # path fails this by a wide margin (e.g. a mis-batched kernel measured
+    # ~0.1x during development); the structural one-dispatch + bitwise
+    # guarantees are enforced exactly in
+    # tests/nn/kernel_equivalence_test.cc.
     (
         "BM_Conv2dBackwardBatchPerExample",
         "BM_Conv2dBackwardBatch",
@@ -116,10 +115,10 @@ RATIO_GATES = [
     # Linear's floor is lower: its dW is memory-bound, and the batched
     # side streams one distinct 64 KB sink row per example (the
     # per-example separation DP clipping requires) where the reference
-    # rewrites a single cache-hot grad buffer — on one core that costs
-    # ~10% at parity. Multi-core runners flip it decisively: the batched
-    # dispatch parallelizes over examples while the m=1 per-example
-    # GEMMs cannot parallelize at all.
+    # rewrites a single cache-hot gradient row — on one core that costs
+    # ~10% at parity. Multi-core runs flip it decisively: the batched
+    # dispatch parallelizes over examples while a batch of 1 cannot
+    # parallelize at all.
     (
         "BM_LinearBackwardBatchPerExample",
         "BM_LinearBackwardBatch",

@@ -130,7 +130,7 @@ Result<std::vector<float>> Server::ComputeServerGradient() {
     model->SetParamsFrom(params_.data());
     std::vector<float>& acc = partial[lo / kExampleBlock];
     // One batched forward/backward per block; per-example rows are then
-    // folded in index order, matching the old per-example reduction.
+    // folded in index order, so the sum depends only on the block split.
     size_t n = hi - lo;
     Tensor x = BatchOf(aux_, lo, hi);
     std::vector<size_t> labels(n);

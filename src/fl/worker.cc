@@ -98,7 +98,7 @@ void HonestDpWorker::ComputeUpdateInto(
     // Bulk perturbation (~d draws per round): the blocked sampler is both
     // the hot-path win and pool-size invariant, so the upload stream does
     // not depend on how the trainer schedules workers.
-    rng.AddGaussian(out, dim_, options_.sigma, options_.noise_sampler);
+    rng.AddGaussian(out, dim_, options_.sigma);
   }
   ops::Scale(1.0f / static_cast<float>(bc), out, dim_);
 

@@ -32,10 +32,6 @@ struct WorkerOptions {
   /// Std of the Gaussian noise added to the normalized-gradient *sum*
   /// (σ in Algorithm 1 line 10). 0 disables DP (reference runs).
   double sigma = 0.0;
-  /// Noise kernel for the σ perturbation. kZiggurat is the batched
-  /// production sampler; kBoxMuller reproduces the legacy sequential
-  /// noise stream bit-for-bit (reference runs).
-  GaussianSampler noise_sampler = GaussianSampler::kZiggurat;
   MomentumReset momentum_reset = MomentumReset::kResetToUpload;
 };
 

@@ -2,18 +2,19 @@
 
 #include <cstring>
 
-#include "common/logging.h"
 #include "common/simd.h"
 
 namespace dpbr {
 namespace nn {
 namespace {
 
-constexpr size_t kOutSlot = 0;  // cached output(s)
+constexpr size_t kOutSlot = 0;  // cached output
 
 }  // namespace
 
-Tensor ElementwiseActivation::Activate(const Tensor& x) {
+Tensor ElementwiseActivation::ForwardBatch(const Tensor& x) {
+  RequireBatchedInput(x, 2, /*at_least_rank=*/true);
+  state_.SetBatched(x.shape());
   Tensor y = x;
   float* cached = ws_.Get(kOutSlot, y.size());
   Apply(y.data(), y.size());
@@ -21,34 +22,13 @@ Tensor ElementwiseActivation::Activate(const Tensor& x) {
   return y;
 }
 
-Tensor ElementwiseActivation::Gradient(const Tensor& grad_out) {
+Tensor ElementwiseActivation::BackwardBatch(
+    const Tensor& grad_out, const PerExampleGradSink& /*sink*/) {
+  RequireGradShape(grad_out, RequireBatchedState());
   Tensor dx = grad_out;
   const float* y = ws_.Get(kOutSlot, dx.size());
   ApplyGrad(dx.data(), y, dx.size());
   return dx;
-}
-
-Tensor ElementwiseActivation::Forward(const Tensor& x) {
-  state_.SetPerExample(x.shape());
-  return Activate(x);
-}
-
-Tensor ElementwiseActivation::Backward(const Tensor& grad_out) {
-  const std::vector<size_t>& in = RequirePerExampleState();
-  DPBR_CHECK(grad_out.shape() == in);
-  return Gradient(grad_out);
-}
-
-Tensor ElementwiseActivation::ForwardBatch(const Tensor& x) {
-  RequireBatchedInput(x, 2, /*at_least_rank=*/true);
-  state_.SetBatched(x.shape());
-  return Activate(x);
-}
-
-Tensor ElementwiseActivation::BackwardBatch(
-    const Tensor& grad_out, const PerExampleGradSink& /*sink*/) {
-  RequireGradShape(grad_out, RequireBatchedState());
-  return Gradient(grad_out);
 }
 
 void Elu::Apply(float* y, size_t n) const {

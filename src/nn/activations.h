@@ -3,11 +3,9 @@
 // Both cache only their *output*: each function's derivative is
 // recoverable from the output sign (x <= 0 ⟺ y <= 0 for ELU, y == 0 for
 // ReLU), which halves the cached state. The cached output lives in a
-// grow-only Workspace slot shared between the per-example and batched
-// paths under a BatchState guard. Both paths run the same elementwise
-// kernel over the whole tensor, serially: a batched pass is just a
-// longer run of independent elements, bitwise equal to the per-example
-// loop.
+// grow-only Workspace slot. A microbatch is one serial elementwise
+// kernel call over the whole tensor: a longer run of independent
+// elements.
 
 #ifndef DPBR_NN_ACTIVATIONS_H_
 #define DPBR_NN_ACTIVATIONS_H_
@@ -25,8 +23,6 @@ namespace nn {
 /// supply the in-place forward kernel and its output-based derivative.
 class ElementwiseActivation : public Layer {
  public:
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& grad_out) override;
   Tensor ForwardBatch(const Tensor& x) override;
   Tensor BackwardBatch(const Tensor& grad_out,
                        const PerExampleGradSink& sink) override;
@@ -38,11 +34,6 @@ class ElementwiseActivation : public Layer {
   virtual void ApplyGrad(float* dy, const float* y, size_t n) const = 0;
 
  private:
-  /// Applies f to a copy of `x`, caching the output.
-  Tensor Activate(const Tensor& x);
-  /// Input gradient from `grad_out` and the cached output.
-  Tensor Gradient(const Tensor& grad_out);
-
   Workspace ws_;  // slot 0: cached output(s)
 };
 

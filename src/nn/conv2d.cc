@@ -9,18 +9,9 @@ namespace dpbr {
 namespace nn {
 namespace {
 
-// Workspace slots (per layer instance). All hold single-example buffers:
-// the batched forward and backward stream their per-example
-// im2col/col2im panels through the batched kernels' per-thread scratch
-// instead, so nothing here scales with the batch size (kColSlot/
-// kDcolSlot serve only the per-example path).
-constexpr size_t kColSlot = 0;    // im2col matrix, K × OH·OW
-constexpr size_t kInputSlot = 1;  // cached forward input(s)
-constexpr size_t kDcolSlot = 2;   // column-space gradient, K × OH·OW
+constexpr size_t kInputSlot = 0;  // workspace slot: cached forward input
 
-// db[oc] += Σ_i gy[oc·q + i], accumulated in double. Shared by the
-// per-example backward and the batched backward's epilogue so the bitwise
-// contract between the two paths is pinned in one place.
+// db[oc] += Σ_i gy[oc·q + i], accumulated in double.
 void AccumulateBiasRowSums(const float* gy, size_t out_ch, size_t q,
                            float* bgrad) {
   for (size_t oc = 0; oc < out_ch; ++oc) {
@@ -41,48 +32,10 @@ Conv2d::Conv2d(size_t in_channels, size_t out_channels, size_t kernel_size,
       pad_(padding),
       kernel_(kernel),
       weight_(out_channels * in_channels * kernel_size * kernel_size, 0.0f),
-      bias_(out_channels, 0.0f),
-      weight_grad_(weight_.size(), 0.0f),
-      bias_grad_(out_channels, 0.0f) {
+      bias_(out_channels, 0.0f) {
   DPBR_CHECK_GT(in_ch_, 0u);
   DPBR_CHECK_GT(out_ch_, 0u);
   DPBR_CHECK_GT(k_, 0u);
-}
-
-void Conv2d::ForwardOne(const float* x, size_t h, size_t w, float* y) {
-  if (kernel_ == Conv2dKernel::kNaive) {
-    NaiveForwardOne(x, h, w, y);
-    return;
-  }
-  size_t oh = h + 2 * pad_ - k_ + 1;
-  size_t ow = w + 2 * pad_ - k_ + 1;
-  size_t kk = in_ch_ * k_ * k_;
-  float* col = ws_.Get(kColSlot, kk * oh * ow);
-  Im2Col(x, in_ch_, h, w, k_, pad_, col);
-  GemmNN(out_ch_, kk, oh * ow, weight_.data(), col, y, bias_.data());
-}
-
-void Conv2d::BackwardOne(const float* x, const float* gy, size_t h, size_t w,
-                         float* wgrad, float* bgrad, float* dx) {
-  if (kernel_ == Conv2dKernel::kNaive) {
-    NaiveBackwardOne(x, gy, h, w, wgrad, bgrad, dx);
-    return;
-  }
-  size_t oh = h + 2 * pad_ - k_ + 1;
-  size_t ow = w + 2 * pad_ - k_ + 1;
-  size_t q = oh * ow;
-  size_t kk = in_ch_ * k_ * k_;
-  // dW += dY · Colᵀ  (the column matrix is recomputed rather than cached
-  // across the pass: one K×Q buffer per layer instead of one per example).
-  float* col = ws_.Get(kColSlot, kk * q);
-  Im2Col(x, in_ch_, h, w, k_, pad_, col);
-  GemmNT(out_ch_, q, kk, gy, col, wgrad, /*accumulate=*/true);
-  // db += row sums of dY.
-  AccumulateBiasRowSums(gy, out_ch_, q, bgrad);
-  // dX = col2im(Wᵀ · dY).
-  float* dcol = ws_.Get(kDcolSlot, kk * q);
-  GemmTN(kk, out_ch_, q, weight_.data(), gy, dcol);
-  Col2ImAccumulate(dcol, in_ch_, h, w, k_, pad_, dx);
 }
 
 void Conv2d::NaiveForwardOne(const float* x, size_t h, size_t w, float* y) {
@@ -146,36 +99,6 @@ void Conv2d::NaiveBackwardOne(const float* x, const float* gy, size_t h,
   }
 }
 
-Tensor Conv2d::Forward(const Tensor& x) {
-  DPBR_CHECK_EQ(x.ndim(), 3u);
-  DPBR_CHECK_EQ(x.dim(0), in_ch_);
-  size_t h = x.dim(1), w = x.dim(2);
-  DPBR_CHECK_GE(h + 2 * pad_ + 1, k_);
-  DPBR_CHECK_GE(w + 2 * pad_ + 1, k_);
-  // Cache the input in workspace storage (no per-call allocation).
-  float* cached = ws_.Get(kInputSlot, x.size());
-  std::memcpy(cached, x.data(), x.size() * sizeof(float));
-  state_.SetPerExample(x.shape());
-  size_t oh = h + 2 * pad_ - k_ + 1;
-  size_t ow = w + 2 * pad_ - k_ + 1;
-  Tensor y({out_ch_, oh, ow});
-  ForwardOne(cached, h, w, y.data());
-  return y;
-}
-
-Tensor Conv2d::Backward(const Tensor& grad_out) {
-  const std::vector<size_t>& in = RequirePerExampleState();
-  size_t h = in[1], w = in[2];
-  size_t oh = h + 2 * pad_ - k_ + 1;
-  size_t ow = w + 2 * pad_ - k_ + 1;
-  RequireGradShape(grad_out, {out_ch_, oh, ow});
-  const float* x = ws_.Get(kInputSlot, in_ch_ * h * w);
-  Tensor dx({in_ch_, h, w});
-  BackwardOne(x, grad_out.data(), h, w, weight_grad_.data(),
-              bias_grad_.data(), dx.data());
-  return dx;
-}
-
 Tensor Conv2d::ForwardBatch(const Tensor& x) {
   size_t batch = RequireBatchedInput(x, 4);
   DPBR_CHECK_EQ(x.dim(1), in_ch_);
@@ -192,18 +115,18 @@ Tensor Conv2d::ForwardBatch(const Tensor& x) {
   size_t out_stride = out_ch_ * oh * ow;
   if (kernel_ == Conv2dKernel::kNaive) {
     for (size_t ex = 0; ex < batch; ++ex) {
-      ForwardOne(cached + ex * in_stride, h, w, y.data() + ex * out_stride);
+      NaiveForwardOne(cached + ex * in_stride, h, w,
+                      y.data() + ex * out_stride);
     }
     return y;
   }
-  // Batched path: the whole microbatch is one batched-GEMM dispatch that
-  // writes straight into the (N, OC, Q) output. Each example's im2col
-  // panel is expanded into the dispatch's per-thread scratch right
-  // before its tiles are computed, so it is consumed while cache-hot.
-  // Each output element accumulates products in the same ascending-p
-  // order as the per-example GEMM, so this is bitwise identical to
-  // looping ForwardOne — and, like every kernel here, pool-size
-  // invariant.
+  // The whole microbatch is one batched-GEMM dispatch that writes
+  // straight into the (N, OC, Q) output. Each example's im2col panel is
+  // expanded into the dispatch's per-thread scratch right before its
+  // tiles are computed, so it is consumed while cache-hot. Each output
+  // element accumulates its products in ascending-p order within its own
+  // example, so the result is independent of the batch size and, like
+  // every kernel here, of the pool size.
   size_t q = oh * ow;
   size_t kk = in_ch_ * k_ * k_;
   GemmBatchedNN(out_ch_, kk, q, batch, weight_.data(), y.data(),
@@ -229,20 +152,19 @@ Tensor Conv2d::BackwardBatch(const Tensor& grad_out,
     for (size_t ex = 0; ex < batch; ++ex) {
       float* wgrad = sink.Slot(ex);
       float* bgrad = wgrad + weight_.size();
-      BackwardOne(x + ex * in_stride, grad_out.data() + ex * out_stride, h,
-                  w, wgrad, bgrad, dx.data() + ex * in_stride);
+      NaiveBackwardOne(x + ex * in_stride, grad_out.data() + ex * out_stride,
+                       h, w, wgrad, bgrad, dx.data() + ex * in_stride);
     }
     return dx;
   }
-  // Batched path: the whole backward — per-example dW/db rows into the
-  // sink, dX through col2im — is one batched dispatch split over
-  // examples. Each example's task re-expands its im2col panel into
-  // per-thread scratch (one K×Q buffer per thread, not per example) and
-  // runs the two panel products dW = dY·Colᵀ and dCol = Wᵀ·dY in the
-  // per-example kernels' exact accumulation order, so every value is
-  // bitwise equal to looping BackwardOne — and per-example dW/db rows
-  // land in the sink untouched by any cross-example reduction, exactly
-  // as DP clipping requires. Examples write disjoint sink rows and dx
+  // The whole backward — per-example dW/db rows into the sink, dX
+  // through col2im — is one batched dispatch split over examples. Each
+  // example's task re-expands its im2col panel into per-thread scratch
+  // (one K×Q buffer per thread, not per example) and runs the two panel
+  // products dW = dY·Colᵀ and dCol = Wᵀ·dY serially, so every value is
+  // independent of the batch size — and per-example dW/db rows land in
+  // the sink untouched by any cross-example reduction, exactly as DP
+  // clipping requires. Examples write disjoint sink rows and dx
   // slices, so the split is race-free; the embedded batch-1
   // GemmBatchedTN and its Col2ImAccumulate run inline inside the task
   // (nested dispatches never fan out), keeping the dispatch count at
@@ -260,7 +182,7 @@ Tensor Conv2d::BackwardBatch(const Tensor& grad_out,
       /*accumulate=*/true,
       [&](size_t ex, const float* /*col*/) {
         const float* gy_ex = gy + ex * out_stride;
-        // db row, via the same shared row-sum kernel as BackwardOne.
+        // db row.
         AccumulateBiasRowSums(gy_ex, out_ch_, q,
                               sink.Slot(ex) + weight_.size());
         // dX slice: column-space gradient panel scattered by col2im.
@@ -275,8 +197,8 @@ Tensor Conv2d::BackwardBatch(const Tensor& grad_out,
 
 std::vector<ParamView> Conv2d::Params() {
   return {
-      {weight_.data(), weight_grad_.data(), weight_.size()},
-      {bias_.data(), bias_grad_.data(), bias_.size()},
+      {weight_.data(), weight_.size()},
+      {bias_.data(), bias_.size()},
   };
 }
 

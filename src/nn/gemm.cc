@@ -163,9 +163,9 @@ void GemmBatchedNN(size_t m, size_t k, size_t n, size_t batch,
   ParallelForBlocked(batch, 1, [&](size_t e0, size_t e1) {
     // One panel per worker thread (tasks run inline or on distinct pool
     // workers): grow-only, reused across examples and dispatches, so the
-    // serial case keeps a single cache-hot panel exactly like the
-    // per-example path. Panel contents never outlive the example's
-    // tiles, so this sharing cannot change any output bit.
+    // serial case keeps a single cache-hot panel. Panel contents never
+    // outlive the example's tiles, so this sharing cannot change any
+    // output bit.
     float* panel = ThreadPanel(kPanelSlotNNFill, k * n);
     for (size_t ex = e0; ex < e1; ++ex) {
       fill_panel(ex, panel);
@@ -178,14 +178,6 @@ void GemmBatchedNN(size_t m, size_t k, size_t n, size_t batch,
         }
       }
     }
-  });
-}
-
-void GemmTN(size_t m, size_t k, size_t n, const float* a, const float* b,
-            float* c) {
-  if (m == 0 || n == 0) return;
-  ParallelForBlocked(m, kRowBlock, [&](size_t lo, size_t hi) {
-    GemmTNRows(lo, hi, m, k, n, a, b, c);
   });
 }
 
@@ -204,7 +196,7 @@ void GemmBatchedNT(
     for (size_t ex = e0; ex < e1; ++ex) {
       fill_b(ex, panel);
       // All m rows serially: identical per-element dot8_f32 values to
-      // the per-example GemmNT dispatch, which only splits these rows.
+      // a GemmNT over the same operands, which only splits these rows.
       GemmNTRows(0, m, k, n, a + ex * a_stride, panel, c_of(ex),
                  accumulate);
       if (epilogue) epilogue(ex, panel);

@@ -107,20 +107,15 @@ void GemmBatchedNN(size_t m, size_t k, size_t n, size_t batch,
                    const float* a, float* c, const float* row_init,
                    FunctionRef<void(size_t ex, float* panel)> fill_panel);
 
-/// C (m×n) = Aᵀ · B for row-major A (k×m), B (k×n). Same fixed
-/// ascending-p accumulation order as GemmNN.
-void GemmTN(size_t m, size_t k, size_t n, const float* a, const float* b,
-            float* c);
-
 // --- Batched backward GEMM stack ------------------------------------
 //
 // The backward twins of GemmBatchedNN: each runs a whole microbatch of
 // per-example panel GEMMs as ONE parallel dispatch, split across
-// examples by the shape only (pool-size invariant), with the per-example
-// product computed serially inside the task in the exact per-element
-// accumulation order of the per-example kernel — so the batched call is
-// bitwise equal to looping GemmNT / GemmTN example by example. Panels
-// live in grow-only per-thread scratch that never outlives its example.
+// examples by the shape only (pool-size invariant), with each example's
+// product computed serially inside its task in a fixed per-element
+// accumulation order — so an example's result never depends on the
+// batch it rides in. Panels live in grow-only per-thread scratch that
+// never outlives its example.
 //
 // Composition contract: at batch == 1 these drivers never touch the pool
 // (ParallelFor's single-iteration inline path), so they are dispatch-
@@ -153,11 +148,11 @@ void GemmBatchedNT(
 /// Batched TN GEMM with consumed output panels: for each ex in [0,batch),
 ///   P_ex (m×n) = Aᵀ · B_ex
 /// for the shared row-major A (k×m) and B_ex = b + ex·b_stride, computed
-/// into a per-thread panel (same ascending-p order as GemmTN) and handed
-/// to consume(ex, panel) while cache-hot. Conv2d's backward consumes the
-/// column-space gradient panel with Col2ImAccumulate to scatter it onto
-/// the example's dX slice, so the materialized K×Q matrix never leaves
-/// the thread that produced it.
+/// into a per-thread panel (ascending-p accumulation, as in GemmNN) and
+/// handed to consume(ex, panel) while cache-hot. Conv2d's backward
+/// consumes the column-space gradient panel with Col2ImAccumulate to
+/// scatter it onto the example's dX slice, so the materialized K×Q
+/// matrix never leaves the thread that produced it.
 void GemmBatchedTN(size_t m, size_t k, size_t n, size_t batch,
                    const float* a, const float* b, size_t b_stride,
                    FunctionRef<void(size_t ex, const float* panel)> consume);

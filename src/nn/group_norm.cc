@@ -9,7 +9,7 @@ namespace dpbr {
 namespace nn {
 namespace {
 
-constexpr size_t kXhatSlot = 0;    // float slot: cached normalized input(s)
+constexpr size_t kXhatSlot = 0;    // float slot: cached normalized inputs
 constexpr size_t kInvStdSlot = 0;  // double slot: 1/std per (example, group)
 
 }  // namespace
@@ -21,9 +21,7 @@ GroupNorm::GroupNorm(size_t num_groups, size_t num_channels, double eps,
       eps_(eps),
       affine_(affine),
       gamma_(num_channels, 1.0f),
-      beta_(num_channels, 0.0f),
-      gamma_grad_(num_channels, 0.0f),
-      beta_grad_(num_channels, 0.0f) {
+      beta_(num_channels, 0.0f) {
   DPBR_CHECK_GT(groups_, 0u);
   DPBR_CHECK_EQ(channels_ % groups_, 0u);
 }
@@ -107,31 +105,6 @@ void GroupNorm::BackwardOne(const float* dy, const float* xhat,
   }
 }
 
-Tensor GroupNorm::Forward(const Tensor& x) {
-  DPBR_CHECK_EQ(x.ndim(), 3u);
-  DPBR_CHECK_EQ(x.dim(0), channels_);
-  size_t h = x.dim(1), w = x.dim(2);
-  float* xhat = ws_.Get(kXhatSlot, x.size());
-  double* inv_std = ws_.GetDouble(kInvStdSlot, groups_);
-  state_.SetPerExample(x.shape());
-  Tensor y({channels_, h, w});
-  ForwardOne(x.data(), h * w, xhat, y.data(), inv_std);
-  return y;
-}
-
-Tensor GroupNorm::Backward(const Tensor& grad_out) {
-  const std::vector<size_t>& in = RequirePerExampleState();
-  size_t h = in[1], w = in[2];
-  RequireGradShape(grad_out, {channels_, h, w});
-  const float* xhat = ws_.Get(kXhatSlot, channels_ * h * w);
-  const double* inv_std = ws_.GetDouble(kInvStdSlot, groups_);
-  Tensor dx({channels_, h, w});
-  BackwardOne(grad_out.data(), xhat, inv_std, h * w, dx.data(),
-              affine_ ? gamma_grad_.data() : nullptr,
-              affine_ ? beta_grad_.data() : nullptr);
-  return dx;
-}
-
 Tensor GroupNorm::ForwardBatch(const Tensor& x) {
   size_t batch = RequireBatchedInput(x, 4);
   DPBR_CHECK_EQ(x.dim(1), channels_);
@@ -181,8 +154,8 @@ Tensor GroupNorm::BackwardBatch(const Tensor& grad_out,
 std::vector<ParamView> GroupNorm::Params() {
   if (!affine_) return {};
   return {
-      {gamma_.data(), gamma_grad_.data(), gamma_.size()},
-      {beta_.data(), beta_grad_.data(), beta_.size()},
+      {gamma_.data(), gamma_.size()},
+      {beta_.data(), beta_.size()},
   };
 }
 

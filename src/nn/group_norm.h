@@ -1,8 +1,7 @@
-// GroupNorm over (C, H, W) examples and (N, C, H, W) microbatches, as
-// used by the paper's MNIST and Colorectal CNNs (NumGroups=4,
-// NumChannels=16). Statistics are always per example, so the batched
-// path runs the per-example kernel over the examples in a serial loop,
-// bitwise equal to the per-example path.
+// GroupNorm over (N, C, H, W) microbatches, as used by the paper's MNIST
+// and Colorectal CNNs (NumGroups=4, NumChannels=16). Statistics are
+// always per example, so the layer runs a per-example kernel over the
+// examples in a serial loop.
 
 #ifndef DPBR_NN_GROUP_NORM_H_
 #define DPBR_NN_GROUP_NORM_H_
@@ -27,8 +26,6 @@ class GroupNorm : public Layer {
   GroupNorm(size_t num_groups, size_t num_channels, double eps = 1e-5,
             bool affine = true);
 
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& grad_out) override;
   Tensor ForwardBatch(const Tensor& x) override;
   Tensor BackwardBatch(const Tensor& grad_out,
                        const PerExampleGradSink& sink) override;
@@ -51,11 +48,8 @@ class GroupNorm : public Layer {
   bool affine_;
   std::vector<float> gamma_;
   std::vector<float> beta_;
-  std::vector<float> gamma_grad_;
-  std::vector<float> beta_grad_;
   // Workspace-cached normalized input x̂ (float slot, batch-sized) and
-  // 1/std per (example, group) (double slot). Both grow-only and shared
-  // between the per-example and batched paths under `state_`'s guard.
+  // 1/std per (example, group) (double slot). Both grow-only.
   Workspace ws_;
 };
 

@@ -1,20 +1,20 @@
-// Layer abstraction for per-example and batched forward/backward.
+// Layer abstraction: one batched forward/backward per layer.
 //
-// The DP protocol (Algorithm 1) consumes *per-example* gradients, so the
-// layer contract exposes two paths to them:
-//   * the per-example path (Forward/Backward), one example at a time, and
-//   * the microbatch path (ForwardBatch/BackwardBatch), which runs one
-//     kernel invocation per layer over a whole clipped microbatch and
-//     writes each example's parameter gradient to its own row of a
-//     (batch × model_dim) sink — the per-example separation the DP
-//     clipping needs, without the per-sample Python-loop shape.
+// The DP protocol (Algorithm 1) consumes *per-example* gradients. Every
+// layer runs a whole microbatch per call — leading dimension = batch
+// size, a single example being a batch of 1 — and its BackwardBatch
+// writes each example's parameter gradient to its own row of a
+// (batch × model_dim) sink: the per-example separation the DP clipping
+// needs, without a per-sample loop over the model. Row j of a batch-N
+// pass is bitwise equal to the batch-1 pass of example j.
+//
 // Layers cache whatever they need during the forward pass; a layer
-// instance serves exactly one example or one microbatch at a time (each
-// federated worker owns a private model copy). The two paths share one
-// set of cache slots, so every stateful layer records which path wrote
-// them in a BatchState and every backward asserts the matching path —
-// interleaving Forward and ForwardBatch (eval between training steps)
-// can therefore never silently read stale shapes or activations.
+// instance serves exactly one microbatch at a time (each federated
+// worker owns a private model copy). Every stateful layer records the
+// input shape of its last forward in a BatchState, and every backward
+// reads it back, so a backward with no forward before it dies loudly
+// instead of reading uninitialized caches. Any forward may follow a
+// completed backward (evaluation between training steps).
 //
 // Parallelism lives in one place per layer type: only the layers that
 // own a GEMM (Conv2d, Linear) split a batched pass across the thread
@@ -27,7 +27,6 @@
 #ifndef DPBR_NN_LAYER_H_
 #define DPBR_NN_LAYER_H_
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,45 +37,31 @@
 namespace dpbr {
 namespace nn {
 
-/// Tag + shape record for a layer's cached forward state.
+/// Shape record for a layer's cached forward state.
 ///
-/// Layers keep one set of cache slots (workspace buffers, shape fields)
-/// shared between the per-example and the batched path, so a backward
-/// call is only valid against the *last* forward's path: a 3-D Backward
-/// after a 4-D ForwardBatch would otherwise misread `[batch, c, h]` as
-/// `[c, h, w]` and consume stale activations. BatchState makes that
-/// contract checked — each forward records its path and input shape,
-/// each backward asserts the matching path and reads the shape back;
-/// a mismatch DPBR_CHECK-fails loudly instead of corrupting gradients.
+/// Each ForwardBatch records its input shape (dim 0 = batch); each
+/// BackwardBatch reads it back to size its output and check `grad_out`.
+/// A backward before any forward has run DPBR_CHECK-fails loudly instead
+/// of consuming uninitialized caches.
 class BatchState {
  public:
-  /// Records a per-example forward whose cached input shape is `shape`.
-  void SetPerExample(const std::vector<size_t>& shape);
-
-  /// Records a batched forward; `shape`'s leading dimension is the batch.
+  /// Records a forward whose input shape is `shape`.
   void SetBatched(const std::vector<size_t>& shape);
 
-  /// Returns the cached per-example input shape; fails fatally (naming
-  /// `layer`) unless the last forward was the per-example path.
-  const std::vector<size_t>& RequirePerExample(const char* layer) const;
-
-  /// Returns the cached batched input shape (dim 0 = batch size); fails
-  /// fatally unless the last forward was the batched path.
+  /// Returns the last forward's input shape; fails fatally (naming
+  /// `layer`) when no forward has run.
   const std::vector<size_t>& RequireBatched(const char* layer) const;
 
  private:
-  enum class Path : uint8_t { kNone, kPerExample, kBatched };
-
-  Path path_ = Path::kNone;
+  bool has_forward_ = false;
   // Assigned (not reallocated, after the first call of equal rank) each
   // forward; reads hand out a const reference, never a copy.
   std::vector<size_t> shape_;
 };
 
-/// Mutable view into one parameter tensor and its gradient accumulator.
+/// Mutable view into one parameter tensor.
 struct ParamView {
   float* value = nullptr;
-  float* grad = nullptr;
   size_t size = 0;
 };
 
@@ -111,34 +96,21 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Computes the layer output for a single example, caching activations
-  /// needed by Backward.
-  virtual Tensor Forward(const Tensor& x) = 0;
-
-  /// Given dL/d(output), accumulates dL/d(params) into the grad buffers
-  /// and returns dL/d(input). Must be preceded by a matching Forward.
-  virtual Tensor Backward(const Tensor& grad_out) = 0;
-
   /// Computes the layer output for a microbatch whose leading dimension
-  /// is the batch size. Caches batch activations for BackwardBatch. The
-  /// default CHECK-fails; every layer the model zoo uses overrides it.
-  virtual Tensor ForwardBatch(const Tensor& x);
+  /// is the batch size, caching what BackwardBatch needs.
+  virtual Tensor ForwardBatch(const Tensor& x) = 0;
 
-  /// Batched counterpart of Backward: returns dL/d(input) with leading
-  /// batch dimension and writes *per-example* parameter gradients into
-  /// `sink` (accumulating; rows pre-zeroed by the caller). Must be
-  /// preceded by a matching ForwardBatch.
+  /// Given dL/d(output) for the last ForwardBatch, returns dL/d(input)
+  /// (leading batch dimension) and writes *per-example* parameter
+  /// gradients into `sink` (accumulating; rows pre-zeroed by the caller).
   virtual Tensor BackwardBatch(const Tensor& grad_out,
-                               const PerExampleGradSink& sink);
+                               const PerExampleGradSink& sink) = 0;
 
   /// Views over this layer's parameters (empty for stateless layers).
   virtual std::vector<ParamView> Params() { return {}; }
 
   /// Initializes parameters (weights: layer-appropriate scheme; biases: 0).
   virtual void InitParams(SplitRng* /*rng*/) {}
-
-  /// Zeroes all gradient accumulators.
-  void ZeroGrad();
 
   /// Total number of scalar parameters.
   size_t NumParams();
@@ -148,32 +120,27 @@ class Layer {
  protected:
   // --- shared precondition helpers ----------------------------------
   //
-  // Every batched entry point asserts through these, so all layers fail
+  // Every entry point asserts through these, so all layers fail
   // identically on the same contract violation (same message, same
   // check) instead of each hand-rolling its own copies.
 
-  /// Batched-forward input check: `x` must have rank `rank` (at least
-  /// `rank` when `at_least_rank`) and a positive leading batch
-  /// dimension. Returns the batch size. Layer-specific dimension checks
-  /// and the SetBatched recording stay with the caller (they need the
-  /// layer's own fields).
+  /// Forward input check: `x` must have rank `rank` (at least `rank`
+  /// when `at_least_rank`) and a positive leading batch dimension.
+  /// Returns the batch size. Layer-specific dimension checks and the
+  /// SetBatched recording stay with the caller (they need the layer's
+  /// own fields).
   size_t RequireBatchedInput(const Tensor& x, size_t rank,
                              bool at_least_rank = false) const;
 
-  /// Asserts the last forward was batched (naming this layer) and
-  /// returns its cached input shape (dim 0 = batch).
+  /// Asserts a forward has run (naming this layer) and returns its
+  /// cached input shape (dim 0 = batch).
   const std::vector<size_t>& RequireBatchedState() const;
-
-  /// Asserts the last forward was per-example (naming this layer) and
-  /// returns its cached input shape.
-  const std::vector<size_t>& RequirePerExampleState() const;
 
   /// Asserts `grad_out`'s shape is exactly `expected`.
   void RequireGradShape(const Tensor& grad_out,
                         const std::vector<size_t>& expected) const;
 
-  /// Which path (per-example or batched) last filled this layer's shared
-  /// caches.
+  /// Input shape of the last forward.
   BatchState state_;
 };
 

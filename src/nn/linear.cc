@@ -11,7 +11,7 @@ namespace dpbr {
 namespace nn {
 namespace {
 
-constexpr size_t kInputSlot = 0;  // cached forward input(s)
+constexpr size_t kInputSlot = 0;  // cached forward input
 
 }  // namespace
 
@@ -19,35 +19,9 @@ Linear::Linear(size_t in_features, size_t out_features)
     : in_(in_features),
       out_(out_features),
       weight_(in_features * out_features, 0.0f),
-      bias_(out_features, 0.0f),
-      weight_grad_(in_features * out_features, 0.0f),
-      bias_grad_(out_features, 0.0f) {
+      bias_(out_features, 0.0f) {
   DPBR_CHECK_GT(in_, 0u);
   DPBR_CHECK_GT(out_, 0u);
-}
-
-Tensor Linear::Forward(const Tensor& x) {
-  DPBR_CHECK_EQ(x.size(), in_);
-  float* cached = ws_.Get(kInputSlot, in_);
-  std::memcpy(cached, x.data(), in_ * sizeof(float));
-  state_.SetPerExample(x.shape());
-  Tensor y({out_});
-  // y = x · Wᵀ as a 1-row GEMM, then the bias.
-  GemmNT(1, in_, out_, cached, weight_.data(), y.data());
-  for (size_t r = 0; r < out_; ++r) y[r] += bias_[r];
-  return y;
-}
-
-Tensor Linear::Backward(const Tensor& grad_out) {
-  DPBR_CHECK_EQ(grad_out.size(), out_);
-  RequirePerExampleState();
-  const float* x = ws_.Get(kInputSlot, in_);
-  // dW += dy ⊗ x, db += dy, dx = dy · W.
-  ops::Ger(1.0f, grad_out.data(), x, weight_grad_.data(), out_, in_);
-  ops::Axpy(1.0f, grad_out.data(), bias_grad_.data(), out_);
-  Tensor dx({in_});
-  GemmNN(1, out_, in_, grad_out.data(), weight_.data(), dx.data());
-  return dx;
 }
 
 Tensor Linear::ForwardBatch(const Tensor& x) {
@@ -78,14 +52,13 @@ Tensor Linear::BackwardBatch(const Tensor& grad_out,
   float* dxd = dx.data();
   size_t wsize = weight_.size();
   // The whole backward is one batched dispatch split over examples, the
-  // same shape as Conv2d's batched backward but on the raw per-example
-  // kernels: dW_j = dy_j ⊗ x_j is a rank-1 update (a panel GEMM would
-  // pay per-element reduction overhead for k=1), so each task runs the
-  // per-example path's exact Ger/Axpy calls against its own sink row,
-  // then its dX row dx_j = dy_j · W through the serial row core of the
-  // same GemmNN the per-example path dispatches — every output bitwise
-  // equal to the per-example path. Examples touch disjoint sink rows
-  // and dx rows, so the split is race-free and pool-size invariant.
+  // same shape as Conv2d's backward but on raw vector kernels:
+  // dW_j = dy_j ⊗ x_j is a rank-1 update (a panel GEMM would pay
+  // per-element reduction overhead for k=1), so each task runs Ger/Axpy
+  // against its own sink row, then its dX row dx_j = dy_j · W through
+  // the serial row core of GemmNN. Examples touch disjoint sink rows and
+  // dx rows, so the split is race-free, pool-size invariant, and every
+  // row independent of the batch size.
   ParallelForBlocked(batch, 1, [&](size_t e0, size_t e1) {
     for (size_t ex = e0; ex < e1; ++ex) {
       const float* gy_ex = gy + ex * out_;
@@ -100,8 +73,8 @@ Tensor Linear::BackwardBatch(const Tensor& grad_out,
 
 std::vector<ParamView> Linear::Params() {
   return {
-      {weight_.data(), weight_grad_.data(), weight_.size()},
-      {bias_.data(), bias_grad_.data(), bias_.size()},
+      {weight_.data(), weight_.size()},
+      {bias_.data(), bias_.size()},
   };
 }
 

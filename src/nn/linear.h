@@ -1,9 +1,8 @@
-// Fully connected layer: y = W x + b, batched on the shared GEMM
-// primitive (src/nn/gemm.h) with workspace-cached activations. The
-// batched backward runs the whole microbatch — per-example dW/db rows
-// into the PerExampleGradSink plus each example's dX row — as one
-// dispatch split over examples, bitwise equal to the per-example
-// Ger/Axpy/GemmNN path.
+// Fully connected layer: Y = X Wᵀ + b over (N, in) microbatches, on the
+// shared GEMM primitive (src/nn/gemm.h) with a workspace-cached input.
+// The backward runs the whole microbatch — per-example dW/db rows into
+// the PerExampleGradSink plus each example's dX row — as one dispatch
+// split over examples.
 
 #ifndef DPBR_NN_LINEAR_H_
 #define DPBR_NN_LINEAR_H_
@@ -22,8 +21,6 @@ class Linear : public Layer {
  public:
   Linear(size_t in_features, size_t out_features);
 
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& grad_out) override;
   Tensor ForwardBatch(const Tensor& x) override;
   Tensor BackwardBatch(const Tensor& grad_out,
                        const PerExampleGradSink& sink) override;
@@ -40,11 +37,9 @@ class Linear : public Layer {
  private:
   size_t in_;
   size_t out_;
-  std::vector<float> weight_;       // out x in, row-major
-  std::vector<float> bias_;         // out
-  std::vector<float> weight_grad_;  // accumulates across examples
-  std::vector<float> bias_grad_;
-  // Workspace-cached input(s) from the last forward pass.
+  std::vector<float> weight_;  // out x in, row-major
+  std::vector<float> bias_;    // out
+  // Workspace-cached input from the last forward pass.
   Workspace ws_;
 };
 

@@ -8,22 +8,6 @@
 namespace dpbr {
 namespace nn {
 
-std::vector<double> Softmax(const Tensor& logits) {
-  DPBR_CHECK_GT(logits.size(), 0u);
-  double mx = logits[0];
-  for (size_t i = 1; i < logits.size(); ++i) {
-    mx = std::max(mx, static_cast<double>(logits[i]));
-  }
-  std::vector<double> p(logits.size());
-  double z = 0.0;
-  for (size_t i = 0; i < logits.size(); ++i) {
-    p[i] = std::exp(static_cast<double>(logits[i]) - mx);
-    z += p[i];
-  }
-  for (auto& v : p) v /= z;
-  return p;
-}
-
 size_t Argmax(const float* v, size_t n) {
   DPBR_CHECK_GT(n, 0u);
   size_t best = 0;
@@ -31,23 +15,6 @@ size_t Argmax(const float* v, size_t n) {
     if (v[i] > v[best]) best = i;
   }
   return best;
-}
-
-size_t Argmax(const Tensor& logits) {
-  return Argmax(logits.data(), logits.size());
-}
-
-LossGrad SoftmaxCrossEntropy(const Tensor& logits, size_t label) {
-  DPBR_CHECK_LT(label, logits.size());
-  std::vector<double> p = Softmax(logits);
-  LossGrad out;
-  out.loss = -std::log(std::max(p[label], 1e-30));
-  out.grad_logits = Tensor({logits.size()});
-  for (size_t i = 0; i < logits.size(); ++i) {
-    out.grad_logits[i] =
-        static_cast<float>(p[i] - (i == label ? 1.0 : 0.0));
-  }
-  return out;
 }
 
 BatchLossGrad SoftmaxCrossEntropyBatch(const Tensor& logits,
@@ -63,8 +30,6 @@ BatchLossGrad SoftmaxCrossEntropyBatch(const Tensor& logits,
     const float* row = logits.data() + ex * classes;
     size_t label = labels[ex];
     DPBR_CHECK_LT(label, classes);
-    // Same arithmetic as the single-example path, so the two paths agree
-    // bitwise.
     double mx = row[0];
     for (size_t i = 1; i < classes; ++i) {
       mx = std::max(mx, static_cast<double>(row[i]));

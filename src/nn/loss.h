@@ -11,25 +11,13 @@
 namespace dpbr {
 namespace nn {
 
-/// Numerically stable softmax of a logit vector.
-std::vector<double> Softmax(const Tensor& logits);
-
-/// Index of the maximum logit.
-size_t Argmax(const Tensor& logits);
-
 /// Index of the maximum over a raw span (first maximum wins).
 size_t Argmax(const float* v, size_t n);
 
-/// Loss value and gradient of softmax cross-entropy w.r.t. the logits:
-/// grad = softmax(logits) - onehot(label).
-struct LossGrad {
-  double loss = 0.0;
-  Tensor grad_logits;
-};
-LossGrad SoftmaxCrossEntropy(const Tensor& logits, size_t label);
-
-/// Batched variant over (N, C) logits: per-example losses plus the
-/// (N, C) logit-gradient tensor, row j belonging to example j.
+/// Softmax cross-entropy over (N, C) logits: per-example losses plus
+/// the (N, C) logit-gradient tensor, row j belonging to example j, with
+/// grad = softmax(logits) - onehot(label). Softmax is computed
+/// numerically stably (max-shifted) in double.
 struct BatchLossGrad {
   std::vector<double> losses;
   Tensor grad_logits;

@@ -1,7 +1,5 @@
 #include "nn/pooling.h"
 
-#include <numeric>
-
 #include "common/logging.h"
 #include "common/simd.h"
 
@@ -66,40 +64,6 @@ void AdaptiveAvgPool2d::PlaneBackward(const float* gy_plane, size_t h,
   }
 }
 
-void AdaptiveAvgPool2d::ForwardOne(const float* x, size_t c, size_t h,
-                                   size_t w, float* y) {
-  for (size_t ch = 0; ch < c; ++ch) {
-    PlaneForward(x + ch * h * w, h, w, y + ch * out_h_ * out_w_);
-  }
-}
-
-void AdaptiveAvgPool2d::BackwardOne(const float* gy, size_t c, size_t h,
-                                    size_t w, float* dx) {
-  for (size_t ch = 0; ch < c; ++ch) {
-    PlaneBackward(gy + ch * out_h_ * out_w_, h, w, dx + ch * h * w);
-  }
-}
-
-Tensor AdaptiveAvgPool2d::Forward(const Tensor& x) {
-  DPBR_CHECK_EQ(x.ndim(), 3u);
-  size_t c = x.dim(0), h = x.dim(1), w = x.dim(2);
-  DPBR_CHECK_GE(h, out_h_);
-  DPBR_CHECK_GE(w, out_w_);
-  state_.SetPerExample(x.shape());
-  Tensor y({c, out_h_, out_w_});
-  ForwardOne(x.data(), c, h, w, y.data());
-  return y;
-}
-
-Tensor AdaptiveAvgPool2d::Backward(const Tensor& grad_out) {
-  const std::vector<size_t>& in = RequirePerExampleState();
-  size_t c = in[0], h = in[1], w = in[2];
-  RequireGradShape(grad_out, {c, out_h_, out_w_});
-  Tensor dx({c, h, w});
-  BackwardOne(grad_out.data(), c, h, w, dx.data());
-  return dx;
-}
-
 Tensor AdaptiveAvgPool2d::ForwardBatch(const Tensor& x) {
   size_t batch = RequireBatchedInput(x, 4);
   size_t c = x.dim(1), h = x.dim(2), w = x.dim(3);
@@ -108,8 +72,12 @@ Tensor AdaptiveAvgPool2d::ForwardBatch(const Tensor& x) {
   state_.SetBatched(x.shape());
   Tensor y({batch, c, out_h_, out_w_});
   // The (N, C, H, W) layout is batch·C consecutive planes, so the batch
-  // is one plane loop — bitwise equal to the per-example channel loop.
-  ForwardOne(x.data(), batch * c, h, w, y.data());
+  // is one plane loop.
+  const float* xd = x.data();
+  float* yd = y.data();
+  for (size_t p = 0; p < batch * c; ++p) {
+    PlaneForward(xd + p * h * w, h, w, yd + p * out_h_ * out_w_);
+  }
   return y;
 }
 
@@ -120,23 +88,12 @@ Tensor AdaptiveAvgPool2d::BackwardBatch(const Tensor& grad_out,
   RequireGradShape(grad_out, {batch, c, out_h_, out_w_});
   Tensor dx({batch, c, h, w});
   // Same plane loop as the forward, onto the zero-initialized dx.
-  BackwardOne(grad_out.data(), batch * c, h, w, dx.data());
+  const float* gy = grad_out.data();
+  float* dxd = dx.data();
+  for (size_t p = 0; p < batch * c; ++p) {
+    PlaneBackward(gy + p * out_h_ * out_w_, h, w, dxd + p * h * w);
+  }
   return dx;
-}
-
-Tensor Flatten::Forward(const Tensor& x) {
-  state_.SetPerExample(x.shape());
-  auto r = x.Reshape({x.size()});
-  DPBR_CHECK(r.ok());
-  return std::move(r).value();
-}
-
-Tensor Flatten::Backward(const Tensor& grad_out) {
-  const std::vector<size_t>& in = RequirePerExampleState();
-  DPBR_CHECK_EQ(grad_out.size(), ShapeProduct(in, 0));
-  auto r = grad_out.Reshape(in);
-  DPBR_CHECK(r.ok());
-  return std::move(r).value();
 }
 
 Tensor Flatten::ForwardBatch(const Tensor& x) {

@@ -17,20 +17,6 @@ Sequential& Sequential::Add(LayerPtr layer) {
   return *this;
 }
 
-Tensor Sequential::Forward(const Tensor& x) {
-  Tensor h = x;
-  for (auto& l : layers_) h = l->Forward(h);
-  return h;
-}
-
-Tensor Sequential::Backward(const Tensor& grad_out) {
-  Tensor g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->Backward(g);
-  }
-  return g;
-}
-
 Tensor Sequential::ForwardBatch(const Tensor& x) {
   Tensor h = x;
   for (auto& l : layers_) h = l->ForwardBatch(h);
@@ -92,43 +78,15 @@ void Sequential::SetParamsFrom(const float* in) {
   }
 }
 
-void Sequential::CopyGradsTo(float* out) {
-  size_t off = 0;
-  for (auto& p : Params()) {
-    for (size_t i = 0; i < p.size; ++i) out[off + i] = p.grad[i];
-    off += p.size;
-  }
-}
-
 std::vector<float> Sequential::FlatParams() {
   std::vector<float> v(NumParams());
   CopyParamsTo(v.data());
   return v;
 }
 
-std::vector<float> Sequential::FlatGrads() {
-  std::vector<float> v(NumParams());
-  CopyGradsTo(v.data());
-  return v;
-}
-
 Residual::Residual(std::unique_ptr<Sequential> body)
     : body_(std::move(body)) {
   DPBR_CHECK(body_ != nullptr);
-}
-
-Tensor Residual::Forward(const Tensor& x) {
-  Tensor y = body_->Forward(x);
-  DPBR_CHECK(y.SameShape(x));
-  for (size_t i = 0; i < y.size(); ++i) y[i] += x[i];
-  return y;
-}
-
-Tensor Residual::Backward(const Tensor& grad_out) {
-  Tensor dx = body_->Backward(grad_out);
-  DPBR_CHECK(dx.SameShape(grad_out));
-  for (size_t i = 0; i < dx.size(); ++i) dx[i] += grad_out[i];
-  return dx;
 }
 
 Tensor Residual::ForwardBatch(const Tensor& x) {

@@ -15,15 +15,13 @@
 namespace dpbr {
 namespace nn {
 
-/// Chain of layers applied in order; the batched paths call each
-/// layer's ForwardBatch / BackwardBatch in turn.
+/// Chain of layers applied in order: each layer's ForwardBatch, then
+/// each BackwardBatch in reverse.
 class Sequential : public Layer {
  public:
   /// Appends a layer (builder style).
   Sequential& Add(LayerPtr layer);
 
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& grad_out) override;
   Tensor ForwardBatch(const Tensor& x) override;
   Tensor BackwardBatch(const Tensor& grad_out,
                        const PerExampleGradSink& sink) override;
@@ -52,12 +50,8 @@ class Sequential : public Layer {
   /// Overwrites all parameters from `in`.
   void SetParamsFrom(const float* in);
 
-  /// Copies all accumulated gradients into `out`.
-  void CopyGradsTo(float* out);
-
-  /// Convenience vector versions.
+  /// Convenience vector version of CopyParamsTo.
   std::vector<float> FlatParams();
-  std::vector<float> FlatGrads();
 
  private:
   std::vector<LayerPtr> layers_;
@@ -73,8 +67,6 @@ class Residual : public Layer {
  public:
   explicit Residual(std::unique_ptr<Sequential> body);
 
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& grad_out) override;
   Tensor ForwardBatch(const Tensor& x) override;
   Tensor BackwardBatch(const Tensor& grad_out,
                        const PerExampleGradSink& sink) override;

@@ -18,8 +18,6 @@
 #include "dp/spent_ledger.h"
 #include "durability/bytes.h"
 #include "fl/round_state.h"
-#include "nn/model_zoo.h"
-#include "nn/optimizer.h"
 
 namespace dpbr {
 namespace {
@@ -266,56 +264,6 @@ TEST(AggregatorStateTest, StatelessDefaultRejectsForeignState) {
   EXPECT_TRUE(blob.empty());
   EXPECT_TRUE(mean.RestoreState("").ok());
   EXPECT_FALSE(mean.RestoreState("stateful-bytes").ok());
-}
-
-// --- Sgd momentum buffers ---
-
-TEST(SgdStateTest, RestoredBuffersContinueIdentically) {
-  auto factory = nn::MlpFactory(4, 3, 2);
-  auto model_a = factory();
-  auto model_b = factory();
-  SplitRng init(11);
-  model_a->InitParams(&init);
-  model_b->SetParamsFrom(model_a->FlatParams().data());
-
-  nn::Sgd opt_a(model_a.get(), 0.1, 0.9);
-  nn::Sgd opt_b(model_b.get(), 0.1, 0.9);
-
-  // Drive a few steps with synthetic gradients on A only.
-  auto fill_grads = [](nn::Sequential* m, float scale) {
-    for (auto& p : m->Params()) {
-      for (size_t i = 0; i < p.size; ++i) {
-        p.grad[i] = scale * static_cast<float>(i % 5 - 2);
-      }
-    }
-  };
-  for (int step = 0; step < 3; ++step) {
-    fill_grads(model_a.get(), 0.5f + step);
-    opt_a.Step();
-  }
-
-  // Snapshot A into B (params + momentum buffers), then step both with
-  // the same gradients: trajectories must match bitwise.
-  model_b->SetParamsFrom(model_a->FlatParams().data());
-  ASSERT_TRUE(opt_b.RestoreBuffers(opt_a.buffers()).ok());
-  for (int step = 0; step < 3; ++step) {
-    fill_grads(model_a.get(), 2.0f + step);
-    fill_grads(model_b.get(), 2.0f + step);
-    opt_a.Step();
-    opt_b.Step();
-    EXPECT_EQ(model_a->FlatParams(), model_b->FlatParams());
-  }
-}
-
-TEST(SgdStateTest, RestoreRejectsShapeMismatch) {
-  auto factory = nn::MlpFactory(4, 3, 2);
-  auto model = factory();
-  nn::Sgd opt(model.get(), 0.1, 0.9);
-  std::vector<std::vector<float>> wrong_count(1, std::vector<float>(3));
-  EXPECT_FALSE(opt.RestoreBuffers(wrong_count).ok());
-  std::vector<std::vector<float>> wrong_shape = opt.buffers();
-  wrong_shape.back().push_back(0.0f);
-  EXPECT_FALSE(opt.RestoreBuffers(wrong_shape).ok());
 }
 
 // --- Round state container ---

@@ -62,17 +62,18 @@ TEST(ServerTest, ServerGradientMatchesManualComputation) {
   auto grad = s.ComputeServerGradient();
   ASSERT_TRUE(grad.ok());
 
-  // Manual: mean per-example gradient at the server params.
+  // Manual: mean per-example gradient at the server params, one
+  // batch-of-1 pass per example.
   auto model = f();
   model->SetParamsFrom(s.params().data());
   std::vector<float> acc(s.dim(), 0.0f);
+  std::vector<float> g(s.dim());
   for (size_t i = 0; i < aux.size(); ++i) {
-    model->ZeroGrad();
-    Tensor logits = model->Forward(aux.ExampleTensor(i));
-    nn::LossGrad lg = nn::SoftmaxCrossEntropy(
-        logits, static_cast<size_t>(aux.LabelAt(i)));
-    model->Backward(lg.grad_logits);
-    std::vector<float> g = model->FlatGrads();
+    const float* feat = aux.FeaturesAt(i);
+    Tensor x({1, 16}, std::vector<float>(feat, feat + 16));
+    nn::BatchLossGrad lg = nn::SoftmaxCrossEntropyBatch(
+        model->ForwardBatch(x), {static_cast<size_t>(aux.LabelAt(i))});
+    model->BackwardBatchTo(lg.grad_logits, 1, g.data());
     ops::Axpy(1.0f, g.data(), acc.data(), acc.size());
   }
   ops::Scale(1.0f / 3.0f, acc.data(), acc.size());

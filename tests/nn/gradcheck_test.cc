@@ -1,5 +1,6 @@
 // Finite-difference gradient checks: the per-example gradients that feed
-// the DP protocol must be exact for every layer type the model zoo uses.
+// the DP protocol (a batch of 1's sink row) must be exact for every layer
+// type the model zoo uses.
 
 #include <gtest/gtest.h>
 
@@ -20,26 +21,26 @@ namespace dpbr {
 namespace nn {
 namespace {
 
-// Loss of `model` on (x, label) at its current parameters.
+// Loss of `model` on the batch-of-1 (x, label) at its current
+// parameters.
 double LossAt(Sequential* model, const Tensor& x, size_t label) {
-  Tensor logits = model->Forward(x);
-  return SoftmaxCrossEntropy(logits, label).loss;
+  return SoftmaxCrossEntropyBatch(model->ForwardBatch(x), {label}).losses[0];
 }
 
 // Checks d(loss)/d(params) against central differences on a sample of
 // parameter coordinates, and d(loss)/d(input) on all input coordinates.
+// `x` is a batch of one example.
 void CheckGradients(std::unique_ptr<Sequential> model, Tensor x,
                     size_t label, double fd_eps = 5e-3,
                     double tolerance = 2e-2) {
   SplitRng rng(99);
   model->InitParams(&rng);
 
-  // Analytic gradients.
-  model->ZeroGrad();
-  Tensor logits = model->Forward(x);
-  LossGrad lg = SoftmaxCrossEntropy(logits, label);
-  Tensor dx = model->Backward(lg.grad_logits);
-  std::vector<float> analytic = model->FlatGrads();
+  // Analytic gradients: the example's sink row.
+  Tensor logits = model->ForwardBatch(x);
+  BatchLossGrad lg = SoftmaxCrossEntropyBatch(logits, {label});
+  std::vector<float> analytic(model->NumParams());
+  Tensor dx = model->BackwardBatchTo(lg.grad_logits, 1, analytic.data());
   std::vector<float> params = model->FlatParams();
 
   // Parameter gradients on a deterministic sample of coordinates.
@@ -78,8 +79,10 @@ void CheckGradients(std::unique_ptr<Sequential> model, Tensor x,
   }
 }
 
+// A batch of one example of shape `shape`.
 Tensor RandomInput(std::vector<size_t> shape, uint64_t seed) {
   SplitRng rng(seed);
+  shape.insert(shape.begin(), 1);
   Tensor x(std::move(shape));
   x.FillGaussian(&rng, 1.0);
   return x;

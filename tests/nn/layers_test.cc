@@ -24,30 +24,29 @@ TEST(LinearTest, ForwardHandComputed) {
   params[0].value[3] = 4;
   params[1].value[0] = 10;
   params[1].value[1] = 20;
-  Tensor y = l.Forward(Tensor({2}, {1, 1}));
+  Tensor y = l.ForwardBatch(Tensor({1, 2}, {1, 1}));
   EXPECT_FLOAT_EQ(y[0], 13.0f);
   EXPECT_FLOAT_EQ(y[1], 27.0f);
 }
 
-TEST(LinearTest, BackwardAccumulatesAcrossExamples) {
+TEST(LinearTest, BackwardAccumulatesIntoSinkRow) {
   Linear l(1, 1);
   auto params = l.Params();
   params[0].value[0] = 2.0f;
-  // Two forward/backward passes accumulate into the same grad buffer
-  // (per-batch accumulation inside a worker step).
-  l.Forward(Tensor({1}, {3.0f}));
-  l.Backward(Tensor({1}, {1.0f}));  // dW += 1*3
-  l.Forward(Tensor({1}, {5.0f}));
-  l.Backward(Tensor({1}, {2.0f}));  // dW += 2*5
-  EXPECT_FLOAT_EQ(params[0].grad[0], 13.0f);
-  EXPECT_FLOAT_EQ(params[1].grad[0], 3.0f);  // db = 1 + 2
-  l.ZeroGrad();
-  EXPECT_FLOAT_EQ(params[0].grad[0], 0.0f);
+  // Two forward/backward passes accumulate into the same sink row: the
+  // sink contract is accumulate-onto-pre-zeroed, never overwrite.
+  float row[2] = {0.0f, 0.0f};  // dW, db
+  l.ForwardBatch(Tensor({1, 1}, {3.0f}));
+  l.BackwardBatch(Tensor({1, 1}, {1.0f}), {row, 2, 0});  // dW += 1*3
+  l.ForwardBatch(Tensor({1, 1}, {5.0f}));
+  l.BackwardBatch(Tensor({1, 1}, {2.0f}), {row, 2, 0});  // dW += 2*5
+  EXPECT_FLOAT_EQ(row[0], 13.0f);
+  EXPECT_FLOAT_EQ(row[1], 3.0f);  // db = 1 + 2
 }
 
 TEST(EluTest, ForwardValues) {
   Elu elu(1.0);
-  Tensor y = elu.Forward(Tensor({3}, {1.0f, 0.0f, -1.0f}));
+  Tensor y = elu.ForwardBatch(Tensor({1, 3}, {1.0f, 0.0f, -1.0f}));
   EXPECT_FLOAT_EQ(y[0], 1.0f);
   EXPECT_FLOAT_EQ(y[1], 0.0f);
   EXPECT_NEAR(y[2], std::exp(-1.0) - 1.0, 1e-6);
@@ -55,10 +54,10 @@ TEST(EluTest, ForwardValues) {
 
 TEST(ReluTest, ForwardAndMask) {
   Relu relu;
-  Tensor y = relu.Forward(Tensor({3}, {2.0f, -3.0f, 0.5f}));
+  Tensor y = relu.ForwardBatch(Tensor({1, 3}, {2.0f, -3.0f, 0.5f}));
   EXPECT_FLOAT_EQ(y[0], 2.0f);
   EXPECT_FLOAT_EQ(y[1], 0.0f);
-  Tensor dx = relu.Backward(Tensor({3}, {1.0f, 1.0f, 1.0f}));
+  Tensor dx = relu.BackwardBatch(Tensor({1, 3}, {1.0f, 1.0f, 1.0f}), {});
   EXPECT_FLOAT_EQ(dx[0], 1.0f);
   EXPECT_FLOAT_EQ(dx[1], 0.0f);
   EXPECT_FLOAT_EQ(dx[2], 1.0f);
@@ -69,21 +68,21 @@ TEST(Conv2dTest, IdentityKernel) {
   Conv2d conv(1, 1, 1, 0);
   auto params = conv.Params();
   params[0].value[0] = 1.0f;
-  Tensor x({1, 2, 2}, {1, 2, 3, 4});
-  Tensor y = conv.Forward(x);
+  Tensor x({1, 1, 2, 2}, {1, 2, 3, 4});
+  Tensor y = conv.ForwardBatch(x);
   for (size_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(y[i], x[i]);
 }
 
 TEST(Conv2dTest, OutputShapeNoPadding) {
   Conv2d conv(1, 3, 3, 0);
-  Tensor y = conv.Forward(Tensor({1, 8, 8}));
-  EXPECT_EQ(y.shape(), (std::vector<size_t>{3, 6, 6}));
+  Tensor y = conv.ForwardBatch(Tensor({1, 1, 8, 8}));
+  EXPECT_EQ(y.shape(), (std::vector<size_t>{1, 3, 6, 6}));
 }
 
 TEST(Conv2dTest, OutputShapeSamePadding) {
   Conv2d conv(2, 4, 3, 1);
-  Tensor y = conv.Forward(Tensor({2, 8, 8}));
-  EXPECT_EQ(y.shape(), (std::vector<size_t>{4, 8, 8}));
+  Tensor y = conv.ForwardBatch(Tensor({1, 2, 8, 8}));
+  EXPECT_EQ(y.shape(), (std::vector<size_t>{1, 4, 8, 8}));
 }
 
 TEST(Conv2dTest, SumKernelHandComputed) {
@@ -91,8 +90,9 @@ TEST(Conv2dTest, SumKernelHandComputed) {
   Conv2d conv(1, 1, 2, 0);
   auto params = conv.Params();
   for (size_t i = 0; i < 4; ++i) params[0].value[i] = 1.0f;
-  Tensor y = conv.Forward(Tensor({1, 3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9}));
-  EXPECT_EQ(y.shape(), (std::vector<size_t>{1, 2, 2}));
+  Tensor y =
+      conv.ForwardBatch(Tensor({1, 1, 3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(y.shape(), (std::vector<size_t>{1, 1, 2, 2}));
   EXPECT_FLOAT_EQ(y[0], 12.0f);  // 1+2+4+5
   EXPECT_FLOAT_EQ(y[1], 16.0f);  // 2+3+5+6
   EXPECT_FLOAT_EQ(y[2], 24.0f);  // 4+5+7+8
@@ -102,9 +102,9 @@ TEST(Conv2dTest, SumKernelHandComputed) {
 TEST(GroupNormTest, NormalizesPerGroup) {
   GroupNorm gn(2, 4, 1e-8);
   SplitRng rng(3);
-  Tensor x({4, 3, 3});
+  Tensor x({1, 4, 3, 3});
   x.FillGaussian(&rng, 5.0);
-  Tensor y = gn.Forward(x);
+  Tensor y = gn.ForwardBatch(x);
   // Each group (2 channels x 9 pixels = 18 values) has mean 0, var 1.
   for (size_t g = 0; g < 2; ++g) {
     double mean = 0.0, var = 0.0;
@@ -126,12 +126,12 @@ TEST(GroupNormTest, AffineScalesOutput) {
   ASSERT_EQ(params.size(), 2u);
   params[0].value[0] = 3.0f;  // γ_0
   params[1].value[1] = 7.0f;  // β_1
-  Tensor x({2, 1, 2}, {1, 2, 3, 4});
-  Tensor y = gn.Forward(x);
+  Tensor x({1, 2, 1, 2}, {1, 2, 3, 4});
+  Tensor y = gn.ForwardBatch(x);
   // Channel 0 scaled by 3, channel 1 shifted by 7 — check the shift
   // against the unscaled normalization of the same input.
   GroupNorm plain(1, 2);
-  Tensor y0 = plain.Forward(x);
+  Tensor y0 = plain.ForwardBatch(x);
   EXPECT_NEAR(y[0], 3.0f * y0[0], 1e-5);
   EXPECT_NEAR(y[3], y0[3] + 7.0f, 1e-5);
 }
@@ -144,60 +144,63 @@ TEST(GroupNormTest, NoAffineHasNoParams) {
 
 TEST(AdaptiveAvgPoolTest, ExactDivision) {
   AdaptiveAvgPool2d pool(2, 2);
-  Tensor x({1, 4, 4});
+  Tensor x({1, 1, 4, 4});
   for (size_t i = 0; i < 16; ++i) x[i] = static_cast<float>(i);
-  Tensor y = pool.Forward(x);
+  Tensor y = pool.ForwardBatch(x);
   // Top-left 2x2 block: (0+1+4+5)/4 = 2.5.
-  EXPECT_FLOAT_EQ(y.at(0, 0, 0), 2.5f);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 1), 4.5f);
-  EXPECT_FLOAT_EQ(y.at(0, 1, 0), 10.5f);
-  EXPECT_FLOAT_EQ(y.at(0, 1, 1), 12.5f);
+  EXPECT_FLOAT_EQ(y[0], 2.5f);
+  EXPECT_FLOAT_EQ(y[1], 4.5f);
+  EXPECT_FLOAT_EQ(y[2], 10.5f);
+  EXPECT_FLOAT_EQ(y[3], 12.5f);
 }
 
 TEST(AdaptiveAvgPoolTest, UnevenRegions) {
   AdaptiveAvgPool2d pool(2, 2);
-  Tensor x({1, 5, 5});
+  Tensor x({1, 1, 5, 5});
   x.Fill(1.0f);
-  Tensor y = pool.Forward(x);
+  Tensor y = pool.ForwardBatch(x);
   // Averages of all-ones are 1 regardless of region geometry.
   for (size_t i = 0; i < y.size(); ++i) EXPECT_FLOAT_EQ(y[i], 1.0f);
 }
 
 TEST(AdaptiveAvgPoolTest, GlobalPooling) {
   AdaptiveAvgPool2d pool(1, 1);
-  Tensor x({2, 2, 2}, {1, 2, 3, 4, 10, 20, 30, 40});
-  Tensor y = pool.Forward(x);
+  Tensor x({1, 2, 2, 2}, {1, 2, 3, 4, 10, 20, 30, 40});
+  Tensor y = pool.ForwardBatch(x);
   EXPECT_FLOAT_EQ(y[0], 2.5f);
   EXPECT_FLOAT_EQ(y[1], 25.0f);
 }
 
 TEST(FlattenTest, RoundTrip) {
   Flatten f;
-  Tensor x({2, 3, 4});
-  Tensor y = f.Forward(x);
-  EXPECT_EQ(y.shape(), (std::vector<size_t>{24}));
-  Tensor back = f.Backward(y);
-  EXPECT_EQ(back.shape(), (std::vector<size_t>{2, 3, 4}));
+  Tensor x({1, 2, 3, 4});
+  Tensor y = f.ForwardBatch(x);
+  EXPECT_EQ(y.shape(), (std::vector<size_t>{1, 24}));
+  Tensor back = f.BackwardBatch(y, {});
+  EXPECT_EQ(back.shape(), (std::vector<size_t>{1, 2, 3, 4}));
 }
 
 TEST(SoftmaxTest, Properties) {
-  Tensor logits({3}, {1.0f, 2.0f, 3.0f});
-  std::vector<double> p = Softmax(logits);
-  double sum = p[0] + p[1] + p[2];
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-  EXPECT_LT(p[0], p[1]);
-  EXPECT_LT(p[1], p[2]);
+  // Row 1 is row 0 shifted by 100; label 0 on both, so the softmax is
+  // grad + onehot(0).
+  Tensor logits({2, 3}, {1.0f, 2.0f, 3.0f, 101.0f, 102.0f, 103.0f});
+  BatchLossGrad lg = SoftmaxCrossEntropyBatch(logits, {0, 0});
+  auto prob = [&](size_t ex, size_t i) {
+    return lg.grad_logits[ex * 3 + i] + (i == 0 ? 1.0 : 0.0);
+  };
+  EXPECT_NEAR(prob(0, 0) + prob(0, 1) + prob(0, 2), 1.0, 1e-6);
+  EXPECT_LT(prob(0, 0), prob(0, 1));
+  EXPECT_LT(prob(0, 1), prob(0, 2));
   // Shift invariance.
-  Tensor shifted({3}, {101.0f, 102.0f, 103.0f});
-  std::vector<double> q = Softmax(shifted);
-  for (int i = 0; i < 3; ++i) EXPECT_NEAR(p[i], q[i], 1e-9);
+  for (size_t i = 0; i < 3; ++i) EXPECT_NEAR(prob(0, i), prob(1, i), 1e-6);
+  EXPECT_NEAR(lg.losses[0], lg.losses[1], 1e-9);
 }
 
 TEST(SoftmaxTest, ArgmaxAndLoss) {
-  Tensor logits({4}, {0.1f, 3.0f, -1.0f, 0.5f});
-  EXPECT_EQ(Argmax(logits), 1u);
-  LossGrad lg = SoftmaxCrossEntropy(logits, 1);
-  EXPECT_GT(lg.loss, 0.0);
+  Tensor logits({1, 4}, {0.1f, 3.0f, -1.0f, 0.5f});
+  EXPECT_EQ(Argmax(logits.data(), 4), 1u);
+  BatchLossGrad lg = SoftmaxCrossEntropyBatch(logits, {1});
+  EXPECT_GT(lg.losses[0], 0.0);
   // Gradient sums to zero (softmax minus one-hot).
   double s = 0.0;
   for (size_t i = 0; i < 4; ++i) s += lg.grad_logits[i];

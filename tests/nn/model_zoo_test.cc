@@ -24,10 +24,10 @@ TEST(ModelZooTest, MlpForwardShape) {
   auto m = MakeMlp(64, 32, 10);
   SplitRng rng(1);
   m->InitParams(&rng);
-  Tensor x({64});
+  Tensor x({1, 64});
   x.FillGaussian(&rng, 1.0);
-  Tensor y = m->Forward(x);
-  EXPECT_EQ(y.shape(), (std::vector<size_t>{10}));
+  Tensor y = m->ForwardBatch(x);
+  EXPECT_EQ(y.shape(), (std::vector<size_t>{1, 10}));
 }
 
 TEST(ModelZooTest, MlpAcceptsImageShapedInput) {
@@ -36,28 +36,28 @@ TEST(ModelZooTest, MlpAcceptsImageShapedInput) {
   auto m = MakeMlp(64, 32, 8);
   SplitRng rng(2);
   m->InitParams(&rng);
-  Tensor x({1, 8, 8});
+  Tensor x({1, 1, 8, 8});
   x.FillGaussian(&rng, 1.0);
-  EXPECT_EQ(m->Forward(x).size(), 8u);
+  EXPECT_EQ(m->ForwardBatch(x).size(), 8u);
 }
 
 TEST(ModelZooTest, CnnForwardOnSmallImage) {
   auto m = MakeCnn(1, 8, 3, 10);
   SplitRng rng(3);
   m->InitParams(&rng);
-  Tensor x({1, 8, 8});
+  Tensor x({1, 1, 8, 8});
   x.FillGaussian(&rng, 1.0);
-  Tensor y = m->Forward(x);
-  EXPECT_EQ(y.shape(), (std::vector<size_t>{10}));
+  Tensor y = m->ForwardBatch(x);
+  EXPECT_EQ(y.shape(), (std::vector<size_t>{1, 10}));
 }
 
 TEST(ModelZooTest, ResidualCnnForward) {
   auto m = MakeResidualCnn(1, 8, 3, 8);
   SplitRng rng(4);
   m->InitParams(&rng);
-  Tensor x({1, 8, 8});
+  Tensor x({1, 1, 8, 8});
   x.FillGaussian(&rng, 1.0);
-  EXPECT_EQ(m->Forward(x).size(), 8u);
+  EXPECT_EQ(m->ForwardBatch(x).size(), 8u);
   // The residual wrapper reuses the middle conv stage's parameters: the
   // count equals the plain CNN's (the skip connection is parameter-free).
   EXPECT_EQ(m->NumParams(), MakeCnn(1, 8, 3, 8)->NumParams());

@@ -6,13 +6,12 @@
 #include "common/rng.h"
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
-#include "nn/optimizer.h"
 
 namespace dpbr {
 namespace nn {
 namespace {
 
-// Two Gaussian blobs in 2-d, linearly separable.
+// Two Gaussian blobs in 2-d, linearly separable; each x is a batch of 1.
 struct Blobs {
   std::vector<Tensor> xs;
   std::vector<size_t> ys;
@@ -24,7 +23,7 @@ Blobs MakeBlobs(size_t n, uint64_t seed) {
   for (size_t i = 0; i < n; ++i) {
     size_t label = i % 2;
     double cx = label == 0 ? -2.0 : 2.0;
-    Tensor x({2});
+    Tensor x({1, 2});
     x[0] = static_cast<float>(rng.Gaussian(cx, 1.0));
     x[1] = static_cast<float>(rng.Gaussian(0.0, 1.0));
     b.xs.push_back(std::move(x));
@@ -33,13 +32,53 @@ Blobs MakeBlobs(size_t n, uint64_t seed) {
   return b;
 }
 
+size_t Predict(Sequential* m, const Tensor& x) {
+  Tensor logits = m->ForwardBatch(x);
+  return Argmax(logits.data(), logits.size());
+}
+
+double Loss(Sequential* m, const Tensor& x, size_t label) {
+  return SoftmaxCrossEntropyBatch(m->ForwardBatch(x), {label}).losses[0];
+}
+
 double Accuracy(Sequential* m, const Blobs& b) {
   size_t correct = 0;
   for (size_t i = 0; i < b.xs.size(); ++i) {
-    if (Argmax(m->Forward(b.xs[i])) == b.ys[i]) ++correct;
+    if (Predict(m, b.xs[i]) == b.ys[i]) ++correct;
   }
   return static_cast<double>(correct) / b.xs.size();
 }
+
+// Plain SGD with classical momentum on the flat parameter vector, one
+// example per step: buf ← momentum·buf + g, w ← w − lr·buf.
+class MomentumSgd {
+ public:
+  MomentumSgd(Sequential* model, float lr, float momentum)
+      : model_(model),
+        lr_(lr),
+        momentum_(momentum),
+        buf_(model->NumParams(), 0.0f),
+        grad_(model->NumParams()) {}
+
+  void Step(const Tensor& x, size_t label) {
+    BatchLossGrad lg =
+        SoftmaxCrossEntropyBatch(model_->ForwardBatch(x), {label});
+    model_->BackwardBatchTo(lg.grad_logits, 1, grad_.data());
+    std::vector<float> w = model_->FlatParams();
+    for (size_t i = 0; i < w.size(); ++i) {
+      buf_[i] = momentum_ * buf_[i] + grad_[i];
+      w[i] -= lr_ * buf_[i];
+    }
+    model_->SetParamsFrom(w.data());
+  }
+
+ private:
+  Sequential* model_;
+  float lr_;
+  float momentum_;
+  std::vector<float> buf_;
+  std::vector<float> grad_;
+};
 
 TEST(TrainingTest, MlpFitsLinearlySeparableBlobs) {
   auto m = MakeMlp(2, 8, 2);
@@ -47,13 +86,10 @@ TEST(TrainingTest, MlpFitsLinearlySeparableBlobs) {
   m->InitParams(&rng);
   Blobs train = MakeBlobs(200, 1);
   Blobs test = MakeBlobs(200, 2);
-  Sgd sgd(m.get(), 0.05, 0.9);
+  MomentumSgd sgd(m.get(), 0.05f, 0.9f);
   for (int epoch = 0; epoch < 10; ++epoch) {
     for (size_t i = 0; i < train.xs.size(); ++i) {
-      Tensor logits = m->Forward(train.xs[i]);
-      LossGrad lg = SoftmaxCrossEntropy(logits, train.ys[i]);
-      m->Backward(lg.grad_logits);
-      sgd.Step();
+      sgd.Step(train.xs[i], train.ys[i]);
     }
   }
   EXPECT_GT(Accuracy(m.get(), test), 0.95);
@@ -64,21 +100,18 @@ TEST(TrainingTest, LossDecreasesMonotonicallyOnAverage) {
   SplitRng rng(12);
   m->InitParams(&rng);
   Blobs train = MakeBlobs(100, 3);
-  Sgd sgd(m.get(), 0.05, 0.0);
+  MomentumSgd sgd(m.get(), 0.05f, 0.0f);
   auto epoch_loss = [&] {
     double s = 0.0;
     for (size_t i = 0; i < train.xs.size(); ++i) {
-      s += SoftmaxCrossEntropy(m->Forward(train.xs[i]), train.ys[i]).loss;
+      s += Loss(m.get(), train.xs[i], train.ys[i]);
     }
     return s / train.xs.size();
   };
   double before = epoch_loss();
   for (int epoch = 0; epoch < 5; ++epoch) {
     for (size_t i = 0; i < train.xs.size(); ++i) {
-      Tensor logits = m->Forward(train.xs[i]);
-      LossGrad lg = SoftmaxCrossEntropy(logits, train.ys[i]);
-      m->Backward(lg.grad_logits);
-      sgd.Step();
+      sgd.Step(train.xs[i], train.ys[i]);
     }
   }
   EXPECT_LT(epoch_loss(), before * 0.7);
@@ -88,30 +121,27 @@ TEST(TrainingTest, CnnFitsPatternImages) {
   // Two classes of 6x6 images: bright left half vs bright right half.
   SplitRng rng(13);
   auto make_image = [&](size_t label) {
-    Tensor x({1, 6, 6});
+    Tensor x({1, 1, 6, 6});
     for (size_t i = 0; i < 6; ++i) {
       for (size_t j = 0; j < 6; ++j) {
         double base = (label == 0) == (j < 3) ? 1.0 : -1.0;
-        x.at(0, i, j) = static_cast<float>(base + rng.Gaussian(0.0, 0.3));
+        x[i * 6 + j] = static_cast<float>(base + rng.Gaussian(0.0, 0.3));
       }
     }
     return x;
   };
   auto m = MakeCnn(1, 4, 3, 2);
   m->InitParams(&rng);
-  Sgd sgd(m.get(), 0.02, 0.9);
+  MomentumSgd sgd(m.get(), 0.02f, 0.9f);
   for (int step = 0; step < 300; ++step) {
     size_t label = step % 2;
-    Tensor x = make_image(label);
-    LossGrad lg = SoftmaxCrossEntropy(m->Forward(x), label);
-    m->Backward(lg.grad_logits);
-    sgd.Step();
+    sgd.Step(make_image(label), label);
   }
   size_t correct = 0;
   const size_t kEval = 100;
   for (size_t i = 0; i < kEval; ++i) {
     size_t label = i % 2;
-    if (Argmax(m->Forward(make_image(label))) == label) ++correct;
+    if (Predict(m.get(), make_image(label)) == label) ++correct;
   }
   EXPECT_GT(static_cast<double>(correct) / kEval, 0.9);
 }
