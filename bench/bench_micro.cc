@@ -272,6 +272,19 @@ void CheckKrumSerialParallelIdentity() {
                kKrumScaleN, kKrumScaleDim, ParallelPoolSize());
 }
 
+// Fixed cost of one fanned-out ParallelFor on the global pool: publish,
+// wake, claim every index, join. The body is empty, so the time is the
+// dispatch itself (not gated: it measures the pool, not a round).
+void BM_DispatchOverhead(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  for (auto _ : state) {
+    ParallelFor(0, n, [](size_t i) { benchmark::DoNotOptimize(i); });
+  }
+  state.counters["threads"] =
+      static_cast<double>(ThreadPool::Global().num_threads());
+}
+BENCHMARK(BM_DispatchOverhead)->Arg(4)->Arg(64)->Arg(4096);
+
 void BM_CoordinateMedian(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   auto uploads = NoiseUploads(n, 2410, 0.3);

@@ -113,6 +113,15 @@ HOTPATH_ALLOC_CALLS = {
     "push_back", "emplace_back", "resize", "reserve", "assign",
     "shrink_to_fit",
 }
+# Constructor-style allocations: `std::vector<T> v(n)`, `std::string
+# s(n, c)`, and temporaries such as `std::vector<T>(n)`.
+HOTPATH_SIZED_CONTAINERS = {"vector", "string"}
+HOTPATH_OWNING_MAKERS = {"make_unique", "make_shared"}
+# Calls of an nn::ModelFactory build a whole model (layers, parameters,
+# workspaces); hot bodies borrow a model built before the dispatch.
+HOTPATH_MODEL_FACTORY_CALLS = {
+    "factory", "factory_", "model_factory", "model_factory_",
+}
 HOTPATH_LOCK_TYPES = {
     "mutex", "recursive_mutex", "shared_mutex", "timed_mutex",
     "lock_guard", "unique_lock", "scoped_lock", "shared_lock",
@@ -462,6 +471,44 @@ def check_hotpath(rel, toks, findings):
             _scan_hot_body(rel, ct, b0 + 1, b1, findings)
 
 
+def _skip_template_args(ct, i, hi):
+    """ct[i] is `<`: index just past its matching `>` (or hi)."""
+    depth = 0
+    j = i
+    while j < hi:
+        t = ct[j].text
+        if t == "<":
+            depth += 1
+        elif t == ">":
+            depth -= 1
+        elif t == ">>":
+            depth -= 2
+        elif t in ("(", "{", "["):
+            j = match_paren(ct, j)
+        if depth <= 0:
+            return j + 1
+        j += 1
+    return hi
+
+
+def _constructs_sized_container(ct, i, hi):
+    """True when `std::vector<...>` / `std::string` at ct[i] is declared
+    or built as a temporary with a non-empty constructor argument list,
+    e.g. `std::vector<float> grads(n * dim)` or `std::string(n, 'x')`."""
+    if i < 2 or ct[i - 1].text != "::" or ct[i - 2].text != "std":
+        return False
+    j = i + 1
+    if ct[i].text == "vector":
+        if j >= hi or ct[j].text != "<":
+            return False
+        j = _skip_template_args(ct, j, hi)
+    if j < hi and ct[j].kind == "ident":
+        j += 1  # the declared name
+    if j < hi and ct[j].text in ("(", "{"):
+        return match_paren(ct, j) > j + 1
+    return False
+
+
 def _scan_hot_body(rel, ct, lo, hi, findings):
     for i in range(lo, hi):
         t = ct[i]
@@ -474,6 +521,25 @@ def _scan_hot_body(rel, ct, lo, hi, findings):
                 rel, t.line, "hotpath-alloc",
                 "'new' inside a ParallelFor body; allocate into a "
                 "grow-only Workspace slot before dispatch"))
+        elif (t.text in HOTPATH_SIZED_CONTAINERS
+              and _constructs_sized_container(ct, i, hi)):
+            findings.append(Finding(
+                rel, t.line, "hotpath-alloc",
+                f"sized 'std::{t.text}' construction inside a "
+                "ParallelFor body; size the buffer before the dispatch "
+                "(grow-only Workspace rule, docs/architecture.md)"))
+        elif t.text in HOTPATH_OWNING_MAKERS and nxt in ("<", "("):
+            findings.append(Finding(
+                rel, t.line, "hotpath-alloc",
+                f"'{t.text}' inside a ParallelFor body; build owned "
+                "objects before the dispatch"))
+        elif ((t.text in HOTPATH_MODEL_FACTORY_CALLS and nxt == "(")
+              or t.text == "ModelFactory"):
+            findings.append(Finding(
+                rel, t.line, "hotpath-alloc",
+                f"'{t.text}' (model factory) inside a ParallelFor "
+                "body; build models before the dispatch and borrow "
+                "one per ThisThreadSlot()"))
         elif t.text in HOTPATH_ALLOC_CALLS and nxt == "(":
             kind = ("heap allocation" if t.text in
                     ("malloc", "calloc", "realloc", "free")

@@ -47,10 +47,12 @@ Result<std::vector<float>> KrumAggregator::Aggregate(
   });
 
   // Krum score: sum of the `neighbors` smallest distances to others.
-  // Blocked so each task amortizes its selection scratch buffer.
+  // Each thread slot owns one selection scratch row, sized up front.
   std::vector<double> score(n, 0.0);
+  std::vector<std::vector<double>> scratch(ThreadSlotCount(),
+                                           std::vector<double>(n - 1));
   ParallelForBlocked(n, 16, [&](size_t lo, size_t hi) {
-    std::vector<double> row(n - 1);
+    std::vector<double>& row = scratch[ThisThreadSlot()];
     for (size_t i = lo; i < hi; ++i) {
       size_t m = 0;
       for (size_t j = 0; j < n; ++j) {

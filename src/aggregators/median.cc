@@ -1,6 +1,7 @@
 #include "aggregators/median.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/simd.h"
 #include "common/thread_pool.h"
@@ -29,15 +30,20 @@ Result<std::vector<float>> CoordinateMedianAggregator::Aggregate(
   // split is shape-only.
   size_t width = SelectionTileWidth(n);
   const simd::SimdKernels& kern = simd::Kernels();
+  // One tile of scratch per thread slot, allocated before the dispatch
+  // and left uninitialized: the gather overwrites every float a task
+  // reads, and a slot no task runs on is never touched.
+  std::vector<std::unique_ptr<float[]>> tiles(ThreadSlotCount());
+  for (auto& t : tiles) t.reset(new float[std::min(width, ctx.dim) * n]);
   ParallelForBlocked(ctx.dim, width, [&](size_t lo, size_t hi_end) {
     size_t cols = hi_end - lo;
-    std::vector<float> tile(cols * n);
+    float* tile = tiles[ThisThreadSlot()].get();
     // The gather is a strided transpose (pure data movement, bitwise by
     // construction): row i's columns [lo, hi) land in tile column j - lo.
     kern.transpose_f32(uploads.Row(0) + lo, uploads.dim, n, cols,
-                       tile.data(), n);
+                       tile, n);
     for (size_t j = lo; j < hi_end; ++j) {
-      float* column = tile.data() + (j - lo) * n;
+      float* column = tile + (j - lo) * n;
       size_t mid = n / 2;
       std::nth_element(column, column + mid, column + n);
       float hi = column[mid];

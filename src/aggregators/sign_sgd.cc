@@ -1,5 +1,6 @@
 #include "aggregators/sign_sgd.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/thread_pool.h"
@@ -18,8 +19,12 @@ Result<std::vector<float>> SignSgdAggregator::Aggregate(
   // Votes are exact integers, so any blocking is bitwise-safe; block by
   // coordinate and walk rows outer / coordinates inner so each arena row
   // streams through cache once per block.
-  ParallelForBlocked(ctx.dim, 4096, [&](size_t lo, size_t hi) {
-    std::vector<int> vote(hi - lo, 0);
+  constexpr size_t kBlock = 4096;
+  std::vector<std::vector<int>> votes(ThreadSlotCount(),
+                                      std::vector<int>(kBlock));
+  ParallelForBlocked(ctx.dim, kBlock, [&](size_t lo, size_t hi) {
+    std::vector<int>& vote = votes[ThisThreadSlot()];
+    std::fill(vote.begin(), vote.begin() + (hi - lo), 0);
     for (size_t i = 0; i < n; ++i) {
       const float* row = uploads.Row(i);
       for (size_t j = lo; j < hi; ++j) {

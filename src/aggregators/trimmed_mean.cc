@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "aggregators/median.h"
 #include "common/logging.h"
@@ -29,17 +30,22 @@ Result<std::vector<float>> TrimmedMeanAggregator::Aggregate(
   // columns into scratch, then sort and trim each column independently.
   size_t width = SelectionTileWidth(n);
   const simd::SimdKernels& kern = simd::Kernels();
+  // One tile of scratch per thread slot, allocated before the dispatch
+  // and left uninitialized: the gather overwrites every float a task
+  // reads, and a slot no task runs on is never touched.
+  std::vector<std::unique_ptr<float[]>> tiles(ThreadSlotCount());
+  for (auto& t : tiles) t.reset(new float[std::min(width, ctx.dim) * n]);
   ParallelForBlocked(ctx.dim, width, [&](size_t lo, size_t hi) {
     size_t cols = hi - lo;
-    std::vector<float> tile(cols * n);
+    float* tile = tiles[ThisThreadSlot()].get();
     // Strided-transpose gather (bitwise by construction), then the
     // surviving slice sums through the pinned 8-lane fold — the value
     // depends only on (n, k), never on the pool size or the dispatch
     // tier.
     kern.transpose_f32(uploads.Row(0) + lo, uploads.dim, n, cols,
-                       tile.data(), n);
+                       tile, n);
     for (size_t j = lo; j < hi; ++j) {
-      float* column = tile.data() + (j - lo) * n;
+      float* column = tile + (j - lo) * n;
       std::sort(column, column + n);
       double s = kern.sum8_f64(column + k, n - 2 * k);
       out[j] = static_cast<float>(s / static_cast<double>(n - 2 * k));

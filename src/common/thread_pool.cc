@@ -7,9 +7,20 @@
 namespace dpbr {
 namespace {
 
-// Set while the current thread is a pool worker executing a task; nested
-// ParallelFor calls then run inline instead of deadlocking the pool.
-thread_local bool t_in_pool_worker = false;
+constexpr size_t kOffPool = static_cast<size_t>(-1);
+
+// Claims each worker makes in a dispatch, at least: a long range is
+// claimed in chunks of n / (workers * kClaimsPerWorker) indices, which
+// keeps the claim counter off the hot path of cheap bodies while any
+// range of up to workers * kClaimsPerWorker indices — a round's local
+// steps and auxiliary rows — is still claimed one index at a time.
+constexpr size_t kClaimsPerWorker = 16;
+
+// Worker index of the current thread within its pool, or kOffPool. A
+// pool worker only ever runs dispatch bodies, so a set slot also means
+// "inside a body": nested ParallelFor calls then run inline instead of
+// deadlocking the pool.
+thread_local size_t t_slot = kOffPool;
 
 // ScopedPoolOverride target; read by ThreadPool::Ambient().
 ThreadPool* g_pool_override = nullptr;
@@ -23,7 +34,7 @@ ThreadPool::ThreadPool(size_t num_threads) {
   DPBR_CHECK_GE(num_threads, 1u);
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+    threads_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -32,46 +43,53 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  cv_task_.notify_all();
+  cv_work_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
+void ThreadPool::Dispatch(size_t begin, size_t end, size_t workers,
+                          FunctionRef<void(size_t)> body) {
+  std::lock_guard<std::mutex> serial(dispatch_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    DPBR_CHECK(!stop_);
-    queue_.push(std::move(task));
-    ++in_flight_;
+    body_ = body;
+    end_ = end;
+    chunk_ = std::max<size_t>(1, (end - begin) / (workers * kClaimsPerWorker));
+    next_.store(begin, std::memory_order_relaxed);
+    tickets_ = workers;
+    outstanding_ = workers;
   }
-  cv_task_.notify_one();
-}
-
-void ThreadPool::Wait() {
+  // One futex wake for the whole pool when every worker is wanted.
+  if (workers == threads_.size()) {
+    cv_work_.notify_all();
+  } else {
+    for (size_t w = 0; w < workers; ++w) cv_work_.notify_one();
+  }
+  // The last worker notifies while holding mu_, so this frame (and the
+  // callable `body` borrows) outlives every worker's use of it.
   std::unique_lock<std::mutex> lock(mu_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
+  cv_done_.wait(lock, [this] { return outstanding_ == 0; });
+  body_ = nullptr;
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(size_t slot) {
+  t_slot = slot;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_task_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stop_) return;
-        continue;
-      }
-      task = std::move(queue_.front());
-      queue_.pop();
+    cv_work_.wait(lock, [this] { return stop_ || tickets_ > 0; });
+    if (tickets_ == 0) return;  // stopping, no dispatch in flight
+    --tickets_;
+    FunctionRef<void(size_t)> body = body_;
+    size_t end = end_;
+    size_t chunk = chunk_;
+    lock.unlock();
+    for (size_t lo = next_.fetch_add(chunk, std::memory_order_relaxed);
+         lo < end; lo = next_.fetch_add(chunk, std::memory_order_relaxed)) {
+      size_t hi = std::min(end, lo + chunk);
+      for (size_t i = lo; i < hi; ++i) body(i);
     }
-    t_in_pool_worker = true;
-    task();
-    t_in_pool_worker = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
-    }
+    lock.lock();
+    if (--outstanding_ == 0) cv_done_.notify_one();
   }
 }
 
@@ -93,41 +111,27 @@ ScopedPoolOverride::ScopedPoolOverride(ThreadPool* pool)
 ScopedPoolOverride::~ScopedPoolOverride() { g_pool_override = prev_; }
 
 void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
-                 const std::function<void(size_t)>& body) {
+                 FunctionRef<void(size_t)> body) {
   if (end <= begin) return;
   size_t n = end - begin;
-  if (n == 1 || pool.num_threads() == 1 || t_in_pool_worker) {
+  if (n == 1 || pool.num_threads() == 1 || t_slot != kOffPool) {
     for (size_t i = begin; i < end; ++i) body(i);
     return;
   }
   g_dispatch_count.fetch_add(1, std::memory_order_relaxed);
-  // Static chunking: one contiguous block per thread keeps task overhead
-  // negligible relative to per-worker NN compute.
-  size_t num_chunks = std::min(n, pool.num_threads());
-  size_t chunk = (n + num_chunks - 1) / num_chunks;
-  size_t num_tasks = (n + chunk - 1) / chunk;
-  // `pending` is guarded by done_mu, and the final task notifies while
-  // still holding it: the waiter can neither miss the wakeup nor destroy
-  // these stack objects before the last worker is done touching them.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  size_t pending = num_tasks;
-  for (size_t c = 0; c < num_tasks; ++c) {
-    size_t lo = begin + c * chunk;
-    size_t hi = std::min(end, lo + chunk);
-    pool.Submit([lo, hi, &body, &pending, &done_mu, &done_cv] {
-      for (size_t i = lo; i < hi; ++i) body(i);
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (--pending == 0) done_cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&pending] { return pending == 0; });
+  pool.Dispatch(begin, end, std::min(n, pool.num_threads()), body);
 }
 
-void ParallelFor(size_t begin, size_t end,
-                 const std::function<void(size_t)>& body) {
+void ParallelFor(size_t begin, size_t end, FunctionRef<void(size_t)> body) {
   ParallelFor(ThreadPool::Ambient(), begin, end, body);
+}
+
+size_t ThisThreadSlot() {
+  return t_slot != kOffPool ? t_slot : ThreadPool::Ambient().num_threads();
+}
+
+size_t ThreadSlotCount() {
+  return std::max(ThreadPool::Ambient().num_threads(), ThisThreadSlot()) + 1;
 }
 
 uint64_t ParallelDispatchCount() {
@@ -135,7 +139,7 @@ uint64_t ParallelDispatchCount() {
 }
 
 void ParallelForBlocked(size_t total, size_t block_size,
-                        const std::function<void(size_t, size_t)>& body) {
+                        FunctionRef<void(size_t, size_t)> body) {
   if (total == 0) return;
   DPBR_CHECK_GE(block_size, 1u);
   size_t num_blocks = (total + block_size - 1) / block_size;

@@ -16,8 +16,9 @@ namespace dpbr {
 namespace fl {
 namespace {
 
-// Examples per task for the parallel inference loops; fixed so that any
-// blocked reduction order is independent of the pool size.
+// Examples per evaluation task, and per partial sum of the auxiliary
+// gradient fold; fixed so that every reduction order is independent of
+// the pool size.
 constexpr size_t kExampleBlock = 64;
 
 // Copies examples [lo, hi) of `view` into one (hi-lo, example_shape...)
@@ -47,6 +48,37 @@ Server::Server(nn::ModelFactory factory, agg::AggregatorPtr aggregator,
   std::unique_ptr<nn::Sequential> model = factory_();
   model->InitParams(&rng);
   params_ = model->FlatParams();
+  // The initializing model already holds params_: it becomes slot 0.
+  AddSlot(std::move(model));
+  slots_.back().params_version = params_version_;
+  PrepareSlots();
+}
+
+void Server::AddSlot(std::unique_ptr<nn::Sequential> model) {
+  Slot s;
+  s.model = std::move(model);
+  if (!aux_.empty()) {
+    std::vector<size_t> shape = {1};
+    for (size_t d : aux_.base()->example_shape()) shape.push_back(d);
+    s.x = Tensor(std::move(shape));
+  }
+  s.label.assign(1, 0);
+  slots_.push_back(std::move(s));
+}
+
+void Server::PrepareSlots() {
+  while (slots_.size() < ThreadSlotCount()) AddSlot(factory_());
+}
+
+Server::Slot& Server::SyncedSlot() {
+  size_t slot = ThisThreadSlot();
+  DPBR_CHECK_LT(slot, slots_.size());
+  Slot& s = slots_[slot];
+  if (s.params_version != params_version_) {
+    s.model->SetParamsFrom(params_.data());
+    s.params_version = params_version_;
+  }
+  return s;
 }
 
 Status Server::SetParams(std::vector<float> params) {
@@ -56,11 +88,16 @@ Status Server::SetParams(std::vector<float> params) {
         " parameters, model has " + std::to_string(params_.size()));
   }
   params_ = std::move(params);
+  ++params_version_;
   return Status::OK();
 }
 
 Status Server::Step(RowSpan uploads, double lr,
                     agg::AggregationContext ctx) {
+  if (aggregator_->NeedsServerGradient() && ctx.server_gradient == nullptr) {
+    return Status::FailedPrecondition(
+        "aggregator needs a server gradient but the step was given none");
+  }
   ctx.dim = params_.size();
   // Scan every row for non-finite values in parallel and neutralize
   // offenders in place (g ← 0, as the first-stage filter does): a single
@@ -75,11 +112,6 @@ Status Server::Step(RowSpan uploads, double lr,
       std::fill(row, row + uploads.dim, 0.0f);
     }
   });
-  std::vector<float> server_grad;
-  if (aggregator_->NeedsServerGradient()) {
-    DPBR_ASSIGN_OR_RETURN(server_grad, ComputeServerGradient());
-    ctx.server_gradient = &server_grad;
-  }
   DPBR_ASSIGN_OR_RETURN(std::vector<float> update,
                         aggregator_->Aggregate(uploads, ctx));
   if (update.size() != params_.size()) {
@@ -87,6 +119,7 @@ Status Server::Step(RowSpan uploads, double lr,
   }
   ops::Axpy(static_cast<float>(-lr), update.data(), params_.data(),
             params_.size());
+  ++params_version_;
   return Status::OK();
 }
 
@@ -109,60 +142,58 @@ Status Server::Step(const std::vector<std::vector<float>>& uploads, double lr,
   return Step(RowSpan(packed.data(), uploads.size(), dim), lr, ctx);
 }
 
+void Server::AuxGradientRowInto(size_t i, float* row) {
+  Slot& s = SyncedSlot();
+  std::memcpy(s.x.data(), aux_.FeaturesAt(i),
+              aux_.base()->feature_dim() * sizeof(float));
+  s.label[0] = static_cast<size_t>(aux_.LabelAt(i));
+  Tensor logits = s.model->ForwardBatch(s.x);
+  nn::BatchLossGrad lg = nn::SoftmaxCrossEntropyBatch(logits, s.label);
+  s.model->BackwardBatchTo(lg.grad_logits, 1, row);
+}
+
+std::vector<float> Server::FoldAuxGradient(const float* rows) const {
+  DPBR_CHECK(!aux_.empty());
+  // The order the run digests pin: a zeroed partial per 64-example
+  // block accumulates its rows in index order, and the partials are
+  // added to a zeroed total in block order.
+  size_t dim = params_.size();
+  std::vector<float> acc(dim, 0.0f);
+  std::vector<float> partial(dim);
+  for (size_t lo = 0; lo < aux_.size(); lo += kExampleBlock) {
+    size_t hi = std::min(aux_.size(), lo + kExampleBlock);
+    std::fill(partial.begin(), partial.end(), 0.0f);
+    for (size_t j = lo; j < hi; ++j) {
+      ops::Axpy(1.0f, rows + j * dim, partial.data(), dim);
+    }
+    ops::Axpy(1.0f, partial.data(), acc.data(), dim);
+  }
+  ops::Scale(1.0f / static_cast<float>(aux_.size()), acc.data(), dim);
+  return acc;
+}
+
 Result<std::vector<float>> Server::ComputeServerGradient() {
   if (aux_.empty()) {
     return Status::FailedPrecondition(
         "aggregator needs a server gradient but no auxiliary data was "
         "provided");
   }
-  // Per-example gradients share no state across blocks: each block runs a
-  // private model clone and accumulates its examples in index order; the
-  // per-block partials then fold in block order, so the result depends
-  // only on kExampleBlock, never on the pool size.
+  PrepareSlots();
   size_t dim = params_.size();
-  size_t num_blocks = (aux_.size() + kExampleBlock - 1) / kExampleBlock;
-  // Every per-block accumulator is sized (and zeroed) before the
-  // dispatch so the bodies never allocate into the shared outer vector.
-  std::vector<std::vector<float>> partial(num_blocks,
-                                          std::vector<float>(dim, 0.0f));
-  ParallelForBlocked(aux_.size(), kExampleBlock, [&](size_t lo, size_t hi) {
-    std::unique_ptr<nn::Sequential> model = factory_();
-    model->SetParamsFrom(params_.data());
-    std::vector<float>& acc = partial[lo / kExampleBlock];
-    // One batched forward/backward per block; per-example rows are then
-    // folded in index order, so the sum depends only on the block split.
-    size_t n = hi - lo;
-    Tensor x = BatchOf(aux_, lo, hi);
-    std::vector<size_t> labels(n);
-    for (size_t i = lo; i < hi; ++i) {
-      labels[i - lo] = static_cast<size_t>(aux_.LabelAt(i));
-    }
-    Tensor logits = model->ForwardBatch(x);
-    nn::BatchLossGrad lg = nn::SoftmaxCrossEntropyBatch(logits, labels);
-    // The vector constructor already zero-fills, so call BackwardBatch
-    // directly rather than BackwardBatchTo (which would memset again).
-    std::vector<float> grads(n * dim);
-    model->BackwardBatch(lg.grad_logits, {grads.data(), dim, 0});
-    for (size_t j = 0; j < n; ++j) {
-      ops::Axpy(1.0f, grads.data() + j * dim, acc.data(), dim);
-    }
-  });
-  std::vector<float> acc(dim, 0.0f);
-  for (const auto& p : partial) ops::Axpy(1.0f, p.data(), acc.data(), dim);
-  ops::Scale(1.0f / static_cast<float>(aux_.size()), acc.data(), dim);
-  return acc;
+  std::vector<float> rows(aux_.size() * dim);
+  ParallelFor(0, aux_.size(),
+              [&](size_t i) { AuxGradientRowInto(i, rows.data() + i * dim); });
+  return FoldAuxGradient(rows.data());
 }
 
 double Server::EvaluateAccuracy(const data::DatasetView& view) {
   DPBR_CHECK(!view.empty());
-  // Inference-only; each block gets a private model clone and per-example
-  // hits land in disjoint slots (integer counting — exact under any
-  // schedule).
+  PrepareSlots();
+  // Inference-only on the slot models; per-example hits land in
+  // disjoint slots (integer counting — exact under any schedule).
   std::vector<uint8_t> hit(view.size(), 0);
   ParallelForBlocked(view.size(), kExampleBlock, [&](size_t lo, size_t hi) {
-    std::unique_ptr<nn::Sequential> model = factory_();
-    model->SetParamsFrom(params_.data());
-    Tensor logits = model->ForwardBatch(BatchOf(view, lo, hi));
+    Tensor logits = SyncedSlot().model->ForwardBatch(BatchOf(view, lo, hi));
     size_t classes = logits.dim(1);
     for (size_t i = lo; i < hi; ++i) {
       const float* row = logits.data() + (i - lo) * classes;

@@ -357,6 +357,14 @@ Result<TrainingHistory> FederatedTrainer::Run() {
   std::vector<size_t> cohort;
   cohort.reserve(n_honest);
   std::vector<int> client_ids;
+  // The aggregator's auxiliary gradient: one row per example of D_p,
+  // filled inside the round dispatch and folded after it.
+  const size_t n_aux = server_->aggregator()->NeedsServerGradient()
+                           ? server_->aux_size()
+                           : 0;
+  std::vector<float> aux_rows(n_aux * dim);
+  std::vector<float> server_grad;
+  server_->PrepareSlots();
 
   for (int round = start_round; round <= total_rounds_; ++round) {
     const std::vector<float>& params = server_->params();
@@ -382,26 +390,35 @@ Result<TrainingHistory> FederatedTrainer::Run() {
       size_t n_round = cohort.size() + n_byz;
       arena.Reset(n_round, dim);
 
-      // Honest workers write their row in place inside the parallel
-      // dispatch; each worker's randomness is keyed by (seed, worker,
-      // round), so uploads are identical whether or not others are
-      // sampled this round.
-      ParallelFor(0, cohort.size(), [&](size_t i) {
-        honest_workers_[cohort[i]]->ComputeUpdateInto(params, round,
-                                                      arena.Row(i));
+      // The round's independent work as one dispatch whose items the
+      // pool claims dynamically: each cohort member's local step, each
+      // poisoned worker's local step, then each auxiliary example's
+      // gradient row (it reads only w and D_p, never the uploads, so the
+      // cheap rows fill the threads the local steps leave idle). Every
+      // item writes its own row; each worker's randomness is keyed by
+      // (seed, worker, round), so uploads are identical whether or not
+      // others are sampled this round, and under any claim order.
+      const size_t n_poisoned = poisoned_workers_.size();
+      const size_t n_local = cohort.size() + n_poisoned;
+      if (n_poisoned > 0) poisoned_arena.Reset(n_poisoned, dim);
+      ParallelFor(0, n_local + n_aux, [&](size_t k) {
+        if (k < cohort.size()) {
+          honest_workers_[cohort[k]]->ComputeUpdateInto(params, round,
+                                                        arena.Row(k));
+        } else if (k < n_local) {
+          size_t b = k - cohort.size();
+          poisoned_workers_[b]->ComputeUpdateInto(params, round,
+                                                  poisoned_arena.Row(b));
+        } else {
+          size_t i = k - n_local;
+          server_->AuxGradientRowInto(i, aux_rows.data() + i * dim);
+        }
       });
 
       // Byzantine uploads: the omniscient attacker sees the honest rows
       // (a read-only alias of the arena) and forges straight into its
       // reserved rows — disjoint storage, so the alias is safe.
       if (n_byz > 0) {
-        if (attack_->wants_poisoned_uploads()) {
-          poisoned_arena.Reset(n_byz, dim);
-          ParallelFor(0, n_byz, [&](size_t b) {
-            poisoned_workers_[b]->ComputeUpdateInto(params, round,
-                                                    poisoned_arena.Row(b));
-          });
-        }
         SplitRng attack_rng(options_.seed,
                             {kAttackStream, static_cast<uint64_t>(round)});
         AttackContext actx;
@@ -420,6 +437,10 @@ Result<TrainingHistory> FederatedTrainer::Run() {
       }
 
       agg::AggregationContext ctx;
+      if (n_aux > 0) {
+        server_grad = server_->FoldAuxGradient(aux_rows.data());
+        ctx.server_gradient = &server_grad;
+      }
       ctx.round = round;
       ctx.dim = dim;
       ctx.sigma_upload = privacy_.dp_enabled ? privacy_.sigma_upload : 0.0;

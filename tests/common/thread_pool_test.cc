@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -11,25 +14,17 @@
 namespace dpbr {
 namespace {
 
-TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
+// Pool sizes the scheduling tests sweep: inline, minimal fan-out, and
+// every hardware thread.
+std::vector<size_t> PoolSizes() {
+  return {1, 2, std::max<size_t>(2, std::thread::hardware_concurrency())};
 }
 
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 2);
+// Busy work whose cost grows with `units`, kept opaque to the optimizer.
+double Spin(size_t units) {
+  volatile double x = 1.0;
+  for (size_t k = 0; k < units * 2000; ++k) x = x * 1.0000001 + 1e-9;
+  return x;
 }
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {
@@ -37,6 +32,59 @@ TEST(ParallelForTest, CoversRangeExactlyOnce) {
   std::vector<std::atomic<int>> hits(1000);
   ParallelFor(pool, 0, hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelForTest, SkewedCostsRunEveryIndexExactlyOnce) {
+  // Every seventh index is ~100x costlier than the rest, so the threads
+  // finish their first claims at very different times and the claim
+  // counter, not a static split, decides who runs what.
+  for (size_t size : PoolSizes()) {
+    ThreadPool pool(size);
+    for (size_t begin : {size_t{0}, size_t{5}}) {
+      const size_t end = begin + 301;
+      std::vector<std::atomic<int>> hits(end);
+      std::vector<double> out(end, 0.0);
+      ParallelFor(pool, begin, end, [&](size_t i) {
+        out[i] = Spin(i % 7 == 0 ? 100 : 1);
+        hits[i].fetch_add(1);
+      });
+      for (size_t i = 0; i < end; ++i) {
+        EXPECT_EQ(hits[i].load(), i >= begin ? 1 : 0)
+            << "pool " << size << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(ParallelForTest, DispatchesAreReusable) {
+  ThreadPool pool(3);
+  std::atomic<int> count{0};
+  for (int round = 0; round < 200; ++round) {
+    ParallelFor(pool, 0, 1 + round % 5, [&](size_t) { count.fetch_add(1); });
+  }
+  int want = 0;
+  for (int round = 0; round < 200; ++round) want += 1 + round % 5;
+  EXPECT_EQ(count.load(), want);
+}
+
+TEST(ParallelForTest, ConcurrentExternalCallersAreSerialized) {
+  // Two threads outside the pool dispatch to it at once: both ranges
+  // must complete, each index exactly once.
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> a(500), b(500);
+  std::thread other([&] {
+    for (int r = 0; r < 20; ++r) {
+      ParallelFor(pool, 0, b.size(), [&](size_t i) { b[i].fetch_add(1); });
+    }
+  });
+  for (int r = 0; r < 20; ++r) {
+    ParallelFor(pool, 0, a.size(), [&](size_t i) { a[i].fetch_add(1); });
+  }
+  other.join();
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].load(), 20);
+    EXPECT_EQ(b[i].load(), 20);
+  }
 }
 
 TEST(ParallelForTest, EmptyRangeIsNoop) {
@@ -77,6 +125,75 @@ TEST(ParallelForTest, SingleThreadPoolRunsInline) {
   ParallelFor(pool, 0, 5,
               [&](size_t i) { order.push_back(static_cast<int>(i)); });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ParallelForTest, NestedDispatchRunsInline) {
+  // A ParallelFor issued from inside a body runs on the calling worker,
+  // in index order, and does not count as a dispatch.
+  ThreadPool pool(4);
+  ScopedPoolOverride route(&pool);
+  const size_t kOuter = 8, kInner = 16;
+  std::vector<std::vector<size_t>> order(kOuter);
+  std::vector<int> same_thread(kOuter, 0);
+  uint64_t before = ParallelDispatchCount();
+  ParallelFor(0, kOuter, [&](size_t o) {
+    std::thread::id self = std::this_thread::get_id();
+    bool all_here = true;
+    ParallelFor(0, kInner, [&](size_t i) {
+      all_here = all_here && std::this_thread::get_id() == self;
+      order[o].push_back(i);
+    });
+    same_thread[o] = all_here ? 1 : 0;
+  });
+  EXPECT_EQ(ParallelDispatchCount() - before, 1u);
+  std::vector<size_t> ascending(kInner);
+  std::iota(ascending.begin(), ascending.end(), size_t{0});
+  for (size_t o = 0; o < kOuter; ++o) {
+    EXPECT_EQ(same_thread[o], 1) << o;
+    EXPECT_EQ(order[o], ascending) << o;
+  }
+}
+
+TEST(ThisThreadSlotTest, OffPoolSlotIsThePoolSize) {
+  ThreadPool pool(3);
+  ScopedPoolOverride route(&pool);
+  EXPECT_EQ(ThisThreadSlot(), 3u);
+  // A one-thread pool runs inline: the body sees the caller's slot.
+  ThreadPool one(1);
+  ScopedPoolOverride route_one(&one);
+  size_t seen = 99;
+  ParallelFor(0, 4, [&](size_t) { seen = ThisThreadSlot(); });
+  EXPECT_EQ(seen, 1u);
+}
+
+TEST(ThisThreadSlotTest, SlotsAreInRangeAndDistinctAcrossRunningBodies) {
+  // Each body marks its slot busy for a moment: two bodies running at
+  // the same time on one slot would find it already taken.
+  for (size_t size : PoolSizes()) {
+    ThreadPool pool(size);
+    ScopedPoolOverride route(&pool);
+    std::vector<std::atomic<int>> busy(size + 1);
+    std::atomic<int> out_of_range{0}, collisions{0};
+    std::vector<size_t> slot_of(64, 0);
+    ParallelFor(0, slot_of.size(), [&](size_t i) {
+      size_t slot = ThisThreadSlot();
+      slot_of[i] = slot;
+      if (slot > size) {
+        out_of_range.fetch_add(1);
+        return;
+      }
+      if (busy[slot].exchange(1) != 0) collisions.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      busy[slot].store(0);
+    });
+    EXPECT_EQ(out_of_range.load(), 0) << "pool " << size;
+    EXPECT_EQ(collisions.load(), 0) << "pool " << size;
+    for (size_t slot : slot_of) {
+      // Fanned-out bodies run on workers [0, size); only the inline
+      // one-thread pool uses the off-pool slot.
+      EXPECT_LT(slot, size == 1 ? 2u : size) << "pool " << size;
+    }
+  }
 }
 
 }  // namespace

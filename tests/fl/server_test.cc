@@ -2,15 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "aggregators/fltrust.h"
 #include "aggregators/mean.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "common/thread_pool.h"
 #include "data/synthetic.h"
+#include "fl/trainer.h"
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
 #include "tensor/ops.h"
@@ -207,6 +214,195 @@ TEST(ServerTest, SpanStepMatchesLegacyStep) {
                 0.25, ctx)
           .ok());
   EXPECT_EQ(legacy.params(), span.params());
+}
+
+// Reference server gradient: per 64-example block, a fresh factory model
+// and one batched pass, the block's rows summed in index order into a
+// zeroed partial; the partials summed in block order into a zeroed
+// total, then scaled by 1/|D_p|.
+std::vector<float> BlockBatchedServerGradient(const nn::ModelFactory& factory,
+                                              const std::vector<float>& params,
+                                              const data::DatasetView& aux) {
+  size_t dim = params.size();
+  size_t feature_dim = aux.base()->feature_dim();
+  std::vector<float> acc(dim, 0.0f);
+  for (size_t lo = 0; lo < aux.size(); lo += 64) {
+    size_t hi = std::min(aux.size(), lo + 64);
+    size_t n = hi - lo;
+    std::unique_ptr<nn::Sequential> model = factory();
+    model->SetParamsFrom(params.data());
+    std::vector<size_t> shape = {n};
+    for (size_t d : aux.base()->example_shape()) shape.push_back(d);
+    Tensor x(shape);
+    std::vector<size_t> labels(n);
+    for (size_t i = lo; i < hi; ++i) {
+      std::memcpy(x.data() + (i - lo) * feature_dim, aux.FeaturesAt(i),
+                  feature_dim * sizeof(float));
+      labels[i - lo] = static_cast<size_t>(aux.LabelAt(i));
+    }
+    nn::BatchLossGrad lg =
+        nn::SoftmaxCrossEntropyBatch(model->ForwardBatch(x), labels);
+    std::vector<float> grads(n * dim);
+    model->BackwardBatch(lg.grad_logits, {grads.data(), dim, 0});
+    std::vector<float> partial(dim, 0.0f);
+    for (size_t j = 0; j < n; ++j) {
+      ops::Axpy(1.0f, grads.data() + j * dim, partial.data(), dim);
+    }
+    ops::Axpy(1.0f, partial.data(), acc.data(), dim);
+  }
+  ops::Scale(1.0f / static_cast<float>(aux.size()), acc.data(), dim);
+  return acc;
+}
+
+void ExpectBitwiseEqual(const std::vector<float>& want,
+                        const std::vector<float>& got,
+                        const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                           want.size() * sizeof(float)))
+      << what;
+}
+
+// Checks ComputeServerGradient against the block-batched reference at
+// pools 1, 2 and hw, at the initial parameters and at perturbed ones
+// (which the slot models must pick up). The server is built under a
+// one-thread pool, so larger pools must grow its slots.
+void CheckServerGradientMatchesBlockBatched(const nn::ModelFactory& factory,
+                                            const data::DatasetView& aux) {
+  ThreadPool one(1);
+  std::unique_ptr<Server> s;
+  {
+    ScopedPoolOverride route(&one);
+    s = std::make_unique<Server>(
+        factory, std::make_unique<agg::FlTrustAggregator>(), aux, 9);
+  }
+  size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
+  for (int step = 0; step < 2; ++step) {
+    if (step == 1) {
+      std::vector<float> moved = s->params();
+      SplitRng rng(3, {0x5E7});
+      rng.AddGaussian(moved.data(), moved.size(), 0.05);
+      ASSERT_TRUE(s->SetParams(std::move(moved)).ok());
+    }
+    std::vector<float> want =
+        BlockBatchedServerGradient(factory, s->params(), aux);
+    for (size_t size : {size_t{1}, size_t{2}, hw}) {
+      ThreadPool pool(size);
+      ScopedPoolOverride route(&pool);
+      auto got = s->ComputeServerGradient();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectBitwiseEqual(want, got.value(),
+                         "pool " + std::to_string(size) + " step " +
+                             std::to_string(step));
+    }
+  }
+}
+
+data::DatasetBundle ImageBundle() {
+  data::SyntheticSpec spec;
+  spec.num_classes = 4;
+  spec.image_h = 8;
+  spec.image_w = 8;
+  spec.feature_dim = 64;
+  spec.train_size = 40;
+  spec.val_size = 40;
+  spec.test_size = 40;
+  spec.class_separation = 3.0;
+  auto b = data::GenerateSynthetic(spec, 12);
+  EXPECT_TRUE(b.ok());
+  return std::move(b).value();
+}
+
+TEST(ServerGradientTest, MlpMatchesBlockBatchedAcrossPools) {
+  // 70 examples: two fold blocks, the second partial.
+  data::SyntheticSpec spec;
+  spec.num_classes = 4;
+  spec.feature_dim = 16;
+  spec.train_size = 40;
+  spec.val_size = 80;
+  spec.test_size = 40;
+  auto bundle = data::GenerateSynthetic(spec, 11);
+  ASSERT_TRUE(bundle.ok());
+  std::vector<size_t> idx(70);
+  for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  CheckServerGradientMatchesBlockBatched(
+      nn::MlpFactory(16, 8, 4),
+      data::DatasetView(&bundle.value().val, std::move(idx)));
+}
+
+TEST(ServerGradientTest, CnnMatchesBlockBatchedAcrossPools) {
+  data::DatasetBundle bundle = ImageBundle();
+  data::DatasetView aux = data::DatasetView::All(&bundle.val);
+  CheckServerGradientMatchesBlockBatched(nn::CnnFactory(1, 4, 3, 4), aux);
+  CheckServerGradientMatchesBlockBatched(nn::ResidualCnnFactory(1, 4, 3, 4),
+                                         aux);
+}
+
+// Records every server gradient it is handed and returns a zero update,
+// so the server's parameters never move.
+class RecordingAggregator final : public agg::Aggregator {
+ public:
+  explicit RecordingAggregator(std::vector<std::vector<float>>* seen)
+      : seen_(seen) {}
+  std::string name() const override { return "recording"; }
+  bool NeedsServerGradient() const override { return true; }
+  using agg::Aggregator::Aggregate;
+  Result<std::vector<float>> Aggregate(
+      RowSpan /*uploads*/, const agg::AggregationContext& ctx) override {
+    if (ctx.server_gradient == nullptr) {
+      return Status::FailedPrecondition("no server gradient");
+    }
+    seen_->push_back(*ctx.server_gradient);
+    return std::vector<float>(ctx.dim, 0.0f);
+  }
+
+ private:
+  std::vector<std::vector<float>>* seen_;
+};
+
+TEST(ServerGradientTest, TrainerHandsTheAggregatorComputeServerGradient) {
+  // The trainer folds the rows its round dispatch computed; at the same
+  // parameters that must be exactly ComputeServerGradient().
+  data::DatasetBundle bundle = ImageBundle();
+  size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
+  for (size_t size : {size_t{1}, hw}) {
+    ThreadPool pool(size);
+    ScopedPoolOverride route(&pool);
+    std::vector<std::vector<float>> seen;
+    TrainerOptions o;
+    o.num_honest = 3;
+    o.batch_size = 4;
+    o.epochs = 1;
+    o.epsilon = 2.0;
+    o.seed = 21;
+    o.stop_after_round = 3;
+    FederatedTrainer trainer(&bundle, nn::CnnFactory(1, 4, 3, 4),
+                             std::make_unique<RecordingAggregator>(&seen),
+                             nullptr, o);
+    auto run = trainer.Run();
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_EQ(seen.size(), 3u);
+    auto want = trainer.server()->ComputeServerGradient();
+    ASSERT_TRUE(want.ok());
+    for (size_t r = 0; r < seen.size(); ++r) {
+      ExpectBitwiseEqual(want.value(), seen[r],
+                         "pool " + std::to_string(size) + " round " +
+                             std::to_string(r + 1));
+    }
+  }
+}
+
+TEST(ServerTest, StepWithoutNeededServerGradientFails) {
+  data::DatasetBundle bundle = SmallBundle();
+  Server s(nn::MlpFactory(16, 8, 4),
+           std::make_unique<agg::FlTrustAggregator>(),
+           data::DatasetView(&bundle.val, {0, 1, 2}), 3);
+  std::vector<float> before = s.params();
+  std::vector<float> direction(s.dim(), 1.0f);
+  agg::AggregationContext ctx;
+  Status st = s.Step({direction, direction}, 0.5, ctx);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  EXPECT_EQ(s.params(), before);
 }
 
 TEST(ServerTest, UntrainedAccuracyIsNearChance) {

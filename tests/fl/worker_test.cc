@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "common/simd.h"
 #include "data/synthetic.h"
 #include "nn/model_zoo.h"
+#include "stats/ks_test.h"
 #include "tensor/ops.h"
 
 namespace dpbr {
@@ -156,6 +159,42 @@ TEST(WorkerTest, FlippedShardGivesDifferentUpload) {
   EXPECT_NE(uc, up);
   // Poisoned gradients point against the clean descent direction.
   EXPECT_LT(ops::Dot(uc, up) / (ops::Norm(uc) * ops::Norm(up)), 0.5);
+}
+
+TEST(WorkerTest, UploadNoiseIsGaussianAtSigmaOverBcOnEveryTier) {
+  // End-to-end DP noise conformance at the upload: two workers with the
+  // same seed, shard and parameters draw the same mini-batch, so the
+  // σ > 0 upload minus the σ = 0 upload isolates the noise the protocol
+  // adds, N(0, σ²) on the normalized sum scaled by 1/bc, i.e.
+  // N(0, σ²/bc²) per coordinate.
+  data::DatasetBundle bundle = SmallBundle();
+  nn::ModelFactory f = nn::MlpFactory(16, 256, 4);
+  auto model = f();
+  SplitRng rng(4);
+  model->InitParams(&rng);
+  std::vector<float> params = model->FlatParams();
+  const double sigma = 2.0;
+  const double bc = Opts(sigma).batch_size;
+  for (simd::IsaLevel level :
+       {simd::IsaLevel::kScalar, simd::IsaLevel::kSse2,
+        simd::IsaLevel::kAvx2, simd::IsaLevel::kAvx512}) {
+    if (simd::KernelsFor(level) == nullptr) continue;
+    simd::ScopedForceIsa force(level);
+    HonestDpWorker clean(0, data::DatasetView::All(&bundle.train), f,
+                         Opts(0.0), 13);
+    HonestDpWorker noisy(0, data::DatasetView::All(&bundle.train), f,
+                         Opts(sigma), 13);
+    std::vector<float> a = clean.ComputeUpdate(params, 3);
+    std::vector<float> b = noisy.ComputeUpdate(params, 3);
+    std::vector<float> residual(a.size());
+    for (size_t k = 0; k < a.size(); ++k) residual[k] = b[k] - a[k];
+    stats::KsResult fit = stats::KsTestGaussian(residual, sigma / bc);
+    EXPECT_GT(fit.p_value, 1e-3) << simd::IsaName(level) << " D "
+                                 << fit.statistic << " n " << fit.n;
+    // The test has the power to see a 20% scale error at this size.
+    stats::KsResult off = stats::KsTestGaussian(residual, 1.2 * sigma / bc);
+    EXPECT_LT(off.p_value, 1e-3) << simd::IsaName(level);
+  }
 }
 
 }  // namespace

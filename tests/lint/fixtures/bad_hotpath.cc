@@ -6,7 +6,9 @@
 
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 namespace dpbr {
@@ -28,6 +30,34 @@ void ResizesInsideBlockedDispatch(std::vector<double>& buf) {
   ParallelForBlocked(buf.size(), 64, [&](size_t lo, size_t hi) {
     std::vector<double> local;
     local.resize(hi - lo);  // expect-lint: hotpath-alloc
+  });
+}
+
+void ConstructsSizedBuffersInsideDispatch(std::vector<float>& out,
+                                          size_t dim) {
+  ParallelForBlocked(out.size(), 64, [&](size_t lo, size_t hi) {
+    std::vector<float> grads((hi - lo) * dim);  // expect-lint: hotpath-alloc
+    std::vector<std::vector<int>> nested{{1, 2}};  // expect-lint: hotpath-alloc
+    std::string label(hi - lo, 'x');  // expect-lint: hotpath-alloc
+    out[lo] = std::vector<float>(dim, 1.0f)[0];  // expect-lint: hotpath-alloc
+    out[lo] += grads[0] + static_cast<float>(label.size() + nested.size());
+  });
+}
+
+struct Model {
+  float Forward(float v) const { return v; }
+};
+using ModelFactory = std::function<std::unique_ptr<Model>()>;
+
+void BuildsModelsInsideDispatch(const ModelFactory& factory_,
+                                std::vector<float>& out) {
+  ParallelFor(0, out.size(), [&](size_t i) {
+    std::unique_ptr<Model> model = factory_();  // expect-lint: hotpath-alloc
+    auto spare = std::make_unique<Model>();     // expect-lint: hotpath-alloc
+    auto shared = std::make_shared<Model>();    // expect-lint: hotpath-alloc
+    ModelFactory copy = factory_;               // expect-lint: hotpath-alloc
+    out[i] = model->Forward(out[i]) + spare->Forward(0.0f) +
+             shared->Forward(0.0f) + static_cast<float>(copy != nullptr);
   });
 }
 

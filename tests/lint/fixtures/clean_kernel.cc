@@ -5,6 +5,8 @@
 // lint-as: src/fixture/clean_kernel.cc
 
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 namespace dpbr {
@@ -32,6 +34,29 @@ void ScaleAll(std::vector<float>& xs, float a) {
   xs.reserve(xs.size());
   ParallelForBlocked(xs.size(), 4096, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) xs[i] *= a;
+  });
+}
+
+// Buffers and models built before the dispatch and borrowed inside it:
+// references, default-constructed (empty) containers, copy-less
+// std::string views of existing storage, and calls on prebuilt models.
+struct Model {
+  float Forward(float v) const { return v; }
+};
+size_t ThisThreadSlot();
+
+void BorrowsPrebuiltScratch(std::vector<float>& out, size_t slots,
+                            size_t dim) {
+  std::vector<std::vector<float>> scratch(slots, std::vector<float>(dim));
+  std::vector<std::unique_ptr<Model>> models;
+  models.push_back(std::make_unique<Model>());
+  std::string tag(4, 'x');
+  ParallelFor(0, out.size(), [&](size_t i) {
+    std::vector<float>& row = scratch[ThisThreadSlot()];
+    const std::string& name = tag;
+    std::vector<double> unused;
+    row[0] = models[0]->Forward(out[i]);
+    out[i] = row[0] + static_cast<float>(name.size() + unused.size());
   });
 }
 
