@@ -26,7 +26,7 @@ Result<std::vector<float>> KrumAggregator::Aggregate(
   // pair, so each matrix cell is written by exactly one task and the
   // per-pair arithmetic is schedule-independent. Rows are processed in
   // mirrored pairs (t, n-1-t) — n-1 pairs per task — because row length
-  // shrinks with i and ParallelFor chunks the index range contiguously.
+  // shrinks with i, so every claimed index costs about the same.
   // Each pair's distance is one simd distsq8_f64 call: a pinned 8-lane
   // double fold whose value depends only on dim — identical across pool
   // sizes and dispatch tiers (ISA changes the speed, never the bits).

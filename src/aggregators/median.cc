@@ -18,6 +18,13 @@ size_t SelectionTileWidth(size_t n) {
   return std::max<size_t>(1, std::min<size_t>(w, 1024));
 }
 
+std::vector<std::unique_ptr<float[]>> SelectionTiles(size_t n, size_t dim) {
+  size_t floats = std::min(SelectionTileWidth(n), dim) * n;
+  std::vector<std::unique_ptr<float[]>> tiles(ThreadSlotCount());
+  for (auto& t : tiles) t.reset(new float[floats]);
+  return tiles;
+}
+
 Result<std::vector<float>> CoordinateMedianAggregator::Aggregate(
     RowSpan uploads, const AggregationContext& ctx) {
   DPBR_RETURN_NOT_OK(ValidateUploads(uploads, ctx));
@@ -30,11 +37,7 @@ Result<std::vector<float>> CoordinateMedianAggregator::Aggregate(
   // split is shape-only.
   size_t width = SelectionTileWidth(n);
   const simd::SimdKernels& kern = simd::Kernels();
-  // One tile of scratch per thread slot, allocated before the dispatch
-  // and left uninitialized: the gather overwrites every float a task
-  // reads, and a slot no task runs on is never touched.
-  std::vector<std::unique_ptr<float[]>> tiles(ThreadSlotCount());
-  for (auto& t : tiles) t.reset(new float[std::min(width, ctx.dim) * n]);
+  std::vector<std::unique_ptr<float[]>> tiles = SelectionTiles(n, ctx.dim);
   ParallelForBlocked(ctx.dim, width, [&](size_t lo, size_t hi_end) {
     size_t cols = hi_end - lo;
     float* tile = tiles[ThisThreadSlot()].get();

@@ -3,7 +3,9 @@
 #ifndef DPBR_AGGREGATORS_MEDIAN_H_
 #define DPBR_AGGREGATORS_MEDIAN_H_
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "aggregators/aggregator.h"
 
@@ -30,6 +32,13 @@ class CoordinateMedianAggregator : public Aggregator {
 /// coordinate-selection rules: as many columns as fit the scratch budget
 /// (n floats per column), clamped to [1, 1024]. Exposed for tests.
 size_t SelectionTileWidth(size_t n);
+
+/// Gather scratch for a selection dispatch over `dim` coordinates of `n`
+/// uploads: one uninitialized tile of min(SelectionTileWidth(n), dim) * n
+/// floats per thread slot, indexed by ThisThreadSlot() inside the
+/// dispatch. Uninitialized is safe: the gather overwrites every float a
+/// task reads, and a slot no task runs on is never touched.
+std::vector<std::unique_ptr<float[]>> SelectionTiles(size_t n, size_t dim);
 
 }  // namespace agg
 }  // namespace dpbr

@@ -1,6 +1,7 @@
 #include "aggregators/sign_sgd.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/thread_pool.h"
@@ -20,10 +21,8 @@ Result<std::vector<float>> SignSgdAggregator::Aggregate(
   // coordinate and walk rows outer / coordinates inner so each arena row
   // streams through cache once per block.
   constexpr size_t kBlock = 4096;
-  std::vector<std::vector<int>> votes(ThreadSlotCount(),
-                                      std::vector<int>(kBlock));
   ParallelForBlocked(ctx.dim, kBlock, [&](size_t lo, size_t hi) {
-    std::vector<int>& vote = votes[ThisThreadSlot()];
+    std::array<int, kBlock> vote;
     std::fill(vote.begin(), vote.begin() + (hi - lo), 0);
     for (size_t i = 0; i < n; ++i) {
       const float* row = uploads.Row(i);

@@ -30,11 +30,7 @@ Result<std::vector<float>> TrimmedMeanAggregator::Aggregate(
   // columns into scratch, then sort and trim each column independently.
   size_t width = SelectionTileWidth(n);
   const simd::SimdKernels& kern = simd::Kernels();
-  // One tile of scratch per thread slot, allocated before the dispatch
-  // and left uninitialized: the gather overwrites every float a task
-  // reads, and a slot no task runs on is never touched.
-  std::vector<std::unique_ptr<float[]>> tiles(ThreadSlotCount());
-  for (auto& t : tiles) t.reset(new float[std::min(width, ctx.dim) * n]);
+  std::vector<std::unique_ptr<float[]>> tiles = SelectionTiles(n, ctx.dim);
   ParallelForBlocked(ctx.dim, width, [&](size_t lo, size_t hi) {
     size_t cols = hi - lo;
     float* tile = tiles[ThisThreadSlot()].get();

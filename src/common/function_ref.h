@@ -13,7 +13,11 @@
 // from. Binding a temporary lambda in a call expression is safe (the
 // temporary lives until the call returns); *storing* a FunctionRef
 // beyond the callable's lifetime is not. Kernel hooks satisfy this by
-// construction: every one is a parameter, never a stored member.
+// construction: every one is a parameter, never a stored member. The
+// one stored FunctionRef is ThreadPool::body_, the dispatch in flight:
+// it is set and cleared under the pool's mutex, and Dispatch, whose
+// caller owns the callable, blocks until the last worker has finished
+// with it before clearing it and returning.
 
 #ifndef DPBR_COMMON_FUNCTION_REF_H_
 #define DPBR_COMMON_FUNCTION_REF_H_

@@ -9,13 +9,6 @@ namespace {
 
 constexpr size_t kOffPool = static_cast<size_t>(-1);
 
-// Claims each worker makes in a dispatch, at least: a long range is
-// claimed in chunks of n / (workers * kClaimsPerWorker) indices, which
-// keeps the claim counter off the hot path of cheap bodies while any
-// range of up to workers * kClaimsPerWorker indices — a round's local
-// steps and auxiliary rows — is still claimed one index at a time.
-constexpr size_t kClaimsPerWorker = 16;
-
 // Worker index of the current thread within its pool, or kOffPool. A
 // pool worker only ever runs dispatch bodies, so a set slot also means
 // "inside a body": nested ParallelFor calls then run inline instead of
@@ -54,17 +47,12 @@ void ThreadPool::Dispatch(size_t begin, size_t end, size_t workers,
     std::lock_guard<std::mutex> lock(mu_);
     body_ = body;
     end_ = end;
-    chunk_ = std::max<size_t>(1, (end - begin) / (workers * kClaimsPerWorker));
     next_.store(begin, std::memory_order_relaxed);
     tickets_ = workers;
     outstanding_ = workers;
   }
-  // One futex wake for the whole pool when every worker is wanted.
-  if (workers == threads_.size()) {
-    cv_work_.notify_all();
-  } else {
-    for (size_t w = 0; w < workers; ++w) cv_work_.notify_one();
-  }
+  // Workers woken beyond `workers` find no ticket and sleep again.
+  cv_work_.notify_all();
   // The last worker notifies while holding mu_, so this frame (and the
   // callable `body` borrows) outlives every worker's use of it.
   std::unique_lock<std::mutex> lock(mu_);
@@ -81,12 +69,10 @@ void ThreadPool::WorkerLoop(size_t slot) {
     --tickets_;
     FunctionRef<void(size_t)> body = body_;
     size_t end = end_;
-    size_t chunk = chunk_;
     lock.unlock();
-    for (size_t lo = next_.fetch_add(chunk, std::memory_order_relaxed);
-         lo < end; lo = next_.fetch_add(chunk, std::memory_order_relaxed)) {
-      size_t hi = std::min(end, lo + chunk);
-      for (size_t i = lo; i < hi; ++i) body(i);
+    for (size_t i = next_.fetch_add(1, std::memory_order_relaxed); i < end;
+         i = next_.fetch_add(1, std::memory_order_relaxed)) {
+      body(i);
     }
     lock.lock();
     if (--outstanding_ == 0) cv_done_.notify_one();

@@ -2,16 +2,15 @@
 //
 // A pool runs one dispatch at a time: ParallelFor publishes a borrowed
 // body and an index range, and the woken workers claim indices from an
-// atomic counter until the range is exhausted — one index per claim for
-// ranges of up to 16 indices per worker, fixed-size chunks of a longer
-// range (so cheap bodies do not contend on the counter). The claim
-// order — which thread runs which index, and when — is free; every
-// caller writes per-index outputs (or per-block ones under
-// ParallelForBlocked, whose block boundaries depend on the shape only)
-// and folds them in a fixed order after the dispatch, so results are
-// bitwise identical under any pool size and any schedule. All randomness
-// inside a body must come from per-index SplitRng streams for the same
-// reason.
+// atomic counter, one index per claim, until the range is exhausted.
+// Long ranges of cheap work go through ParallelForBlocked, so each
+// claim is a whole block. The claim order — which thread runs which
+// index, and when — is free; every caller writes per-index outputs (or
+// per-block ones under ParallelForBlocked, whose block boundaries
+// depend on the shape only) and folds them in a fixed order after the
+// dispatch, so results are bitwise identical under any pool size and
+// any schedule. All randomness inside a body must come from per-index
+// SplitRng streams for the same reason.
 //
 // Dynamic claiming lets one dispatch mix items of very different cost —
 // the federated round runs each cohort member's local step and each
@@ -68,16 +67,14 @@ class ThreadPool {
   // Serializes dispatches from outside the pool: one range in flight.
   std::mutex dispatch_mu_;
 
-  // The dispatch in flight. body_, end_ and chunk_ are written under mu_
-  // before tickets_ is raised, and read by a worker after it takes a
-  // ticket under mu_; next_ is the claim counter, advanced chunk_
-  // indices per claim.
+  // The dispatch in flight. body_ and end_ are written under mu_ before
+  // tickets_ is raised, and read by a worker after it takes a ticket
+  // under mu_; next_ is the claim counter, advanced one index per claim.
   std::mutex mu_;
   std::condition_variable cv_work_;  // tickets available, or stop
   std::condition_variable cv_done_;  // the last ticket holder finished
   FunctionRef<void(size_t)> body_;
   size_t end_ = 0;
-  size_t chunk_ = 1;
   std::atomic<size_t> next_{0};
   size_t tickets_ = 0;      // workers still to join the dispatch
   size_t outstanding_ = 0;  // workers that have not finished it yet
