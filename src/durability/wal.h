@@ -57,8 +57,6 @@ class WalWriter {
   /// errors; call Close() where the result matters).
   [[nodiscard]] Status Close();
 
-  bool is_open() const { return fd_ >= 0; }
-
  private:
   WalWriter(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
 

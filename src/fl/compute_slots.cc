@@ -1,0 +1,76 @@
+#include "fl/compute_slots.h"
+
+#include <algorithm>
+#include <cstring>
+
+#include "common/logging.h"
+#include "common/thread_pool.h"
+#include "nn/loss.h"
+
+namespace dpbr {
+namespace fl {
+
+Tensor ComputeSlots::Slot::Forward(const data::DatasetView& view,
+                                  const size_t* idx, size_t n) {
+  const data::Dataset* base = view.base();
+  size_t feature_dim = base->feature_dim();
+  std::vector<size_t> shape;
+  shape.push_back(n);
+  for (size_t d : base->example_shape()) shape.push_back(d);
+  Tensor x(std::move(shape));
+  for (size_t j = 0; j < n; ++j) {
+    std::memcpy(x.data() + j * feature_dim, view.FeaturesAt(idx[j]),
+                feature_dim * sizeof(float));
+  }
+  return model->ForwardBatch(x);
+}
+
+void ComputeSlots::Slot::PerExampleGradients(const data::DatasetView& view,
+                                             const size_t* idx, size_t n,
+                                             float* rows) {
+  std::vector<size_t> labels(n);
+  for (size_t j = 0; j < n; ++j) {
+    labels[j] = static_cast<size_t>(view.LabelAt(idx[j]));
+  }
+  nn::BatchLossGrad lg =
+      nn::SoftmaxCrossEntropyBatch(Forward(view, idx, n), labels);
+  model->BackwardBatchTo(lg.grad_logits, n, rows);
+}
+
+ComputeSlots::ComputeSlots(nn::ModelFactory factory)
+    : factory_(std::move(factory)) {
+  Prepare();
+}
+
+void ComputeSlots::Prepare(size_t grad_rows) {
+  grad_rows_ = std::max(grad_rows_, grad_rows);
+  while (slots_.size() < ThreadSlotCount()) {
+    slots_.push_back(Slot{factory_(), {}});
+  }
+  dim_ = slots_[0].model->NumParams();
+  for (Slot& s : slots_) s.grads.resize(grad_rows_ * dim_);
+}
+
+std::vector<float> ComputeSlots::InitParams(SplitRng* rng) {
+  nn::Sequential* model = ThisSlot().model.get();
+  model->InitParams(rng);
+  return model->FlatParams();
+}
+
+ComputeSlots::Slot& ComputeSlots::LoadedSlot(
+    const std::vector<float>& params) {
+  DPBR_CHECK_EQ(params.size(), dim_);
+  Slot& s = ThisSlot();
+  s.model->SetParamsFrom(params.data());
+  return s;
+}
+
+ComputeSlots::Slot& ComputeSlots::ThisSlot() {
+  size_t slot = ThisThreadSlot();
+  DPBR_CHECK(slot < slots_.size() &&
+             "thread slot not built: call Prepare() before the dispatch");
+  return slots_[slot];
+}
+
+}  // namespace fl
+}  // namespace dpbr

@@ -1,0 +1,74 @@
+// Per-thread-slot compute shared by a run's workers and its server:
+// one factory-built model plus a per-example gradient block for each
+// ThisThreadSlot(). Across rounds a worker keeps only its momentum and
+// randomness (Algorithm 1) and the server only w; models are scratch.
+// The bodies of one dispatch run on distinct slots, so local steps, aux
+// rows and evaluation share the models without locking. Every pass
+// loads its parameters first and no workspace carries a value between
+// passes, so a result never depends on which slot ran it. All threads
+// outside the pool share one slot, so two external threads must not
+// compute on the same ComputeSlots at once.
+
+#ifndef DPBR_FL_COMPUTE_SLOTS_H_
+#define DPBR_FL_COMPUTE_SLOTS_H_
+
+#include <cstddef>
+#include <memory>
+#include <vector>
+
+#include "common/rng.h"
+#include "data/dataset.h"
+#include "nn/sequential.h"
+#include "tensor/tensor.h"
+
+namespace dpbr {
+namespace fl {
+
+class ComputeSlots {
+ public:
+  struct Slot {
+    std::unique_ptr<nn::Sequential> model;
+    /// Gradient rows × dim floats; a local step writes example j's flat
+    /// gradient to row j.
+    std::vector<float> grads;
+
+    /// Logits of view examples idx[0..n): one batched forward pass.
+    Tensor Forward(const data::DatasetView& view, const size_t* idx,
+                   size_t n);
+    /// Writes the flat loss gradient of view examples idx[0..n) to
+    /// rows + j·dim: one batched forward and backward pass.
+    void PerExampleGradients(const data::DatasetView& view,
+                             const size_t* idx, size_t n, float* rows);
+  };
+
+  /// Builds the ambient pool's slots (see Prepare).
+  explicit ComputeSlots(nn::ModelFactory factory);
+
+  /// Parameter count d of the factory's model.
+  size_t dim() const { return dim_; }
+
+  /// Builds a slot for every ThisThreadSlot() a dispatch from the calling
+  /// thread can touch, each with at least `grad_rows` gradient rows. Only
+  /// what is missing is built. Call it outside any dispatch.
+  void Prepare(size_t grad_rows = 0);
+
+  /// Runs InitParams(rng) on the calling thread's slot model and returns
+  /// its flat parameters.
+  std::vector<float> InitParams(SplitRng* rng);
+
+  /// The calling thread's slot, its model loaded from `params`.
+  Slot& LoadedSlot(const std::vector<float>& params);
+
+ private:
+  Slot& ThisSlot();
+
+  nn::ModelFactory factory_;
+  size_t dim_ = 0;
+  size_t grad_rows_ = 0;
+  std::vector<Slot> slots_;
+};
+
+}  // namespace fl
+}  // namespace dpbr
+
+#endif  // DPBR_FL_COMPUTE_SLOTS_H_

@@ -3,7 +3,6 @@
 #ifndef DPBR_FL_METRICS_H_
 #define DPBR_FL_METRICS_H_
 
-#include <string>
 #include <vector>
 
 namespace dpbr {
@@ -37,8 +36,6 @@ struct TrainingHistory {
   /// an explicit stop_after_round); resume from the checkpoint directory
   /// to continue it.
   bool interrupted = false;
-
-  std::string Summary() const;
 };
 
 }  // namespace fl

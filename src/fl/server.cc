@@ -1,16 +1,16 @@
 #include "fl/server.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <memory>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "nn/loss.h"
 #include "tensor/ops.h"
+#include "tensor/tensor.h"
 
 namespace dpbr {
 namespace fl {
@@ -21,65 +21,23 @@ namespace {
 // the pool size.
 constexpr size_t kExampleBlock = 64;
 
-// Copies examples [lo, hi) of `view` into one (hi-lo, example_shape...)
-// microbatch tensor for the batched kernels.
-Tensor BatchOf(const data::DatasetView& view, size_t lo, size_t hi) {
-  const data::Dataset* base = view.base();
-  size_t feature_dim = base->feature_dim();
-  std::vector<size_t> shape;
-  shape.push_back(hi - lo);
-  for (size_t d : base->example_shape()) shape.push_back(d);
-  Tensor x(std::move(shape));
-  for (size_t i = lo; i < hi; ++i) {
-    std::memcpy(x.data() + (i - lo) * feature_dim, view.FeaturesAt(i),
-                feature_dim * sizeof(float));
-  }
-  return x;
-}
-
 }  // namespace
+
+Server::Server(std::shared_ptr<ComputeSlots> slots,
+               agg::AggregatorPtr aggregator, data::DatasetView aux,
+               uint64_t seed)
+    : slots_(std::move(slots)), aggregator_(std::move(aggregator)),
+      aux_(std::move(aux)) {
+  DPBR_CHECK(slots_ != nullptr);
+  DPBR_CHECK(aggregator_ != nullptr);
+  SplitRng rng(seed, {0x5E4E4});
+  params_ = slots_->InitParams(&rng);
+}
 
 Server::Server(nn::ModelFactory factory, agg::AggregatorPtr aggregator,
                data::DatasetView aux, uint64_t seed)
-    : factory_(std::move(factory)), aggregator_(std::move(aggregator)),
-      aux_(std::move(aux)) {
-  DPBR_CHECK(aggregator_ != nullptr);
-  SplitRng rng(seed, {0x5E4E4});
-  std::unique_ptr<nn::Sequential> model = factory_();
-  model->InitParams(&rng);
-  params_ = model->FlatParams();
-  // The initializing model already holds params_: it becomes slot 0.
-  AddSlot(std::move(model));
-  slots_.back().params_version = params_version_;
-  PrepareSlots();
-}
-
-void Server::AddSlot(std::unique_ptr<nn::Sequential> model) {
-  Slot s;
-  s.model = std::move(model);
-  if (!aux_.empty()) {
-    std::vector<size_t> shape = {1};
-    for (size_t d : aux_.base()->example_shape()) shape.push_back(d);
-    s.x = Tensor(std::move(shape));
-  }
-  s.label.assign(1, 0);
-  slots_.push_back(std::move(s));
-}
-
-void Server::PrepareSlots() {
-  while (slots_.size() < ThreadSlotCount()) AddSlot(factory_());
-}
-
-Server::Slot& Server::SyncedSlot() {
-  size_t slot = ThisThreadSlot();
-  DPBR_CHECK_LT(slot, slots_.size());
-  Slot& s = slots_[slot];
-  if (s.params_version != params_version_) {
-    s.model->SetParamsFrom(params_.data());
-    s.params_version = params_version_;
-  }
-  return s;
-}
+    : Server(std::make_shared<ComputeSlots>(std::move(factory)),
+             std::move(aggregator), std::move(aux), seed) {}
 
 Status Server::SetParams(std::vector<float> params) {
   if (params.size() != params_.size()) {
@@ -88,7 +46,6 @@ Status Server::SetParams(std::vector<float> params) {
         " parameters, model has " + std::to_string(params_.size()));
   }
   params_ = std::move(params);
-  ++params_version_;
   return Status::OK();
 }
 
@@ -119,37 +76,11 @@ Status Server::Step(RowSpan uploads, double lr,
   }
   ops::Axpy(static_cast<float>(-lr), update.data(), params_.data(),
             params_.size());
-  ++params_version_;
   return Status::OK();
 }
 
-Status Server::Step(const std::vector<std::vector<float>>& uploads, double lr,
-                    agg::AggregationContext ctx) {
-  // Pack into one scratch block (the only copy on this legacy path) so
-  // the in-place sanitize/reject semantics never touch the caller's
-  // vectors.
-  size_t dim = params_.size();
-  for (const auto& u : uploads) {
-    if (u.size() != dim) {
-      return Status::InvalidArgument("upload dimension mismatch");
-    }
-  }
-  std::vector<float> packed(uploads.size() * dim);
-  for (size_t i = 0; i < uploads.size(); ++i) {
-    std::memcpy(packed.data() + i * dim, uploads[i].data(),
-                dim * sizeof(float));
-  }
-  return Step(RowSpan(packed.data(), uploads.size(), dim), lr, ctx);
-}
-
 void Server::AuxGradientRowInto(size_t i, float* row) {
-  Slot& s = SyncedSlot();
-  std::memcpy(s.x.data(), aux_.FeaturesAt(i),
-              aux_.base()->feature_dim() * sizeof(float));
-  s.label[0] = static_cast<size_t>(aux_.LabelAt(i));
-  Tensor logits = s.model->ForwardBatch(s.x);
-  nn::BatchLossGrad lg = nn::SoftmaxCrossEntropyBatch(logits, s.label);
-  s.model->BackwardBatchTo(lg.grad_logits, 1, row);
+  slots_->LoadedSlot(params_).PerExampleGradients(aux_, &i, 1, row);
 }
 
 std::vector<float> Server::FoldAuxGradient(const float* rows) const {
@@ -178,7 +109,7 @@ Result<std::vector<float>> Server::ComputeServerGradient() {
         "aggregator needs a server gradient but no auxiliary data was "
         "provided");
   }
-  PrepareSlots();
+  slots_->Prepare();
   size_t dim = params_.size();
   std::vector<float> rows(aux_.size() * dim);
   ParallelFor(0, aux_.size(),
@@ -188,12 +119,16 @@ Result<std::vector<float>> Server::ComputeServerGradient() {
 
 double Server::EvaluateAccuracy(const data::DatasetView& view) {
   DPBR_CHECK(!view.empty());
-  PrepareSlots();
-  // Inference-only on the slot models; per-example hits land in
-  // disjoint slots (integer counting — exact under any schedule).
+  slots_->Prepare();
+  // Inference-only on the slot models, each block loading w first;
+  // per-example hits land in disjoint slots (integer counting — exact
+  // under any schedule).
+  std::vector<size_t> order(view.size());
+  std::iota(order.begin(), order.end(), size_t{0});
   std::vector<uint8_t> hit(view.size(), 0);
   ParallelForBlocked(view.size(), kExampleBlock, [&](size_t lo, size_t hi) {
-    Tensor logits = SyncedSlot().model->ForwardBatch(BatchOf(view, lo, hi));
+    Tensor logits =
+        slots_->LoadedSlot(params_).Forward(view, order.data() + lo, hi - lo);
     size_t classes = logits.dim(1);
     for (size_t i = lo; i < hi; ++i) {
       const float* row = logits.data() + (i - lo) * classes;

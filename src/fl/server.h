@@ -1,13 +1,14 @@
 // The federated server: global model state, auxiliary-data gradient
 // (Algorithm 3 line 4), aggregation dispatch and model update.
 //
-// The flat parameter vector is the model's source of truth. Inference
-// and the auxiliary gradient run on warm resident models, one per
-// thread slot (ThisThreadSlot()), built outside any dispatch and synced
-// to the parameters lazily when they change. The auxiliary gradient is
-// exposed per example (AuxGradientRowInto) plus a fixed-order fold
-// (FoldAuxGradient), so the trainer can run its rows in the same
-// dispatch as the cohort's local steps; Step only consumes it.
+// The server keeps only w (flat parameters), D_p and the aggregator.
+// Inference and the auxiliary gradient run on the calling thread's slot
+// of a ComputeSlots shared with the run's workers, each pass loading w
+// first. The auxiliary gradient is exposed per example
+// (AuxGradientRowInto) plus a fixed-order fold (FoldAuxGradient), so the
+// trainer can run its rows in the same dispatch as the cohort's local
+// steps; Step only consumes it. All threads outside the pool share one
+// slot, so two external threads must not compute on it at once.
 
 #ifndef DPBR_FL_SERVER_H_
 #define DPBR_FL_SERVER_H_
@@ -20,8 +21,8 @@
 #include "common/span.h"
 #include "common/status.h"
 #include "data/dataset.h"
+#include "fl/compute_slots.h"
 #include "nn/sequential.h"
-#include "tensor/tensor.h"
 
 namespace dpbr {
 namespace fl {
@@ -30,7 +31,12 @@ class Server {
  public:
   /// `aux` is the small server-held labeled set D_p (2 per class by
   /// default); may be empty when the aggregator never asks for a server
-  /// gradient. `seed` controls model initialization.
+  /// gradient. `seed` controls model initialization, which runs on the
+  /// calling thread's slot model.
+  Server(std::shared_ptr<ComputeSlots> slots, agg::AggregatorPtr aggregator,
+         data::DatasetView aux, uint64_t seed);
+
+  /// A server on compute slots of its own, built by `factory`.
   Server(nn::ModelFactory factory, agg::AggregatorPtr aggregator,
          data::DatasetView aux, uint64_t seed);
 
@@ -57,17 +63,6 @@ class Server {
   /// FailedPrecondition.
   Status Step(RowSpan uploads, double lr, agg::AggregationContext ctx);
 
-  /// Legacy adapter: packs `uploads` into contiguous scratch and runs the
-  /// span path. The caller's vectors are never modified.
-  Status Step(const std::vector<std::vector<float>>& uploads, double lr,
-              agg::AggregationContext ctx);
-
-  /// Makes sure a warm model exists for every ThisThreadSlot() of the
-  /// ambient pool (and of the calling thread). Builds only what is
-  /// missing, so calling it again is cheap; call it outside any
-  /// dispatch, before AuxGradientRowInto runs on a pool of a new size.
-  void PrepareSlots();
-
   /// Writes auxiliary example i's gradient ∇f(x_i; w) at the current
   /// parameters into `row` (dim() floats, wholly overwritten): a
   /// batch-of-1 pass on the calling thread's slot model. Safe to run
@@ -91,32 +86,10 @@ class Server {
   double EvaluateAccuracy(const data::DatasetView& view);
 
  private:
-  // Per-thread-slot state: a warm model (synced to params_ lazily, by
-  // version) and the batch-of-1 input/label buffers of the aux rows, all
-  // sized before any dispatch so aux items allocate no buffers of
-  // their own.
-  struct Slot {
-    std::unique_ptr<nn::Sequential> model;
-    uint64_t params_version = 0;
-    Tensor x;
-    std::vector<size_t> label;
-  };
-
-  // Appends a slot around `model` (params_version 0: synced on first
-  // use) with its aux input/label buffers sized.
-  void AddSlot(std::unique_ptr<nn::Sequential> model);
-  // The calling thread's slot, its model synced to the current params.
-  Slot& SyncedSlot();
-
-  // params_ is the source of truth; every slot model mirrors it once
-  // its params_version matches params_version_. The slots are built in
-  // the constructor and by PrepareSlots, never inside a dispatch.
-  nn::ModelFactory factory_;
+  std::shared_ptr<ComputeSlots> slots_;
   agg::AggregatorPtr aggregator_;
   data::DatasetView aux_;
   std::vector<float> params_;
-  uint64_t params_version_ = 1;
-  std::vector<Slot> slots_;
 };
 
 }  // namespace fl

@@ -133,10 +133,12 @@ Status FederatedTrainer::Setup() {
   wopts.sigma = privacy_.dp_enabled ? privacy_.sigma : 0.0;
   wopts.momentum_reset = options_.momentum_reset;
 
+  // The run's one set of models: local steps, aux rows and evaluation.
+  compute_ = std::make_shared<ComputeSlots>(model_factory_);
   honest_workers_.clear();
   for (size_t i = 0; i < n_honest; ++i) {
     honest_workers_.push_back(std::make_unique<HonestDpWorker>(
-        static_cast<int>(i), shards[i], model_factory_, wopts,
+        static_cast<int>(i), shards[i], compute_, wopts,
         SplitRng(options_.seed, {kWorkerStream, i}).Next64()));
   }
 
@@ -154,7 +156,7 @@ Status FederatedTrainer::Setup() {
       data::DatasetView shard(&bundle_->train, std::move(idx));
       poisoned_workers_.push_back(std::make_unique<HonestDpWorker>(
           static_cast<int>(n_honest + b), shard.WithFlippedLabels(),
-          model_factory_, wopts,
+          compute_, wopts,
           SplitRng(options_.seed, {kWorkerStream, n_honest + b}).Next64()));
     }
   }
@@ -179,12 +181,8 @@ Status FederatedTrainer::Setup() {
     aux = data::DatasetView(aux_source, std::move(aux_idx));
   }
 
-  server_ = std::make_unique<Server>(model_factory_,
-                                     std::move(aggregator_hold_), aux,
-                                     options_.seed);
-  if (server_->dim() != honest_workers_[0]->dim()) {
-    return Status::Internal("server/worker model dimension mismatch");
-  }
+  server_ = std::make_unique<Server>(compute_, std::move(aggregator_hold_),
+                                     aux, options_.seed);
   setup_done_ = true;
   return Status::OK();
 }
@@ -250,24 +248,20 @@ Status FederatedTrainer::RestoreFromSnapshot(
     return Status::InvalidArgument(
         "checkpoint: momentum lists do not match the worker population");
   }
-  size_t n_workers = honest_workers_.size() + poisoned_workers_.size();
-  if (state.worker_rng_keys.size() != n_workers) {
+  // Honest workers, then poisoned ones: worker id order, which is the
+  // order of the snapshot's RNG key list.
+  std::vector<const HonestDpWorker*> workers;
+  for (const auto& w : honest_workers_) workers.push_back(w.get());
+  for (const auto& w : poisoned_workers_) workers.push_back(w.get());
+  if (state.worker_rng_keys.size() != workers.size()) {
     return Status::InvalidArgument(
         "checkpoint: RNG key list does not match the worker population");
   }
-  for (size_t i = 0; i < honest_workers_.size(); ++i) {
-    if (state.worker_rng_keys[i] != honest_workers_[i]->rng_key()) {
+  for (size_t k = 0; k < workers.size(); ++k) {
+    if (state.worker_rng_keys[k] != workers[k]->rng_key()) {
       return Status::FailedPrecondition(
           "checkpoint: RNG stream derivation changed since the snapshot "
-          "was taken (worker " + std::to_string(i) + ")");
-    }
-  }
-  for (size_t b = 0; b < poisoned_workers_.size(); ++b) {
-    if (state.worker_rng_keys[honest_workers_.size() + b] !=
-        poisoned_workers_[b]->rng_key()) {
-      return Status::FailedPrecondition(
-          "checkpoint: RNG stream derivation changed since the snapshot "
-          "was taken (poisoned worker " + std::to_string(b) + ")");
+          "was taken (worker " + std::to_string(k) + ")");
     }
   }
 
@@ -364,7 +358,7 @@ Result<TrainingHistory> FederatedTrainer::Run() {
                            : 0;
   std::vector<float> aux_rows(n_aux * dim);
   std::vector<float> server_grad;
-  server_->PrepareSlots();
+  compute_->Prepare();
 
   for (int round = start_round; round <= total_rounds_; ++round) {
     const std::vector<float>& params = server_->params();
@@ -516,12 +510,6 @@ Result<TrainingHistory> FederatedTrainer::Run() {
     history.final_accuracy = history.evals.back().test_accuracy;
   }
   return history;
-}
-
-TrainerOptions ReferenceAccuracyOptions(TrainerOptions options) {
-  options.num_byzantine = 0;
-  options.gamma = -1.0;
-  return options;
 }
 
 }  // namespace fl

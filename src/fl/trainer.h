@@ -19,6 +19,7 @@
 #include "dp/spent_ledger.h"
 #include "durability/wal.h"
 #include "fl/attack_interface.h"
+#include "fl/compute_slots.h"
 #include "fl/metrics.h"
 #include "fl/round_state.h"
 #include "fl/server.h"
@@ -128,6 +129,8 @@ class FederatedTrainer {
   AttackPtr attack_;
   TrainerOptions options_;
 
+  /// Per-thread-slot models, shared by the server and every worker.
+  std::shared_ptr<ComputeSlots> compute_;
   std::unique_ptr<Server> server_;
   std::vector<std::unique_ptr<HonestDpWorker>> honest_workers_;
   /// Poisoned-protocol workers backing data-poisoning attacks (only
@@ -146,11 +149,6 @@ class FederatedTrainer {
   /// Open WAL handle while a durable Run() is in flight.
   durability::WalWriter wal_;
 };
-
-/// Convenience: the paper's Reference Accuracy configuration (DP enabled,
-/// mean aggregation, zero Byzantine workers) sharing `options`' privacy
-/// and data settings.
-TrainerOptions ReferenceAccuracyOptions(TrainerOptions options);
 
 }  // namespace fl
 }  // namespace dpbr

@@ -1,4 +1,4 @@
-// The unit of communication from workers to the server.
+// The round's upload storage, from workers to the server.
 
 #ifndef DPBR_FL_UPLOAD_H_
 #define DPBR_FL_UPLOAD_H_
@@ -10,14 +10,6 @@
 
 namespace dpbr {
 namespace fl {
-
-/// One worker's per-round upload. `byzantine` is ground truth used only by
-/// diagnostics and tests — no aggregation rule may read it.
-struct Upload {
-  int worker_id = -1;
-  bool byzantine = false;
-  std::vector<float> gradient;
-};
 
 /// \brief Contiguous storage for one round's uploads: a single
 /// `rows x dim` row-major float block.

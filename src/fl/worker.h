@@ -1,6 +1,12 @@
 // Honest worker implementing the client side of Algorithm 1:
 // per-example gradients → per-slot momentum → normalization → Gaussian
 // perturbation → averaged upload.
+//
+// A worker keeps only protocol state: shard, options, RNG key and
+// momentum φ. Its local step runs on the calling thread's slot of a
+// ComputeSlots shared with the run's other workers and its server. All
+// threads outside the pool share one slot, so two external threads must
+// not run local steps on the same ComputeSlots at once.
 
 #ifndef DPBR_FL_WORKER_H_
 #define DPBR_FL_WORKER_H_
@@ -11,6 +17,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "data/dataset.h"
+#include "fl/compute_slots.h"
 #include "nn/sequential.h"
 
 namespace dpbr {
@@ -42,6 +49,12 @@ class HonestDpWorker {
  public:
   /// `seed` must be unique per worker; every round derives an independent
   /// stream from (seed, round), making runs thread-schedule independent.
+  /// Prepares `slots`, which local steps run on, for batch_size rows.
+  HonestDpWorker(int id, data::DatasetView shard,
+                 std::shared_ptr<ComputeSlots> slots,
+                 const WorkerOptions& options, uint64_t seed);
+
+  /// A worker on compute slots of its own, built by `factory`.
   HonestDpWorker(int id, data::DatasetView shard, nn::ModelFactory factory,
                  const WorkerOptions& options, uint64_t seed);
 
@@ -56,8 +69,7 @@ class HonestDpWorker {
                                    int round);
 
   int id() const { return id_; }
-  size_t dim() const { return dim_; }
-  size_t shard_size() const { return shard_.size(); }
+  size_t dim() const { return slots_->dim(); }
   /// Key of this worker's RNG stream (its per-round streams derive from
   /// it); persisted in checkpoints so recovery can verify the derivation
   /// chain before trusting a snapshot.
@@ -77,15 +89,11 @@ class HonestDpWorker {
  private:
   int id_;
   data::DatasetView shard_;
-  std::unique_ptr<nn::Sequential> model_;
+  std::shared_ptr<ComputeSlots> slots_;
   WorkerOptions options_;
   uint64_t seed_;
-  size_t dim_;
   /// Momentum list φ: batch_size slots of dimension d (Algorithm 1 line 1).
   std::vector<std::vector<float>> momentum_;
-  /// Reused (batch_size × d) buffer the batched backward pass writes each
-  /// example's flat gradient into (row j = example j).
-  std::vector<float> per_example_grads_;
 };
 
 }  // namespace fl

@@ -39,7 +39,6 @@ class Sequential : public Layer {
   /// dispatch per Conv2d / Linear.
   Tensor BackwardBatchTo(const Tensor& grad_out, size_t batch, float* grads);
 
-  size_t num_layers() const { return layers_.size(); }
   Layer* layer(size_t i) { return layers_[i].get(); }
 
   // --- flat parameter bridge (dimension d = NumParams()) ---

@@ -52,9 +52,9 @@ TEST(ServerTest, StepAppliesScaledUpdate) {
   Server s(nn::MlpFactory(16, 8, 4), std::make_unique<agg::MeanAggregator>(),
            data::DatasetView(), 1);
   std::vector<float> before = s.params();
-  std::vector<float> direction(s.dim(), 1.0f);
+  std::vector<float> block(2 * s.dim(), 1.0f);
   agg::AggregationContext ctx;
-  ASSERT_TRUE(s.Step({direction, direction}, 0.5, ctx).ok());
+  ASSERT_TRUE(s.Step(RowSpan(block.data(), 2, s.dim()), 0.5, ctx).ok());
   for (size_t i = 0; i < s.dim(); ++i) {
     EXPECT_FLOAT_EQ(s.params()[i], before[i] - 0.5f);
   }
@@ -105,12 +105,11 @@ TEST(ServerTest, NonFiniteUploadIsNeutralizedNotFatal) {
   Server s(nn::MlpFactory(16, 8, 4), std::make_unique<agg::MeanAggregator>(),
            data::DatasetView(), 1);
   std::vector<float> before = s.params();
-  std::vector<float> direction(s.dim(), 1.0f);
-  std::vector<float> poisoned(s.dim(), 1.0f);
-  poisoned[3] = std::nan("");
-  poisoned[7] = std::numeric_limits<float>::infinity();
+  std::vector<float> block(2 * s.dim(), 1.0f);
+  block[s.dim() + 3] = std::nan("");
+  block[s.dim() + 7] = std::numeric_limits<float>::infinity();
   agg::AggregationContext ctx;
-  ASSERT_TRUE(s.Step({direction, poisoned}, 0.5, ctx).ok());
+  ASSERT_TRUE(s.Step(RowSpan(block.data(), 2, s.dim()), 0.5, ctx).ok());
   // Mean of {1, 0} per coordinate = 0.5, scaled by lr 0.5.
   for (size_t i = 0; i < s.dim(); ++i) {
     EXPECT_FLOAT_EQ(s.params()[i], before[i] - 0.25f);
@@ -187,33 +186,6 @@ TEST(ServerTest, SanitizeNeutralizesIdenticallyAcrossSimdTiers) {
       ASSERT_EQ(want[i], got[i]) << simd::IsaName(level) << " index " << i;
     }
   }
-}
-
-TEST(ServerTest, SpanStepMatchesLegacyStep) {
-  std::vector<std::vector<float>> uploads(
-      4, std::vector<float>(nn::MakeMlp(16, 8, 4)->NumParams()));
-  for (size_t i = 0; i < uploads.size(); ++i) {
-    SplitRng rng(8, {0xD1FF, i});
-    rng.FillGaussian(uploads[i].data(), uploads[i].size(), 0.5);
-  }
-  Server legacy(nn::MlpFactory(16, 8, 4),
-                std::make_unique<agg::MeanAggregator>(), data::DatasetView(),
-                1);
-  Server span(nn::MlpFactory(16, 8, 4),
-              std::make_unique<agg::MeanAggregator>(), data::DatasetView(),
-              1);
-  std::vector<float> block(uploads.size() * uploads[0].size());
-  for (size_t i = 0; i < uploads.size(); ++i) {
-    std::memcpy(block.data() + i * uploads[0].size(), uploads[i].data(),
-                uploads[0].size() * sizeof(float));
-  }
-  agg::AggregationContext ctx;
-  ASSERT_TRUE(legacy.Step(uploads, 0.25, ctx).ok());
-  ASSERT_TRUE(
-      span.Step(RowSpan(block.data(), uploads.size(), uploads[0].size()),
-                0.25, ctx)
-          .ok());
-  EXPECT_EQ(legacy.params(), span.params());
 }
 
 // Reference server gradient: per 64-example block, a fresh factory model
@@ -398,9 +370,9 @@ TEST(ServerTest, StepWithoutNeededServerGradientFails) {
            std::make_unique<agg::FlTrustAggregator>(),
            data::DatasetView(&bundle.val, {0, 1, 2}), 3);
   std::vector<float> before = s.params();
-  std::vector<float> direction(s.dim(), 1.0f);
+  std::vector<float> block(2 * s.dim(), 1.0f);
   agg::AggregationContext ctx;
-  Status st = s.Step({direction, direction}, 0.5, ctx);
+  Status st = s.Step(RowSpan(block.data(), 2, s.dim()), 0.5, ctx);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
   EXPECT_EQ(s.params(), before);
 }

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
 #include "aggregators/mean.h"
 #include "attacks/gaussian_attack.h"
+#include "attacks/label_flip.h"
+#include "common/thread_pool.h"
 #include "data/synthetic.h"
 #include "nn/model_zoo.h"
 
@@ -183,6 +186,29 @@ TEST(TrainerTest, GaussianAttackOnMeanDegradesAccuracy) {
   ASSERT_TRUE(hc.ok());
   ASSERT_TRUE(ha.ok());
   EXPECT_GT(hc.value().final_accuracy, ha.value().final_accuracy + 0.15);
+}
+
+TEST(TrainerTest, RunBuildsOneModelPerThreadSlot) {
+  // Workers, poisoned workers (label flipping) and the server share one
+  // set of per-thread-slot models, so the population size never changes
+  // how many models a run builds.
+  data::DatasetBundle bundle = TrainerBundle();
+  TrainerOptions o = FastOptions();
+  o.num_honest = 12;
+  o.num_byzantine = 4;
+  o.epochs = 1;
+  nn::ModelFactory mlp = nn::MlpFactory(16, 8, 4);
+  std::atomic<size_t> built{0};
+  nn::ModelFactory counting = [&] {
+    built.fetch_add(1);
+    return mlp();
+  };
+  FederatedTrainer t(&bundle, counting,
+                     std::make_unique<agg::MeanAggregator>(),
+                     std::make_unique<attacks::LabelFlipAttack>(), o);
+  auto h = t.Run();
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  EXPECT_EQ(built.load(), ThreadSlotCount());
 }
 
 }  // namespace

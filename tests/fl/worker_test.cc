@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <vector>
 
+#include "aggregators/mean.h"
 #include "common/simd.h"
+#include "common/thread_pool.h"
 #include "data/synthetic.h"
+#include "fl/server.h"
 #include "nn/model_zoo.h"
 #include "stats/ks_test.h"
 #include "tensor/ops.h"
@@ -195,6 +200,98 @@ TEST(WorkerTest, UploadNoiseIsGaussianAtSigmaOverBcOnEveryTier) {
     stats::KsResult off = stats::KsTestGaussian(residual, 1.2 * sigma / bc);
     EXPECT_LT(off.p_value, 1e-3) << simd::IsaName(level);
   }
+}
+
+data::DatasetBundle ImageBundle() {
+  data::SyntheticSpec spec;
+  spec.num_classes = 4;
+  spec.image_h = 8;
+  spec.image_w = 8;
+  spec.feature_dim = 64;
+  spec.train_size = 80;
+  spec.val_size = 8;
+  spec.test_size = 8;
+  spec.class_separation = 3.0;
+  auto b = data::GenerateSynthetic(spec, 12);
+  EXPECT_TRUE(b.ok());
+  return std::move(b).value();
+}
+
+std::vector<float> InitialParams(const nn::ModelFactory& f, uint64_t seed) {
+  auto model = f();
+  SplitRng rng(seed);
+  model->InitParams(&rng);
+  return model->FlatParams();
+}
+
+data::DatasetView Range(const data::Dataset* base, size_t lo, size_t hi) {
+  std::vector<size_t> idx;
+  for (size_t i = lo; i < hi; ++i) idx.push_back(i);
+  return data::DatasetView(base, std::move(idx));
+}
+
+void ExpectBitwiseEqual(const std::vector<float>& want,
+                        const std::vector<float>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                           want.size() * sizeof(float)));
+}
+
+TEST(WorkerSlotTest, UploadDoesNotDependOnWhatTheSlotRanBefore) {
+  // A one-thread pool runs every dispatch inline on the caller, so each
+  // pass below runs on the same slot of its ComputeSlots.
+  ThreadPool one(1);
+  ScopedPoolOverride route(&one);
+  data::DatasetBundle bundle = ImageBundle();
+  nn::ModelFactory f = nn::CnnFactory(1, 4, 3, 4);
+  std::vector<float> params = InitialParams(f, 31);
+  data::DatasetView shard = Range(&bundle.train, 0, 40);
+  auto upload_on = [&](const std::shared_ptr<ComputeSlots>& slots) {
+    HonestDpWorker w(0, shard, slots, Opts(1.0), 17);
+    return w.ComputeUpdate(params, 2);
+  };
+
+  // The slot last ran nothing.
+  std::vector<float> want = upload_on(std::make_shared<ComputeSlots>(f));
+
+  // It last ran another worker's step: another shard, batch size and
+  // parameters.
+  auto after_step = std::make_shared<ComputeSlots>(f);
+  WorkerOptions big = Opts(1.0);
+  big.batch_size = 12;
+  HonestDpWorker other(1, Range(&bundle.train, 40, 80), after_step, big, 18);
+  other.ComputeUpdate(InitialParams(f, 32), 5);
+  ExpectBitwiseEqual(want, upload_on(after_step));
+
+  // It last ran a batch-of-1 aux row, then a 64-example evaluation, at
+  // the server's parameters.
+  auto after_server = std::make_shared<ComputeSlots>(f);
+  Server server(after_server, std::make_unique<agg::MeanAggregator>(),
+                data::DatasetView::All(&bundle.val), 33);
+  std::vector<float> row(server.dim());
+  server.AuxGradientRowInto(0, row.data());
+  server.EvaluateAccuracy(Range(&bundle.train, 0, 64));
+  ExpectBitwiseEqual(want, upload_on(after_server));
+}
+
+TEST(WorkerSlotDeathTest, PassOnAnUnpreparedSlotDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  data::DatasetBundle bundle = SmallBundle();
+  nn::ModelFactory f = nn::MlpFactory(16, 8, 4);
+  std::vector<float> params = InitialParams(f, 1);
+  ThreadPool one(1);
+  std::unique_ptr<HonestDpWorker> w;
+  {
+    // Prepared for a one-thread pool: slots 0 and 1.
+    ScopedPoolOverride route(&one);
+    w = std::make_unique<HonestDpWorker>(
+        0, data::DatasetView::All(&bundle.train),
+        std::make_shared<ComputeSlots>(f), Opts(0.0), 1);
+  }
+  // Under a three-thread pool the calling thread's slot is 3.
+  ThreadPool three(3);
+  ScopedPoolOverride route(&three);
+  EXPECT_DEATH(w->ComputeUpdate(params, 1), "Prepare");
 }
 
 }  // namespace
