@@ -5,7 +5,8 @@
 // and gateable. scripts/check_bench_regression.py enforces >= 1.5x
 // floors on the GEMM microkernel, the ReLU sweep, and the Krum distance
 // scan (the ziggurat pair is reported but ungated: its win is
-// acceptance-rate-bound, not width-bound).
+// acceptance-rate-bound, not width-bound; so are the GEMM tile pairs,
+// which time the raw table entries at the CNN's conv2 shapes).
 //
 // Before timing, main() asserts the active table agrees bitwise with
 // the scalar reference on a dot/axpy spot check, mirroring the
@@ -58,6 +59,81 @@ void BM_ScalarGemmConvShape(benchmark::State& state) {
   GemmConvShape(state, simd::IsaLevel::kScalar);
 }
 BENCHMARK(BM_ScalarGemmConvShape)->Unit(benchmark::kMicrosecond);
+
+// --- GEMM tile kernels at the residual/honest CNN's conv2 shapes
+// (16→16 channels, k=5, 12×12 output, one example): forward NN
+// (16×400)·(400×144), the dCol TN panel (400×16)ᵀ-read·(16×144), and the
+// dW NT (16×144)·(400×144)ᵀ. Ungated: per-tier tile throughput.
+
+struct TileShape {
+  size_t m, k, n;
+};
+constexpr TileShape kTileNN = {16, 400, 144};
+constexpr TileShape kTileTN = {400, 16, 144};
+constexpr TileShape kTileNT = {16, 144, 400};
+
+void GemmTileNN(benchmark::State& state, simd::IsaLevel level, bool tn) {
+  simd::ScopedForceIsa force(level);
+  const simd::SimdKernels& kern = simd::Kernels();
+  const TileShape s = tn ? kTileTN : kTileNN;
+  std::vector<float> a = RandomVec(s.m * s.k, 41);
+  std::vector<float> b = RandomVec(s.k * s.n, 42);
+  std::vector<float> c(s.m * s.n);
+  // NN reads A row-major (m×k); TN reads a row-major k×m A transposed.
+  size_t a_rs = tn ? 1 : s.k;
+  size_t a_cs = tn ? s.m : 1;
+  for (auto _ : state) {
+    kern.gemm_nn_tile_f32(s.m, s.n, s.k, a.data(), a_rs, a_cs, b.data(),
+                          s.n, nullptr, c.data(), s.n);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * s.m * s.k * s.n);
+}
+
+void GemmTileNT(benchmark::State& state, simd::IsaLevel level) {
+  simd::ScopedForceIsa force(level);
+  const simd::SimdKernels& kern = simd::Kernels();
+  const TileShape s = kTileNT;
+  std::vector<float> a = RandomVec(s.m * s.k, 43);
+  std::vector<float> b = RandomVec(s.n * s.k, 44);
+  std::vector<float> c(s.m * s.n);
+  for (auto _ : state) {
+    kern.gemm_nt_tile_f32(s.m, s.n, s.k, a.data(), s.k, b.data(), s.k,
+                          false, c.data(), s.n);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * s.m * s.k * s.n);
+}
+
+void BM_SimdGemmTileNN(benchmark::State& state) {
+  GemmTileNN(state, simd::DetectedIsa(), false);
+}
+BENCHMARK(BM_SimdGemmTileNN)->Unit(benchmark::kMicrosecond);
+
+void BM_ScalarGemmTileNN(benchmark::State& state) {
+  GemmTileNN(state, simd::IsaLevel::kScalar, false);
+}
+BENCHMARK(BM_ScalarGemmTileNN)->Unit(benchmark::kMicrosecond);
+
+void BM_SimdGemmTileTN(benchmark::State& state) {
+  GemmTileNN(state, simd::DetectedIsa(), true);
+}
+BENCHMARK(BM_SimdGemmTileTN)->Unit(benchmark::kMicrosecond);
+
+void BM_ScalarGemmTileTN(benchmark::State& state) {
+  GemmTileNN(state, simd::IsaLevel::kScalar, true);
+}
+BENCHMARK(BM_ScalarGemmTileTN)->Unit(benchmark::kMicrosecond);
+
+void BM_SimdGemmTileNT(benchmark::State& state) {
+  GemmTileNT(state, simd::DetectedIsa());
+}
+BENCHMARK(BM_SimdGemmTileNT)->Unit(benchmark::kMicrosecond);
+
+void BM_ScalarGemmTileNT(benchmark::State& state) {
+  GemmTileNT(state, simd::IsaLevel::kScalar);
+}
+BENCHMARK(BM_ScalarGemmTileNT)->Unit(benchmark::kMicrosecond);
 
 // --- ReLU element sweep over an L1/L2-resident activation block. The
 // kernel is branch-free compare-and-zero on every tier, so the timing

@@ -29,6 +29,9 @@ Check families (each finding is tagged `[family-check]`):
                    simd-internal      simd_internal.h (the raw per-ISA
                                       tables) included outside the
                                       dispatcher
+                   simd-fpcontract    a per-ISA simd_*.cc compiled
+                                      without -ffp-contract=off (its
+                                      mul/add pairs may fuse into FMA)
   status           status-discard     a Status/Result-returning call used
                                       as a bare expression statement
 
@@ -141,7 +144,8 @@ INTRINSIC_HEADERS = {
     "nmmintrin.h", "tmmintrin.h", "pmmintrin.h", "wmmintrin.h",
 }
 # ISA-selecting flags; -ffp-contract is deliberately NOT here (the
-# per-ISA TUs legitimately pin it, and it changes codegen, not the ISA).
+# per-ISA TUs legitimately pin it, and it changes codegen, not the ISA;
+# simd-fpcontract requires it on those TUs instead).
 MFLAG_RE = re.compile(
     r"^-m(sse\w*|avx\w*|fma\w*|bmi\w*|f16c|aes|pclmul|popcnt|abm|"
     r"arch=.*|tune=.*)$")
@@ -149,9 +153,12 @@ MFLAG_RE = re.compile(
 ALL_CHECKS = [
     "nondet-rand", "nondet-time", "nondet-unordered",
     "hotpath-alloc", "hotpath-lock", "hotpath-io",
-    "simd-mflags", "simd-intrinsics", "simd-internal",
+    "simd-mflags", "simd-intrinsics", "simd-internal", "simd-fpcontract",
     "status-discard",
 ]
+# Checks that read a TU's compile command rather than its source: their
+# findings carry line 0.
+COMPILE_FLAG_CHECKS = {"simd-mflags", "simd-fpcontract"}
 
 # ---------------------------------------------------------------------------
 # Tokenization
@@ -580,6 +587,19 @@ def _scan_hot_body(rel, ct, lo, hi, findings):
 
 def check_simd_flags(rel, compile_args, findings):
     if rel in SIMD_ISA_TUS:
+        # The per-ISA TUs spell every multiply and add separately; only
+        # -ffp-contract=off stops the compiler fusing them into an FMA
+        # that rounds once where the scalar reference rounds twice. A TU
+        # without a compile-db entry (no flags known) is not judged.
+        contract = [a for a in compile_args
+                    if a.startswith("-ffp-contract=")]
+        if compile_args and (not contract
+                             or contract[-1] != "-ffp-contract=off"):
+            findings.append(Finding(
+                rel, 0, "simd-fpcontract",
+                "per-ISA SIMD TU built without -ffp-contract=off; the "
+                "compiler may fuse its mul/add pairs and break bitwise "
+                "equality with the scalar reference"))
         return
     for arg in compile_args:
         if MFLAG_RE.match(arg):
@@ -754,7 +774,7 @@ def lint_paths(build_dir):
                 headers.append(os.path.join(dirpath, name))
     if not sources:
         # No compile db (e.g. fresh checkout): lint every .cc under src/
-        # without per-TU flags; the simd-mflags check is skipped.
+        # without per-TU flags; the compile-flag checks are skipped.
         for dirpath, _, names in os.walk(os.path.join(REPO_ROOT, "src")):
             for name in sorted(names):
                 if name.endswith(".cc"):
@@ -859,15 +879,16 @@ def self_test(fixture_dir):
                     and not file_allowed(f.check, rel)]
 
         got = {(f.line, f.check) for f in findings}
-        # simd-mflags findings carry line 0 (they come from the compile
-        # command, not a source line); expectations use line 0 via a
+        # Compile-flag findings carry line 0 (they come from the compile
+        # command, not a source line); expectations name them via a
         # comment anywhere -> normalize both sides.
-        exp_mflags = {e for e in expected if e[1] == "simd-mflags"}
-        got_mflags = {g for g in got if g[1] == "simd-mflags"}
-        if exp_mflags and got_mflags:
-            expected -= exp_mflags
-            got -= got_mflags
-            checks_fired.add("simd-mflags")
+        for check in COMPILE_FLAG_CHECKS:
+            exp_flag = {e for e in expected if e[1] == check}
+            got_flag = {g for g in got if g[1] == check}
+            if exp_flag and got_flag:
+                expected -= exp_flag
+                got -= got_flag
+                checks_fired.add(check)
         checks_fired.update(c for _, c in got)
         base = os.path.relpath(path, fixture_dir)
         for line, check in sorted(expected - got):

@@ -51,9 +51,7 @@ DPBR_NOVEC_FN void ScalarAddScalarF32(float a, float* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += a;
 }
 
-// The pinned 8-lane fold (see simd.h). Identical structure to gemm.cc's
-// historical DotChained so routing GEMM through the table is a no-op
-// numerically.
+// The pinned 8-lane fold (see simd.h).
 DPBR_NOVEC_FN float ScalarDot8F32(const float* x, const float* y,
                                   size_t n) {
   float acc[kFoldLanes] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
@@ -69,6 +67,43 @@ DPBR_NOVEC_FN float ScalarDot8F32(const float* x, const float* y,
   float s45 = acc[4] + acc[5];
   float s67 = acc[6] + acc[7];
   return (s01 + s23) + (s45 + s67);
+}
+
+// The NN tile's defining order: each C element starts at its row's
+// init value and takes one multiply-then-add per p, ascending — the
+// sequence a per-(row, p) axpy produces.
+DPBR_NOVEC_FN void ScalarGemmNNTileF32(size_t rows, size_t cols, size_t k,
+                                       const float* a, size_t a_rs,
+                                       size_t a_cs, const float* b,
+                                       size_t ldb, const float* row_init,
+                                       float* c, size_t ldc) {
+  for (size_t r = 0; r < rows; ++r) {
+    float* crow = c + r * ldc;
+    float init = row_init != nullptr ? row_init[r] : 0.0f;
+    DPBR_NOVEC_LOOP
+    for (size_t j = 0; j < cols; ++j) crow[j] = init;
+    for (size_t p = 0; p < k; ++p) {
+      float ar = a[r * a_rs + p * a_cs];
+      const float* brow = b + p * ldb;
+      DPBR_NOVEC_LOOP
+      for (size_t j = 0; j < cols; ++j) crow[j] += ar * brow[j];
+    }
+  }
+}
+
+// The NT tile's defining order: every element is one dot8 fold.
+DPBR_NOVEC_FN void ScalarGemmNTTileF32(size_t rows, size_t cols, size_t k,
+                                       const float* a, size_t lda,
+                                       const float* b, size_t ldb,
+                                       bool accumulate, float* c,
+                                       size_t ldc) {
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t j = 0; j < cols; ++j) {
+      float d = ScalarDot8F32(a + r * lda, b + j * ldb, k);
+      float* cj = c + r * ldc + j;
+      *cj = accumulate ? *cj + d : d;
+    }
+  }
 }
 
 DPBR_NOVEC_FN double ScalarDistSq8F64(const float* a, const float* b,
@@ -213,6 +248,8 @@ const SimdKernels& ScalarTable() {
       /*scale_f32=*/&ScalarScaleF32,
       /*add_scalar_f32=*/&ScalarAddScalarF32,
       /*dot8_f32=*/&ScalarDot8F32,
+      /*gemm_nn_tile_f32=*/&ScalarGemmNNTileF32,
+      /*gemm_nt_tile_f32=*/&ScalarGemmNTTileF32,
       /*distsq8_f64=*/&ScalarDistSq8F64,
       /*sum8_f64=*/&ScalarSum8F64,
       /*relu_f32=*/&ScalarReluF32,

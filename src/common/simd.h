@@ -15,6 +15,14 @@
 //    ISA the host supports, including NaN/±0/denormal/±Inf payloads.
 //  * Element-wise kernels (axpy, activations, GroupNorm sweeps) vectorize
 //    without reassociating anything, so bitwise equality is structural.
+//  * The GEMM tiles keep a block of C in registers across the whole k
+//    sweep, but each element's sequence of operations is fixed by the
+//    kernel's definition: ascending-p multiply-then-add for the NN tile,
+//    the dot8 fold for the NT tile. Register-tile shapes differ per tier;
+//    values do not. One exception to bitwise: where two NaN operands
+//    meet, x86 keeps the first operand's payload and compilers order
+//    commutative adds and multiplies freely, so a NaN result stays NaN
+//    but its payload is not pinned.
 //  * Reduction kernels (dot8/distsq8/sum8) use a PINNED 8-lane fold:
 //    lane l accumulates elements with index ≡ l (mod 8) and the lanes
 //    combine in a fixed tree, regardless of the ISA's native width. The
@@ -79,6 +87,28 @@ struct SimdKernels {
   /// 8-chain float dot product: lane l sums x[p]*y[p] for p ≡ l (mod 8),
   /// lanes combined ((s01+s23)+(s45+s67)) with sJK = accJ+accK.
   float (*dot8_f32)(const float* x, const float* y, size_t n);
+
+  /// Register-blocked NN GEMM tile: for r < rows, j < cols,
+  ///   c[r·ldc + j] = init_r + Σ_{p<k} a[r·a_rs + p·a_cs] · b[p·ldb + j]
+  /// with init_r = row_init ? row_init[r] : 0. Each element starts at
+  /// init_r and adds one product per p in ascending order, multiply then
+  /// add, never fused — the exact sequence of an axpy_f32 per (row, p).
+  /// (a_rs, a_cs) = (k, 1) reads a row-major m×k A (NN); (1, m) reads
+  /// the transpose of a row-major k×m A (TN). c must not alias a or b.
+  void (*gemm_nn_tile_f32)(size_t rows, size_t cols, size_t k,
+                           const float* a, size_t a_rs, size_t a_cs,
+                           const float* b, size_t ldb, const float* row_init,
+                           float* c, size_t ldc);
+
+  /// Register-blocked NT GEMM tile: for r < rows, j < cols,
+  ///   d = dot8_f32(a + r·lda, b + j·ldb, k)
+  ///   c[r·ldc + j] = accumulate ? c[r·ldc + j] + d : d
+  /// where d is bitwise the dot8_f32 value: same lanes, same scalar tail
+  /// lanes, same combine tree.
+  void (*gemm_nt_tile_f32)(size_t rows, size_t cols, size_t k,
+                           const float* a, size_t lda, const float* b,
+                           size_t ldb, bool accumulate, float* c,
+                           size_t ldc);
 
   /// 8-chain double squared distance: lane l sums
   /// (double(a[p])-double(b[p]))² for p ≡ l (mod 8), same combine tree.

@@ -17,10 +17,11 @@ namespace simd {
 namespace {
 
 using K8 = detail::Kernels8<detail::TraitsAvx2>;
+using Tiles = detail::GemmTiles<detail::TraitsAvx2>;
 
 // Pinned 8-lane fold: one 8-float accumulator, lane l ≡ fold lane l.
 // Spill + scalar combine tree keeps the result bitwise equal to
-// ScalarDot8F32 (and to gemm.cc's historical DotChained).
+// ScalarDot8F32.
 float Avx2Dot8F32(const float* x, const float* y, size_t n) {
   __m256 vacc = _mm256_setzero_ps();
   size_t p = 0;
@@ -269,6 +270,8 @@ const SimdKernels* detail::Avx2Table() {
     t.scale_f32 = &K8::ScaleF32;
     t.add_scalar_f32 = &K8::AddScalarF32;
     t.dot8_f32 = &Avx2Dot8F32;
+    t.gemm_nn_tile_f32 = &Tiles::NNTileF32;
+    t.gemm_nt_tile_f32 = &Tiles::NTTileF32;
     t.distsq8_f64 = &Avx2DistSq8F64;
     t.sum8_f64 = &Avx2Sum8F64;
     t.relu_f32 = &K8::ReluF32;

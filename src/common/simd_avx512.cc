@@ -2,11 +2,12 @@
 // -ffp-contract=off when the toolchain supports it; self-gated so the
 // file compiles to a null table otherwise.
 //
-// Only the element-wise kernels widen to 512 bits. The pinned 8-lane
-// reductions, the transpose, and the ziggurat batch kernel keep their
-// AVX2 implementations: the fold width is fixed at 8 by the determinism
-// contract, so a 16-lane version would have to emulate the 8-lane tree
-// anyway and wins nothing.
+// The element-wise kernels and the GEMM tiles widen to 512 bits (the
+// NT tile packs two columns' 8-lane folds into one zmm). The pinned
+// 8-lane reductions, the transpose, and the ziggurat batch kernel keep
+// their AVX2 implementations: the fold width is fixed at 8 by the
+// determinism contract, so a 16-lane version of one dot would have to
+// emulate the 8-lane tree anyway and wins nothing.
 
 #include "common/simd_internal.h"
 
@@ -21,6 +22,7 @@ namespace simd {
 
 namespace {
 using K8 = detail::Kernels8<detail::TraitsAvx512>;
+using Tiles = detail::GemmTiles<detail::TraitsAvx512>;
 }  // namespace
 
 const SimdKernels* detail::Avx512Table() {
@@ -32,6 +34,8 @@ const SimdKernels* detail::Avx512Table() {
     t.add_f32 = &K8::AddF32;
     t.scale_f32 = &K8::ScaleF32;
     t.add_scalar_f32 = &K8::AddScalarF32;
+    t.gemm_nn_tile_f32 = &Tiles::NNTileF32;
+    t.gemm_nt_tile_f32 = &Tiles::NTTileF32;
     t.relu_f32 = &K8::ReluF32;
     t.relu_grad_f32 = &K8::ReluGradF32;
     t.elu_f32 = &K8::EluF32;

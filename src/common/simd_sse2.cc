@@ -15,6 +15,7 @@ namespace simd {
 namespace {
 
 using K8 = detail::Kernels8<detail::TraitsSse2>;
+using Tiles = detail::GemmTiles<detail::TraitsSse2>;
 
 // Pinned 8-lane fold with two 4-float accumulators: acc_lo carries lanes
 // 0..3, acc_hi lanes 4..7. Lanes spill to an array and combine in the
@@ -147,6 +148,8 @@ const SimdKernels* detail::Sse2Table() {
     t.scale_f32 = &K8::ScaleF32;
     t.add_scalar_f32 = &K8::AddScalarF32;
     t.dot8_f32 = &Sse2Dot8F32;
+    t.gemm_nn_tile_f32 = &Tiles::NNTileF32;
+    t.gemm_nt_tile_f32 = &Tiles::NTTileF32;
     t.distsq8_f64 = &Sse2DistSq8F64;
     t.sum8_f64 = &Sse2Sum8F64;
     t.relu_f32 = &K8::ReluF32;

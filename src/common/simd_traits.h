@@ -14,11 +14,17 @@
 //   CmpLtZeroF/CmpLeZeroF/CmpEqZeroF         ordered compares vs 0
 //   ZeroWhere/SelectF                        mask-driven blends
 //   AllGtZeroF/AllFiniteF                    whole-vector predicates
+//   V8 / kJ8                                 pinned-fold view: one dot8
+//                                            accumulator per kJ8 columns
+//   Zero8/LoadA8/LoadB8/AddMul8/Store8/Fold8 fold-view ops (never FMA;
+//                                            Fold8 is the dot8 tree)
+//   kNnRows/kNnVecs/kNtRows/kNtGroups        GEMM register-tile shapes
 //
-// Kernels8<Traits> then implements the element-wise kernel bodies once;
-// the chained reductions (pinned 8-lane folds) and the ziggurat batch
-// kernel are hand-written per ISA in their translation units because
-// their shape is width-specific by definition.
+// Kernels8<Traits> then implements the element-wise kernel bodies once,
+// and GemmTiles<Traits> the register-blocked GEMM tiles; the chained
+// reductions (pinned 8-lane folds) and the ziggurat batch kernel are
+// hand-written per ISA in their translation units because their shape
+// is width-specific by definition.
 //
 // All kernels handle arbitrary n: full vectors in the main loop, then a
 // scalar tail that never reads or writes past index n-1 (the equivalence
@@ -30,6 +36,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+
+#include "common/simd.h"
 
 #if defined(__SSE2__)
 #include <immintrin.h>
@@ -81,6 +89,39 @@ struct TraitsSse2 {
     VF inf = _mm_castsi128_ps(_mm_set1_epi32(0x7F800000));
     return _mm_movemask_ps(_mm_cmplt_ps(abs, inf)) == 0xF;
   }
+
+  // Pinned-fold view (see GemmTiles): one 8-lane dot8 accumulator per
+  // kJ8 output columns — here a pair of xmm for a single column.
+  struct V8 {
+    __m128 lo, hi;
+  };
+  static constexpr size_t kJ8 = 1;
+  static V8 Zero8() { return {_mm_setzero_ps(), _mm_setzero_ps()}; }
+  static V8 LoadA8(const float* a) {
+    return {_mm_loadu_ps(a), _mm_loadu_ps(a + 4)};
+  }
+  static V8 LoadB8(const float* b0, const float* /*b1*/) { return LoadA8(b0); }
+  static V8 AddMul8(V8 acc, V8 x, V8 y) {
+    return {AddF(acc.lo, MulF(x.lo, y.lo)), AddF(acc.hi, MulF(x.hi, y.hi))};
+  }
+  static void Store8(float* out, V8 v) {
+    _mm_storeu_ps(out, v.lo);
+    _mm_storeu_ps(out + 4, v.hi);
+  }
+  // out[0] = ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)), the dot8 tree.
+  static void Fold8(V8 v, float* out) {
+    __m128 lo = AddF(v.lo, _mm_shuffle_ps(v.lo, v.lo, 0xB1));
+    __m128 hi = AddF(v.hi, _mm_shuffle_ps(v.hi, v.hi, 0xB1));
+    lo = AddF(lo, _mm_shuffle_ps(lo, lo, 0x4E));
+    hi = AddF(hi, _mm_shuffle_ps(hi, hi, 0x4E));
+    out[0] = _mm_cvtss_f32(_mm_add_ss(lo, hi));
+  }
+
+  // Register-tile shapes: NN rows × vectors, NT rows × column groups.
+  static constexpr size_t kNnRows = 6;
+  static constexpr size_t kNnVecs = 2;
+  static constexpr size_t kNtRows = 2;
+  static constexpr size_t kNtGroups = 2;
 };
 
 #endif  // __SSE2__
@@ -138,6 +179,28 @@ struct TraitsAvx2 {
     VF inf = _mm256_castsi256_ps(_mm256_set1_epi32(0x7F800000));
     return _mm256_movemask_ps(_mm256_cmp_ps(abs, inf, _CMP_LT_OQ)) == 0xFF;
   }
+
+  // Pinned-fold view: one ymm is one column's 8 fold lanes.
+  using V8 = __m256;
+  static constexpr size_t kJ8 = 1;
+  static V8 Zero8() { return _mm256_setzero_ps(); }
+  static V8 LoadA8(const float* a) { return _mm256_loadu_ps(a); }
+  static V8 LoadB8(const float* b0, const float* /*b1*/) {
+    return _mm256_loadu_ps(b0);
+  }
+  static V8 AddMul8(V8 acc, V8 x, V8 y) { return AddF(acc, MulF(x, y)); }
+  static void Store8(float* out, V8 v) { _mm256_storeu_ps(out, v); }
+  static void Fold8(V8 v, float* out) {
+    v = AddF(v, _mm256_permute_ps(v, 0xB1));
+    v = AddF(v, _mm256_permute_ps(v, 0x4E));
+    out[0] = _mm_cvtss_f32(
+        _mm_add_ss(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1)));
+  }
+
+  static constexpr size_t kNnRows = 6;
+  static constexpr size_t kNnVecs = 2;
+  static constexpr size_t kNtRows = 4;
+  static constexpr size_t kNtGroups = 2;
 };
 
 #endif  // __AVX2__
@@ -201,6 +264,36 @@ struct TraitsAvx512 {
     VF inf = _mm512_castsi512_ps(_mm512_set1_epi32(0x7F800000));
     return _mm512_cmp_ps_mask(abs, inf, _CMP_LT_OQ) == 0xFFFF;
   }
+
+  // Pinned-fold view: one zmm carries two columns' 8 fold lanes (column
+  // b0 in the low half, b1 in the high half); A's 8 lanes are broadcast
+  // to both halves.
+  using V8 = __m512;
+  static constexpr size_t kJ8 = 2;
+  static V8 Zero8() { return _mm512_setzero_ps(); }
+  static V8 LoadA8(const float* a) {
+    return _mm512_broadcast_f32x8(_mm256_loadu_ps(a));
+  }
+  static V8 LoadB8(const float* b0, const float* b1) {
+    return _mm512_insertf32x8(_mm512_zextps256_ps512(_mm256_loadu_ps(b0)),
+                              _mm256_loadu_ps(b1), 1);
+  }
+  static V8 AddMul8(V8 acc, V8 x, V8 y) { return AddF(acc, MulF(x, y)); }
+  static void Store8(float* out, V8 v) { _mm512_storeu_ps(out, v); }
+  // Both columns' trees at once: pairs, then quads within each 128-bit
+  // lane, then the two 128-bit lanes of each 256-bit half.
+  static void Fold8(V8 v, float* out) {
+    v = AddF(v, _mm512_permute_ps(v, 0xB1));
+    v = AddF(v, _mm512_permute_ps(v, 0x4E));
+    v = AddF(v, _mm512_shuffle_f32x4(v, v, 0xB1));
+    out[0] = _mm512_cvtss_f32(v);
+    out[1] = _mm_cvtss_f32(_mm512_extractf32x4_ps(v, 2));
+  }
+
+  static constexpr size_t kNnRows = 8;
+  static constexpr size_t kNnVecs = 3;
+  static constexpr size_t kNtRows = 3;
+  static constexpr size_t kNtGroups = 4;
 };
 
 #endif  // __AVX512F__ && __AVX512DQ__
@@ -363,6 +456,204 @@ struct Kernels8 {
       if (!std::isfinite(x[i])) return false;
     }
     return true;
+  }
+};
+
+// Register-blocked GEMM tiles over a trait (the gemm_nn_tile_f32 /
+// gemm_nt_tile_f32 table entries; contracts in simd.h). Register-tile
+// shapes come from the trait; per-element values do not depend on them:
+//  * NN keeps a kNnRows × (kNnVecs·kF) block of C in registers across
+//    the whole k sweep; every element still takes its products one p at
+//    a time, ascending, multiply then add. Row remainders run at half
+//    the tile height (down to one row), column remainders at one vector
+//    and then in the scalar loop.
+//  * NT keeps one pinned 8-lane fold accumulator per (row, column) —
+//    kJ8 columns share a vector — and finishes each element exactly as
+//    dot8_f32 does: scalar tail lanes, then the fixed combine tree (in
+//    registers via Fold8 when k leaves no tail lanes). Column
+//    remainders run at half the group count; a lone column in a
+//    multi-column group is computed twice and stored once.
+template <typename T>
+struct GemmTiles {
+  using VF = typename T::VF;
+  using V8 = typename T::V8;
+
+  static void NNTileF32(size_t rows, size_t cols, size_t k, const float* a,
+                        size_t a_rs, size_t a_cs, const float* b, size_t ldb,
+                        const float* row_init, float* c, size_t ldc) {
+    constexpr size_t kWide = T::kNnVecs * T::kF;
+    size_t j = 0;
+    for (; j + kWide <= cols; j += kWide) {
+      NNRows<T::kNnRows, T::kNnVecs>(rows, k, a, a_rs, a_cs, b + j, ldb,
+                                     row_init, c + j, ldc);
+    }
+    for (; j + T::kF <= cols; j += T::kF) {
+      NNRows<T::kNnRows, 1>(rows, k, a, a_rs, a_cs, b + j, ldb, row_init,
+                            c + j, ldc);
+    }
+    if (j == cols) return;
+    for (size_t r = 0; r < rows; ++r) {
+      float* crow = c + r * ldc + j;
+      float init = row_init != nullptr ? row_init[r] : 0.0f;
+      for (size_t t = 0; j + t < cols; ++t) crow[t] = init;
+      for (size_t p = 0; p < k; ++p) {
+        float ar = a[r * a_rs + p * a_cs];
+        const float* brow = b + p * ldb + j;
+        for (size_t t = 0; j + t < cols; ++t) crow[t] += ar * brow[t];
+      }
+    }
+  }
+
+  static void NTTileF32(size_t rows, size_t cols, size_t k, const float* a,
+                        size_t lda, const float* b, size_t ldb,
+                        bool accumulate, float* c, size_t ldc) {
+    NTCols<T::kNtGroups>(rows, cols, k, a, lda, b, ldb, accumulate, c, ldc);
+  }
+
+ private:
+  // One MR × (NV·kF) block of C, held in registers for the whole sweep.
+  template <size_t MR, size_t NV>
+  static void NNBlock(size_t k, const float* a, size_t a_rs, size_t a_cs,
+                      const float* b, size_t ldb, const float* row_init,
+                      float* c, size_t ldc) {
+    VF acc[MR][NV];
+    for (size_t r = 0; r < MR; ++r) {
+      VF init = T::Set1F(row_init != nullptr ? row_init[r] : 0.0f);
+      for (size_t v = 0; v < NV; ++v) acc[r][v] = init;
+    }
+    for (size_t p = 0; p < k; ++p) {
+      const float* brow = b + p * ldb;
+      const float* acol = a + p * a_cs;
+      VF bv[NV];
+      for (size_t v = 0; v < NV; ++v) bv[v] = T::LoadF(brow + v * T::kF);
+      for (size_t r = 0; r < MR; ++r) {
+        VF ar = T::Set1F(acol[r * a_rs]);
+        for (size_t v = 0; v < NV; ++v) {
+          acc[r][v] = T::AddF(acc[r][v], T::MulF(ar, bv[v]));
+        }
+      }
+    }
+    for (size_t r = 0; r < MR; ++r) {
+      for (size_t v = 0; v < NV; ++v) {
+        T::StoreF(c + r * ldc + v * T::kF, acc[r][v]);
+      }
+    }
+  }
+
+  template <size_t MR, size_t NV>
+  static void NNRows(size_t rows, size_t k, const float* a, size_t a_rs,
+                     size_t a_cs, const float* b, size_t ldb,
+                     const float* row_init, float* c, size_t ldc) {
+    size_t r = 0;
+    for (; r + MR <= rows; r += MR) {
+      NNBlock<MR, NV>(k, a + r * a_rs, a_rs, a_cs, b, ldb,
+                      row_init != nullptr ? row_init + r : nullptr,
+                      c + r * ldc, ldc);
+    }
+    if constexpr (MR > 1) {
+      if (r < rows) {
+        NNRows<MR / 2, NV>(rows - r, k, a + r * a_rs, a_rs, a_cs, b, ldb,
+                           row_init != nullptr ? row_init + r : nullptr,
+                           c + r * ldc, ldc);
+      }
+    }
+  }
+
+  // One MR × (NG·kJ8) block of dot8 folds; only the first `ncols`
+  // columns are real (the rest repeat the last one and are not stored).
+  template <size_t MR, size_t NG>
+  static void NTBlock(size_t ncols, size_t k, const float* a, size_t lda,
+                      const float* b, size_t ldb, bool accumulate, float* c,
+                      size_t ldc) {
+    constexpr size_t kCols = NG * T::kJ8;
+    const float* bcol[kCols];
+    for (size_t t = 0; t < kCols; ++t) {
+      bcol[t] = b + (t < ncols ? t : ncols - 1) * ldb;
+    }
+    V8 acc[MR][NG];
+    for (size_t r = 0; r < MR; ++r) {
+      for (size_t g = 0; g < NG; ++g) acc[r][g] = T::Zero8();
+    }
+    size_t p = 0;
+    for (; p + kFoldLanes <= k; p += kFoldLanes) {
+      V8 av[MR];
+      for (size_t r = 0; r < MR; ++r) av[r] = T::LoadA8(a + r * lda + p);
+      for (size_t g = 0; g < NG; ++g) {
+        V8 bv = T::LoadB8(bcol[g * T::kJ8] + p,
+                          bcol[g * T::kJ8 + T::kJ8 - 1] + p);
+        for (size_t r = 0; r < MR; ++r) {
+          acc[r][g] = T::AddMul8(acc[r][g], av[r], bv);
+        }
+      }
+    }
+    for (size_t r = 0; r < MR; ++r) {
+      const float* arow = a + r * lda;
+      for (size_t g = 0; g < NG; ++g) {
+        float d[T::kJ8];
+        if (p == k) {
+          T::Fold8(acc[r][g], d);
+        } else {
+          // Tail lanes, then the tree, in scalar exactly as dot8_f32.
+          float lanes[kFoldLanes * T::kJ8];
+          T::Store8(lanes, acc[r][g]);
+          for (size_t jj = 0; jj < T::kJ8; ++jj) {
+            float* l = lanes + jj * kFoldLanes;
+            const float* bt = bcol[g * T::kJ8 + jj];
+            for (size_t q = 0; p + q < k; ++q) {
+              l[q] += arow[p + q] * bt[p + q];
+            }
+            float s01 = l[0] + l[1];
+            float s23 = l[2] + l[3];
+            float s45 = l[4] + l[5];
+            float s67 = l[6] + l[7];
+            d[jj] = (s01 + s23) + (s45 + s67);
+          }
+        }
+        for (size_t jj = 0; jj < T::kJ8; ++jj) {
+          size_t t = g * T::kJ8 + jj;
+          if (t >= ncols) break;
+          float* cj = c + r * ldc + t;
+          *cj = accumulate ? *cj + d[jj] : d[jj];
+        }
+      }
+    }
+  }
+
+  template <size_t MR, size_t NG>
+  static void NTRows(size_t rows, size_t ncols, size_t k, const float* a,
+                     size_t lda, const float* b, size_t ldb, bool accumulate,
+                     float* c, size_t ldc) {
+    size_t r = 0;
+    for (; r + MR <= rows; r += MR) {
+      NTBlock<MR, NG>(ncols, k, a + r * lda, lda, b, ldb, accumulate,
+                      c + r * ldc, ldc);
+    }
+    if constexpr (MR > 1) {
+      if (r < rows) {
+        NTRows<MR / 2, NG>(rows - r, ncols, k, a + r * lda, lda, b, ldb,
+                           accumulate, c + r * ldc, ldc);
+      }
+    }
+  }
+
+  template <size_t NG>
+  static void NTCols(size_t rows, size_t cols, size_t k, const float* a,
+                     size_t lda, const float* b, size_t ldb, bool accumulate,
+                     float* c, size_t ldc) {
+    constexpr size_t kCols = NG * T::kJ8;
+    size_t j = 0;
+    for (; j + kCols <= cols; j += kCols) {
+      NTRows<T::kNtRows, NG>(rows, kCols, k, a, lda, b + j * ldb, ldb,
+                             accumulate, c + j, ldc);
+    }
+    if (j == cols) return;
+    if constexpr (NG > 1) {
+      NTCols<NG / 2>(rows, cols - j, k, a, lda, b + j * ldb, ldb,
+                     accumulate, c + j, ldc);
+    } else {
+      NTRows<T::kNtRows, 1>(rows, cols - j, k, a, lda, b + j * ldb, ldb,
+                            accumulate, c + j, ldc);
+    }
   }
 };
 

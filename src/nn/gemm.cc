@@ -11,94 +11,11 @@ namespace dpbr {
 namespace nn {
 namespace {
 
-// Rows of C handled by one parallel task. Derived from nothing but this
-// constant and m, so the work split — and therefore every accumulation
-// sequence — is independent of the pool size.
+// Rows of C handled by one parallel task of GemmNN/GemmNT. Derived
+// from nothing but this constant and m, so the work split is independent
+// of the pool size; the tile kernels fix every element's accumulation
+// order, so the split never changes a value either.
 constexpr size_t kRowBlock = 8;
-
-// k-panel height for the rank-1-update kernels: a panel of B rows is
-// streamed once per block of C rows, keeping it hot in L1/L2. Tiling
-// only reorders *loads*; each C element still accumulates its products
-// in ascending-p order, so the tile size never changes results.
-constexpr size_t kPanelK = 64;
-
-// j-tile width for the dot-product (NT) kernel: a tile of B rows stays
-// cached while every A row is dotted against it.
-constexpr size_t kTileN = 32;
-
-// Column-tile width for the NN kernel. Wide outputs (the batched conv
-// panel is N·OH·OW columns) are cut into tiles so one C-row tile (4 KB)
-// stays in L1 across the whole ascending-p sweep instead of being
-// re-streamed from L2 once per panel row. Column tiling never touches an
-// element's accumulation order, so results are unchanged; it only adds a
-// second parallelism axis (row blocks × column tiles).
-constexpr size_t kColTileNN = 1024;
-
-// Serial NN kernel on the C tile [i0, i1) × [j0, j1).
-void GemmNNTile(size_t i0, size_t i1, size_t j0, size_t j1, size_t k,
-                size_t n, const float* a, const float* b, float* c,
-                const float* row_init) {
-  size_t jn = j1 - j0;
-  for (size_t i = i0; i < i1; ++i) {
-    float* crow = c + i * n + j0;
-    if (row_init != nullptr) {
-      for (size_t j = 0; j < jn; ++j) crow[j] = row_init[i];
-    } else {
-      std::memset(crow, 0, jn * sizeof(float));
-    }
-  }
-  const simd::SimdKernels& kern = simd::Kernels();
-  for (size_t p0 = 0; p0 < k; p0 += kPanelK) {
-    size_t p1 = std::min(k, p0 + kPanelK);
-    for (size_t i = i0; i < i1; ++i) {
-      const float* arow = a + i * k;
-      float* crow = c + i * n + j0;
-      for (size_t p = p0; p < p1; ++p) {
-        const float* brow = b + p * n + j0;
-        kern.axpy_f32(arow[p], brow, crow, jn);
-      }
-    }
-  }
-}
-
-// Serial TN kernel on a block of C rows [i0, i1): C = Aᵀ·B, A is (k×m).
-void GemmTNRows(size_t i0, size_t i1, size_t m, size_t k, size_t n,
-                const float* a, const float* b, float* c) {
-  for (size_t i = i0; i < i1; ++i) {
-    std::memset(c + i * n, 0, n * sizeof(float));
-  }
-  const simd::SimdKernels& kern = simd::Kernels();
-  for (size_t p0 = 0; p0 < k; p0 += kPanelK) {
-    size_t p1 = std::min(k, p0 + kPanelK);
-    for (size_t i = i0; i < i1; ++i) {
-      float* crow = c + i * n;
-      for (size_t p = p0; p < p1; ++p) {
-        kern.axpy_f32(a[p * m + i], b + p * n, crow, n);
-      }
-    }
-  }
-}
-
-// Serial NT kernel on a block of C rows [i0, i1): C = A·Bᵀ, B is (n×k).
-// The per-element dot is simd dot8_f32 — eight fixed interleaved chains
-// (lane l sums p ≡ l (mod 8), lanes combined in a fixed tree), whose
-// lane assignment depends only on k, so the value is reproducible and
-// identical on every dispatch tier (the historical DotChained fold).
-void GemmNTRows(size_t i0, size_t i1, size_t k, size_t n, const float* a,
-                const float* b, float* c, bool accumulate) {
-  const simd::SimdKernels& kern = simd::Kernels();
-  for (size_t j0 = 0; j0 < n; j0 += kTileN) {
-    size_t j1 = std::min(n, j0 + kTileN);
-    for (size_t i = i0; i < i1; ++i) {
-      const float* arow = a + i * k;
-      float* crow = c + i * n;
-      for (size_t j = j0; j < j1; ++j) {
-        float d = kern.dot8_f32(arow, b + j * k, k);
-        crow[j] = accumulate ? crow[j] + d : d;
-      }
-    }
-  }
-}
 
 }  // namespace
 
@@ -133,27 +50,18 @@ double* Workspace::GetDouble(size_t slot, size_t n) {
 void GemmNN(size_t m, size_t k, size_t n, const float* a, const float* b,
             float* c, const float* row_init) {
   if (m == 0 || n == 0) return;
-  // 2-d work split: tasks are (row block, column tile) pairs, derived
-  // from (m, n) and compile-time constants only — never the pool size.
-  size_t col_tiles = (n + kColTileNN - 1) / kColTileNN;
-  size_t row_blocks = (m + kRowBlock - 1) / kRowBlock;
-  ParallelForBlocked(row_blocks * col_tiles, 1, [&](size_t t0, size_t t1) {
-    for (size_t t = t0; t < t1; ++t) {
-      size_t i0 = (t / col_tiles) * kRowBlock;
-      size_t j0 = (t % col_tiles) * kColTileNN;
-      GemmNNTile(i0, std::min(m, i0 + kRowBlock), j0,
-                 std::min(n, j0 + kColTileNN), k, n, a, b, c, row_init);
-    }
+  const simd::SimdKernels& kern = simd::Kernels();
+  ParallelForBlocked(m, kRowBlock, [&](size_t lo, size_t hi) {
+    kern.gemm_nn_tile_f32(hi - lo, n, k, a + lo * k, k, 1, b, n,
+                          row_init != nullptr ? row_init + lo : nullptr,
+                          c + lo * n, n);
   });
 }
 
 void GemmNNSerialRow(size_t k, size_t n, const float* a, const float* b,
                      float* c, const float* row_init) {
   if (n == 0) return;
-  for (size_t j0 = 0; j0 < n; j0 += kColTileNN) {
-    GemmNNTile(0, 1, j0, std::min(n, j0 + kColTileNN), k, n, a, b, c,
-               row_init);
-  }
+  simd::Kernels().gemm_nn_tile_f32(1, n, k, a, k, 1, b, n, row_init, c, n);
 }
 
 void GemmBatchedNN(size_t m, size_t k, size_t n, size_t batch,
@@ -167,16 +75,11 @@ void GemmBatchedNN(size_t m, size_t k, size_t n, size_t batch,
     // outlive the example's tiles, so this sharing cannot change any
     // output bit.
     float* panel = ThreadPanel(kPanelSlotNNFill, k * n);
+    const simd::SimdKernels& kern = simd::Kernels();
     for (size_t ex = e0; ex < e1; ++ex) {
       fill_panel(ex, panel);
-      float* cx = c + ex * m * n;
-      for (size_t i0 = 0; i0 < m; i0 += kRowBlock) {
-        for (size_t j0 = 0; j0 < n; j0 += kColTileNN) {
-          GemmNNTile(i0, std::min(m, i0 + kRowBlock), j0,
-                     std::min(n, j0 + kColTileNN), k, n, a, panel, cx,
-                     row_init);
-        }
-      }
+      kern.gemm_nn_tile_f32(m, n, k, a, k, 1, panel, n, row_init,
+                            c + ex * m * n, n);
     }
   });
 }
@@ -193,12 +96,14 @@ void GemmBatchedNT(
     // epilogue that runs a batch-1 GemmBatchedTN (Conv2d's dX) cannot
     // clobber the panel it was handed.
     float* panel = ThreadPanel(kPanelSlotNTFill, n * k);
+    const simd::SimdKernels& kern = simd::Kernels();
     for (size_t ex = e0; ex < e1; ++ex) {
       fill_b(ex, panel);
-      // All m rows serially: identical per-element dot8_f32 values to
-      // a GemmNT over the same operands, which only splits these rows.
-      GemmNTRows(0, m, k, n, a + ex * a_stride, panel, c_of(ex),
-                 accumulate);
+      // All m rows in one tile call: identical per-element dot8_f32
+      // values to a GemmNT over the same operands, which only splits
+      // these rows.
+      kern.gemm_nt_tile_f32(m, n, k, a + ex * a_stride, k, panel, k,
+                            accumulate, c_of(ex), n);
       if (epilogue) epilogue(ex, panel);
     }
   });
@@ -211,8 +116,11 @@ void GemmBatchedTN(
   if (m == 0 || n == 0 || batch == 0) return;
   ParallelForBlocked(batch, 1, [&](size_t e0, size_t e1) {
     float* panel = ThreadPanel(kPanelSlotTNOut, m * n);
+    const simd::SimdKernels& kern = simd::Kernels();
     for (size_t ex = e0; ex < e1; ++ex) {
-      GemmTNRows(0, m, m, k, n, a, b + ex * b_stride, panel);
+      // Aᵀ read in place: row r of Aᵀ is column r of A, stride m.
+      kern.gemm_nn_tile_f32(m, n, k, a, 1, m, b + ex * b_stride, n, nullptr,
+                            panel, n);
       consume(ex, panel);
     }
   });
@@ -221,8 +129,10 @@ void GemmBatchedTN(
 void GemmNT(size_t m, size_t k, size_t n, const float* a, const float* b,
             float* c, bool accumulate) {
   if (m == 0 || n == 0) return;
+  const simd::SimdKernels& kern = simd::Kernels();
   ParallelForBlocked(m, kRowBlock, [&](size_t lo, size_t hi) {
-    GemmNTRows(lo, hi, k, n, a, b, c, accumulate);
+    kern.gemm_nt_tile_f32(hi - lo, n, k, a + lo * k, k, b, k, accumulate,
+                          c + lo * n, n);
   });
 }
 

@@ -1,12 +1,15 @@
-// Cache-blocked, threaded GEMM primitives and the per-layer workspace
-// arena the nn compute layer runs on.
+// Threaded GEMM drivers over the register-blocked SIMD tiles, and the
+// per-layer workspace arena the nn compute layer runs on.
 //
-// Every kernel is deterministic under any thread-pool size: work is split
-// across rows of the output matrix with block boundaries derived from the
-// problem shape only, and each output element accumulates its products in
-// a fixed order chosen by the kernel, never by the schedule. Calling the
-// same kernel under pool sizes 1, 2 and N therefore yields bit-identical
-// results (the contract tests/nn/kernel_equivalence_test.cc enforces).
+// Every product runs through one of two simd::SimdKernels entries:
+// gemm_nn_tile_f32 (NN, and TN by reading A transposed in place) and
+// gemm_nt_tile_f32. Each fixes every output element's accumulation order
+// (ascending-p multiply-then-add; the pinned dot8 fold) independently of
+// its tile, tier and schedule. Work is split across rows of the output
+// matrix, or across examples, with block boundaries derived from the
+// problem shape only. Calling the same kernel under pool sizes 1, 2 and
+// N, on any SIMD tier, therefore yields bit-identical results (the
+// contract tests/nn/kernel_equivalence_test.cc enforces).
 //
 // Hooks are FunctionRef, not std::function: the batched kernels invoke
 // them synchronously inside dispatch bodies, so the call sites construct
@@ -83,7 +86,7 @@ void GemmNN(size_t m, size_t k, size_t n, const float* a, const float* b,
 
 /// Serial single-row NN GEMM: c (1×n) = a (1×k) · B (k×n), with row 0 of
 /// c starting from the scalar row_init[0] when non-null. Runs the same
-/// tile kernel GemmNN dispatches, so the per-element ascending-p values
+/// NN tile GemmNN dispatches, so the per-element ascending-p values
 /// are bitwise identical to GemmNN(1, k, n, ...) — the primitive for
 /// batched dispatches that compute one dX row per example inside their
 /// own task (Linear::BackwardBatch).
@@ -134,7 +137,7 @@ void GemmBatchedNN(size_t m, size_t k, size_t n, size_t batch,
 /// PerExampleGradSink row in the backward, so per-example dW rows land
 /// exactly where DP clipping reads them, with `accumulate` matching the
 /// sink's accumulate-onto-prezeroed-rows contract. Per-element values
-/// match GemmNT's fixed DotChained order bit for bit. The optional
+/// are GemmNT's dot8 folds bit for bit. The optional
 /// epilogue(ex, panel) runs inside the same task after the product, with
 /// the filled panel still valid — the hook for the rest of an
 /// example's backward (bias row sums, the dX panel product), which is
@@ -158,9 +161,9 @@ void GemmBatchedTN(size_t m, size_t k, size_t n, size_t batch,
                    FunctionRef<void(size_t ex, const float* panel)> consume);
 
 /// C (m×n) = (or +=) A (m×k) · Bᵀ for row-major B (n×k). Each element is
-/// a dot product of two unit-stride rows, accumulated in eight fixed
-/// interleaved partial sums (lane l takes p ≡ l mod 8) combined in lane
-/// order — deterministic and SIMD-friendly without -ffast-math.
+/// the simd dot8_f32 value of two unit-stride rows: eight fixed
+/// interleaved partial sums (lane l takes p ≡ l mod 8) combined in a
+/// fixed tree — deterministic and SIMD-friendly without -ffast-math.
 void GemmNT(size_t m, size_t k, size_t n, const float* a, const float* b,
             float* c, bool accumulate = false);
 

@@ -9,8 +9,9 @@
 // pass is bitwise equal to the batch-1 pass of example j.
 //
 // Layers cache whatever they need during the forward pass; a layer
-// instance serves exactly one microbatch at a time (each federated
-// worker owns a private model copy). Every stateful layer records the
+// instance serves exactly one microbatch at a time (a federated run
+// keeps one model per pool thread slot in fl::ComputeSlots, and a slot's
+// model runs one pass at a time). Every stateful layer records the
 // input shape of its last forward in a BatchState, and every backward
 // reads it back, so a backward with no forward before it dies loudly
 // instead of reading uninitialized caches. Any forward may follow a

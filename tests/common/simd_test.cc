@@ -5,6 +5,9 @@
 //    tails, and sub-vector-width inputs,
 //  * the activation and all-finite kernels keep that bitwise guarantee
 //    on adversarial payloads (NaN, ±0, denormals, ±Inf),
+//  * the register-blocked GEMM tiles keep the scalar reference's
+//    per-element order (ascending-p axpy for NN, the dot8 fold for NT)
+//    bitwise, at shapes straddling every tier's register tile,
 //  * the pinned 8-lane reductions agree with a naive sequential sum only
 //    to tolerance (documented reassociation), while remaining bitwise
 //    stable across ISAs,
@@ -63,6 +66,25 @@ void ExpectBitEqual(const std::vector<float>& want,
                     const std::vector<float>& got) {
   ASSERT_EQ(want.size(), got.size());
   for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(Bits(want[i]), Bits(got[i]))
+        << "element " << i << ": want " << want[i] << " got " << got[i];
+  }
+}
+
+// Bitwise, except that a NaN only has to meet a NaN: when two NaN
+// operands meet, x86 returns the first source operand's payload, and
+// the compiler is free to order a commutative add or multiply either
+// way, so the payload (sign included) of a NaN born from NaN arithmetic
+// is not part of any kernel's contract.
+void ExpectBitEqualOrBothNaN(const std::vector<float>& want,
+                             const std::vector<float>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (std::isnan(want[i])) {
+      ASSERT_TRUE(std::isnan(got[i])) << "element " << i << ": got "
+                                      << got[i];
+      continue;
+    }
     ASSERT_EQ(Bits(want[i]), Bits(got[i]))
         << "element " << i << ": want " << want[i] << " got " << got[i];
   }
@@ -138,6 +160,8 @@ TEST(SimdDispatchTest, TablesAreConsistent) {
     EXPECT_EQ(k->isa, level) << simd::IsaName(level);
     EXPECT_NE(k->axpy_f32, nullptr);
     EXPECT_NE(k->dot8_f32, nullptr);
+    EXPECT_NE(k->gemm_nn_tile_f32, nullptr);
+    EXPECT_NE(k->gemm_nt_tile_f32, nullptr);
     EXPECT_NE(k->all_finite_f32, nullptr);
     EXPECT_NE(k->transpose_f32, nullptr);
   }
@@ -442,6 +466,112 @@ TEST(SimdKernelTest, TransposeMatchesIndexArithmetic) {
       }
     }
   });
+}
+
+// --- GEMM tiles: the register-blocked tiles must reproduce the scalar
+// reference's per-element operation sequence exactly, on every tier, at
+// shapes straddling each tier's register-tile rows, vector columns and
+// 8-lane fold (k = 0 included). Two payloads: finite edge values (±0,
+// denormals, the extremes of the range), compared bitwise, and the fully
+// adversarial set with NaN and ±Inf, compared bitwise up to NaN payload.
+// A runs both row-major (NN) and transposed in place (the TN access); C
+// has a padded leading dimension whose gap columns must survive
+// untouched. The scalar result is computed once per case and every
+// vector tier compared against it.
+
+const size_t kTileCols[] = {1, 7, 8, 15, 16, 17, 47, 48, 49, 144};
+const size_t kTileKs[] = {0, 1, 7, 8, 9, 25, 144, 400};
+
+// Runs `run(table, c)` on the scalar table and on every vector tier the
+// host can run, each from the same initial C, and compares the results.
+template <typename Fn>
+void ExpectTileTiersAgree(const std::vector<float>& c0, bool adversarial,
+                          const Fn& run) {
+  std::vector<float> want = c0;
+  run(*simd::KernelsFor(IsaLevel::kScalar), want.data());
+  for (IsaLevel level : kAllIsas) {
+    const SimdKernels* k = simd::KernelsFor(level);
+    if (k == nullptr || level == IsaLevel::kScalar) continue;
+    SCOPED_TRACE(simd::IsaName(level));
+    std::vector<float> got = c0;
+    run(*k, got.data());
+    if (adversarial) {
+      ExpectBitEqualOrBothNaN(want, got);
+    } else {
+      ExpectBitEqual(want, got);
+    }
+  }
+}
+
+std::vector<float> TilePayload(size_t n, uint64_t seed, bool adversarial) {
+  return adversarial ? AdversarialVec(n, seed) : FiniteEdgeVec(n, seed);
+}
+
+TEST(SimdKernelTest, GemmNNTileBitwise) {
+  for (bool adversarial : {false, true}) {
+    for (size_t rows = 1; rows <= 9; ++rows) {
+      for (size_t cols : kTileCols) {
+        for (size_t depth : kTileKs) {
+          SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols) +
+                       " k=" + std::to_string(depth) +
+                       (adversarial ? " adversarial" : " finite"));
+          uint64_t seed = rows * 1000 + cols * 10 + depth;
+          std::vector<float> a =
+              TilePayload(rows * depth, 2300 + seed, adversarial);
+          std::vector<float> b =
+              TilePayload(depth * cols, 2400 + seed, adversarial);
+          std::vector<float> init = TilePayload(rows, 2500 + seed, adversarial);
+          size_t ldc = cols + 1;
+          std::vector<float> c0 = RandomVec(rows * ldc, 2600 + seed);
+          const float* row_inits[] = {nullptr, init.data()};
+          for (bool transposed : {false, true}) {
+            // NN reads a as rows×depth; TN reads it as depth×rows.
+            size_t a_rs = transposed ? 1 : depth;
+            size_t a_cs = transposed ? rows : 1;
+            for (const float* row_init : row_inits) {
+              auto run = [&](const SimdKernels& k, float* c) {
+                k.gemm_nn_tile_f32(rows, cols, depth, a.data(), a_rs, a_cs,
+                                   b.data(), cols, row_init, c, ldc);
+              };
+              ExpectTileTiersAgree(c0, adversarial, run);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, GemmNTTileBitwise) {
+  for (bool adversarial : {false, true}) {
+    for (size_t rows = 1; rows <= 9; ++rows) {
+      for (size_t cols : kTileCols) {
+        for (size_t depth : kTileKs) {
+          SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols) +
+                       " k=" + std::to_string(depth) +
+                       (adversarial ? " adversarial" : " finite"));
+          uint64_t seed = rows * 1000 + cols * 10 + depth;
+          // Padded row strides for both operands.
+          size_t lda = depth + 3;
+          size_t ldb = depth + 1;
+          std::vector<float> a =
+              TilePayload(rows * lda, 2700 + seed, adversarial);
+          std::vector<float> b =
+              TilePayload(cols * ldb, 2800 + seed, adversarial);
+          size_t ldc = cols + 1;
+          std::vector<float> c0 =
+              TilePayload(rows * ldc, 2900 + seed, adversarial);
+          for (bool accumulate : {false, true}) {
+            auto run = [&](const SimdKernels& k, float* c) {
+              k.gemm_nt_tile_f32(rows, cols, depth, a.data(), lda, b.data(),
+                                 ldb, accumulate, c, ldc);
+            };
+            ExpectTileTiersAgree(c0, adversarial, run);
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- Ziggurat fast path: FillGaussian/AddGaussian must emit the exact

@@ -13,8 +13,9 @@
 // protocol regimes: the MLP under the "a little is enough" attack, the
 // CNN with honest workers only, and the residual CNN with Poisson client
 // sampling and intermediate evaluations. Each is asserted at pool sizes
-// 1 and hw under the active SIMD tier, and once more with the scalar
-// kernels forced (the determinism contract makes all three identical).
+// 1 and hw under the active SIMD tier, once more with the scalar
+// kernels forced, and under every vector tier the host can run (the
+// determinism contract makes all of them identical).
 
 #include <gtest/gtest.h>
 
@@ -197,6 +198,21 @@ TEST(RunDigestTest, ScalarKernels) {
   ScopedPoolOverride use(&pool);
   simd::ScopedForceIsa force(simd::IsaLevel::kScalar);
   ExpectDigests("scalar");
+}
+
+// Every vector tier the host can run, forced one at a time: the GEMM
+// tiles hold a different register-tile shape per tier, and the runs
+// above only reach the detected tier and the scalar one.
+TEST(RunDigestTest, EveryAvailableTier) {
+  ThreadPool pool(std::max<size_t>(2, std::thread::hardware_concurrency()));
+  ScopedPoolOverride use(&pool);
+  const simd::IsaLevel kVectorTiers[] = {
+      simd::IsaLevel::kSse2, simd::IsaLevel::kAvx2, simd::IsaLevel::kAvx512};
+  for (simd::IsaLevel level : kVectorTiers) {
+    if (simd::KernelsFor(level) == nullptr) continue;
+    simd::ScopedForceIsa force(level);
+    ExpectDigests(simd::IsaName(level));
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -547,6 +548,52 @@ TEST(KernelEquivalenceTest, BatchedModelPathBitwiseAcrossSimdTiers) {
       }
       ASSERT_EQ(want.grads, got.grads)
           << simd::IsaName(level) << " pool " << threads;
+    }
+  }
+}
+
+bool SameBits(const float* a, const float* b, size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+// A ragged conv shape for the GEMM tiles: out_ch 5 and a 7×7 output
+// (q = 49) leave row and column remainders on every tier's register
+// tile, and C·k·k = 27 leaves tail lanes in the NT tile's 8-lane fold.
+// Forward and backward (y, dx, sink rows) must be bitwise equal to the
+// scalar tier at pool 1, on every tier and at pool sizes 1, 2 and hw.
+TEST(KernelEquivalenceTest, RaggedConvBitwiseAcrossSimdTiersAndPools) {
+  const ConvCase c = {3, 5, 3, 1, 7, 7};
+  auto run = [&](size_t threads) {
+    ThreadPool pool(threads);
+    ScopedPoolOverride override_pool(&pool);
+    Conv2d conv(c.in_ch, c.out_ch, c.k, c.pad, Conv2dKernel::kGemm);
+    SplitRng rng(241);
+    conv.InitParams(&rng);
+    Tensor xb = RandomTensor({3, c.in_ch, c.h, c.w}, 251);
+    return RunPass(&conv, xb, 257);
+  };
+  Pass ref;
+  {
+    simd::ScopedForceIsa force(simd::IsaLevel::kScalar);
+    ref = run(1);
+  }
+  ASSERT_EQ(ref.y.size(), 3u * c.out_ch * c.h * c.w);
+  size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
+  for (simd::IsaLevel level :
+       {simd::IsaLevel::kScalar, simd::IsaLevel::kSse2,
+        simd::IsaLevel::kAvx2, simd::IsaLevel::kAvx512}) {
+    if (simd::KernelsFor(level) == nullptr) continue;
+    simd::ScopedForceIsa force(level);
+    for (size_t threads : {size_t{1}, size_t{2}, hw}) {
+      SCOPED_TRACE(std::string(simd::IsaName(level)) + " pool " +
+                   std::to_string(threads));
+      Pass got = run(threads);
+      ASSERT_EQ(got.y.size(), ref.y.size());
+      ASSERT_EQ(got.dx.size(), ref.dx.size());
+      ASSERT_EQ(got.sink.size(), ref.sink.size());
+      EXPECT_TRUE(SameBits(ref.y.data(), got.y.data(), ref.y.size()));
+      EXPECT_TRUE(SameBits(ref.dx.data(), got.dx.data(), ref.dx.size()));
+      EXPECT_TRUE(SameBits(ref.sink.data(), got.sink.data(), ref.sink.size()));
     }
   }
 }
