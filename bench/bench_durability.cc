@@ -1,19 +1,24 @@
 // Micro-benchmarks (google-benchmark) for the durability layer: WAL
-// appends (one write+fsync per committed round) and full snapshot
-// checkpoint writes (tmp + fsync + rename) at representative state sizes.
+// appends (one write+fsync per committed round), full snapshot
+// checkpoint writes (tmp + fsync + rename) at representative state sizes,
+// and the CRC-32 that frames both.
 //
-// Visible in the ratchet's merged output but deliberately NOT in the
-// regression gate's HOT_BENCHMARKS: both are fsync-bound, and fsync
-// latency on shared CI runners varies far beyond the gate's slack.
+// The write benchmarks are visible in the ratchet's merged output but
+// deliberately NOT in the regression gate's HOT_BENCHMARKS: both are
+// fsync-bound, and fsync latency on shared CI runners varies far beyond
+// the gate's slack. The CRC pair is CPU-only: the gate's RATIO_GATES
+// holds slicing-by-8 against the bytewise reference below.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "durability/checkpoint.h"
+#include "durability/crc32.h"
 #include "durability/io.h"
 #include "durability/wal.h"
 #include "fl/round_state.h"
@@ -105,6 +110,61 @@ void BM_CheckpointWrite(benchmark::State& state) {
                           static_cast<int64_t>(payload.size()));
 }
 BENCHMARK(BM_CheckpointWrite)->Arg(512)->Arg(25450);
+
+// The one-byte-per-step table CRC-32 that slicing-by-8 replaced: the
+// ratio gate's reference, same polynomial and values.
+uint32_t BytewiseCrc32(const unsigned char* p, size_t len) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> CrcInput(size_t n) {
+  std::vector<unsigned char> buf(n);
+  for (size_t i = 0; i < n; ++i) {
+    buf[i] = static_cast<unsigned char>((i * 2654435761u) >> 24);
+  }
+  return buf;
+}
+
+// CRC-32 over a buffer the size of a paper-scale momentum snapshot.
+void BM_Crc32(benchmark::State& state) {
+  const std::vector<unsigned char> buf =
+      CrcInput(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(durability::Crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(64 << 20);
+
+void BM_Crc32Bytewise(benchmark::State& state) {
+  const std::vector<unsigned char> buf =
+      CrcInput(static_cast<size_t>(state.range(0)));
+  if (BytewiseCrc32(buf.data(), buf.size()) !=
+      durability::Crc32(buf.data(), buf.size())) {
+    state.SkipWithError("slicing-by-8 CRC disagrees with the reference");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BytewiseCrc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32Bytewise)->Arg(64 << 20);
 
 }  // namespace
 

@@ -5,17 +5,47 @@
 namespace dpbr {
 namespace durability {
 
-void ByteWriter::Append(const void* p, size_t n) {
-  buf_.append(static_cast<const char*>(p), n);
+ByteWriter::ByteWriter(size_t chunk_bytes, ChunkSink sink)
+    : chunk_bytes_(chunk_bytes), sink_(std::move(sink)) {
+  buf_.reserve(chunk_bytes_);
 }
 
-void ByteWriter::PutU8(uint8_t v) { Append(&v, sizeof(v)); }
+void ByteWriter::PutBytes(const void* p, size_t n) {
+  const char* src = static_cast<const char*>(p);
+  if (chunk_bytes_ > 0) {
+    if (!sink_status_.ok()) return;
+    // Top the chunk up and hand it over until the rest fits.
+    while (buf_.size() + n > chunk_bytes_) {
+      size_t take = chunk_bytes_ - buf_.size();
+      buf_.append(src, take);
+      src += take;
+      n -= take;
+      Flush();
+      if (!sink_status_.ok()) return;
+    }
+  }
+  buf_.append(src, n);
+}
 
-void ByteWriter::PutU32(uint32_t v) { Append(&v, sizeof(v)); }
+void ByteWriter::Flush() {
+  if (sink_status_.ok() && !buf_.empty()) {
+    sink_status_ = sink_(buf_.data(), buf_.size());
+  }
+  buf_.clear();
+}
 
-void ByteWriter::PutU64(uint64_t v) { Append(&v, sizeof(v)); }
+Status ByteWriter::Finish() {
+  if (chunk_bytes_ > 0) Flush();
+  return sink_status_;
+}
 
-void ByteWriter::PutI64(int64_t v) { Append(&v, sizeof(v)); }
+void ByteWriter::PutU8(uint8_t v) { PutBytes(&v, sizeof(v)); }
+
+void ByteWriter::PutU32(uint32_t v) { PutBytes(&v, sizeof(v)); }
+
+void ByteWriter::PutU64(uint64_t v) { PutBytes(&v, sizeof(v)); }
+
+void ByteWriter::PutI64(int64_t v) { PutBytes(&v, sizeof(v)); }
 
 void ByteWriter::PutDouble(double v) {
   uint64_t bits;
@@ -25,12 +55,12 @@ void ByteWriter::PutDouble(double v) {
 
 void ByteWriter::PutFloatVec(const std::vector<float>& v) {
   PutU64(v.size());
-  Append(v.data(), v.size() * sizeof(float));
+  PutBytes(v.data(), v.size() * sizeof(float));
 }
 
 void ByteWriter::PutDoubleVec(const std::vector<double>& v) {
   PutU64(v.size());
-  Append(v.data(), v.size() * sizeof(double));
+  PutBytes(v.data(), v.size() * sizeof(double));
 }
 
 void ByteWriter::PutIntVec(const std::vector<int>& v) {
@@ -40,7 +70,7 @@ void ByteWriter::PutIntVec(const std::vector<int>& v) {
 
 void ByteWriter::PutString(const std::string& v) {
   PutU64(v.size());
-  Append(v.data(), v.size());
+  PutBytes(v.data(), v.size());
 }
 
 Status ByteReader::Take(void* out, size_t n) {

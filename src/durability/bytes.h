@@ -1,5 +1,6 @@
-// Flat binary serialization for durable state: a grow-only ByteWriter and
-// a bounds-checked ByteReader over the same little-endian layout.
+// Flat binary serialization for durable state: a ByteWriter (grow-only
+// string, or fixed-size chunks streamed to a sink) and a bounds-checked
+// ByteReader over the same little-endian layout.
 //
 // Every multi-byte value is written as its raw bit pattern (floats and
 // doubles via their IEEE-754 words), so a decode followed by an encode is
@@ -14,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,10 +24,19 @@
 namespace dpbr {
 namespace durability {
 
-/// Append-only encoder. All Put* calls append to an internal buffer that
-/// Take() moves out.
+/// Append-only encoder. By default all Put* calls append to an internal
+/// buffer that Take() moves out. A streaming writer instead hands its
+/// output to a sink in consecutive chunks of `chunk_bytes` (the last one
+/// possibly shorter, delivered by Finish()), so its memory stays one
+/// chunk however much is encoded. Both modes produce the same bytes.
 class ByteWriter {
  public:
+  /// Receives a streaming writer's output, chunk by chunk, in order.
+  using ChunkSink = std::function<Status(const char* data, size_t n)>;
+
+  ByteWriter() = default;
+  ByteWriter(size_t chunk_bytes, ChunkSink sink);
+
   void PutU8(uint8_t v);
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
@@ -40,14 +51,24 @@ class ByteWriter {
   void PutIntVec(const std::vector<int>& v);
   /// u64 byte count followed by the bytes.
   void PutString(const std::string& v);
+  /// The bytes alone, no count.
+  void PutBytes(const void* p, size_t n);
+
+  /// Streaming mode: delivers the buffered tail and returns the first
+  /// sink failure (OK when every chunk was accepted). After a failure
+  /// the writer drops all further output.
+  [[nodiscard]] Status Finish();
 
   const std::string& data() const { return buf_; }
   std::string Take() { return std::move(buf_); }
 
  private:
-  void Append(const void* p, size_t n);
+  void Flush();
 
   std::string buf_;
+  size_t chunk_bytes_ = 0;  // 0: grow-only string mode
+  ChunkSink sink_;
+  Status sink_status_;
 };
 
 /// Sequential decoder over a caller-owned buffer (not copied; keep the

@@ -14,6 +14,8 @@ namespace dpbr {
 namespace durability {
 namespace {
 
+// Bytes of the container header (magic, version, crc, length).
+constexpr size_t kHeaderBytes = 24;
 constexpr char kPrefix[] = "checkpoint-";
 constexpr char kSuffix[] = ".ckpt";
 
@@ -54,6 +56,30 @@ Result<std::vector<int64_t>> ListCheckpointRounds(const std::string& dir) {
   return rounds;
 }
 
+// The container into an empty temp file, in one pass over the payload.
+// The header's CRC and length exist only once the payload has streamed
+// past, so its bytes are reserved first and filled in last.
+Status WriteFramedPayload(const PayloadEncoder& encode, FileSink* file) {
+  const char reserved[kHeaderBytes] = {};
+  DPBR_RETURN_NOT_OK(file->Write(reserved, sizeof(reserved)));
+  uint32_t crc = 0;
+  uint64_t length = 0;
+  auto sink = [&](const char* data, size_t n) {
+    crc = Crc32(data, n, crc);  // while the chunk is still in cache
+    length += n;
+    return file->Write(data, n);
+  };
+  ByteWriter payload(kCheckpointChunkBytes, sink);
+  encode(&payload);
+  DPBR_RETURN_NOT_OK(payload.Finish());
+  ByteWriter header;
+  header.PutU64(kCheckpointMagic);
+  header.PutU32(kCheckpointVersion);
+  header.PutU32(crc);
+  header.PutU64(length);
+  return file->WriteAt(header.data().data(), header.data().size(), 0);
+}
+
 }  // namespace
 
 std::string CheckpointPath(const std::string& dir, int64_t round) {
@@ -64,17 +90,11 @@ std::string CheckpointPath(const std::string& dir, int64_t round) {
 }
 
 Status WriteCheckpoint(const std::string& dir, int64_t round,
-                       const std::string& payload) {
+                       const PayloadEncoder& encode) {
   if (round < 0) return Status::InvalidArgument("negative checkpoint round");
   DPBR_RETURN_NOT_OK(EnsureDir(dir));
-  ByteWriter file;
-  file.PutU64(kCheckpointMagic);
-  file.PutU32(kCheckpointVersion);
-  file.PutU32(Crc32(payload.data(), payload.size()));
-  file.PutU64(payload.size());
-  std::string framed = file.Take();
-  framed += payload;
-  DPBR_RETURN_NOT_OK(WriteFileAtomic(CheckpointPath(dir, round), framed));
+  auto fill = [&](FileSink* file) { return WriteFramedPayload(encode, file); };
+  DPBR_RETURN_NOT_OK(StreamFileAtomic(CheckpointPath(dir, round), fill));
 
   // Retention: drop everything but the newest kCheckpointsRetained. A
   // failed unlink only costs disk, so log instead of failing the commit.
@@ -88,6 +108,13 @@ Status WriteCheckpoint(const std::string& dir, int64_t round,
     rounds.erase(rounds.begin());
   }
   return Status::OK();
+}
+
+Status WriteCheckpoint(const std::string& dir, int64_t round,
+                       const std::string& payload) {
+  return WriteCheckpoint(dir, round, [&](ByteWriter* w) {
+    w->PutBytes(payload.data(), payload.size());
+  });
 }
 
 Result<std::string> ReadCheckpointPayload(const std::string& path) {
@@ -115,12 +142,12 @@ Result<std::string> ReadCheckpointPayload(const std::string& path) {
         std::to_string(length) + " does not match the " +
         std::to_string(reader.remaining()) + " bytes present");
   }
-  std::string payload = data.substr(data.size() - length);
-  if (Crc32(payload.data(), payload.size()) != crc) {
+  if (Crc32(data.data() + kHeaderBytes, length) != crc) {
     return Status::InvalidArgument("checkpoint '" + path +
                                    "': payload CRC mismatch");
   }
-  return payload;
+  data.erase(0, kHeaderBytes);
+  return data;
 }
 
 Result<MaybeCheckpoint> LoadLatestCheckpoint(const std::string& dir) {

@@ -9,6 +9,11 @@
 //   u64 payload len
 //   payload bytes    (opaque to this layer; see fl/round_state.h)
 //
+// The writer streams the payload from its producer through one fixed
+// chunk buffer, CRC'ing each chunk as it goes to the temp file, and fills
+// in the header last (its CRC and length are known only then) — so a
+// checkpoint costs one chunk of memory, not a copy of the payload.
+//
 // Files are named checkpoint-<round>.ckpt inside a state directory that
 // also holds the WAL. Because writes are atomic, a directory can only
 // contain complete files (possibly from older rounds) plus ignorable
@@ -19,16 +24,22 @@
 #ifndef DPBR_DURABILITY_CHECKPOINT_H_
 #define DPBR_DURABILITY_CHECKPOINT_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "common/status.h"
+#include "durability/bytes.h"
 
 namespace dpbr {
 namespace durability {
 
 inline constexpr uint64_t kCheckpointMagic = 0x31504B4352425044ull;
 inline constexpr uint32_t kCheckpointVersion = 1;
+/// Size of the writer's streaming buffer: the chunk each CRC update and
+/// write(2) covers.
+inline constexpr size_t kCheckpointChunkBytes = size_t{1} << 20;
 
 /// How many snapshots WriteCheckpoint retains (the newest plus one
 /// fallback for the corrupt-newest recovery path).
@@ -37,10 +48,18 @@ inline constexpr int kCheckpointsRetained = 2;
 /// Path of the round-`round` checkpoint inside `dir`.
 std::string CheckpointPath(const std::string& dir, int64_t round);
 
-/// Frames `payload` and atomically writes checkpoint-<round>.ckpt into
-/// `dir` (created when missing), then prunes all but the newest
-/// kCheckpointsRetained checkpoints. After OK, a crash at any point
-/// leaves the file either fully present or fully absent.
+/// Produces a checkpoint payload by writing it into the given writer.
+using PayloadEncoder = std::function<void(ByteWriter*)>;
+
+/// Streams the payload `encode` produces, framed, into
+/// checkpoint-<round>.ckpt in `dir` (created when missing), atomically,
+/// then prunes all but the newest kCheckpointsRetained checkpoints. After
+/// OK, a crash at any point leaves the file either fully present or
+/// fully absent; on failure no new file or temp file remains.
+[[nodiscard]] Status WriteCheckpoint(const std::string& dir, int64_t round,
+                                     const PayloadEncoder& encode);
+
+/// WriteCheckpoint of an already-encoded payload.
 [[nodiscard]] Status WriteCheckpoint(const std::string& dir, int64_t round,
                                      const std::string& payload);
 

@@ -4,34 +4,60 @@ namespace dpbr {
 namespace durability {
 namespace {
 
-// Reflected IEEE polynomial 0xEDB88320; table generated once at startup.
-struct Crc32Table {
-  uint32_t entries[256];
+// Reflected IEEE polynomial 0xEDB88320; tables generated once at startup.
+// entries[0] is the classic bytewise table; entries[k][b] is the CRC
+// contribution of byte b followed by k zero bytes, so eight lookups fold
+// eight input bytes at once.
+struct Crc32Tables {
+  uint32_t entries[8][256];
 
-  Crc32Table() {
+  Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      entries[0][i] = c;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        uint32_t prev = entries[k - 1][i];
+        entries[k][i] = entries[0][prev & 0xFFu] ^ (prev >> 8);
+      }
     }
   }
 };
 
-const Crc32Table& Table() {
-  static const Crc32Table table;
-  return table;
+const Crc32Tables& Tables() {
+  static const Crc32Tables tables;
+  return tables;
+}
+
+// Little-endian load assembled from bytes: endian-independent, and
+// compiled to one unaligned load on little-endian targets.
+inline uint32_t LoadLe32(const unsigned char* p) {
+  uint32_t v = p[3];
+  v = v << 8 | p[2];
+  v = v << 8 | p[1];
+  return v << 8 | p[0];
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len, uint32_t crc) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
-  const Crc32Table& table = Table();
+  const Crc32Tables& t = Tables();
   uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    c = table.entries[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    uint32_t lo = c ^ LoadLe32(p);
+    uint32_t hi = LoadLe32(p + 4);
+    c = t.entries[7][lo & 0xFFu] ^ t.entries[6][(lo >> 8) & 0xFFu] ^
+        t.entries[5][(lo >> 16) & 0xFFu] ^ t.entries[4][lo >> 24] ^
+        t.entries[3][hi & 0xFFu] ^ t.entries[2][(hi >> 8) & 0xFFu] ^
+        t.entries[1][(hi >> 16) & 0xFFu] ^ t.entries[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    c = t.entries[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -1,9 +1,13 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected) used to frame every durable
-// record and checkpoint payload. A plain table-driven implementation: the
-// durability layer's corruption *detection* must not depend on optional
-// hardware instructions, and the WAL/checkpoint volumes (one small record
-// per round, one snapshot every n rounds) are nowhere near the point where
-// a slicing-by-8 or SSE4.2 kernel would matter.
+// record and checkpoint payload.
+//
+// Slicing-by-8: eight 256-entry tables let the loop fold eight input
+// bytes per step instead of one, which is ~5x faster than the bytewise
+// table walk on a checkpoint-sized buffer (a paper-scale momentum state
+// is tens of MiB, CRC'd on every snapshot). The tables are plain C++ —
+// corruption *detection* must not depend on optional hardware
+// instructions — and the values are exactly those of the bytewise
+// algorithm, so files written before and after stay compatible.
 
 #ifndef DPBR_DURABILITY_CRC32_H_
 #define DPBR_DURABILITY_CRC32_H_

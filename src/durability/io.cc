@@ -17,21 +17,6 @@ std::string Errno(const std::string& op, const std::string& path) {
   return op + " '" + path + "': " + std::strerror(errno);
 }
 
-// write(2) until done (short writes are legal for regular files under
-// signal interruption).
-Status WriteAll(int fd, const char* data, size_t n, const std::string& path) {
-  size_t off = 0;
-  while (off < n) {
-    ssize_t w = ::write(fd, data + off, n - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(Errno("write", path));
-    }
-    off += static_cast<size_t>(w);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status EnsureDir(const std::string& path) {
@@ -75,29 +60,62 @@ Result<std::string> ReadFileToString(const std::string& path) {
     }
     return Status::Internal(Errno("open", path));
   }
-  std::string out;
-  char buf[1 << 16];
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    Status status = Status::Internal(Errno("fstat", path));
+    ::close(fd);
+    return status;
+  }
+  // One spare byte lets the read that sees EOF land without growing the
+  // buffer; a file that grew since the fstat still reads completely.
+  std::string out(static_cast<size_t>(st.st_size) + 1, '\0');
+  size_t got = 0;
   for (;;) {
-    ssize_t r = ::read(fd, buf, sizeof(buf));
+    if (got == out.size()) out.resize(2 * out.size());
+    ssize_t r = ::read(fd, &out[got], out.size() - got);
     if (r < 0) {
       if (errno == EINTR) continue;
-      Status st = Status::Internal(Errno("read", path));
+      Status status = Status::Internal(Errno("read", path));
       ::close(fd);
-      return st;
+      return status;
     }
     if (r == 0) break;
-    out.append(buf, static_cast<size_t>(r));
+    got += static_cast<size_t>(r);
   }
   ::close(fd);
+  out.resize(got);
   return out;
 }
 
-Status WriteFileAtomic(const std::string& path, const std::string& contents) {
+Status FileSink::Write(const void* data, size_t n) {
+  DPBR_RETURN_NOT_OK(WriteAt(data, n, end_));
+  end_ += n;
+  return Status::OK();
+}
+
+Status FileSink::WriteAt(const void* data, size_t n, uint64_t offset) {
+  const char* p = static_cast<const char*>(data);
+  while (n > 0) {
+    ssize_t w = ::pwrite(fd_, p, n, static_cast<off_t>(offset));
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return Status::Internal(Errno("write", path_));
+    }
+    p += w;
+    n -= static_cast<size_t>(w);
+    offset += static_cast<uint64_t>(w);
+  }
+  return Status::OK();
+}
+
+Status StreamFileAtomic(const std::string& path,
+                        const std::function<Status(FileSink*)>& fill) {
   const std::string tmp = path + ".tmp";
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                   0644);
   if (fd < 0) return Status::Internal(Errno("open", tmp));
-  Status st = WriteAll(fd, contents.data(), contents.size(), tmp);
+  FileSink sink(fd, tmp);
+  Status st = fill(&sink);
   if (st.ok() && ::fsync(fd) != 0) {
     st = Status::Internal(Errno("fsync", tmp));
   }
@@ -116,6 +134,12 @@ Status WriteFileAtomic(const std::string& path, const std::string& contents) {
   size_t slash = path.find_last_of('/');
   return SyncDir(slash == std::string::npos ? "."
                                             : path.substr(0, slash));
+}
+
+Status WriteFileAtomic(const std::string& path, const std::string& contents) {
+  return StreamFileAtomic(path, [&](FileSink* file) {
+    return file->Write(contents.data(), contents.size());
+  });
 }
 
 Status RemoveFile(const std::string& path) {

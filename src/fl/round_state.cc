@@ -49,12 +49,13 @@ Status DecodeFingerprint(ByteReader* r, RoundStateFingerprint* fp) {
   return Status::OK();
 }
 
-void EncodeMomentum(const std::vector<std::vector<std::vector<float>>>& m,
-                    ByteWriter* w) {
+void EncodeMomentum(
+    const std::vector<const std::vector<std::vector<float>>*>& m,
+    ByteWriter* w) {
   w->PutU64(m.size());
-  for (const auto& worker : m) {
-    w->PutU64(worker.size());
-    for (const auto& slot : worker) w->PutFloatVec(slot);
+  for (const auto* worker : m) {
+    w->PutU64(worker->size());
+    for (const auto& slot : *worker) w->PutFloatVec(slot);
   }
 }
 
@@ -176,19 +177,37 @@ std::string RoundStateFingerprint::ToString() const {
   return buf;
 }
 
+void EncodeRoundState(const RoundStateView& state, ByteWriter* w) {
+  w->PutU32(kRoundStateVersion);
+  EncodeFingerprint(state.fingerprint, w);
+  w->PutI64(state.completed_round);
+  w->PutFloatVec(*state.model_params);
+  EncodeMomentum(state.honest_momentum, w);
+  EncodeMomentum(state.poisoned_momentum, w);
+  w->PutU64(state.worker_rng_keys.size());
+  for (uint64_t key : state.worker_rng_keys) w->PutU64(key);
+  w->PutString(*state.aggregator_state);
+  state.ledger->EncodeTo(w);
+  EncodeHistory(*state.history, w);
+}
+
 std::string EncodeRoundState(const PersistentRoundState& state) {
+  RoundStateView view;
+  view.fingerprint = state.fingerprint;
+  view.completed_round = state.completed_round;
+  view.model_params = &state.model_params;
+  for (const auto& m : state.honest_momentum) {
+    view.honest_momentum.push_back(&m);
+  }
+  for (const auto& m : state.poisoned_momentum) {
+    view.poisoned_momentum.push_back(&m);
+  }
+  view.worker_rng_keys = state.worker_rng_keys;
+  view.aggregator_state = &state.aggregator_state;
+  view.ledger = &state.ledger;
+  view.history = &state.history;
   ByteWriter w;
-  w.PutU32(kRoundStateVersion);
-  EncodeFingerprint(state.fingerprint, &w);
-  w.PutI64(state.completed_round);
-  w.PutFloatVec(state.model_params);
-  EncodeMomentum(state.honest_momentum, &w);
-  EncodeMomentum(state.poisoned_momentum, &w);
-  w.PutU64(state.worker_rng_keys.size());
-  for (uint64_t key : state.worker_rng_keys) w.PutU64(key);
-  w.PutString(state.aggregator_state);
-  state.ledger.EncodeTo(&w);
-  EncodeHistory(state.history, &w);
+  EncodeRoundState(view, &w);
   return w.Take();
 }
 

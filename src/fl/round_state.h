@@ -94,6 +94,27 @@ struct PersistentRoundState {
   TrainingHistory history;
 };
 
+/// The fields of a PersistentRoundState by reference, so a payload can
+/// be encoded straight from live objects: the trainer points it at its
+/// server, workers and ledger, EncodeRoundState(PersistentRoundState) at
+/// a decoded snapshot. Every pointer must stay valid while it is encoded.
+struct RoundStateView {
+  RoundStateFingerprint fingerprint;
+  int64_t completed_round = 0;
+  const std::vector<float>* model_params = nullptr;
+  /// One momentum list per worker, worker-id order.
+  std::vector<const std::vector<std::vector<float>>*> honest_momentum;
+  std::vector<const std::vector<std::vector<float>>*> poisoned_momentum;
+  std::vector<uint64_t> worker_rng_keys;
+  const std::string* aggregator_state = nullptr;
+  const dp::SpentLedger* ledger = nullptr;
+  const TrainingHistory* history = nullptr;
+};
+
+/// Writes the checkpoint payload of `state` into `w`: the one definition
+/// of the payload encoding.
+void EncodeRoundState(const RoundStateView& state, durability::ByteWriter* w);
+
 /// Serializes `state` into a checkpoint payload.
 std::string EncodeRoundState(const PersistentRoundState& state);
 

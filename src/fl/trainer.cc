@@ -204,27 +204,28 @@ RoundStateFingerprint FederatedTrainer::Fingerprint() const {
   return fp;
 }
 
-Result<std::string> FederatedTrainer::CaptureState(
+Status FederatedTrainer::WriteSnapshot(
     int completed_round, const TrainingHistory& history) const {
-  PersistentRoundState state;
+  RoundStateView state;
   state.fingerprint = Fingerprint();
   state.completed_round = completed_round;
-  state.model_params = server_->params();
-  state.honest_momentum.reserve(honest_workers_.size());
+  state.model_params = &server_->params();
   for (const auto& w : honest_workers_) {
-    state.honest_momentum.push_back(w->momentum());
+    state.honest_momentum.push_back(&w->momentum());
     state.worker_rng_keys.push_back(w->rng_key());
   }
-  state.poisoned_momentum.reserve(poisoned_workers_.size());
   for (const auto& w : poisoned_workers_) {
-    state.poisoned_momentum.push_back(w->momentum());
+    state.poisoned_momentum.push_back(&w->momentum());
     state.worker_rng_keys.push_back(w->rng_key());
   }
-  DPBR_RETURN_NOT_OK(
-      server_->aggregator()->SaveState(&state.aggregator_state));
-  state.ledger = ledger_;
-  state.history = history;
-  return EncodeRoundState(state);
+  std::string aggregator_state;
+  DPBR_RETURN_NOT_OK(server_->aggregator()->SaveState(&aggregator_state));
+  state.aggregator_state = &aggregator_state;
+  state.ledger = &ledger_;
+  state.history = &history;
+  return durability::WriteCheckpoint(
+      options_.checkpoint_dir, completed_round,
+      [&](durability::ByteWriter* w) { EncodeRoundState(state, w); });
 }
 
 Status FederatedTrainer::RestoreFromSnapshot(
@@ -488,10 +489,7 @@ Result<TrainingHistory> FederatedTrainer::Run() {
       DPBR_RETURN_NOT_OK(wal_.Append(rec.Encode()));
       if (final_round || stop_requested ||
           round % options_.checkpoint_every_n_rounds == 0) {
-        DPBR_ASSIGN_OR_RETURN(std::string payload,
-                              CaptureState(round, history));
-        DPBR_RETURN_NOT_OK(durability::WriteCheckpoint(
-            options_.checkpoint_dir, round, payload));
+        DPBR_RETURN_NOT_OK(WriteSnapshot(round, history));
       }
     }
     if (stop_requested && !final_round) {

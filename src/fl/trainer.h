@@ -114,9 +114,10 @@ class FederatedTrainer {
   Status Setup();
   /// Configuration identity for checkpoint compatibility checks.
   RoundStateFingerprint Fingerprint() const;
-  /// Snapshots the full cross-round state after `completed_round`.
-  Result<std::string> CaptureState(int completed_round,
-                                   const TrainingHistory& history) const;
+  /// Streams the full cross-round state after `completed_round` into
+  /// that round's checkpoint, straight from the live objects.
+  Status WriteSnapshot(int completed_round,
+                       const TrainingHistory& history) const;
   /// Restores a snapshot into the live objects; on success `*history`
   /// holds the snapshot's history prefix and `*start_round` the first
   /// round still to run.

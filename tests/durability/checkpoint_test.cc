@@ -1,17 +1,32 @@
 // Snapshot checkpoint tests: atomic write/read round trips, newest-first
-// recovery that degrades past corrupt files, and retention pruning.
+// recovery that degrades past corrupt files, retention pruning, and the
+// streaming writer (chunk boundaries, trainer-written files, failures
+// mid-stream).
 
 #include "durability/checkpoint.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <csignal>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "aggregators/mean.h"
+#include "attacks/label_flip.h"
+#include "data/synthetic.h"
+#include "durability/bytes.h"
+#include "durability/crc32.h"
 #include "durability/io.h"
+#include "fl/round_state.h"
+#include "fl/trainer.h"
+#include "nn/model_zoo.h"
 
 namespace dpbr {
 namespace durability {
@@ -177,6 +192,135 @@ TEST_F(CheckpointTest, MissingFileIsNotFound) {
   auto payload = ReadCheckpointPayload(CheckpointPath(dir_, 42));
   ASSERT_FALSE(payload.ok());
   EXPECT_EQ(payload.status().code(), StatusCode::kNotFound);
+}
+
+// The container framing built independently of the writer.
+std::string Framed(const std::string& payload) {
+  ByteWriter header;
+  header.PutU64(kCheckpointMagic);
+  header.PutU32(kCheckpointVersion);
+  header.PutU32(Crc32(payload.data(), payload.size()));
+  header.PutU64(payload.size());
+  return header.Take() + payload;
+}
+
+std::string PatternPayload(size_t n) {
+  std::string out(n, '\0');
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<char>((i * 131 + (i >> 12)) & 0xFF);
+  }
+  return out;
+}
+
+TEST_F(CheckpointTest, PayloadsAroundTheChunkSizeRoundTrip) {
+  constexpr size_t kChunk = kCheckpointChunkBytes;
+  const size_t sizes[] = {0, 1, kChunk - 1, kChunk, kChunk + 1, 3 * kChunk + 5};
+  int64_t round = 1;
+  for (size_t n : sizes) {
+    const std::string payload = PatternPayload(n);
+    ASSERT_TRUE(WriteCheckpoint(dir_, round, payload).ok()) << n;
+    auto raw = ReadFileToString(CheckpointPath(dir_, round));
+    ASSERT_TRUE(raw.ok());
+    EXPECT_TRUE(raw.value() == Framed(payload)) << n;
+    auto loaded = ReadCheckpointPayload(CheckpointPath(dir_, round));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_TRUE(loaded.value() == payload) << n;
+    ++round;
+  }
+}
+
+TEST_F(CheckpointTest, StreamedPiecesEqualOneString) {
+  // Many small writes straddling chunk boundaries give the same file as
+  // the payload handed over whole.
+  const std::string payload = PatternPayload(2 * kCheckpointChunkBytes + 77);
+  auto in_pieces = [&](ByteWriter* w) {
+    for (size_t off = 0; off < payload.size(); off += 1000) {
+      w->PutBytes(payload.data() + off,
+                  std::min<size_t>(1000, payload.size() - off));
+    }
+  };
+  ASSERT_TRUE(WriteCheckpoint(dir_, 1, in_pieces).ok());
+  auto raw = ReadFileToString(CheckpointPath(dir_, 1));
+  ASSERT_TRUE(raw.ok());
+  EXPECT_TRUE(raw.value() == Framed(payload));
+}
+
+TEST_F(CheckpointTest, TrainerCheckpointIsHeaderPlusEncodedState) {
+  data::SyntheticSpec spec;
+  spec.num_classes = 4;
+  spec.feature_dim = 16;
+  spec.train_size = 640;
+  spec.val_size = 80;
+  spec.test_size = 80;
+  auto bundle = data::GenerateSynthetic(spec, 7);
+  ASSERT_TRUE(bundle.ok());
+  fl::TrainerOptions o;
+  o.num_honest = 8;
+  o.num_byzantine = 2;  // label flip: poisoned-protocol momentum too
+  o.epochs = 1;
+  o.batch_size = 8;
+  o.epsilon = 2.0;
+  o.momentum_reset = fl::MomentumReset::kPersist;
+  o.checkpoint_dir = dir_;
+  o.stop_after_round = 2;
+  // A hidden width that makes the momentum state span several chunks.
+  auto aggregator = std::make_unique<agg::MeanAggregator>();
+  auto attack = std::make_unique<attacks::LabelFlipAttack>();
+  fl::FederatedTrainer trainer(&bundle.value(), nn::MlpFactory(16, 512, 4),
+                               std::move(aggregator), std::move(attack), o);
+  auto history = trainer.Run();
+  ASSERT_TRUE(history.ok()) << history.status().ToString();
+
+  auto raw = ReadFileToString(CheckpointPath(dir_, 2));
+  ASSERT_TRUE(raw.ok());
+  auto payload = ReadCheckpointPayload(CheckpointPath(dir_, 2));
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  auto state = fl::DecodeRoundState(payload.value());
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  EXPECT_EQ(state.value().poisoned_momentum.size(), 2u);
+  const std::string encoded = fl::EncodeRoundState(state.value());
+  EXPECT_GT(encoded.size(), 2 * kCheckpointChunkBytes);
+  EXPECT_TRUE(raw.value() == Framed(encoded));
+}
+
+TEST_F(CheckpointTest, FailedStreamLeavesNoTmpAndKeepsOlderCheckpoint) {
+  ASSERT_TRUE(WriteCheckpoint(dir_, 1, "previous").ok());
+  // Cap the file size below the payload so write(2) fails part-way, with
+  // SIGXFSZ ignored so the failure surfaces as EFBIG instead of a kill.
+  struct rlimit saved;
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  struct rlimit capped = saved;
+  capped.rlim_cur = kCheckpointChunkBytes + kCheckpointChunkBytes / 2;
+  void (*saved_handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const std::string payload = PatternPayload(3 * kCheckpointChunkBytes);
+  Status st = WriteCheckpoint(dir_, 2, payload);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, saved_handler);
+
+  EXPECT_FALSE(st.ok());
+  EXPECT_FALSE(PathExists(CheckpointPath(dir_, 2)));
+  EXPECT_FALSE(PathExists(CheckpointPath(dir_, 2) + ".tmp"));
+  auto loaded = LoadLatestCheckpoint(dir_);
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_TRUE(loaded.value().found);
+  EXPECT_EQ(loaded.value().checkpoint.round, 1);
+  EXPECT_EQ(loaded.value().checkpoint.payload, "previous");
+}
+
+TEST_F(CheckpointTest, FailingFillLeavesTheOldFileUntouched) {
+  const std::string path = dir_ + "/file";
+  ASSERT_TRUE(WriteFileAtomic(path, "old contents").ok());
+  Status st = StreamFileAtomic(path, [](FileSink* file) {
+    Status w = file->Write("partial", 7);
+    if (!w.ok()) return w;
+    return Status::Internal("sink gave up");
+  });
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  EXPECT_FALSE(PathExists(path + ".tmp"));
+  auto contents = ReadFileToString(path);
+  ASSERT_TRUE(contents.ok());
+  EXPECT_EQ(contents.value(), "old contents");
 }
 
 }  // namespace
