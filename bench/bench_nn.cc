@@ -50,9 +50,10 @@ nn::Conv2d MakeConv(nn::Conv2dKernel kernel) {
   return conv;
 }
 
-// --- Batched conv forward: the single batched-GEMM dispatch against the
-// naive reference kernel and against the same work run as kBatch
-// batch-of-1 passes.
+// --- Batched conv forward: the per-example im2col + GEMM loop against
+// the naive reference kernel and against the same work run as kBatch
+// batch-of-1 passes. Every layer entry here times the one-thread pass a
+// federated round runs inside a pool task.
 
 constexpr size_t kBatch = 16;
 
@@ -107,12 +108,12 @@ void BM_Conv2dForwardBatchPerExample(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForwardBatchPerExample)->Unit(benchmark::kMicrosecond);
 
-// --- Batched conv backward: the single-dispatch batched path (per-example
-// dW/db rows into the sink + dX via col2im) against the same work run as
-// kBatch batch-of-1 passes, each into one re-zeroed gradient row. Every
+// --- Batched conv backward: the batched path (per-example dW/db rows
+// into the sink + dX via col2im) against the same work run as kBatch
+// batch-of-1 passes, each into one re-zeroed gradient row. Every
 // backward needs its own forward, so both sides time a full
 // forward+backward round trip — the forward work is identical, so the
-// ratio isolates the backward dispatch shape.
+// ratio isolates the per-call overhead and the sink-row traffic.
 
 void BM_Conv2dBackwardBatch(benchmark::State& state) {
   nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
@@ -158,8 +159,8 @@ void BM_Conv2dBackwardBatchPerExample(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackwardBatchPerExample)->Unit(benchmark::kMicrosecond);
 
-// Batched Linear backward (one dispatch: dW/db sink rows + dX rows) at
-// the e2e model shape, against 16 batch-of-1 passes.
+// Batched Linear backward (dW/db sink rows + one dX GEMM) at the e2e
+// model shape, against 16 batch-of-1 passes.
 void BM_LinearBackwardBatch(benchmark::State& state) {
   nn::Linear linear(512, 32);
   SplitRng rng(11);
@@ -207,9 +208,8 @@ void BM_LinearBackwardBatchPerExample(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearBackwardBatchPerExample)->Unit(benchmark::kMicrosecond);
 
-// --- Batched GroupNorm / pooling: one threaded dispatch per microbatch
-// (previously a serial per-example loop inside ForwardBatch). Shape is
-// the post-conv CNN stage activation: (16, 32, 32, 32).
+// --- Batched GroupNorm / pooling at the post-conv CNN stage activation
+// shape: (16, 32, 32, 32).
 
 Tensor RandomStageBatch(uint64_t seed) {
   SplitRng rng(seed);
@@ -347,7 +347,7 @@ void BM_LocalStepCnn(benchmark::State& state) {
 BENCHMARK(BM_LocalStepCnn)->Unit(benchmark::kMillisecond);
 
 // --- Whole-CNN batched step: the per-layer ForwardBatch /
-// BackwardBatch loop (one dispatch per Conv2d / Linear per direction).
+// BackwardBatch loop, all on the calling thread.
 // Forward-only and forward+loss+backward variants; the backward variant
 // times the full round trip (the cached-state contract ties each
 // backward to its own forward).
@@ -429,9 +429,8 @@ void CheckConvDeterminism() {
       Fail("GEMM conv diverges from naive kernel");
     }
   }
-  // Row j of the batched forward+backward (one dispatch each: sink dW/db
-  // rows + col2im dX) must reproduce the batch-1 pass of example j bit
-  // for bit.
+  // Row j of the batched forward+backward (sink dW/db rows + col2im dX)
+  // must reproduce the batch-1 pass of example j bit for bit.
   nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
   SplitRng grng(37);
   Tensor gyb({kBatch, kOutCh, kImg, kImg});

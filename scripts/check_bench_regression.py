@@ -96,16 +96,14 @@ RATIO_GATES = [
         2.5,
         "radix KS test >= 2.5x std::sort reference",
     ),
-    # Parity floors for the batched backward dispatches: on one core the
-    # single-dispatch batched backward sits at parity with a loop of
-    # batch-of-1 passes (identical serial per-element work; the
-    # multi-core win from example-level parallelism only shows on
-    # multi-core runs — see BENCH_ci.json), so the bound is parity minus
+    # Parity floors for the batched backward passes: both sides run the
+    # same serial per-example work on the calling thread (nn layers never
+    # dispatch, on any core count), so the batched pass sits at parity
+    # with a loop of batch-of-1 passes and the bound is parity minus
     # run-to-run noise (~8% observed at min_time=0.05). A lost batched
     # path fails this by a wide margin (e.g. a mis-batched kernel measured
-    # ~0.1x during development); the structural one-dispatch + bitwise
-    # guarantees are enforced exactly in
-    # tests/nn/kernel_equivalence_test.cc.
+    # ~0.1x during development); the bitwise row guarantees are enforced
+    # exactly in tests/nn/kernel_equivalence_test.cc.
     (
         "BM_Conv2dBackwardBatchPerExample",
         "BM_Conv2dBackwardBatch",
@@ -115,10 +113,8 @@ RATIO_GATES = [
     # Linear's floor is lower: its dW is memory-bound, and the batched
     # side streams one distinct 64 KB sink row per example (the
     # per-example separation DP clipping requires) where the reference
-    # rewrites a single cache-hot gradient row — on one core that costs
-    # ~10% at parity. Multi-core runs flip it decisively: the batched
-    # dispatch parallelizes over examples while a batch of 1 cannot
-    # parallelize at all.
+    # rewrites a single cache-hot gradient row, which costs up to ~10%
+    # at parity.
     (
         "BM_LinearBackwardBatchPerExample",
         "BM_LinearBackwardBatch",

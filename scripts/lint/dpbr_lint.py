@@ -34,6 +34,10 @@ Check families (each finding is tagged `[family-check]`):
                                       mul/add pairs may fuse into FMA)
   status           status-discard     a Status/Result-returning call used
                                       as a bare expression statement
+  nn               nn-dispatch        ParallelFor[Blocked], ThreadPool or
+                                      common/thread_pool.h in src/nn/
+                                      (layers compute on the calling
+                                      thread)
 
 Backend: parses with python libclang when the `clang` bindings are
 importable (exact token stream from the real compiler frontend), else a
@@ -111,6 +115,11 @@ NONDET_UNORDERED = {
 }
 
 PARALLEL_DISPATCHERS = {"ParallelFor", "ParallelForBlocked"}
+# Every nn pass runs inside the federated round's one dispatch, where a
+# nested dispatch runs inline: src/nn/ must not reach for the pool.
+NN_DIR = os.path.join("src", "nn") + os.sep
+NN_DISPATCH_IDENTS = PARALLEL_DISPATCHERS | {"ThreadPool"}
+NN_DISPATCH_HEADER = "common/thread_pool.h"
 HOTPATH_ALLOC_CALLS = {
     "malloc", "calloc", "realloc", "free",
     "push_back", "emplace_back", "resize", "reserve", "assign",
@@ -154,7 +163,7 @@ ALL_CHECKS = [
     "nondet-rand", "nondet-time", "nondet-unordered",
     "hotpath-alloc", "hotpath-lock", "hotpath-io",
     "simd-mflags", "simd-intrinsics", "simd-internal", "simd-fpcontract",
-    "status-discard",
+    "status-discard", "nn-dispatch",
 ]
 # Checks that read a TU's compile command rather than its source: their
 # findings carry line 0.
@@ -635,6 +644,30 @@ def check_simd_source(rel, toks, findings):
 
 
 # ---------------------------------------------------------------------------
+# Check family: nn (layers compute on the calling thread)
+# ---------------------------------------------------------------------------
+
+
+def check_nn_dispatch(rel, toks, findings):
+    if not rel.startswith(NN_DIR):
+        return
+    ct = code_tokens(toks)
+    for line, header in included_headers(ct):
+        if header == NN_DISPATCH_HEADER:
+            findings.append(Finding(
+                rel, line, "nn-dispatch",
+                f"{header} included in src/nn/; layers compute on the "
+                "calling thread and the round's dispatch is the only "
+                "fan-out"))
+    for t in ct:
+        if t.kind == "ident" and t.text in NN_DISPATCH_IDENTS:
+            findings.append(Finding(
+                rel, t.line, "nn-dispatch",
+                f"'{t.text}' in src/nn/; layers compute on the calling "
+                "thread and the round's dispatch is the only fan-out"))
+
+
+# ---------------------------------------------------------------------------
 # Check family: Status discipline
 # ---------------------------------------------------------------------------
 
@@ -782,25 +815,25 @@ def lint_paths(build_dir):
     return sources, headers, db
 
 
-def run_checks(path, compile_args, status_fns):
-    """All applicable checks for one file; returns surviving findings."""
-    rel = repo_rel(path)
-    toks = tokenize_file(path, compile_args)
+def collect_findings(rel, toks, compile_args, status_fns):
+    """Every check over one file's tokens, minus suppressed findings."""
     findings = []
     check_simd_flags(rel, compile_args, findings)
     check_simd_source(rel, toks, findings)
     check_nondeterminism(rel, toks, findings)
     check_hotpath(rel, toks, findings)
     check_status_discipline(rel, toks, status_fns, findings)
+    check_nn_dispatch(rel, toks, findings)
     allowed = collect_suppressions(toks)
-    kept = []
-    for f in findings:
-        if f.check in allowed.get(f.line, ()):
-            continue
-        if file_allowed(f.check, rel):
-            continue
-        kept.append(f)
-    return kept
+    return [f for f in findings
+            if f.check not in allowed.get(f.line, ())
+            and not file_allowed(f.check, rel)]
+
+
+def run_checks(path, compile_args, status_fns):
+    """All applicable checks for one file; returns surviving findings."""
+    return collect_findings(repo_rel(path), tokenize_file(path, compile_args),
+                            compile_args, status_fns)
 
 
 def lint_tree(build_dir):
@@ -867,16 +900,7 @@ def self_test(fixture_dir):
                 for c in m.group(1).split(","):
                     expected.add((t.line, c.strip()))
 
-        findings = []
-        check_simd_flags(rel, compile_args, findings)
-        check_simd_source(rel, toks, findings)
-        check_nondeterminism(rel, toks, findings)
-        check_hotpath(rel, toks, findings)
-        check_status_discipline(rel, toks, status_fns, findings)
-        allowed = collect_suppressions(toks)
-        findings = [f for f in findings
-                    if f.check not in allowed.get(f.line, ())
-                    and not file_allowed(f.check, rel)]
+        findings = collect_findings(rel, toks, compile_args, status_fns)
 
         got = {(f.line, f.check) for f in findings}
         # Compile-flag findings carry line 0 (they come from the compile

@@ -137,9 +137,9 @@ size_t ThreadSlotCount();
 /// Number of ParallelFor invocations so far that actually fanned out to
 /// pool workers (inline runs — single-iteration ranges, one-thread
 /// pools, nested calls from inside a worker — do not count). Pure
-/// observability: tests diff this counter around a kernel call to prove
-/// single-dispatch contracts such as "one batched dispatch per layer
-/// backward". Monotonic, process-wide, atomic (safe under TSan).
+/// observability: tests diff this counter around a call to prove
+/// dispatch contracts such as "an nn forward or backward pass issues
+/// none". Monotonic, process-wide, atomic (safe under TSan).
 uint64_t ParallelDispatchCount();
 
 }  // namespace dpbr

@@ -51,12 +51,7 @@ struct ExperimentConfig {
   double beta = 0.1;
   double base_lr = 0.2;
   double transfer_base_epsilon = 2.0;
-  /// Default deviates from Algorithm 1 line 11's literal reading
-  /// (φ[j] ← g_i): at this reproduction's scale, persisting the per-slot
-  /// momentum trains markedly better, while the literal reset feeds the
-  /// upload noise back into the momentum state. bench_ablations measures
-  /// both; see DESIGN.md "Substitutions".
-  fl::MomentumReset momentum_reset = fl::MomentumReset::kPersist;
+  fl::MomentumReset momentum_reset = fl::WorkerOptions{}.momentum_reset;
   int aux_per_class = 2;
   /// Supp. Table 17: draw the server's auxiliary data from this other
   /// benchmark's data space instead of the task's own validation split.

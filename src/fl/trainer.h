@@ -40,7 +40,7 @@ struct TrainerOptions {
   int batch_size = 16;   ///< bc
   double beta = 0.1;     ///< momentum
   int epochs = 8;
-  MomentumReset momentum_reset = MomentumReset::kResetToUpload;
+  MomentumReset momentum_reset = WorkerOptions{}.momentum_reset;
 
   // Learning rate: η = base_lr · σ_b/σ where σ_b is calibrated at
   // transfer_base_epsilon; set transfer_base_epsilon <= 0 to use base_lr

@@ -39,7 +39,12 @@ struct WorkerOptions {
   /// Std of the Gaussian noise added to the normalized-gradient *sum*
   /// (σ in Algorithm 1 line 10). 0 disables DP (reference runs).
   double sigma = 0.0;
-  MomentumReset momentum_reset = MomentumReset::kResetToUpload;
+  /// The default deviates from Algorithm 1 line 11's literal reading
+  /// (φ[j] ← g_i): at this reproduction's scale, persisting the per-slot
+  /// momentum trains markedly better, while the literal reset feeds the
+  /// upload noise back into the momentum state (bench_ablations measures
+  /// both). TrainerOptions and core::ExperimentConfig initialise from it.
+  MomentumReset momentum_reset = MomentumReset::kPersist;
 };
 
 /// A worker following the DP protocol honestly on its local shard

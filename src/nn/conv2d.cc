@@ -120,20 +120,18 @@ Tensor Conv2d::ForwardBatch(const Tensor& x) {
     }
     return y;
   }
-  // The whole microbatch is one batched-GEMM dispatch that writes
-  // straight into the (N, OC, Q) output. Each example's im2col panel is
-  // expanded into the dispatch's per-thread scratch right before its
-  // tiles are computed, so it is consumed while cache-hot. Each output
+  // Each example's im2col panel is expanded into per-thread scratch
+  // right before its tile call and consumed while cache-hot. Each output
   // element accumulates its products in ascending-p order within its own
-  // example, so the result is independent of the batch size and, like
-  // every kernel here, of the pool size.
+  // example, so the result is independent of the batch size.
   size_t q = oh * ow;
   size_t kk = in_ch_ * k_ * k_;
-  GemmBatchedNN(out_ch_, kk, q, batch, weight_.data(), y.data(),
-                bias_.data(), [&](size_t ex, float* col) {
-                  Im2Col(cached + ex * in_stride, in_ch_, h, w, k_, pad_,
-                         col);
-                });
+  float* col = ThreadPanel(kPanelSlotCol, kk * q);
+  for (size_t ex = 0; ex < batch; ++ex) {
+    Im2Col(cached + ex * in_stride, in_ch_, h, w, k_, pad_, col);
+    GemmNN(out_ch_, kk, q, weight_.data(), col, y.data() + ex * out_stride,
+           bias_.data());
+  }
   return y;
 }
 
@@ -157,41 +155,24 @@ Tensor Conv2d::BackwardBatch(const Tensor& grad_out,
     }
     return dx;
   }
-  // The whole backward — per-example dW/db rows into the sink, dX
-  // through col2im — is one batched dispatch split over examples. Each
-  // example's task re-expands its im2col panel into per-thread scratch
-  // (one K×Q buffer per thread, not per example) and runs the two panel
-  // products dW = dY·Colᵀ and dCol = Wᵀ·dY serially, so every value is
-  // independent of the batch size — and per-example dW/db rows land in
-  // the sink untouched by any cross-example reduction, exactly as DP
-  // clipping requires. Examples write disjoint sink rows and dx
-  // slices, so the split is race-free; the embedded batch-1
-  // GemmBatchedTN and its Col2ImAccumulate run inline inside the task
-  // (nested dispatches never fan out), keeping the dispatch count at
-  // one per microbatch.
+  // Per example: re-expand its im2col panel, then dW = dY·Colᵀ straight
+  // into its sink row, the db row sums, and dX as the column-space panel
+  // Wᵀ·dY scattered by col2im. The sink row takes no cross-example
+  // reduction, exactly as DP clipping requires, and every value is
+  // independent of the batch size.
   size_t q = oh * ow;
   size_t kk = in_ch_ * k_ * k_;
-  const float* gy = grad_out.data();
-  float* dxd = dx.data();
-  GemmBatchedNT(
-      out_ch_, q, kk, batch, gy, out_stride,
-      [&](size_t ex, float* col) {
-        Im2Col(x + ex * in_stride, in_ch_, h, w, k_, pad_, col);
-      },
-      [&](size_t ex) { return sink.Slot(ex); },
-      /*accumulate=*/true,
-      [&](size_t ex, const float* /*col*/) {
-        const float* gy_ex = gy + ex * out_stride;
-        // db row.
-        AccumulateBiasRowSums(gy_ex, out_ch_, q,
-                              sink.Slot(ex) + weight_.size());
-        // dX slice: column-space gradient panel scattered by col2im.
-        GemmBatchedTN(kk, out_ch_, q, 1, weight_.data(), gy_ex, 0,
-                      [&](size_t, const float* dcol) {
-                        Col2ImAccumulate(dcol, in_ch_, h, w, k_, pad_,
-                                         dxd + ex * in_stride);
-                      });
-      });
+  float* col = ThreadPanel(kPanelSlotCol, kk * q);
+  float* dcol = ThreadPanel(kPanelSlotDcol, kk * q);
+  for (size_t ex = 0; ex < batch; ++ex) {
+    const float* gy = grad_out.data() + ex * out_stride;
+    float* row = sink.Slot(ex);
+    Im2Col(x + ex * in_stride, in_ch_, h, w, k_, pad_, col);
+    GemmNT(out_ch_, q, kk, gy, col, row, /*accumulate=*/true);
+    AccumulateBiasRowSums(gy, out_ch_, q, row + weight_.size());
+    GemmTN(kk, out_ch_, q, weight_.data(), gy, dcol);
+    Col2ImAccumulate(dcol, in_ch_, h, w, k_, pad_, dx.data() + ex * in_stride);
+  }
   return dx;
 }
 

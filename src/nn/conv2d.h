@@ -1,15 +1,13 @@
 // 2-d convolution on (N, C, H, W) microbatches.
 //
-// The production kernel lowers the convolution to im2col + blocked GEMM
-// (src/nn/gemm.h). ForwardBatch runs the whole microbatch as one
-// batched-GEMM dispatch (GemmBatchedNN) and BackwardBatch as one batched
-// backward dispatch (GemmBatchedNT + an embedded per-example
-// GemmBatchedTN/col2im), with each example's dW/db row written to its
-// own PerExampleGradSink slot — so DP per-example gradient clipping is
-// preserved at batched speed. Both split over examples only, so row j of
-// a batch-N pass is bitwise equal to the batch-1 pass of example j. The
-// original direct loop nest is kept as a reference kernel
-// (`Conv2dKernel::kNaive`, run as a serial loop over examples) that
+// The production kernel lowers the convolution to im2col + GEMM
+// (src/nn/gemm.h), one example at a time on the calling thread: the
+// forward is one NN tile call per example, the backward writes each
+// example's dW/db row straight into its own PerExampleGradSink slot and
+// its dX slice through col2im — so DP per-example gradient clipping is
+// preserved, and row j of a batch-N pass is bitwise equal to the batch-1
+// pass of example j. The original direct loop nest is kept as a
+// reference kernel (`Conv2dKernel::kNaive`) that
 // tests/nn/kernel_equivalence_test.cc checks the GEMM path against.
 
 #ifndef DPBR_NN_CONV2D_H_

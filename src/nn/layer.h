@@ -17,13 +17,10 @@
 // instead of reading uninitialized caches. Any forward may follow a
 // completed backward (evaluation between training steps).
 //
-// Parallelism lives in one place per layer type: only the layers that
-// own a GEMM (Conv2d, Linear) split a batched pass across the thread
-// pool, one dispatch per direction. The cheap layers (activations,
-// GroupNorm, pooling, Flatten) run their batched loops serially: their
-// work is small next to the GEMMs', and inside a federated round every
-// local step already runs on a pool worker, where nested dispatches
-// execute inline anyway.
+// Every layer computes on the calling thread and never touches the
+// thread pool. A federated round is one dispatch whose items are whole
+// passes (a local step, a server-gradient row, an evaluation block), so
+// the parallelism lives there, one model per thread slot.
 
 #ifndef DPBR_NN_LAYER_H_
 #define DPBR_NN_LAYER_H_
@@ -71,13 +68,11 @@ struct ParamView {
 /// base[j * stride + offset + p]; rows must be zeroed by the caller
 /// before the backward pass (layers accumulate into them).
 ///
-/// Row ownership under batched dispatches: GEMM layers write sink rows
-/// from inside their single ParallelForBlocked backward dispatch, where
-/// the task handling example j owns row j exclusively (examples are split
-/// across tasks by the shape only, and no two examples share a row), so
-/// the writes are race-free and the row contents are independent of the
-/// pool size — the TSan-tier case in
-/// tests/aggregators/determinism_test.cc pins this.
+/// Row ownership: example j's backward writes only row j, so row j of a
+/// batch-N pass is bitwise equal to the batch-1 pass of example j, and
+/// the rows are independent of the pool size the surrounding round runs
+/// on — the TSan-tier case in tests/aggregators/determinism_test.cc pins
+/// this.
 struct PerExampleGradSink {
   float* base = nullptr;
   size_t stride = 0;  ///< model dimension d

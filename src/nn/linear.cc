@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "tensor/ops.h"
 
 namespace dpbr {
@@ -48,26 +47,18 @@ Tensor Linear::BackwardBatch(const Tensor& grad_out,
   const float* x = ws_.Get(kInputSlot, batch * in_);
   Tensor dx({batch, in_});
   const float* gy = grad_out.data();
-  const float* w = weight_.data();
-  float* dxd = dx.data();
   size_t wsize = weight_.size();
-  // The whole backward is one batched dispatch split over examples, the
-  // same shape as Conv2d's backward but on raw vector kernels:
   // dW_j = dy_j ⊗ x_j is a rank-1 update (a panel GEMM would pay
-  // per-element reduction overhead for k=1), so each task runs Ger/Axpy
-  // against its own sink row, then its dX row dx_j = dy_j · W through
-  // the serial row core of GemmNN. Examples touch disjoint sink rows and
-  // dx rows, so the split is race-free, pool-size invariant, and every
-  // row independent of the batch size.
-  ParallelForBlocked(batch, 1, [&](size_t e0, size_t e1) {
-    for (size_t ex = e0; ex < e1; ++ex) {
-      const float* gy_ex = gy + ex * out_;
-      float* wgrad = sink.Slot(ex);
-      ops::Ger(1.0f, gy_ex, x + ex * in_, wgrad, out_, in_);
-      ops::Axpy(1.0f, gy_ex, wgrad + wsize, out_);
-      GemmNNSerialRow(out_, in_, gy_ex, w, dxd + ex * in_);
-    }
-  });
+  // per-element reduction overhead for k=1) written straight into
+  // example j's sink row; dX = dY · W is one GEMM whose rows are the
+  // per-example dx_j = dy_j · W.
+  for (size_t ex = 0; ex < batch; ++ex) {
+    const float* gy_ex = gy + ex * out_;
+    float* wgrad = sink.Slot(ex);
+    ops::Ger(1.0f, gy_ex, x + ex * in_, wgrad, out_, in_);
+    ops::Axpy(1.0f, gy_ex, wgrad + wsize, out_);
+  }
+  GemmNN(batch, out_, in_, gy, weight_.data(), dx.data());
   return dx;
 }
 

@@ -1,8 +1,7 @@
 // Fully connected layer: Y = X Wᵀ + b over (N, in) microbatches, on the
 // shared GEMM primitive (src/nn/gemm.h) with a workspace-cached input.
-// The backward runs the whole microbatch — per-example dW/db rows into
-// the PerExampleGradSink plus each example's dX row — as one dispatch
-// split over examples.
+// The backward writes each example's dW/db row into its own
+// PerExampleGradSink slot.
 
 #ifndef DPBR_NN_LINEAR_H_
 #define DPBR_NN_LINEAR_H_

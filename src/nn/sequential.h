@@ -33,10 +33,6 @@ class Sequential : public Layer {
   /// (dimension NumParams()) to grads + j·NumParams(). Zeroes the rows
   /// first; returns dL/d(input) with leading batch dimension. This is
   /// the per-example gradient entry point the DP worker clips against.
-  /// Each GEMM sublayer's batched backward (like its batched forward)
-  /// runs as one threaded dispatch per microbatch and every other
-  /// sublayer runs serially, so a whole worker backward pass costs one
-  /// dispatch per Conv2d / Linear.
   Tensor BackwardBatchTo(const Tensor& grad_out, size_t batch, float* grads);
 
   Layer* layer(size_t i) { return layers_[i].get(); }

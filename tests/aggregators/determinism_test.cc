@@ -297,11 +297,10 @@ TEST(FillGaussianDeterminismTest, AddGaussianMatchesFillGaussian) {
   }
 }
 
-// --- PerExampleGradSink row layout under the batched backward
-// dispatches: every layer writes example j's dW/db row from inside one
-// ParallelForBlocked per microbatch, where the task handling example j
-// owns row j exclusively. The rows (and the dX chain feeding them) must
-// land bit-identically regardless of the pool size — this is the
+// --- PerExampleGradSink row layout: every layer computes on the
+// calling thread and writes example j's dW/db row into row j only. The
+// rows (and the dX chain feeding them) must land bit-identically
+// regardless of the pool size the pass is issued under — this is the
 // TSan-tier case for the sink-row ownership contract (the suite runs
 // under -fsanitize=thread in CI's race check).
 TEST(PerExampleGradSinkDeterminismTest, BackwardBatchRowsPoolInvariant) {
@@ -319,8 +318,7 @@ TEST(PerExampleGradSinkDeterminismTest, BackwardBatchRowsPoolInvariant) {
     nn::BatchLossGrad lg = nn::SoftmaxCrossEntropyBatch(logits, labels);
     size_t dim = model->NumParams();
     // The flat sink rows are the result under test: one row per example,
-    // conv/linear/GroupNorm segments all written inside their layers'
-    // single batched dispatches.
+    // with conv/linear/GroupNorm segments.
     std::vector<float> rows(kBatch * dim);
     Tensor dx = model->BackwardBatchTo(lg.grad_logits, kBatch, rows.data());
     rows.insert(rows.end(), dx.data(), dx.data() + dx.size());

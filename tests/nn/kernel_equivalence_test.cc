@@ -7,9 +7,8 @@
 //  * per-example separation: row j of a batch-N pass — output, input
 //    gradient and the per-example parameter-gradient row the DP protocol
 //    clips — is bitwise equal to the batch-1 pass of example j alone,
-//  * only the GEMM layers dispatch: a local step costs exactly one
-//    dispatch per Conv2d / Linear per direction, and the cheap layers'
-//    batched passes issue none, and
+//  * layers compute on the calling thread: no layer's batched pass, and
+//    no whole model's forward + loss + backward, issues a dispatch, and
 //  * the cached-state contract holds: a backward with no forward before
 //    it dies loudly, while interleaved batch sizes (evaluation between
 //    training steps) stay bitwise correct.
@@ -224,11 +223,10 @@ TEST(KernelEquivalenceTest, ConvBatchPoolInvariant) {
   }
 }
 
-// --- Per-example separation, layer by layer. The batched conv forward
-// is one batched-GEMM dispatch over streamed per-example im2col panels
-// and its backward one GemmBatchedNT dispatch with an embedded
-// GemmBatchedTN/col2im per example; each example's accumulation order is
-// its own, so its rows never depend on the batch it rides in.
+// --- Per-example separation, layer by layer. The conv forward and
+// backward run one example at a time over its own streamed im2col panel;
+// each example's accumulation order is its own, so its rows never depend
+// on the batch it rides in.
 
 TEST(KernelEquivalenceTest, ConvRowsMatchBatchOfOneBitwise) {
   for (const ConvCase& c : kCases) {
@@ -344,122 +342,37 @@ TEST(KernelEquivalenceTest, MlpRowsMatchBatchOfOneBitwise) {
   CheckRowsMatchBatchOfOne(model.get(), {20}, 47);
 }
 
-// The single-dispatch contract, proven rather than asserted in prose:
-// with a multi-thread pool and a multi-example microbatch, each batched
-// forward and backward must fan work out to the pool exactly once.
-TEST(KernelEquivalenceTest, ConvAndLinearBatchedPassesAreOneDispatch) {
-  ThreadPool pool(4);
-  ScopedPoolOverride override_pool(&pool);
-  // Larger than the GEMM row block (8) so even the row-split forward
-  // GEMMs genuinely fan out instead of collapsing to the inline path.
-  constexpr size_t kN = 9;
-  Conv2d conv(3, 8, 3, 1);
-  SplitRng rng(241);
-  conv.InitParams(&rng);
-  Tensor xb = RandomTensor({kN, 3, 9, 9}, 251);
-  uint64_t before = ParallelDispatchCount();
-  Tensor yb = conv.ForwardBatch(xb);
-  EXPECT_EQ(ParallelDispatchCount() - before, 1u) << "conv forward";
-  Tensor gyb = RandomTensor(yb.shape(), 257);
-  size_t dim = conv.NumParams();
-  std::vector<float> sink(kN * dim, 0.0f);
-  before = ParallelDispatchCount();
-  conv.BackwardBatch(gyb, {sink.data(), dim, 0});
-  EXPECT_EQ(ParallelDispatchCount() - before, 1u) << "conv backward";
-
-  Linear linear(48, 10);
-  linear.InitParams(&rng);
-  Tensor lx = RandomTensor({kN, 48}, 263);
-  before = ParallelDispatchCount();
-  linear.ForwardBatch(lx);
-  EXPECT_EQ(ParallelDispatchCount() - before, 1u) << "linear forward";
-  Tensor lgy = RandomTensor({kN, 10}, 269);
-  size_t ldim = linear.NumParams();
-  std::vector<float> lsink(kN * ldim, 0.0f);
-  before = ParallelDispatchCount();
-  linear.BackwardBatch(lgy, {lsink.data(), ldim, 0});
-  EXPECT_EQ(ParallelDispatchCount() - before, 1u) << "linear backward";
-}
-
-// --- Dispatch contract: parallelism lives in the GEMM layers only.
-// Conv2d and Linear each fan a batched pass out to the pool once per
-// direction; activations, GroupNorm, pooling and Flatten run serially.
-// A whole local step therefore costs one dispatch per GEMM layer per
-// direction, which the counters below pin.
-
-// Dispatch accounting for a whole local step, with a multi-thread pool
-// and a multi-example microbatch so every dispatch is a real fan-out.
-// kN = 9 exceeds Linear's 8-row GEMM block, so its forward genuinely
-// fans out too.
-struct StepDispatchCounts {
-  uint64_t forward = 0;
-  uint64_t backward = 0;
-};
-
-StepDispatchCounts CountStepDispatches(std::unique_ptr<Sequential> model,
-                                       const std::vector<size_t>& ex_shape,
-                                       size_t num_classes) {
+// --- Dispatch contract: layers compute on the calling thread. With a
+// multi-thread pool and a multi-example microbatch (kN = 9, large enough
+// that any per-example or per-row-block split would fan out), every
+// layer's batched forward and backward, and every model-zoo family's
+// whole forward + loss + backward, issue zero dispatches. A federated
+// round's one dispatch is the only parallelism.
+TEST(KernelEquivalenceTest, BatchedPassesDispatchNothing) {
   ThreadPool pool(4);
   ScopedPoolOverride override_pool(&pool);
   constexpr size_t kN = 9;
-  SplitRng rng(311);
-  model->InitParams(&rng);
-  Tensor batch = RandomTensor(WithBatch(kN, ex_shape), 313);
-  std::vector<size_t> labels(kN);
-  for (size_t ex = 0; ex < kN; ++ex) labels[ex] = ex % num_classes;
-  StepDispatchCounts c;
-  uint64_t before = ParallelDispatchCount();
-  Tensor logits = model->ForwardBatch(batch);
-  c.forward = ParallelDispatchCount() - before;
-  BatchLossGrad lg = SoftmaxCrossEntropyBatch(logits, labels);
-  std::vector<float> grads(kN * model->NumParams());
-  before = ParallelDispatchCount();
-  model->BackwardBatchTo(lg.grad_logits, kN, grads.data());
-  c.backward = ParallelDispatchCount() - before;
-  return c;
-}
-
-// The CNN and the residual CNN have three convolutions and two linear
-// layers (5 per direction; Residual's skip-add is serial), the MLP two
-// linear layers.
-TEST(KernelEquivalenceTest, LocalStepDispatchCounts) {
-  StepDispatchCounts cnn =
-      CountStepDispatches(MakeCnn(1, 8, 3, 4), {1, 8, 8}, 4);
-  EXPECT_EQ(cnn.forward, 5u);
-  EXPECT_EQ(cnn.backward, 5u);
-  StepDispatchCounts res =
-      CountStepDispatches(MakeResidualCnn(1, 8, 3, 4), {1, 8, 8}, 4);
-  EXPECT_EQ(res.forward, 5u);
-  EXPECT_EQ(res.backward, 5u);
-  StepDispatchCounts mlp = CountStepDispatches(MakeMlp(20, 8, 5), {20}, 5);
-  EXPECT_EQ(mlp.forward, 2u);
-  EXPECT_EQ(mlp.backward, 2u);
-}
-
-// The serial half of the rule, per layer: large enough batched passes
-// that any per-example or per-block split would fan out, yet zero
-// dispatches at pool size hw.
-TEST(KernelEquivalenceTest, CheapLayersBatchedPassesDispatchNothing) {
-  size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
-  ThreadPool pool(hw);
-  ScopedPoolOverride override_pool(&pool);
-  constexpr size_t kN = 9;
+  const std::vector<size_t> image = {8, 24, 24};
   struct Case {
     const char* name;
     LayerPtr layer;
+    std::vector<size_t> ex_shape;
   };
   Case cases[] = {
-      {"Elu", std::make_unique<Elu>()},
-      {"Relu", std::make_unique<Relu>()},
-      {"GroupNorm", std::make_unique<GroupNorm>(4, 8, 1e-5, true)},
-      {"AdaptiveAvgPool2d", std::make_unique<AdaptiveAvgPool2d>(4, 4)},
-      {"Flatten", std::make_unique<Flatten>()},
+      {"Conv2d", std::make_unique<Conv2d>(8, 8, 3, 1), image},
+      {"Linear", std::make_unique<Linear>(48, 10), {48}},
+      {"Elu", std::make_unique<Elu>(), image},
+      {"Relu", std::make_unique<Relu>(), image},
+      {"GroupNorm", std::make_unique<GroupNorm>(4, 8, 1e-5, true), image},
+      {"AdaptiveAvgPool2d", std::make_unique<AdaptiveAvgPool2d>(4, 4),
+       image},
+      {"Flatten", std::make_unique<Flatten>(), image},
   };
   for (Case& c : cases) {
     SCOPED_TRACE(c.name);
     SplitRng rng(317);
     c.layer->InitParams(&rng);
-    Tensor xb = RandomTensor({kN, 8, 24, 24}, 331);
+    Tensor xb = RandomTensor(WithBatch(kN, c.ex_shape), 331);
     uint64_t before = ParallelDispatchCount();
     Tensor yb = c.layer->ForwardBatch(xb);
     EXPECT_EQ(ParallelDispatchCount() - before, 0u) << "forward";
@@ -469,6 +382,32 @@ TEST(KernelEquivalenceTest, CheapLayersBatchedPassesDispatchNothing) {
     before = ParallelDispatchCount();
     c.layer->BackwardBatch(gyb, {sink.data(), dim, 0});
     EXPECT_EQ(ParallelDispatchCount() - before, 0u) << "backward";
+  }
+
+  struct ModelCase {
+    const char* name;
+    std::unique_ptr<Sequential> model;
+    std::vector<size_t> ex_shape;
+    size_t num_classes;
+  };
+  ModelCase models[] = {
+      {"MakeCnn", MakeCnn(1, 8, 3, 4), {1, 8, 8}, 4},
+      {"MakeResidualCnn", MakeResidualCnn(1, 8, 3, 4), {1, 8, 8}, 4},
+      {"MakeMlp", MakeMlp(20, 8, 5), {20}, 5},
+  };
+  for (ModelCase& m : models) {
+    SCOPED_TRACE(m.name);
+    SplitRng rng(311);
+    m.model->InitParams(&rng);
+    Tensor batch = RandomTensor(WithBatch(kN, m.ex_shape), 313);
+    std::vector<size_t> labels(kN);
+    for (size_t ex = 0; ex < kN; ++ex) labels[ex] = ex % m.num_classes;
+    std::vector<float> grads(kN * m.model->NumParams());
+    uint64_t before = ParallelDispatchCount();
+    Tensor logits = m.model->ForwardBatch(batch);
+    BatchLossGrad lg = SoftmaxCrossEntropyBatch(logits, labels);
+    m.model->BackwardBatchTo(lg.grad_logits, kN, grads.data());
+    EXPECT_EQ(ParallelDispatchCount() - before, 0u);
   }
 }
 
