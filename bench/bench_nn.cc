@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -267,6 +268,102 @@ void BM_GemmConvShape(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
 BENCHMARK(BM_GemmConvShape)->Unit(benchmark::kMicrosecond);
+
+// --- Conv data movement at the paper CNN's 16→16 k=5 same-padded
+// layer (12×12 input), one example: the im2col panel expansion (run in
+// the forward and again in the backward) and the col2im scatter-add of
+// the dX panel. BM_Im2ColRowwiseRef is the loop Im2Col replaced (one
+// bounds-checked memset/memcpy per 12-float output row), same bytes.
+constexpr size_t kMoveCh = 16;
+constexpr size_t kMoveImg = 12;
+constexpr size_t kMoveKernel = 5;
+constexpr size_t kMovePad = 2;
+// Same padding, so OH = OW = 12.
+constexpr size_t kMovePanel =
+    kMoveCh * kMoveKernel * kMoveKernel * kMoveImg * kMoveImg;
+
+void RowwiseIm2Col(const float* x, size_t channels, size_t h, size_t w,
+                   size_t kernel, size_t pad, float* col) {
+  size_t oh = h + 2 * pad - kernel + 1;
+  size_t ow = w + 2 * pad - kernel + 1;
+  size_t q = oh * ow;
+  for (size_t ic = 0; ic < channels; ++ic) {
+    const float* plane = x + ic * h * w;
+    for (size_t kh = 0; kh < kernel; ++kh) {
+      for (size_t kw = 0; kw < kernel; ++kw) {
+        float* row = col + ((ic * kernel + kh) * kernel + kw) * q;
+        for (size_t i = 0; i < oh; ++i) {
+          float* dst = row + i * ow;
+          long long ih = static_cast<long long>(i + kh) -
+                         static_cast<long long>(pad);
+          if (ih < 0 || ih >= static_cast<long long>(h)) {
+            std::memset(dst, 0, ow * sizeof(float));
+            continue;
+          }
+          size_t j_lo = pad > kw ? pad - kw : 0;
+          size_t j_hi = w + pad > kw ? std::min(ow, w + pad - kw) : 0;
+          if (j_lo >= j_hi) {
+            std::memset(dst, 0, ow * sizeof(float));
+            continue;
+          }
+          std::memset(dst, 0, j_lo * sizeof(float));
+          std::memcpy(dst + j_lo,
+                      plane + static_cast<size_t>(ih) * w + (j_lo + kw - pad),
+                      (j_hi - j_lo) * sizeof(float));
+          std::memset(dst + j_hi, 0, (ow - j_hi) * sizeof(float));
+        }
+      }
+    }
+  }
+}
+
+std::vector<float> MoveImage() {
+  std::vector<float> x(kMoveCh * kMoveImg * kMoveImg);
+  SplitRng rng(41);
+  rng.FillGaussian(x.data(), x.size(), 1.0);
+  return x;
+}
+
+void BM_Im2Col(benchmark::State& state) {
+  std::vector<float> x = MoveImage();
+  std::vector<float> col(kMovePanel);
+  for (auto _ : state) {
+    nn::Im2Col(x.data(), kMoveCh, kMoveImg, kMoveImg, kMoveKernel, kMovePad,
+               col.data());
+    benchmark::DoNotOptimize(col.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * kMovePanel * sizeof(float));
+}
+BENCHMARK(BM_Im2Col)->Unit(benchmark::kMicrosecond);
+
+void BM_Im2ColRowwiseRef(benchmark::State& state) {
+  std::vector<float> x = MoveImage();
+  std::vector<float> col(kMovePanel);
+  for (auto _ : state) {
+    RowwiseIm2Col(x.data(), kMoveCh, kMoveImg, kMoveImg, kMoveKernel,
+                  kMovePad, col.data());
+    benchmark::DoNotOptimize(col.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * kMovePanel * sizeof(float));
+}
+BENCHMARK(BM_Im2ColRowwiseRef)->Unit(benchmark::kMicrosecond);
+
+void BM_Col2ImAccumulate(benchmark::State& state) {
+  std::vector<float> dcol(kMovePanel);
+  SplitRng rng(43);
+  rng.FillGaussian(dcol.data(), dcol.size(), 1.0);
+  std::vector<float> dx(kMoveCh * kMoveImg * kMoveImg, 0.0f);
+  for (auto _ : state) {
+    nn::Col2ImAccumulate(dcol.data(), kMoveCh, kMoveImg, kMoveImg,
+                         kMoveKernel, kMovePad, dx.data());
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * kMovePanel * sizeof(float));
+}
+BENCHMARK(BM_Col2ImAccumulate)->Unit(benchmark::kMicrosecond);
 
 // Batched Linear forward at the e2e model shape (batch 16, 512→32).
 void BM_LinearForwardBatch(benchmark::State& state) {

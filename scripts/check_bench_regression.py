@@ -96,6 +96,18 @@ RATIO_GATES = [
         2.5,
         "radix KS test >= 2.5x std::sort reference",
     ),
+    # Conv data movement (bench_nn.cc) at the paper CNN's 16->16 k=5
+    # same-padded 12x12 layer: Im2Col through its zero-padded per-thread
+    # panel in constant-size 4-float copies, against the row-wise loop it
+    # replaced (one bounds-checked memset/memcpy per 12-float row), same
+    # bytes. Measured ~2.9x on the dev container; a per-row libc call
+    # coming back falls to ~1x.
+    (
+        "BM_Im2ColRowwiseRef",
+        "BM_Im2Col",
+        2.0,
+        "padded-plane Im2Col >= 2x row-wise reference",
+    ),
     # Parity floors for the batched backward passes: both sides run the
     # same serial per-example work on the calling thread (nn layers never
     # dispatch, on any core count), so the batched pass sits at parity

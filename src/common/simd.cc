@@ -36,11 +36,6 @@ DPBR_NOVEC_FN void ScalarAxpyF32(float a, const float* x, float* y,
   for (size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
-DPBR_NOVEC_FN void ScalarAddF32(const float* x, float* y, size_t n) {
-  DPBR_NOVEC_LOOP
-  for (size_t i = 0; i < n; ++i) y[i] += x[i];
-}
-
 DPBR_NOVEC_FN void ScalarScaleF32(float a, float* y, size_t n) {
   DPBR_NOVEC_LOOP
   for (size_t i = 0; i < n; ++i) y[i] *= a;
@@ -244,7 +239,6 @@ const SimdKernels& ScalarTable() {
   static const SimdKernels table = {
       /*isa=*/IsaLevel::kScalar,
       /*axpy_f32=*/&ScalarAxpyF32,
-      /*add_f32=*/&ScalarAddF32,
       /*scale_f32=*/&ScalarScaleF32,
       /*add_scalar_f32=*/&ScalarAddScalarF32,
       /*dot8_f32=*/&ScalarDot8F32,

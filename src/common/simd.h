@@ -75,9 +75,6 @@ struct SimdKernels {
   /// every accumulation chain matches the scalar reference bitwise.
   void (*axpy_f32)(float a, const float* x, float* y, size_t n);
 
-  /// y[i] += x[i].
-  void (*add_f32)(const float* x, float* y, size_t n);
-
   /// y[i] *= a.
   void (*scale_f32)(float a, float* y, size_t n);
 

@@ -266,7 +266,6 @@ const SimdKernels* detail::Avx2Table() {
     SimdKernels t = base != nullptr ? *base : ScalarTable();
     t.isa = IsaLevel::kAvx2;
     t.axpy_f32 = &K8::AxpyF32;
-    t.add_f32 = &K8::AddF32;
     t.scale_f32 = &K8::ScaleF32;
     t.add_scalar_f32 = &K8::AddScalarF32;
     t.dot8_f32 = &Avx2Dot8F32;

@@ -31,7 +31,6 @@ const SimdKernels* detail::Avx512Table() {
     SimdKernels t = base != nullptr ? *base : ScalarTable();
     t.isa = IsaLevel::kAvx512;
     t.axpy_f32 = &K8::AxpyF32;
-    t.add_f32 = &K8::AddF32;
     t.scale_f32 = &K8::ScaleF32;
     t.add_scalar_f32 = &K8::AddScalarF32;
     t.gemm_nn_tile_f32 = &Tiles::NNTileF32;

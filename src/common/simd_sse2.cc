@@ -144,7 +144,6 @@ const SimdKernels* detail::Sse2Table() {
     SimdKernels t = ScalarTable();
     t.isa = IsaLevel::kSse2;
     t.axpy_f32 = &K8::AxpyF32;
-    t.add_f32 = &K8::AddF32;
     t.scale_f32 = &K8::ScaleF32;
     t.add_scalar_f32 = &K8::AddScalarF32;
     t.dot8_f32 = &Sse2Dot8F32;

@@ -317,14 +317,6 @@ struct Kernels8 {
     for (; i < n; ++i) y[i] += a * x[i];
   }
 
-  static void AddF32(const float* x, float* y, size_t n) {
-    size_t i = 0;
-    for (; i + T::kF <= n; i += T::kF) {
-      T::StoreF(y + i, T::AddF(T::LoadF(y + i), T::LoadF(x + i)));
-    }
-    for (; i < n; ++i) y[i] += x[i];
-  }
-
   static void ScaleF32(float a, float* y, size_t n) {
     VF va = T::Set1F(a);
     size_t i = 0;

@@ -53,39 +53,63 @@ void GemmTN(size_t m, size_t k, size_t n, const float* a, const float* b,
   simd::Kernels().gemm_nn_tile_f32(m, n, k, a, 1, m, b, n, nullptr, c, n);
 }
 
+namespace {
+
+// dst[0, n) = src[0, n) in constant-size 4-float moves, which compile to
+// inline vector loads and stores instead of a libc call per row. The last
+// chunk overlaps the one before it when n is not a multiple of 4: copying
+// an element twice writes the same bits.
+inline void CopyRow(const float* src, float* dst, size_t n) {
+  if (n < 4) {
+    for (size_t j = 0; j < n; ++j) dst[j] = src[j];
+    return;
+  }
+  for (size_t j = 0; j + 4 <= n; j += 4) {
+    std::memcpy(dst + j, src + j, 4 * sizeof(float));
+  }
+  std::memcpy(dst + n - 4, src + n - 4, 4 * sizeof(float));
+}
+
+// Output rows [lo, hi) whose tap at kernel offset `kk` lands inside an
+// input extent of `size`: those with 0 <= i + kk - pad < size.
+inline void ValidRange(size_t size, size_t out, size_t kk, size_t pad,
+                       size_t* lo, size_t* hi) {
+  *lo = pad > kk ? pad - kk : 0;
+  *hi = size + pad > kk ? std::min(out, size + pad - kk) : 0;
+}
+
+}  // namespace
+
 void Im2Col(const float* x, size_t channels, size_t h, size_t w,
             size_t kernel, size_t pad, float* col) {
   DPBR_CHECK_GE(h + 2 * pad + 1, kernel);
   DPBR_CHECK_GE(w + 2 * pad + 1, kernel);
-  size_t oh = h + 2 * pad - kernel + 1;
-  size_t ow = w + 2 * pad - kernel + 1;
+  size_t ph = h + 2 * pad;
+  size_t pw = w + 2 * pad;
+  size_t oh = ph - kernel + 1;
+  size_t ow = pw - kernel + 1;
   size_t q = oh * ow;  // columns per row
+  // Zero-pad the image once, so every tap row below is a plain copy.
+  float* padded = ThreadPanel(kPanelSlotPad, channels * ph * pw);
   for (size_t ic = 0; ic < channels; ++ic) {
-    const float* plane = x + ic * h * w;
+    float* plane = padded + ic * ph * pw;
+    std::fill_n(plane, pad * pw, 0.0f);
+    for (size_t i = 0; i < h; ++i) {
+      float* dst = plane + (pad + i) * pw;
+      std::fill_n(dst, pad, 0.0f);
+      CopyRow(x + (ic * h + i) * w, dst + pad, w);
+      std::fill_n(dst + pad + w, pad, 0.0f);
+    }
+    std::fill_n(plane + (pad + h) * pw, pad * pw, 0.0f);
+  }
+  // Row (ic, kh, kw), output row i is padded row i + kh from column kw.
+  for (size_t ic = 0; ic < channels; ++ic) {
     for (size_t kh = 0; kh < kernel; ++kh) {
       for (size_t kw = 0; kw < kernel; ++kw) {
+        const float* src = padded + (ic * ph + kh) * pw + kw;
         float* row = col + ((ic * kernel + kh) * kernel + kw) * q;
         for (size_t i = 0; i < oh; ++i) {
-          float* dst = row + i * ow;
-          // Input row feeding output row i through tap (kh, kw).
-          long long ih = static_cast<long long>(i + kh) -
-                         static_cast<long long>(pad);
-          if (ih < 0 || ih >= static_cast<long long>(h)) {
-            std::memset(dst, 0, ow * sizeof(float));
-            continue;
-          }
-          // Valid output columns j satisfy 0 <= j + kw - pad < w.
-          size_t j_lo = pad > kw ? pad - kw : 0;
-          size_t j_hi = w + pad > kw ? std::min(ow, w + pad - kw) : 0;
-          if (j_lo >= j_hi) {
-            std::memset(dst, 0, ow * sizeof(float));
-            continue;
-          }
-          std::memset(dst, 0, j_lo * sizeof(float));
-          std::memcpy(dst + j_lo,
-                      plane + static_cast<size_t>(ih) * w + (j_lo + kw - pad),
-                      (j_hi - j_lo) * sizeof(float));
-          std::memset(dst + j_hi, 0, (ow - j_hi) * sizeof(float));
+          CopyRow(src + i * pw, row + i * ow, ow);
         }
       }
     }
@@ -94,26 +118,26 @@ void Im2Col(const float* x, size_t channels, size_t h, size_t w,
 
 void Col2ImAccumulate(const float* col, size_t channels, size_t h, size_t w,
                       size_t kernel, size_t pad, float* dx) {
+  DPBR_CHECK_GE(h + 2 * pad + 1, kernel);
+  DPBR_CHECK_GE(w + 2 * pad + 1, kernel);
   size_t oh = h + 2 * pad - kernel + 1;
   size_t ow = w + 2 * pad - kernel + 1;
   size_t q = oh * ow;
-  const simd::SimdKernels& kern = simd::Kernels();
   for (size_t ic = 0; ic < channels; ++ic) {
     float* plane = dx + ic * h * w;
     for (size_t kh = 0; kh < kernel; ++kh) {
+      size_t i_lo, i_hi;
+      ValidRange(h, oh, kh, pad, &i_lo, &i_hi);
       for (size_t kw = 0; kw < kernel; ++kw) {
+        size_t j_lo, j_hi;
+        ValidRange(w, ow, kw, pad, &j_lo, &j_hi);
+        if (j_lo >= j_hi) continue;
+        size_t n = j_hi - j_lo;
         const float* row = col + ((ic * kernel + kh) * kernel + kw) * q;
-        for (size_t i = 0; i < oh; ++i) {
-          long long ih = static_cast<long long>(i + kh) -
-                         static_cast<long long>(pad);
-          if (ih < 0 || ih >= static_cast<long long>(h)) continue;
-          size_t j_lo = pad > kw ? pad - kw : 0;
-          size_t j_hi = w + pad > kw ? std::min(ow, w + pad - kw) : 0;
-          if (j_lo >= j_hi) continue;
+        for (size_t i = i_lo; i < i_hi; ++i) {
           const float* src = row + i * ow + j_lo;
-          float* dst = plane + static_cast<size_t>(ih) * w +
-                       (j_lo + kw - pad);
-          kern.add_f32(src, dst, j_hi - j_lo);
+          float* dst = plane + (i + kh - pad) * w + (j_lo + kw - pad);
+          for (size_t j = 0; j < n; ++j) dst[j] += src[j];
         }
       }
     }

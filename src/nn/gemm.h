@@ -8,6 +8,12 @@
 // its tile and tier, so results are bit-identical on any SIMD tier (the
 // contract tests/nn/kernel_equivalence_test.cc enforces).
 //
+// The conv data movement around the tiles is plain portable C++ with no
+// table call: Im2Col only copies (through a zero-padded per-thread
+// panel, so the copies need no bounds checks) and Col2ImAccumulate adds
+// each tap once in a fixed order, so both are bitwise the same on every
+// tier (tests/nn/im2col_test.cc pins them to their row-wise references).
+//
 // Nothing here touches the thread pool: every nn pass runs on the
 // calling thread. A federated round parallelizes across its local steps,
 // server-gradient rows and evaluation blocks, one pass per pool task.
@@ -59,6 +65,8 @@ class Workspace {
 constexpr size_t kPanelSlotCol = 0;
 /// The column-space input gradient Wᵀ·dY, before col2im scatters it.
 constexpr size_t kPanelSlotDcol = 1;
+/// Im2Col's zero-padded copy of the example's (C, H+2p, W+2p) image.
+constexpr size_t kPanelSlotPad = 2;
 
 /// Returns the calling thread's panel `slot` grown to at least `n`
 /// floats. Grow-only and thread-local: after warm-up no call allocates.
@@ -90,14 +98,21 @@ void GemmTN(size_t m, size_t k, size_t n, const float* a, const float* b,
 /// Expands a (C, H, W) image into the (C·kh·kw) × (OH·OW) column matrix
 /// of a stride-1, symmetrically zero-padded convolution. Row r encodes
 /// (ic, kh, kw) in row-major order; column q encodes (oh, ow). Out-of-
-/// bounds taps are written as 0.
+/// bounds taps are written as +0.
+///
+/// The image is first zero-padded into the calling thread's
+/// kPanelSlotPad panel (C·(H+2p)·(W+2p) floats), so each of a row's OH
+/// segments is an unchecked OW-float copy from a fixed offset. Every
+/// element of `col` is written and is a bit-exact copy of an input
+/// element or +0; nothing is computed. `col` must not alias that panel.
 void Im2Col(const float* x, size_t channels, size_t h, size_t w,
             size_t kernel, size_t pad, float* col);
 
 /// Scatter-adds a column-matrix gradient back onto the (C, H, W) image
 /// gradient: the exact adjoint of Im2Col. `dx` must be pre-zeroed (or
-/// hold a partial gradient to accumulate onto). The accumulation order
-/// is fixed by (kernel, shape) only.
+/// hold a partial gradient to accumulate onto). Each dX element takes
+/// its taps as single float adds in ascending (ic, kh, kw) order, the
+/// order fixed by (kernel, shape) only; out-of-bounds taps are skipped.
 void Col2ImAccumulate(const float* col, size_t channels, size_t h, size_t w,
                       size_t kernel, size_t pad, float* dx);
 

@@ -1,6 +1,5 @@
 #include "stats/ks_test.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -133,22 +132,6 @@ struct SortedKeyScan {
 };
 
 }  // namespace
-
-KsResult KsTest(const std::vector<double>& sample,
-                const std::function<double(double)>& cdf) {
-  DPBR_CHECK_GT(sample.size(), 0u);
-  std::vector<double> sorted = sample;
-  std::sort(sorted.begin(), sorted.end());
-  size_t n = sorted.size();
-  double inv_n = 1.0 / static_cast<double>(n);
-  double d = 0.0;
-  for (size_t i = 0; i < n; ++i) FoldDStatistic(cdf(sorted[i]), i, inv_n, &d);
-  KsResult r;
-  r.n = n;
-  r.statistic = d;
-  r.p_value = KsPValue(r.n, r.statistic);
-  return r;
-}
 
 KsResult KsTestGaussian(const float* data, size_t n, double stddev) {
   DPBR_CHECK_GT(n, 0u);

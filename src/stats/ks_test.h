@@ -8,7 +8,6 @@
 #define DPBR_STATS_KS_TEST_H_
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 namespace dpbr {
@@ -20,11 +19,6 @@ struct KsResult {
   double p_value = 1.0;    ///< Pr(D_n >= statistic) under the null
   size_t n = 0;            ///< sample size
 };
-
-/// Tests `sample` against an arbitrary continuous CDF. The sample is copied
-/// and sorted internally.
-KsResult KsTest(const std::vector<double>& sample,
-                const std::function<double(double)>& cdf);
 
 /// Tests float data (gradient coordinates) against N(0, stddev²) without
 /// converting the container. This is the hot path of FirstAgg: the sample

@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "stats/distributions.h"
 #include "stats/ks_test.h"
+#include "stats/ks_test_reference.h"
 
 namespace dpbr {
 namespace {

@@ -224,19 +224,6 @@ TEST(SimdKernelTest, AxpyBitwise) {
   });
 }
 
-TEST(SimdKernelTest, AddBitwise) {
-  ForEachIsa([](const SimdKernels& ref, const SimdKernels& k) {
-    for (size_t n : kSizes) {
-      std::vector<float> x = RandomVec(n, 300 + n);
-      std::vector<float> want = RandomVec(n, 400 + n);
-      std::vector<float> got = want;
-      ref.add_f32(x.data(), want.data(), n);
-      k.add_f32(x.data(), got.data(), n);
-      ExpectBitEqual(want, got);
-    }
-  });
-}
-
 TEST(SimdKernelTest, ScaleAndAddScalarBitwise) {
   ForEachIsa([](const SimdKernels& ref, const SimdKernels& k) {
     for (size_t n : kSizes) {

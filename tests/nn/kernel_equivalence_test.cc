@@ -163,8 +163,9 @@ struct ConvCase {
   size_t in_ch, out_ch, k, pad, h, w;
 };
 
-// CIFAR-like (the acceptance shape), deeper same-padded, and edge cases
-// where the padded kernel overhangs most of the input.
+// CIFAR-like (the acceptance shape), deeper same-padded, edge cases
+// where the padded kernel overhangs most of the input, and the paper
+// CNN's two conv shapes.
 const ConvCase kCases[] = {
     {3, 32, 3, 1, 32, 32},
     {16, 16, 3, 1, 8, 8},
@@ -172,6 +173,9 @@ const ConvCase kCases[] = {
     {2, 3, 3, 0, 6, 6},
     {4, 8, 1, 0, 5, 5},
     {1, 2, 7, 3, 3, 3},  // kernel overhangs the whole padded input
+    // The paper CNN's conv layers, the shapes a federated round runs.
+    {1, 16, 5, 0, 16, 16},
+    {16, 16, 5, 2, 12, 12},
 };
 
 TEST(KernelEquivalenceTest, ConvForwardBatchMatchesNaiveBatch) {

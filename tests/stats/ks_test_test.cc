@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "stats/distributions.h"
 #include "stats/kolmogorov.h"
+#include "stats/ks_test_reference.h"
 
 // Counts this thread's heap allocations, so a test can assert that a warm
 // call allocates nothing. Replacing the global operator new/delete pair
