@@ -19,6 +19,7 @@
 #include "core/dpbr_aggregator.h"
 #include "core/first_stage.h"
 #include "dp/rdp_accountant.h"
+#include "fl/upload.h"
 #include "stats/distributions.h"
 #include "stats/kolmogorov.h"
 #include "stats/ks_test.h"
@@ -27,14 +28,13 @@ namespace {
 
 using namespace dpbr;
 
-std::vector<std::vector<float>> NoiseUploads(size_t n, size_t dim,
-                                             double sigma) {
+fl::UploadArena NoiseUploads(size_t n, size_t dim, double sigma) {
   SplitRng rng(1);
-  std::vector<std::vector<float>> uploads(n);
+  fl::UploadArena uploads;
+  uploads.Reset(n, dim);
   for (size_t i = 0; i < n; ++i) {
-    uploads[i].resize(dim);
     SplitRng w = rng.Split(i);
-    w.FillGaussian(uploads[i].data(), dim, sigma);
+    w.FillGaussian(uploads.Row(i), dim, sigma);
   }
   return uploads;
 }
@@ -120,7 +120,7 @@ void BM_KsTestGaussian(benchmark::State& state) {
   size_t d = static_cast<size_t>(state.range(0));
   std::vector<float> u = KsRow(d);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::KsTestGaussian(u, 0.3));
+    benchmark::DoNotOptimize(stats::KsTestGaussian(u.data(), d, 0.3));
   }
   state.SetItemsProcessed(state.iterations() * d);
 }
@@ -142,7 +142,7 @@ BENCHMARK(BM_KsTestGaussianSortRef)->Arg(25450);
 
 void CheckKsRadixMatchesSortReference() {
   std::vector<float> u = KsRow(25450);
-  stats::KsResult radix = stats::KsTestGaussian(u, 0.3);
+  stats::KsResult radix = stats::KsTestGaussian(u.data(), u.size(), 0.3);
   stats::KsResult ref = SortReferenceKsTestGaussian(u, 0.3);
   if (std::memcmp(&radix.statistic, &ref.statistic, sizeof(double)) != 0 ||
       std::memcmp(&radix.p_value, &ref.p_value, sizeof(double)) != 0) {
@@ -159,18 +159,12 @@ void CheckKsRadixMatchesSortReference() {
 
 void BM_FirstStageApply(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  const size_t dim = 2410;
-  std::vector<float> block;
-  block.reserve(n * dim);
-  for (const auto& u : NoiseUploads(n, dim, 0.3)) {
-    block.insert(block.end(), u.begin(), u.end());
-  }
-  std::vector<float> copy(block.size());
+  fl::UploadArena uploads = NoiseUploads(n, 2410, 0.3);
+  fl::UploadArena copy = uploads;
   core::FirstStageFilter filter{core::ProtocolOptions{}};
   for (auto _ : state) {
-    copy = block;
-    benchmark::DoNotOptimize(
-        filter.Apply(RowSpan(copy.data(), n, dim), 0.3));
+    copy = uploads;  // Apply zeroes rejected rows in place
+    benchmark::DoNotOptimize(filter.Apply(copy.span(), 0.3));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -186,8 +180,10 @@ void BM_DpbrAggregate(benchmark::State& state) {
   ctx.gamma = 0.4;
   ctx.server_gradient = &server_grad;
   core::DpbrAggregator aggregator;
+  fl::UploadArena copy = uploads;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(aggregator.Aggregate(uploads, ctx));
+    copy = uploads;  // the first stage zeroes rejected rows in place
+    benchmark::DoNotOptimize(aggregator.Aggregate(copy.span(), ctx));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -201,7 +197,7 @@ void BM_Krum(benchmark::State& state) {
   ctx.gamma = 0.6;
   agg::KrumAggregator krum;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(krum.Aggregate(uploads, ctx));
+    benchmark::DoNotOptimize(krum.Aggregate(uploads.span(), ctx));
   }
 }
 BENCHMARK(BM_Krum)->Arg(20)->Arg(50);
@@ -227,7 +223,7 @@ void KrumAtScale(benchmark::State& state, size_t pool_size) {
   ThreadPool pool(pool_size);
   ScopedPoolOverride override(&pool);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(krum.Aggregate(uploads, ctx));
+    benchmark::DoNotOptimize(krum.Aggregate(uploads.span(), ctx));
   }
   state.counters["threads"] = static_cast<double>(pool_size);
 }
@@ -254,12 +250,12 @@ void CheckKrumSerialParallelIdentity() {
   {
     ThreadPool pool(1);
     ScopedPoolOverride override(&pool);
-    serial = krum.Aggregate(uploads, ctx).value();
+    serial = krum.Aggregate(uploads.span(), ctx).value();
   }
   {
     ThreadPool pool(ParallelPoolSize());
     ScopedPoolOverride override(&pool);
-    parallel = krum.Aggregate(uploads, ctx).value();
+    parallel = krum.Aggregate(uploads.span(), ctx).value();
   }
   if (serial != parallel) {
     std::fprintf(stderr,
@@ -292,7 +288,7 @@ void BM_CoordinateMedian(benchmark::State& state) {
   ctx.dim = 2410;
   agg::CoordinateMedianAggregator median;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(median.Aggregate(uploads, ctx));
+    benchmark::DoNotOptimize(median.Aggregate(uploads.span(), ctx));
   }
 }
 BENCHMARK(BM_CoordinateMedian)->Arg(20)->Arg(50);
@@ -304,7 +300,7 @@ void BM_RfaGeometricMedian(benchmark::State& state) {
   ctx.dim = 2410;
   agg::RfaAggregator rfa;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rfa.Aggregate(uploads, ctx));
+    benchmark::DoNotOptimize(rfa.Aggregate(uploads.span(), ctx));
   }
 }
 BENCHMARK(BM_RfaGeometricMedian)->Arg(20)->Arg(50);

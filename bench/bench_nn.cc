@@ -2,7 +2,7 @@
 // im2col+GEMM Conv2d against the naive reference kernel at the
 // CIFAR-like acceptance shape (3→32 channels, 32×32, k=3), raw GEMM
 // throughput, batched Linear, and a full DP worker local step
-// (HonestDpWorker::ComputeUpdate) on both MLP and CNN models.
+// (HonestDpWorker::ComputeUpdateInto) on both MLP and CNN models.
 //
 // Before timing, main() asserts at the acceptance shape that the GEMM
 // conv is bit-identical under serial and parallel pools, agrees with the
@@ -423,9 +423,12 @@ void LocalStep(benchmark::State& state, const data::DatasetBundle& bundle,
   fl::HonestDpWorker worker(0, data::DatasetView::All(&bundle.train),
                             factory, opts, 17);
   std::vector<float> params(worker.dim(), 0.01f);
+  std::vector<float> upload(worker.dim());
   int round = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(worker.ComputeUpdate(params, round++));
+    worker.ComputeUpdateInto(params, round++, upload.data());
+    benchmark::DoNotOptimize(upload.data());
+    benchmark::ClobberMemory();
   }
   state.counters["d"] = static_cast<double>(worker.dim());
   state.SetItemsProcessed(state.iterations() * opts.batch_size);

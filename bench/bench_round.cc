@@ -20,14 +20,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <vector>
-
-#include "aggregators/mean.h"
 #include "aggregators/median.h"
-#include "aggregators/trimmed_mean.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "fl/upload.h"
@@ -89,51 +82,6 @@ void BM_AggregateArena(benchmark::State& state) {
 }
 BENCHMARK(BM_AggregateArena)->Arg(1000)->Arg(10000)->Arg(100000);
 
-// The arena span path must be bitwise equal to the legacy
-// vector-of-vectors adapter (the contract arena_equivalence_test pins
-// per rule); re-check it here at a multi-tile width before timing so a
-// determinism regression fails the bench smoke job loudly.
-void CheckArenaLegacyIdentity() {
-  constexpr size_t n = 1000;
-  constexpr size_t dim = 1300;  // > SelectionTileWidth(1000) → 2 tiles
-  fl::UploadArena arena;
-  arena.Reset(n, dim);
-  std::vector<std::vector<float>> legacy(n, std::vector<float>(dim));
-  for (size_t i = 0; i < n; ++i) {
-    SplitRng rng(17, {0, i});
-    rng.FillGaussian(arena.Row(i), dim, 0.3);
-    std::memcpy(legacy[i].data(), arena.Row(i), dim * sizeof(float));
-  }
-  agg::AggregationContext ctx;
-  ctx.dim = dim;
-  agg::MeanAggregator mean;
-  agg::CoordinateMedianAggregator median;
-  agg::TrimmedMeanAggregator trimmed(0.2);
-  agg::Aggregator* rules[] = {&mean, &median, &trimmed};
-  for (agg::Aggregator* rule : rules) {
-    auto from_vecs = rule->Aggregate(legacy, ctx);
-    auto from_span = rule->Aggregate(arena.span(), ctx);
-    if (!from_vecs.ok() || !from_span.ok() ||
-        std::memcmp(from_vecs.value().data(), from_span.value().data(),
-                    dim * sizeof(float)) != 0) {
-      std::fprintf(stderr, "FATAL: %s arena path != legacy path\n",
-                   rule->name().c_str());
-      std::exit(1);
-    }
-  }
-  std::fprintf(stderr,
-               "arena determinism check: mean/median/trimmed_mean span "
-               "== legacy bitwise (n=%zu d=%zu)\n",
-               n, dim);
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  CheckArenaLegacyIdentity();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -39,11 +39,9 @@ Check families (each finding is tagged `[family-check]`):
                                       (layers compute on the calling
                                       thread)
 
-Backend: parses with python libclang when the `clang` bindings are
-importable (exact token stream from the real compiler frontend), else a
-built-in C++ lexer that understands comments, raw strings, char
-literals and preprocessor lines. Both feed the same token pipeline, so
-findings are identical on the constructs this codebase uses.
+Backend: a built-in C++ lexer that understands comments, raw strings,
+char literals and preprocessor lines, so the gate needs no LLVM
+install or python bindings.
 
 Suppression: append `// dpbr-lint: allow(check-a, check-b)` to the
 offending line, or place the comment alone on the line directly above.
@@ -279,44 +277,9 @@ def tokenize_fallback(text):
     return toks
 
 
-def tokenize_libclang(path, args):
-    """Tokenize through python libclang when available; None on any
-    failure (missing bindings, missing libclang.so, parse error) so the
-    caller falls back to the built-in lexer."""
-    try:
-        from clang import cindex  # noqa: deferred optional import
-    except ImportError:
-        return None
-    try:
-        index = cindex.Index.create()
-        tu = index.parse(path, args=[a for a in args if a != "-c"],
-                         options=cindex.TranslationUnit
-                         .PARSE_DETAILED_PROCESSING_RECORD)
-        kinds = cindex.TokenKind
-        kind_map = {
-            kinds.IDENTIFIER: "ident",
-            kinds.KEYWORD: "ident",
-            kinds.LITERAL: "lit",
-            kinds.PUNCTUATION: "punct",
-            kinds.COMMENT: "comment",
-        }
-        toks = []
-        for t in tu.get_tokens(extent=tu.cursor.extent):
-            if t.location.file and t.location.file.name != path:
-                continue
-            toks.append(Tok(kind_map.get(t.kind, "punct"), t.spelling,
-                            t.location.line))
-        return toks
-    except Exception:  # noqa: any libclang failure -> fallback lexer
-        return None
-
-
-def tokenize_file(path, args=()):
-    toks = tokenize_libclang(path, list(args))
-    if toks is None:
-        with open(path, encoding="utf-8", errors="replace") as f:
-            toks = tokenize_fallback(f.read())
-    return toks
+def tokenize_file(path):
+    with open(path, encoding="utf-8", errors="replace") as f:
+        return tokenize_fallback(f.read())
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +795,7 @@ def collect_findings(rel, toks, compile_args, status_fns):
 
 def run_checks(path, compile_args, status_fns):
     """All applicable checks for one file; returns surviving findings."""
-    return collect_findings(repo_rel(path), tokenize_file(path, compile_args),
+    return collect_findings(repo_rel(path), tokenize_file(path),
                             compile_args, status_fns)
 
 

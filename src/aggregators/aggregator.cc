@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "common/thread_pool.h"
@@ -10,21 +9,6 @@
 
 namespace dpbr {
 namespace agg {
-
-Result<std::vector<float>> Aggregator::Aggregate(
-    const std::vector<std::vector<float>>& uploads,
-    const AggregationContext& ctx) {
-  DPBR_RETURN_NOT_OK(ValidateUploads(uploads, ctx));
-  // Pack into one contiguous block; the span path may zero rejected rows
-  // in place, which this copy confines to the scratch (the caller's
-  // vectors stay untouched, matching the historical contract).
-  std::vector<float> packed(uploads.size() * ctx.dim);
-  for (size_t i = 0; i < uploads.size(); ++i) {
-    std::memcpy(packed.data() + i * ctx.dim, uploads[i].data(),
-                ctx.dim * sizeof(float));
-  }
-  return Aggregate(RowSpan(packed.data(), uploads.size(), ctx.dim), ctx);
-}
 
 Status ValidateUploads(ConstRowSpan uploads, const AggregationContext& ctx) {
   if (uploads.empty() || uploads.data == nullptr) {
@@ -35,23 +19,6 @@ Status ValidateUploads(ConstRowSpan uploads, const AggregationContext& ctx) {
     return Status::InvalidArgument("upload dimension mismatch");
   }
   if (ctx.client_ids != nullptr && ctx.client_ids->size() != uploads.rows) {
-    return Status::InvalidArgument("client_ids size mismatch");
-  }
-  return Status::OK();
-}
-
-Status ValidateUploads(const std::vector<std::vector<float>>& uploads,
-                       const AggregationContext& ctx) {
-  if (uploads.empty()) {
-    return Status::InvalidArgument("no uploads to aggregate");
-  }
-  if (ctx.dim == 0) return Status::InvalidArgument("ctx.dim must be set");
-  for (const auto& u : uploads) {
-    if (u.size() != ctx.dim) {
-      return Status::InvalidArgument("upload dimension mismatch");
-    }
-  }
-  if (ctx.client_ids != nullptr && ctx.client_ids->size() != uploads.size()) {
     return Status::InvalidArgument("client_ids size mismatch");
   }
   return Status::OK();

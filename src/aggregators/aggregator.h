@@ -37,24 +37,23 @@ struct AggregationContext {
   /// the active aggregator does not request one.
   const std::vector<float>* server_gradient = nullptr;
   /// Stable global client ids of the uploads (position i of the span
-  /// belongs to client client_ids[i]), or nullptr when the cohort is
-  /// fixed (then position == id). Rules with cross-round per-client
-  /// state (the dpbr second stage's cumulative scores) key on these so
-  /// Poisson-subsampled rounds — where the participating subset changes
-  /// every round — accumulate correctly.
+  /// belongs to client client_ids[i]). The trainer sets them every
+  /// round; nullptr means position == id. Rules with cross-round
+  /// per-client state (the dpbr second stage's cumulative scores) key on
+  /// these so Poisson-subsampled rounds — where the participating subset
+  /// changes every round — accumulate correctly.
   const std::vector<int>* client_ids = nullptr;
 };
 
 /// \brief Aggregation rule mapping n uploads to one model-update
 /// direction.
 ///
-/// The production entry point is the span overload of Aggregate(): a
-/// zero-copy view of the round's upload arena. A rule MAY zero whole
-/// rows of the span in place (the Algorithm 2 "g ← 0" rejection
-/// semantics); it must never write anything else, and must not retain
-/// the span past the call. The vector-of-vectors overload is a
-/// compatibility adapter that packs into contiguous scratch and
-/// delegates — the copied path, kept for tests and external callers.
+/// Aggregate() takes the round's uploads as a zero-copy view of one
+/// contiguous block (the round's upload arena, or any `n x d` buffer a
+/// caller owns). A rule MAY zero whole rows of the span in place (the
+/// Algorithm 2 "g ← 0" rejection semantics); it must never write
+/// anything else, and must not retain the span past the call. A caller
+/// that needs its rows afterwards aggregates a copy.
 class Aggregator {
  public:
   virtual ~Aggregator() = default;
@@ -71,14 +70,6 @@ class Aggregator {
   /// rejected rows in place; otherwise read-only.
   virtual Result<std::vector<float>> Aggregate(
       RowSpan uploads, const AggregationContext& ctx) = 0;
-
-  /// Legacy adapter: packs `uploads` into contiguous scratch and runs
-  /// the span path. Bitwise-identical to aggregating an arena holding
-  /// the same rows (tests/aggregators/arena_equivalence_test.cc pins
-  /// this for every rule). The caller's vectors are never modified.
-  Result<std::vector<float>> Aggregate(
-      const std::vector<std::vector<float>>& uploads,
-      const AggregationContext& ctx);
 
   /// Clears any cross-round state (e.g. cumulative score lists).
   virtual void Reset() {}
@@ -108,12 +99,9 @@ class Aggregator {
 
 using AggregatorPtr = std::unique_ptr<Aggregator>;
 
-/// Shared validation for the span path: non-empty, row length == ctx.dim.
+/// Shared validation: non-empty span, row length == ctx.dim, and
+/// ctx.client_ids (when set) naming every row.
 Status ValidateUploads(ConstRowSpan uploads, const AggregationContext& ctx);
-
-/// Shared validation: non-empty upload set, uniform dimension == ctx.dim.
-Status ValidateUploads(const std::vector<std::vector<float>>& uploads,
-                       const AggregationContext& ctx);
 
 /// Number of workers the server trusts: ⌈gamma·n⌉, clamped to [1, n].
 size_t TrustedCount(double gamma, size_t n);

@@ -17,8 +17,6 @@ namespace agg {
 
 class FlTrustAggregator : public Aggregator {
  public:
-  using Aggregator::Aggregate;
-
   std::string name() const override { return "fltrust"; }
   bool NeedsServerGradient() const override { return true; }
   Result<std::vector<float>> Aggregate(

@@ -20,8 +20,6 @@ class KrumAggregator : public Aggregator {
  public:
   explicit KrumAggregator(size_t multi_k = 1) : multi_k_(multi_k) {}
 
-  using Aggregator::Aggregate;
-
   std::string name() const override {
     return multi_k_ > 1 ? "multi_krum" : "krum";
   }

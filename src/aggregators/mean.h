@@ -14,8 +14,6 @@ namespace agg {
 /// Unweighted mean of all uploads.
 class MeanAggregator : public Aggregator {
  public:
-  using Aggregator::Aggregate;
-
   std::string name() const override { return "mean"; }
   Result<std::vector<float>> Aggregate(
       RowSpan uploads, const AggregationContext& ctx) override;

@@ -21,8 +21,6 @@ namespace agg {
 /// column's values, so the result is pool-size invariant.
 class CoordinateMedianAggregator : public Aggregator {
  public:
-  using Aggregator::Aggregate;
-
   std::string name() const override { return "coordinate_median"; }
   Result<std::vector<float>> Aggregate(
       RowSpan uploads, const AggregationContext& ctx) override;

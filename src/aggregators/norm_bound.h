@@ -17,8 +17,6 @@ class NormBoundAggregator : public Aggregator {
   /// bound <= 0 selects an adaptive budget: the median upload norm.
   explicit NormBoundAggregator(double bound = -1.0) : bound_(bound) {}
 
-  using Aggregator::Aggregate;
-
   std::string name() const override { return "norm_bound"; }
   Result<std::vector<float>> Aggregate(
       RowSpan uploads, const AggregationContext& ctx) override;

@@ -17,8 +17,6 @@ class RfaAggregator : public Aggregator {
   explicit RfaAggregator(int max_iters = 16, double smoothing = 1e-6)
       : max_iters_(max_iters), smoothing_(smoothing) {}
 
-  using Aggregator::Aggregate;
-
   std::string name() const override { return "rfa_geometric_median"; }
   Result<std::vector<float>> Aggregate(
       RowSpan uploads, const AggregationContext& ctx) override;

@@ -20,8 +20,6 @@ class SignSgdAggregator : public Aggregator {
   /// vector), keeping the step size comparable with gradient aggregates.
   explicit SignSgdAggregator(double scale = -1.0) : scale_(scale) {}
 
-  using Aggregator::Aggregate;
-
   std::string name() const override { return "sign_sgd_majority"; }
   Result<std::vector<float>> Aggregate(
       RowSpan uploads, const AggregationContext& ctx) override;

@@ -18,8 +18,6 @@ class TrimmedMeanAggregator : public Aggregator {
  public:
   explicit TrimmedMeanAggregator(double trim_fraction = 0.2);
 
-  using Aggregator::Aggregate;
-
   std::string name() const override { return "trimmed_mean"; }
   Result<std::vector<float>> Aggregate(
       RowSpan uploads, const AggregationContext& ctx) override;

@@ -34,13 +34,11 @@ class DpbrAggregator : public agg::Aggregator {
     return options_.enable_second_stage;
   }
 
-  using agg::Aggregator::Aggregate;
-
   /// Runs both stages and returns (1/n)·Σ_{g ∈ G_s} g — note the division
   /// by the *total* worker count n, exactly Algorithm 1 line 14.
   /// First-stage rejection zeroes rows of `uploads` in place (the arena
-  /// rows are rewritten by the workers next round; the legacy vector
-  /// adapter confines the zeroing to its packed scratch).
+  /// rows are rewritten by the workers next round; a caller that needs
+  /// its rows afterwards aggregates a copy).
   Result<std::vector<float>> Aggregate(
       RowSpan uploads, const agg::AggregationContext& ctx) override;
 

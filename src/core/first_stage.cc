@@ -49,12 +49,6 @@ FirstStageVerdict FirstStageFilter::Test(const float* upload, size_t d,
   return v;
 }
 
-FirstStageVerdict FirstStageFilter::Test(const std::vector<float>& upload,
-                                         double sigma_upload) const {
-  DPBR_CHECK(!upload.empty());
-  return Test(upload.data(), upload.size(), sigma_upload);
-}
-
 std::vector<FirstStageVerdict> FirstStageFilter::Apply(
     RowSpan uploads, double sigma_upload, FirstStageReport* report) const {
   std::vector<FirstStageVerdict> verdicts(uploads.rows);

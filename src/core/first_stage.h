@@ -47,8 +47,6 @@ class FirstStageFilter {
   /// Tests a single upload (d coordinates) without modifying it.
   FirstStageVerdict Test(const float* upload, size_t d,
                          double sigma_upload) const;
-  FirstStageVerdict Test(const std::vector<float>& upload,
-                         double sigma_upload) const;
 
   /// Algorithm 2 applied to every row of the upload arena: rejected rows
   /// are zeroed in place (g ← 0). Returns per-row verdicts; `report`

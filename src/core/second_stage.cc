@@ -88,25 +88,6 @@ Result<std::vector<size_t>> SecondStageAggregator::SelectWorkers(
   return order;
 }
 
-Result<std::vector<size_t>> SecondStageAggregator::SelectWorkers(
-    const std::vector<std::vector<float>>& uploads,
-    const std::vector<float>& server_gradient, double gamma) {
-  if (uploads.empty()) return Status::InvalidArgument("no uploads");
-  size_t dim = uploads[0].size();
-  for (const auto& u : uploads) {
-    if (u.size() != server_gradient.size()) {
-      return Status::InvalidArgument("upload/server gradient size mismatch");
-    }
-  }
-  std::vector<float> packed(uploads.size() * dim);
-  for (size_t i = 0; i < uploads.size(); ++i) {
-    std::copy(uploads[i].begin(), uploads[i].end(),
-              packed.begin() + static_cast<ptrdiff_t>(i * dim));
-  }
-  return SelectWorkers(ConstRowSpan(packed.data(), uploads.size(), dim),
-                       server_gradient, gamma);
-}
-
 void SecondStageAggregator::Reset() {
   scores_.clear();
   last_scores_.clear();

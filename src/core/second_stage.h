@@ -36,11 +36,6 @@ class SecondStageAggregator {
       ConstRowSpan uploads, const std::vector<float>& server_gradient,
       double gamma, const std::vector<int>* client_ids = nullptr);
 
-  /// Legacy vector-of-vectors convenience (fixed cohort only).
-  Result<std::vector<size_t>> SelectWorkers(
-      const std::vector<std::vector<float>>& uploads,
-      const std::vector<float>& server_gradient, double gamma);
-
   /// Cumulative score list S, indexed by client id (== span position for
   /// fixed cohorts). Empty before the first round.
   const std::vector<double>& cumulative_scores() const { return scores_; }

@@ -20,11 +20,5 @@ Result<double> ClassicGaussianSigma(double l2_sensitivity, double epsilon,
   return l2_sensitivity * std::sqrt(2.0 * std::log(1.25 / delta)) / epsilon;
 }
 
-void PerturbInPlace(float* data, size_t n, double sigma, SplitRng* rng,
-                    GaussianSampler sampler) {
-  if (sigma <= 0.0) return;
-  rng->AddGaussian(data, n, sigma, sampler);
-}
-
 }  // namespace dp
 }  // namespace dpbr

@@ -1,13 +1,10 @@
 // The Gaussian mechanism (Definition 2 of the paper) as a standalone
-// utility: classical σ calibration for a single query plus vector
-// perturbation helpers used by workers and attacks.
+// utility: classical σ calibration for a single query. Noise itself is
+// drawn by SplitRng::AddGaussian (common/rng.h).
 
 #ifndef DPBR_DP_GAUSSIAN_MECHANISM_H_
 #define DPBR_DP_GAUSSIAN_MECHANISM_H_
 
-#include <cstddef>
-
-#include "common/rng.h"
 #include "common/status.h"
 
 namespace dpbr {
@@ -18,13 +15,6 @@ namespace dp {
 /// the RDP accountant in tests.
 Result<double> ClassicGaussianSigma(double l2_sensitivity, double epsilon,
                                     double delta);
-
-/// Adds i.i.d. N(0, σ²) noise to `data` in place via the batched sampler
-/// (SplitRng::AddGaussian): deterministic under any thread-pool size.
-/// Pass GaussianSampler::kBoxMuller to reproduce the legacy sequential
-/// noise stream bit-for-bit (reference runs / old golden values).
-void PerturbInPlace(float* data, size_t n, double sigma, SplitRng* rng,
-                    GaussianSampler sampler = GaussianSampler::kZiggurat);
 
 }  // namespace dp
 }  // namespace dpbr

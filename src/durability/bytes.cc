@@ -79,6 +79,9 @@ Status ByteReader::Take(void* out, size_t n) {
                               std::to_string(n) + " bytes, have " +
                               std::to_string(remaining()));
   }
+  // An empty vector's data() may be null, and memcpy's pointers must
+  // not be null even for n == 0.
+  if (n == 0) return Status::OK();
   std::memcpy(out, data_ + pos_, n);
   pos_ += n;
   return Status::OK();

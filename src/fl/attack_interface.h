@@ -7,7 +7,6 @@
 #ifndef DPBR_FL_ATTACK_INTERFACE_H_
 #define DPBR_FL_ATTACK_INTERFACE_H_
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,9 +20,9 @@ namespace fl {
 /// \brief Everything an omniscient Byzantine attacker observes in one
 /// round.
 ///
-/// The upload views alias the round's UploadArena (or a packed scratch in
-/// the legacy path); they are valid only for the duration of the
-/// Forge/ForgeInto call.
+/// The upload views alias the round's UploadArena (or any contiguous
+/// block the caller owns); they are valid only for the duration of the
+/// ForgeInto call.
 struct AttackContext {
   /// Uploads produced by all honest workers this round (read-only view).
   ConstRowSpan honest_uploads;
@@ -45,11 +44,9 @@ struct AttackContext {
 /// \brief A coordinated Byzantine strategy producing all malicious
 /// uploads.
 ///
-/// The production entry point is ForgeInto(): the trainer reserves
-/// `out.rows` rows of the round arena for the Byzantine workers and the
-/// attack writes its forgeries straight into them — no per-forgery
-/// allocation. Forge() is a compatibility adapter returning copied
-/// vectors.
+/// The one entry point is ForgeInto(): the trainer reserves `out.rows`
+/// rows of the round arena for the Byzantine workers and the attack
+/// writes its forgeries straight into them — no per-forgery allocation.
 class Attack {
  public:
   virtual ~Attack() = default;
@@ -66,20 +63,6 @@ class Attack {
   /// write all out.rows × out.dim floats; must not read `out`'s prior
   /// contents.
   virtual void ForgeInto(const AttackContext& ctx, RowSpan out) = 0;
-
-  /// Legacy adapter: forges into temporary contiguous scratch and copies
-  /// the rows out. Bitwise-identical to ForgeInto on an arena.
-  std::vector<std::vector<float>> Forge(const AttackContext& ctx,
-                                        size_t num_byzantine) {
-    std::vector<float> block(num_byzantine * ctx.dim);
-    ForgeInto(ctx, RowSpan(block.data(), num_byzantine, ctx.dim));
-    std::vector<std::vector<float>> out(num_byzantine);
-    for (size_t b = 0; b < num_byzantine; ++b) {
-      out[b].assign(block.data() + b * ctx.dim,
-                    block.data() + (b + 1) * ctx.dim);
-    }
-    return out;
-  }
 };
 
 using AttackPtr = std::unique_ptr<Attack>;

@@ -440,19 +440,16 @@ Result<TrainingHistory> FederatedTrainer::Run() {
       ctx.dim = dim;
       ctx.sigma_upload = privacy_.dp_enabled ? privacy_.sigma_upload : 0.0;
       ctx.gamma = gamma_;
-      // Under subsampling, arena positions shift between rounds; stable
-      // client ids (cohort ids first, Byzantine ids after) let id-keyed
-      // aggregator state (second-stage scores) survive cohort churn. The
-      // full-participation path passes no ids — positions ARE the ids —
-      // preserving the legacy fixed-cohort contract exactly.
-      if (subsampled) {
-        client_ids.clear();
-        for (size_t i : cohort) client_ids.push_back(static_cast<int>(i));
-        for (size_t b = 0; b < n_byz; ++b) {
-          client_ids.push_back(static_cast<int>(n_honest + b));
-        }
-        ctx.client_ids = &client_ids;
+      // Stable client ids (cohort ids first, Byzantine ids after) let
+      // id-keyed aggregator state (second-stage scores) survive the
+      // cohort churn of subsampled rounds. At full participation they
+      // are 0..n-1, so ids and positions agree.
+      client_ids.clear();
+      for (size_t i : cohort) client_ids.push_back(static_cast<int>(i));
+      for (size_t b = 0; b < n_byz; ++b) {
+        client_ids.push_back(static_cast<int>(n_honest + b));
       }
+      ctx.client_ids = &client_ids;
       DPBR_RETURN_NOT_OK(server_->Step(arena.span(), lr_, ctx));
     }
     // An empty cohort (possible when q_c·n_honest is small) skips the

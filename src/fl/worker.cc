@@ -33,13 +33,6 @@ HonestDpWorker::HonestDpWorker(int id, data::DatasetView shard,
                      std::make_shared<ComputeSlots>(std::move(factory)),
                      options, seed) {}
 
-std::vector<float> HonestDpWorker::ComputeUpdate(
-    const std::vector<float>& global_params, int round) {
-  std::vector<float> upload(dim());
-  ComputeUpdateInto(global_params, round, upload.data());
-  return upload;
-}
-
 void HonestDpWorker::ComputeUpdateInto(
     const std::vector<float>& global_params, int round, float* out) {
   ComputeSlots::Slot& slot = slots_->LoadedSlot(global_params);

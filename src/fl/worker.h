@@ -69,10 +69,6 @@ class HonestDpWorker {
   void ComputeUpdateInto(const std::vector<float>& global_params, int round,
                          float* out);
 
-  /// Convenience wrapper returning the upload as a fresh vector.
-  std::vector<float> ComputeUpdate(const std::vector<float>& global_params,
-                                   int round);
-
   int id() const { return id_; }
   size_t dim() const { return slots_->dim(); }
   /// Key of this worker's RNG stream (its per-round streams derive from

@@ -155,9 +155,5 @@ KsResult KsTestGaussian(const float* data, size_t n, double stddev) {
   return r;
 }
 
-KsResult KsTestGaussian(const std::vector<float>& data, double stddev) {
-  return KsTestGaussian(data.data(), data.size(), stddev);
-}
-
 }  // namespace stats
 }  // namespace dpbr

@@ -8,7 +8,6 @@
 #define DPBR_STATS_KS_TEST_H_
 
 #include <cstddef>
-#include <vector>
 
 namespace dpbr {
 namespace stats {
@@ -27,9 +26,6 @@ struct KsResult {
 /// sorted ranges where D's maximum can lie. D and the p-value are bitwise
 /// what sorting the floats and scanning every Φ value would give.
 KsResult KsTestGaussian(const float* data, size_t n, double stddev);
-
-/// Convenience overload.
-KsResult KsTestGaussian(const std::vector<float>& data, double stddev);
 
 }  // namespace stats
 }  // namespace dpbr

@@ -34,59 +34,12 @@ double NormalizeInPlace(float* x, size_t n, double eps) {
   return nrm;
 }
 
-void MatVec(const float* a, const float* x, float* out, size_t rows,
-            size_t cols) {
-  for (size_t r = 0; r < rows; ++r) {
-    double s = 0.0;
-    const float* row = a + r * cols;
-    for (size_t c = 0; c < cols; ++c) s += static_cast<double>(row[c]) * x[c];
-    out[r] = static_cast<float>(s);
-  }
-}
-
-void MatVecTransposed(const float* a, const float* x, float* out, size_t rows,
-                      size_t cols) {
-  const simd::SimdKernels& kern = simd::Kernels();
-  for (size_t c = 0; c < cols; ++c) out[c] = 0.0f;
-  for (size_t r = 0; r < rows; ++r) {
-    kern.axpy_f32(x[r], a + r * cols, out, cols);
-  }
-}
-
 void Ger(float alpha, const float* u, const float* v, float* a, size_t rows,
          size_t cols) {
   const simd::SimdKernels& kern = simd::Kernels();
   for (size_t r = 0; r < rows; ++r) {
     kern.axpy_f32(alpha * u[r], v, a + r * cols, cols);
   }
-}
-
-void MatMul(const float* a, const float* b, float* c, size_t m, size_t k,
-            size_t n) {
-  const simd::SimdKernels& kern = simd::Kernels();
-  for (size_t i = 0; i < m * n; ++i) c[i] = 0.0f;
-  for (size_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    for (size_t p = 0; p < k; ++p) {
-      kern.axpy_f32(a[i * k + p], b + p * n, crow, n);
-    }
-  }
-}
-
-std::vector<float> Add(const std::vector<float>& x,
-                       const std::vector<float>& y) {
-  DPBR_CHECK_EQ(x.size(), y.size());
-  std::vector<float> out(x.size());
-  for (size_t i = 0; i < x.size(); ++i) out[i] = x[i] + y[i];
-  return out;
-}
-
-std::vector<float> Sub(const std::vector<float>& x,
-                       const std::vector<float>& y) {
-  DPBR_CHECK_EQ(x.size(), y.size());
-  std::vector<float> out(x.size());
-  for (size_t i = 0; i < x.size(); ++i) out[i] = x[i] - y[i];
-  return out;
 }
 
 std::vector<float> Scaled(const std::vector<float>& x, float alpha) {
@@ -101,13 +54,6 @@ double Dot(const std::vector<float>& x, const std::vector<float>& y) {
 }
 
 double Norm(const std::vector<float>& x) { return Norm(x.data(), x.size()); }
-
-double CosineSimilarity(const std::vector<float>& x,
-                        const std::vector<float>& y) {
-  double nx = Norm(x), ny = Norm(y);
-  if (nx == 0.0 || ny == 0.0) return 0.0;
-  return Dot(x, y) / (nx * ny);
-}
 
 std::vector<float> MeanOf(const std::vector<std::vector<float>>& vs) {
   if (vs.empty()) return {};

@@ -33,33 +33,15 @@ double SquaredNorm(const float* x, size_t n);
 /// x /= max(‖x‖, eps): normalizes to unit length. Returns original norm.
 double NormalizeInPlace(float* x, size_t n, double eps = 1e-12);
 
-/// out = A·x for row-major A (rows x cols), x (cols), out (rows).
-void MatVec(const float* a, const float* x, float* out, size_t rows,
-            size_t cols);
-
-/// out = Aᵀ·x for row-major A (rows x cols), x (rows), out (cols).
-void MatVecTransposed(const float* a, const float* x, float* out, size_t rows,
-                      size_t cols);
-
 /// A += alpha * outer(u, v): rank-1 update of row-major A (rows x cols).
 void Ger(float alpha, const float* u, const float* v, float* a, size_t rows,
          size_t cols);
 
-/// C = A·B for row-major A (m x k), B (k x n), C (m x n).
-void MatMul(const float* a, const float* b, float* c, size_t m, size_t k,
-            size_t n);
-
 // --- vector<float> conveniences for aggregation code ---
 
-std::vector<float> Add(const std::vector<float>& x,
-                       const std::vector<float>& y);
-std::vector<float> Sub(const std::vector<float>& x,
-                       const std::vector<float>& y);
 std::vector<float> Scaled(const std::vector<float>& x, float alpha);
 double Dot(const std::vector<float>& x, const std::vector<float>& y);
 double Norm(const std::vector<float>& x);
-double CosineSimilarity(const std::vector<float>& x,
-                        const std::vector<float>& y);
 
 /// Mean of a set of equally-sized vectors; empty input yields empty.
 std::vector<float> MeanOf(const std::vector<std::vector<float>>& vs);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "aggregators/fltrust.h"
@@ -10,6 +11,7 @@
 #include "aggregators/rfa.h"
 #include "aggregators/sign_sgd.h"
 #include "aggregators/trimmed_mean.h"
+#include "fl/upload_rows.h"
 #include "tensor/ops.h"
 
 namespace dpbr {
@@ -23,18 +25,6 @@ AggregationContext Ctx(size_t dim, double gamma = 0.5) {
   return ctx;
 }
 
-TEST(ValidateUploadsTest, Errors) {
-  AggregationContext ctx = Ctx(2);
-  // Brace-init `{}` is ambiguous between the span and vector overloads
-  // now that both exist; spell the legacy type out.
-  EXPECT_FALSE(
-      ValidateUploads(std::vector<std::vector<float>>{}, ctx).ok());
-  EXPECT_FALSE(ValidateUploads({{1.0f}}, ctx).ok());  // dim mismatch
-  EXPECT_TRUE(ValidateUploads({{1.0f, 2.0f}}, ctx).ok());
-  AggregationContext bad;
-  EXPECT_FALSE(ValidateUploads({{1.0f}}, bad).ok());  // dim unset
-}
-
 TEST(ValidateUploadsTest, SpanErrors) {
   AggregationContext ctx = Ctx(2);
   float block[4] = {1.0f, 2.0f, 3.0f, 4.0f};
@@ -42,6 +32,8 @@ TEST(ValidateUploadsTest, SpanErrors) {
   EXPECT_FALSE(
       ValidateUploads(ConstRowSpan(block, 4, 1), ctx).ok());  // dim mismatch
   EXPECT_TRUE(ValidateUploads(ConstRowSpan(block, 2, 2), ctx).ok());
+  AggregationContext no_dim;  // ctx.dim unset
+  EXPECT_FALSE(ValidateUploads(ConstRowSpan(block, 2, 2), no_dim).ok());
   // client_ids, when present, must cover every row.
   std::vector<int> ids = {0};
   ctx.client_ids = &ids;
@@ -60,17 +52,19 @@ TEST(TrustedCountTest, CeilingAndClamping) {
 
 TEST(MeanTest, Averages) {
   MeanAggregator m;
-  auto r = m.Aggregate({{1, 3}, {3, 5}}, Ctx(2));
+  auto r = m.Aggregate(fl::ArenaOf({{1, 3}, {3, 5}}).span(), Ctx(2));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), (std::vector<float>{2, 4}));
 }
 
 TEST(MedianTest, OddEvenCoordinates) {
   CoordinateMedianAggregator m;
-  auto odd = m.Aggregate({{1, 9}, {2, 8}, {100, -100}}, Ctx(2));
+  fl::UploadArena odd_rows = fl::ArenaOf({{1, 9}, {2, 8}, {100, -100}});
+  auto odd = m.Aggregate(odd_rows.span(), Ctx(2));
   ASSERT_TRUE(odd.ok());
   EXPECT_EQ(odd.value(), (std::vector<float>{2, 8}));
-  auto even = m.Aggregate({{1, 0}, {2, 0}, {3, 0}, {100, 0}}, Ctx(2));
+  fl::UploadArena even_rows = fl::ArenaOf({{1, 0}, {2, 0}, {3, 0}, {100, 0}});
+  auto even = m.Aggregate(even_rows.span(), Ctx(2));
   ASSERT_TRUE(even.ok());
   EXPECT_FLOAT_EQ(even.value()[0], 2.5f);
 }
@@ -78,7 +72,9 @@ TEST(MedianTest, OddEvenCoordinates) {
 TEST(TrimmedMeanTest, DropsExtremes) {
   TrimmedMeanAggregator t(0.25);
   // n = 4, k = 1: drop min and max per coordinate.
-  auto r = t.Aggregate({{0, -100}, {2, 1}, {4, 3}, {1000, 100}}, Ctx(2));
+  fl::UploadArena uploads =
+      fl::ArenaOf({{0, -100}, {2, 1}, {4, 3}, {1000, 100}});
+  auto r = t.Aggregate(uploads.span(), Ctx(2));
   ASSERT_TRUE(r.ok());
   EXPECT_FLOAT_EQ(r.value()[0], 3.0f);  // mean(2, 4)
   EXPECT_FLOAT_EQ(r.value()[1], 2.0f);  // mean(1, 3)
@@ -86,7 +82,7 @@ TEST(TrimmedMeanTest, DropsExtremes) {
 
 TEST(TrimmedMeanTest, TinyPopulationStillWorks) {
   TrimmedMeanAggregator t(0.4);
-  auto r = t.Aggregate({{1}, {2}}, Ctx(1));
+  auto r = t.Aggregate(fl::ArenaOf({{1}, {2}}).span(), Ctx(1));
   ASSERT_TRUE(r.ok());  // k clamped to 0
   EXPECT_FLOAT_EQ(r.value()[0], 1.5f);
 }
@@ -94,9 +90,9 @@ TEST(TrimmedMeanTest, TinyPopulationStillWorks) {
 TEST(KrumTest, PicksTheInlier) {
   // Three clustered uploads + one far outlier; gamma=0.75 → f=1.
   KrumAggregator k;
-  std::vector<std::vector<float>> uploads = {
-      {1.0f, 1.0f}, {1.1f, 0.9f}, {0.9f, 1.1f}, {100.0f, -100.0f}};
-  auto r = k.Aggregate(uploads, Ctx(2, 0.75));
+  fl::UploadArena uploads = fl::ArenaOf(
+      {{1.0f, 1.0f}, {1.1f, 0.9f}, {0.9f, 1.1f}, {100.0f, -100.0f}});
+  auto r = k.Aggregate(uploads.span(), Ctx(2, 0.75));
   ASSERT_TRUE(r.ok());
   // Result is one of the clustered vectors.
   EXPECT_NEAR(r.value()[0], 1.0f, 0.15f);
@@ -105,24 +101,24 @@ TEST(KrumTest, PicksTheInlier) {
 
 TEST(KrumTest, MultiKrumAveragesBestScored) {
   KrumAggregator k(3);
-  std::vector<std::vector<float>> uploads = {
-      {1.0f}, {1.2f}, {0.8f}, {50.0f}};
-  auto r = k.Aggregate(uploads, Ctx(1, 0.75));
+  fl::UploadArena uploads = fl::ArenaOf({{1.0f}, {1.2f}, {0.8f}, {50.0f}});
+  auto r = k.Aggregate(uploads.span(), Ctx(1, 0.75));
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r.value()[0], 1.0f, 0.01f);
 }
 
 TEST(KrumTest, NeedsThreeUploads) {
   KrumAggregator k;
-  EXPECT_FALSE(k.Aggregate({{1.0f}, {2.0f}}, Ctx(1)).ok());
+  fl::UploadArena uploads = fl::ArenaOf({{1.0f}, {2.0f}});
+  EXPECT_FALSE(k.Aggregate(uploads.span(), Ctx(1)).ok());
 }
 
 TEST(RfaTest, GeometricMedianResistsOutlier) {
   RfaAggregator rfa(64);
-  std::vector<std::vector<float>> uploads = {
-      {0.0f, 0.0f}, {0.2f, 0.0f}, {-0.2f, 0.0f}, {0.0f, 0.2f},
-      {0.0f, -0.2f}, {1000.0f, 1000.0f}};
-  auto r = rfa.Aggregate(uploads, Ctx(2));
+  fl::UploadArena uploads =
+      fl::ArenaOf({{0.0f, 0.0f}, {0.2f, 0.0f}, {-0.2f, 0.0f}, {0.0f, 0.2f},
+                   {0.0f, -0.2f}, {1000.0f, 1000.0f}});
+  auto r = rfa.Aggregate(uploads.span(), Ctx(2));
   ASSERT_TRUE(r.ok());
   // The geometric median stays near the cluster center despite the
   // outlier (the mean would be dragged to ~167).
@@ -132,7 +128,7 @@ TEST(RfaTest, GeometricMedianResistsOutlier) {
 
 TEST(RfaTest, SinglePointIsFixedPoint) {
   RfaAggregator rfa;
-  auto r = rfa.Aggregate({{3.0f, 4.0f}}, Ctx(2));
+  auto r = rfa.Aggregate(fl::ArenaOf({{3.0f, 4.0f}}).span(), Ctx(2));
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r.value()[0], 3.0f, 1e-4);
   EXPECT_NEAR(r.value()[1], 4.0f, 1e-4);
@@ -144,7 +140,8 @@ TEST(FlTrustTest, RejectsNegativelyAlignedUploads) {
   std::vector<float> server_grad = {1.0f, 0.0f};
   ctx.server_gradient = &server_grad;
   // One aligned upload, one anti-aligned (cos = -1 → weight 0).
-  auto r = f.Aggregate({{2.0f, 0.0f}, {-5.0f, 0.0f}}, ctx);
+  fl::UploadArena uploads = fl::ArenaOf({{2.0f, 0.0f}, {-5.0f, 0.0f}});
+  auto r = f.Aggregate(uploads.span(), ctx);
   ASSERT_TRUE(r.ok());
   // Aligned upload rescaled to ‖g_s‖ = 1 with weight 1.
   EXPECT_NEAR(r.value()[0], 1.0f, 1e-5);
@@ -154,7 +151,7 @@ TEST(FlTrustTest, RejectsNegativelyAlignedUploads) {
 TEST(FlTrustTest, NeedsServerGradient) {
   FlTrustAggregator f;
   EXPECT_TRUE(f.NeedsServerGradient());
-  EXPECT_FALSE(f.Aggregate({{1.0f}}, Ctx(1)).ok());
+  EXPECT_FALSE(f.Aggregate(fl::ArenaOf({{1.0f}}).span(), Ctx(1)).ok());
 }
 
 TEST(FlTrustTest, AllRejectedYieldsZeroUpdate) {
@@ -162,14 +159,16 @@ TEST(FlTrustTest, AllRejectedYieldsZeroUpdate) {
   AggregationContext ctx = Ctx(1);
   std::vector<float> server_grad = {1.0f};
   ctx.server_gradient = &server_grad;
-  auto r = f.Aggregate({{-1.0f}, {-2.0f}}, ctx);
+  auto r = f.Aggregate(fl::ArenaOf({{-1.0f}, {-2.0f}}).span(), ctx);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), std::vector<float>{0.0f});
 }
 
 TEST(SignSgdTest, MajorityVotePerCoordinate) {
   SignSgdAggregator s(1.0);  // unit scale for readable expectations
-  auto r = s.Aggregate({{1, -1, 2}, {3, -2, -1}, {-1, -3, -2}}, Ctx(3));
+  fl::UploadArena uploads =
+      fl::ArenaOf({{1, -1, 2}, {3, -2, -1}, {-1, -3, -2}});
+  auto r = s.Aggregate(uploads.span(), Ctx(3));
   ASSERT_TRUE(r.ok());
   EXPECT_FLOAT_EQ(r.value()[0], 1.0f);   // votes +,+,- → +
   EXPECT_FLOAT_EQ(r.value()[1], -1.0f);  // all negative
@@ -179,8 +178,10 @@ TEST(SignSgdTest, MajorityVotePerCoordinate) {
 TEST(SignSgdTest, DefaultScaleGivesUnitNorm) {
   SignSgdAggregator s;
   size_t dim = 400;
-  std::vector<std::vector<float>> uploads(3, std::vector<float>(dim, 1.0f));
-  auto r = s.Aggregate(uploads, Ctx(dim));
+  fl::UploadArena uploads;
+  uploads.Reset(3, dim);
+  std::fill(uploads.Row(0), uploads.Row(0) + 3 * dim, 1.0f);
+  auto r = s.Aggregate(uploads.span(), Ctx(dim));
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(ops::Norm(r.value()), 1.0, 1e-5);
 }
@@ -188,14 +189,16 @@ TEST(SignSgdTest, DefaultScaleGivesUnitNorm) {
 TEST(NormBoundTest, ClipsToExplicitBudget) {
   NormBoundAggregator n(1.0);
   // Upload of norm 10 clipped to 1; upload of norm 0.5 untouched.
-  auto r = n.Aggregate({{10.0f, 0.0f}, {0.5f, 0.0f}}, Ctx(2));
+  fl::UploadArena uploads = fl::ArenaOf({{10.0f, 0.0f}, {0.5f, 0.0f}});
+  auto r = n.Aggregate(uploads.span(), Ctx(2));
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r.value()[0], (1.0f + 0.5f) / 2.0f, 1e-5);
 }
 
 TEST(NormBoundTest, AdaptiveMedianBudget) {
   NormBoundAggregator n;  // median norm budget
-  auto r = n.Aggregate({{1.0f}, {1.0f}, {100.0f}}, Ctx(1));
+  fl::UploadArena uploads = fl::ArenaOf({{1.0f}, {1.0f}, {100.0f}});
+  auto r = n.Aggregate(uploads.span(), Ctx(1));
   ASSERT_TRUE(r.ok());
   // Median norm = 1, so the outlier contributes 1: mean = 1.
   EXPECT_NEAR(r.value()[0], 1.0f, 1e-5);

@@ -22,6 +22,7 @@
 #include "core/first_stage.h"
 #include "core/second_stage.h"
 #include "data/synthetic.h"
+#include "fl/upload.h"
 #include "fl/worker.h"
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
@@ -38,14 +39,13 @@ std::vector<size_t> PoolSizes() {
   return {1, 2, hw};
 }
 
-std::vector<std::vector<float>> FixedSeedUploads(size_t n, size_t dim,
-                                                 double sigma) {
+fl::UploadArena FixedSeedUploads(size_t n, size_t dim, double sigma) {
   SplitRng rng(7);
-  std::vector<std::vector<float>> uploads(n);
+  fl::UploadArena uploads;
+  uploads.Reset(n, dim);
   for (size_t i = 0; i < n; ++i) {
-    uploads[i].resize(dim);
     SplitRng w = rng.Split(i);
-    w.FillGaussian(uploads[i].data(), dim, sigma);
+    w.FillGaussian(uploads.Row(i), dim, sigma);
   }
   return uploads;
 }
@@ -86,7 +86,7 @@ TEST(AggregatorDeterminismTest, Krum) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectPoolInvariant([&] {
     agg::KrumAggregator krum;
-    return krum.Aggregate(uploads, Ctx(kDim)).value();
+    return krum.Aggregate(uploads.span(), Ctx(kDim)).value();
   });
 }
 
@@ -94,7 +94,7 @@ TEST(AggregatorDeterminismTest, MultiKrum) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectPoolInvariant([&] {
     agg::KrumAggregator krum(5);
-    return krum.Aggregate(uploads, Ctx(kDim)).value();
+    return krum.Aggregate(uploads.span(), Ctx(kDim)).value();
   });
 }
 
@@ -102,7 +102,7 @@ TEST(AggregatorDeterminismTest, RfaGeometricMedian) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectPoolInvariant([&] {
     agg::RfaAggregator rfa;
-    return rfa.Aggregate(uploads, Ctx(kDim)).value();
+    return rfa.Aggregate(uploads.span(), Ctx(kDim)).value();
   });
 }
 
@@ -110,7 +110,7 @@ TEST(AggregatorDeterminismTest, CoordinateMedian) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectPoolInvariant([&] {
     agg::CoordinateMedianAggregator median;
-    return median.Aggregate(uploads, Ctx(kDim)).value();
+    return median.Aggregate(uploads.span(), Ctx(kDim)).value();
   });
 }
 
@@ -118,7 +118,7 @@ TEST(AggregatorDeterminismTest, TrimmedMean) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectPoolInvariant([&] {
     agg::TrimmedMeanAggregator trimmed(0.2);
-    return trimmed.Aggregate(uploads, Ctx(kDim)).value();
+    return trimmed.Aggregate(uploads.span(), Ctx(kDim)).value();
   });
 }
 
@@ -131,7 +131,7 @@ TEST(AggregatorDeterminismTest, FlTrust) {
     agg::FlTrustAggregator fltrust;
     agg::AggregationContext ctx = Ctx(kDim);
     ctx.server_gradient = &server_grad;
-    return fltrust.Aggregate(uploads, ctx).value();
+    return fltrust.Aggregate(uploads.span(), ctx).value();
   });
 }
 
@@ -139,7 +139,7 @@ TEST(AggregatorDeterminismTest, NormBoundAdaptive) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectPoolInvariant([&] {
     agg::NormBoundAggregator norm_bound;
-    return norm_bound.Aggregate(uploads, Ctx(kDim)).value();
+    return norm_bound.Aggregate(uploads.span(), Ctx(kDim)).value();
   });
 }
 
@@ -153,7 +153,8 @@ TEST(AggregatorDeterminismTest, DpbrTwoStage) {
     agg::AggregationContext ctx = Ctx(kDim, 0.5);
     ctx.sigma_upload = 0.3;
     ctx.server_gradient = &server_grad;
-    return aggregator.Aggregate(uploads, ctx).value();
+    fl::UploadArena rows = uploads;  // the first stage zeroes rejects
+    return aggregator.Aggregate(rows.span(), ctx).value();
   });
 }
 
@@ -161,18 +162,15 @@ TEST(FirstStageDeterminismTest, ApplyVerdictsAndZeroing) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   // Inject two uploads the filter must reject (norm far outside the
   // window) so the zeroing path runs under every pool size.
-  std::fill(uploads[3].begin(), uploads[3].end(), 2.0f);
-  std::fill(uploads[17].begin(), uploads[17].end(), -1.5f);
-  std::vector<float> block;
-  block.reserve(kN * kDim);
-  for (const auto& u : uploads) block.insert(block.end(), u.begin(), u.end());
+  std::fill(uploads.Row(3), uploads.Row(3) + kDim, 2.0f);
+  std::fill(uploads.Row(17), uploads.Row(17) + kDim, -1.5f);
   core::FirstStageFilter filter{core::ProtocolOptions{}};
   ExpectPoolInvariant([&] {
     // Verdict side effects: the zeroed upload block is the output.
-    auto copy = block;
+    fl::UploadArena copy = uploads;
     core::FirstStageReport report;
-    filter.Apply(RowSpan(copy.data(), kN, kDim), 0.3, &report);
-    return copy;
+    filter.Apply(copy.span(), 0.3, &report);
+    return std::vector<float>(copy.Row(0), copy.Row(0) + kN * kDim);
   });
 }
 
@@ -208,7 +206,7 @@ TEST(AggregatorSimdEquivalenceTest, KrumBitwiseAcrossIsas) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectIsaInvariant([&] {
     agg::KrumAggregator krum(5);
-    return krum.Aggregate(uploads, Ctx(kDim)).value();
+    return krum.Aggregate(uploads.span(), Ctx(kDim)).value();
   });
 }
 
@@ -216,7 +214,7 @@ TEST(AggregatorSimdEquivalenceTest, CoordinateMedianBitwiseAcrossIsas) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectIsaInvariant([&] {
     agg::CoordinateMedianAggregator median;
-    return median.Aggregate(uploads, Ctx(kDim)).value();
+    return median.Aggregate(uploads.span(), Ctx(kDim)).value();
   });
 }
 
@@ -224,7 +222,7 @@ TEST(AggregatorSimdEquivalenceTest, TrimmedMeanBitwiseAcrossIsas) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectIsaInvariant([&] {
     agg::TrimmedMeanAggregator trimmed(0.2);
-    return trimmed.Aggregate(uploads, Ctx(kDim)).value();
+    return trimmed.Aggregate(uploads.span(), Ctx(kDim)).value();
   });
 }
 
@@ -232,7 +230,7 @@ TEST(AggregatorSimdEquivalenceTest, RfaBitwiseAcrossIsas) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectIsaInvariant([&] {
     agg::RfaAggregator rfa;
-    return rfa.Aggregate(uploads, Ctx(kDim)).value();
+    return rfa.Aggregate(uploads.span(), Ctx(kDim)).value();
   });
 }
 
@@ -348,7 +346,9 @@ TEST(WorkerUploadDeterminismTest, ComputeUpdatePoolInvariant) {
   ExpectPoolInvariant([&] {
     fl::HonestDpWorker worker(
         0, data::DatasetView::All(&bundle.value().train), factory, opts, 7);
-    return worker.ComputeUpdate(params, 1);
+    std::vector<float> upload(worker.dim());
+    worker.ComputeUpdateInto(params, 1, upload.data());
+    return upload;
   });
 }
 
@@ -363,7 +363,7 @@ TEST(SecondStageDeterminismTest, SelectionOrderIsStable) {
     // Two rounds: the second exercises the cumulative-score path.
     for (int round = 0; round < 2; ++round) {
       auto selected =
-          second_stage.SelectWorkers(uploads, server_grad, 0.5).value();
+          second_stage.SelectWorkers(uploads.cspan(), server_grad, 0.5).value();
       for (size_t idx : selected) flat.push_back(static_cast<float>(idx));
     }
     return flat;

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "aggregators/krum.h"
 #include "aggregators/median.h"
@@ -14,6 +18,7 @@
 #include "aggregators/rfa.h"
 #include "aggregators/trimmed_mean.h"
 #include "common/rng.h"
+#include "fl/upload.h"
 #include "tensor/ops.h"
 
 namespace dpbr {
@@ -25,38 +30,45 @@ struct RobustCase {
   std::function<AggregatorPtr()> make;
 };
 
+// ‖x - y‖.
+double Distance(const std::vector<float>& x, const std::vector<float>& y) {
+  std::vector<float> diff = x;
+  ops::Axpy(-1.0f, y.data(), diff.data(), diff.size());
+  return ops::Norm(diff);
+}
+
 class MinorityByzantineTest : public ::testing::TestWithParam<RobustCase> {};
 
 TEST_P(MinorityByzantineTest, StaysNearBenignMean) {
   const size_t kDim = 32, kHonest = 15, kByz = 5;
   SplitRng rng(42);
-  std::vector<std::vector<float>> uploads;
   std::vector<float> benign_center(kDim);
   for (auto& v : benign_center) v = static_cast<float>(rng.Gaussian());
+  fl::UploadArena uploads;
+  uploads.Reset(kHonest + kByz, kDim);
   for (size_t i = 0; i < kHonest; ++i) {
-    std::vector<float> u = benign_center;
-    for (auto& v : u) v += static_cast<float>(rng.Gaussian(0.0, 0.1));
-    uploads.push_back(std::move(u));
+    for (size_t k = 0; k < kDim; ++k) {
+      uploads.Row(i)[k] =
+          benign_center[k] + static_cast<float>(rng.Gaussian(0.0, 0.1));
+    }
   }
-  for (size_t i = 0; i < kByz; ++i) {
-    uploads.emplace_back(kDim, 1000.0f);
-  }
+  std::fill(uploads.Row(kHonest), uploads.Row(kHonest) + kByz * kDim,
+            1000.0f);
 
   AggregationContext ctx;
   ctx.dim = kDim;
   ctx.gamma = static_cast<double>(kHonest) / (kHonest + kByz);
 
   AggregatorPtr robust = GetParam().make();
-  auto r = robust.get()->Aggregate(uploads, ctx);
+  auto r = robust.get()->Aggregate(uploads.span(), ctx);
   ASSERT_TRUE(r.ok());
-  std::vector<float> diff = ops::Sub(r.value(), benign_center);
-  EXPECT_LT(ops::Norm(diff), 1.0) << GetParam().name;
+  EXPECT_LT(Distance(r.value(), benign_center), 1.0) << GetParam().name;
 
   // The non-robust mean is dragged far away by the same uploads.
   MeanAggregator mean;
-  auto m = mean.Aggregate(uploads, ctx);
+  auto m = mean.Aggregate(uploads.span(), ctx);
   ASSERT_TRUE(m.ok());
-  EXPECT_GT(ops::Norm(ops::Sub(m.value(), benign_center)), 100.0);
+  EXPECT_GT(Distance(m.value(), benign_center), 100.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -83,24 +95,22 @@ class MajorityByzantineTest : public ::testing::TestWithParam<RobustCase> {};
 TEST_P(MajorityByzantineTest, ClassicalRulesAreOverwhelmed) {
   const size_t kDim = 16, kHonest = 5, kByz = 15;
   SplitRng rng(43);
-  std::vector<std::vector<float>> uploads;
-  for (size_t i = 0; i < kHonest; ++i) {
-    std::vector<float> u(kDim, 0.0f);
-    for (auto& v : u) v += static_cast<float>(rng.Gaussian(0.0, 0.1));
-    uploads.push_back(std::move(u));
-  }
-  // A coordinated majority at a bogus location.
-  for (size_t i = 0; i < kByz; ++i) {
-    std::vector<float> u(kDim, 5.0f);
-    for (auto& v : u) v += static_cast<float>(rng.Gaussian(0.0, 0.1));
-    uploads.push_back(std::move(u));
+  fl::UploadArena uploads;
+  uploads.Reset(kHonest + kByz, kDim);
+  // Honest rows around the origin, then a coordinated majority at a
+  // bogus location.
+  for (size_t i = 0; i < kHonest + kByz; ++i) {
+    float center = i < kHonest ? 0.0f : 5.0f;
+    for (size_t k = 0; k < kDim; ++k) {
+      uploads.Row(i)[k] = center + static_cast<float>(rng.Gaussian(0.0, 0.1));
+    }
   }
   AggregationContext ctx;
   ctx.dim = kDim;
   // Even an accurate belief cannot save distance-based rules here.
   ctx.gamma = static_cast<double>(kHonest) / (kHonest + kByz);
   AggregatorPtr rule = GetParam().make();
-  auto r = rule.get()->Aggregate(uploads, ctx);
+  auto r = rule.get()->Aggregate(uploads.span(), ctx);
   ASSERT_TRUE(r.ok());
   // Output lands near the Byzantine cluster (‖·‖ ≈ 5·√16 = 20), far from
   // the honest origin.

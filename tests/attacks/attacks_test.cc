@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <memory>
+#include <vector>
 
+#include "aggregators/aggregator.h"
 #include "attacks/a_little.h"
 #include "attacks/adaptive.h"
 #include "attacks/attacks_common.h"
@@ -10,6 +13,7 @@
 #include "attacks/inner_product.h"
 #include "attacks/label_flip.h"
 #include "attacks/opt_lmp.h"
+#include "fl/upload.h"
 #include "tensor/ops.h"
 
 namespace dpbr {
@@ -17,13 +21,11 @@ namespace attacks {
 namespace {
 
 // Synthesizes a round's worth of honest uploads g = g̃ + z as the DP
-// protocol produces them. `honest` keeps per-upload vectors for test
-// assertions; the context views the same values through a packed arena
-// block, as the trainer provides them.
+// protocol produces them, written into an arena as the trainer's workers
+// write theirs; the context views that arena.
 struct Scenario {
-  std::vector<std::vector<float>> honest;
-  std::vector<float> honest_block;
-  std::vector<float> poisoned_block;
+  fl::UploadArena honest;
+  fl::UploadArena poisoned;
   std::vector<float> params;
   SplitRng rng{123};
   fl::AttackContext ctx;
@@ -34,18 +36,15 @@ struct Scenario {
     std::vector<float> direction(dim);
     gen.FillGaussian(direction.data(), dim, 1.0);
     ops::NormalizeInPlace(direction.data(), dim);
-    honest_block.resize(n_honest * dim);
+    honest.Reset(n_honest, dim);
     for (size_t i = 0; i < n_honest; ++i) {
-      std::vector<float> u(dim);
       SplitRng w = gen.Split(i);
-      w.FillGaussian(u.data(), dim, sigma_upload);
-      ops::Axpy(static_cast<float>(signal), direction.data(), u.data(), dim);
-      std::memcpy(honest_block.data() + i * dim, u.data(),
-                  dim * sizeof(float));
-      honest.push_back(std::move(u));
+      w.FillGaussian(honest.Row(i), dim, sigma_upload);
+      ops::Axpy(static_cast<float>(signal), direction.data(), honest.Row(i),
+                dim);
     }
     params.assign(dim, 0.0f);
-    ctx.honest_uploads = ConstRowSpan(honest_block.data(), n_honest, dim);
+    ctx.honest_uploads = honest.cspan();
     ctx.global_params = &params;
     ctx.dim = dim;
     ctx.sigma_upload = sigma_upload;
@@ -54,57 +53,69 @@ struct Scenario {
     ctx.rng = &rng;
   }
 
-  /// Packs data-poisoning uploads and points the context at them.
-  void SetPoisoned(const std::vector<std::vector<float>>& rows) {
-    size_t dim = ctx.dim;
-    poisoned_block.assign(rows.size() * dim, 0.0f);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      std::memcpy(poisoned_block.data() + i * dim, rows[i].data(),
-                  dim * sizeof(float));
-    }
-    ctx.poisoned_uploads =
-        ConstRowSpan(poisoned_block.data(), rows.size(), dim);
+  /// Forges `n` rows into a fresh arena, as into the trainer's reserved
+  /// Byzantine rows.
+  fl::UploadArena Forge(fl::Attack& attack, size_t n) {
+    fl::UploadArena out;
+    out.Reset(n, ctx.dim);
+    attack.ForgeInto(ctx, out.span());
+    return out;
   }
 };
+
+// Row i of `arena` as a vector, for whole-row comparisons.
+std::vector<float> RowOf(const fl::UploadArena& arena, size_t i) {
+  return std::vector<float>(arena.Row(i), arena.Row(i) + arena.dim());
+}
+
+double RowNorm(const fl::UploadArena& arena, size_t i) {
+  return ops::Norm(arena.Row(i), arena.dim());
+}
+
+// ‖x - y‖.
+double Distance(const float* x, const std::vector<float>& y) {
+  std::vector<float> diff(x, x + y.size());
+  ops::Axpy(-1.0f, y.data(), diff.data(), diff.size());
+  return ops::Norm(diff);
+}
 
 TEST(GaussianAttackTest, MatchesDpNoiseStatistics) {
   Scenario s(10, 2000, 0.3);
   GaussianAttack attack;
-  auto forged = attack.Forge(s.ctx, 4);
-  ASSERT_EQ(forged.size(), 4u);
-  for (const auto& f : forged) {
-    ASSERT_EQ(f.size(), 2000u);
+  fl::UploadArena forged = s.Forge(attack, 4);
+  for (size_t b = 0; b < 4; ++b) {
     // ‖f‖ ≈ σ_up·√d.
     double expected = 0.3 * std::sqrt(2000.0);
-    EXPECT_NEAR(ops::Norm(f), expected, 0.1 * expected);
+    EXPECT_NEAR(RowNorm(forged, b), expected, 0.1 * expected);
   }
   // Distinct draws per Byzantine worker.
-  EXPECT_NE(forged[0], forged[1]);
+  EXPECT_NE(RowOf(forged, 0), RowOf(forged, 1));
 }
 
 TEST(GaussianAttackTest, FallbackScaleWithoutDp) {
   Scenario s(5, 500, 0.0);
   s.ctx.sigma_upload = 0.0;
   GaussianAttack attack(2.0);
-  auto forged = attack.Forge(s.ctx, 1);
+  fl::UploadArena forged = s.Forge(attack, 1);
   double expected = 2.0 * std::sqrt(500.0);
-  EXPECT_NEAR(ops::Norm(forged[0]), expected, 0.15 * expected);
+  EXPECT_NEAR(RowNorm(forged, 0), expected, 0.15 * expected);
 }
 
 TEST(OptLmpTest, InvertsBenignDirection) {
   Scenario s(16, 1000, 0.3);
   OptLmpAttack attack;
   size_t mn = 24;  // 60% of 40: Mn = 24 > √16 = 4
-  auto forged = attack.Forge(s.ctx, mn);
-  ASSERT_EQ(forged.size(), mn);
+  fl::UploadArena forged = s.Forge(attack, mn);
   // All Byzantine uploads are identical (Eq. 10).
-  EXPECT_EQ(forged[0], forged[1]);
+  EXPECT_EQ(RowOf(forged, 0), RowOf(forged, 1));
   std::vector<float> benign_sum = SumOfHonestUploads(s.ctx);
   // Negative alignment with the benign sum.
-  EXPECT_LT(ops::Dot(forged[0], benign_sum), 0.0);
+  EXPECT_LT(ops::Dot(forged.Row(0), benign_sum.data(), 1000), 0.0);
   // Total: Σ g_M = -(1+λ)·Σ g_B → aggregate sum = -λ·Σ g_B (inverted).
   std::vector<float> total = benign_sum;
-  for (const auto& f : forged) total = ops::Add(total, f);
+  for (size_t b = 0; b < mn; ++b) {
+    ops::Axpy(1.0f, forged.Row(b), total.data(), total.size());
+  }
   EXPECT_LT(ops::Dot(total, benign_sum), 0.0);
 }
 
@@ -113,64 +124,63 @@ TEST(OptLmpTest, ForgedNormCamouflagesAsBenign) {
   // upload norm σ_up√d (this is what defeats naive norm filtering).
   Scenario s(16, 4000, 0.3, /*signal=*/0.01);
   OptLmpAttack attack;
-  auto forged = attack.Forge(s.ctx, 24);
-  double benign_norm = ops::Norm(s.honest[0]);
-  EXPECT_NEAR(ops::Norm(forged[0]), benign_norm, 0.15 * benign_norm);
+  fl::UploadArena forged = s.Forge(attack, 24);
+  double benign_norm = RowNorm(s.honest, 0);
+  EXPECT_NEAR(RowNorm(forged, 0), benign_norm, 0.15 * benign_norm);
 }
 
 TEST(OptLmpTest, FewAttackersFallBackGracefully) {
   Scenario s(16, 500, 0.3);
   OptLmpAttack attack;
   // Mn = 2 < √16 = 4: λ clamps to 0, attack still points against benign.
-  auto forged = attack.Forge(s.ctx, 2);
+  fl::UploadArena forged = s.Forge(attack, 2);
   std::vector<float> benign_sum = SumOfHonestUploads(s.ctx);
-  EXPECT_LT(ops::Dot(forged[0], benign_sum), 0.0);
+  EXPECT_LT(ops::Dot(forged.Row(0), benign_sum.data(), 500), 0.0);
 }
 
 TEST(ALittleTest, SitsWithinBenignSpread) {
   Scenario s(20, 800, 0.3);
   ALittleAttack attack;
-  auto forged = attack.Forge(s.ctx, 10);
-  ASSERT_EQ(forged.size(), 10u);
-  EXPECT_EQ(forged[0], forged[9]);
+  fl::UploadArena forged = s.Forge(attack, 10);
+  EXPECT_EQ(RowOf(forged, 0), RowOf(forged, 9));
   // μ - z·s stays within ~3 std of the benign mean per coordinate:
   // overall norm comparable to a benign upload, not orders larger.
-  double benign_norm = ops::Norm(s.honest[0]);
-  EXPECT_LT(ops::Norm(forged[0]), 4.0 * benign_norm);
-  EXPECT_GT(ops::Norm(forged[0]), 0.2 * benign_norm);
+  double benign_norm = RowNorm(s.honest, 0);
+  EXPECT_LT(RowNorm(forged, 0), 4.0 * benign_norm);
+  EXPECT_GT(RowNorm(forged, 0), 0.2 * benign_norm);
 }
 
 TEST(ALittleTest, ZOverrideControlsDeviation) {
   Scenario s(20, 800, 0.3);
   ALittleAttack small(0.5), large(3.0);
-  auto f_small = small.Forge(s.ctx, 4);
-  auto f_large = large.Forge(s.ctx, 4);
+  fl::UploadArena f_small = s.Forge(small, 4);
+  fl::UploadArena f_large = s.Forge(large, 4);
   // Larger z → farther from the benign mean.
-  std::vector<float> mean = ops::MeanOf(s.honest);
-  EXPECT_GT(ops::Norm(ops::Sub(f_large[0], mean)),
-            ops::Norm(ops::Sub(f_small[0], mean)));
+  std::vector<float> mean = agg::MeanOfAllRows(s.honest.cspan());
+  EXPECT_GT(Distance(f_large.Row(0), mean), Distance(f_small.Row(0), mean));
 }
 
 TEST(InnerProductTest, NegatesTheMean) {
   Scenario s(8, 300, 0.2);
   InnerProductAttack attack(1.0);
-  auto forged = attack.Forge(s.ctx, 3);
-  std::vector<float> mean = ops::MeanOf(s.honest);
+  fl::UploadArena forged = s.Forge(attack, 3);
+  std::vector<float> mean = agg::MeanOfAllRows(s.honest.cspan());
   for (size_t k = 0; k < 300; ++k) {
-    EXPECT_NEAR(forged[0][k], -mean[k], 1e-5);
+    EXPECT_NEAR(forged.Row(0)[k], -mean[k], 1e-5);
   }
 }
 
 TEST(LabelFlipTest, ForwardsPoisonedUploads) {
   Scenario s(4, 100, 0.2);
-  s.SetPoisoned({std::vector<float>(100, 1.0f),
-                 std::vector<float>(100, 2.0f)});
+  s.poisoned.Reset(2, 100);
+  std::fill(s.poisoned.Row(0), s.poisoned.Row(0) + 100, 1.0f);
+  std::fill(s.poisoned.Row(1), s.poisoned.Row(1) + 100, 2.0f);
+  s.ctx.poisoned_uploads = s.poisoned.cspan();
   LabelFlipAttack attack;
   EXPECT_TRUE(attack.wants_poisoned_uploads());
-  auto forged = attack.Forge(s.ctx, 2);
-  ASSERT_EQ(forged.size(), 2u);
-  EXPECT_FLOAT_EQ(forged[0][0], 1.0f);
-  EXPECT_FLOAT_EQ(forged[1][0], 2.0f);
+  fl::UploadArena forged = s.Forge(attack, 2);
+  EXPECT_FLOAT_EQ(forged.Row(0)[0], 1.0f);
+  EXPECT_FLOAT_EQ(forged.Row(1)[0], 2.0f);
 }
 
 TEST(AdaptiveTest, CamouflagesBeforeTtbbThenAttacks) {
@@ -180,20 +190,20 @@ TEST(AdaptiveTest, CamouflagesBeforeTtbbThenAttacks) {
 
   // Round 5 of 100 < TTBB·T = 50: copies of honest uploads.
   s.ctx.round = 5;
-  auto camo = attack.Forge(s.ctx, 3);
-  for (const auto& f : camo) {
+  fl::UploadArena camo = s.Forge(attack, 3);
+  for (size_t b = 0; b < 3; ++b) {
     bool is_copy = false;
-    for (const auto& h : s.honest) {
-      if (f == h) is_copy = true;
+    for (size_t h = 0; h < 6; ++h) {
+      if (RowOf(camo, b) == RowOf(s.honest, h)) is_copy = true;
     }
     EXPECT_TRUE(is_copy);
   }
 
   // Round 80 > 50: delegates to the inner attack.
   s.ctx.round = 80;
-  auto hostile = attack.Forge(s.ctx, 3);
-  std::vector<float> mean = ops::MeanOf(s.honest);
-  EXPECT_NEAR(hostile[0][0], -mean[0], 1e-5);
+  fl::UploadArena hostile = s.Forge(attack, 3);
+  std::vector<float> mean = agg::MeanOfAllRows(s.honest.cspan());
+  EXPECT_NEAR(hostile.Row(0)[0], -mean[0], 1e-5);
 }
 
 TEST(AdaptiveTest, PropagatesPoisonedUploadRequirement) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -41,13 +42,13 @@ constexpr double kMinP = 0.01;
 
 TEST(GaussianSamplerTest, ZigguratPassesKsAgainstNormalCdf) {
   std::vector<float> buf = Draws(101, 1.0, GaussianSampler::kZiggurat);
-  stats::KsResult r = stats::KsTestGaussian(buf, 1.0);
+  stats::KsResult r = stats::KsTestGaussian(buf.data(), buf.size(), 1.0);
   EXPECT_GT(r.p_value, kMinP) << "D=" << r.statistic;
 }
 
 TEST(GaussianSamplerTest, BoxMullerPassesKsAgainstNormalCdf) {
   std::vector<float> buf = Draws(103, 1.0, GaussianSampler::kBoxMuller);
-  stats::KsResult r = stats::KsTestGaussian(buf, 1.0);
+  stats::KsResult r = stats::KsTestGaussian(buf.data(), buf.size(), 1.0);
   EXPECT_GT(r.p_value, kMinP) << "D=" << r.statistic;
 }
 
@@ -55,7 +56,7 @@ TEST(GaussianSamplerTest, ZigguratPassesKsAtUploadSigma) {
   // The first-stage filter KS-tests uploads against N(0, σ_up²); the DP
   // noise it sees is exactly this sampler at a small σ.
   std::vector<float> buf = Draws(107, 0.3, GaussianSampler::kZiggurat);
-  stats::KsResult r = stats::KsTestGaussian(buf, 0.3);
+  stats::KsResult r = stats::KsTestGaussian(buf.data(), buf.size(), 0.3);
   EXPECT_GT(r.p_value, kMinP) << "D=" << r.statistic;
 }
 
@@ -108,6 +109,37 @@ TEST(GaussianSamplerTest, FillGaussianScalesByStddev) {
   double sum2 = 0.0;
   for (float v : buf) sum2 += static_cast<double>(v) * v;
   EXPECT_NEAR(std::sqrt(sum2 / buf.size()), 3.0, 0.05);
+
+  // Same stream state, σ and 3σ: every added draw scales by exactly the
+  // σ ratio (draws are computed in double, so the float results agree to
+  // rounding).
+  const double sigma = 0.7;
+  SplitRng a(9), b(9);
+  std::vector<float> va(5000, 0.0f), vb(5000, 0.0f);
+  a.AddGaussian(va.data(), va.size(), sigma);
+  b.AddGaussian(vb.data(), vb.size(), 3.0 * sigma);
+  for (size_t i = 0; i < va.size(); ++i) {
+    double scale =
+        std::max(1e-6, std::abs(3.0 * static_cast<double>(va[i])));
+    ASSERT_NEAR(vb[i], 3.0 * static_cast<double>(va[i]), 1e-6 * scale)
+        << "index " << i;
+  }
+
+  // σ = 0 adds nothing.
+  SplitRng c(6);
+  std::vector<float> v = {1.0f, 2.0f, 3.0f};
+  c.AddGaussian(v.data(), v.size(), 0.0);
+  EXPECT_EQ(v, (std::vector<float>{1.0f, 2.0f, 3.0f}));
+}
+
+TEST(GaussianSamplerTest, BoxMullerReproducesScalarGaussianStream) {
+  // The reference kernel is the pre-ziggurat noise loop, bit for bit:
+  // data[i] += (float)rng.Gaussian(0.0, sigma).
+  SplitRng a(5), b(5);
+  std::vector<float> v(300, 1.0f), ref(300, 1.0f);
+  a.AddGaussian(v.data(), v.size(), 2.0, GaussianSampler::kBoxMuller);
+  for (auto& x : ref) x += static_cast<float>(b.Gaussian(0.0, 2.0));
+  EXPECT_EQ(v, ref);
 }
 
 TEST(GaussianSamplerTest, SamplersShareDistributionNotStream) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
+#include "fl/upload.h"
 #include "tensor/ops.h"
 
 namespace dpbr {
@@ -14,16 +17,13 @@ namespace {
 constexpr size_t kDim = 1500;
 constexpr double kSigmaUp = 0.25;
 
-// Honest-protocol-shaped upload: dominant Gaussian noise plus a small
-// component along `direction`.
-std::vector<float> HonestUpload(uint64_t seed,
-                                const std::vector<float>& direction,
-                                double signal = 0.2) {
+// Writes an honest-protocol-shaped upload into `out` (kDim floats):
+// dominant Gaussian noise plus a small component along `direction`.
+void HonestUpload(uint64_t seed, const std::vector<float>& direction,
+                  float* out, double signal = 0.2) {
   SplitRng rng(seed);
-  std::vector<float> u(kDim);
-  rng.FillGaussian(u.data(), kDim, kSigmaUp);
-  ops::Axpy(static_cast<float>(signal), direction.data(), u.data(), kDim);
-  return u;
+  rng.FillGaussian(out, kDim, kSigmaUp);
+  ops::Axpy(static_cast<float>(signal), direction.data(), out, kDim);
 }
 
 std::vector<float> TrueGradientDirection() {
@@ -49,15 +49,15 @@ TEST(DpbrAggregatorTest, SelectsHonestRejectsInverted) {
   std::vector<float> dir = TrueGradientDirection();
   std::vector<float> server_grad = ops::Scaled(dir, 0.5f);
 
-  std::vector<std::vector<float>> uploads;
   const size_t kHonest = 8, kByz = 12;  // Byzantine majority
+  fl::UploadArena uploads;
+  uploads.Reset(kHonest + kByz, kDim);
   for (size_t i = 0; i < kHonest; ++i) {
-    uploads.push_back(HonestUpload(100 + i, dir));
+    HonestUpload(100 + i, dir, uploads.Row(i));
   }
   // OptLMP-style forgeries: noise-camouflaged but anti-aligned.
   for (size_t i = 0; i < kByz; ++i) {
-    std::vector<float> u = HonestUpload(200 + i, dir, -0.5);
-    uploads.push_back(std::move(u));
+    HonestUpload(200 + i, dir, uploads.Row(kHonest + i), -0.5);
   }
 
   DpbrAggregator aggregator;
@@ -65,7 +65,8 @@ TEST(DpbrAggregatorTest, SelectsHonestRejectsInverted) {
   // Accumulate over several rounds: cumulative scores sharpen selection.
   Result<std::vector<float>> out = std::vector<float>{};
   for (int round = 0; round < 5; ++round) {
-    out = aggregator.Aggregate(uploads, Ctx(&server_grad, gamma));
+    fl::UploadArena rows = uploads;  // the first stage zeroes rejects
+    out = aggregator.Aggregate(rows.span(), Ctx(&server_grad, gamma));
     ASSERT_TRUE(out.ok());
   }
   const DpbrRoundDiagnostics& diag = aggregator.last_round();
@@ -80,14 +81,15 @@ TEST(DpbrAggregatorTest, SelectsHonestRejectsInverted) {
 TEST(DpbrAggregatorTest, FirstStageZeroesOutOfBandUploads) {
   std::vector<float> dir = TrueGradientDirection();
   std::vector<float> server_grad = ops::Scaled(dir, 0.5f);
-  std::vector<std::vector<float>> uploads;
-  for (size_t i = 0; i < 4; ++i) uploads.push_back(HonestUpload(10 + i, dir));
+  fl::UploadArena uploads;
+  uploads.Reset(5, kDim);
+  for (size_t i = 0; i < 4; ++i) HonestUpload(10 + i, dir, uploads.Row(i));
   // An arbitrary huge upload (classical Byzantine value) — norm test
   // rejects it outright.
-  uploads.push_back(std::vector<float>(kDim, 50.0f));
+  std::fill(uploads.Row(4), uploads.Row(4) + kDim, 50.0f);
 
   DpbrAggregator aggregator;
-  auto out = aggregator.Aggregate(uploads, Ctx(&server_grad, 0.8));
+  auto out = aggregator.Aggregate(uploads.span(), Ctx(&server_grad, 0.8));
   ASSERT_TRUE(out.ok());
   const DpbrRoundDiagnostics& diag = aggregator.last_round();
   EXPECT_FALSE(diag.first_stage_passed[4]);
@@ -100,15 +102,15 @@ TEST(DpbrAggregatorTest, FirstStageZeroesOutOfBandUploads) {
 TEST(DpbrAggregatorTest, UpdateScaleVariants) {
   std::vector<float> server_grad(kDim, 0.0f);
   server_grad[0] = 1.0f;
-  std::vector<std::vector<float>> uploads(4,
-                                          std::vector<float>(kDim, 0.0f));
-  for (auto& u : uploads) u[0] = 1.0f;  // all identical, score 1
+  fl::UploadArena uploads;
+  uploads.Reset(4, kDim);
+  for (size_t i = 0; i < 4; ++i) uploads.Row(i)[0] = 1.0f;  // score 1
 
   ProtocolOptions over_total;
   over_total.enable_first_stage = false;  // isolate the scaling logic
   over_total.update_scale = UpdateScale::kOverTotal;
   DpbrAggregator a(over_total);
-  auto ra = a.Aggregate(uploads, Ctx(&server_grad, 0.5));
+  auto ra = a.Aggregate(uploads.span(), Ctx(&server_grad, 0.5));
   ASSERT_TRUE(ra.ok());
   // 2 selected of 4 total: (1/4)·2 = 0.5.
   EXPECT_NEAR(ra.value()[0], 0.5f, 1e-6);
@@ -116,7 +118,7 @@ TEST(DpbrAggregatorTest, UpdateScaleVariants) {
   ProtocolOptions over_selected = over_total;
   over_selected.update_scale = UpdateScale::kOverSelected;
   DpbrAggregator b(over_selected);
-  auto rb = b.Aggregate(uploads, Ctx(&server_grad, 0.5));
+  auto rb = b.Aggregate(uploads.span(), Ctx(&server_grad, 0.5));
   ASSERT_TRUE(rb.ok());
   // (1/2)·2 = 1.
   EXPECT_NEAR(rb.value()[0], 1.0f, 1e-6);
@@ -129,10 +131,11 @@ TEST(DpbrAggregatorTest, FirstStageOnlyAblation) {
   EXPECT_FALSE(aggregator.NeedsServerGradient());
 
   std::vector<float> dir = TrueGradientDirection();
-  std::vector<std::vector<float>> uploads;
-  for (size_t i = 0; i < 5; ++i) uploads.push_back(HonestUpload(30 + i, dir));
-  uploads.push_back(std::vector<float>(kDim, 50.0f));  // rejected
-  auto out = aggregator.Aggregate(uploads, Ctx(nullptr, 0.8));
+  fl::UploadArena uploads;
+  uploads.Reset(6, kDim);
+  for (size_t i = 0; i < 5; ++i) HonestUpload(30 + i, dir, uploads.Row(i));
+  std::fill(uploads.Row(5), uploads.Row(5) + kDim, 50.0f);  // rejected
+  auto out = aggregator.Aggregate(uploads.span(), Ctx(nullptr, 0.8));
   ASSERT_TRUE(out.ok());
   // Selected = exactly the stage-1 survivors (the loud upload is out;
   // honest-like uploads may lose one to the KS test's 5% false-positive
@@ -149,7 +152,8 @@ TEST(DpbrAggregatorTest, RequiresSigmaForFirstStage) {
   std::vector<float> server_grad(kDim, 1.0f);
   agg::AggregationContext ctx = Ctx(&server_grad, 0.5);
   ctx.sigma_upload = 0.0;
-  auto out = aggregator.Aggregate({std::vector<float>(kDim, 0.1f)}, ctx);
+  std::vector<float> upload(kDim, 0.1f);
+  auto out = aggregator.Aggregate(RowSpan(upload.data(), 1, kDim), ctx);
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -157,7 +161,9 @@ TEST(DpbrAggregatorTest, RequiresSigmaForFirstStage) {
 TEST(DpbrAggregatorTest, RequiresServerGradientForSecondStage) {
   DpbrAggregator aggregator;
   EXPECT_TRUE(aggregator.NeedsServerGradient());
-  auto out = aggregator.Aggregate({HonestUpload(1, TrueGradientDirection())},
+  std::vector<float> upload(kDim);
+  HonestUpload(1, TrueGradientDirection(), upload.data());
+  auto out = aggregator.Aggregate(RowSpan(upload.data(), 1, kDim),
                                   Ctx(nullptr, 0.5));
   EXPECT_FALSE(out.ok());
 }
@@ -165,10 +171,12 @@ TEST(DpbrAggregatorTest, RequiresServerGradientForSecondStage) {
 TEST(DpbrAggregatorTest, ResetClearsCumulativeState) {
   std::vector<float> dir = TrueGradientDirection();
   std::vector<float> server_grad = ops::Scaled(dir, 1.0f);
-  std::vector<std::vector<float>> uploads;
-  for (size_t i = 0; i < 4; ++i) uploads.push_back(HonestUpload(40 + i, dir));
+  fl::UploadArena uploads;
+  uploads.Reset(4, kDim);
+  for (size_t i = 0; i < 4; ++i) HonestUpload(40 + i, dir, uploads.Row(i));
   DpbrAggregator aggregator;
-  ASSERT_TRUE(aggregator.Aggregate(uploads, Ctx(&server_grad, 0.5)).ok());
+  ASSERT_TRUE(
+      aggregator.Aggregate(uploads.span(), Ctx(&server_grad, 0.5)).ok());
   EXPECT_FALSE(aggregator.second_stage().cumulative_scores().empty());
   aggregator.Reset();
   EXPECT_TRUE(aggregator.second_stage().cumulative_scores().empty());

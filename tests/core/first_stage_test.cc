@@ -46,7 +46,8 @@ TEST(FirstStageTest, HonestUploadsPass) {
   int accepted = 0;
   const int kTrials = 100;
   for (int t = 0; t < kTrials; ++t) {
-    FirstStageVerdict v = f.Test(HonestLikeUpload(1000 + t), kSigmaUp);
+    std::vector<float> u = HonestLikeUpload(1000 + t);
+    FirstStageVerdict v = f.Test(u.data(), u.size(), kSigmaUp);
     if (v.accepted()) ++accepted;
   }
   // Norm test: 99.7% band; KS at 5% significance; small signal shifts are
@@ -62,7 +63,7 @@ TEST(FirstStageTest, PureNoiseUploadsPassAtNominalRate) {
     std::vector<float> u(kDim);
     SplitRng rng(5000 + t);
     rng.FillGaussian(u.data(), kDim, kSigmaUp);
-    FirstStageVerdict v = f.Test(u, kSigmaUp);
+    FirstStageVerdict v = f.Test(u.data(), u.size(), kSigmaUp);
     if (!v.passed_ks) ++rejected_ks;
   }
   // KS false-rejection ≈ 5%: generous 3-sigma bound.
@@ -74,10 +75,10 @@ TEST(FirstStageTest, WrongScaleFailsNormTest) {
   std::vector<float> u(kDim);
   SplitRng rng(1);
   rng.FillGaussian(u.data(), kDim, 2.0 * kSigmaUp);  // 2x too loud
-  FirstStageVerdict v = f.Test(u, kSigmaUp);
+  FirstStageVerdict v = f.Test(u.data(), u.size(), kSigmaUp);
   EXPECT_FALSE(v.passed_norm);
   rng.FillGaussian(u.data(), kDim, 0.5 * kSigmaUp);  // 2x too quiet
-  v = f.Test(u, kSigmaUp);
+  v = f.Test(u.data(), u.size(), kSigmaUp);
   EXPECT_FALSE(v.passed_norm);
 }
 
@@ -91,7 +92,7 @@ TEST(FirstStageTest, NormCamouflagedNonGaussianFailsKs) {
   for (auto& v : u) {
     v = static_cast<float>(rng.Uniform() < 0.5 ? c : -c);
   }
-  FirstStageVerdict v = f.Test(u, kSigmaUp);
+  FirstStageVerdict v = f.Test(u.data(), u.size(), kSigmaUp);
   EXPECT_TRUE(v.passed_norm);
   EXPECT_FALSE(v.passed_ks);
   EXPECT_FALSE(v.accepted());
@@ -100,7 +101,7 @@ TEST(FirstStageTest, NormCamouflagedNonGaussianFailsKs) {
 TEST(FirstStageTest, ZeroUploadRejected) {
   FirstStageFilter f{ProtocolOptions{}};
   std::vector<float> zeros(kDim, 0.0f);
-  FirstStageVerdict v = f.Test(zeros, kSigmaUp);
+  FirstStageVerdict v = f.Test(zeros.data(), zeros.size(), kSigmaUp);
   EXPECT_FALSE(v.passed_norm);
   EXPECT_FALSE(v.accepted());
 }
@@ -116,7 +117,7 @@ TEST(FirstStageTest, LargeOutlierCoordinateFailsKs) {
   for (size_t i = 0; i < 5; ++i) {
     u[i] = static_cast<float>(kSigmaUp * std::sqrt(kDim / 10.0));
   }
-  FirstStageVerdict v = f.Test(u, kSigmaUp);
+  FirstStageVerdict v = f.Test(u.data(), u.size(), kSigmaUp);
   EXPECT_FALSE(v.accepted());
 }
 
@@ -278,7 +279,7 @@ TEST(EnvelopeTest, SortedCoordinatesOfPassingUploadRespectEnvelope) {
   std::vector<float> u(d);
   SplitRng rng(6);
   rng.FillGaussian(u.data(), d, 1.0);
-  FirstStageVerdict v = f.Test(u, 1.0);
+  FirstStageVerdict v = f.Test(u.data(), u.size(), 1.0);
   if (v.passed_ks) {
     std::sort(u.begin(), u.end());
     for (size_t k = 1; k <= d; ++k) {

@@ -14,6 +14,7 @@
 #include "core/dpbr_aggregator.h"
 #include "core/first_stage.h"
 #include "core/second_stage.h"
+#include "fl/upload.h"
 #include "tensor/ops.h"
 
 namespace dpbr {
@@ -46,7 +47,7 @@ TEST_P(FirstStageRegimeTest, HonestProtocolUploadsAccepted) {
     trial.FillGaussian(dir.data(), d, 1.0);
     ops::NormalizeInPlace(dir.data(), d);
     ops::Axpy(1.0f, dir.data(), u.data(), d);  // ‖g̃‖ = 1
-    if (filter.Test(u, sigma_up).accepted()) ++accepted;
+    if (filter.Test(u.data(), d, sigma_up).accepted()) ++accepted;
   }
   // With ‖z‖ = σ_up·√d ≫ 1 the signal must not break the tests: expect
   // near-nominal acceptance (norm 99.7% ∧ KS 95% ≈ 94.7%).
@@ -60,7 +61,7 @@ TEST_P(FirstStageRegimeTest, ScaledUploadsRejected) {
     std::vector<float> u(d);
     SplitRng rng(split_seed_++);
     rng.FillGaussian(u.data(), d, scale * sigma_up);
-    EXPECT_FALSE(filter.Test(u, sigma_up).passed_norm)
+    EXPECT_FALSE(filter.Test(u.data(), d, sigma_up).passed_norm)
         << "d=" << d << " sigma_up=" << sigma_up << " scale=" << scale;
   }
 }
@@ -76,7 +77,7 @@ TEST_P(FirstStageRegimeTest, UniformShapeRejectedByKs) {
   for (auto& v : u) {
     v = static_cast<float>(rng.Uniform(-half_width, half_width));
   }
-  EXPECT_FALSE(filter.Test(u, sigma_up).passed_ks)
+  EXPECT_FALSE(filter.Test(u.data(), d, sigma_up).passed_ks)
       << "d=" << d << " sigma_up=" << sigma_up;
 }
 
@@ -99,15 +100,15 @@ TEST_P(SecondStageSelectionSizeTest, AlwaysExactlyCeilGammaN) {
   auto [n, gamma] = GetParam();
   SecondStageAggregator stage;
   SplitRng rng(4242);
-  std::vector<std::vector<float>> uploads(n);
-  for (auto& u : uploads) {
-    u.resize(64);
-    SplitRng w = rng.Split(&u - uploads.data());
-    w.FillGaussian(u.data(), 64, 1.0);
+  fl::UploadArena uploads;
+  uploads.Reset(n, 64);
+  for (size_t i = 0; i < n; ++i) {
+    SplitRng w = rng.Split(i);
+    w.FillGaussian(uploads.Row(i), 64, 1.0);
   }
   std::vector<float> server_grad(64, 0.5f);
   for (int round = 0; round < 3; ++round) {
-    auto sel = stage.SelectWorkers(uploads, server_grad, gamma);
+    auto sel = stage.SelectWorkers(uploads.cspan(), server_grad, gamma);
     ASSERT_TRUE(sel.ok());
     size_t expected = std::max<size_t>(
         1, static_cast<size_t>(
@@ -135,24 +136,22 @@ TEST(BoundedImpactTest, AggregateNormBoundedByNoiseBudget) {
   const size_t kDim = 2000;
   const double kSigmaUp = 0.3;
   SplitRng rng(99);
-  std::vector<std::vector<float>> uploads;
+  fl::UploadArena uploads;
+  uploads.Reset(20, kDim);
   for (size_t i = 0; i < 10; ++i) {
-    std::vector<float> u(kDim);
     SplitRng w = rng.Split(i);
-    w.FillGaussian(u.data(), kDim, kSigmaUp);
-    uploads.push_back(std::move(u));
+    w.FillGaussian(uploads.Row(i), kDim, kSigmaUp);
   }
   // Worst-case admissible Byzantine uploads: exactly at the norm window's
   // upper edge with a Gaussian shape (these pass both tests).
   FirstStageFilter filter{ProtocolOptions{}};
   auto [lo, hi] = filter.NormWindow(kDim, kSigmaUp);
   for (size_t b = 0; b < 10; ++b) {
-    std::vector<float> u(kDim);
+    float* u = uploads.Row(10 + b);
     SplitRng w = rng.Split(100 + b);
-    w.FillGaussian(u.data(), kDim, kSigmaUp);
-    double scale = std::sqrt(hi * 0.999) / ops::Norm(u);
-    ops::Scale(static_cast<float>(scale), u.data(), kDim);
-    uploads.push_back(std::move(u));
+    w.FillGaussian(u, kDim, kSigmaUp);
+    double scale = std::sqrt(hi * 0.999) / ops::Norm(u, kDim);
+    ops::Scale(static_cast<float>(scale), u, kDim);
   }
   std::vector<float> server_grad(kDim, 0.01f);
   agg::AggregationContext ctx;
@@ -161,7 +160,7 @@ TEST(BoundedImpactTest, AggregateNormBoundedByNoiseBudget) {
   ctx.gamma = 0.5;
   ctx.server_gradient = &server_grad;
   DpbrAggregator aggregator;
-  auto out = aggregator.Aggregate(uploads, ctx);
+  auto out = aggregator.Aggregate(uploads.span(), ctx);
   ASSERT_TRUE(out.ok());
   // Mean of <= ⌈γn⌉ window-bounded vectors: ‖·‖ <= √hi.
   EXPECT_LE(ops::Norm(out.value()), std::sqrt(hi) + 1e-3);

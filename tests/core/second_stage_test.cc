@@ -4,16 +4,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace dpbr {
 namespace core {
 namespace {
 
-// uploads[i] = scalar vectors so inner products are transparent.
-std::vector<std::vector<float>> ScalarUploads(std::vector<float> values) {
-  std::vector<std::vector<float>> out;
-  for (float v : values) out.push_back({v});
-  return out;
+// One-coordinate uploads, so inner products are transparent: `values`
+// is itself the n x 1 row block. A braced temporary argument lives until
+// the end of the full expression, i.e. through the SelectWorkers call.
+ConstRowSpan ScalarUploads(const std::vector<float>& values) {
+  return ConstRowSpan(values.data(), values.size(), 1);
 }
 
 TEST(SecondStageTest, SelectsTopGammaFraction) {
@@ -97,13 +98,11 @@ TEST(SecondStageTest, WorkerCountChangeIsAnError) {
 
 TEST(SecondStageTest, InputValidation) {
   SecondStageAggregator s;
-  // Brace-init `{}` is ambiguous between the span and vector overloads;
-  // spell the legacy type out.
-  EXPECT_FALSE(
-      s.SelectWorkers(std::vector<std::vector<float>>{}, {1.0f}, 0.5).ok());
+  EXPECT_FALSE(s.SelectWorkers(ConstRowSpan(), {1.0f}, 0.5).ok());
   EXPECT_FALSE(s.SelectWorkers(ScalarUploads({1}), {}, 0.5).ok());
+  std::vector<float> wide = {1.0f, 2.0f};  // dim mismatch: 2 vs 1
   EXPECT_FALSE(
-      s.SelectWorkers({{1.0f, 2.0f}}, {1.0f}, 0.5).ok());  // dim mismatch
+      s.SelectWorkers(ConstRowSpan(wide.data(), 1, 2), {1.0f}, 0.5).ok());
 }
 
 TEST(SecondStageTest, ResetClearsState) {

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
 
 namespace dpbr {
 namespace dp {
@@ -35,68 +33,6 @@ TEST(ClassicSigmaTest, LinearInSensitivity) {
     ASSERT_TRUE(scaled.ok());
     EXPECT_NEAR(scaled.value(), c * base, 1e-9 * c * base);
   }
-}
-
-TEST(PerturbTest, AddsNoiseOfRightMagnitude) {
-  // Moments re-verified after the ziggurat stream change (the values
-  // differ from the Box-Muller stream; the distribution must not).
-  SplitRng rng(5);
-  std::vector<float> v(20000, 1.0f);
-  PerturbInPlace(v.data(), v.size(), 2.0, &rng);
-  double sum = 0.0, sum2 = 0.0;
-  for (float x : v) {
-    sum += x;
-    sum2 += static_cast<double>(x) * x;
-  }
-  double mean = sum / v.size();
-  double var = sum2 / v.size() - mean * mean;
-  EXPECT_NEAR(mean, 1.0, 0.05);
-  EXPECT_NEAR(std::sqrt(var), 2.0, 0.05);
-}
-
-TEST(PerturbTest, BoxMullerKernelReproducesLegacyStream) {
-  // The reference kernel is the pre-ziggurat noise loop, bit for bit:
-  // data[i] += (float)rng.Gaussian(0.0, sigma).
-  SplitRng a(5), b(5);
-  std::vector<float> v(300, 1.0f), ref(300, 1.0f);
-  PerturbInPlace(v.data(), v.size(), 2.0, &a, GaussianSampler::kBoxMuller);
-  for (auto& x : ref) x += static_cast<float>(b.Gaussian(0.0, 2.0));
-  EXPECT_EQ(v, ref);
-}
-
-TEST(PerturbTest, NoiseScalesLinearlyWithSigma) {
-  // Same stream state, σ and 3σ: every noise coordinate scales by
-  // exactly the σ ratio (draws are computed in double, so the float
-  // results agree to rounding).
-  const double sigma = 0.7;
-  SplitRng a(9), b(9);
-  std::vector<float> va(5000, 0.0f), vb(5000, 0.0f);
-  PerturbInPlace(va.data(), va.size(), sigma, &a);
-  PerturbInPlace(vb.data(), vb.size(), 3.0 * sigma, &b);
-  for (size_t i = 0; i < va.size(); ++i) {
-    double scale =
-        std::max(1e-6, std::abs(3.0 * static_cast<double>(va[i])));
-    ASSERT_NEAR(vb[i], 3.0 * static_cast<double>(va[i]), 1e-6 * scale)
-        << "index " << i;
-  }
-}
-
-TEST(PerturbTest, MatchesAddGaussianContract) {
-  // PerturbInPlace is exactly SplitRng::AddGaussian — same stream, same
-  // block split, so the mechanism inherits the pool-size invariance the
-  // determinism suite enforces on the sampler.
-  SplitRng a(11), b(11);
-  std::vector<float> v(6000, 0.5f), ref(6000, 0.5f);
-  PerturbInPlace(v.data(), v.size(), 1.5, &a);
-  b.AddGaussian(ref.data(), ref.size(), 1.5);
-  EXPECT_EQ(v, ref);
-}
-
-TEST(PerturbTest, ZeroSigmaIsIdentity) {
-  SplitRng rng(6);
-  std::vector<float> v = {1.0f, 2.0f, 3.0f};
-  PerturbInPlace(v.data(), v.size(), 0.0, &rng);
-  EXPECT_EQ(v, (std::vector<float>{1.0f, 2.0f, 3.0f}));
 }
 
 }  // namespace

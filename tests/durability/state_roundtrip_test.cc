@@ -163,10 +163,10 @@ TEST(SpentLedgerTest, EmptyAndNonDpEdges) {
 
 // --- Second stage: serialize → Reset → restore ---
 
-std::vector<std::vector<float>> ScalarUploads(std::vector<float> values) {
-  std::vector<std::vector<float>> out;
-  for (float v : values) out.push_back({v});
-  return out;
+// One-coordinate uploads: `values` is itself the n x 1 row block. A
+// braced temporary argument lives through the enclosing call.
+ConstRowSpan ScalarUploads(const std::vector<float>& values) {
+  return ConstRowSpan(values.data(), values.size(), 1);
 }
 
 TEST(SecondStageStateTest, RestoreReproducesCumulativeScores) {
@@ -236,8 +236,8 @@ TEST(AggregatorStateTest, DpbrRoundTripsSecondStageScores) {
   ctx.round = 1;
   std::vector<float> grad = {1.0f};
   ctx.server_gradient = &grad;
-  ASSERT_TRUE(
-      a.Aggregate(ScalarUploads({5, 5, 1, -3}), ctx).ok());
+  std::vector<float> uploads = {5, 5, 1, -3};
+  ASSERT_TRUE(a.Aggregate(RowSpan(uploads.data(), 4, 1), ctx).ok());
   std::vector<double> before = a.second_stage().cumulative_scores();
   ASSERT_FALSE(before.empty());
 

@@ -153,9 +153,10 @@ TEST(RoundScaleTest, AttackForgesIntoReservedArenaRows) {
   EXPECT_NE(attacked.params, clean.params);  // forged rows aggregated
 }
 
-TEST(RoundScaleTest, ForgeIntoArenaSliceMatchesLegacyForge) {
+TEST(RoundScaleTest, ForgeIntoArenaSliceMatchesStandaloneBlock) {
   // The trainer hands the attack a sub-span of the round arena; writing
-  // there must produce exactly what the legacy copy-out adapter returns.
+  // there must produce exactly what a block of its own receives, and
+  // leave the honest rows alone.
   constexpr size_t kHonest = 6, kByz = 3, kDim = 64;
   UploadArena arena;
   arena.Reset(kHonest + kByz, kDim);
@@ -176,15 +177,16 @@ TEST(RoundScaleTest, ForgeIntoArenaSliceMatchesLegacyForge) {
   attacks::InnerProductAttack attack;
   SplitRng rng_a(9, {1});
   SplitRng rng_b(9, {1});
-  AttackContext ctx_a = make_ctx(&rng_a);
-  std::vector<std::vector<float>> legacy = attack.Forge(ctx_a, kByz);
-  AttackContext ctx_b = make_ctx(&rng_b);
-  attack.ForgeInto(ctx_b, arena.span().Slice(kHonest, kHonest + kByz));
-  for (size_t b = 0; b < kByz; ++b) {
-    EXPECT_EQ(0, std::memcmp(legacy[b].data(), arena.Row(kHonest + b),
-                             kDim * sizeof(float)))
-        << "byzantine row " << b;
-  }
+  UploadArena standalone;
+  standalone.Reset(kByz, kDim);
+  attack.ForgeInto(make_ctx(&rng_a), standalone.span());
+  UploadArena honest = arena;
+  attack.ForgeInto(make_ctx(&rng_b),
+                   arena.span().Slice(kHonest, kHonest + kByz));
+  EXPECT_EQ(0, std::memcmp(honest.Row(0), arena.Row(0),
+                           kHonest * kDim * sizeof(float)));
+  EXPECT_EQ(0, std::memcmp(standalone.Row(0), arena.Row(kHonest),
+                           kByz * kDim * sizeof(float)));
 }
 
 TEST(RoundScaleTest, ClientRateValidation) {

@@ -42,6 +42,14 @@ WorkerOptions Opts(double sigma) {
   return o;
 }
 
+// The worker's round-`round` upload, written into a block of its own.
+std::vector<float> Upload(HonestDpWorker& w, const std::vector<float>& params,
+                          int round) {
+  std::vector<float> out(w.dim());
+  w.ComputeUpdateInto(params, round, out.data());
+  return out;
+}
+
 TEST(WorkerTest, UploadDimensionMatchesModel) {
   data::DatasetBundle bundle = SmallBundle();
   nn::ModelFactory f = nn::MlpFactory(16, 8, 4);
@@ -51,7 +59,7 @@ TEST(WorkerTest, UploadDimensionMatchesModel) {
   SplitRng rng(1);
   model->InitParams(&rng);
   std::vector<float> params = model->FlatParams();
-  std::vector<float> u = w.ComputeUpdate(params, 1);
+  std::vector<float> u = Upload(w, params, 1);
   EXPECT_EQ(u.size(), w.dim());
 }
 
@@ -65,8 +73,8 @@ TEST(WorkerTest, DeterministicPerRound) {
 
   HonestDpWorker a(0, data::DatasetView::All(&bundle.train), f, Opts(1.0), 7);
   HonestDpWorker b(0, data::DatasetView::All(&bundle.train), f, Opts(1.0), 7);
-  EXPECT_EQ(a.ComputeUpdate(params, 1), b.ComputeUpdate(params, 1));
-  EXPECT_EQ(a.ComputeUpdate(params, 2), b.ComputeUpdate(params, 2));
+  EXPECT_EQ(Upload(a, params, 1), Upload(b, params, 1));
+  EXPECT_EQ(Upload(a, params, 2), Upload(b, params, 2));
 }
 
 TEST(WorkerTest, DifferentSeedsProduceDifferentUploads) {
@@ -78,7 +86,7 @@ TEST(WorkerTest, DifferentSeedsProduceDifferentUploads) {
   std::vector<float> params = model->FlatParams();
   HonestDpWorker a(0, data::DatasetView::All(&bundle.train), f, Opts(1.0), 7);
   HonestDpWorker b(1, data::DatasetView::All(&bundle.train), f, Opts(1.0), 8);
-  EXPECT_NE(a.ComputeUpdate(params, 1), b.ComputeUpdate(params, 1));
+  EXPECT_NE(Upload(a, params, 1), Upload(b, params, 1));
 }
 
 TEST(WorkerTest, NoNoiseUploadIsBoundedByOne) {
@@ -91,7 +99,7 @@ TEST(WorkerTest, NoNoiseUploadIsBoundedByOne) {
   std::vector<float> params = model->FlatParams();
   HonestDpWorker w(0, data::DatasetView::All(&bundle.train), f, Opts(0.0), 3);
   for (int round = 1; round <= 5; ++round) {
-    std::vector<float> u = w.ComputeUpdate(params, round);
+    std::vector<float> u = Upload(w, params, round);
     EXPECT_LE(ops::Norm(u), 1.0 + 1e-5);
     EXPECT_GT(ops::Norm(u), 0.0);
   }
@@ -109,7 +117,7 @@ TEST(WorkerTest, DpNoiseDominatesUploadNorm) {
   double sigma = 8.0;
   WorkerOptions o = Opts(sigma);
   HonestDpWorker w(0, data::DatasetView::All(&bundle.train), f, o, 4);
-  std::vector<float> u = w.ComputeUpdate(params, 1);
+  std::vector<float> u = Upload(w, params, 1);
   double expected = sigma * std::sqrt(static_cast<double>(d)) / o.batch_size;
   EXPECT_NEAR(ops::Norm(u), expected, 0.15 * expected);
 }
@@ -130,9 +138,9 @@ TEST(WorkerTest, MomentumModesDiverge) {
   HonestDpWorker a(0, data::DatasetView::All(&bundle.train), f, reset, 9);
   HonestDpWorker b(0, data::DatasetView::All(&bundle.train), f, persist, 9);
   // Round 1 is identical (momentum starts at zero in both modes)...
-  EXPECT_EQ(a.ComputeUpdate(params, 1), b.ComputeUpdate(params, 1));
+  EXPECT_EQ(Upload(a, params, 1), Upload(b, params, 1));
   // ...but the modes diverge from round 2 on.
-  EXPECT_NE(a.ComputeUpdate(params, 2), b.ComputeUpdate(params, 2));
+  EXPECT_NE(Upload(a, params, 2), Upload(b, params, 2));
 }
 
 TEST(WorkerTest, TinyShardFallsBackToWithReplacement) {
@@ -145,7 +153,7 @@ TEST(WorkerTest, TinyShardFallsBackToWithReplacement) {
   // Shard of 3 examples with batch size 8.
   data::DatasetView shard(&bundle.train, {0, 1, 2});
   HonestDpWorker w(0, shard, f, Opts(0.0), 11);
-  std::vector<float> u = w.ComputeUpdate(params, 1);
+  std::vector<float> u = Upload(w, params, 1);
   EXPECT_GT(ops::Norm(u), 0.0);
 }
 
@@ -159,8 +167,8 @@ TEST(WorkerTest, FlippedShardGivesDifferentUpload) {
   data::DatasetView shard = data::DatasetView::All(&bundle.train);
   HonestDpWorker clean(0, shard, f, Opts(0.0), 13);
   HonestDpWorker poisoned(0, shard.WithFlippedLabels(), f, Opts(0.0), 13);
-  std::vector<float> uc = clean.ComputeUpdate(params, 1);
-  std::vector<float> up = poisoned.ComputeUpdate(params, 1);
+  std::vector<float> uc = Upload(clean, params, 1);
+  std::vector<float> up = Upload(poisoned, params, 1);
   EXPECT_NE(uc, up);
   // Poisoned gradients point against the clean descent direction.
   EXPECT_LT(ops::Dot(uc, up) / (ops::Norm(uc) * ops::Norm(up)), 0.5);
@@ -189,15 +197,17 @@ TEST(WorkerTest, UploadNoiseIsGaussianAtSigmaOverBcOnEveryTier) {
                          Opts(0.0), 13);
     HonestDpWorker noisy(0, data::DatasetView::All(&bundle.train), f,
                          Opts(sigma), 13);
-    std::vector<float> a = clean.ComputeUpdate(params, 3);
-    std::vector<float> b = noisy.ComputeUpdate(params, 3);
+    std::vector<float> a = Upload(clean, params, 3);
+    std::vector<float> b = Upload(noisy, params, 3);
     std::vector<float> residual(a.size());
     for (size_t k = 0; k < a.size(); ++k) residual[k] = b[k] - a[k];
-    stats::KsResult fit = stats::KsTestGaussian(residual, sigma / bc);
+    stats::KsResult fit =
+        stats::KsTestGaussian(residual.data(), residual.size(), sigma / bc);
     EXPECT_GT(fit.p_value, 1e-3) << simd::IsaName(level) << " D "
                                  << fit.statistic << " n " << fit.n;
     // The test has the power to see a 20% scale error at this size.
-    stats::KsResult off = stats::KsTestGaussian(residual, 1.2 * sigma / bc);
+    stats::KsResult off = stats::KsTestGaussian(
+        residual.data(), residual.size(), 1.2 * sigma / bc);
     EXPECT_LT(off.p_value, 1e-3) << simd::IsaName(level);
   }
 }
@@ -248,7 +258,7 @@ TEST(WorkerSlotTest, UploadDoesNotDependOnWhatTheSlotRanBefore) {
   data::DatasetView shard = Range(&bundle.train, 0, 40);
   auto upload_on = [&](const std::shared_ptr<ComputeSlots>& slots) {
     HonestDpWorker w(0, shard, slots, Opts(1.0), 17);
-    return w.ComputeUpdate(params, 2);
+    return Upload(w, params, 2);
   };
 
   // The slot last ran nothing.
@@ -260,7 +270,7 @@ TEST(WorkerSlotTest, UploadDoesNotDependOnWhatTheSlotRanBefore) {
   WorkerOptions big = Opts(1.0);
   big.batch_size = 12;
   HonestDpWorker other(1, Range(&bundle.train, 40, 80), after_step, big, 18);
-  other.ComputeUpdate(InitialParams(f, 32), 5);
+  Upload(other, InitialParams(f, 32), 5);
   ExpectBitwiseEqual(want, upload_on(after_step));
 
   // It last ran a batch-of-1 aux row, then a 64-example evaluation, at
@@ -291,7 +301,7 @@ TEST(WorkerSlotDeathTest, PassOnAnUnpreparedSlotDies) {
   // Under a three-thread pool the calling thread's slot is 3.
   ThreadPool three(3);
   ScopedPoolOverride route(&three);
-  EXPECT_DEATH(w->ComputeUpdate(params, 1), "Prepare");
+  EXPECT_DEATH(Upload(*w, params, 1), "Prepare");
 }
 
 }  // namespace

@@ -79,7 +79,7 @@ TEST(KsTestGaussianTest, GaussianSamplePassesAtNominalRate) {
   std::vector<float> buf(kN);
   for (int t = 0; t < kTrials; ++t) {
     rng.FillGaussian(buf.data(), kN, 2.5);
-    KsResult r = KsTestGaussian(buf, 2.5);
+    KsResult r = KsTestGaussian(buf.data(), buf.size(), 2.5);
     if (r.p_value < 0.05) ++rejections;
   }
   // Binomial(200, 0.05): mean 10, std ≈ 3.1. Accept within ±5 std.
@@ -91,7 +91,7 @@ TEST(KsTestGaussianTest, WrongScaleIsRejected) {
   std::vector<float> buf(2000);
   rng.FillGaussian(buf.data(), buf.size(), 2.0);
   // Tested against a 30% smaller σ: decisively rejected.
-  KsResult r = KsTestGaussian(buf, 1.4);
+  KsResult r = KsTestGaussian(buf.data(), buf.size(), 1.4);
   EXPECT_LT(r.p_value, 1e-6);
 }
 
@@ -99,7 +99,7 @@ TEST(KsTestGaussianTest, UniformSampleIsRejected) {
   SplitRng rng(19);
   std::vector<float> buf(2000);
   for (auto& v : buf) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  KsResult r = KsTestGaussian(buf, 1.0);
+  KsResult r = KsTestGaussian(buf.data(), buf.size(), 1.0);
   EXPECT_LT(r.p_value, 1e-6);
 }
 
@@ -107,13 +107,13 @@ TEST(KsTestGaussianTest, ShiftedMeanIsRejected) {
   SplitRng rng(20);
   std::vector<float> buf(2000);
   for (auto& v : buf) v = static_cast<float>(rng.Gaussian(0.3, 1.0));
-  KsResult r = KsTestGaussian(buf, 1.0);
+  KsResult r = KsTestGaussian(buf.data(), buf.size(), 1.0);
   EXPECT_LT(r.p_value, 1e-4);
 }
 
 TEST(KsTestGaussianTest, ZeroVectorIsRejected) {
   std::vector<float> zeros(1000, 0.0f);
-  KsResult r = KsTestGaussian(zeros, 1.0);
+  KsResult r = KsTestGaussian(zeros.data(), zeros.size(), 1.0);
   // ECDF jumps 0→1 at 0 while Φ(0) = 0.5, so D = 0.5.
   EXPECT_NEAR(r.statistic, 0.5, 1e-6);
   EXPECT_LT(r.p_value, 1e-10);
@@ -293,7 +293,7 @@ TEST_P(KsSigmaSweepTest, NullSamplesPass) {
   SplitRng rng(21 + static_cast<uint64_t>(sigma * 1000));
   std::vector<float> buf(2410);  // d of the default experiment MLP
   rng.FillGaussian(buf.data(), buf.size(), sigma);
-  KsResult r = KsTestGaussian(buf, sigma);
+  KsResult r = KsTestGaussian(buf.data(), buf.size(), sigma);
   EXPECT_GT(r.p_value, 0.001) << "sigma=" << sigma;
 }
 
