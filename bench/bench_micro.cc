@@ -140,6 +140,20 @@ void BM_KsTestGaussianSortRef(benchmark::State& state) {
 }
 BENCHMARK(BM_KsTestGaussianSortRef)->Arg(25450);
 
+// The first stage's verdict-only KS (histogram bracket, sort only when
+// the bracket straddles alpha) on the same row. The CI bench gate
+// asserts it >= 2x BM_KsTestGaussian at d = 25450; main() asserts the
+// verdicts agree first.
+void BM_KsGaussianAccepts(benchmark::State& state) {
+  size_t d = static_cast<size_t>(state.range(0));
+  std::vector<float> u = KsRow(d);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stats::KsGaussianAccepts(u.data(), d, 0.3, 0.05));
+  }
+  state.SetItemsProcessed(state.iterations() * d);
+}
+BENCHMARK(BM_KsGaussianAccepts)->Arg(25450);
+
 void CheckKsRadixMatchesSortReference() {
   std::vector<float> u = KsRow(25450);
   stats::KsResult radix = stats::KsTestGaussian(u.data(), u.size(), 0.3);
@@ -151,9 +165,16 @@ void CheckKsRadixMatchesSortReference() {
                  "reference\n");
     std::exit(1);
   }
+  if (stats::KsGaussianAccepts(u.data(), u.size(), 0.3, 0.05) !=
+      (radix.p_value >= 0.05)) {
+    std::fprintf(stderr,
+                 "FATAL: KsGaussianAccepts differs from the radix KS "
+                 "verdict\n");
+    std::exit(1);
+  }
   std::fprintf(stderr,
-               "ks radix check: D and p-value == std::sort reference "
-               "(d=%zu)\n",
+               "ks radix check: D and p-value == std::sort reference, "
+               "KsGaussianAccepts == its verdict (d=%zu)\n",
                u.size());
 }
 
@@ -169,6 +190,29 @@ void BM_FirstStageApply(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FirstStageApply)->Arg(20)->Arg(50)->Arg(200);
+
+// mlp_byz90's round shape: 50 rows of the paper MLP's d, of which 5 are
+// honest noise and 45 are forged at half the noise scale, far outside
+// the norm window (the forged rows of the a_little attack fail the norm
+// test). The 5 MB restore copy is untimed: at this d it would rival the
+// filter itself.
+void BM_FirstStageApplyMlpByz90(benchmark::State& state) {
+  const size_t kDim = 25450;
+  fl::UploadArena uploads = NoiseUploads(50, kDim, 0.3);
+  for (size_t i = 5; i < uploads.rows(); ++i) {
+    for (size_t j = 0; j < kDim; ++j) uploads.Row(i)[j] *= 0.5f;
+  }
+  fl::UploadArena copy = uploads;
+  core::FirstStageFilter filter{core::ProtocolOptions{}};
+  for (auto _ : state) {
+    state.PauseTiming();
+    copy = uploads;  // Apply zeroes rejected rows in place
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(filter.Apply(copy.span(), 0.3));
+  }
+  state.SetItemsProcessed(state.iterations() * uploads.rows());
+}
+BENCHMARK(BM_FirstStageApplyMlpByz90);
 
 void BM_DpbrAggregate(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

@@ -33,7 +33,8 @@ Result<std::vector<float>> DpbrAggregator::Aggregate(
     std::vector<FirstStageVerdict> verdicts =
         first_stage_.Apply(uploads, ctx.sigma_upload, &diag_.first_stage);
     for (size_t i = 0; i < n; ++i) {
-      diag_.first_stage_passed[i] = verdicts[i].accepted();
+      diag_.first_stage_passed[i] =
+          verdicts[i] == FirstStageVerdict::kAccepted;
     }
   }
 

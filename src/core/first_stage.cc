@@ -1,5 +1,6 @@
 #include "core/first_stage.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -12,6 +13,31 @@
 
 namespace dpbr {
 namespace core {
+
+namespace {
+
+// Σ x² in eight independent chains. Each x² is exact in double and every
+// term is non-negative, so this sum and the sequential ops::SquaredNorm
+// each lie within about d·2⁻⁵³·Σ of the exact sum, whatever order they add
+// in.
+double ChainedSquaredNorm(const float* x, size_t n) {
+  double acc[8] = {};
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (size_t k = 0; k < 8; ++k) {
+      double v = static_cast<double>(x[i + k]);
+      acc[k] += v * v;
+    }
+  }
+  for (; i < n; ++i) {
+    double v = static_cast<double>(x[i]);
+    acc[0] += v * v;
+  }
+  return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+         ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+}
+
+}  // namespace
 
 FirstStageFilter::FirstStageFilter(const ProtocolOptions& options)
     : options_(options) {
@@ -34,45 +60,49 @@ FirstStageVerdict FirstStageFilter::Test(const float* upload, size_t d,
                                          double sigma_upload) const {
   DPBR_CHECK_GT(sigma_upload, 0.0);
   DPBR_CHECK_GT(d, 0u);
-  FirstStageVerdict v;
-  double sq = ops::SquaredNorm(upload, d);
-  v.norm = std::sqrt(sq);
   auto [lo, hi] = NormWindow(d, sigma_upload);
-  v.passed_norm = (sq >= lo && sq <= hi);
-
-  // The KS test is the costlier check; Algorithm 2 applies both, and we
-  // keep the p-value for diagnostics even when the norm test already
-  // failed.
-  stats::KsResult ks = stats::KsTestGaussian(upload, d, sigma_upload);
-  v.ks_p_value = ks.p_value;
-  v.passed_ks = ks.p_value >= options_.ks_significance;
-  return v;
+  // The chained sum decides unless it is not finite or lies within
+  // 4(d+8)·2⁻⁵³·Σ of a window edge (over twice the two sums' combined
+  // error bound); then the sequential sum the verdict is defined on
+  // decides.
+  double sq = ChainedSquaredNorm(upload, d);
+  double tol = 4.0 * static_cast<double>(d + 8) * 0x1p-53 * sq;
+  bool near_edge = std::abs(sq - lo) <= tol || std::abs(sq - hi) <= tol;
+  if (!std::isfinite(sq) || near_edge) sq = ops::SquaredNorm(upload, d);
+  if (!(sq >= lo && sq <= hi)) return FirstStageVerdict::kRejectedNorm;
+  if (!stats::KsGaussianAccepts(upload, d, sigma_upload,
+                                options_.ks_significance)) {
+    return FirstStageVerdict::kRejectedKs;
+  }
+  return FirstStageVerdict::kAccepted;
 }
 
 std::vector<FirstStageVerdict> FirstStageFilter::Apply(
     RowSpan uploads, double sigma_upload, FirstStageReport* report) const {
   std::vector<FirstStageVerdict> verdicts(uploads.rows);
-  FirstStageReport rep;
-  rep.total = uploads.rows;
-  // Each row's norm + KS test (the per-round validation hot path) is
-  // independent; the report tallies are folded afterwards in index order.
+  // Each row's test (the per-round validation hot path) is independent;
+  // the report tallies are folded afterwards in index order.
   ParallelFor(0, uploads.rows, [&](size_t i) {
     float* row = uploads.Row(i);
     verdicts[i] = Test(row, uploads.dim, sigma_upload);
-    if (!verdicts[i].accepted()) {
+    if (verdicts[i] != FirstStageVerdict::kAccepted) {
       // Algorithm 2: g ← 0.
       std::fill(row, row + uploads.dim, 0.0f);
     }
   });
-  for (size_t i = 0; i < uploads.rows; ++i) {
-    if (!verdicts[i].accepted()) {
-      if (!verdicts[i].passed_norm) {
+  FirstStageReport rep;
+  rep.total = uploads.rows;
+  for (FirstStageVerdict v : verdicts) {
+    switch (v) {
+      case FirstStageVerdict::kAccepted:
+        ++rep.accepted;
+        break;
+      case FirstStageVerdict::kRejectedNorm:
         ++rep.rejected_norm;
-      } else {
+        break;
+      case FirstStageVerdict::kRejectedKs:
         ++rep.rejected_ks;
-      }
-    } else {
-      ++rep.accepted;
+        break;
     }
   }
   if (report != nullptr) *report = rep;

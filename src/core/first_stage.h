@@ -7,6 +7,13 @@
 //   (b) the KS test    : coordinates vs N(0, σ_up²) at significance 0.05.
 // Theorem 2: surviving uploads are confined per sorted coordinate to the
 // KS envelope, which EnvelopeInterval exposes.
+//
+// The round reads only the verdict, so the filter computes nothing else:
+// the norm test runs first (from a multi-chain sum of squares, recomputed
+// sequentially only within rounding of a window edge), and only rows that
+// pass it reach the KS test, through stats::KsGaussianAccepts. Every
+// verdict is bitwise the one the sequential ops::SquaredNorm and the
+// sorted stats::KsTestGaussian give.
 
 #ifndef DPBR_CORE_FIRST_STAGE_H_
 #define DPBR_CORE_FIRST_STAGE_H_
@@ -20,14 +27,9 @@
 namespace dpbr {
 namespace core {
 
-/// Outcome of testing one upload.
-struct FirstStageVerdict {
-  bool passed_norm = false;
-  bool passed_ks = false;
-  double norm = 0.0;        ///< observed ‖g‖
-  double ks_p_value = 0.0;  ///< KS p-value against N(0, σ_up²)
-  bool accepted() const { return passed_norm && passed_ks; }
-};
+/// Outcome of testing one upload. The KS test runs only on uploads that
+/// pass the norm test, so kRejectedKs implies the norm test passed.
+enum class FirstStageVerdict { kAccepted, kRejectedNorm, kRejectedKs };
 
 /// Per-round aggregate counters.
 struct FirstStageReport {
@@ -44,7 +46,8 @@ class FirstStageFilter {
   /// The norm-test acceptance window on ‖g‖² for dimension d.
   std::pair<double, double> NormWindow(size_t d, double sigma_upload) const;
 
-  /// Tests a single upload (d coordinates) without modifying it.
+  /// Tests a single upload (d coordinates) without modifying it: the
+  /// norm test first, then the KS test only if the norm test passed.
   FirstStageVerdict Test(const float* upload, size_t d,
                          double sigma_upload) const;
 

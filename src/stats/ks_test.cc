@@ -1,5 +1,7 @@
 #include "stats/ks_test.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -131,7 +133,103 @@ struct SortedKeyScan {
   }
 };
 
+// KsGaussianAccepts' grid in z = x/σ: kGridCells equal cells over
+// [kGridLo, −kGridLo] with edges e_b = kGridLo + b/kGridScale, plus one
+// tail cell on each side. Cell 0 holds z < e_0 (and NaN), cell c in
+// [1, kGridCells] holds e_{c−1} <= z < e_c, and the last cell z >= the
+// last edge.
+constexpr size_t kGridCells = 4096;
+constexpr double kGridLo = -6.0;
+constexpr double kGridScale = kGridCells / (-2.0 * kGridLo);
+constexpr size_t kCellCount = kGridCells + 2;
+
+// Φ at the cell edges: entry c is Φ at cell c's lower edge and entry
+// c + 1 at its upper edge, with Φ(−inf) = 0 and Φ(+inf) = 1 for the
+// tails. The grid is in z, so one table serves every σ.
+const double* GridEdgeCdf() {
+  static const std::array<double, kCellCount + 1> table = [] {
+    std::array<double, kCellCount + 1> t{};
+    for (size_t b = 0; b <= kGridCells; ++b) {
+      t[b + 1] = NormalCdf(kGridLo + static_cast<double>(b) / kGridScale);
+    }
+    t[kCellCount] = 1.0;
+    return t;
+  }();
+  return table.data();
+}
+
+// Truncates the clamped grid coordinate (a libm floor would be a call
+// per value at the baseline ISA). A NaN z fails both comparisons and
+// lands in cell 0.
+inline int32_t GridCell(double z) {
+  constexpr double kLastCell = kCellCount - 1;
+  double t = (z - kGridLo) * kGridScale + 1.0;
+  t = t > 0.0 ? t : 0.0;
+  t = t < kLastCell ? t : kLastCell;
+  return static_cast<int32_t>(t);
+}
+
 }  // namespace
+
+bool KsGaussianAccepts(const float* data, size_t n, double stddev,
+                       double alpha) {
+  DPBR_CHECK_GT(n, 0u);
+  DPBR_CHECK_GT(stddev, 0.0);
+  DPBR_CHECK_LE(n, size_t{UINT32_MAX});  // cell counts are 32-bit
+  const double inv_sigma = 1.0 / stddev;
+  // Cell indices are computed a stack chunk at a time, so the index
+  // arithmetic vectorizes apart from the count increments.
+  constexpr size_t kChunk = 256;
+  uint32_t count[kCellCount] = {};
+  int32_t cell[kChunk];
+  for (size_t i = 0; i < n; i += kChunk) {
+    size_t m = std::min(kChunk, n - i);
+    for (size_t j = 0; j < m; ++j) {
+      cell[j] = GridCell(static_cast<double>(data[i + j]) * inv_sigma);
+    }
+    for (size_t j = 0; j < m; ++j) ++count[cell[j]];
+  }
+  // A non-finite z lands in a tail cell; the exact path owns those rows.
+  if (count[0] + count[kCellCount - 1] != 0) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!std::isfinite(static_cast<double>(data[i]) * inv_sigma)) {
+        return KsTestGaussian(data, n, stddev).p_value >= alpha;
+      }
+    }
+  }
+  // With C_{c−1} values below cell c and C_c up to its end, the sorted
+  // terms of cell c have u in [Φ(lower edge), Φ(upper edge)], so
+  //   D_hi = max_c max(C_c/n − Φ(lower), Φ(upper) − C_{c−1}/n) >= D,
+  //   D_lo = max_c max(C_c/n − Φ(upper), Φ(lower) − C_{c−1}/n) <= D
+  // over the non-empty cells (D has terms only at sample points).
+  const double* phi = GridEdgeCdf();
+  const double inv_n = 1.0 / static_cast<double>(n);
+  double d_lo = 0.0;
+  double d_hi = 0.0;
+  uint32_t below = 0;
+  for (size_t c = 0; c < kCellCount; ++c) {
+    if (count[c] == 0) continue;
+    uint32_t upto = below + count[c];
+    double f_below = static_cast<double>(below) * inv_n;
+    double f_upto = static_cast<double>(upto) * inv_n;
+    d_hi = std::max({d_hi, f_upto - phi[c], phi[c + 1] - f_below});
+    d_lo = std::max({d_lo, f_upto - phi[c + 1], phi[c] - f_below});
+    below = upto;
+  }
+  // kBracketSlack absorbs a z a few ulps across its cell's edge (the
+  // truncated index and the edge table round differently) and libm's
+  // few-ulp non-monotonicity of erfc; kPValueMargin absorbs rounding
+  // noise in KsPValue, whose monotonicity in D a test pins.
+  constexpr double kBracketSlack = 1e-12;
+  constexpr double kPValueMargin = 1e-9;
+  if (KsPValue(n, d_hi + kBracketSlack) >= alpha + kPValueMargin) {
+    return true;
+  }
+  if (KsPValue(n, d_lo - kBracketSlack) < alpha - kPValueMargin) {
+    return false;
+  }
+  return KsTestGaussian(data, n, stddev).p_value >= alpha;
+}
 
 KsResult KsTestGaussian(const float* data, size_t n, double stddev) {
   DPBR_CHECK_GT(n, 0u);

@@ -20,12 +20,24 @@ struct KsResult {
 };
 
 /// Tests float data (gradient coordinates) against N(0, stddev²) without
-/// converting the container. This is the hot path of FirstAgg: the sample
-/// is radix-sorted as order-preserving keys in per-thread grow-only
+/// converting the container. FirstAgg's KS verdicts are defined by this
+/// exact test (KsGaussianAccepts below falls back to it): the sample is
+/// radix-sorted as order-preserving keys in per-thread grow-only
 /// buffers, so warm calls do not allocate, and Φ is evaluated only on the
 /// sorted ranges where D's maximum can lie. D and the p-value are bitwise
 /// what sorting the floats and scanning every Φ value would give.
 KsResult KsTestGaussian(const float* data, size_t n, double stddev);
+
+/// The first stage's verdict alone: returns exactly
+/// KsTestGaussian(data, n, stddev).p_value >= alpha, for any data. It
+/// histograms z = x/σ on a fixed grid and brackets D between bounds taken
+/// at the cell edges; KsPValue is non-increasing in D, so a bracket whose
+/// ends both lie on one side of alpha (with a safety margin) decides the
+/// row without sorting it. Rows whose bracket straddles alpha, and rows
+/// with a non-finite z, take the exact KsTestGaussian path. Allocates
+/// nothing.
+bool KsGaussianAccepts(const float* data, size_t n, double stddev,
+                       double alpha);
 
 }  // namespace stats
 }  // namespace dpbr

@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "stats/distributions.h"
+#include "stats/ks_test.h"
 #include "tensor/ops.h"
 
 namespace dpbr {
@@ -47,8 +48,10 @@ TEST(FirstStageTest, HonestUploadsPass) {
   const int kTrials = 100;
   for (int t = 0; t < kTrials; ++t) {
     std::vector<float> u = HonestLikeUpload(1000 + t);
-    FirstStageVerdict v = f.Test(u.data(), u.size(), kSigmaUp);
-    if (v.accepted()) ++accepted;
+    if (f.Test(u.data(), u.size(), kSigmaUp) ==
+        FirstStageVerdict::kAccepted) {
+      ++accepted;
+    }
   }
   // Norm test: 99.7% band; KS at 5% significance; small signal shifts are
   // negligible at d = 2410 → expect ≥ 85% joint acceptance.
@@ -56,15 +59,19 @@ TEST(FirstStageTest, HonestUploadsPass) {
 }
 
 TEST(FirstStageTest, PureNoiseUploadsPassAtNominalRate) {
-  FirstStageFilter f{ProtocolOptions{}};
+  // The KS test's own rate over every row: the filter skips KS on rows
+  // the norm test rejects, so the test is called directly.
+  ProtocolOptions options;
   int rejected_ks = 0;
   const int kTrials = 200;
   for (int t = 0; t < kTrials; ++t) {
     std::vector<float> u(kDim);
     SplitRng rng(5000 + t);
     rng.FillGaussian(u.data(), kDim, kSigmaUp);
-    FirstStageVerdict v = f.Test(u.data(), u.size(), kSigmaUp);
-    if (!v.passed_ks) ++rejected_ks;
+    if (stats::KsTestGaussian(u.data(), u.size(), kSigmaUp).p_value <
+        options.ks_significance) {
+      ++rejected_ks;
+    }
   }
   // KS false-rejection ≈ 5%: generous 3-sigma bound.
   EXPECT_LE(rejected_ks, 22);
@@ -75,11 +82,11 @@ TEST(FirstStageTest, WrongScaleFailsNormTest) {
   std::vector<float> u(kDim);
   SplitRng rng(1);
   rng.FillGaussian(u.data(), kDim, 2.0 * kSigmaUp);  // 2x too loud
-  FirstStageVerdict v = f.Test(u.data(), u.size(), kSigmaUp);
-  EXPECT_FALSE(v.passed_norm);
+  EXPECT_EQ(f.Test(u.data(), u.size(), kSigmaUp),
+            FirstStageVerdict::kRejectedNorm);
   rng.FillGaussian(u.data(), kDim, 0.5 * kSigmaUp);  // 2x too quiet
-  v = f.Test(u.data(), u.size(), kSigmaUp);
-  EXPECT_FALSE(v.passed_norm);
+  EXPECT_EQ(f.Test(u.data(), u.size(), kSigmaUp),
+            FirstStageVerdict::kRejectedNorm);
 }
 
 TEST(FirstStageTest, NormCamouflagedNonGaussianFailsKs) {
@@ -92,18 +99,15 @@ TEST(FirstStageTest, NormCamouflagedNonGaussianFailsKs) {
   for (auto& v : u) {
     v = static_cast<float>(rng.Uniform() < 0.5 ? c : -c);
   }
-  FirstStageVerdict v = f.Test(u.data(), u.size(), kSigmaUp);
-  EXPECT_TRUE(v.passed_norm);
-  EXPECT_FALSE(v.passed_ks);
-  EXPECT_FALSE(v.accepted());
+  EXPECT_EQ(f.Test(u.data(), u.size(), kSigmaUp),
+            FirstStageVerdict::kRejectedKs);
 }
 
 TEST(FirstStageTest, ZeroUploadRejected) {
   FirstStageFilter f{ProtocolOptions{}};
   std::vector<float> zeros(kDim, 0.0f);
-  FirstStageVerdict v = f.Test(zeros.data(), zeros.size(), kSigmaUp);
-  EXPECT_FALSE(v.passed_norm);
-  EXPECT_FALSE(v.accepted());
+  EXPECT_EQ(f.Test(zeros.data(), zeros.size(), kSigmaUp),
+            FirstStageVerdict::kRejectedNorm);
 }
 
 TEST(FirstStageTest, LargeOutlierCoordinateFailsKs) {
@@ -117,8 +121,63 @@ TEST(FirstStageTest, LargeOutlierCoordinateFailsKs) {
   for (size_t i = 0; i < 5; ++i) {
     u[i] = static_cast<float>(kSigmaUp * std::sqrt(kDim / 10.0));
   }
-  FirstStageVerdict v = f.Test(u.data(), u.size(), kSigmaUp);
-  EXPECT_FALSE(v.accepted());
+  EXPECT_NE(f.Test(u.data(), u.size(), kSigmaUp),
+            FirstStageVerdict::kAccepted);
+}
+
+TEST(FirstStageTest, NormVerdictAtWindowEdgesMatchesSequentialSum) {
+  // Rows whose sequential ‖g‖² (ops::SquaredNorm, which the verdict is
+  // defined on) lands within a few ulps of lo and of hi: the filter's
+  // faster sum must give the same norm verdict on each. The last two
+  // coordinates tune the sum: a moderate one brings the partial sum
+  // about r below the edge, then each float step of a small last one
+  // (b² ≈ r) moves the total by about a quarter ulp of the edge.
+  FirstStageFilter f{ProtocolOptions{}};
+  for (size_t d : {kDim, size_t{25450}}) {
+    auto [lo, hi] = f.NormWindow(d, kSigmaUp);
+    for (double edge : {lo, hi}) {
+      const double ulp = edge - std::nextafter(edge, 0.0);
+      const double r = edge * 0x1p-31;
+      std::vector<float> row(d);
+      SplitRng rng(0xED6E, {d});
+      rng.FillGaussian(row.data(), d - 2, kSigmaUp);
+      double target = edge - kSigmaUp * kSigmaUp;
+      float scale = static_cast<float>(
+          std::sqrt(target / ops::SquaredNorm(row.data(), d - 2)));
+      for (size_t i = 0; i + 2 < d; ++i) row[i] *= scale;
+      double partial = ops::SquaredNorm(row.data(), d - 2);
+      ASSERT_LT(partial, edge - 1e-3);
+      float a = static_cast<float>(std::sqrt(edge - r - partial));
+      auto with_a = [&] {
+        double ad = a;
+        return partial + ad * ad;
+      };
+      while (with_a() > edge - 0.5 * r) a = std::nextafter(a, 0.0f);
+      while (with_a() < edge - 1.5 * r) a = std::nextafter(a, 1.0f);
+      row[d - 2] = a;
+      float b0 = static_cast<float>(std::sqrt(edge - with_a()));
+      int inside = 0;
+      int outside = 0;
+      for (int k = -64; k <= 64; ++k) {
+        float b = b0;
+        for (int j = 0; j < std::abs(k); ++j) {
+          b = std::nextafter(b, k < 0 ? 0.0f : 1.0f);
+        }
+        row[d - 1] = b;
+        double sq = ops::SquaredNorm(row.data(), d);
+        ASSERT_LT(std::abs(sq - edge), 64 * ulp);
+        bool in_window = sq >= lo && sq <= hi;
+        ++(in_window ? inside : outside);
+        EXPECT_EQ(f.Test(row.data(), d, kSigmaUp) !=
+                      FirstStageVerdict::kRejectedNorm,
+                  in_window)
+            << "d=" << d << " edge=" << edge << " k=" << k;
+      }
+      // The sweep crosses the edge.
+      EXPECT_GT(inside, 0) << "d=" << d << " edge=" << edge;
+      EXPECT_GT(outside, 0) << "d=" << d << " edge=" << edge;
+    }
+  }
 }
 
 TEST(FirstStageTest, ApplyZeroesRejectsAndReports) {
@@ -134,9 +193,9 @@ TEST(FirstStageTest, ApplyZeroesRejectsAndReports) {
   FirstStageReport report;
   auto verdicts = f.Apply(uploads, kSigmaUp, &report);
   ASSERT_EQ(verdicts.size(), 3u);
-  EXPECT_TRUE(verdicts[0].accepted());
-  EXPECT_FALSE(verdicts[1].accepted());
-  EXPECT_FALSE(verdicts[2].accepted());
+  EXPECT_EQ(verdicts[0], FirstStageVerdict::kAccepted);
+  EXPECT_EQ(verdicts[1], FirstStageVerdict::kRejectedNorm);
+  EXPECT_EQ(verdicts[2], FirstStageVerdict::kRejectedNorm);
   EXPECT_EQ(report.total, 3u);
   EXPECT_EQ(report.accepted, 1u);
   EXPECT_EQ(report.rejected_norm, 2u);
@@ -170,12 +229,12 @@ TEST(FirstStageTest, ApplyRejectsAndZeroesNonFiniteRows) {
   auto verdicts = f.Apply(uploads, kSigmaUp, &report);
   ASSERT_EQ(verdicts.size(), kRows);
   for (size_t r = 0; r + 1 < kRows; ++r) {
-    EXPECT_FALSE(verdicts[r].accepted()) << "row " << r;
+    EXPECT_EQ(verdicts[r], FirstStageVerdict::kRejectedNorm) << "row " << r;
     for (size_t j = 0; j < kDim; ++j) {
       ASSERT_EQ(uploads.Row(r)[j], 0.0f) << "row " << r << " coord " << j;
     }
   }
-  EXPECT_TRUE(verdicts[kRows - 1].accepted());
+  EXPECT_EQ(verdicts[kRows - 1], FirstStageVerdict::kAccepted);
   EXPECT_TRUE(std::equal(honest.begin(), honest.end(),
                          uploads.Row(kRows - 1)));
   EXPECT_EQ(report.total, kRows);
@@ -209,7 +268,9 @@ TEST(FirstStageConformanceTest, NullRowsRejectAtNominalRates) {
   // Algorithm 2's promise, measured: uploads drawn from the KS null
   // N(0, σ_up²) fail the KS test at the configured significance and the
   // ±3σ chi-squared norm window at 2(1 − Φ(3)). Rows go through Apply in
-  // arena-sized batches, as the round runs them.
+  // arena-sized batches, as the round runs them; Apply skips KS on rows
+  // the norm test rejects, so the KS tally calls the test directly on
+  // every row first.
   ProtocolOptions options;
   FirstStageFilter f{options};
   const size_t kBatches = 8;
@@ -221,11 +282,16 @@ TEST(FirstStageConformanceTest, NullRowsRejectAtNominalRates) {
   for (size_t b = 0; b < kBatches; ++b) {
     SplitRng rng(0xC0F, {b});
     rng.FillGaussian(block.data(), block.size(), kSigmaUp);
+    for (size_t r = 0; r < kBatchRows; ++r) {
+      if (stats::KsTestGaussian(block.data() + r * kDim, kDim, kSigmaUp)
+              .p_value < options.ks_significance) {
+        ++ks_rejected;
+      }
+    }
     auto verdicts =
         f.Apply(RowSpan(block.data(), kBatchRows, kDim), kSigmaUp);
-    for (const FirstStageVerdict& v : verdicts) {
-      if (!v.passed_ks) ++ks_rejected;
-      if (!v.passed_norm) ++norm_rejected;
+    for (FirstStageVerdict v : verdicts) {
+      if (v == FirstStageVerdict::kRejectedNorm) ++norm_rejected;
     }
   }
   auto [ks_lo, ks_hi] =
@@ -273,14 +339,15 @@ TEST(EnvelopeTest, TailsAreUnbounded) {
 TEST(EnvelopeTest, SortedCoordinatesOfPassingUploadRespectEnvelope) {
   // Property (Theorem 2): every upload accepted by the KS test has its
   // k-th sorted coordinate inside EnvelopeInterval(k).
-  FirstStageFilter f{ProtocolOptions{}};
+  ProtocolOptions options;
+  FirstStageFilter f{options};
   const size_t d = 500;
   double d_ks = f.KsStatisticBound(d);
   std::vector<float> u(d);
   SplitRng rng(6);
   rng.FillGaussian(u.data(), d, 1.0);
-  FirstStageVerdict v = f.Test(u.data(), u.size(), 1.0);
-  if (v.passed_ks) {
+  if (stats::KsTestGaussian(u.data(), d, 1.0).p_value >=
+      options.ks_significance) {
     std::sort(u.begin(), u.end());
     for (size_t k = 1; k <= d; ++k) {
       auto [lo, hi] = FirstStageFilter::EnvelopeInterval(k, d, d_ks, 1.0);

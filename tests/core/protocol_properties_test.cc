@@ -15,6 +15,7 @@
 #include "core/first_stage.h"
 #include "core/second_stage.h"
 #include "fl/upload.h"
+#include "stats/ks_test.h"
 #include "tensor/ops.h"
 
 namespace dpbr {
@@ -47,7 +48,9 @@ TEST_P(FirstStageRegimeTest, HonestProtocolUploadsAccepted) {
     trial.FillGaussian(dir.data(), d, 1.0);
     ops::NormalizeInPlace(dir.data(), d);
     ops::Axpy(1.0f, dir.data(), u.data(), d);  // ‖g̃‖ = 1
-    if (filter.Test(u.data(), d, sigma_up).accepted()) ++accepted;
+    if (filter.Test(u.data(), d, sigma_up) == FirstStageVerdict::kAccepted) {
+      ++accepted;
+    }
   }
   // With ‖z‖ = σ_up·√d ≫ 1 the signal must not break the tests: expect
   // near-nominal acceptance (norm 99.7% ∧ KS 95% ≈ 94.7%).
@@ -61,23 +64,26 @@ TEST_P(FirstStageRegimeTest, ScaledUploadsRejected) {
     std::vector<float> u(d);
     SplitRng rng(split_seed_++);
     rng.FillGaussian(u.data(), d, scale * sigma_up);
-    EXPECT_FALSE(filter.Test(u.data(), d, sigma_up).passed_norm)
+    EXPECT_EQ(filter.Test(u.data(), d, sigma_up),
+              FirstStageVerdict::kRejectedNorm)
         << "d=" << d << " sigma_up=" << sigma_up << " scale=" << scale;
   }
 }
 
 TEST_P(FirstStageRegimeTest, UniformShapeRejectedByKs) {
   auto [d, sigma_up] = GetParam();
-  FirstStageFilter filter{ProtocolOptions{}};
+  ProtocolOptions options;
   // Uniform on [-√3σ, √3σ] matches the Gaussian's variance (and thus the
-  // norm window in expectation) but not its shape.
+  // norm window in expectation) but not its shape. The KS test is called
+  // directly: the filter runs it only on rows inside the norm window.
   std::vector<float> u(d);
   SplitRng rng(split_seed_++);
   double half_width = std::sqrt(3.0) * sigma_up;
   for (auto& v : u) {
     v = static_cast<float>(rng.Uniform(-half_width, half_width));
   }
-  EXPECT_FALSE(filter.Test(u.data(), d, sigma_up).passed_ks)
+  EXPECT_LT(stats::KsTestGaussian(u.data(), d, sigma_up).p_value,
+            options.ks_significance)
       << "d=" << d << " sigma_up=" << sigma_up;
 }
 

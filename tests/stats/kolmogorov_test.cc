@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace dpbr {
@@ -87,6 +88,33 @@ TEST(KsPValueTest, MonotoneDecreasingInD) {
     double p = KsPValue(500, d);
     EXPECT_LE(p, prev + 1e-12);
     prev = p;
+  }
+}
+
+TEST(KsPValueTest, NonIncreasingAroundCriticalValue) {
+  // KsGaussianAccepts decides from p-values at bounds on D, which is
+  // sound only if the p-value does not rise with D: pinned on a fine
+  // grid across ±20% of the 5% critical value, and at the scale of
+  // rounding right at it (where any rise must stay far below the
+  // decision margin of 1e-9).
+  for (size_t n : {size_t{141}, size_t{2410}, size_t{21802}, size_t{25450}}) {
+    double crit = KsCriticalValue(n, 0.05);
+    double prev = KsPValue(n, 0.8 * crit);
+    const int kSteps = 4000;
+    for (int k = 1; k <= kSteps; ++k) {
+      double d = crit * (0.8 + 0.4 * k / kSteps);
+      double p = KsPValue(n, d);
+      ASSERT_LE(p, prev) << "n=" << n << " d=" << d;
+      prev = p;
+    }
+    double d = crit * (1.0 - 1e-9);
+    prev = KsPValue(n, d);
+    for (int k = 0; k < 2000; ++k) {
+      d = std::nextafter(d, 1.0);
+      double p = KsPValue(n, d);
+      ASSERT_LE(p, prev + 1e-15) << "n=" << n << " d=" << d;
+      prev = std::min(prev, p);
+    }
   }
 }
 

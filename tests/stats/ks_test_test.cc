@@ -278,12 +278,128 @@ TEST(KsTestGaussianTest, WarmCallsDoNotAllocate) {
   size_t before = t_heap_allocs;
   KsResult again = KsTestGaussian(row.data(), row.size(), 0.3);
   KsResult smaller = KsTestGaussian(row.data(), 2410, 0.3);
+  bool accepted = KsGaussianAccepts(row.data(), row.size(), 0.3, 0.05);
   EXPECT_EQ(t_heap_allocs, before);
+  EXPECT_EQ(accepted, again.p_value >= 0.05);
   EXPECT_EQ(Bits(again.statistic), Bits(warm.statistic));
   EXPECT_GT(smaller.statistic, 0.0);
   // Control: the counter does see this thread's allocations.
   auto probe = std::make_unique<double>(1.0);
   EXPECT_EQ(t_heap_allocs, before + 1);
+}
+
+// --- KsGaussianAccepts: the verdict must be exactly the sorted test's.
+
+bool ExactAccepts(const std::vector<float>& row, double stddev,
+                  double alpha) {
+  return KsTestGaussian(row.data(), row.size(), stddev).p_value >= alpha;
+}
+
+// The reference rows plus the shapes uploads take in a round and values
+// the grid cannot hold, each at exactly n floats.
+std::vector<std::pair<std::string, std::vector<float>>> VerdictRows(
+    size_t n) {
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  const float kMax = std::numeric_limits<float>::max();
+  auto rows = ReferenceRows(n);
+  std::vector<float> gauss = rows.front().second;
+  SplitRng rng(0xACC, {n});
+  std::vector<float> signal = gauss;
+  for (float& v : signal) v += static_cast<float>(0.02 * rng.Uniform());
+  rows.emplace_back("gaussian_plus_signal", signal);
+  for (double scale : {0.97, 1.03}) {
+    std::vector<float> scaled = gauss;
+    for (float& v : scaled) v = static_cast<float>(v * scale);
+    rows.emplace_back("scale_" + std::to_string(scale), scaled);
+  }
+  std::vector<float> shifted = gauss;
+  for (float& v : shifted) v += 0.01f;
+  rows.emplace_back("shift", shifted);
+  // A sparse spike of ±σ on every 40th coordinate.
+  std::vector<float> spike = gauss;
+  for (size_t i = 0; i < n; i += 40) spike[i] = (i % 80 == 0) ? 0.3f : -0.3f;
+  rows.emplace_back("sparse_spike", spike);
+  // Finite values beyond the ±6σ grid, in both tail cells.
+  std::vector<float> beyond = gauss;
+  const float kFar[] = {1.9f, -1.9f, 30.0f, -30.0f, kMax, -kMax};
+  for (size_t i = 0; i < n; i += 11) beyond[i] = kFar[(i / 11) % 6];
+  rows.emplace_back("beyond_grid", beyond);
+  std::vector<float> nan = gauss;
+  nan[0] = kNan;
+  for (size_t i = 2; i < n; i += 97) nan[i] = (i % 2 == 0) ? kNan : -kNan;
+  rows.emplace_back("nan", nan);
+  return rows;
+}
+
+TEST(KsGaussianAcceptsTest, EqualsSortedVerdictOnEveryRowKind) {
+  for (size_t n : {size_t{1}, size_t{2}, size_t{140}, size_t{141},
+                   size_t{2410}, size_t{21802}, size_t{25450}}) {
+    for (const auto& [name, row] : VerdictRows(n)) {
+      ASSERT_EQ(row.size(), n);
+      for (double alpha : {0.01, 0.05, 0.5}) {
+        EXPECT_EQ(KsGaussianAccepts(row.data(), n, 0.3, alpha),
+                  ExactAccepts(row, 0.3, alpha))
+            << name << " n=" << n << " alpha=" << alpha;
+      }
+    }
+  }
+}
+
+TEST(KsGaussianAcceptsTest, EqualsSortedVerdictOnGaussianRows) {
+  // Rows of the null and of near-null shapes, where most verdicts come
+  // from the histogram bracket.
+  for (size_t n : {size_t{2410}, size_t{21802}, size_t{25450}}) {
+    std::vector<float> row(n);
+    for (uint64_t t = 0; t < 40; ++t) {
+      SplitRng rng(0x6A5, {n, t});
+      double sigma = (t % 3 == 0) ? 0.3 : 0.3 * (0.98 + 0.01 * (t % 5));
+      rng.FillGaussian(row.data(), n, sigma);
+      if (t % 4 == 1) {
+        for (float& v : row) v += 0.004f;
+      }
+      EXPECT_EQ(KsGaussianAccepts(row.data(), n, 0.3, 0.05),
+                ExactAccepts(row, 0.3, 0.05))
+          << "n=" << n << " trial " << t;
+    }
+  }
+}
+
+TEST(KsGaussianAcceptsTest, EqualsSortedVerdictWhereDStraddlesCritical) {
+  // Bisect a mean shift until the sorted test's p-value sits on both
+  // sides of alpha within rounding: there the bracket cannot decide, so
+  // the accepting and the rejecting row each take the exact path.
+  const double kAlpha = 0.05;
+  for (size_t n : {size_t{2410}, size_t{21802}, size_t{25450}}) {
+    std::vector<float> base(n);
+    SplitRng rng(0x57D, {n});
+    rng.FillGaussian(base.data(), n, 0.3);
+    std::vector<float> row(n);
+    auto shifted = [&](double mu) -> const std::vector<float>& {
+      for (size_t i = 0; i < n; ++i) {
+        row[i] = static_cast<float>(base[i] + mu);
+      }
+      return row;
+    };
+    double accept_mu = 0.0;
+    double reject_mu = 0.1;
+    ASSERT_TRUE(ExactAccepts(shifted(accept_mu), 0.3, kAlpha)) << n;
+    ASSERT_FALSE(ExactAccepts(shifted(reject_mu), 0.3, kAlpha)) << n;
+    for (int it = 0; it < 60; ++it) {
+      double mid = 0.5 * (accept_mu + reject_mu);
+      if (ExactAccepts(shifted(mid), 0.3, kAlpha)) {
+        accept_mu = mid;
+      } else {
+        reject_mu = mid;
+      }
+    }
+    for (double mu : {accept_mu, reject_mu}) {
+      shifted(mu);
+      double p = KsTestGaussian(row.data(), n, 0.3).p_value;
+      EXPECT_NEAR(p, kAlpha, 1e-6) << "n=" << n;
+      EXPECT_EQ(KsGaussianAccepts(row.data(), n, 0.3, kAlpha), p >= kAlpha)
+          << "n=" << n << " mu=" << mu;
+    }
+  }
 }
 
 class KsSigmaSweepTest : public ::testing::TestWithParam<double> {};
