@@ -1,12 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the nn compute layer: the
-// im2col+GEMM Conv2d against the naive reference kernel at the
+// im2col+GEMM Conv2d against the direct loop nest of
+// tests/nn/conv2d_reference.h at the
 // CIFAR-like acceptance shape (3→32 channels, 32×32, k=3), raw GEMM
 // throughput, batched Linear, and a full DP worker local step
 // (HonestDpWorker::ComputeUpdateInto) on both MLP and CNN models.
 //
 // Before timing, main() asserts at the acceptance shape that the GEMM
 // conv is bit-identical under serial and parallel pools, agrees with the
-// naive kernel, and reproduces every batch-of-1 pass row for row,
+// direct loop nest, and reproduces every batch-of-1 pass row for row,
 // mirroring bench_micro's Krum determinism check.
 
 #include <benchmark/benchmark.h>
@@ -25,6 +26,7 @@
 #include "data/synthetic.h"
 #include "fl/worker.h"
 #include "nn/conv2d.h"
+#include "nn/conv2d_reference.h"
 #include "nn/gemm.h"
 #include "nn/group_norm.h"
 #include "nn/linear.h"
@@ -44,15 +46,17 @@ constexpr size_t kImg = 32;
 constexpr size_t kKernel = 3;
 constexpr size_t kPad = 1;
 
-nn::Conv2d MakeConv(nn::Conv2dKernel kernel) {
-  nn::Conv2d conv(kInCh, kOutCh, kKernel, kPad, kernel);
+constexpr nn::ConvGeometry kGeometry = {kInCh, kOutCh, kKernel, kPad};
+
+nn::Conv2d MakeConv() {
+  nn::Conv2d conv(kInCh, kOutCh, kKernel, kPad);
   SplitRng rng(3);
   conv.InitParams(&rng);
   return conv;
 }
 
 // --- Batched conv forward: the per-example im2col + GEMM loop against
-// the naive reference kernel and against the same work run as kBatch
+// the direct loop nest and against the same work run as kBatch
 // batch-of-1 passes. Every layer entry here times the one-thread pass a
 // federated round runs inside a pool task.
 
@@ -74,8 +78,8 @@ Tensor Example(const Tensor& batch, size_t ex) {
                                           batch.data() + (ex + 1) * stride));
 }
 
-void ConvForwardBatch(benchmark::State& state, nn::Conv2dKernel kernel) {
-  nn::Conv2d conv = MakeConv(kernel);
+void BM_Conv2dForwardBatch(benchmark::State& state) {
+  nn::Conv2d conv = MakeConv();
   Tensor x = RandomBatch(13);
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.ForwardBatch(x));
@@ -83,19 +87,22 @@ void ConvForwardBatch(benchmark::State& state, nn::Conv2dKernel kernel) {
   state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
                           kImg);
 }
-
-void BM_Conv2dForwardBatch(benchmark::State& state) {
-  ConvForwardBatch(state, nn::Conv2dKernel::kGemm);
-}
 BENCHMARK(BM_Conv2dForwardBatch)->Unit(benchmark::kMicrosecond);
 
 void BM_Conv2dForwardBatchNaive(benchmark::State& state) {
-  ConvForwardBatch(state, nn::Conv2dKernel::kNaive);
+  nn::Conv2d conv = MakeConv();
+  std::vector<nn::ParamView> params = conv.Params();
+  Tensor x = RandomBatch(13);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::ReferenceConv2dForward(params, kGeometry, x));
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
+                          kImg);
 }
 BENCHMARK(BM_Conv2dForwardBatchNaive)->Unit(benchmark::kMicrosecond);
 
 void BM_Conv2dForwardBatchPerExample(benchmark::State& state) {
-  nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
+  nn::Conv2d conv = MakeConv();
   Tensor x = RandomBatch(13);
   std::vector<Tensor> examples;
   for (size_t ex = 0; ex < kBatch; ++ex) examples.push_back(Example(x, ex));
@@ -117,7 +124,7 @@ BENCHMARK(BM_Conv2dForwardBatchPerExample)->Unit(benchmark::kMicrosecond);
 // ratio isolates the per-call overhead and the sink-row traffic.
 
 void BM_Conv2dBackwardBatch(benchmark::State& state) {
-  nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
+  nn::Conv2d conv = MakeConv();
   Tensor x = RandomBatch(13);
   SplitRng rng(29);
   Tensor gy({kBatch, kOutCh, kImg, kImg});
@@ -135,7 +142,7 @@ void BM_Conv2dBackwardBatch(benchmark::State& state) {
 BENCHMARK(BM_Conv2dBackwardBatch)->Unit(benchmark::kMicrosecond);
 
 void BM_Conv2dBackwardBatchPerExample(benchmark::State& state) {
-  nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
+  nn::Conv2d conv = MakeConv();
   Tensor x = RandomBatch(13);
   SplitRng rng(29);
   Tensor gyb({kBatch, kOutCh, kImg, kImg});
@@ -513,7 +520,7 @@ void CheckConvDeterminism() {
   for (size_t threads : {size_t{1}, size_t{2}, hw}) {
     ThreadPool pool(threads);
     ScopedPoolOverride override_pool(&pool);
-    nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
+    nn::Conv2d conv = MakeConv();
     outs.push_back(conv.ForwardBatch(xb));
   }
   for (size_t i = 1; i < outs.size(); ++i) {
@@ -521,8 +528,8 @@ void CheckConvDeterminism() {
       if (outs[0][j] != outs[i][j]) Fail("GEMM conv differs across pools");
     }
   }
-  nn::Conv2d naive = MakeConv(nn::Conv2dKernel::kNaive);
-  Tensor yn = naive.ForwardBatch(xb);
+  nn::Conv2d ref = MakeConv();
+  Tensor yn = nn::ReferenceConv2dForward(ref.Params(), kGeometry, xb);
   for (size_t j = 0; j < yn.size(); ++j) {
     double scale = std::max(1.0, std::abs(static_cast<double>(yn[j])));
     if (std::abs(static_cast<double>(yn[j]) - outs[0][j]) > 1e-4 * scale) {
@@ -531,7 +538,7 @@ void CheckConvDeterminism() {
   }
   // Row j of the batched forward+backward (sink dW/db rows + col2im dX)
   // must reproduce the batch-1 pass of example j bit for bit.
-  nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
+  nn::Conv2d conv = MakeConv();
   SplitRng grng(37);
   Tensor gyb({kBatch, kOutCh, kImg, kImg});
   gyb.FillGaussian(&grng, 1.0);

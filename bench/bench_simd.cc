@@ -223,8 +223,12 @@ void CheckDispatchBitwise() {
   const simd::SimdKernels* scalar = simd::KernelsFor(simd::IsaLevel::kScalar);
   const size_t n = 1237;
   std::vector<float> a = RandomVec(n, 1), b = RandomVec(n, 2);
-  float da = active.dot8_f32(a.data(), b.data(), n);
-  float ds = scalar->dot8_f32(a.data(), b.data(), n);
+  // One dot8 fold each, as a 1×1 NT tile.
+  float da = 0.0f, ds = 0.0f;
+  active.gemm_nt_tile_f32(1, 1, n, a.data(), n, b.data(), n,
+                          /*accumulate=*/false, &da, 1);
+  scalar->gemm_nt_tile_f32(1, 1, n, a.data(), n, b.data(), n,
+                           /*accumulate=*/false, &ds, 1);
   std::vector<float> ya = a, ys = a;
   active.axpy_f32(0.7f, b.data(), ya.data(), n);
   scalar->axpy_f32(0.7f, b.data(), ys.data(), n);

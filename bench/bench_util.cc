@@ -24,10 +24,15 @@ Scale GetScale(const Flags& flags) {
                   "synth_usps"};
     s.byz_fractions = {0.2, 0.4, 0.6};
   }
-  std::vector<double> seed_override = flags.GetDoubleList("seeds", {});
-  if (!seed_override.empty()) {
+  Result<std::vector<double>> seed_override =
+      flags.GetDoubleList("seeds", {});
+  if (!seed_override.ok()) {
+    std::fprintf(stderr, "%s\n", seed_override.status().ToString().c_str());
+    std::exit(1);
+  }
+  if (!seed_override.value().empty()) {
     s.seeds.clear();
-    for (double v : seed_override) {
+    for (double v : seed_override.value()) {
       s.seeds.push_back(static_cast<uint64_t>(v));
     }
   }

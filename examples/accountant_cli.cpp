@@ -27,6 +27,7 @@
 #include "dp/privacy_params.h"
 #include "dp/rdp_accountant.h"
 #include "fl/round_state.h"
+#include "strict_flags.h"
 
 namespace {
 
@@ -89,6 +90,8 @@ int AuditCheckpointDir(const std::string& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using dpbr::examples::DoubleFlag;
+  using dpbr::examples::IntFlag;
   dpbr::Flags flags = dpbr::Flags::Parse(argc, argv);
 
   if (flags.Has("from_checkpoint")) {
@@ -97,12 +100,12 @@ int main(int argc, char** argv) {
 
   if (flags.Has("dataset_size")) {
     dpbr::dp::PrivacySpec spec;
-    spec.dataset_size = static_cast<int>(flags.GetInt("dataset_size", 1000));
-    spec.batch_size = static_cast<int>(flags.GetInt("batch", 16));
-    spec.epochs = static_cast<int>(flags.GetInt("epochs", 8));
-    spec.epsilon = flags.GetDouble("eps", 1.0);
-    spec.delta = flags.GetDouble("delta", -1.0);
-    spec.client_sampling_rate = flags.GetDouble("qc", 1.0);
+    spec.dataset_size = IntFlag(flags, "dataset_size", 1000);
+    spec.batch_size = IntFlag(flags, "batch", 16);
+    spec.epochs = IntFlag(flags, "epochs", 8);
+    spec.epsilon = DoubleFlag(flags, "eps", 1.0);
+    spec.delta = DoubleFlag(flags, "delta", -1.0);
+    spec.client_sampling_rate = DoubleFlag(flags, "qc", 1.0);
     auto params = dpbr::dp::CalibratePrivacy(spec);
     if (!params.ok()) {
       std::cerr << params.status().ToString() << "\n";
@@ -116,13 +119,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  double q = flags.GetDouble("q", 0.016);
-  double qc = flags.GetDouble("qc", 1.0);
-  int steps = static_cast<int>(flags.GetInt("steps", 500));
-  double delta = flags.GetDouble("delta", 1e-4);
+  double q = DoubleFlag(flags, "q", 0.016);
+  double qc = DoubleFlag(flags, "qc", 1.0);
+  int steps = IntFlag(flags, "steps", 500);
+  double delta = DoubleFlag(flags, "delta", 1e-4);
 
   if (flags.Has("sigma")) {
-    double sigma = flags.GetDouble("sigma", 1.0);
+    double sigma = DoubleFlag(flags, "sigma", 1.0);
     auto eps =
         dpbr::dp::ComputeEpsilonClientSubsampled(qc, q, sigma, steps, delta);
     if (!eps.ok()) {
@@ -134,7 +137,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  double eps = flags.GetDouble("eps", 1.0);
+  double eps = DoubleFlag(flags, "eps", 1.0);
   auto sigma =
       dpbr::dp::NoiseMultiplierForClientSubsampled(qc, q, steps, eps, delta);
   if (!sigma.ok()) {

@@ -13,17 +13,19 @@
 #include "common/table_printer.h"
 #include "core/experiment.h"
 #include "data/registry.h"
+#include "strict_flags.h"
 
 int main(int argc, char** argv) {
   using dpbr::core::ExperimentConfig;
+  using dpbr::examples::DoubleFlag;
   dpbr::Flags flags = dpbr::Flags::Parse(argc, argv);
 
   ExperimentConfig base;
   base.dataset = flags.GetString("dataset", "synth_mnist");
-  base.epsilon = flags.GetDouble("eps", 2.0);
+  base.epsilon = DoubleFlag(flags, "eps", 2.0);
   base.attack = flags.GetString("attack", "opt_lmp");
   base.seeds = {1};
-  double byz_frac = flags.GetDouble("byz_frac", 0.6);
+  double byz_frac = DoubleFlag(flags, "byz_frac", 0.6);
   auto info = dpbr::data::GetBenchmark(base.dataset);
   if (!info.ok()) {
     std::cerr << info.status().ToString() << "\n";

@@ -12,11 +12,13 @@
 #include "common/table_printer.h"
 #include "core/lr_transfer.h"
 #include "dp/privacy_params.h"
+#include "strict_flags.h"
 
 int main(int argc, char** argv) {
+  using dpbr::examples::DoubleFlag;
   dpbr::Flags flags = dpbr::Flags::Parse(argc, argv);
-  double base_lr = flags.GetDouble("base_lr", 0.2);
-  double base_eps = flags.GetDouble("base_eps", 2.0);
+  double base_lr = DoubleFlag(flags, "base_lr", 0.2);
+  double base_eps = DoubleFlag(flags, "base_eps", 2.0);
 
   // Data configuration of the default synth_mnist experiment:
   // |D| = 1000 per worker, bc = 16, 8 epochs.

@@ -23,23 +23,26 @@
 #include "common/flags.h"
 #include "core/experiment.h"
 #include "data/registry.h"
+#include "strict_flags.h"
 
 int main(int argc, char** argv) {
   using dpbr::core::ExperimentConfig;
   using dpbr::core::ExperimentResult;
+  using dpbr::examples::DoubleFlag;
+  using dpbr::examples::IntFlag;
 
   dpbr::Flags flags = dpbr::Flags::Parse(argc, argv);
   ExperimentConfig config;
   config.dataset = flags.GetString("dataset", "synth_mnist");
-  config.epsilon = flags.GetDouble("eps", 1.0);
+  config.epsilon = DoubleFlag(flags, "eps", 1.0);
   config.attack = flags.GetString("attack", "label_flip");
-  config.epochs = static_cast<int>(flags.GetInt("epochs", -1));
-  config.seeds = {static_cast<uint64_t>(flags.GetInt("seed", 1))};
+  config.epochs = IntFlag(flags, "epochs", -1);
+  config.seeds = {
+      static_cast<uint64_t>(dpbr::examples::Int64Flag(flags, "seed", 1))};
   config.checkpoint_dir = flags.GetString("checkpoint_dir", "");
-  config.checkpoint_every_n_rounds =
-      static_cast<int>(flags.GetInt("checkpoint_every", 1));
+  config.checkpoint_every_n_rounds = IntFlag(flags, "checkpoint_every", 1);
 
-  double byz_frac = flags.GetDouble("byz_frac", 0.6);
+  double byz_frac = DoubleFlag(flags, "byz_frac", 0.6);
   // The paper fixes the honest population and injects Byzantine workers:
   // byz_frac = m / (honest + m)  =>  m = honest * byz_frac / (1-byz_frac).
   auto info = dpbr::data::GetBenchmark(config.dataset);

@@ -36,7 +36,7 @@ std::vector<float> MeanOfSpanRows(ConstRowSpan uploads,
   if (rows.empty()) return out;
   // Blocked by coordinate; within each block the rows accumulate in the
   // caller's order, so every coordinate sees the same Axpy-then-Scale
-  // fold as the serial ops::MeanOf regardless of pool size.
+  // fold regardless of pool size.
   ParallelForBlocked(uploads.dim, 4096, [&](size_t lo, size_t hi) {
     for (size_t r : rows) {
       ops::Axpy(1.0f, uploads.Row(r) + lo, out.data() + lo, hi - lo);

@@ -108,8 +108,8 @@ size_t TrustedCount(double gamma, size_t n);
 
 /// Mean of the span rows listed in `rows` (accumulated in that order),
 /// blocked by coordinate under the thread pool. Per-coordinate fold
-/// order depends only on `rows`, so the result is bit-identical to the
-/// serial ops::MeanOf over the same vectors and invariant to pool size.
+/// order depends only on `rows`, so the result is bit-identical to a
+/// serial Axpy of each row followed by one Scale, under any pool size.
 std::vector<float> MeanOfSpanRows(ConstRowSpan uploads,
                                   const std::vector<size_t>& rows);
 

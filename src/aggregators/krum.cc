@@ -70,8 +70,7 @@ Result<std::vector<float>> KrumAggregator::Aggregate(
   std::sort(order.begin(), order.end(),
             [&score](size_t a, size_t b) { return score[a] < score[b]; });
 
-  // Mean of the selected rows, accumulated in score order (matching the
-  // historical ops::MeanOf over the copied selection).
+  // Mean of the selected rows, accumulated in score order.
   size_t take = std::min(std::max<size_t>(multi_k_, 1), n);
   order.resize(take);
   return MeanOfSpanRows(uploads, order);

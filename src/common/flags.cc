@@ -86,20 +86,6 @@ std::string Flags::GetString(const std::string& name,
   return it == values_.end() ? default_value : it->second;
 }
 
-int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  Result<int64_t> r = ParseInt(name, it->second);
-  return r.ok() ? r.value() : default_value;
-}
-
-double Flags::GetDouble(const std::string& name, double default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  Result<double> r = ParseDouble(name, it->second);
-  return r.ok() ? r.value() : default_value;
-}
-
 bool Flags::GetBool(const std::string& name, bool default_value) const {
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
@@ -123,7 +109,7 @@ Result<double> Flags::GetDoubleOrStatus(const std::string& name,
   return ParseDouble(name, it->second);
 }
 
-std::vector<double> Flags::GetDoubleList(
+Result<std::vector<double>> Flags::GetDoubleList(
     const std::string& name, const std::vector<double>& default_value) const {
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
@@ -132,11 +118,13 @@ std::vector<double> Flags::GetDoubleList(
   std::string tok;
   while (std::getline(ss, tok, ',')) {
     if (tok.empty()) continue;
-    Result<double> v = ParseDouble(name, tok);
-    if (!v.ok()) return default_value;
-    out.push_back(v.value());
+    DPBR_ASSIGN_OR_RETURN(double v, ParseDouble(name, tok));
+    out.push_back(v);
   }
-  return out.empty() ? default_value : out;
+  if (out.empty()) {
+    return Status::InvalidArgument("flag --" + name + " has an empty list");
+  }
+  return out;
 }
 
 }  // namespace dpbr

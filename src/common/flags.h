@@ -24,27 +24,23 @@ class Flags {
 
   bool Has(const std::string& name) const;
 
-  /// Typed accessors with defaults. Parse errors — including trailing
-  /// garbage and out-of-range values (strtod/strtoll ERANGE overflow or
-  /// underflow) — fall back to the default; an out-of-range literal like
-  /// 1e999 is never silently accepted as HUGE_VAL. The *OrStatus
-  /// accessors surface the same failures as errors for callers that must
-  /// validate.
+  /// Accessors with defaults: an absent flag reads as `default_value`.
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
-  int64_t GetInt(const std::string& name, int64_t default_value) const;
-  double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
 
-  /// Strict accessors; error when present but unparseable or out of
-  /// range.
+  /// Numeric accessors. A present flag that does not parse is an error,
+  /// never the default: empty values, trailing garbage and out-of-range
+  /// literals (strtod/strtoll ERANGE overflow or underflow, so 1e999 is
+  /// never accepted as HUGE_VAL) all fail with a message naming the flag.
   [[nodiscard]] Result<int64_t> GetIntOrStatus(const std::string& name,
                                  int64_t default_value) const;
   [[nodiscard]] Result<double> GetDoubleOrStatus(const std::string& name,
                                    double default_value) const;
 
-  /// Comma-separated list of doubles, e.g. --eps=0.125,0.25,2.
-  std::vector<double> GetDoubleList(
+  /// Comma-separated list of doubles, e.g. --eps=0.125,0.25,2. Errors
+  /// when any element does not parse or the list has no element.
+  [[nodiscard]] Result<std::vector<double>> GetDoubleList(
       const std::string& name, const std::vector<double>& default_value) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -159,20 +159,8 @@ double SplitRng::GaussianZiggurat() {
 }
 
 void SplitRng::BulkGaussian(float* data, size_t n, double stddev,
-                            GaussianSampler sampler, bool accumulate) {
+                            bool accumulate) {
   if (n == 0) return;
-  if (sampler == GaussianSampler::kBoxMuller) {
-    // Legacy sequential stream (bit-identical to pre-ziggurat fills).
-    for (size_t i = 0; i < n; ++i) {
-      float g = static_cast<float>(stddev * Gaussian());
-      if (accumulate) {
-        data[i] += g;
-      } else {
-        data[i] = g;
-      }
-    }
-    return;
-  }
   // One parent draw keys the whole fill; block b then draws from the
   // independent child stream SplitRng(base, {b}). Block boundaries depend
   // only on n, so the output is bit-identical under any pool size.
@@ -209,14 +197,12 @@ void SplitRng::BulkGaussian(float* data, size_t n, double stddev,
   });
 }
 
-void SplitRng::FillGaussian(float* out, size_t n, double stddev,
-                            GaussianSampler sampler) {
-  BulkGaussian(out, n, stddev, sampler, /*accumulate=*/false);
+void SplitRng::FillGaussian(float* out, size_t n, double stddev) {
+  BulkGaussian(out, n, stddev, /*accumulate=*/false);
 }
 
-void SplitRng::AddGaussian(float* data, size_t n, double stddev,
-                           GaussianSampler sampler) {
-  BulkGaussian(data, n, stddev, sampler, /*accumulate=*/true);
+void SplitRng::AddGaussian(float* data, size_t n, double stddev) {
+  BulkGaussian(data, n, stddev, /*accumulate=*/true);
 }
 
 std::vector<size_t> SplitRng::Permutation(size_t n) {

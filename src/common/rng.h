@@ -6,15 +6,14 @@
 // order or thread in which they are consumed, which makes whole federated
 // runs bit-reproducible under ParallelFor.
 //
-// Gaussian draws come in two kernels (mirroring Conv2dKernel):
-//  * GaussianSampler::kZiggurat — 256-layer ziggurat, the production
-//    sampler behind the bulk FillGaussian / AddGaussian APIs. Bulk fills
-//    are split into fixed-size blocks, each drawing from an independent
-//    child stream, so the output is bit-identical under any thread-pool
-//    size and equal to the documented sequential per-block draw loop.
-//  * GaussianSampler::kBoxMuller — the original Box-Muller transform,
-//    kept as a slow reference kernel; its bulk path reproduces the
-//    pre-ziggurat FillGaussian stream bit-for-bit.
+// Gaussian draws:
+//  * the bulk FillGaussian / AddGaussian APIs (the DP noise path) use a
+//    256-layer ziggurat. Bulk fills are split into fixed-size blocks,
+//    each drawing from an independent child stream, so the output is
+//    bit-identical under any thread-pool size and equal to the
+//    documented sequential per-block draw loop;
+//  * the scalar Gaussian() is the Box-Muller transform, the stream data
+//    synthesis draws from.
 
 #ifndef DPBR_COMMON_RNG_H_
 #define DPBR_COMMON_RNG_H_
@@ -25,13 +24,6 @@
 #include <vector>
 
 namespace dpbr {
-
-/// Gaussian kernel selector. kZiggurat is the production sampler;
-/// kBoxMuller is the reference kernel (and the legacy noise stream).
-enum class GaussianSampler {
-  kZiggurat,   ///< 256-layer ziggurat (production, ~5x faster per draw)
-  kBoxMuller,  ///< Box-Muller transform (reference)
-};
 
 /// Elements per FillGaussian/AddGaussian work block. Each block b draws
 /// from the independent child stream SplitRng(base, {b}) where `base` is
@@ -70,9 +62,7 @@ class SplitRng {
   /// Uniform integer in [0, n). Requires n > 0.
   uint64_t UniformInt(uint64_t n);
 
-  /// Standard normal via Box-Muller (uses the cached spare draw). This is
-  /// the scalar reference kernel; its stream is unchanged from the
-  /// pre-ziggurat implementation.
+  /// Standard normal via Box-Muller (uses the cached spare draw).
   double Gaussian();
 
   /// Normal with the given mean / stddev (Box-Muller).
@@ -85,23 +75,18 @@ class SplitRng {
 
   /// Fills `out` with i.i.d. N(0, stddev^2) draws.
   ///
-  /// kZiggurat (default): consumes exactly one Next64() from this stream
-  /// as `base`, then block b of kGaussianFillBlock elements draws
-  /// sequentially from SplitRng(base, {b}) via GaussianZiggurat(). Blocks
-  /// run under the ambient thread pool; the split depends only on n, so
-  /// the result is bit-identical for pools of any size and equal to the
-  /// sequential per-block loop written with the public API.
-  ///
-  /// kBoxMuller: the sequential legacy loop out[i] = stddev * Gaussian(),
-  /// bit-identical to the pre-ziggurat FillGaussian.
-  void FillGaussian(float* out, size_t n, double stddev,
-                    GaussianSampler sampler = GaussianSampler::kZiggurat);
+  /// Consumes exactly one Next64() from this stream as `base`, then block
+  /// b of kGaussianFillBlock elements draws sequentially from
+  /// SplitRng(base, {b}) via GaussianZiggurat(). Blocks run under the
+  /// ambient thread pool; the split depends only on n, so the result is
+  /// bit-identical for pools of any size and equal to the sequential
+  /// per-block loop written with the public API.
+  void FillGaussian(float* out, size_t n, double stddev);
 
   /// Adds i.i.d. N(0, stddev^2) noise to `data` in place: data[i] += g_i
   /// where (g_i) is exactly the FillGaussian output for the same state.
   /// This is the DP upload hot path (no scratch buffer, same contract).
-  void AddGaussian(float* data, size_t n, double stddev,
-                   GaussianSampler sampler = GaussianSampler::kZiggurat);
+  void AddGaussian(float* data, size_t n, double stddev);
 
   /// Fisher-Yates shuffle of indices [0, n).
   std::vector<size_t> Permutation(size_t n);
@@ -129,8 +114,7 @@ class SplitRng {
       : key_(key), counter_(counter), has_spare_(false), spare_(0.0) {}
 
   /// Shared bulk kernel behind FillGaussian / AddGaussian.
-  void BulkGaussian(float* data, size_t n, double stddev,
-                    GaussianSampler sampler, bool accumulate);
+  void BulkGaussian(float* data, size_t n, double stddev, bool accumulate);
 
   uint64_t key_;
   uint64_t counter_;

@@ -46,7 +46,7 @@ DPBR_NOVEC_FN void ScalarAddScalarF32(float a, float* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += a;
 }
 
-// The pinned 8-lane fold (see simd.h).
+// The pinned 8-lane fold: the NT tile's per-element order (see simd.h).
 DPBR_NOVEC_FN float ScalarDot8F32(const float* x, const float* y,
                                   size_t n) {
   float acc[kFoldLanes] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
@@ -241,7 +241,6 @@ const SimdKernels& ScalarTable() {
       /*axpy_f32=*/&ScalarAxpyF32,
       /*scale_f32=*/&ScalarScaleF32,
       /*add_scalar_f32=*/&ScalarAddScalarF32,
-      /*dot8_f32=*/&ScalarDot8F32,
       /*gemm_nn_tile_f32=*/&ScalarGemmNNTileF32,
       /*gemm_nt_tile_f32=*/&ScalarGemmNTTileF32,
       /*distsq8_f64=*/&ScalarDistSq8F64,
@@ -336,17 +335,22 @@ const SimdKernels& Kernels() {
 
 IsaLevel ActiveIsa() { return Kernels().isa; }
 
-void SetActiveIsa(IsaLevel level) {
+namespace {
+
+// Retargets the active table (checked against KernelsFor).
+void Activate(IsaLevel level) {
   const SimdKernels* table = KernelsFor(level);
   DPBR_CHECK(table != nullptr);
   g_active.store(table, std::memory_order_release);
 }
 
+}  // namespace
+
 ScopedForceIsa::ScopedForceIsa(IsaLevel level) : prev_(ActiveIsa()) {
-  SetActiveIsa(level);
+  Activate(level);
 }
 
-ScopedForceIsa::~ScopedForceIsa() { SetActiveIsa(prev_); }
+ScopedForceIsa::~ScopedForceIsa() { Activate(prev_); }
 
 }  // namespace simd
 }  // namespace dpbr

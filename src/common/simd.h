@@ -23,8 +23,8 @@
 //    meet, x86 keeps the first operand's payload and compilers order
 //    commutative adds and multiplies freely, so a NaN result stays NaN
 //    but its payload is not pinned.
-//  * Reduction kernels (dot8/distsq8/sum8) use a PINNED 8-lane fold:
-//    lane l accumulates elements with index ≡ l (mod 8) and the lanes
+//  * Reductions (the NT tile's dot8, distsq8, sum8) use a PINNED 8-lane
+//    fold: lane l accumulates elements with index ≡ l (mod 8) and the lanes
 //    combine in a fixed tree, regardless of the ISA's native width. The
 //    fold order is part of the kernel's definition — scalar and SIMD
 //    agree bitwise, and results are pool-size- and ISA-invariant — but it
@@ -36,8 +36,8 @@
 //    back to the scalar wedge/tail code.
 //
 // Thread-safety: the active table is an atomic pointer resolved once at
-// first use. ScopedForceIsa/SetActiveIsa may retarget it between parallel
-// dispatches (tests and benches do); never while a dispatch is in flight.
+// first use. ScopedForceIsa may retarget it between parallel dispatches
+// (tests and benches do); never while a dispatch is in flight.
 
 #ifndef DPBR_COMMON_SIMD_H_
 #define DPBR_COMMON_SIMD_H_
@@ -59,9 +59,9 @@ enum class IsaLevel : int {
 /// Human-readable name ("scalar", "sse2", "avx2", "avx512").
 const char* IsaName(IsaLevel level);
 
-/// The pinned fold width for the chained reduction kernels. Independent
-/// of the ISA's native vector width so that dot8/distsq8/sum8 return the
-/// same bits on every dispatch tier.
+/// The pinned fold width for the chained reductions. Independent of the
+/// ISA's native vector width so that the NT tile's dot8, distsq8 and
+/// sum8 return the same bits on every dispatch tier.
 constexpr size_t kFoldLanes = 8;
 
 /// One table of kernel entry points per ISA tier. All pointers are
@@ -81,10 +81,6 @@ struct SimdKernels {
   /// y[i] += a.
   void (*add_scalar_f32)(float a, float* y, size_t n);
 
-  /// 8-chain float dot product: lane l sums x[p]*y[p] for p ≡ l (mod 8),
-  /// lanes combined ((s01+s23)+(s45+s67)) with sJK = accJ+accK.
-  float (*dot8_f32)(const float* x, const float* y, size_t n);
-
   /// Register-blocked NN GEMM tile: for r < rows, j < cols,
   ///   c[r·ldc + j] = init_r + Σ_{p<k} a[r·a_rs + p·a_cs] · b[p·ldb + j]
   /// with init_r = row_init ? row_init[r] : 0. Each element starts at
@@ -98,10 +94,11 @@ struct SimdKernels {
                            float* c, size_t ldc);
 
   /// Register-blocked NT GEMM tile: for r < rows, j < cols,
-  ///   d = dot8_f32(a + r·lda, b + j·ldb, k)
+  ///   d = dot8(a + r·lda, b + j·ldb, k)
   ///   c[r·ldc + j] = accumulate ? c[r·ldc + j] + d : d
-  /// where d is bitwise the dot8_f32 value: same lanes, same scalar tail
-  /// lanes, same combine tree.
+  /// where dot8 is the 8-chain float dot product: lane l sums
+  /// a[p]·b[p] for p ≡ l (mod 8), multiply then add, and the lanes
+  /// combine ((s01+s23)+(s45+s67)) with sJK = accJ+accK.
   void (*gemm_nt_tile_f32)(size_t rows, size_t cols, size_t k,
                            const float* a, size_t lda, const float* b,
                            size_t ldb, bool accumulate, float* c,
@@ -180,11 +177,6 @@ bool ForceScalarFromEnv();
 /// Table for an explicit tier, or nullptr when the build or the CPU
 /// cannot run it. KernelsFor(kScalar) never returns null.
 const SimdKernels* KernelsFor(IsaLevel level);
-
-/// Retargets the active table (checked against KernelsFor). Prefer
-/// ScopedForceIsa; this exists for main()s honoring a --force_scalar
-/// flag before any dispatch runs.
-void SetActiveIsa(IsaLevel level);
 
 /// RAII override of the active table for tests and benchmarks. Aborts if
 /// the requested tier is unavailable (callers should probe KernelsFor

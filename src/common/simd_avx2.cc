@@ -19,26 +19,6 @@ namespace {
 using K8 = detail::Kernels8<detail::TraitsAvx2>;
 using Tiles = detail::GemmTiles<detail::TraitsAvx2>;
 
-// Pinned 8-lane fold: one 8-float accumulator, lane l ≡ fold lane l.
-// Spill + scalar combine tree keeps the result bitwise equal to
-// ScalarDot8F32.
-float Avx2Dot8F32(const float* x, const float* y, size_t n) {
-  __m256 vacc = _mm256_setzero_ps();
-  size_t p = 0;
-  for (; p + kFoldLanes <= n; p += kFoldLanes) {
-    vacc = _mm256_add_ps(
-        vacc, _mm256_mul_ps(_mm256_loadu_ps(x + p), _mm256_loadu_ps(y + p)));
-  }
-  float acc[kFoldLanes];
-  _mm256_storeu_ps(acc, vacc);
-  for (size_t l = 0; p + l < n; ++l) acc[l] += x[p + l] * y[p + l];
-  float s01 = acc[0] + acc[1];
-  float s23 = acc[2] + acc[3];
-  float s45 = acc[4] + acc[5];
-  float s67 = acc[6] + acc[7];
-  return (s01 + s23) + (s45 + s67);
-}
-
 double Avx2DistSq8F64(const float* a, const float* b, size_t n) {
   __m256d acc_lo = _mm256_setzero_pd();  // fold lanes 0..3
   __m256d acc_hi = _mm256_setzero_pd();  // fold lanes 4..7
@@ -268,7 +248,6 @@ const SimdKernels* detail::Avx2Table() {
     t.axpy_f32 = &K8::AxpyF32;
     t.scale_f32 = &K8::ScaleF32;
     t.add_scalar_f32 = &K8::AddScalarF32;
-    t.dot8_f32 = &Avx2Dot8F32;
     t.gemm_nn_tile_f32 = &Tiles::NNTileF32;
     t.gemm_nt_tile_f32 = &Tiles::NTTileF32;
     t.distsq8_f64 = &Avx2DistSq8F64;

@@ -17,30 +17,6 @@ namespace {
 using K8 = detail::Kernels8<detail::TraitsSse2>;
 using Tiles = detail::GemmTiles<detail::TraitsSse2>;
 
-// Pinned 8-lane fold with two 4-float accumulators: acc_lo carries lanes
-// 0..3, acc_hi lanes 4..7. Lanes spill to an array and combine in the
-// reference scalar tree, so the result matches ScalarDot8F32 bitwise.
-float Sse2Dot8F32(const float* x, const float* y, size_t n) {
-  __m128 acc_lo = _mm_setzero_ps();
-  __m128 acc_hi = _mm_setzero_ps();
-  size_t p = 0;
-  for (; p + kFoldLanes <= n; p += kFoldLanes) {
-    acc_lo = _mm_add_ps(acc_lo,
-                        _mm_mul_ps(_mm_loadu_ps(x + p), _mm_loadu_ps(y + p)));
-    acc_hi = _mm_add_ps(
-        acc_hi, _mm_mul_ps(_mm_loadu_ps(x + p + 4), _mm_loadu_ps(y + p + 4)));
-  }
-  float acc[kFoldLanes];
-  _mm_storeu_ps(acc, acc_lo);
-  _mm_storeu_ps(acc + 4, acc_hi);
-  for (size_t l = 0; p + l < n; ++l) acc[l] += x[p + l] * y[p + l];
-  float s01 = acc[0] + acc[1];
-  float s23 = acc[2] + acc[3];
-  float s45 = acc[4] + acc[5];
-  float s67 = acc[6] + acc[7];
-  return (s01 + s23) + (s45 + s67);
-}
-
 double Sse2DistSq8F64(const float* a, const float* b, size_t n) {
   __m128d acc01 = _mm_setzero_pd();
   __m128d acc23 = _mm_setzero_pd();
@@ -146,7 +122,6 @@ const SimdKernels* detail::Sse2Table() {
     t.axpy_f32 = &K8::AxpyF32;
     t.scale_f32 = &K8::ScaleF32;
     t.add_scalar_f32 = &K8::AddScalarF32;
-    t.dot8_f32 = &Sse2Dot8F32;
     t.gemm_nn_tile_f32 = &Tiles::NNTileF32;
     t.gemm_nt_tile_f32 = &Tiles::NTTileF32;
     t.distsq8_f64 = &Sse2DistSq8F64;

@@ -461,7 +461,7 @@ struct Kernels8 {
 //    and then in the scalar loop.
 //  * NT keeps one pinned 8-lane fold accumulator per (row, column) —
 //    kJ8 columns share a vector — and finishes each element exactly as
-//    dot8_f32 does: scalar tail lanes, then the fixed combine tree (in
+//    ScalarDot8F32 does: scalar tail lanes, then the fixed combine tree (in
 //    registers via Fold8 when k leaves no tail lanes). Column
 //    remainders run at half the group count; a lone column in a
 //    multi-column group is computed twice and stored once.
@@ -585,7 +585,7 @@ struct GemmTiles {
         if (p == k) {
           T::Fold8(acc[r][g], d);
         } else {
-          // Tail lanes, then the tree, in scalar exactly as dot8_f32.
+          // Tail lanes, then the tree, in scalar exactly as ScalarDot8F32.
           float lanes[kFoldLanes * T::kJ8];
           T::Store8(lanes, acc[r][g]);
           for (size_t jj = 0; jj < T::kJ8; ++jj) {

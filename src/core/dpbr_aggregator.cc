@@ -39,9 +39,9 @@ Result<std::vector<float>> DpbrAggregator::Aggregate(
   }
 
   // --- Stage 2 (Algorithm 3): inner-product selection with cumulative
-  // scores (keyed on ctx.client_ids when set). Falls back to "select
-  // everything that passed stage 1" when disabled (first-stage-only
-  // ablation).
+  // scores keyed on ctx.client_ids (on positions when null). Falls back
+  // to "select everything that passed stage 1" when disabled
+  // (first-stage-only ablation).
   std::vector<size_t> selected;
   if (options_.enable_second_stage) {
     if (ctx.server_gradient == nullptr) {

@@ -21,28 +21,25 @@ Result<std::vector<size_t>> SecondStageAggregator::SelectWorkers(
   if (uploads.dim != server_gradient.size()) {
     return Status::InvalidArgument("upload/server gradient size mismatch");
   }
+  // A null `client_ids` means the ids are the positions 0..n-1.
+  std::vector<int> positions;
   if (client_ids == nullptr) {
-    // Fixed cohort: position == id, worker count pinned between Resets.
-    if (scores_.empty()) {
-      scores_.assign(n, 0.0);
-    } else if (scores_.size() != n) {
-      return Status::FailedPrecondition(
-          "worker count changed mid-training; call Reset() first (or pass "
-          "client_ids for subsampled cohorts)");
-    }
-  } else {
-    if (client_ids->size() != n) {
-      return Status::InvalidArgument("client_ids size mismatch");
-    }
-    int max_id = 0;
-    for (int id : *client_ids) {
-      if (id < 0) return Status::InvalidArgument("negative client id");
-      max_id = std::max(max_id, id);
-    }
-    // Grow-only: a subsampled round only touches its cohort's slots.
-    if (scores_.size() < static_cast<size_t>(max_id) + 1) {
-      scores_.resize(static_cast<size_t>(max_id) + 1, 0.0);
-    }
+    positions.resize(n);
+    std::iota(positions.begin(), positions.end(), 0);
+    client_ids = &positions;
+  }
+  const std::vector<int>& ids = *client_ids;
+  if (ids.size() != n) {
+    return Status::InvalidArgument("client_ids size mismatch");
+  }
+  int max_id = 0;
+  for (int id : ids) {
+    if (id < 0) return Status::InvalidArgument("negative client id");
+    max_id = std::max(max_id, id);
+  }
+  // Grow-only: a subsampled round only touches its cohort's slots.
+  if (scores_.size() < static_cast<size_t>(max_id) + 1) {
+    scores_.resize(static_cast<size_t>(max_id) + 1, 0.0);
   }
 
   // Lines 5-8: S_tmp[i] = ⟨g_i, g_s⟩. Each inner product is an
@@ -66,13 +63,9 @@ Result<std::vector<size_t>> SecondStageAggregator::SelectWorkers(
 
   // Lines 10-13: suppress below-threshold scores, accumulate into S
   // under the row's stable id.
-  auto id_of = [&](size_t i) {
-    return client_ids == nullptr ? i
-                                 : static_cast<size_t>((*client_ids)[i]);
-  };
   for (size_t i = 0; i < n; ++i) {
     double s = last_scores_[i] < mu_hat ? 0.0 : last_scores_[i];
-    scores_[id_of(i)] += s;
+    scores_[ids[i]] += s;
   }
 
   // Line 14: pick the top ⌈γn⌉ *cumulative* scores among this round's
@@ -81,7 +74,7 @@ Result<std::vector<size_t>> SecondStageAggregator::SelectWorkers(
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),
                    [&](size_t a, size_t b) {
-                     return scores_[id_of(a)] > scores_[id_of(b)];
+                     return scores_[ids[a]] > scores_[ids[b]];
                    });
   order.resize(k);
   std::sort(order.begin(), order.end());

@@ -25,19 +25,17 @@ class SecondStageAggregator {
   /// Runs one round of Algorithm 3 lines 5-14 and returns the *positions
   /// within the span* of the selected uploads G_s (size ⌈γn⌉).
   ///
-  /// The cumulative score list S persists across rounds. When
-  /// `client_ids` is null, position == client id and the worker count
-  /// must stay constant between Reset() calls (the fixed-cohort
-  /// contract). With `client_ids` (one stable global id per row, as set
-  /// by the trainer under Poisson subsampling) S is keyed on the id, so
-  /// scores survive changing per-round cohorts; S grows to the largest
-  /// id seen.
+  /// The cumulative score list S persists across rounds and is keyed on
+  /// `client_ids` (one stable global id per row, as set by the trainer),
+  /// so scores survive changing per-round cohorts; S grows to the
+  /// largest id seen. A null `client_ids` means the ids are the span
+  /// positions 0..n-1.
   Result<std::vector<size_t>> SelectWorkers(
       ConstRowSpan uploads, const std::vector<float>& server_gradient,
       double gamma, const std::vector<int>* client_ids = nullptr);
 
-  /// Cumulative score list S, indexed by client id (== span position for
-  /// fixed cohorts). Empty before the first round.
+  /// Cumulative score list S, indexed by client id. Empty before the
+  /// first round.
   const std::vector<double>& cumulative_scores() const { return scores_; }
 
   /// Per-round scores ⟨g_i, g_s⟩ from the last SelectWorkers call

@@ -88,13 +88,5 @@ DatasetView DatasetView::WithFlippedLabels() const {
   return v;
 }
 
-std::vector<size_t> DatasetView::LabelHistogram() const {
-  std::vector<size_t> hist(base_->num_classes(), 0);
-  for (size_t i = 0; i < size(); ++i) {
-    hist[static_cast<size_t>(LabelAt(i))]++;
-  }
-  return hist;
-}
-
 }  // namespace data
 }  // namespace dpbr

@@ -72,9 +72,6 @@ class DatasetView {
   /// (the paper's Label-flipping poisoning).
   DatasetView WithFlippedLabels() const;
 
-  /// Histogram of labels (length num_classes).
-  std::vector<size_t> LabelHistogram() const;
-
  private:
   const Dataset* base_ = nullptr;
   std::vector<size_t> indices_;

@@ -25,78 +25,16 @@ void AccumulateBiasRowSums(const float* gy, size_t out_ch, size_t q,
 }  // namespace
 
 Conv2d::Conv2d(size_t in_channels, size_t out_channels, size_t kernel_size,
-               size_t padding, Conv2dKernel kernel)
+               size_t padding)
     : in_ch_(in_channels),
       out_ch_(out_channels),
       k_(kernel_size),
       pad_(padding),
-      kernel_(kernel),
       weight_(out_channels * in_channels * kernel_size * kernel_size, 0.0f),
       bias_(out_channels, 0.0f) {
   DPBR_CHECK_GT(in_ch_, 0u);
   DPBR_CHECK_GT(out_ch_, 0u);
   DPBR_CHECK_GT(k_, 0u);
-}
-
-void Conv2d::NaiveForwardOne(const float* x, size_t h, size_t w, float* y) {
-  size_t oh = h + 2 * pad_ - k_ + 1;
-  size_t ow = w + 2 * pad_ - k_ + 1;
-  for (size_t oc = 0; oc < out_ch_; ++oc) {
-    for (size_t i = 0; i < oh; ++i) {
-      for (size_t j = 0; j < ow; ++j) {
-        double s = bias_[oc];
-        for (size_t ic = 0; ic < in_ch_; ++ic) {
-          for (size_t kh = 0; kh < k_; ++kh) {
-            // Input row index with padding offset; skip out-of-bounds rows.
-            long long ih = static_cast<long long>(i + kh) -
-                           static_cast<long long>(pad_);
-            if (ih < 0 || ih >= static_cast<long long>(h)) continue;
-            for (size_t kw = 0; kw < k_; ++kw) {
-              long long iw = static_cast<long long>(j + kw) -
-                             static_cast<long long>(pad_);
-              if (iw < 0 || iw >= static_cast<long long>(w)) continue;
-              s += static_cast<double>(W(oc, ic, kh, kw)) *
-                   x[(ic * h + static_cast<size_t>(ih)) * w +
-                     static_cast<size_t>(iw)];
-            }
-          }
-        }
-        y[(oc * oh + i) * ow + j] = static_cast<float>(s);
-      }
-    }
-  }
-}
-
-void Conv2d::NaiveBackwardOne(const float* x, const float* gy, size_t h,
-                              size_t w, float* wgrad, float* bgrad,
-                              float* dx) {
-  size_t oh = h + 2 * pad_ - k_ + 1;
-  size_t ow = w + 2 * pad_ - k_ + 1;
-  for (size_t oc = 0; oc < out_ch_; ++oc) {
-    for (size_t i = 0; i < oh; ++i) {
-      for (size_t j = 0; j < ow; ++j) {
-        float g = gy[(oc * oh + i) * ow + j];
-        if (g == 0.0f) continue;
-        bgrad[oc] += g;
-        for (size_t ic = 0; ic < in_ch_; ++ic) {
-          for (size_t kh = 0; kh < k_; ++kh) {
-            long long ih = static_cast<long long>(i + kh) -
-                           static_cast<long long>(pad_);
-            if (ih < 0 || ih >= static_cast<long long>(h)) continue;
-            for (size_t kw = 0; kw < k_; ++kw) {
-              long long iw = static_cast<long long>(j + kw) -
-                             static_cast<long long>(pad_);
-              if (iw < 0 || iw >= static_cast<long long>(w)) continue;
-              size_t in_idx = (ic * h + static_cast<size_t>(ih)) * w +
-                              static_cast<size_t>(iw);
-              wgrad[((oc * in_ch_ + ic) * k_ + kh) * k_ + kw] += g * x[in_idx];
-              dx[in_idx] += g * W(oc, ic, kh, kw);
-            }
-          }
-        }
-      }
-    }
-  }
 }
 
 Tensor Conv2d::ForwardBatch(const Tensor& x) {
@@ -113,13 +51,6 @@ Tensor Conv2d::ForwardBatch(const Tensor& x) {
   Tensor y({batch, out_ch_, oh, ow});
   size_t in_stride = in_ch_ * h * w;
   size_t out_stride = out_ch_ * oh * ow;
-  if (kernel_ == Conv2dKernel::kNaive) {
-    for (size_t ex = 0; ex < batch; ++ex) {
-      NaiveForwardOne(cached + ex * in_stride, h, w,
-                      y.data() + ex * out_stride);
-    }
-    return y;
-  }
   // Each example's im2col panel is expanded into per-thread scratch
   // right before its tile call and consumed while cache-hot. Each output
   // element accumulates its products in ascending-p order within its own
@@ -146,15 +77,6 @@ Tensor Conv2d::BackwardBatch(const Tensor& grad_out,
   Tensor dx({batch, in_ch_, h, w});
   size_t in_stride = in_ch_ * h * w;
   size_t out_stride = out_ch_ * oh * ow;
-  if (kernel_ == Conv2dKernel::kNaive) {
-    for (size_t ex = 0; ex < batch; ++ex) {
-      float* wgrad = sink.Slot(ex);
-      float* bgrad = wgrad + weight_.size();
-      NaiveBackwardOne(x + ex * in_stride, grad_out.data() + ex * out_stride,
-                       h, w, wgrad, bgrad, dx.data() + ex * in_stride);
-    }
-    return dx;
-  }
   // Per example: re-expand its im2col panel, then dW = dY·Colᵀ straight
   // into its sink row, the db row sums, and dX as the column-space panel
   // Wᵀ·dY scattered by col2im. The sink row takes no cross-example

@@ -6,9 +6,8 @@
 // example's dW/db row straight into its own PerExampleGradSink slot and
 // its dX slice through col2im — so DP per-example gradient clipping is
 // preserved, and row j of a batch-N pass is bitwise equal to the batch-1
-// pass of example j. The original direct loop nest is kept as a
-// reference kernel (`Conv2dKernel::kNaive`) that
-// tests/nn/kernel_equivalence_test.cc checks the GEMM path against.
+// pass of example j. tests/nn/kernel_equivalence_test.cc checks it
+// against the direct loop nest in tests/nn/conv2d_reference.h.
 
 #ifndef DPBR_NN_CONV2D_H_
 #define DPBR_NN_CONV2D_H_
@@ -22,17 +21,11 @@
 namespace dpbr {
 namespace nn {
 
-/// Kernel implementation selector (tests compare the two paths).
-enum class Conv2dKernel {
-  kGemm,   ///< im2col + blocked GEMM (production)
-  kNaive,  ///< direct quintuple loop (reference)
-};
-
 /// Conv2d with stride 1 and symmetric zero padding.
 class Conv2d : public Layer {
  public:
   Conv2d(size_t in_channels, size_t out_channels, size_t kernel_size,
-         size_t padding = 0, Conv2dKernel kernel = Conv2dKernel::kGemm);
+         size_t padding = 0);
 
   Tensor ForwardBatch(const Tensor& x) override;
   Tensor BackwardBatch(const Tensor& grad_out,
@@ -44,20 +37,10 @@ class Conv2d : public Layer {
   size_t out_channels() const { return out_ch_; }
 
  private:
-  float& W(size_t oc, size_t ic, size_t kh, size_t kw) {
-    return weight_[((oc * in_ch_ + ic) * k_ + kh) * k_ + kw];
-  }
-
-  /// Reference kernels for one example whose input plane is `x`.
-  void NaiveForwardOne(const float* x, size_t h, size_t w, float* y);
-  void NaiveBackwardOne(const float* x, const float* gy, size_t h, size_t w,
-                        float* wgrad, float* bgrad, float* dx);
-
   size_t in_ch_;
   size_t out_ch_;
   size_t k_;
   size_t pad_;
-  Conv2dKernel kernel_;
   std::vector<float> weight_;  // (out, in, k, k)
   std::vector<float> bias_;    // (out)
   // The cached forward input.

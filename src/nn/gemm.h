@@ -83,7 +83,7 @@ void GemmNN(size_t m, size_t k, size_t n, const float* a, const float* b,
             float* c, const float* row_init = nullptr);
 
 /// C (m×n) = (or +=) A (m×k) · Bᵀ for row-major B (n×k). Each element is
-/// the simd dot8_f32 value of two unit-stride rows: eight fixed
+/// the simd NT tile's dot8 value of two unit-stride rows: eight fixed
 /// interleaved partial sums (lane l takes p ≡ l mod 8) combined in a
 /// fixed tree — deterministic and SIMD-friendly without -ffast-math.
 void GemmNT(size_t m, size_t k, size_t n, const float* a, const float* b,

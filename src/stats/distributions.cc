@@ -1,7 +1,6 @@
 #include "stats/distributions.h"
 
 #include <cmath>
-#include <limits>
 
 #include "common/logging.h"
 
@@ -9,16 +8,6 @@ namespace dpbr {
 namespace stats {
 
 double NormalCdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
-
-double NormalCdf(double x, double mean, double stddev) {
-  DPBR_CHECK_GT(stddev, 0.0);
-  return NormalCdf((x - mean) / stddev);
-}
-
-double NormalPdf(double x) {
-  static const double kInvSqrt2Pi = 0.3989422804014327;
-  return kInvSqrt2Pi * std::exp(-0.5 * x * x);
-}
 
 double NormalQuantile(double p) {
   DPBR_CHECK_GT(p, 0.0);
@@ -57,78 +46,6 @@ double NormalQuantile(double p) {
   double u = e * std::sqrt(2.0 * M_PI) * std::exp(0.5 * x * x);
   x = x - u / (1.0 + 0.5 * x * u);
   return x;
-}
-
-double LogGamma(double x) {
-  // Lanczos approximation, g = 7, n = 9 (Numerical Recipes coefficients).
-  static const double kCoef[] = {
-      0.99999999999980993,  676.5203681218851,    -1259.1392167224028,
-      771.32342877765313,   -176.61502916214059,  12.507343278686905,
-      -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7};
-  DPBR_CHECK_GT(x, 0.0);
-  if (x < 0.5) {
-    // Reflection formula.
-    return std::log(M_PI / std::sin(M_PI * x)) - LogGamma(1.0 - x);
-  }
-  x -= 1.0;
-  double a = kCoef[0];
-  double t = x + 7.5;
-  for (int i = 1; i < 9; ++i) a += kCoef[i] / (x + i);
-  return 0.5 * std::log(2.0 * M_PI) + (x + 0.5) * std::log(t) - t +
-         std::log(a);
-}
-
-namespace {
-
-// Series representation of P(a, x); converges fast for x < a + 1.
-double GammaPSeries(double a, double x) {
-  double ap = a;
-  double sum = 1.0 / a;
-  double del = sum;
-  for (int n = 0; n < 500; ++n) {
-    ap += 1.0;
-    del *= x / ap;
-    sum += del;
-    if (std::fabs(del) < std::fabs(sum) * 1e-15) break;
-  }
-  return sum * std::exp(-x + a * std::log(x) - LogGamma(a));
-}
-
-// Continued-fraction representation of Q(a, x) = 1 - P(a, x); for x >= a+1.
-double GammaQContinuedFraction(double a, double x) {
-  const double kTiny = 1e-300;
-  double b = x + 1.0 - a;
-  double c = 1.0 / kTiny;
-  double d = 1.0 / b;
-  double h = d;
-  for (int i = 1; i <= 500; ++i) {
-    double an = -static_cast<double>(i) * (i - a);
-    b += 2.0;
-    d = an * d + b;
-    if (std::fabs(d) < kTiny) d = kTiny;
-    c = b + an / c;
-    if (std::fabs(c) < kTiny) c = kTiny;
-    d = 1.0 / d;
-    double del = d * c;
-    h *= del;
-    if (std::fabs(del - 1.0) < 1e-15) break;
-  }
-  return std::exp(-x + a * std::log(x) - LogGamma(a)) * h;
-}
-
-}  // namespace
-
-double RegularizedGammaP(double a, double x) {
-  DPBR_CHECK_GT(a, 0.0);
-  if (x <= 0.0) return 0.0;
-  if (x < a + 1.0) return GammaPSeries(a, x);
-  return 1.0 - GammaQContinuedFraction(a, x);
-}
-
-double ChiSquaredCdf(double x, double k) {
-  DPBR_CHECK_GT(k, 0.0);
-  if (x <= 0.0) return 0.0;
-  return RegularizedGammaP(k / 2.0, x / 2.0);
 }
 
 }  // namespace stats

@@ -1,6 +1,6 @@
-// Probability distributions used by the protocol and its tests:
-// the normal CDF/quantile (KS reference distribution, norm-test window)
-// and the chi-squared distribution (norm of a Gaussian vector).
+// The standard normal distribution the protocol uses: its CDF (the KS
+// reference distribution) and quantile (the norm-test window, the ALIE
+// attack's z).
 
 #ifndef DPBR_STATS_DISTRIBUTIONS_H_
 #define DPBR_STATS_DISTRIBUTIONS_H_
@@ -11,26 +11,10 @@ namespace stats {
 /// Standard normal CDF Φ(x).
 double NormalCdf(double x);
 
-/// CDF of N(mean, stddev^2).
-double NormalCdf(double x, double mean, double stddev);
-
 /// Standard normal quantile Φ^{-1}(p), p in (0, 1).
 /// Acklam's rational approximation refined with one Halley step;
 /// |relative error| < 1e-9 over the full domain.
 double NormalQuantile(double p);
-
-/// Standard normal density φ(x).
-double NormalPdf(double x);
-
-/// Regularized lower incomplete gamma P(a, x) = γ(a, x) / Γ(a).
-/// Series expansion for x < a + 1, continued fraction otherwise.
-double RegularizedGammaP(double a, double x);
-
-/// Chi-squared CDF with k degrees of freedom.
-double ChiSquaredCdf(double x, double k);
-
-/// Natural log of the Gamma function (Lanczos approximation).
-double LogGamma(double x);
 
 }  // namespace stats
 }  // namespace dpbr

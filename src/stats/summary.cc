@@ -66,21 +66,5 @@ double Median(std::vector<double> xs) {
   return 0.5 * (hi + xs[mid - 1]);
 }
 
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y) {
-  DPBR_CHECK_EQ(x.size(), y.size());
-  DPBR_CHECK_GE(x.size(), 2u);
-  double mx = Mean(x), my = Mean(y);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    double dx = x[i] - mx, dy = y[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
 }  // namespace stats
 }  // namespace dpbr

@@ -44,10 +44,6 @@ double StdDev(const std::vector<double>& xs);
 /// In-place-free median (copies, nth_element).
 double Median(std::vector<double> xs);
 
-/// Pearson correlation of two equally-sized vectors.
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y);
-
 }  // namespace stats
 }  // namespace dpbr
 

@@ -55,16 +55,5 @@ double Dot(const std::vector<float>& x, const std::vector<float>& y) {
 
 double Norm(const std::vector<float>& x) { return Norm(x.data(), x.size()); }
 
-std::vector<float> MeanOf(const std::vector<std::vector<float>>& vs) {
-  if (vs.empty()) return {};
-  std::vector<float> out(vs[0].size(), 0.0f);
-  for (const auto& v : vs) {
-    DPBR_CHECK_EQ(v.size(), out.size());
-    Axpy(1.0f, v.data(), out.data(), out.size());
-  }
-  Scale(1.0f / static_cast<float>(vs.size()), out.data(), out.size());
-  return out;
-}
-
 }  // namespace ops
 }  // namespace dpbr

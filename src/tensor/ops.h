@@ -43,9 +43,6 @@ std::vector<float> Scaled(const std::vector<float>& x, float alpha);
 double Dot(const std::vector<float>& x, const std::vector<float>& y);
 double Norm(const std::vector<float>& x);
 
-/// Mean of a set of equally-sized vectors; empty input yields empty.
-std::vector<float> MeanOf(const std::vector<std::vector<float>>& vs);
-
 }  // namespace ops
 }  // namespace dpbr
 

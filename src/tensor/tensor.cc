@@ -1,7 +1,6 @@
 #include "tensor/tensor.h"
 
 #include <numeric>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -73,21 +72,6 @@ Result<Tensor> Tensor::Reshape(std::vector<size_t> new_shape) const {
 
 void Tensor::FillGaussian(SplitRng* rng, double stddev) {
   rng->FillGaussian(data_.data(), data_.size(), stddev);
-}
-
-void Tensor::FillUniform(SplitRng* rng, double lo, double hi) {
-  for (auto& x : data_) x = static_cast<float>(rng->Uniform(lo, hi));
-}
-
-std::string Tensor::ShapeString() const {
-  std::ostringstream os;
-  os << "Tensor[";
-  for (size_t i = 0; i < shape_.size(); ++i) {
-    if (i) os << "x";
-    os << shape_[i];
-  }
-  os << "]";
-  return os.str();
 }
 
 }  // namespace dpbr

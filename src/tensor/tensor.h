@@ -9,7 +9,6 @@
 #define DPBR_TENSOR_TENSOR_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -60,12 +59,6 @@ class Tensor {
 
   /// Fills with i.i.d. N(0, stddev²) entries.
   void FillGaussian(SplitRng* rng, double stddev);
-
-  /// Fills uniformly in [lo, hi).
-  void FillUniform(SplitRng* rng, double lo, double hi);
-
-  /// "Tensor[2x3]" style debug string (no values).
-  std::string ShapeString() const;
 
   bool SameShape(const Tensor& other) const { return shape_ == other.shape_; }
 

@@ -18,14 +18,14 @@ Flags ParseArgs(std::vector<std::string> args) {
 
 TEST(FlagsTest, EqualsSyntax) {
   Flags f = ParseArgs({"--eps=0.5", "--name=abc"});
-  EXPECT_DOUBLE_EQ(f.GetDouble("eps", 0), 0.5);
+  EXPECT_DOUBLE_EQ(f.GetDoubleOrStatus("eps", 0).value(), 0.5);
   EXPECT_EQ(f.GetString("name", ""), "abc");
 }
 
 TEST(FlagsTest, SpaceSyntax) {
   Flags f = ParseArgs({"--eps", "0.5", "--count", "7"});
-  EXPECT_DOUBLE_EQ(f.GetDouble("eps", 0), 0.5);
-  EXPECT_EQ(f.GetInt("count", 0), 7);
+  EXPECT_DOUBLE_EQ(f.GetDoubleOrStatus("eps", 0).value(), 0.5);
+  EXPECT_EQ(f.GetIntOrStatus("count", 0).value(), 7);
 }
 
 TEST(FlagsTest, BareFlagIsTrue) {
@@ -43,8 +43,8 @@ TEST(FlagsTest, BoolParsing) {
 
 TEST(FlagsTest, DefaultsWhenAbsent) {
   Flags f = ParseArgs({});
-  EXPECT_EQ(f.GetInt("missing", 9), 9);
-  EXPECT_DOUBLE_EQ(f.GetDouble("missing", 1.5), 1.5);
+  EXPECT_EQ(f.GetIntOrStatus("missing", 9).value(), 9);
+  EXPECT_DOUBLE_EQ(f.GetDoubleOrStatus("missing", 1.5).value(), 1.5);
   EXPECT_EQ(f.GetString("missing", "x"), "x");
   EXPECT_FALSE(f.Has("missing"));
 }
@@ -56,12 +56,7 @@ TEST(FlagsTest, PositionalCollected) {
   EXPECT_EQ(f.positional()[1], "fast");
 }
 
-TEST(FlagsTest, MalformedIntFallsBack) {
-  Flags f = ParseArgs({"--n=abc"});
-  EXPECT_EQ(f.GetInt("n", 3), 3);
-}
-
-TEST(FlagsTest, StrictIntErrors) {
+TEST(FlagsTest, MalformedIntErrors) {
   Flags f = ParseArgs({"--n=abc"});
   auto r = f.GetIntOrStatus("n", 3);
   EXPECT_FALSE(r.ok());
@@ -74,20 +69,22 @@ TEST(FlagsTest, StrictIntErrors) {
 
 TEST(FlagsTest, DoubleList) {
   Flags f = ParseArgs({"--eps=0.125,0.25,2"});
-  std::vector<double> v = f.GetDoubleList("eps", {});
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_DOUBLE_EQ(v[0], 0.125);
-  EXPECT_DOUBLE_EQ(v[2], 2.0);
-  std::vector<double> d = f.GetDoubleList("missing", {1.0});
-  ASSERT_EQ(d.size(), 1u);
+  Result<std::vector<double>> v = f.GetDoubleList("eps", {});
+  ASSERT_TRUE(v.ok());
+  ASSERT_EQ(v.value().size(), 3u);
+  EXPECT_DOUBLE_EQ(v.value()[0], 0.125);
+  EXPECT_DOUBLE_EQ(v.value()[2], 2.0);
+  Result<std::vector<double>> d = f.GetDoubleList("missing", {1.0});
+  ASSERT_TRUE(d.ok());
+  ASSERT_EQ(d.value().size(), 1u);
 }
 
 // Regression: strtod reports overflow/underflow only through
-// errno == ERANGE. The old accessors never checked it, so --eps=1e999
-// sailed through as HUGE_VAL (an "infinite" privacy budget).
+// errno == ERANGE. Unchecked, --eps=1e999 sails through as HUGE_VAL (an
+// "infinite" privacy budget); read as the default, it silently runs at
+// the wrong ε. Either way a malformed flag must be an error.
 TEST(FlagsTest, DoubleOverflowRejected) {
   Flags f = ParseArgs({"--eps=1e999"});
-  EXPECT_DOUBLE_EQ(f.GetDouble("eps", 0.5), 0.5);
   auto r = f.GetDoubleOrStatus("eps", 0.5);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
@@ -97,13 +94,11 @@ TEST(FlagsTest, DoubleOverflowRejected) {
 
 TEST(FlagsTest, DoubleUnderflowRejected) {
   Flags f = ParseArgs({"--eps=1e-999"});
-  EXPECT_DOUBLE_EQ(f.GetDouble("eps", 0.5), 0.5);
   EXPECT_FALSE(f.GetDoubleOrStatus("eps", 0.5).ok());
 }
 
 TEST(FlagsTest, DoubleTrailingGarbageRejected) {
   Flags f = ParseArgs({"--eps=1.5abc"});
-  EXPECT_DOUBLE_EQ(f.GetDouble("eps", 0.5), 0.5);
   auto r = f.GetDoubleOrStatus("eps", 0.5);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
@@ -111,7 +106,6 @@ TEST(FlagsTest, DoubleTrailingGarbageRejected) {
 
 TEST(FlagsTest, DoubleEmptyValueRejected) {
   Flags f = ParseArgs({"--eps="});
-  EXPECT_DOUBLE_EQ(f.GetDouble("eps", 0.5), 0.5);
   EXPECT_FALSE(f.GetDoubleOrStatus("eps", 0.5).ok());
 }
 
@@ -126,16 +120,17 @@ TEST(FlagsTest, StrictDoubleAcceptsValid) {
   EXPECT_DOUBLE_EQ(d.value(), 1.5);
 }
 
-TEST(FlagsTest, DoubleListOutOfRangeFallsBack) {
-  Flags f = ParseArgs({"--eps=1e999,2"});
-  std::vector<double> v = f.GetDoubleList("eps", {0.125});
-  ASSERT_EQ(v.size(), 1u);
-  EXPECT_DOUBLE_EQ(v[0], 0.125);
+TEST(FlagsTest, DoubleListMalformedElementErrors) {
+  for (const char* arg : {"--eps=1e999,2", "--eps=0.5,abc", "--eps=,"}) {
+    Flags f = ParseArgs({arg});
+    Result<std::vector<double>> v = f.GetDoubleList("eps", {0.125});
+    ASSERT_FALSE(v.ok()) << arg;
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << arg;
+  }
 }
 
 TEST(FlagsTest, IntOverflowRejected) {
   Flags f = ParseArgs({"--n=99999999999999999999"});
-  EXPECT_EQ(f.GetInt("n", 3), 3);
   auto r = f.GetIntOrStatus("n", 3);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);

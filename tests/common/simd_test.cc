@@ -159,7 +159,6 @@ TEST(SimdDispatchTest, TablesAreConsistent) {
     }
     EXPECT_EQ(k->isa, level) << simd::IsaName(level);
     EXPECT_NE(k->axpy_f32, nullptr);
-    EXPECT_NE(k->dot8_f32, nullptr);
     EXPECT_NE(k->gemm_nn_tile_f32, nullptr);
     EXPECT_NE(k->gemm_nt_tile_f32, nullptr);
     EXPECT_NE(k->all_finite_f32, nullptr);
@@ -243,18 +242,6 @@ TEST(SimdKernelTest, ScaleAndAddScalarBitwise) {
 // definition, so SIMD-vs-scalar equality is exact (bitwise), on finite
 // edge-case payloads included.
 
-TEST(SimdKernelTest, Dot8Bitwise) {
-  ForEachIsa([](const SimdKernels& ref, const SimdKernels& k) {
-    for (size_t n : kSizes) {
-      std::vector<float> a = FiniteEdgeVec(n, 600 + n);
-      std::vector<float> b = RandomVec(n, 700 + n);
-      float want = ref.dot8_f32(a.data(), b.data(), n);
-      float got = k.dot8_f32(a.data(), b.data(), n);
-      ASSERT_EQ(Bits(want), Bits(got)) << "n=" << n;
-    }
-  });
-}
-
 TEST(SimdKernelTest, DistSq8Bitwise) {
   ForEachIsa([](const SimdKernels& ref, const SimdKernels& k) {
     for (size_t n : kSizes) {
@@ -290,8 +277,11 @@ TEST(SimdKernelTest, ChainedFoldMatchesSequentialToTolerance) {
       seq_dot += static_cast<double>(a[i]) * static_cast<double>(b[i]);
       seq_sum += static_cast<double>(a[i]);
     }
-    EXPECT_NEAR(k.dot8_f32(a.data(), b.data(), n), seq_dot,
-                1e-3 * (1.0 + std::abs(seq_dot)));
+    // The NT tile's fold, as a 1×1 tile.
+    float dot = 0.0f;
+    k.gemm_nt_tile_f32(1, 1, n, a.data(), n, b.data(), n,
+                       /*accumulate=*/false, &dot, 1);
+    EXPECT_NEAR(dot, seq_dot, 1e-3 * (1.0 + std::abs(seq_dot)));
     EXPECT_NEAR(k.sum8_f64(a.data(), n), seq_sum,
                 1e-9 * (1.0 + std::abs(seq_sum)));
   }

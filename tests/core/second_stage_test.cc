@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 namespace dpbr {
@@ -86,14 +87,38 @@ TEST(SecondStageTest, GammaControlsSelectionSize) {
   }
 }
 
-TEST(SecondStageTest, WorkerCountChangeIsAnError) {
-  SecondStageAggregator s;
-  ASSERT_TRUE(s.SelectWorkers(ScalarUploads({1, 2}), {1.0f}, 0.5).ok());
-  auto bad = s.SelectWorkers(ScalarUploads({1, 2, 3}), {1.0f}, 0.5);
-  EXPECT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kFailedPrecondition);
-  s.Reset();
-  EXPECT_TRUE(s.SelectWorkers(ScalarUploads({1, 2, 3}), {1.0f}, 0.5).ok());
+TEST(SecondStageTest, NullIdsAreThePositions) {
+  // A null id list and an explicit 0..n-1 list take the same path: same
+  // selections, S and round scores every round, across a snapshot /
+  // Reset / RestoreScores and a round with more workers (S grows).
+  const std::vector<std::vector<float>> rounds = {
+      {5, 5, 1, -3}, {4, 6, 2, -1}, {3, 3, 9, 0}, {1, 7, 2, 8, -4, 6}};
+  SecondStageAggregator positional;
+  SecondStageAggregator keyed;
+  for (size_t r = 0; r < rounds.size(); ++r) {
+    if (r == 2) {
+      std::vector<double> a = positional.cumulative_scores();
+      std::vector<double> b = keyed.cumulative_scores();
+      positional.Reset();
+      keyed.Reset();
+      positional.RestoreScores(a);
+      keyed.RestoreScores(b);
+    }
+    std::vector<int> iota(rounds[r].size());
+    std::iota(iota.begin(), iota.end(), 0);
+    auto from_null =
+        positional.SelectWorkers(ScalarUploads(rounds[r]), {1.0f}, 0.5);
+    auto from_ids =
+        keyed.SelectWorkers(ScalarUploads(rounds[r]), {1.0f}, 0.5, &iota);
+    ASSERT_TRUE(from_null.ok()) << "round " << r;
+    ASSERT_TRUE(from_ids.ok()) << "round " << r;
+    EXPECT_EQ(from_null.value(), from_ids.value()) << "round " << r;
+    EXPECT_EQ(positional.cumulative_scores(), keyed.cumulative_scores())
+        << "round " << r;
+    EXPECT_EQ(positional.last_round_scores(), keyed.last_round_scores())
+        << "round " << r;
+  }
+  EXPECT_EQ(positional.cumulative_scores().size(), 6u);
 }
 
 TEST(SecondStageTest, InputValidation) {

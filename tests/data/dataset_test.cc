@@ -67,15 +67,6 @@ TEST(DatasetViewTest, FlipDoesNotTouchFeatures) {
   EXPECT_FLOAT_EQ(v.FeaturesAt(0)[0], 1.0f);
 }
 
-TEST(DatasetViewTest, LabelHistogram) {
-  Dataset d = TinyDataset();
-  DatasetView v = DatasetView::All(&d);
-  std::vector<size_t> h = v.LabelHistogram();
-  EXPECT_EQ(h, (std::vector<size_t>{1, 2, 1}));
-  std::vector<size_t> hf = v.WithFlippedLabels().LabelHistogram();
-  EXPECT_EQ(hf, (std::vector<size_t>{1, 2, 1}));  // symmetric flip here
-}
-
 }  // namespace
 }  // namespace data
 }  // namespace dpbr

@@ -1,7 +1,8 @@
 // Contract tests for the GEMM-backed compute layer:
-//  * the im2col+GEMM Conv2d agrees with the naive reference kernel to
-//    1e-4 relative tolerance (forward, input grads, parameter grads), and
-//    Linear with a double-accumulated triple loop to 1e-5,
+//  * the im2col+GEMM Conv2d agrees with the direct loop nest of
+//    conv2d_reference.h to 1e-4 relative tolerance (forward, input
+//    grads, parameter grads), and Linear with a double-accumulated
+//    triple loop to 1e-5,
 //  * GEMM results are bit-identical under thread pools of size 1, 2 and
 //    hardware concurrency (the determinism contract),
 //  * per-example separation: row j of a batch-N pass — output, input
@@ -28,6 +29,7 @@
 #include "common/thread_pool.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
+#include "nn/conv2d_reference.h"
 #include "nn/gemm.h"
 #include "nn/group_norm.h"
 #include "nn/linear.h"
@@ -140,28 +142,21 @@ void CheckRowsMatchBatchOfOne(Layer* layer,
   }
 }
 
-// Builds a pair of identically-initialized Conv2d layers, one per kernel.
-struct ConvPair {
-  std::unique_ptr<Conv2d> gemm;
-  std::unique_ptr<Conv2d> naive;
-};
-
-ConvPair MakePair(size_t in_ch, size_t out_ch, size_t k, size_t pad,
-                  uint64_t seed) {
-  ConvPair p;
-  p.gemm = std::make_unique<Conv2d>(in_ch, out_ch, k, pad,
-                                    Conv2dKernel::kGemm);
-  p.naive = std::make_unique<Conv2d>(in_ch, out_ch, k, pad,
-                                     Conv2dKernel::kNaive);
-  SplitRng rng_a(seed), rng_b(seed);
-  p.gemm->InitParams(&rng_a);
-  p.naive->InitParams(&rng_b);
-  return p;
-}
-
 struct ConvCase {
   size_t in_ch, out_ch, k, pad, h, w;
 };
+
+ConvGeometry Geometry(const ConvCase& c) {
+  return {c.in_ch, c.out_ch, c.k, c.pad};
+}
+
+// A Conv2d for case `c`, initialized from `seed`.
+std::unique_ptr<Conv2d> MakeConv(const ConvCase& c, uint64_t seed) {
+  auto conv = std::make_unique<Conv2d>(c.in_ch, c.out_ch, c.k, c.pad);
+  SplitRng rng(seed);
+  conv->InitParams(&rng);
+  return conv;
+}
 
 // CIFAR-like (the acceptance shape), deeper same-padded, edge cases
 // where the padded kernel overhangs most of the input, and the paper
@@ -181,21 +176,26 @@ const ConvCase kCases[] = {
 TEST(KernelEquivalenceTest, ConvForwardBatchMatchesNaiveBatch) {
   for (size_t batch : {size_t{1}, size_t{3}, size_t{7}}) {
     for (const ConvCase& c : kCases) {
-      ConvPair p = MakePair(c.in_ch, c.out_ch, c.k, c.pad, 61);
+      std::unique_ptr<Conv2d> conv = MakeConv(c, 61);
       Tensor xb = RandomTensor({batch, c.in_ch, c.h, c.w}, 67 + batch);
-      ExpectNear(p.gemm->ForwardBatch(xb), p.naive->ForwardBatch(xb), 1e-4);
+      ExpectNear(conv->ForwardBatch(xb),
+                 ReferenceConv2dForward(conv->Params(), Geometry(c), xb),
+                 1e-4);
     }
   }
 }
 
 TEST(KernelEquivalenceTest, ConvBackwardBatchMatchesNaiveBatch) {
   for (const ConvCase& c : kCases) {
-    ConvPair p = MakePair(c.in_ch, c.out_ch, c.k, c.pad, 13);
+    std::unique_ptr<Conv2d> conv = MakeConv(c, 13);
     Tensor xb = RandomTensor({3, c.in_ch, c.h, c.w}, 23);
-    Pass g = RunPass(p.gemm.get(), xb, 31);
-    Pass n = RunPass(p.naive.get(), xb, 31);
-    ExpectNear(g.dx, n.dx, 1e-4);
-    ExpectNear(g.sink, n.sink, 1e-4);
+    Pass g = RunPass(conv.get(), xb, 31);
+    size_t dim = conv->NumParams();
+    std::vector<float> sink(3 * dim, 0.0f);
+    Tensor dx = ReferenceConv2dBackward(conv->Params(), Geometry(c), xb, g.gy,
+                                        {sink.data(), dim, 0});
+    ExpectNear(g.dx, dx, 1e-4);
+    ExpectNear(g.sink, sink, 1e-4);
   }
 }
 
@@ -210,9 +210,9 @@ TEST(KernelEquivalenceTest, ConvBatchPoolInvariant) {
       for (size_t threads : {size_t{1}, size_t{2}, hw}) {
         ThreadPool pool(threads);
         ScopedPoolOverride override_pool(&pool);
-        ConvPair p = MakePair(c.in_ch, c.out_ch, c.k, c.pad, 229);
+        std::unique_ptr<Conv2d> conv = MakeConv(c, 229);
         Tensor xb = RandomTensor({batch, c.in_ch, c.h, c.w}, 233);
-        runs.push_back(RunPass(p.gemm.get(), xb, 239));
+        runs.push_back(RunPass(conv.get(), xb, 239));
       }
       for (size_t i = 1; i < runs.size(); ++i) {
         for (size_t j = 0; j < runs[0].y.size(); ++j) {
@@ -234,12 +234,8 @@ TEST(KernelEquivalenceTest, ConvBatchPoolInvariant) {
 
 TEST(KernelEquivalenceTest, ConvRowsMatchBatchOfOneBitwise) {
   for (const ConvCase& c : kCases) {
-    for (Conv2dKernel kernel : {Conv2dKernel::kGemm, Conv2dKernel::kNaive}) {
-      Conv2d conv(c.in_ch, c.out_ch, c.k, c.pad, kernel);
-      SplitRng rng(193);
-      conv.InitParams(&rng);
-      CheckRowsMatchBatchOfOne(&conv, {c.in_ch, c.h, c.w}, 197);
-    }
+    std::unique_ptr<Conv2d> conv = MakeConv(c, 193);
+    CheckRowsMatchBatchOfOne(conv.get(), {c.in_ch, c.h, c.w}, 197);
   }
 }
 
@@ -509,7 +505,7 @@ TEST(KernelEquivalenceTest, RaggedConvBitwiseAcrossSimdTiersAndPools) {
   auto run = [&](size_t threads) {
     ThreadPool pool(threads);
     ScopedPoolOverride override_pool(&pool);
-    Conv2d conv(c.in_ch, c.out_ch, c.k, c.pad, Conv2dKernel::kGemm);
+    Conv2d conv(c.in_ch, c.out_ch, c.k, c.pad);
     SplitRng rng(241);
     conv.InitParams(&rng);
     Tensor xb = RandomTensor({3, c.in_ch, c.h, c.w}, 251);

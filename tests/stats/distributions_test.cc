@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace dpbr {
 namespace stats {
 namespace {
@@ -14,17 +12,6 @@ TEST(NormalCdfTest, KnownValues) {
   EXPECT_NEAR(NormalCdf(-1.0), 0.15865525393145707, 1e-10);
   EXPECT_NEAR(NormalCdf(1.959963984540054), 0.975, 1e-9);
   EXPECT_NEAR(NormalCdf(3.0), 0.9986501019683699, 1e-10);
-}
-
-TEST(NormalCdfTest, ScaledDistribution) {
-  // N(2, 3²): P(X <= 2) = 0.5, P(X <= 5) = Φ(1).
-  EXPECT_NEAR(NormalCdf(2.0, 2.0, 3.0), 0.5, 1e-12);
-  EXPECT_NEAR(NormalCdf(5.0, 2.0, 3.0), NormalCdf(1.0), 1e-12);
-}
-
-TEST(NormalPdfTest, KnownValues) {
-  EXPECT_NEAR(NormalPdf(0.0), 0.3989422804014327, 1e-12);
-  EXPECT_NEAR(NormalPdf(1.0), 0.24197072451914337, 1e-12);
 }
 
 class QuantileRoundTripTest : public ::testing::TestWithParam<double> {};
@@ -42,51 +29,6 @@ TEST(NormalQuantileTest, KnownValues) {
   EXPECT_NEAR(NormalQuantile(0.5), 0.0, 1e-9);
   EXPECT_NEAR(NormalQuantile(0.975), 1.959963984540054, 1e-8);
   EXPECT_NEAR(NormalQuantile(0.05), -1.6448536269514722, 1e-8);
-}
-
-TEST(LogGammaTest, MatchesFactorials) {
-  // Γ(n) = (n-1)!
-  EXPECT_NEAR(LogGamma(1.0), 0.0, 1e-12);
-  EXPECT_NEAR(LogGamma(2.0), 0.0, 1e-12);
-  EXPECT_NEAR(LogGamma(5.0), std::log(24.0), 1e-10);
-  EXPECT_NEAR(LogGamma(11.0), std::log(3628800.0), 1e-9);
-}
-
-TEST(LogGammaTest, HalfIntegerValue) {
-  // Γ(1/2) = √π.
-  EXPECT_NEAR(LogGamma(0.5), 0.5 * std::log(M_PI), 1e-10);
-}
-
-TEST(RegularizedGammaTest, BoundaryBehaviour) {
-  EXPECT_DOUBLE_EQ(RegularizedGammaP(2.0, 0.0), 0.0);
-  EXPECT_NEAR(RegularizedGammaP(1.0, 700.0), 1.0, 1e-12);
-}
-
-TEST(RegularizedGammaTest, ExponentialSpecialCase) {
-  // P(1, x) = 1 - e^{-x}.
-  for (double x : {0.1, 0.5, 1.0, 3.0, 10.0}) {
-    EXPECT_NEAR(RegularizedGammaP(1.0, x), 1.0 - std::exp(-x), 1e-10);
-  }
-}
-
-TEST(ChiSquaredTest, KnownValues) {
-  // χ²_1: CDF(x) = 2Φ(√x) - 1.
-  for (double x : {0.5, 1.0, 3.84}) {
-    EXPECT_NEAR(ChiSquaredCdf(x, 1.0), 2.0 * NormalCdf(std::sqrt(x)) - 1.0,
-                1e-9);
-  }
-  // χ²_2 is Exp(1/2): CDF(x) = 1 - e^{-x/2}.
-  EXPECT_NEAR(ChiSquaredCdf(2.0, 2.0), 1.0 - std::exp(-1.0), 1e-10);
-  // Classic 95% critical value for k=10 is 18.307.
-  EXPECT_NEAR(ChiSquaredCdf(18.307, 10.0), 0.95, 1e-4);
-}
-
-TEST(ChiSquaredTest, LargeDofGaussianApproximation) {
-  // For large k, χ²_k ≈ N(k, 2k); CDF at the mean ≈ 0.5 (slightly above:
-  // right-skew puts the median below the mean).
-  double c = ChiSquaredCdf(1000.0, 1000.0);
-  EXPECT_NEAR(c, 0.5, 0.02);
-  EXPECT_GT(c, 0.5);
 }
 
 }  // namespace

@@ -53,20 +53,6 @@ TEST(MedianTest, OddAndEven) {
   EXPECT_DOUBLE_EQ(Median({5.0}), 5.0);
 }
 
-TEST(PearsonTest, PerfectCorrelations) {
-  std::vector<double> x = {1, 2, 3, 4};
-  std::vector<double> y = {2, 4, 6, 8};
-  EXPECT_NEAR(PearsonCorrelation(x, y), 1.0, 1e-12);
-  std::vector<double> z = {8, 6, 4, 2};
-  EXPECT_NEAR(PearsonCorrelation(x, z), -1.0, 1e-12);
-}
-
-TEST(PearsonTest, ConstantVectorIsZero) {
-  std::vector<double> x = {1, 2, 3};
-  std::vector<double> c = {5, 5, 5};
-  EXPECT_DOUBLE_EQ(PearsonCorrelation(x, c), 0.0);
-}
-
 }  // namespace
 }  // namespace stats
 }  // namespace dpbr

@@ -57,12 +57,6 @@ TEST(OpsTest, VectorHelpers) {
   EXPECT_DOUBLE_EQ(Norm(y), std::sqrt(34.0));
 }
 
-TEST(OpsTest, MeanOf) {
-  std::vector<std::vector<float>> vs = {{1, 2}, {3, 4}, {5, 6}};
-  EXPECT_EQ(MeanOf(vs), (std::vector<float>{3, 4}));
-  EXPECT_TRUE(MeanOf({}).empty());
-}
-
 }  // namespace
 }  // namespace ops
 }  // namespace dpbr

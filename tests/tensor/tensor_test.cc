@@ -65,18 +65,6 @@ TEST(TensorTest, RandomFills) {
   double s2 = 0.0;
   for (size_t i = 0; i < g.size(); ++i) s2 += static_cast<double>(g[i]) * g[i];
   EXPECT_NEAR(std::sqrt(s2 / g.size()), 2.0, 0.1);
-
-  Tensor u({1000});
-  u.FillUniform(&rng, -1.0, 1.0);
-  for (size_t i = 0; i < u.size(); ++i) {
-    EXPECT_GE(u[i], -1.0f);
-    EXPECT_LT(u[i], 1.0f);
-  }
-}
-
-TEST(TensorTest, ShapeString) {
-  EXPECT_EQ(Tensor({2, 3, 4}).ShapeString(), "Tensor[2x3x4]");
-  EXPECT_EQ(Tensor({5}).ShapeString(), "Tensor[5]");
 }
 
 TEST(TensorTest, SameShape) {
