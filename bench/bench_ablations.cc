@@ -1,7 +1,8 @@
-// Design-choice ablations called out in DESIGN.md:
+// Design-choice ablations:
 //   1. first stage alone vs second stage alone vs both (paper §4.7);
 //   2. Algorithm 1 line 11 momentum handling: literal reset-to-upload vs
-//      persistent per-slot momentum (substitution note in DESIGN.md);
+//      persistent per-slot momentum (the default; see
+//      fl::WorkerOptions::momentum_reset);
 //   3. update scaling: paper's 1/n vs the 1/|G_s| reparameterization.
 
 #include <iostream>
@@ -14,8 +15,7 @@ using namespace dpbr;
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   benchutil::Scale scale = benchutil::GetScale(flags);
-  benchutil::PrintBanner("bench_ablations",
-                         "design-choice ablations (DESIGN.md §5)", scale);
+  benchutil::PrintBanner("bench_ablations", "design-choice ablations", scale);
 
   const std::string dataset = "synth_mnist";
   const int honest = benchutil::DefaultHonest(dataset);

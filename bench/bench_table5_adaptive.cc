@@ -13,7 +13,13 @@ using namespace dpbr;
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   benchutil::Scale scale = benchutil::GetScale(flags);
-  bool all_attacks = flags.GetBool("all-attacks", !scale.quick);
+  Result<bool> all_attacks_flag =
+      flags.GetBoolOrStatus("all-attacks", !scale.quick);
+  if (!all_attacks_flag.ok()) {
+    std::cerr << all_attacks_flag.status().ToString() << "\n";
+    return 1;
+  }
+  const bool all_attacks = all_attacks_flag.value();
   benchutil::PrintBanner("bench_table5_adaptive",
                          "Table 5 / Figures 33-38 (TTBB sweep, 60% byz)",
                          scale);

@@ -1,7 +1,8 @@
 // Strict flag reads for the example binaries. A flag that is present but
-// malformed (not a number, trailing garbage, out of range, or an int
-// flag outside int range) prints the error and exits with status 1:
-// `--eps=0.1x` must never run at the default ε.
+// malformed (not a number, trailing garbage, out of range, an int flag
+// outside int range, or a bool flag that is not true/false, 1/0, yes/no
+// or on/off) prints the error and exits with status 1: `--eps=0.1x` must
+// never run at the default ε.
 
 #ifndef DPBR_EXAMPLES_STRICT_FLAGS_H_
 #define DPBR_EXAMPLES_STRICT_FLAGS_H_
@@ -38,6 +39,11 @@ inline double DoubleFlag(const Flags& flags, const std::string& name,
 inline int64_t Int64Flag(const Flags& flags, const std::string& name,
                          int64_t default_value) {
   return ValueOrExit(flags.GetIntOrStatus(name, default_value));
+}
+
+inline bool BoolFlag(const Flags& flags, const std::string& name,
+                     bool default_value) {
+  return ValueOrExit(flags.GetBoolOrStatus(name, default_value));
 }
 
 inline int IntFlag(const Flags& flags, const std::string& name,

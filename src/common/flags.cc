@@ -87,12 +87,18 @@ std::string Flags::GetString(const std::string& name,
 }
 
 bool Flags::GetBool(const std::string& name, bool default_value) const {
+  Result<bool> v = GetBoolOrStatus(name, default_value);
+  return v.ok() ? v.value() : default_value;
+}
+
+Result<bool> Flags::GetBoolOrStatus(const std::string& name,
+                                    bool default_value) const {
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   const std::string& s = it->second;
   if (s == "true" || s == "1" || s == "yes" || s == "on") return true;
   if (s == "false" || s == "0" || s == "no" || s == "off") return false;
-  return default_value;
+  return Status::InvalidArgument("flag --" + name + " is not a bool: " + s);
 }
 
 Result<int64_t> Flags::GetIntOrStatus(const std::string& name,

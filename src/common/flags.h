@@ -27,7 +27,15 @@ class Flags {
   /// Accessors with defaults: an absent flag reads as `default_value`.
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
+  /// Lenient: a present value outside true/false, 1/0, yes/no, on/off
+  /// also reads as `default_value`. Prefer GetBoolOrStatus.
   bool GetBool(const std::string& name, bool default_value) const;
+
+  /// Strict bool: true/1/yes/on or false/0/no/off (a bare --name is
+  /// true). Any other present value, such as `--smoke=ture`, is an error
+  /// naming the flag, never the default.
+  [[nodiscard]] Result<bool> GetBoolOrStatus(const std::string& name,
+                               bool default_value) const;
 
   /// Numeric accessors. A present flag that does not parse is an error,
   /// never the default: empty values, trailing garbage and out-of-range

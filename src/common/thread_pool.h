@@ -1,21 +1,42 @@
 // Fixed-size thread pool and a blocking, dynamically-claimed ParallelFor.
 //
 // A pool runs one dispatch at a time: ParallelFor publishes a borrowed
-// body and an index range, and the woken workers claim indices from an
-// atomic counter, one index per claim, until the range is exhausted.
-// Long ranges of cheap work go through ParallelForBlocked, so each
-// claim is a whole block. The claim order — which thread runs which
-// index, and when — is free; every caller writes per-index outputs (or
-// per-block ones under ParallelForBlocked, whose block boundaries
-// depend on the shape only) and folds them in a fixed order after the
-// dispatch, so results are bitwise identical under any pool size and
-// any schedule. All randomness inside a body must come from per-index
-// SplitRng streams for the same reason.
+// body and an index range, and the dispatching thread and the pool's
+// workers claim indices from an atomic counter, one index per claim,
+// until the range is exhausted. Long ranges of cheap work go through
+// ParallelForBlocked, so each claim is a whole block. The claim order —
+// which thread runs which index, and when — is free; every caller
+// writes per-index outputs (or per-block ones under ParallelForBlocked,
+// whose block boundaries depend on the shape only) and folds them in a
+// fixed order after the dispatch, so results are bitwise identical
+// under any pool size and any schedule. All randomness inside a body
+// must come from per-index SplitRng streams for the same reason.
 //
 // Dynamic claiming lets one dispatch mix items of very different cost —
-// the federated round runs each cohort member's local step and each
-// auxiliary example's server-gradient row in one ParallelFor, and the
-// cheap rows fill the threads the local steps leave idle.
+// the federated round runs every example of every cohort member's local
+// step and each auxiliary example's server-gradient row in one
+// ParallelFor, and no thread waits on another's long item.
+//
+// Threads. ThreadPool(n) runs a dispatch on n threads: the caller plus
+// n − 1 spawned workers, so a pool sized to the hardware never puts
+// more runnable threads than cores on a dispatch. The caller claims
+// indices like a worker; a body it runs sees this pool's last slot, and
+// a ParallelFor issued from that body (or from a worker's) runs inline.
+//
+// Spin, then sleep. An idle worker polls the pool's dispatch generation,
+// yielding its core between polls, for kSpinBeforeSleep (1 ms) before
+// it blocks on the condition variable, and a caller whose claims are done
+// polls for the workers still running an item the same way. The
+// round's serial gaps between dispatches are shorter than that, so
+// inside a round no thread pays a wake-up. A
+// dispatch completes when its items are done: once every index is
+// claimed the caller revokes the tickets no worker took, so a worker
+// that wakes late neither delays the dispatch nor runs its body.
+//
+// Slots. ThisThreadSlot() is a worker's index in [0, n − 1) and n − 1
+// for every thread outside the pool, which is the slot a caller's
+// bodies run on. ThreadSlotCount() is n: exactly the threads that can
+// run a body of one dispatch, which hold distinct slots while they do.
 
 #ifndef DPBR_COMMON_THREAD_POOL_H_
 #define DPBR_COMMON_THREAD_POOL_H_
@@ -32,19 +53,22 @@
 
 namespace dpbr {
 
-/// A fixed set of worker threads serving one ParallelFor dispatch at a
-/// time. Concurrent dispatches from threads outside the pool are
-/// serialized at entry; dispatches from inside a pool worker run inline.
+/// A caller plus a fixed set of worker threads serving one ParallelFor
+/// dispatch at a time. Concurrent dispatches from threads outside the
+/// pool are serialized at entry; dispatches from inside a body run
+/// inline.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (>= 1).
+  /// A pool of `num_threads` (>= 1) threads per dispatch: the caller
+  /// and num_threads − 1 spawned workers.
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t num_threads() const { return threads_.size(); }
+  /// Threads that run a dispatch, the caller included.
+  size_t num_threads() const { return num_threads_; }
 
   /// Process-wide pool sized to the hardware concurrency (lazily created).
   static ThreadPool& Global();
@@ -57,37 +81,45 @@ class ThreadPool {
   friend void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
                           FunctionRef<void(size_t)> body);
 
-  /// Runs body(i) for every i in [begin, end) on `workers` pool threads
-  /// and returns when all of them are done.
-  void Dispatch(size_t begin, size_t end, size_t workers,
+  /// Runs body(i) for every i in [begin, end) on the caller and up to
+  /// `helpers` workers, and returns when every index is done.
+  void Dispatch(size_t begin, size_t end, size_t helpers,
                 FunctionRef<void(size_t)> body);
   void WorkerLoop(size_t slot);
+  /// Claims and runs indices of the dispatch in flight until none is left.
+  void RunClaims(FunctionRef<void(size_t)> body, size_t end);
 
+  size_t num_threads_;
   std::vector<std::thread> threads_;
   // Serializes dispatches from outside the pool: one range in flight.
   std::mutex dispatch_mu_;
 
-  // The dispatch in flight. body_ and end_ are written under mu_ before
-  // tickets_ is raised, and read by a worker after it takes a ticket
-  // under mu_; next_ is the claim counter, advanced one index per claim.
+  // The dispatch in flight. body_, end_ and tickets_ are written under
+  // mu_, and generation_ is raised with them (and at shutdown), so a
+  // polling worker sees a new dispatch without the lock. A worker reads
+  // body_ and end_ only after it takes a ticket under mu_; the caller
+  // revokes the tickets left once every index is claimed and then waits
+  // for running_ — the ticket holders still inside the claim loop — to
+  // drain. next_ is the claim counter, advanced one index per claim.
   std::mutex mu_;
-  std::condition_variable cv_work_;  // tickets available, or stop
-  std::condition_variable cv_done_;  // the last ticket holder finished
+  std::condition_variable cv_work_;  // a new generation
+  std::condition_variable cv_done_;  // running_ reached zero
+  std::atomic<uint64_t> generation_{0};
   FunctionRef<void(size_t)> body_;
   size_t end_ = 0;
   std::atomic<size_t> next_{0};
-  size_t tickets_ = 0;      // workers still to join the dispatch
-  size_t outstanding_ = 0;  // workers that have not finished it yet
+  size_t tickets_ = 0;
+  std::atomic<size_t> running_{0};
   bool stop_ = false;
 };
 
 /// Runs body(i) for i in [begin, end) across the ambient pool and blocks
-/// until all iterations complete. Pool workers claim indices dynamically,
-/// in no fixed order. Runs inline, in index order, for single-iteration
-/// ranges, one-thread pools, and when called from inside a pool worker
-/// (a nested dispatch would otherwise wait on occupied workers). Results
-/// must not depend on the claim order: per-index work only, with any
-/// reduction done by the caller in fixed order.
+/// until all iterations complete. The caller and the pool workers claim
+/// indices dynamically, in no fixed order. Runs inline, in index order,
+/// for single-iteration ranges, one-thread pools, and when called from
+/// inside a body (a nested dispatch would otherwise wait on occupied
+/// threads). Results must not depend on the claim order: per-index work
+/// only, with any reduction done by the caller in fixed order.
 void ParallelFor(size_t begin, size_t end, FunctionRef<void(size_t)> body);
 
 /// Same as ParallelFor but on an explicit pool.
@@ -119,13 +151,14 @@ class ScopedPoolOverride {
 void ParallelForBlocked(size_t total, size_t block_size,
                         FunctionRef<void(size_t, size_t)> body);
 
-/// The calling thread's slot: its worker index in [0, num_threads) when
-/// it is a pool worker, else ThreadPool::Ambient().num_threads() (the
-/// one slot shared by threads outside the pool, which run dispatches
-/// inline or wait on them). Stable for a thread's lifetime, and distinct
-/// across the bodies of one dispatch running at the same time, so
-/// callers can keep per-slot scratch (warm models, buffers) that bodies
-/// use without locking; size such scratch to ThreadSlotCount().
+/// The calling thread's slot: its worker index in [0, n − 1) when it is
+/// a worker of a pool of n threads; inside a body the caller runs, that
+/// pool's last slot n − 1; else ThreadPool::Ambient().num_threads() − 1
+/// (the one slot shared by threads outside the pool, which is the slot
+/// their dispatches' bodies run on). Distinct across the bodies of one
+/// dispatch running at the same time, so callers can keep per-slot
+/// scratch (warm models, buffers) that bodies use without locking; size
+/// such scratch to ThreadSlotCount().
 size_t ThisThreadSlot();
 
 /// Slots a dispatch issued from the calling thread can touch: per-slot
@@ -136,7 +169,7 @@ size_t ThreadSlotCount();
 
 /// Number of ParallelFor invocations so far that actually fanned out to
 /// pool workers (inline runs — single-iteration ranges, one-thread
-/// pools, nested calls from inside a worker — do not count). Pure
+/// pools, nested calls from inside a body — do not count). Pure
 /// observability: tests diff this counter around a call to prove
 /// dispatch contracts such as "an nn forward or backward pass issues
 /// none". Monotonic, process-wide, atomic (safe under TSan).

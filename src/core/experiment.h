@@ -1,5 +1,6 @@
-// High-level experiment driver: every bench target in DESIGN.md's
-// per-experiment index is a thin loop over RunExperiment configurations.
+// High-level experiment driver: every paper-reproduction bench target
+// (docs/benchmarks.md, "The binaries") is a thin loop over
+// RunExperiment configurations.
 
 #ifndef DPBR_CORE_EXPERIMENT_H_
 #define DPBR_CORE_EXPERIMENT_H_

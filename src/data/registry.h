@@ -7,7 +7,7 @@
 //   synth_kmnist      ← KMNIST     (distinct data space; OOD auxiliary
 //                                   data for supp. Table 17)
 //
-// Relative sizes and difficulty ordering follow the paper; see DESIGN.md.
+// Relative sizes and difficulty ordering follow the paper.
 
 #ifndef DPBR_DATA_REGISTRY_H_
 #define DPBR_DATA_REGISTRY_H_

@@ -1,6 +1,6 @@
 // Synthetic classification data standing in for the paper's MNIST /
 // Fashion / USPS / Colorectal / KMNIST benchmarks (raw image files are
-// unavailable offline; see DESIGN.md "Substitutions").
+// unavailable offline).
 //
 // Two generator families:
 //  * Gaussian-mixture vectors: class means on a sphere + isotropic noise,

@@ -1,6 +1,5 @@
 #include "fl/compute_slots.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
@@ -42,13 +41,12 @@ ComputeSlots::ComputeSlots(nn::ModelFactory factory)
   Prepare();
 }
 
-void ComputeSlots::Prepare(size_t grad_rows) {
-  grad_rows_ = std::max(grad_rows_, grad_rows);
+void ComputeSlots::Prepare() {
   while (slots_.size() < ThreadSlotCount()) {
-    slots_.push_back(Slot{factory_(), {}});
+    std::unique_ptr<nn::Sequential> model = factory_();
+    dim_ = model->NumParams();
+    slots_.push_back(Slot{std::move(model), std::vector<float>(dim_)});
   }
-  dim_ = slots_[0].model->NumParams();
-  for (Slot& s : slots_) s.grads.resize(grad_rows_ * dim_);
 }
 
 std::vector<float> ComputeSlots::InitParams(SplitRng* rng) {

@@ -1,5 +1,5 @@
 // Per-thread-slot compute shared by a run's workers and its server:
-// one factory-built model plus a per-example gradient block for each
+// one factory-built model plus one flat gradient row for each
 // ThisThreadSlot(). Across rounds a worker keeps only its momentum and
 // randomness (Algorithm 1) and the server only w; models are scratch.
 // The bodies of one dispatch run on distinct slots, so local steps, aux
@@ -28,9 +28,9 @@ class ComputeSlots {
  public:
   struct Slot {
     std::unique_ptr<nn::Sequential> model;
-    /// Gradient rows × dim floats; a local step writes example j's flat
-    /// gradient to row j.
-    std::vector<float> grads;
+    /// dim floats: a local step's example pass writes its flat gradient
+    /// here.
+    std::vector<float> grad;
 
     /// Logits of view examples idx[0..n): one batched forward pass.
     Tensor Forward(const data::DatasetView& view, const size_t* idx,
@@ -48,9 +48,9 @@ class ComputeSlots {
   size_t dim() const { return dim_; }
 
   /// Builds a slot for every ThisThreadSlot() a dispatch from the calling
-  /// thread can touch, each with at least `grad_rows` gradient rows. Only
-  /// what is missing is built. Call it outside any dispatch.
-  void Prepare(size_t grad_rows = 0);
+  /// thread can touch. Only what is missing is built. Call it outside
+  /// any dispatch.
+  void Prepare();
 
   /// Runs InitParams(rng) on the calling thread's slot model and returns
   /// its flat parameters.
@@ -64,7 +64,6 @@ class ComputeSlots {
 
   nn::ModelFactory factory_;
   size_t dim_ = 0;
-  size_t grad_rows_ = 0;
   std::vector<Slot> slots_;
 };
 

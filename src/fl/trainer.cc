@@ -1,6 +1,7 @@
 #include "fl/trainer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -359,6 +360,17 @@ Result<TrainingHistory> FederatedTrainer::Run() {
                            : 0;
   std::vector<float> aux_rows(n_aux * dim);
   std::vector<float> server_grad;
+  // The round's local-step items, one per (worker, example), and per
+  // local step the examples not yet run: grow-only across rounds.
+  struct ExampleItem {
+    HonestDpWorker* worker;
+    size_t example;
+    size_t step;
+    float* out;
+  };
+  std::vector<ExampleItem> items;
+  std::vector<std::atomic<size_t>> examples_left(n_honest +
+                                                 poisoned_workers_.size());
   compute_->Prepare();
 
   for (int round = start_round; round <= total_rounds_; ++round) {
@@ -386,26 +398,44 @@ Result<TrainingHistory> FederatedTrainer::Run() {
       arena.Reset(n_round, dim);
 
       // The round's independent work as one dispatch whose items the
-      // pool claims dynamically: each cohort member's local step, each
-      // poisoned worker's local step, then each auxiliary example's
-      // gradient row (it reads only w and D_p, never the uploads, so the
-      // cheap rows fill the threads the local steps leave idle). Every
-      // item writes its own row; each worker's randomness is keyed by
-      // (seed, worker, round), so uploads are identical whether or not
-      // others are sampled this round, and under any claim order.
+      // pool claims dynamically: every example of each cohort member's
+      // local step, of each poisoned worker's, then each auxiliary
+      // example's gradient row (it reads only w and D_p, never the
+      // uploads). The last example of a local step to finish writes its
+      // upload, so no thread waits on another's whole step. Every item
+      // writes its own rows; each worker's randomness is keyed by (seed,
+      // worker, round) and its sum runs in example order, so uploads are
+      // identical whether or not others are sampled this round, and
+      // under any claim order.
       const size_t n_poisoned = poisoned_workers_.size();
-      const size_t n_local = cohort.size() + n_poisoned;
       if (n_poisoned > 0) poisoned_arena.Reset(n_poisoned, dim);
-      ParallelFor(0, n_local + n_aux, [&](size_t k) {
-        if (k < cohort.size()) {
-          honest_workers_[cohort[k]]->ComputeUpdateInto(params, round,
-                                                        arena.Row(k));
-        } else if (k < n_local) {
-          size_t b = k - cohort.size();
-          poisoned_workers_[b]->ComputeUpdateInto(params, round,
-                                                  poisoned_arena.Row(b));
+      items.clear();
+      size_t steps = 0;
+      auto add_step = [&](HonestDpWorker* worker, float* out) {
+        worker->BeginRound(round);
+        examples_left[steps].store(worker->batch_size(),
+                                   std::memory_order_relaxed);
+        for (size_t j = 0; j < worker->batch_size(); ++j) {
+          items.push_back({worker, j, steps, out});
+        }
+        ++steps;
+      };
+      for (size_t k = 0; k < cohort.size(); ++k) {
+        add_step(honest_workers_[cohort[k]].get(), arena.Row(k));
+      }
+      for (size_t b = 0; b < n_poisoned; ++b) {
+        add_step(poisoned_workers_[b].get(), poisoned_arena.Row(b));
+      }
+      ParallelFor(0, items.size() + n_aux, [&](size_t k) {
+        if (k < items.size()) {
+          const ExampleItem& it = items[k];
+          it.worker->Examples(params, it.example, it.example + 1);
+          // acq_rel: the finisher sees every other example's fold.
+          const size_t left =
+              examples_left[it.step].fetch_sub(1, std::memory_order_acq_rel);
+          if (left == 1) it.worker->FinishInto(it.out);
         } else {
-          size_t i = k - n_local;
+          size_t i = k - items.size();
           server_->AuxGradientRowInto(i, aux_rows.data() + i * dim);
         }
       });

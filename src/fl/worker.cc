@@ -15,15 +15,17 @@ HonestDpWorker::HonestDpWorker(int id, data::DatasetView shard,
       shard_(std::move(shard)),
       slots_(std::move(slots)),
       options_(options),
-      seed_(seed) {
+      seed_(seed),
+      rng_(seed) {
   DPBR_CHECK(!shard_.empty());
   DPBR_CHECK(slots_ != nullptr);
   DPBR_CHECK_GT(options_.batch_size, 0);
   DPBR_CHECK_GE(options_.beta, 0.0);
   DPBR_CHECK_LT(options_.beta, 1.0);
-  slots_->Prepare(static_cast<size_t>(options_.batch_size));
-  momentum_.assign(static_cast<size_t>(options_.batch_size),
-                   std::vector<float>(dim(), 0.0f));
+  slots_->Prepare();
+  const size_t bc = static_cast<size_t>(options_.batch_size);
+  momentum_.assign(bc, std::vector<float>(dim(), 0.0f));
+  inv_norm_.assign(bc, 0.0f);
 }
 
 HonestDpWorker::HonestDpWorker(int id, data::DatasetView shard,
@@ -35,43 +37,59 @@ HonestDpWorker::HonestDpWorker(int id, data::DatasetView shard,
 
 void HonestDpWorker::ComputeUpdateInto(
     const std::vector<float>& global_params, int round, float* out) {
-  ComputeSlots::Slot& slot = slots_->LoadedSlot(global_params);
-  const size_t d = dim();
+  BeginRound(round);
+  Examples(global_params, 0, batch_size());
+  FinishInto(out);
+}
 
-  SplitRng rng(seed_, {0xF00, static_cast<uint64_t>(round)});
-  size_t bc = static_cast<size_t>(options_.batch_size);
-
+void HonestDpWorker::BeginRound(int round) {
+  rng_ = SplitRng(seed_, {0xF00, static_cast<uint64_t>(round)});
+  const size_t bc = batch_size();
   // Line 5: sample a size-bc mini-batch (without replacement when the
   // shard allows; tiny shards fall back to with-replacement draws).
-  std::vector<size_t> batch;
   if (shard_.size() >= bc) {
-    batch = rng.SampleWithoutReplacement(shard_.size(), bc);
+    batch_ = rng_.SampleWithoutReplacement(shard_.size(), bc);
   } else {
-    batch.resize(bc);
-    for (auto& b : batch) b = rng.UniformInt(shard_.size());
+    batch_.resize(bc);
+    for (auto& b : batch_) b = rng_.UniformInt(shard_.size());
   }
+}
 
-  // Lines 6-10: per-example gradients, computed as one microbatch through
-  // the batched kernels (example j's flat gradient lands in row j of the
-  // slot's gradient block). Each is folded into its momentum slot, whose
-  // normalized copy, written over the spent gradient row, is summed into
-  // the caller's row.
-  slot.PerExampleGradients(shard_, batch.data(), bc, slot.grads.data());
+void HonestDpWorker::Examples(const std::vector<float>& global_params,
+                              size_t lo, size_t hi) {
+  DPBR_CHECK(lo <= hi && hi <= batch_.size());
+  ComputeSlots::Slot& slot = slots_->LoadedSlot(global_params);
+  const size_t d = dim();
   const float b = static_cast<float>(options_.beta);
   const float omb = static_cast<float>(1.0 - options_.beta);
+  float* g = slot.grad.data();
+  // Lines 6-8: example j's gradient (a batch-of-1 pass, bitwise row j
+  // of a batched one) folded into its momentum slot; the slot's norm is
+  // all line 9 needs from it.
+  for (size_t j = lo; j < hi; ++j) {
+    slot.PerExampleGradients(shard_, &batch_[j], 1, g);
+    float* phi = momentum_[j].data();
+    for (size_t k = 0; k < d; ++k) phi[k] = omb * g[k] + b * phi[k];
+    inv_norm_[j] =
+        static_cast<float>(1.0 / std::max(ops::Norm(phi, d), 1e-12));
+  }
+}
+
+void HonestDpWorker::FinishInto(float* out) {
+  const size_t d = dim();
+  const size_t bc = batch_size();
+  // Line 9: the normalized momenta summed in order j. Without FMA,
+  // axpy(1/‖φ_j‖, φ_j) rounds exactly as scaling a copy of φ_j and
+  // adding it.
   std::fill(out, out + d, 0.0f);
   for (size_t j = 0; j < bc; ++j) {
-    float* g = slot.grads.data() + j * d;
-    float* phi = momentum_[j].data();
-    for (size_t k = 0; k < d; ++k) g[k] = phi[k] = omb * g[k] + b * phi[k];
-    ops::NormalizeInPlace(g, d);
-    ops::Axpy(1.0f, g, out, d);
+    ops::Axpy(inv_norm_[j], momentum_[j].data(), out, d);
   }
   if (options_.sigma > 0.0) {
-    // Bulk perturbation (~d draws per round): the blocked sampler is both
-    // the hot-path win and pool-size invariant, so the upload stream does
-    // not depend on how the trainer schedules workers.
-    rng.AddGaussian(out, d, options_.sigma);
+    // Line 10, bulk perturbation (~d draws per round): the blocked
+    // sampler is both the hot-path win and pool-size invariant, so the
+    // upload stream does not depend on how the trainer schedules work.
+    rng_.AddGaussian(out, d, options_.sigma);
   }
   ops::Scale(1.0f / static_cast<float>(bc), out, d);
 

@@ -2,11 +2,15 @@
 // per-example gradients → per-slot momentum → normalization → Gaussian
 // perturbation → averaged upload.
 //
-// A worker keeps only protocol state: shard, options, RNG key and
-// momentum φ. Its local step runs on the calling thread's slot of a
-// ComputeSlots shared with the run's other workers and its server. All
-// threads outside the pool share one slot, so two external threads must
-// not run local steps on the same ComputeSlots at once.
+// A worker keeps protocol state — shard, options, RNG key and momentum
+// φ — plus the current round's scratch: its mini-batch, its RNG stream
+// and one 1/‖φ_j‖ per example. A local step is three calls, so the
+// round can spread one worker's examples over threads: BeginRound,
+// Examples over disjoint ranges of the batch (any order, any threads),
+// then FinishInto. Each example's gradient runs on the calling thread's
+// slot of a ComputeSlots shared with the run's other workers and its
+// server. All threads outside the pool share one slot, so two external
+// threads must not run local steps on the same ComputeSlots at once.
 
 #ifndef DPBR_FL_WORKER_H_
 #define DPBR_FL_WORKER_H_
@@ -54,7 +58,7 @@ class HonestDpWorker {
  public:
   /// `seed` must be unique per worker; every round derives an independent
   /// stream from (seed, round), making runs thread-schedule independent.
-  /// Prepares `slots`, which local steps run on, for batch_size rows.
+  /// Prepares `slots`, which local steps run on.
   HonestDpWorker(int id, data::DatasetView shard,
                  std::shared_ptr<ComputeSlots> slots,
                  const WorkerOptions& options, uint64_t seed);
@@ -65,11 +69,31 @@ class HonestDpWorker {
 
   /// Runs Algorithm 1 lines 5-11, writing the upload g_i^t into `out`
   /// (dim() floats — typically the worker's row of the round's
-  /// UploadArena). `out` is wholly overwritten.
+  /// UploadArena). `out` is wholly overwritten. Same as BeginRound,
+  /// Examples over the whole batch, then FinishInto.
   void ComputeUpdateInto(const std::vector<float>& global_params, int round,
                          float* out);
 
+  /// Line 5: draws round `round`'s mini-batch and keeps the round's RNG
+  /// stream for the noise.
+  void BeginRound(int round);
+
+  /// Lines 6-8 for batch examples [lo, hi): each example's gradient at
+  /// `global_params`, one batch-of-1 pass on the calling thread's slot,
+  /// folded into its momentum slot φ_j, whose inverse norm is kept for
+  /// FinishInto. Disjoint ranges may run in any order, concurrently on
+  /// distinct threads; the caller orders them all before FinishInto.
+  void Examples(const std::vector<float>& global_params, size_t lo,
+                size_t hi);
+
+  /// Lines 9-11 once every example of the round ran: writes
+  /// (Σ_j φ_j/‖φ_j‖ in order j, plus the noise) / bc into `out`, then
+  /// applies the momentum reset.
+  void FinishInto(float* out);
+
   int id() const { return id_; }
+  /// bc, the examples of one local step.
+  size_t batch_size() const { return momentum_.size(); }
   size_t dim() const { return slots_->dim(); }
   /// Key of this worker's RNG stream (its per-round streams derive from
   /// it); persisted in checkpoints so recovery can verify the derivation
@@ -95,6 +119,11 @@ class HonestDpWorker {
   uint64_t seed_;
   /// Momentum list φ: batch_size slots of dimension d (Algorithm 1 line 1).
   std::vector<std::vector<float>> momentum_;
+  /// The round in flight: its stream (after the batch draw), its batch
+  /// and float(1/max(‖φ_j‖, 1e-12)) per example.
+  SplitRng rng_;
+  std::vector<size_t> batch_;
+  std::vector<float> inv_norm_;
 };
 
 }  // namespace fl

@@ -2,17 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "aggregators/aggregator.h"
 #include "attacks/a_little.h"
+#include "attacks/a_little_reference.h"
 #include "attacks/adaptive.h"
 #include "attacks/attacks_common.h"
 #include "attacks/gaussian_attack.h"
 #include "attacks/inner_product.h"
 #include "attacks/label_flip.h"
 #include "attacks/opt_lmp.h"
+#include "common/thread_pool.h"
 #include "fl/upload.h"
 #include "tensor/ops.h"
 
@@ -158,6 +162,29 @@ TEST(ALittleTest, ZOverrideControlsDeviation) {
   // Larger z → farther from the benign mean.
   std::vector<float> mean = agg::MeanOfAllRows(s.honest.cspan());
   EXPECT_GT(Distance(f_large.Row(0), mean), Distance(f_small.Row(0), mean));
+}
+
+TEST(ALittleTest, BlockedForgeMatchesTheSerialLoopOnEveryPool) {
+  // 3,289 coordinates: three whole forge blocks and a partial one.
+  const size_t dim = 3 * 1024 + 217;
+  for (size_t honest : {size_t{1}, size_t{5}}) {
+    Scenario s(honest, dim, 0.3);
+    const std::vector<float> want =
+        ALittleForgeReference(s.ctx.honest_uploads, 1.3);
+    for (size_t threads :
+         {size_t{1}, size_t{2},
+          std::max<size_t>(2, std::thread::hardware_concurrency())}) {
+      ThreadPool pool(threads);
+      ScopedPoolOverride route(&pool);
+      ALittleAttack attack(1.3);
+      fl::UploadArena forged = s.Forge(attack, 7);
+      for (size_t r = 0; r < forged.rows(); ++r) {
+        ASSERT_EQ(0, std::memcmp(want.data(), forged.Row(r),
+                                 dim * sizeof(float)))
+            << "honest " << honest << " pool " << threads << " row " << r;
+      }
+    }
+  }
 }
 
 TEST(InnerProductTest, NegatesTheMean) {

@@ -41,6 +41,21 @@ TEST(FlagsTest, BoolParsing) {
   EXPECT_FALSE(f.GetBool("d", true));
 }
 
+TEST(FlagsTest, StrictBoolRejectsATypo) {
+  Flags f = ParseArgs({"--all-attacks=ture", "--smoke", "--quiet=off"});
+  Result<bool> typo = f.GetBoolOrStatus("all-attacks", false);
+  ASSERT_FALSE(typo.ok());
+  EXPECT_NE(typo.status().ToString().find("--all-attacks"),
+            std::string::npos)
+      << typo.status().ToString();
+  EXPECT_NE(typo.status().ToString().find("ture"), std::string::npos);
+  EXPECT_TRUE(f.GetBoolOrStatus("smoke", false).value());
+  EXPECT_FALSE(f.GetBoolOrStatus("quiet", true).value());
+  EXPECT_TRUE(f.GetBoolOrStatus("missing", true).value());
+  // The lenient accessor still reads the typo as its default.
+  EXPECT_TRUE(f.GetBool("all-attacks", true));
+}
+
 TEST(FlagsTest, DefaultsWhenAbsent) {
   Flags f = ParseArgs({});
   EXPECT_EQ(f.GetIntOrStatus("missing", 9).value(), 9);

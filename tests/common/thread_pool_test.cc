@@ -1,6 +1,8 @@
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <signal.h>
 
 #include <algorithm>
 #include <atomic>
@@ -154,16 +156,20 @@ TEST(ParallelForTest, NestedDispatchRunsInline) {
   }
 }
 
-TEST(ThisThreadSlotTest, OffPoolSlotIsThePoolSize) {
+TEST(ThisThreadSlotTest, OffPoolSlotIsTheLastSlot) {
+  // A three-thread pool spawns workers 0 and 1; the caller's bodies run
+  // on slot 2, the slot every thread outside the pool reads.
   ThreadPool pool(3);
   ScopedPoolOverride route(&pool);
-  EXPECT_EQ(ThisThreadSlot(), 3u);
+  EXPECT_EQ(ThisThreadSlot(), 2u);
+  EXPECT_EQ(ThreadSlotCount(), 3u);
   // A one-thread pool runs inline: the body sees the caller's slot.
   ThreadPool one(1);
   ScopedPoolOverride route_one(&one);
   size_t seen = 99;
   ParallelFor(0, 4, [&](size_t) { seen = ThisThreadSlot(); });
-  EXPECT_EQ(seen, 1u);
+  EXPECT_EQ(seen, 0u);
+  EXPECT_EQ(ThreadSlotCount(), 1u);
 }
 
 TEST(ThisThreadSlotTest, SlotsAreInRangeAndDistinctAcrossRunningBodies) {
@@ -172,13 +178,13 @@ TEST(ThisThreadSlotTest, SlotsAreInRangeAndDistinctAcrossRunningBodies) {
   for (size_t size : PoolSizes()) {
     ThreadPool pool(size);
     ScopedPoolOverride route(&pool);
-    std::vector<std::atomic<int>> busy(size + 1);
+    std::vector<std::atomic<int>> busy(size);
     std::atomic<int> out_of_range{0}, collisions{0};
     std::vector<size_t> slot_of(64, 0);
     ParallelFor(0, slot_of.size(), [&](size_t i) {
       size_t slot = ThisThreadSlot();
       slot_of[i] = slot;
-      if (slot > size) {
+      if (slot >= size) {
         out_of_range.fetch_add(1);
         return;
       }
@@ -189,11 +195,77 @@ TEST(ThisThreadSlotTest, SlotsAreInRangeAndDistinctAcrossRunningBodies) {
     EXPECT_EQ(out_of_range.load(), 0) << "pool " << size;
     EXPECT_EQ(collisions.load(), 0) << "pool " << size;
     for (size_t slot : slot_of) {
-      // Fanned-out bodies run on workers [0, size); only the inline
-      // one-thread pool uses the off-pool slot.
-      EXPECT_LT(slot, size == 1 ? 2u : size) << "pool " << size;
+      // Workers run on [0, size - 1), the caller on size - 1.
+      EXPECT_LT(slot, size) << "pool " << size;
     }
   }
+}
+
+// A worker held in a signal handler stands in for one the host wakes
+// late: the dispatch must complete on the threads that did run, and the
+// held worker, once released, must not run the finished body.
+std::atomic<bool> g_hold_worker{false};
+std::atomic<bool> g_worker_held{false};
+
+void HoldWorker(int) {
+  g_worker_held.store(true);
+  while (g_hold_worker.load()) {
+  }
+  g_worker_held.store(false);
+}
+
+TEST(ParallelForTest, LateWorkerDoesNotDelayCompletion) {
+  ThreadPool pool(2);  // the caller and one worker
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> found{false};
+  pthread_t worker{};
+  while (!found.load()) {
+    ParallelFor(pool, 0, 64, [&](size_t) {
+      Spin(1);
+      if (std::this_thread::get_id() != caller && !found.load()) {
+        worker = pthread_self();
+        found.store(true);
+      }
+    });
+  }
+
+  // Let the worker finish its last claim loop and block: a signal that
+  // caught it holding the pool's lock would stall this test's dispatch.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  struct sigaction hold = {};
+  struct sigaction previous = {};
+  hold.sa_handler = HoldWorker;
+  sigemptyset(&hold.sa_mask);
+  hold.sa_flags = SA_RESTART;
+  ASSERT_EQ(sigaction(SIGUSR1, &hold, &previous), 0);
+  g_hold_worker.store(true);
+  ASSERT_EQ(pthread_kill(worker, SIGUSR1), 0);
+  while (!g_worker_held.load()) std::this_thread::yield();
+
+  // The worker is held before this dispatch publishes its ticket: every
+  // index runs on the caller, and the call returns while the worker is
+  // still held.
+  std::atomic<int> ran{0};
+  std::atomic<int> off_caller{0};
+  ParallelFor(pool, 0, 32, [&](size_t) {
+    ran.fetch_add(1);
+    if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+  });
+  EXPECT_EQ(ran.load(), 32);
+  EXPECT_EQ(off_caller.load(), 0);
+  EXPECT_TRUE(g_worker_held.load());
+
+  // Released, the worker finds its ticket revoked: the finished body's
+  // counters never move again, and the pool still serves dispatches.
+  g_hold_worker.store(false);
+  while (g_worker_held.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(ran.load(), 32);
+  std::vector<std::atomic<int>> hits(200);
+  ParallelFor(pool, 0, hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  ASSERT_EQ(sigaction(SIGUSR1, &previous, nullptr), 0);
 }
 
 }  // namespace

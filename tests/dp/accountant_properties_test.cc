@@ -101,7 +101,7 @@ TEST(AccountantOrderingTest, SigmaMonotoneInEpsilonAcrossGrid) {
 TEST(AccountantOrderingTest, MoreDataNeedsLessNoise) {
   // Larger |D| → smaller q → privacy amplification → smaller σ for the
   // same (ε, epochs). This is exactly why the reproduction uses larger
-  // per-worker datasets than its first draft (DESIGN.md).
+  // per-worker datasets than its first draft.
   double prev_sigma = 1e300;
   for (int n : {200, 500, 1000, 3000}) {
     PrivacySpec spec;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "aggregators/mean.h"
 #include "attacks/gaussian_attack.h"
@@ -209,6 +212,40 @@ TEST(TrainerTest, RunBuildsOneModelPerThreadSlot) {
   auto h = t.Run();
   ASSERT_TRUE(h.ok()) << h.status().ToString();
   EXPECT_EQ(built.load(), ThreadSlotCount());
+}
+
+TEST(TrainerTest, PoisonedResetRunIsPoolSizeInvariant) {
+  // Poisoned workers' local steps share the round dispatch with the
+  // honest ones, one item per example, and under the literal momentum
+  // reset each upload feeds the next round's momentum. The run digests
+  // pin only the persistent momentum and a forging attack, so this run
+  // pins the rest: bitwise the same at pool sizes 1, 2 and hw.
+  data::DatasetBundle bundle = TrainerBundle();
+  TrainerOptions o = FastOptions();
+  o.num_byzantine = 3;
+  o.epochs = 1;
+  o.momentum_reset = MomentumReset::kResetToUpload;
+  auto run = [&](size_t threads) {
+    ThreadPool pool(threads);
+    ScopedPoolOverride route(&pool);
+    FederatedTrainer t(&bundle, nn::MlpFactory(16, 8, 4),
+                       std::make_unique<agg::MeanAggregator>(),
+                       std::make_unique<attacks::LabelFlipAttack>(), o);
+    auto h = t.Run();
+    EXPECT_TRUE(h.ok()) << h.status().ToString();
+    std::vector<float> params = t.server()->params();
+    if (h.ok()) params.push_back(static_cast<float>(h.value().final_accuracy));
+    return params;
+  };
+  const std::vector<float> one = run(1);
+  for (size_t threads :
+       {size_t{2}, std::max<size_t>(2, std::thread::hardware_concurrency())}) {
+    const std::vector<float> got = run(threads);
+    ASSERT_EQ(one.size(), got.size());
+    EXPECT_EQ(0, std::memcmp(one.data(), got.data(),
+                             one.size() * sizeof(float)))
+        << "pool " << threads;
+  }
 }
 
 }  // namespace

@@ -143,6 +143,53 @@ TEST(WorkerTest, MomentumModesDiverge) {
   EXPECT_NE(Upload(a, params, 2), Upload(b, params, 2));
 }
 
+TEST(WorkerTest, ExampleRangesInAnyOrderMatchTheWholeStep) {
+  // The round splits a local step into per-example items that run in
+  // any order on any pool thread; the upload and the momentum it leaves
+  // must be those of ComputeUpdateInto, bit for bit, under both reset
+  // modes and with noise.
+  ThreadPool pool(3);
+  ScopedPoolOverride route(&pool);
+  data::DatasetBundle bundle = SmallBundle();
+  nn::ModelFactory f = nn::MlpFactory(16, 8, 4);
+  auto model = f();
+  SplitRng rng(6);
+  model->InitParams(&rng);
+  std::vector<float> params = model->FlatParams();
+  for (MomentumReset mode :
+       {MomentumReset::kPersist, MomentumReset::kResetToUpload}) {
+    WorkerOptions o = Opts(1.0);
+    o.momentum_reset = mode;
+    HonestDpWorker whole(0, data::DatasetView::All(&bundle.train), f, o, 9);
+    HonestDpWorker split(0, data::DatasetView::All(&bundle.train), f, o, 9);
+    const size_t bc = split.batch_size();
+    ASSERT_EQ(bc, 8u);
+    for (int round = 1; round <= 3; ++round) {
+      std::vector<float> want = Upload(whole, params, round);
+      std::vector<float> got(split.dim());
+      split.BeginRound(round);
+      if (round == 1) {
+        // Uneven ranges, last first.
+        split.Examples(params, 5, 8);
+        split.Examples(params, 2, 5);
+        split.Examples(params, 0, 2);
+      } else if (round == 2) {
+        // One example per call, in descending order.
+        for (size_t j = bc; j-- > 0;) split.Examples(params, j, j + 1);
+      } else {
+        // One example per pool item, claimed by whichever thread.
+        ParallelFor(0, bc,
+                    [&](size_t j) { split.Examples(params, j, j + 1); });
+      }
+      split.FinishInto(got.data());
+      ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                               want.size() * sizeof(float)))
+          << "round " << round;
+      ASSERT_EQ(whole.momentum(), split.momentum()) << "round " << round;
+    }
+  }
+}
+
 TEST(WorkerTest, TinyShardFallsBackToWithReplacement) {
   data::DatasetBundle bundle = SmallBundle();
   nn::ModelFactory f = nn::MlpFactory(16, 8, 4);
@@ -292,13 +339,13 @@ TEST(WorkerSlotDeathTest, PassOnAnUnpreparedSlotDies) {
   ThreadPool one(1);
   std::unique_ptr<HonestDpWorker> w;
   {
-    // Prepared for a one-thread pool: slots 0 and 1.
+    // Prepared for a one-thread pool: slot 0 only.
     ScopedPoolOverride route(&one);
     w = std::make_unique<HonestDpWorker>(
         0, data::DatasetView::All(&bundle.train),
         std::make_shared<ComputeSlots>(f), Opts(0.0), 1);
   }
-  // Under a three-thread pool the calling thread's slot is 3.
+  // Under a three-thread pool the calling thread's slot is 2.
   ThreadPool three(3);
   ScopedPoolOverride route(&three);
   EXPECT_DEATH(Upload(*w, params, 1), "Prepare");
