@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the protocol's hot kernels:
-// the first-stage KS test, the norm test, the second-stage scoring, the
-// baseline aggregators and the RDP accountant.
+// the upload noise and inverse norm, the first-stage KS test, the norm
+// test, the second-stage scoring, the baseline aggregators and the RDP
+// accountant.
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +24,7 @@
 #include "stats/distributions.h"
 #include "stats/kolmogorov.h"
 #include "stats/ks_test.h"
+#include "tensor/ops.h"
 
 namespace {
 
@@ -180,6 +182,63 @@ void CheckKsRadixMatchesSortReference() {
                "ks radix check: D and p-value == std::sort reference, "
                "KsGaussianAccepts == its verdict (d=%zu)\n",
                u.size());
+}
+
+// --- An honest example's clamped inverse norm, float(1/max(‖φ‖,
+// 1e-12)), at the paper MLP's d: the sequential double chain that
+// defines it against ops::InverseNorm's bracketed eight-chain sum. The
+// CI bench gate asserts the bracket >= 2x the chain; main() asserts
+// they agree bitwise first.
+
+std::vector<float> MomentumRow(size_t d, uint64_t seed) {
+  std::vector<float> x(d);
+  SplitRng rng(seed, {0x1F});
+  rng.FillGaussian(x.data(), d, 0.01);
+  return x;
+}
+
+float SequentialInverseNorm(const float* x, size_t d) {
+  return static_cast<float>(1.0 / std::max(ops::Norm(x, d), 1e-12));
+}
+
+void BM_ExampleNormSequential(benchmark::State& state) {
+  size_t d = static_cast<size_t>(state.range(0));
+  std::vector<float> x = MomentumRow(d, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SequentialInverseNorm(x.data(), d));
+  }
+  state.SetItemsProcessed(state.iterations() * d);
+}
+BENCHMARK(BM_ExampleNormSequential)->Arg(25450);
+
+void BM_ExampleInvNorm(benchmark::State& state) {
+  size_t d = static_cast<size_t>(state.range(0));
+  std::vector<float> x = MomentumRow(d, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ops::InverseNorm(x.data(), d));
+  }
+  state.SetItemsProcessed(state.iterations() * d);
+}
+BENCHMARK(BM_ExampleInvNorm)->Arg(25450);
+
+void CheckInverseNormMatchesSequential() {
+  const size_t d = 25450;
+  for (uint64_t seed = 0; seed < 64; ++seed) {
+    std::vector<float> x = MomentumRow(d, seed);
+    float chain = SequentialInverseNorm(x.data(), d);
+    float bracket = ops::InverseNorm(x.data(), d);
+    if (std::memcmp(&chain, &bracket, sizeof(float)) != 0) {
+      std::fprintf(stderr,
+                   "FATAL: ops::InverseNorm differs from the sequential "
+                   "norm (row %llu)\n",
+                   static_cast<unsigned long long>(seed));
+      std::exit(1);
+    }
+  }
+  std::fprintf(stderr,
+               "inverse-norm check: ops::InverseNorm == sequential norm "
+               "on 64 rows (d=%zu)\n",
+               d);
 }
 
 void BM_FirstStageApply(benchmark::State& state) {
@@ -399,6 +458,7 @@ int main(int argc, char** argv) {
   CheckKrumSerialParallelIdentity();
   CheckFillGaussianPoolIdentity();
   CheckKsRadixMatchesSortReference();
+  CheckInverseNormMatchesSequential();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

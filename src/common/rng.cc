@@ -158,42 +158,47 @@ double SplitRng::GaussianZiggurat() {
   }
 }
 
-void SplitRng::BulkGaussian(float* data, size_t n, double stddev,
-                            bool accumulate) {
-  if (n == 0) return;
-  // One parent draw keys the whole fill; block b then draws from the
-  // independent child stream SplitRng(base, {b}). Block boundaries depend
-  // only on n, so the output is bit-identical under any pool size.
-  //
+void SplitRng::GaussianBlock(uint64_t base, uint64_t block, float* data,
+                             size_t n, double stddev, bool accumulate) {
+  DPBR_CHECK_LE(n, kGaussianFillBlock);
   // The SplitMix64 stream is a pure function of (key, counter), so the
   // SIMD batch kernel (when the active tier has one) can compute several
   // candidate draws at once and commit the accepted prefix; it stops at
   // the first draw needing the exact wedge/tail fallback, which the
   // scalar sampler then re-derives from the same counter. The output
   // stream is bit-identical either way.
-  uint64_t base = Next64();
   const simd::SimdKernels& kern = simd::Kernels();
   const ZigguratTables& t = Ziggurat();
-  ParallelForBlocked(n, kGaussianFillBlock, [&](size_t lo, size_t hi) {
-    SplitRng block(base, {static_cast<uint64_t>(lo / kGaussianFillBlock)});
-    size_t i = lo;
-    while (i < hi) {
-      if (kern.zig_try_fill_f32 != nullptr) {
-        size_t got =
-            kern.zig_try_fill_f32(block.key_, block.counter_, t.w, t.k,
-                                  stddev, accumulate, data + i, hi - i);
-        block.counter_ += got;
-        i += got;
-        if (i >= hi) break;
-      }
-      float g = static_cast<float>(stddev * block.GaussianZiggurat());
-      if (accumulate) {
-        data[i] += g;
-      } else {
-        data[i] = g;
-      }
-      ++i;
+  SplitRng rng(base, {block});
+  size_t i = 0;
+  while (i < n) {
+    if (kern.zig_try_fill_f32 != nullptr) {
+      size_t got = kern.zig_try_fill_f32(rng.key_, rng.counter_, t.w, t.k,
+                                         stddev, accumulate, data + i, n - i);
+      rng.counter_ += got;
+      i += got;
+      if (i >= n) break;
     }
+    float g = static_cast<float>(stddev * rng.GaussianZiggurat());
+    if (accumulate) {
+      data[i] += g;
+    } else {
+      data[i] = g;
+    }
+    ++i;
+  }
+}
+
+void SplitRng::BulkGaussian(float* data, size_t n, double stddev,
+                            bool accumulate) {
+  if (n == 0) return;
+  // One parent draw keys the whole fill; block b then draws from the
+  // independent child stream SplitRng(base, {b}). Block boundaries depend
+  // only on n, so the output is bit-identical under any pool size.
+  uint64_t base = Next64();
+  ParallelForBlocked(n, kGaussianFillBlock, [&](size_t lo, size_t hi) {
+    GaussianBlock(base, lo / kGaussianFillBlock, data + lo, hi - lo, stddev,
+                  accumulate);
   });
 }
 

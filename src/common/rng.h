@@ -88,6 +88,15 @@ class SplitRng {
   /// This is the DP upload hot path (no scratch buffer, same contract).
   void AddGaussian(float* data, size_t n, double stddev);
 
+  /// Block `block` of a bulk fill keyed by `base` (the one Next64() the
+  /// fill consumed): n <= kGaussianFillBlock sequential draws from
+  /// SplitRng(base, {block}), scaled by stddev and written into (or, with
+  /// `accumulate`, added to) data[0, n). FillGaussian and AddGaussian run
+  /// exactly this per block, so a caller that schedules the blocks itself
+  /// gets the same stream.
+  static void GaussianBlock(uint64_t base, uint64_t block, float* data,
+                            size_t n, double stddev, bool accumulate);
+
   /// Fisher-Yates shuffle of indices [0, n).
   std::vector<size_t> Permutation(size_t n);
 
@@ -113,7 +122,8 @@ class SplitRng {
   SplitRng(uint64_t key, uint64_t counter)
       : key_(key), counter_(counter), has_spare_(false), spare_(0.0) {}
 
-  /// Shared bulk kernel behind FillGaussian / AddGaussian.
+  /// Shared bulk kernel behind FillGaussian / AddGaussian: one
+  /// GaussianBlock per block, under the ambient pool.
   void BulkGaussian(float* data, size_t n, double stddev, bool accumulate);
 
   uint64_t key_;

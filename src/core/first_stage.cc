@@ -14,31 +14,6 @@
 namespace dpbr {
 namespace core {
 
-namespace {
-
-// Σ x² in eight independent chains. Each x² is exact in double and every
-// term is non-negative, so this sum and the sequential ops::SquaredNorm
-// each lie within about d·2⁻⁵³·Σ of the exact sum, whatever order they add
-// in.
-double ChainedSquaredNorm(const float* x, size_t n) {
-  double acc[8] = {};
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    for (size_t k = 0; k < 8; ++k) {
-      double v = static_cast<double>(x[i + k]);
-      acc[k] += v * v;
-    }
-  }
-  for (; i < n; ++i) {
-    double v = static_cast<double>(x[i]);
-    acc[0] += v * v;
-  }
-  return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-         ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-}
-
-}  // namespace
-
 FirstStageFilter::FirstStageFilter(const ProtocolOptions& options)
     : options_(options) {
   DPBR_CHECK_OK(ValidateProtocolOptions(options));
@@ -61,12 +36,11 @@ FirstStageVerdict FirstStageFilter::Test(const float* upload, size_t d,
   DPBR_CHECK_GT(sigma_upload, 0.0);
   DPBR_CHECK_GT(d, 0u);
   auto [lo, hi] = NormWindow(d, sigma_upload);
-  // The chained sum decides unless it is not finite or lies within
-  // 4(d+8)·2⁻⁵³·Σ of a window edge (over twice the two sums' combined
-  // error bound); then the sequential sum the verdict is defined on
-  // decides.
-  double sq = ChainedSquaredNorm(upload, d);
-  double tol = 4.0 * static_cast<double>(d + 8) * 0x1p-53 * sq;
+  // The chained sum decides unless it is not finite or lies within its
+  // tolerance of a window edge; then the sequential sum the verdict is
+  // defined on decides.
+  double sq = ops::ChainedSquaredNorm(upload, d);
+  double tol = ops::ChainedSquaredNormTolerance(sq, d);
   bool near_edge = std::abs(sq - lo) <= tol || std::abs(sq - hi) <= tol;
   if (!std::isfinite(sq) || near_edge) sq = ops::SquaredNorm(upload, d);
   if (!(sq >= lo && sq <= hi)) return FirstStageVerdict::kRejectedNorm;

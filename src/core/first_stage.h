@@ -9,11 +9,12 @@
 // KS envelope, which EnvelopeInterval exposes.
 //
 // The round reads only the verdict, so the filter computes nothing else:
-// the norm test runs first (from a multi-chain sum of squares, recomputed
-// sequentially only within rounding of a window edge), and only rows that
-// pass it reach the KS test, through stats::KsGaussianAccepts. Every
-// verdict is bitwise the one the sequential ops::SquaredNorm and the
-// sorted stats::KsTestGaussian give.
+// the norm test runs first (from ops::ChainedSquaredNorm, the multi-chain
+// sum of squares the worker's ops::InverseNorm also brackets, recomputed
+// sequentially only within its tolerance of a window edge), and only
+// rows that pass it reach the KS test, through stats::KsGaussianAccepts.
+// Every verdict is bitwise the one the sequential ops::SquaredNorm and
+// the sorted stats::KsTestGaussian give.
 
 #ifndef DPBR_CORE_FIRST_STAGE_H_
 #define DPBR_CORE_FIRST_STAGE_H_

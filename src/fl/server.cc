@@ -83,23 +83,37 @@ void Server::AuxGradientRowInto(size_t i, float* row) {
   slots_->LoadedSlot(params_).PerExampleGradients(aux_, &i, 1, row);
 }
 
-std::vector<float> Server::FoldAuxGradient(const float* rows) const {
+void Server::FoldAuxGradientInto(const float* rows, size_t lo, size_t hi,
+                                 float* out) const {
   DPBR_CHECK(!aux_.empty());
-  // The order the run digests pin: a zeroed partial per 64-example
-  // block accumulates its rows in index order, and the partials are
-  // added to a zeroed total in block order.
-  size_t dim = params_.size();
-  std::vector<float> acc(dim, 0.0f);
-  std::vector<float> partial(dim);
-  for (size_t lo = 0; lo < aux_.size(); lo += kExampleBlock) {
-    size_t hi = std::min(aux_.size(), lo + kExampleBlock);
-    std::fill(partial.begin(), partial.end(), 0.0f);
-    for (size_t j = lo; j < hi; ++j) {
-      ops::Axpy(1.0f, rows + j * dim, partial.data(), dim);
+  DPBR_CHECK(lo <= hi && hi <= params_.size());
+  // The order the run digests pin, per coordinate: a zeroed partial per
+  // 64-example block accumulates its rows in index order, and the
+  // partials are added to a zeroed total in block order. Coordinates run
+  // in chunks whose partial stays in L1.
+  constexpr size_t kChunk = 512;
+  const size_t dim = params_.size();
+  const float inv_n = 1.0f / static_cast<float>(aux_.size());
+  float partial[kChunk];
+  for (size_t c = lo; c < hi; c += kChunk) {
+    const size_t n = std::min(hi - c, kChunk);
+    float* acc = out + c;
+    std::fill(acc, acc + n, 0.0f);
+    for (size_t b = 0; b < aux_.size(); b += kExampleBlock) {
+      const size_t b_end = std::min(aux_.size(), b + kExampleBlock);
+      std::fill(partial, partial + n, 0.0f);
+      for (size_t j = b; j < b_end; ++j) {
+        ops::Axpy(1.0f, rows + j * dim + c, partial, n);
+      }
+      ops::Axpy(1.0f, partial, acc, n);
     }
-    ops::Axpy(1.0f, partial.data(), acc.data(), dim);
+    ops::Scale(inv_n, acc, n);
   }
-  ops::Scale(1.0f / static_cast<float>(aux_.size()), acc.data(), dim);
+}
+
+std::vector<float> Server::FoldAuxGradient(const float* rows) const {
+  std::vector<float> acc(params_.size());
+  FoldAuxGradientInto(rows, 0, acc.size(), acc.data());
   return acc;
 }
 

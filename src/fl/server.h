@@ -5,10 +5,12 @@
 // Inference and the auxiliary gradient run on the calling thread's slot
 // of a ComputeSlots shared with the run's workers, each pass loading w
 // first. The auxiliary gradient is exposed per example
-// (AuxGradientRowInto) plus a fixed-order fold (FoldAuxGradient), so the
-// trainer can run its rows in the same dispatch as the cohort's local
-// steps; Step only consumes it. All threads outside the pool share one
-// slot, so two external threads must not compute on it at once.
+// (AuxGradientRowInto) plus a fixed-order fold over coordinate ranges
+// (FoldAuxGradientInto), so the trainer can run its rows in the same
+// dispatch as the cohort's local steps and its fold in the same dispatch
+// as their uploads; Step only consumes it. All threads outside the pool
+// share one slot, so two external threads must not compute on it at
+// once.
 
 #ifndef DPBR_FL_SERVER_H_
 #define DPBR_FL_SERVER_H_
@@ -70,11 +72,17 @@ class Server {
   /// round runs these rows in the same dispatch as the local steps.
   void AuxGradientRowInto(size_t i, float* row);
 
-  /// ∇f(D_p; w) from the aux_size() rows at `rows` (row i written by
-  /// AuxGradientRowInto(i)): rows summed in index order within
+  /// Coordinates [lo, hi) of ∇f(D_p; w) from the aux_size() rows at
+  /// `rows` (row i written by AuxGradientRowInto(i)), written into
+  /// out[lo, hi): per coordinate, rows summed in index order within
   /// 64-example blocks, the block partials summed in block order, then
-  /// scaled by 1/|D_p|. The order is fixed, so the result is bitwise
-  /// independent of how the rows were scheduled. Requires aux_size() > 0.
+  /// scaled by 1/|D_p|. The order is fixed per coordinate, so the result
+  /// is bitwise independent of how the rows and the ranges were
+  /// scheduled. Requires aux_size() > 0.
+  void FoldAuxGradientInto(const float* rows, size_t lo, size_t hi,
+                           float* out) const;
+
+  /// The whole of ∇f(D_p; w): FoldAuxGradientInto over every coordinate.
   std::vector<float> FoldAuxGradient(const float* rows) const;
 
   /// ∇f(D_p; w): mean per-example gradient over the auxiliary data at the

@@ -1,7 +1,6 @@
 #include "fl/trainer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -359,18 +358,21 @@ Result<TrainingHistory> FederatedTrainer::Run() {
                            ? server_->aux_size()
                            : 0;
   std::vector<float> aux_rows(n_aux * dim);
-  std::vector<float> server_grad;
-  // The round's local-step items, one per (worker, example), and per
-  // local step the examples not yet run: grow-only across rounds.
+  std::vector<float> server_grad(n_aux > 0 ? dim : 0);
+  // The round's local steps (worker and upload row) and their items, one
+  // per (step, example): grow-only across rounds.
+  struct LocalStep {
+    HonestDpWorker* worker;
+    float* out;
+  };
   struct ExampleItem {
     HonestDpWorker* worker;
     size_t example;
-    size_t step;
-    float* out;
   };
+  std::vector<LocalStep> steps;
   std::vector<ExampleItem> items;
-  std::vector<std::atomic<size_t>> examples_left(n_honest +
-                                                 poisoned_workers_.size());
+  // Coordinate blocks of an upload, and of the auxiliary fold.
+  const size_t blocks = (dim + kGaussianFillBlock - 1) / kGaussianFillBlock;
   compute_->Prepare();
 
   for (int round = start_round; round <= total_rounds_; ++round) {
@@ -397,28 +399,26 @@ Result<TrainingHistory> FederatedTrainer::Run() {
       size_t n_round = cohort.size() + n_byz;
       arena.Reset(n_round, dim);
 
-      // The round's independent work as one dispatch whose items the
-      // pool claims dynamically: every example of each cohort member's
-      // local step, of each poisoned worker's, then each auxiliary
-      // example's gradient row (it reads only w and D_p, never the
-      // uploads). The last example of a local step to finish writes its
-      // upload, so no thread waits on another's whole step. Every item
-      // writes its own rows; each worker's randomness is keyed by (seed,
-      // worker, round) and its sum runs in example order, so uploads are
-      // identical whether or not others are sampled this round, and
-      // under any claim order.
+      // The round's independent work as two dispatches whose items the
+      // pool claims dynamically. The first runs every example of each
+      // cohort member's local step, of each poisoned worker's, then each
+      // auxiliary example's gradient row (it reads only w and D_p, never
+      // the uploads). The second runs, per coordinate block, the
+      // auxiliary fold and each local step's sum, noise and scale into
+      // its upload row. Every item writes its own rows or blocks; each
+      // worker's randomness is keyed by (seed, worker, round) and every
+      // sum runs in a fixed order, so uploads are identical whether or
+      // not others are sampled this round, and under any claim order.
       const size_t n_poisoned = poisoned_workers_.size();
       if (n_poisoned > 0) poisoned_arena.Reset(n_poisoned, dim);
+      steps.clear();
       items.clear();
-      size_t steps = 0;
       auto add_step = [&](HonestDpWorker* worker, float* out) {
         worker->BeginRound(round);
-        examples_left[steps].store(worker->batch_size(),
-                                   std::memory_order_relaxed);
+        steps.push_back({worker, out});
         for (size_t j = 0; j < worker->batch_size(); ++j) {
-          items.push_back({worker, j, steps, out});
+          items.push_back({worker, j});
         }
-        ++steps;
       };
       for (size_t k = 0; k < cohort.size(); ++k) {
         add_step(honest_workers_[cohort[k]].get(), arena.Row(k));
@@ -428,15 +428,23 @@ Result<TrainingHistory> FederatedTrainer::Run() {
       }
       ParallelFor(0, items.size() + n_aux, [&](size_t k) {
         if (k < items.size()) {
-          const ExampleItem& it = items[k];
-          it.worker->Examples(params, it.example, it.example + 1);
-          // acq_rel: the finisher sees every other example's fold.
-          const size_t left =
-              examples_left[it.step].fetch_sub(1, std::memory_order_acq_rel);
-          if (left == 1) it.worker->FinishInto(it.out);
+          items[k].worker->Examples(params, items[k].example,
+                                    items[k].example + 1);
         } else {
           size_t i = k - items.size();
           server_->AuxGradientRowInto(i, aux_rows.data() + i * dim);
+        }
+      });
+      const size_t fold_items = n_aux > 0 ? blocks : 0;
+      ParallelFor(0, fold_items + steps.size() * blocks, [&](size_t k) {
+        if (k < fold_items) {
+          size_t lo = k * kGaussianFillBlock;
+          server_->FoldAuxGradientInto(
+              aux_rows.data(), lo, std::min(dim, lo + kGaussianFillBlock),
+              server_grad.data());
+        } else {
+          const LocalStep& step = steps[(k - fold_items) / blocks];
+          step.worker->FinishBlock((k - fold_items) % blocks, step.out);
         }
       });
 
@@ -462,10 +470,7 @@ Result<TrainingHistory> FederatedTrainer::Run() {
       }
 
       agg::AggregationContext ctx;
-      if (n_aux > 0) {
-        server_grad = server_->FoldAuxGradient(aux_rows.data());
-        ctx.server_gradient = &server_grad;
-      }
+      if (n_aux > 0) ctx.server_gradient = &server_grad;
       ctx.round = round;
       ctx.dim = dim;
       ctx.sigma_upload = privacy_.dp_enabled ? privacy_.sigma_upload : 0.0;

@@ -6,9 +6,9 @@ namespace fl {
 void UploadArena::Reset(size_t rows, size_t dim) {
   rows_ = rows;
   dim_ = dim;
-  // assign() both grows (first round) and zeroes reused capacity
-  // (steady state); it never releases capacity.
-  data_.assign(rows * dim, 0.0f);
+  // Grow only: every row is wholly written by its owner each round, so
+  // reused storage is not cleared, and capacity is never released.
+  if (data_.size() < rows * dim) data_.resize(rows * dim);
 }
 
 }  // namespace fl

@@ -15,21 +15,25 @@ namespace fl {
 /// `rows x dim` row-major float block.
 ///
 /// The round protocol (see docs/architecture.md, "Upload arena"):
-///   1. The trainer calls Reset(n, d) — every row becomes zero.
-///   2. Each participating worker writes its gradient into Row(i) inside
-///      the parallel round dispatch (row i is owned by exactly one task).
+///   1. The trainer calls Reset(n, d), which sizes the block and leaves
+///      its contents as they were: each row is wholly written by its
+///      owner below.
+///   2. Each participating worker writes its whole upload into Row(i)
+///      inside the round (row i is owned by exactly one local step).
 ///   3. The attack forges into the Byzantine-reserved rows via ForgeInto.
 ///   4. Server::Step aggregates a zero-copy span() view; the sanitize
 ///      pass and the dpbr first stage may zero rows in place.
-/// Rows are wholly rewritten at step 2 of the next round, so no cleanup
-/// pass is needed. Memory is grow-only: Reset never shrinks the backing
-/// vector, so steady-state training does one allocation total.
+/// Rows are wholly rewritten at steps 2 and 3 of the next round, so no
+/// cleanup or zeroing pass is needed. Memory is grow-only: Reset never
+/// shrinks the backing vector, so steady-state training does one
+/// allocation total.
 class UploadArena {
  public:
   UploadArena() = default;
 
-  /// Sizes the arena for `rows` uploads of dimension `dim` and zeroes
-  /// every row. Existing capacity is reused when large enough.
+  /// Sizes the arena for `rows` uploads of dimension `dim`. Existing
+  /// storage is reused, not cleared, when large enough; only newly grown
+  /// storage starts at zero. Whoever owns a row writes all of it.
   void Reset(size_t rows, size_t dim);
 
   size_t rows() const { return rows_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "tensor/ops.h"
 
 namespace dpbr {
@@ -15,8 +16,7 @@ HonestDpWorker::HonestDpWorker(int id, data::DatasetView shard,
       shard_(std::move(shard)),
       slots_(std::move(slots)),
       options_(options),
-      seed_(seed),
-      rng_(seed) {
+      seed_(seed) {
   DPBR_CHECK(!shard_.empty());
   DPBR_CHECK(slots_ != nullptr);
   DPBR_CHECK_GT(options_.batch_size, 0);
@@ -43,16 +43,19 @@ void HonestDpWorker::ComputeUpdateInto(
 }
 
 void HonestDpWorker::BeginRound(int round) {
-  rng_ = SplitRng(seed_, {0xF00, static_cast<uint64_t>(round)});
+  SplitRng rng(seed_, {0xF00, static_cast<uint64_t>(round)});
   const size_t bc = batch_size();
   // Line 5: sample a size-bc mini-batch (without replacement when the
   // shard allows; tiny shards fall back to with-replacement draws).
   if (shard_.size() >= bc) {
-    batch_ = rng_.SampleWithoutReplacement(shard_.size(), bc);
+    batch_ = rng.SampleWithoutReplacement(shard_.size(), bc);
   } else {
     batch_.resize(bc);
-    for (auto& b : batch_) b = rng_.UniformInt(shard_.size());
+    for (auto& b : batch_) b = rng.UniformInt(shard_.size());
   }
+  // Line 10's noise key: the stream's next draw, as AddGaussian on it
+  // would take.
+  noise_key_ = rng.Next64();
 }
 
 void HonestDpWorker::Examples(const std::vector<float>& global_params,
@@ -65,38 +68,53 @@ void HonestDpWorker::Examples(const std::vector<float>& global_params,
   float* g = slot.grad.data();
   // Lines 6-8: example j's gradient (a batch-of-1 pass, bitwise row j
   // of a batched one) folded into its momentum slot; the slot's norm is
-  // all line 9 needs from it.
+  // all line 9 needs from it. Without FMA, scaling φ_j by β and then
+  // adding (1−β)·g rounds exactly as (1−β)·g + β·φ_j: two products, one
+  // sum.
   for (size_t j = lo; j < hi; ++j) {
     slot.PerExampleGradients(shard_, &batch_[j], 1, g);
     float* phi = momentum_[j].data();
-    for (size_t k = 0; k < d; ++k) phi[k] = omb * g[k] + b * phi[k];
-    inv_norm_[j] =
-        static_cast<float>(1.0 / std::max(ops::Norm(phi, d), 1e-12));
+    ops::Scale(b, phi, d);
+    ops::Axpy(omb, g, phi, d);
+    inv_norm_[j] = ops::InverseNorm(phi, d);
+  }
+}
+
+size_t HonestDpWorker::num_blocks() const {
+  return (dim() + kGaussianFillBlock - 1) / kGaussianFillBlock;
+}
+
+void HonestDpWorker::FinishBlock(size_t block, float* out) {
+  const size_t lo = block * kGaussianFillBlock;
+  DPBR_CHECK_LT(lo, dim());
+  const size_t n = std::min(dim() - lo, kGaussianFillBlock);
+  const size_t bc = batch_size();
+  float* o = out + lo;
+  // Line 9: the normalized momenta summed in order j. Without FMA,
+  // axpy(1/‖φ_j‖, φ_j) rounds exactly as scaling a copy of φ_j and
+  // adding it.
+  std::fill(o, o + n, 0.0f);
+  for (size_t j = 0; j < bc; ++j) {
+    ops::Axpy(inv_norm_[j], momentum_[j].data() + lo, o, n);
+  }
+  if (options_.sigma > 0.0) {
+    // Line 10: this block of AddGaussian(out, d, σ) on the round's
+    // stream, so the noise does not depend on how blocks are scheduled.
+    SplitRng::GaussianBlock(noise_key_, block, o, n, options_.sigma,
+                            /*accumulate=*/true);
+  }
+  ops::Scale(1.0f / static_cast<float>(bc), o, n);
+
+  // Line 11: momentum handling after upload (see MomentumReset).
+  if (options_.momentum_reset == MomentumReset::kResetToUpload) {
+    for (std::vector<float>& phi : momentum_) {
+      std::copy(o, o + n, phi.data() + lo);
+    }
   }
 }
 
 void HonestDpWorker::FinishInto(float* out) {
-  const size_t d = dim();
-  const size_t bc = batch_size();
-  // Line 9: the normalized momenta summed in order j. Without FMA,
-  // axpy(1/‖φ_j‖, φ_j) rounds exactly as scaling a copy of φ_j and
-  // adding it.
-  std::fill(out, out + d, 0.0f);
-  for (size_t j = 0; j < bc; ++j) {
-    ops::Axpy(inv_norm_[j], momentum_[j].data(), out, d);
-  }
-  if (options_.sigma > 0.0) {
-    // Line 10, bulk perturbation (~d draws per round): the blocked
-    // sampler is both the hot-path win and pool-size invariant, so the
-    // upload stream does not depend on how the trainer schedules work.
-    rng_.AddGaussian(out, d, options_.sigma);
-  }
-  ops::Scale(1.0f / static_cast<float>(bc), out, d);
-
-  // Line 11: momentum handling after upload (see MomentumReset).
-  if (options_.momentum_reset == MomentumReset::kResetToUpload) {
-    for (std::vector<float>& phi : momentum_) phi.assign(out, out + d);
-  }
+  ParallelFor(0, num_blocks(), [&](size_t b) { FinishBlock(b, out); });
 }
 
 Status HonestDpWorker::RestoreMomentum(

@@ -3,13 +3,14 @@
 // perturbation → averaged upload.
 //
 // A worker keeps protocol state — shard, options, RNG key and momentum
-// φ — plus the current round's scratch: its mini-batch, its RNG stream
+// φ — plus the current round's scratch: its mini-batch, its noise key
 // and one 1/‖φ_j‖ per example. A local step is three calls, so the
-// round can spread one worker's examples over threads: BeginRound,
-// Examples over disjoint ranges of the batch (any order, any threads),
-// then FinishInto. Each example's gradient runs on the calling thread's
-// slot of a ComputeSlots shared with the run's other workers and its
-// server. All threads outside the pool share one slot, so two external
+// round can spread one worker's step over threads: BeginRound, Examples
+// over disjoint ranges of the batch (any order, any threads), then
+// FinishBlock over the upload's coordinate blocks (any order, any
+// threads) or FinishInto. Each example's gradient runs on the calling
+// thread's slot of a ComputeSlots shared with the run's other workers
+// and its server. All threads outside the pool share one slot, so two external
 // threads must not run local steps on the same ComputeSlots at once.
 
 #ifndef DPBR_FL_WORKER_H_
@@ -74,8 +75,8 @@ class HonestDpWorker {
   void ComputeUpdateInto(const std::vector<float>& global_params, int round,
                          float* out);
 
-  /// Line 5: draws round `round`'s mini-batch and keeps the round's RNG
-  /// stream for the noise.
+  /// Line 5: draws round `round`'s mini-batch, then the key of the
+  /// round's upload noise.
   void BeginRound(int round);
 
   /// Lines 6-8 for batch examples [lo, hi): each example's gradient at
@@ -86,10 +87,20 @@ class HonestDpWorker {
   void Examples(const std::vector<float>& global_params, size_t lo,
                 size_t hi);
 
-  /// Lines 9-11 once every example of the round ran: writes
-  /// (Σ_j φ_j/‖φ_j‖ in order j, plus the noise) / bc into `out`, then
-  /// applies the momentum reset.
+  /// Lines 9-11 for the upload's coordinate block `block` (coordinates
+  /// [block·kGaussianFillBlock, +kGaussianFillBlock) of dim()), once
+  /// every example of the round ran: writes (Σ_j φ_j/‖φ_j‖ in order j,
+  /// plus the noise block drawn from the round's noise key) / bc into
+  /// that block of the row `out`, then applies the momentum reset to
+  /// it. Blocks touch disjoint coordinates, so they may run in any order,
+  /// concurrently on distinct threads.
+  void FinishBlock(size_t block, float* out);
+
+  /// FinishBlock over every block of `out` (wholly written).
   void FinishInto(float* out);
+
+  /// Coordinate blocks of an upload: FinishBlock's range of `block`.
+  size_t num_blocks() const;
 
   int id() const { return id_; }
   /// bc, the examples of one local step.
@@ -119,11 +130,12 @@ class HonestDpWorker {
   uint64_t seed_;
   /// Momentum list φ: batch_size slots of dimension d (Algorithm 1 line 1).
   std::vector<std::vector<float>> momentum_;
-  /// The round in flight: its stream (after the batch draw), its batch
-  /// and float(1/max(‖φ_j‖, 1e-12)) per example.
-  SplitRng rng_;
+  /// The round in flight: its batch, float(1/max(‖φ_j‖, 1e-12)) per
+  /// example, and the key of its noise blocks (the one Next64() that
+  /// AddGaussian would draw from the round's stream after the batch).
   std::vector<size_t> batch_;
   std::vector<float> inv_norm_;
+  uint64_t noise_key_ = 0;
 };
 
 }  // namespace fl

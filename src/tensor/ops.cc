@@ -1,5 +1,6 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -25,6 +26,40 @@ double Dot(const float* x, const float* y, size_t n) {
 double SquaredNorm(const float* x, size_t n) { return Dot(x, x, n); }
 
 double Norm(const float* x, size_t n) { return std::sqrt(SquaredNorm(x, n)); }
+
+double ChainedSquaredNorm(const float* x, size_t n) {
+  double acc[8] = {};
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (size_t k = 0; k < 8; ++k) {
+      double v = static_cast<double>(x[i + k]);
+      acc[k] += v * v;
+    }
+  }
+  for (; i < n; ++i) {
+    double v = static_cast<double>(x[i]);
+    acc[0] += v * v;
+  }
+  return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+         ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+}
+
+double ChainedSquaredNormTolerance(double sq, size_t n) {
+  return 4.0 * static_cast<double>(n + 8) * 0x1p-53 * sq;
+}
+
+float InverseNorm(const float* x, size_t n) {
+  auto inverse = [](double sq) {
+    return static_cast<float>(1.0 / std::max(std::sqrt(sq), 1e-12));
+  };
+  double sq = ChainedSquaredNorm(x, n);
+  if (std::isfinite(sq)) {
+    double tol = ChainedSquaredNormTolerance(sq, n);
+    float at_hi = inverse(sq + tol);
+    if (at_hi == inverse(sq - tol)) return at_hi;
+  }
+  return inverse(SquaredNorm(x, n));
+}
 
 double NormalizeInPlace(float* x, size_t n, double eps) {
   double nrm = Norm(x, n);

@@ -30,6 +30,25 @@ double Norm(const float* x, size_t n);
 /// Squared ℓ2 norm.
 double SquaredNorm(const float* x, size_t n);
 
+/// Σ x² in eight independent chains (chain k takes i ≡ k mod 8, the tail
+/// goes to chain 0, fixed combine tree). Each x² is exact in double and
+/// every term is non-negative, so this sum and the sequential SquaredNorm
+/// each lie within about n·2⁻⁵³·Σ of the exact sum, whatever order they
+/// add in.
+double ChainedSquaredNorm(const float* x, size_t n);
+
+/// Half-width of a bracket around ChainedSquaredNorm's `sq` that holds
+/// SquaredNorm: 4(n+8)·2⁻⁵³·sq, over twice the two sums' combined error
+/// bound, so the rounding of sq ± tolerance stays inside it.
+double ChainedSquaredNormTolerance(double sq, size_t n);
+
+/// float(1 / max(Norm(x, n), 1e-12)), bitwise. Computed from the
+/// chained sum's bracket: sqrt, max, 1/x and the float cast are all
+/// monotone, so when both ends of the bracket give the same float, so
+/// does the sequential sum inside it. Recomputes from SquaredNorm only
+/// when they differ or the chained sum is not finite.
+float InverseNorm(const float* x, size_t n);
+
 /// x /= max(‖x‖, eps): normalizes to unit length. Returns original norm.
 double NormalizeInPlace(float* x, size_t n, double eps = 1e-12);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "attacks/label_flip.h"
 #include "attacks/opt_lmp.h"
 #include "common/thread_pool.h"
+#include "core/experiment.h"
 #include "fl/upload.h"
 #include "tensor/ops.h"
 
@@ -238,6 +240,52 @@ TEST(AdaptiveTest, PropagatesPoisonedUploadRequirement) {
   EXPECT_TRUE(flip.wants_poisoned_uploads());
   AdaptiveAttack gauss(std::make_unique<GaussianAttack>(), 0.2);
   EXPECT_FALSE(gauss.wants_poisoned_uploads());
+}
+
+TEST(AttackContractTest, ForgeIntoWritesEveryElementOfItsRows) {
+  // The trainer's upload arena is not cleared between rounds, so every
+  // attack the experiment driver builds must write each element of the
+  // rows it is given: forging into rows prefilled with NaN must leave no
+  // NaN and give, bit for bit, what forging into zeroed rows gives.
+  constexpr size_t kDim = 5000;  // several ALIE coordinate blocks
+  constexpr size_t kByz = 6;
+  auto check = [&](const char* name, double ttbb, int round) {
+    Scenario s(10, kDim, 0.3);
+    s.poisoned.Reset(kByz, kDim);
+    for (size_t b = 0; b < kByz; ++b) {
+      SplitRng w(31, {b});
+      w.FillGaussian(s.poisoned.Row(b), kDim, 0.3);
+    }
+    s.ctx.poisoned_uploads = s.poisoned.cspan();
+    s.ctx.round = round;
+    core::ExperimentConfig config;
+    config.attack = name;
+    config.ttbb = ttbb;
+    auto forge = [&](float fill) {
+      Result<fl::AttackPtr> attack = core::MakeAttack(config);
+      EXPECT_TRUE(attack.ok());
+      std::vector<float> out(kByz * kDim, fill);
+      s.rng = SplitRng(77);
+      attack.value()->ForgeInto(s.ctx, RowSpan(out.data(), kByz, kDim));
+      return out;
+    };
+    std::vector<float> zeroed = forge(0.0f);
+    std::vector<float> prefilled =
+        forge(std::numeric_limits<float>::quiet_NaN());
+    EXPECT_TRUE(std::none_of(prefilled.begin(), prefilled.end(),
+                             [](float v) { return std::isnan(v); }))
+        << name << " ttbb=" << ttbb << " round=" << round;
+    EXPECT_EQ(0, std::memcmp(zeroed.data(), prefilled.data(),
+                             zeroed.size() * sizeof(float)))
+        << name << " ttbb=" << ttbb << " round=" << round;
+  };
+  for (const char* name :
+       {"a_little", "gaussian", "inner_product", "label_flip", "opt_lmp"}) {
+    check(name, -1.0, 5);
+  }
+  // The adaptive wrapper, camouflaging (round 5 of 100) and attacking.
+  check("a_little", 0.5, 5);
+  check("a_little", 0.5, 80);
 }
 
 TEST(AttackNamesTest, AreStable) {

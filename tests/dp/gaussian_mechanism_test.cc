@@ -1,4 +1,4 @@
-#include "dp/gaussian_mechanism.h"
+#include "dp/classic_gaussian_reference.h"
 
 #include <gtest/gtest.h>
 

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "dp/gaussian_mechanism.h"
+#include "dp/classic_gaussian_reference.h"
 
 namespace dpbr {
 namespace dp {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -186,6 +188,60 @@ TEST(WorkerTest, ExampleRangesInAnyOrderMatchTheWholeStep) {
                                want.size() * sizeof(float)))
           << "round " << round;
       ASSERT_EQ(whole.momentum(), split.momentum()) << "round " << round;
+    }
+  }
+}
+
+TEST(WorkerTest, UploadRowIsWhollyWrittenBlockByBlockInAnyOrder) {
+  // The round's arena is not cleared between rounds, and the round runs
+  // each upload's coordinate blocks as separate items: a row prefilled
+  // with NaN, finished block by block in any order or by FinishInto,
+  // must equal FinishInto on a zeroed row, bit for bit, and leave the
+  // same momentum.
+  data::DatasetBundle bundle = SmallBundle();
+  // d = 16·300 + 300 + 300·4 + 4 = 6304: a full block and a partial one.
+  nn::ModelFactory f = nn::MlpFactory(16, 300, 4);
+  auto model = f();
+  SplitRng rng(6);
+  model->InitParams(&rng);
+  std::vector<float> params = model->FlatParams();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (MomentumReset mode :
+       {MomentumReset::kPersist, MomentumReset::kResetToUpload}) {
+    WorkerOptions o = Opts(1.0);
+    o.momentum_reset = mode;
+    HonestDpWorker zeroed(0, data::DatasetView::All(&bundle.train), f, o, 9);
+    HonestDpWorker nan_row(0, data::DatasetView::All(&bundle.train), f, o,
+                           9);
+    ASSERT_EQ(nan_row.dim(), 6304u);
+    ASSERT_EQ(nan_row.num_blocks(), 2u);
+    for (int round = 1; round <= 3; ++round) {
+      std::vector<float> want(zeroed.dim(), 0.0f);
+      zeroed.ComputeUpdateInto(params, round, want.data());
+      std::vector<float> got(nan_row.dim(), nan);
+      if (round == 1) {
+        nan_row.ComputeUpdateInto(params, round, got.data());
+      } else {
+        nan_row.BeginRound(round);
+        nan_row.Examples(params, 0, nan_row.batch_size());
+        if (round == 2) {
+          for (size_t b = nan_row.num_blocks(); b-- > 0;) {
+            nan_row.FinishBlock(b, got.data());
+          }
+        } else {
+          ThreadPool pool(2);
+          ScopedPoolOverride route(&pool);
+          ParallelFor(0, nan_row.num_blocks(),
+                      [&](size_t b) { nan_row.FinishBlock(b, got.data()); });
+        }
+      }
+      EXPECT_TRUE(std::none_of(got.begin(), got.end(),
+                               [](float v) { return std::isnan(v); }))
+          << "round " << round;
+      ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                               want.size() * sizeof(float)))
+          << "round " << round;
+      ASSERT_EQ(zeroed.momentum(), nan_row.momentum()) << "round " << round;
     }
   }
 }
