@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the protocol's hot kernels:
-// the upload noise and inverse norm, the first-stage KS test, the norm
-// test, the second-stage scoring, the baseline aggregators and the RDP
-// accountant.
+// the upload noise, momentum fold and inverse norm, the first-stage KS
+// test, the norm test, the second-stage scoring, the dpbr pass, the
+// baseline aggregators and the RDP accountant.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +19,7 @@
 #include "common/thread_pool.h"
 #include "core/dpbr_aggregator.h"
 #include "core/first_stage.h"
+#include "core/second_stage.h"
 #include "dp/rdp_accountant.h"
 #include "fl/upload.h"
 #include "stats/distributions.h"
@@ -241,6 +242,60 @@ void CheckInverseNormMatchesSequential() {
                d);
 }
 
+// The momentum fold of one example at the paper MLP's d: the separate
+// scale, axpy and chained sum of squares against the one-pass
+// ops::MomentumFold, bitwise equal in result.
+void BM_MomentumFoldSeparate(benchmark::State& state) {
+  size_t d = static_cast<size_t>(state.range(0));
+  std::vector<float> g = MomentumRow(d, 2);
+  std::vector<float> phi = MomentumRow(d, 3);
+  for (auto _ : state) {
+    ops::Scale(0.1f, phi.data(), d);
+    ops::Axpy(0.9f, g.data(), phi.data(), d);
+    benchmark::DoNotOptimize(ops::ChainedSquaredNorm(phi.data(), d));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * d);
+}
+BENCHMARK(BM_MomentumFoldSeparate)->Arg(25450);
+
+void BM_MomentumFold(benchmark::State& state) {
+  size_t d = static_cast<size_t>(state.range(0));
+  std::vector<float> g = MomentumRow(d, 2);
+  std::vector<float> phi = MomentumRow(d, 3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ops::MomentumFold(0.1f, 0.9f, g.data(), phi.data(), d));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * d);
+}
+BENCHMARK(BM_MomentumFold)->Arg(25450);
+
+void CheckMomentumFoldMatchesSeparate() {
+  const size_t d = 25450;
+  for (uint64_t seed = 0; seed < 16; ++seed) {
+    std::vector<float> g = MomentumRow(d, 100 + seed);
+    std::vector<float> sep = MomentumRow(d, 200 + seed);
+    std::vector<float> fused = sep;
+    ops::Scale(0.1f, sep.data(), d);
+    ops::Axpy(0.9f, g.data(), sep.data(), d);
+    double want = ops::ChainedSquaredNorm(sep.data(), d);
+    double got = ops::MomentumFold(0.1f, 0.9f, g.data(), fused.data(), d);
+    if (sep != fused || std::memcmp(&want, &got, sizeof(double)) != 0) {
+      std::fprintf(stderr,
+                   "FATAL: ops::MomentumFold differs from Scale + Axpy + "
+                   "ChainedSquaredNorm (row %llu)\n",
+                   static_cast<unsigned long long>(seed));
+      std::exit(1);
+    }
+  }
+  std::fprintf(stderr,
+               "momentum-fold check: one pass == scale, axpy, chained sum "
+               "on 16 rows (d=%zu)\n",
+               d);
+}
+
 void BM_FirstStageApply(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   fl::UploadArena uploads = NoiseUploads(n, 2410, 0.3);
@@ -276,6 +331,109 @@ void BM_FirstStageApplyMlpByz90(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * uploads.rows());
 }
 BENCHMARK(BM_FirstStageApplyMlpByz90);
+
+// dpbr on mlp_byz90's round shape (MlpByz90Uploads): both stages as two
+// passes over the rows — FirstStageFilter::Apply, then
+// SecondStageAggregator::SelectWorkers, which takes one sequential dot
+// per row, zeroed or not — against DpbrAggregator::Aggregate's single
+// pass, which skips the dot of the 45 zeroed rows (and also sums the
+// selected rows into the update). The restore copy is untimed.
+struct MlpByz90Round {
+  static constexpr size_t kDim = 25450;
+  fl::UploadArena uploads = MlpByz90Uploads();
+  std::vector<float> server_grad = MomentumRow(kDim, 7);
+  agg::AggregationContext ctx;
+
+  static fl::UploadArena MlpByz90Uploads() {
+    fl::UploadArena u = NoiseUploads(50, kDim, 0.3);
+    for (size_t i = 5; i < u.rows(); ++i) {
+      for (size_t j = 0; j < kDim; ++j) u.Row(i)[j] *= 0.5f;
+    }
+    return u;
+  }
+
+  MlpByz90Round() {
+    ctx.dim = kDim;
+    ctx.sigma_upload = 0.3;
+    ctx.gamma = 0.1;
+    ctx.server_gradient = &server_grad;
+  }
+};
+
+void BM_DpbrTwoPassMlpByz90(benchmark::State& state) {
+  MlpByz90Round round;
+  fl::UploadArena copy = round.uploads;
+  core::FirstStageFilter first{core::ProtocolOptions{}};
+  core::SecondStageAggregator second;
+  for (auto _ : state) {
+    state.PauseTiming();
+    copy = round.uploads;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(first.Apply(copy.span(), 0.3));
+    benchmark::DoNotOptimize(
+        second.SelectWorkers(copy.cspan(), round.server_grad, 0.1));
+  }
+  state.SetItemsProcessed(state.iterations() * copy.rows());
+}
+BENCHMARK(BM_DpbrTwoPassMlpByz90);
+
+void BM_DpbrAggregateMlpByz90(benchmark::State& state) {
+  MlpByz90Round round;
+  fl::UploadArena copy = round.uploads;
+  core::DpbrAggregator aggregator;
+  for (auto _ : state) {
+    state.PauseTiming();
+    copy = round.uploads;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(aggregator.Aggregate(copy.span(), round.ctx));
+  }
+  state.SetItemsProcessed(state.iterations() * copy.rows());
+}
+BENCHMARK(BM_DpbrAggregateMlpByz90);
+
+void CheckDpbrOnePassMatchesTwoPass() {
+  MlpByz90Round round;
+  fl::UploadArena two = round.uploads;
+  fl::UploadArena one = round.uploads;
+  core::FirstStageFilter first{core::ProtocolOptions{}};
+  core::SecondStageAggregator second;
+  first.Apply(two.span(), 0.3);
+  Result<std::vector<size_t>> selected =
+      second.SelectWorkers(two.cspan(), round.server_grad, 0.1);
+  core::DpbrAggregator aggregator;
+  Result<std::vector<float>> update =
+      aggregator.Aggregate(one.span(), round.ctx);
+  std::vector<float> want(MlpByz90Round::kDim, 0.0f);
+  if (selected.ok()) {
+    for (size_t idx : selected.value()) {
+      ops::Axpy(1.0f, two.Row(idx), want.data(), want.size());
+    }
+    double denom = static_cast<double>(selected.value().size());
+    ops::Scale(static_cast<float>(1.0 / denom), want.data(), want.size());
+  }
+  const std::vector<double>& got_scores =
+      aggregator.second_stage().last_round_scores();
+  const std::vector<double>& want_scores = second.last_round_scores();
+  bool same =
+      selected.ok() && update.ok() &&
+      aggregator.last_round().selected == selected.value() &&
+      update.value() == want &&
+      got_scores.size() == want_scores.size() &&
+      std::memcmp(got_scores.data(), want_scores.data(),
+                  got_scores.size() * sizeof(double)) == 0 &&
+      std::memcmp(one.Row(0), two.Row(0),
+                  one.rows() * one.dim() * sizeof(float)) == 0;
+  if (!same) {
+    std::fprintf(stderr,
+                 "FATAL: DpbrAggregator's one pass differs from Apply + "
+                 "SelectWorkers on the mlp_byz90 shape\n");
+    std::exit(1);
+  }
+  std::fprintf(stderr,
+               "dpbr one-pass check: Aggregate == Apply + SelectWorkers "
+               "(50 rows, d=%zu)\n",
+               MlpByz90Round::kDim);
+}
 
 void BM_DpbrAggregate(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
@@ -459,6 +617,8 @@ int main(int argc, char** argv) {
   CheckFillGaussianPoolIdentity();
   CheckKsRadixMatchesSortReference();
   CheckInverseNormMatchesSequential();
+  CheckMomentumFoldMatchesSeparate();
+  CheckDpbrOnePassMatchesTwoPass();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

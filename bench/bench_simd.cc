@@ -3,10 +3,10 @@
 // detected) table and once pinned to the scalar reference via
 // ScopedForceIsa — so the ratio between the pair is machine-independent
 // and gateable. scripts/check_bench_regression.py enforces >= 1.5x
-// floors on the GEMM microkernel, the ReLU sweep, and the Krum distance
-// scan (the ziggurat pair is reported but ungated: its win is
-// acceptance-rate-bound, not width-bound; so are the GEMM tile pairs,
-// which time the raw table entries at the CNN's conv2 shapes).
+// floors on the GEMM microkernel, the ReLU sweep, the Krum distance
+// scan and the pipelined ziggurat fill (the GEMM tile pairs, which time
+// the raw table entries at the CNN's conv2 shapes, are reported but
+// ungated).
 //
 // Before timing, main() asserts the active table agrees bitwise with
 // the scalar reference on a dot/axpy spot check, mirroring the

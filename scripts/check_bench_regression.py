@@ -119,6 +119,30 @@ RATIO_GATES = [
         2.0,
         "bracketed inverse norm >= 2x the sequential chain",
     ),
+    # An example's momentum fold at the paper MLP's d: the separate
+    # scale, axpy and eight-chain sum of squares against the one-pass
+    # momentum_fold_f32 entry (ops::MomentumFold), bitwise equal in
+    # result. Measured ~2.5x on the dev container (13.5 against 5.4 us);
+    # a fold that walks the row more than once falls toward ~1x.
+    (
+        "BM_MomentumFoldSeparate/25450",
+        "BM_MomentumFold/25450",
+        1.8,
+        "one-pass momentum fold >= 1.8x scale + axpy + chained norm",
+    ),
+    # dpbr on mlp_byz90's round shape (5 noise rows, 45 norm-rejected
+    # rows, d = 25,450): FirstStageFilter::Apply then
+    # SecondStageAggregator::SelectWorkers (a sequential dot per row)
+    # against DpbrAggregator::Aggregate's one pass, which skips the dots
+    # of zeroed rows and also sums the update. Measured ~1.5x on 4 threads
+    # and ~2.0x on one core of the dev container; dotting every row
+    # again reads ~1x.
+    (
+        "BM_DpbrTwoPassMlpByz90",
+        "BM_DpbrAggregateMlpByz90",
+        1.2,
+        "dpbr one pass >= 1.2x Apply + SelectWorkers on mlp_byz90",
+    ),
     # Conv data movement (bench_nn.cc) at the paper CNN's 16->16 k=5
     # same-padded 12x12 layer: Im2Col through its zero-padded per-thread
     # panel in constant-size 4-float copies, against the row-wise loop it
@@ -160,8 +184,10 @@ RATIO_GATES = [
     # (bench_simd.cc): each pair runs the same kernel on the best
     # detected tier and pinned to the scalar reference, so the ratio is
     # machine-independent wherever AVX2 exists (dev container: GEMM
-    # ~4.2x, ReLU ~10x, Krum scan ~2.6x). The ziggurat pair is reported
-    # but ungated — its win is acceptance-rate-bound, ~1.1x.
+    # ~4.2x, ReLU ~10x, Krum scan ~2.6x, ziggurat fill ~2.6x). The
+    # ziggurat kernel computes four 8-draw batches ahead of its commit;
+    # unpipelined, each batch waited on the last one's accept mask and
+    # the pair read ~0.9-1.1x.
     (
         "BM_ScalarGemmConvShape",
         "BM_SimdGemmConvShape",
@@ -179,6 +205,12 @@ RATIO_GATES = [
         "BM_SimdKrumDistScan",
         1.5,
         "SIMD Krum distance scan >= 1.5x scalar reference",
+    ),
+    (
+        "BM_ScalarZigguratFill",
+        "BM_SimdZigguratFill",
+        1.5,
+        "pipelined SIMD ziggurat fill >= 1.5x scalar rejection loop",
     ),
     # Checkpoint CRC (bench_durability.cc): portable slicing-by-8 against
     # the bytewise table walk it replaced, same values, over 64 MiB. Pure

@@ -46,6 +46,31 @@ DPBR_NOVEC_FN void ScalarAddScalarF32(float a, float* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += a;
 }
 
+// The momentum fold's defining sequence: scale, axpy, then the eight-chain
+// sum of squares in ops::ChainedSquaredNorm's order.
+DPBR_NOVEC_FN double ScalarMomentumFoldF32(float beta, float omb,
+                                           const float* g, float* phi,
+                                           size_t n) {
+  ScalarScaleF32(beta, phi, n);
+  ScalarAxpyF32(omb, g, phi, n);
+  double acc[kFoldLanes] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  size_t i = 0;
+  for (; i + kFoldLanes <= n; i += kFoldLanes) {
+    DPBR_NOVEC_LOOP
+    for (size_t l = 0; l < kFoldLanes; ++l) {
+      double v = static_cast<double>(phi[i + l]);
+      acc[l] += v * v;
+    }
+  }
+  DPBR_NOVEC_LOOP
+  for (; i < n; ++i) {
+    double v = static_cast<double>(phi[i]);
+    acc[0] += v * v;
+  }
+  return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+         ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+}
+
 // The pinned 8-lane fold: the NT tile's per-element order (see simd.h).
 DPBR_NOVEC_FN float ScalarDot8F32(const float* x, const float* y,
                                   size_t n) {
@@ -241,6 +266,7 @@ const SimdKernels& ScalarTable() {
       /*axpy_f32=*/&ScalarAxpyF32,
       /*scale_f32=*/&ScalarScaleF32,
       /*add_scalar_f32=*/&ScalarAddScalarF32,
+      /*momentum_fold_f32=*/&ScalarMomentumFoldF32,
       /*gemm_nn_tile_f32=*/&ScalarGemmNNTileF32,
       /*gemm_nt_tile_f32=*/&ScalarGemmNTTileF32,
       /*distsq8_f64=*/&ScalarDistSq8F64,

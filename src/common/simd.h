@@ -33,7 +33,10 @@
 //  * The ziggurat fast-path kernel reproduces the scalar rejection
 //    sampler's stream exactly: it only vectorizes the accepted prefix of
 //    a batch of counter-indexed draws and hands the first rejected draw
-//    back to the scalar wedge/tail code.
+//    back to the scalar wedge/tail code. It computes four 8-draw batches
+//    ahead (counters c, c+8, c+16, c+24) and commits their accepted
+//    prefixes in order, so no batch waits on the previous one's accept
+//    mask; batches past the first rejection are discarded.
 //
 // Thread-safety: the active table is an atomic pointer resolved once at
 // first use. ScopedForceIsa may retarget it between parallel dispatches
@@ -80,6 +83,15 @@ struct SimdKernels {
 
   /// y[i] += a.
   void (*add_scalar_f32)(float a, float* y, size_t n);
+
+  /// The momentum fold and its norm in one pass: phi[i] = beta·phi[i] +
+  /// omb·g[i] (two products, one sum, never fused: the bits of
+  /// scale_f32(beta, phi) then axpy_f32(omb, g, phi)), returning the new
+  /// phi's eight-chain double sum of squares in ops::ChainedSquaredNorm's
+  /// order (chain k takes i ≡ k mod 8, the n % 8 tail goes to chain 0,
+  /// fixed combine tree).
+  double (*momentum_fold_f32)(float beta, float omb, const float* g,
+                              float* phi, size_t n);
 
   /// Register-blocked NN GEMM tile: for r < rows, j < cols,
   ///   c[r·ldc + j] = init_r + Σ_{p<k} a[r·a_rs + p·a_cs] · b[p·ldb + j]

@@ -200,42 +200,22 @@ inline ZigHalf ZigBatch4(uint64_t first, const double* w,
   return {_mm256_cvtpd_ps(_mm256_mul_pd(vstd, x)), accept};
 }
 
+inline detail::ZigBatch ZigBatch8(uint64_t first, const double* w,
+                                  const uint64_t* kcut, __m256d vstd) {
+  ZigHalf lo = ZigBatch4(first, w, kcut, vstd);
+  ZigHalf hi = ZigBatch4(first + 4, w, kcut, vstd);
+  return {_mm256_insertf128_ps(_mm256_zextps128_ps256(lo.variates),
+                               hi.variates, 1),
+          static_cast<unsigned>(lo.accept_mask | (hi.accept_mask << 4))};
+}
+
 size_t Avx2ZigTryFillF32(uint64_t key, uint64_t counter, const double* w,
                          const uint64_t* kcut, double stddev, bool accumulate,
                          float* out, size_t max_n) {
   const __m256d vstd = _mm256_set1_pd(stddev);
-  size_t total = 0;
-  while (total < max_n) {
-    uint64_t first = key + counter + total;  // wraps like the scalar add
-    ZigHalf lo = ZigBatch4(first, w, kcut, vstd);
-    ZigHalf hi = ZigBatch4(first + 4, w, kcut, vstd);
-    int mask = lo.accept_mask | (hi.accept_mask << 4);
-    size_t prefix =
-        static_cast<size_t>(__builtin_ctz(static_cast<unsigned>(~mask) |
-                                          0x100u));
-    size_t room = max_n - total;
-    size_t take = prefix < room ? prefix : room;
-    if (take == 8) {
-      __m256 g = _mm256_insertf128_ps(
-          _mm256_zextps128_ps256(lo.variates), hi.variates, 1);
-      if (accumulate) g = _mm256_add_ps(_mm256_loadu_ps(out + total), g);
-      _mm256_storeu_ps(out + total, g);
-    } else if (take > 0) {
-      float buf[8];
-      _mm_storeu_ps(buf, lo.variates);
-      _mm_storeu_ps(buf + 4, hi.variates);
-      for (size_t l = 0; l < take; ++l) {
-        if (accumulate) {
-          out[total + l] += buf[l];
-        } else {
-          out[total + l] = buf[l];
-        }
-      }
-    }
-    total += take;
-    if (prefix < 8) break;  // rejected draw: scalar wedge/tail takes over
-  }
-  return total;
+  return detail::ZigPipelinedFill(
+      [&](uint64_t first) { return ZigBatch8(first, w, kcut, vstd); },
+      key + counter, accumulate, out, max_n);
 }
 
 }  // namespace
@@ -248,6 +228,7 @@ const SimdKernels* detail::Avx2Table() {
     t.axpy_f32 = &K8::AxpyF32;
     t.scale_f32 = &K8::ScaleF32;
     t.add_scalar_f32 = &K8::AddScalarF32;
+    t.momentum_fold_f32 = &K8::MomentumFoldF32;
     t.gemm_nn_tile_f32 = &Tiles::NNTileF32;
     t.gemm_nt_tile_f32 = &Tiles::NTTileF32;
     t.distsq8_f64 = &Avx2DistSq8F64;

@@ -122,6 +122,7 @@ const SimdKernels* detail::Sse2Table() {
     t.axpy_f32 = &K8::AxpyF32;
     t.scale_f32 = &K8::ScaleF32;
     t.add_scalar_f32 = &K8::AddScalarF32;
+    t.momentum_fold_f32 = &K8::MomentumFoldF32;
     t.gemm_nn_tile_f32 = &Tiles::NNTileF32;
     t.gemm_nt_tile_f32 = &Tiles::NTTileF32;
     t.distsq8_f64 = &Sse2DistSq8F64;

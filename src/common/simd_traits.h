@@ -9,7 +9,7 @@
 //   VD / kD        native double vector type / lane count (kD = kF / 2)
 //   MF             float compare-mask type (vector or AVX-512 k-mask)
 //   Set1F/LoadF/StoreF/AddF/SubF/MulF        float vector ops (never FMA)
-//   Set1D/AddD/SubD/MulD                     double vector ops
+//   Set1D/StoreD/AddD/SubD/MulD              double vector ops
 //   CvtLoF2D/CvtHiF2D/CvtD2F                 float<->double widen/narrow
 //   CmpLtZeroF/CmpLeZeroF/CmpEqZeroF         ordered compares vs 0
 //   ZeroWhere/SelectF                        mask-driven blends
@@ -20,11 +20,13 @@
 //                                            Fold8 is the dot8 tree)
 //   kNnRows/kNnVecs/kNtRows/kNtGroups        GEMM register-tile shapes
 //
-// Kernels8<Traits> then implements the element-wise kernel bodies once,
-// and GemmTiles<Traits> the register-blocked GEMM tiles; the chained
-// reductions (pinned 8-lane folds) and the ziggurat batch kernel are
+// Kernels8<Traits> then implements the element-wise kernel bodies (and
+// the momentum fold with its eight-chain sum of squares) once, and
+// GemmTiles<Traits> the register-blocked GEMM tiles; the other chained
+// reductions (pinned 8-lane folds) and the ziggurat batch are
 // hand-written per ISA in their translation units because their shape
-// is width-specific by definition.
+// is width-specific by definition. ZigPipelinedFill is the ziggurat
+// commit loop the AVX2 and AVX-512 batches share.
 //
 // All kernels handle arbitrary n: full vectors in the main loop, then a
 // scalar tail that never reads or writes past index n-1 (the equivalence
@@ -64,6 +66,7 @@ struct TraitsSse2 {
   static VF MulF(VF a, VF b) { return _mm_mul_ps(a, b); }
 
   static VD Set1D(double a) { return _mm_set1_pd(a); }
+  static void StoreD(double* p, VD v) { _mm_storeu_pd(p, v); }
   static VD AddD(VD a, VD b) { return _mm_add_pd(a, b); }
   static VD SubD(VD a, VD b) { return _mm_sub_pd(a, b); }
   static VD MulD(VD a, VD b) { return _mm_mul_pd(a, b); }
@@ -143,6 +146,7 @@ struct TraitsAvx2 {
   static VF MulF(VF a, VF b) { return _mm256_mul_ps(a, b); }
 
   static VD Set1D(double a) { return _mm256_set1_pd(a); }
+  static void StoreD(double* p, VD v) { _mm256_storeu_pd(p, v); }
   static VD AddD(VD a, VD b) { return _mm256_add_pd(a, b); }
   static VD SubD(VD a, VD b) { return _mm256_sub_pd(a, b); }
   static VD MulD(VD a, VD b) { return _mm256_mul_pd(a, b); }
@@ -222,6 +226,7 @@ struct TraitsAvx512 {
   static VF MulF(VF a, VF b) { return _mm512_mul_ps(a, b); }
 
   static VD Set1D(double a) { return _mm512_set1_pd(a); }
+  static void StoreD(double* p, VD v) { _mm512_storeu_pd(p, v); }
   static VD AddD(VD a, VD b) { return _mm512_add_pd(a, b); }
   static VD SubD(VD a, VD b) { return _mm512_sub_pd(a, b); }
   static VD MulD(VD a, VD b) { return _mm512_mul_pd(a, b); }
@@ -324,6 +329,47 @@ struct Kernels8 {
       T::StoreF(y + i, T::MulF(va, T::LoadF(y + i)));
     }
     for (; i < n; ++i) y[i] *= a;
+  }
+
+  // phi[i] = beta·phi[i] + omb·g[i] (two products, one sum, never
+  // fused), then the new phi's eight-chain sum of squares: chain k takes
+  // i ≡ k (mod 8) in ascending i, the n % 8 tail goes to chain 0, and
+  // the chains combine ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)). A step
+  // covers max(kF, 8) floats, and its double vectors feed the chains in
+  // index order, so every chain adds its terms in the scalar order.
+  static double MomentumFoldF32(float beta, float omb, const float* g,
+                                float* phi, size_t n) {
+    constexpr size_t kAcc = kFoldLanes / T::kD;
+    constexpr size_t kStep = T::kF > kFoldLanes ? T::kF : kFoldLanes;
+    VF vb = T::Set1F(beta);
+    VF vo = T::Set1F(omb);
+    VD acc[kAcc];
+    for (size_t a = 0; a < kAcc; ++a) acc[a] = T::Set1D(0.0);
+    size_t i = 0;
+    for (; i + kStep <= n; i += kStep) {
+      for (size_t f = 0; f < kStep / T::kF; ++f) {
+        float* p = phi + i + f * T::kF;
+        VF v = T::AddF(T::MulF(vb, T::LoadF(p)),
+                       T::MulF(vo, T::LoadF(g + i + f * T::kF)));
+        T::StoreF(p, v);
+        VD lo = T::CvtLoF2D(v);
+        VD hi = T::CvtHiF2D(v);
+        size_t a = (2 * f) % kAcc;
+        acc[a] = T::AddD(acc[a], T::MulD(lo, lo));
+        a = (2 * f + 1) % kAcc;
+        acc[a] = T::AddD(acc[a], T::MulD(hi, hi));
+      }
+    }
+    double lanes[kFoldLanes];
+    for (size_t a = 0; a < kAcc; ++a) T::StoreD(lanes + a * T::kD, acc[a]);
+    for (; i < n; ++i) {
+      float v = beta * phi[i] + omb * g[i];
+      phi[i] = v;
+      double dv = static_cast<double>(v);
+      lanes[n - i > n % kFoldLanes ? i % kFoldLanes : 0] += dv * dv;
+    }
+    return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+           ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
   }
 
   static void AddScalarF32(float a, float* y, size_t n) {
@@ -450,6 +496,67 @@ struct Kernels8 {
     return true;
   }
 };
+
+#if defined(__AVX2__)
+
+// One ziggurat batch: the variates of the eight draws at counters
+// first .. first+7 (float(stddev * ±j·w[layer])) and their fast-path
+// accept mask (bit l for draw l).
+struct ZigBatch {
+  __m256 variates;
+  unsigned accept_mask;
+};
+
+// Batches computed ahead of the commit. A batch's counter would
+// otherwise wait on the previous batch's accept mask; computing
+// kZigDepth batches from one counter keeps the Mix64 chains and gathers
+// of all of them in flight.
+constexpr size_t kZigDepth = 4;
+
+// The zig_try_fill_f32 body over a per-ISA batch function
+// (uint64_t first) -> ZigBatch, with first = key + counter of the
+// batch's first draw. The commit takes each batch's accepted prefix in
+// counter order and returns at the first rejected draw or at max_n, so
+// the stream is the one an unpipelined loop commits; the batches past
+// that point are discarded.
+template <typename BatchFn>
+size_t ZigPipelinedFill(BatchFn batch8, uint64_t first, bool accumulate,
+                        float* out, size_t max_n) {
+  size_t total = 0;
+  while (total < max_n) {
+    ZigBatch batch[kZigDepth];
+    for (size_t q = 0; q < kZigDepth; ++q) {
+      batch[q] = batch8(first + total + 8 * q);  // wraps like the scalar add
+    }
+    for (size_t q = 0; q < kZigDepth; ++q) {
+      size_t prefix = static_cast<size_t>(
+          __builtin_ctz(~batch[q].accept_mask | 0x100u));
+      size_t room = max_n - total;
+      size_t take = prefix < room ? prefix : room;
+      float* o = out + total;
+      if (take < 8) {
+        float buf[8];
+        _mm256_storeu_ps(buf, batch[q].variates);
+        for (size_t l = 0; l < take; ++l) {
+          if (accumulate) {
+            o[l] += buf[l];
+          } else {
+            o[l] = buf[l];
+          }
+        }
+        // A rejected draw (the scalar wedge/tail takes over) or max_n.
+        return total + take;
+      }
+      __m256 g = batch[q].variates;
+      if (accumulate) g = _mm256_add_ps(_mm256_loadu_ps(o), g);
+      _mm256_storeu_ps(o, g);
+      total += 8;
+    }
+  }
+  return total;
+}
+
+#endif  // __AVX2__
 
 // Register-blocked GEMM tiles over a trait (the gemm_nn_tile_f32 /
 // gemm_nt_tile_f32 table entries; contracts in simd.h). Register-tile

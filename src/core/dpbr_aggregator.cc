@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "durability/bytes.h"
 #include "tensor/ops.h"
@@ -23,39 +24,66 @@ Result<std::vector<float>> DpbrAggregator::Aggregate(
   // zeroed in place, exactly as FirstAGG outputs g ← 0 — no copy of the
   // arena is taken. The stage requires a known DP noise level; without DP
   // there is no reference distribution.
-  diag_.first_stage_passed.assign(n, true);
-  if (options_.enable_first_stage) {
-    if (ctx.sigma_upload <= 0.0) {
-      return Status::FailedPrecondition(
-          "first-stage aggregation requires DP noise (sigma_upload > 0); "
-          "disable the stage explicitly for non-DP runs");
-    }
-    std::vector<FirstStageVerdict> verdicts =
-        first_stage_.Apply(uploads, ctx.sigma_upload, &diag_.first_stage);
-    for (size_t i = 0; i < n; ++i) {
-      diag_.first_stage_passed[i] =
-          verdicts[i] == FirstStageVerdict::kAccepted;
-    }
+  if (options_.enable_first_stage && ctx.sigma_upload <= 0.0) {
+    return Status::FailedPrecondition(
+        "first-stage aggregation requires DP noise (sigma_upload > 0); "
+        "disable the stage explicitly for non-DP runs");
   }
-
   // --- Stage 2 (Algorithm 3): inner-product selection with cumulative
   // scores keyed on ctx.client_ids (on positions when null). Falls back
   // to "select everything that passed stage 1" when disabled
   // (first-stage-only ablation).
+  if (options_.enable_second_stage && ctx.server_gradient == nullptr) {
+    return Status::FailedPrecondition(
+        "second-stage aggregation needs ctx.server_gradient");
+  }
+  const std::vector<float>* gs = ctx.server_gradient;
+  std::vector<FirstStageVerdict> verdicts(n, FirstStageVerdict::kAccepted);
   std::vector<size_t> selected;
-  if (options_.enable_second_stage) {
-    if (ctx.server_gradient == nullptr) {
-      return Status::FailedPrecondition(
-          "second-stage aggregation needs ctx.server_gradient");
-    }
-    DPBR_ASSIGN_OR_RETURN(
-        selected,
-        second_stage_.SelectWorkers(uploads, *ctx.server_gradient, ctx.gamma,
-                                    ctx.client_ids));
+  if (options_.enable_first_stage && options_.enable_second_stage &&
+      gs->size() == uploads.dim) {
+    // Both stages in one pass: each item tests its row, zeroes it if
+    // rejected and scores it. A zeroed row's ⟨0, g_s⟩ is +0.0 whenever
+    // g_s is finite — each term (+0.0f)·g_i is ±0, and a round-to-nearest
+    // sum that starts at +0.0 stays +0.0 — so only accepted rows (and
+    // every row, if g_s holds an inf or NaN) pay for the dot. A g_s of
+    // the wrong size takes the two-pass path, whose SelectWorkers
+    // reports it.
+    const bool gs_finite =
+        simd::Kernels().all_finite_f32(gs->data(), gs->size());
+    std::vector<double> scores(n);
+    ParallelFor(0, n, [&](size_t i) {
+      float* row = uploads.Row(i);
+      verdicts[i] = first_stage_.ApplyRow(row, uploads.dim, ctx.sigma_upload);
+      scores[i] = verdicts[i] != FirstStageVerdict::kAccepted && gs_finite
+                      ? 0.0
+                      : ops::Dot(row, gs->data(), uploads.dim);
+    });
+    diag_.first_stage = FirstStageFilter::Tally(verdicts);
+    DPBR_ASSIGN_OR_RETURN(selected,
+                          second_stage_.SelectFromScores(
+                              std::move(scores), ctx.gamma, ctx.client_ids));
   } else {
-    for (size_t i = 0; i < n; ++i) {
-      if (diag_.first_stage_passed[i]) selected.push_back(i);
+    if (options_.enable_first_stage) {
+      verdicts =
+          first_stage_.Apply(uploads, ctx.sigma_upload, &diag_.first_stage);
     }
+    if (options_.enable_second_stage) {
+      DPBR_ASSIGN_OR_RETURN(
+          selected, second_stage_.SelectWorkers(uploads, *gs, ctx.gamma,
+                                                ctx.client_ids));
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        if (verdicts[i] == FirstStageVerdict::kAccepted) {
+          selected.push_back(i);
+        }
+      }
+    }
+  }
+  diag_.first_stage_passed.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    diag_.first_stage_passed[i] =
+        verdicts[i] == FirstStageVerdict::kAccepted;
   }
   diag_.selected = selected;
 

@@ -38,7 +38,10 @@ class DpbrAggregator : public agg::Aggregator {
   /// by the *total* worker count n, exactly Algorithm 1 line 14.
   /// First-stage rejection zeroes rows of `uploads` in place (the arena
   /// rows are rewritten by the workers next round; a caller that needs
-  /// its rows afterwards aggregates a copy).
+  /// its rows afterwards aggregates a copy). With both stages on, one
+  /// dispatch tests, zeroes and scores each row; the verdicts, scores and
+  /// selection are bitwise those of FirstStageFilter::Apply followed by
+  /// SecondStageAggregator::SelectWorkers.
   Result<std::vector<float>> Aggregate(
       RowSpan uploads, const agg::AggregationContext& ctx) override;
 

@@ -51,21 +51,30 @@ FirstStageVerdict FirstStageFilter::Test(const float* upload, size_t d,
   return FirstStageVerdict::kAccepted;
 }
 
+FirstStageVerdict FirstStageFilter::ApplyRow(float* row, size_t d,
+                                             double sigma_upload) const {
+  FirstStageVerdict v = Test(row, d, sigma_upload);
+  // Algorithm 2: g ← 0.
+  if (v != FirstStageVerdict::kAccepted) std::fill(row, row + d, 0.0f);
+  return v;
+}
+
 std::vector<FirstStageVerdict> FirstStageFilter::Apply(
     RowSpan uploads, double sigma_upload, FirstStageReport* report) const {
   std::vector<FirstStageVerdict> verdicts(uploads.rows);
   // Each row's test (the per-round validation hot path) is independent;
   // the report tallies are folded afterwards in index order.
   ParallelFor(0, uploads.rows, [&](size_t i) {
-    float* row = uploads.Row(i);
-    verdicts[i] = Test(row, uploads.dim, sigma_upload);
-    if (verdicts[i] != FirstStageVerdict::kAccepted) {
-      // Algorithm 2: g ← 0.
-      std::fill(row, row + uploads.dim, 0.0f);
-    }
+    verdicts[i] = ApplyRow(uploads.Row(i), uploads.dim, sigma_upload);
   });
+  if (report != nullptr) *report = Tally(verdicts);
+  return verdicts;
+}
+
+FirstStageReport FirstStageFilter::Tally(
+    const std::vector<FirstStageVerdict>& verdicts) {
   FirstStageReport rep;
-  rep.total = uploads.rows;
+  rep.total = verdicts.size();
   for (FirstStageVerdict v : verdicts) {
     switch (v) {
       case FirstStageVerdict::kAccepted:
@@ -79,8 +88,7 @@ std::vector<FirstStageVerdict> FirstStageFilter::Apply(
         break;
     }
   }
-  if (report != nullptr) *report = rep;
-  return verdicts;
+  return rep;
 }
 
 std::pair<double, double> FirstStageFilter::EnvelopeInterval(

@@ -14,7 +14,9 @@
 // sequentially only within its tolerance of a window edge), and only
 // rows that pass it reach the KS test, through stats::KsGaussianAccepts.
 // Every verdict is bitwise the one the sequential ops::SquaredNorm and
-// the sorted stats::KsTestGaussian give.
+// the sorted stats::KsTestGaussian give. ApplyRow is one row's test and
+// zeroing, so the dpbr aggregator can run it in the same per-row item
+// as the row's second-stage score (one pass over the uploads per round).
 
 #ifndef DPBR_CORE_FIRST_STAGE_H_
 #define DPBR_CORE_FIRST_STAGE_H_
@@ -52,12 +54,20 @@ class FirstStageFilter {
   FirstStageVerdict Test(const float* upload, size_t d,
                          double sigma_upload) const;
 
+  /// Test on one row of d coordinates, zeroing it (g ← 0) unless it is
+  /// accepted: Apply's work for one row, for a caller that runs it in
+  /// its own pass (the dpbr aggregator scores the row in the same item).
+  FirstStageVerdict ApplyRow(float* row, size_t d, double sigma_upload) const;
+
   /// Algorithm 2 applied to every row of the upload arena: rejected rows
   /// are zeroed in place (g ← 0). Returns per-row verdicts; `report`
   /// (optional) receives the aggregate counters.
   std::vector<FirstStageVerdict> Apply(
       RowSpan uploads, double sigma_upload,
       FirstStageReport* report = nullptr) const;
+
+  /// The aggregate counters of a round's verdicts.
+  static FirstStageReport Tally(const std::vector<FirstStageVerdict>& verdicts);
 
   /// Theorem 2: the closed interval the k-th smallest coordinate (k in
   /// [1, d]) must occupy to pass the KS test with statistic bound d_ks.

@@ -21,6 +21,21 @@ Result<std::vector<size_t>> SecondStageAggregator::SelectWorkers(
   if (uploads.dim != server_gradient.size()) {
     return Status::InvalidArgument("upload/server gradient size mismatch");
   }
+  // Lines 5-8: S_tmp[i] = ⟨g_i, g_s⟩. Each inner product is an
+  // independent per-index reduction, so the scores are bit-identical
+  // under any pool size.
+  std::vector<double> scores(n);
+  ParallelFor(0, n, [&](size_t i) {
+    scores[i] = ops::Dot(uploads.Row(i), server_gradient.data(), uploads.dim);
+  });
+  return SelectFromScores(std::move(scores), gamma, client_ids);
+}
+
+Result<std::vector<size_t>> SecondStageAggregator::SelectFromScores(
+    std::vector<double> scores, double gamma,
+    const std::vector<int>* client_ids) {
+  size_t n = scores.size();
+  if (n == 0) return Status::InvalidArgument("no uploads");
   // A null `client_ids` means the ids are the positions 0..n-1.
   std::vector<int> positions;
   if (client_ids == nullptr) {
@@ -41,15 +56,7 @@ Result<std::vector<size_t>> SecondStageAggregator::SelectWorkers(
   if (scores_.size() < static_cast<size_t>(max_id) + 1) {
     scores_.resize(static_cast<size_t>(max_id) + 1, 0.0);
   }
-
-  // Lines 5-8: S_tmp[i] = ⟨g_i, g_s⟩. Each inner product is an
-  // independent per-index reduction, so the scores are bit-identical
-  // under any pool size.
-  last_scores_.assign(n, 0.0);
-  ParallelFor(0, n, [&](size_t i) {
-    last_scores_[i] =
-        ops::Dot(uploads.Row(i), server_gradient.data(), uploads.dim);
-  });
+  last_scores_ = std::move(scores);
 
   // Line 9: μ̂ = mean of the top ⌈γn⌉ round scores.
   size_t k = agg::TrustedCount(gamma, n);

@@ -6,6 +6,12 @@
 // scores, accumulates surviving scores in a persistent per-worker list S,
 // and selects the uploads with the top ⌈γn⌉ cumulative scores. Selection
 // weights are binary by design (paper §4.5 "Novelties").
+//
+// Each score is one sequential ops::Dot (its bits rank the workers).
+// SelectWorkers computes them itself; SelectFromScores takes them from a
+// caller that already holds them: the dpbr aggregator scores each row in
+// its first-stage item, and a row the first stage zeroed scores +0.0
+// without a dot when g_s is finite (the dot's exact value).
 
 #ifndef DPBR_CORE_SECOND_STAGE_H_
 #define DPBR_CORE_SECOND_STAGE_H_
@@ -34,12 +40,20 @@ class SecondStageAggregator {
       ConstRowSpan uploads, const std::vector<float>& server_gradient,
       double gamma, const std::vector<int>* client_ids = nullptr);
 
+  /// Lines 9-14 from the round's scores S_tmp[i] = ⟨g_i, g_s⟩, computed
+  /// by the caller (one per row, bitwise the ops::Dot SelectWorkers
+  /// takes): SelectWorkers is its scores, then this. Same ids contract.
+  Result<std::vector<size_t>> SelectFromScores(
+      std::vector<double> scores, double gamma,
+      const std::vector<int>* client_ids = nullptr);
+
   /// Cumulative score list S, indexed by client id. Empty before the
   /// first round.
   const std::vector<double>& cumulative_scores() const { return scores_; }
 
-  /// Per-round scores ⟨g_i, g_s⟩ from the last SelectWorkers call
-  /// (pre-thresholding, indexed by span position), for diagnostics.
+  /// Per-round scores ⟨g_i, g_s⟩ from the last SelectWorkers or
+  /// SelectFromScores call (pre-thresholding, indexed by span position),
+  /// for diagnostics.
   const std::vector<double>& last_round_scores() const {
     return last_scores_;
   }

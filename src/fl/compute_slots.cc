@@ -52,6 +52,7 @@ void ComputeSlots::Prepare() {
 std::vector<float> ComputeSlots::InitParams(SplitRng* rng) {
   nn::Sequential* model = ThisSlot().model.get();
   model->InitParams(rng);
+  ParamsChanged();
   return model->FlatParams();
 }
 
@@ -59,7 +60,12 @@ ComputeSlots::Slot& ComputeSlots::LoadedSlot(
     const std::vector<float>& params) {
   DPBR_CHECK_EQ(params.size(), dim_);
   Slot& s = ThisSlot();
-  s.model->SetParamsFrom(params.data());
+  const uint64_t version = version_.load();
+  if (s.loaded_from != params.data() || s.loaded_version != version) {
+    s.model->SetParamsFrom(params.data());
+    s.loaded_from = params.data();
+    s.loaded_version = version;
+  }
   return s;
 }
 

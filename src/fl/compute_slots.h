@@ -4,15 +4,21 @@
 // randomness (Algorithm 1) and the server only w; models are scratch.
 // The bodies of one dispatch run on distinct slots, so local steps, aux
 // rows and evaluation share the models without locking. Every pass
-// loads its parameters first and no workspace carries a value between
-// passes, so a result never depends on which slot ran it. All threads
-// outside the pool share one slot, so two external threads must not
-// compute on the same ComputeSlots at once.
+// runs on a model loaded from its parameters and no workspace carries a
+// value between passes, so a result never depends on which slot ran it.
+// A slot copies a parameter vector only when it last loaded another
+// vector or an older parameter version: whoever changes a vector the
+// slots load from calls ParamsChanged() before the next pass (the
+// server's mutations and HonestDpWorker::ComputeUpdateInto do). All
+// threads outside the pool share one slot, so two external threads must
+// not compute on the same ComputeSlots at once.
 
 #ifndef DPBR_FL_COMPUTE_SLOTS_H_
 #define DPBR_FL_COMPUTE_SLOTS_H_
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -31,6 +37,9 @@ class ComputeSlots {
     /// dim floats: a local step's example pass writes its flat gradient
     /// here.
     std::vector<float> grad;
+    /// The vector and parameter version the model was last loaded from.
+    const float* loaded_from = nullptr;
+    uint64_t loaded_version = 0;
 
     /// Logits of view examples idx[0..n): one batched forward pass.
     Tensor Forward(const data::DatasetView& view, const size_t* idx,
@@ -53,10 +62,16 @@ class ComputeSlots {
   void Prepare();
 
   /// Runs InitParams(rng) on the calling thread's slot model and returns
-  /// its flat parameters.
+  /// its flat parameters. Starts a new parameter version.
   std::vector<float> InitParams(SplitRng* rng);
 
-  /// The calling thread's slot, its model loaded from `params`.
+  /// Starts a new parameter version: every slot reloads on its next
+  /// LoadedSlot. Call it after changing the contents of a vector passed
+  /// to LoadedSlot, between dispatches.
+  void ParamsChanged() { version_.fetch_add(1); }
+
+  /// The calling thread's slot, its model loaded from `params`: copied
+  /// in unless the slot last loaded this vector at the current version.
   Slot& LoadedSlot(const std::vector<float>& params);
 
  private:
@@ -65,6 +80,8 @@ class ComputeSlots {
   nn::ModelFactory factory_;
   size_t dim_ = 0;
   std::vector<Slot> slots_;
+  // Starts above every slot's loaded_version, so a new slot always loads.
+  std::atomic<uint64_t> version_{1};
 };
 
 }  // namespace fl

@@ -46,6 +46,7 @@ Status Server::SetParams(std::vector<float> params) {
         " parameters, model has " + std::to_string(params_.size()));
   }
   params_ = std::move(params);
+  slots_->ParamsChanged();
   return Status::OK();
 }
 
@@ -76,6 +77,7 @@ Status Server::Step(RowSpan uploads, double lr,
   }
   ops::Axpy(static_cast<float>(-lr), update.data(), params_.data(),
             params_.size());
+  slots_->ParamsChanged();
   return Status::OK();
 }
 

@@ -119,10 +119,14 @@ Status FederatedTrainer::Setup() {
   // --- Learning rate: η = η_b · σ_b / σ (paper CLAIM 6). ---
   lr_ = options_.base_lr;
   if (privacy_.dp_enabled && options_.transfer_base_epsilon > 0.0) {
-    dp::PrivacySpec base_spec = spec;
-    base_spec.epsilon = options_.transfer_base_epsilon;
-    DPBR_ASSIGN_OR_RETURN(dp::PrivacyParams base_privacy,
-                          dp::CalibratePrivacy(base_spec));
+    // At the run's own ε the base spec is the run's spec: reuse its
+    // calibration.
+    dp::PrivacyParams base_privacy = privacy_;
+    if (options_.transfer_base_epsilon != spec.epsilon) {
+      dp::PrivacySpec base_spec = spec;
+      base_spec.epsilon = options_.transfer_base_epsilon;
+      DPBR_ASSIGN_OR_RETURN(base_privacy, dp::CalibratePrivacy(base_spec));
+    }
     lr_ = options_.base_lr * base_privacy.sigma / privacy_.sigma;
   }
 

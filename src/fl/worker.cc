@@ -37,6 +37,9 @@ HonestDpWorker::HonestDpWorker(int id, data::DatasetView shard,
 
 void HonestDpWorker::ComputeUpdateInto(
     const std::vector<float>& global_params, int round, float* out) {
+  // The caller may have changed global_params in place since the slots
+  // last loaded it.
+  slots_->ParamsChanged();
   BeginRound(round);
   Examples(global_params, 0, batch_size());
   FinishInto(out);
@@ -68,15 +71,14 @@ void HonestDpWorker::Examples(const std::vector<float>& global_params,
   float* g = slot.grad.data();
   // Lines 6-8: example j's gradient (a batch-of-1 pass, bitwise row j
   // of a batched one) folded into its momentum slot; the slot's norm is
-  // all line 9 needs from it. Without FMA, scaling φ_j by β and then
-  // adding (1−β)·g rounds exactly as (1−β)·g + β·φ_j: two products, one
-  // sum.
+  // all line 9 needs from it. Without FMA, β·φ_j + (1−β)·g rounds exactly
+  // as (1−β)·g + β·φ_j: two products, one sum. The fold returns the
+  // chained sum of squares the inverse norm's bracket starts from.
   for (size_t j = lo; j < hi; ++j) {
     slot.PerExampleGradients(shard_, &batch_[j], 1, g);
     float* phi = momentum_[j].data();
-    ops::Scale(b, phi, d);
-    ops::Axpy(omb, g, phi, d);
-    inv_norm_[j] = ops::InverseNorm(phi, d);
+    double sq = ops::MomentumFold(b, omb, g, phi, d);
+    inv_norm_[j] = ops::InverseNorm(phi, d, sq);
   }
 }
 

@@ -70,8 +70,8 @@ class HonestDpWorker {
 
   /// Runs Algorithm 1 lines 5-11, writing the upload g_i^t into `out`
   /// (dim() floats — typically the worker's row of the round's
-  /// UploadArena). `out` is wholly overwritten. Same as BeginRound,
-  /// Examples over the whole batch, then FinishInto.
+  /// UploadArena). `out` is wholly overwritten. Same as a new parameter
+  /// version, BeginRound, Examples over the whole batch, then FinishInto.
   void ComputeUpdateInto(const std::vector<float>& global_params, int round,
                          float* out);
 
@@ -84,6 +84,9 @@ class HonestDpWorker {
   /// folded into its momentum slot φ_j, whose inverse norm is kept for
   /// FinishInto. Disjoint ranges may run in any order, concurrently on
   /// distinct threads; the caller orders them all before FinishInto.
+  /// A slot reloads `global_params` only at a new parameter version, so
+  /// a caller that changed it in place calls the slots' ParamsChanged()
+  /// first (Server::Step and SetParams do for the server's parameters).
   void Examples(const std::vector<float>& global_params, size_t lo,
                 size_t hi);
 

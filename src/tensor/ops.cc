@@ -17,6 +17,11 @@ void Scale(float alpha, float* x, size_t n) {
   simd::Kernels().scale_f32(alpha, x, n);
 }
 
+double MomentumFold(float beta, float omb, const float* g, float* phi,
+                    size_t n) {
+  return simd::Kernels().momentum_fold_f32(beta, omb, g, phi, n);
+}
+
 double Dot(const float* x, const float* y, size_t n) {
   double s = 0.0;
   for (size_t i = 0; i < n; ++i) s += static_cast<double>(x[i]) * y[i];
@@ -49,10 +54,13 @@ double ChainedSquaredNormTolerance(double sq, size_t n) {
 }
 
 float InverseNorm(const float* x, size_t n) {
-  auto inverse = [](double sq) {
-    return static_cast<float>(1.0 / std::max(std::sqrt(sq), 1e-12));
+  return InverseNorm(x, n, ChainedSquaredNorm(x, n));
+}
+
+float InverseNorm(const float* x, size_t n, double sq) {
+  auto inverse = [](double s) {
+    return static_cast<float>(1.0 / std::max(std::sqrt(s), 1e-12));
   };
-  double sq = ChainedSquaredNorm(x, n);
   if (std::isfinite(sq)) {
     double tol = ChainedSquaredNormTolerance(sq, n);
     float at_hi = inverse(sq + tol);

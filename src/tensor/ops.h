@@ -21,6 +21,12 @@ void Axpy(float alpha, const float* x, float* y, size_t n);
 /// x *= alpha
 void Scale(float alpha, float* x, size_t n);
 
+/// The momentum fold phi ← beta·phi + omb·g in one pass, bitwise
+/// Scale(beta, phi) then Axpy(omb, g, phi); returns the new phi's
+/// ChainedSquaredNorm.
+double MomentumFold(float beta, float omb, const float* g, float* phi,
+                    size_t n);
+
 /// Σ x_i y_i (double accumulator).
 double Dot(const float* x, const float* y, size_t n);
 
@@ -48,6 +54,10 @@ double ChainedSquaredNormTolerance(double sq, size_t n);
 /// does the sequential sum inside it. Recomputes from SquaredNorm only
 /// when they differ or the chained sum is not finite.
 float InverseNorm(const float* x, size_t n);
+
+/// InverseNorm with the bracket centred on `chained_sq`, which must be
+/// ChainedSquaredNorm(x, n) (as MomentumFold returns it).
+float InverseNorm(const float* x, size_t n, double chained_sq);
 
 /// x /= max(‖x‖, eps): normalizes to unit length. Returns original norm.
 double NormalizeInPlace(float* x, size_t n, double eps = 1e-12);

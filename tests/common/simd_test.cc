@@ -11,8 +11,11 @@
 //  * the pinned 8-lane reductions agree with a naive sequential sum only
 //    to tolerance (documented reassociation), while remaining bitwise
 //    stable across ISAs,
+//  * the fused momentum fold keeps the bits of the scale, axpy and
+//    chained sum of squares it replaces,
 //  * the vectorized ziggurat fast path reproduces the scalar rejection
 //    sampler's stream exactly through the public FillGaussian API, and
+//    its pipelined batches commit exactly the contract's prefix, and
 //  * ScopedForceIsa retargets and restores the active table.
 //
 // Buffers are heap-allocated at exactly the tested size so that any
@@ -31,6 +34,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "tensor/ops.h"
 
 namespace dpbr {
 namespace {
@@ -159,6 +163,7 @@ TEST(SimdDispatchTest, TablesAreConsistent) {
     }
     EXPECT_EQ(k->isa, level) << simd::IsaName(level);
     EXPECT_NE(k->axpy_f32, nullptr);
+    EXPECT_NE(k->momentum_fold_f32, nullptr);
     EXPECT_NE(k->gemm_nn_tile_f32, nullptr);
     EXPECT_NE(k->gemm_nt_tile_f32, nullptr);
     EXPECT_NE(k->all_finite_f32, nullptr);
@@ -236,6 +241,66 @@ TEST(SimdKernelTest, ScaleAndAddScalarBitwise) {
       ExpectBitEqual(want, got);
     }
   });
+}
+
+// --- The momentum fold: phi ← β·phi + (1−β)·g and the new phi's
+// chained sum of squares, in one pass. Every tier equals the scalar
+// entry, and the scalar entry equals the three calls it replaces
+// (ops::Scale, ops::Axpy, ops::ChainedSquaredNorm), on sizes around
+// every tier's step and at the paper models' d, with NaN, ±inf and
+// denormals in both inputs.
+
+void ExpectSameSum(double want, double got) {
+  if (std::isnan(want)) {
+    ASSERT_TRUE(std::isnan(got)) << "got " << got;
+  } else {
+    ASSERT_EQ(Bits(want), Bits(got)) << "want " << want << " got " << got;
+  }
+}
+
+TEST(SimdKernelTest, MomentumFoldBitwise) {
+  const size_t kFoldSizes[] = {0, 1, 7, 8, 15, 16, 17, 21802, 25450};
+  for (float beta : {0.0f, 0.1f, 0.9f}) {
+    const float omb = 1.0f - beta;
+    for (size_t n : kFoldSizes) {
+      for (bool adversarial : {false, true}) {
+        SCOPED_TRACE("beta " + std::to_string(beta) + ", n " +
+                     std::to_string(n) +
+                     (adversarial ? ", adversarial" : ", finite"));
+        std::vector<float> g =
+            adversarial ? AdversarialVec(n, 1300 + n) : RandomVec(n, 1300 + n);
+        std::vector<float> phi0 = adversarial ? AdversarialVec(n, 1400 + n)
+                                              : RandomVec(n, 1400 + n);
+        std::vector<float> three = phi0;
+        ops::Scale(beta, three.data(), n);
+        ops::Axpy(omb, g.data(), three.data(), n);
+        double three_sq = ops::ChainedSquaredNorm(three.data(), n);
+        ForEachIsa([&](const SimdKernels& ref, const SimdKernels& k) {
+          std::vector<float> want = phi0;
+          double want_sq =
+              ref.momentum_fold_f32(beta, omb, g.data(), want.data(), n);
+          ExpectBitEqualOrBothNaN(three, want);
+          ExpectSameSum(three_sq, want_sq);
+          std::vector<float> got = phi0;
+          double got_sq =
+              k.momentum_fold_f32(beta, omb, g.data(), got.data(), n);
+          ExpectBitEqualOrBothNaN(want, got);
+          ExpectSameSum(want_sq, got_sq);
+        });
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, MomentumFoldSumFeedsTheInverseNorm) {
+  // ops::InverseNorm from the fold's sum is the one from the row itself.
+  for (size_t n : {size_t{17}, size_t{21802}, size_t{25450}}) {
+    std::vector<float> g = RandomVec(n, 1500 + n, 0.01);
+    std::vector<float> phi = RandomVec(n, 1600 + n, 0.01);
+    double sq = ops::MomentumFold(0.1f, 0.9f, g.data(), phi.data(), n);
+    EXPECT_EQ(Bits(ops::InverseNorm(phi.data(), n)),
+              Bits(ops::InverseNorm(phi.data(), n, sq)));
+  }
 }
 
 // --- Reductions: the pinned 8-lane fold is part of the kernel
@@ -593,6 +658,111 @@ TEST(SimdZigguratTest, AddStreamBitwiseAcrossIsas) {
     SplitRng rng(61, {13});
     rng.AddGaussian(got.data(), n, 1.7);
     ExpectBitEqual(want, got);
+  }
+}
+
+// --- The ziggurat batch kernel against its contract (simd.h), draw by
+// draw. The tables are the test's own, so the acceptance rate and the
+// place of every rejection are known: the kernel computes four 8-draw
+// batches ahead, and a rejection in any of them, or max_n inside any of
+// them, must end the commit exactly where the one-draw loop ends.
+
+uint64_t SplitMix64(uint64_t z) {
+  z += 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+struct ZigTables {
+  double w[256];
+  uint64_t kcut[256];
+
+  // Draws are accepted with probability `accept` in every layer.
+  explicit ZigTables(double accept) {
+    for (size_t l = 0; l < 256; ++l) {
+      w[l] = (3.7 - 0.0143 * static_cast<double>(l)) * 0x1.0p-53;
+      kcut[l] = static_cast<uint64_t>(accept * 0x1.0p53);
+    }
+  }
+};
+
+size_t ZigReference(uint64_t key, uint64_t counter, const ZigTables& t,
+                    double stddev, bool accumulate, float* out,
+                    size_t max_n) {
+  size_t i = 0;
+  for (; i < max_n; ++i) {
+    uint64_t bits = SplitMix64(key + counter + i);
+    size_t layer = bits & 0xFF;
+    uint64_t j = bits >> 11;
+    if (j >= t.kcut[layer]) break;
+    double sign = ((bits >> 8) & 1) != 0 ? -1.0 : 1.0;
+    float g = static_cast<float>(
+        stddev * (static_cast<double>(j) * t.w[layer] * sign));
+    if (accumulate) {
+      out[i] += g;
+    } else {
+      out[i] = g;
+    }
+  }
+  return i;
+}
+
+// Runs every available zig_try_fill_f32 against the reference on a
+// prefilled buffer of max_n + 8 floats: the count and every float, the
+// ones past the committed prefix included, must match.
+void ExpectZigMatches(uint64_t key, uint64_t counter, const ZigTables& t,
+                      size_t max_n) {
+  for (bool accumulate : {false, true}) {
+    std::vector<float> want(max_n + 8, 0.75f);
+    size_t want_n = ZigReference(key, counter, t, 1.3, accumulate,
+                                 want.data(), max_n);
+    for (IsaLevel level : kAllIsas) {
+      const SimdKernels* k = simd::KernelsFor(level);
+      if (k == nullptr || k->zig_try_fill_f32 == nullptr) continue;
+      SCOPED_TRACE(std::string(simd::IsaName(level)) + ", max_n " +
+                   std::to_string(max_n) +
+                   (accumulate ? ", accumulate" : ", store"));
+      std::vector<float> got(max_n + 8, 0.75f);
+      size_t got_n = k->zig_try_fill_f32(key, counter, t.w, t.kcut, 1.3,
+                                         accumulate, got.data(), max_n);
+      ASSERT_EQ(want_n, got_n);
+      ExpectBitEqual(want, got);
+    }
+  }
+}
+
+TEST(SimdZigguratTest, BatchKernelStopsAtMaxNAnywhere) {
+  // Every draw accepted (j < 2^53 always): the commit ends at max_n,
+  // inside or at the end of any of the four batches, across groups.
+  const ZigTables all(1.0);
+  for (size_t max_n : {size_t{0}, size_t{1}, size_t{5}, size_t{8},
+                       size_t{13}, size_t{29}, size_t{32}, size_t{37},
+                       size_t{63}, size_t{100}, size_t{1001}}) {
+    ExpectZigMatches(0x1234, 77, all, max_n);
+  }
+  // The counter wraps like the scalar add.
+  ExpectZigMatches(~uint64_t{0} - 20, 3, all, 45);
+}
+
+TEST(SimdZigguratTest, BatchKernelStopsAtTheFirstRejectionInAnyBatch) {
+  // ~3% of draws rejected. For each offset — in each of the four
+  // speculative batches of the first group, and in the second group —
+  // find a counter whose first rejected draw sits exactly there.
+  const ZigTables t(0.97);
+  const uint64_t key = 0xC0FFEE;
+  for (size_t offset : {size_t{0}, size_t{3}, size_t{13}, size_t{16},
+                        size_t{22}, size_t{31}, size_t{40}}) {
+    SCOPED_TRACE("first rejection at " + std::to_string(offset));
+    std::vector<float> scratch(64);
+    uint64_t counter = 0;
+    while (ZigReference(key, counter, t, 1.0, false, scratch.data(), 64) !=
+           offset) {
+      ++counter;
+    }
+    ExpectZigMatches(key, counter, t, 64);
+    ExpectZigMatches(key, counter, t, offset + 3);  // room past it
+    ExpectZigMatches(key, counter, t, offset);      // max_n right at it
   }
 }
 

@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "fl/upload.h"
 #include "tensor/ops.h"
 
@@ -180,6 +184,150 @@ TEST(DpbrAggregatorTest, ResetClearsCumulativeState) {
   EXPECT_FALSE(aggregator.second_stage().cumulative_scores().empty());
   aggregator.Reset();
   EXPECT_TRUE(aggregator.second_stage().cumulative_scores().empty());
+}
+
+// --- One pass per upload. With both stages on, Aggregate tests, zeroes
+// and scores each row in one item, skipping the dot for a zeroed row
+// when g_s is finite. It must equal the two-pass reference below — Apply,
+// then SelectWorkers on the zeroed rows, then the sum of the selected
+// rows — bit for bit in every output and in the arena it leaves.
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+struct TwoPassReference {
+  FirstStageFilter first{ProtocolOptions{}};
+  SecondStageAggregator second;
+  std::vector<bool> passed;
+  FirstStageReport report;
+  std::vector<size_t> selected;
+
+  std::vector<float> Aggregate(RowSpan rows,
+                               const agg::AggregationContext& ctx) {
+    std::vector<FirstStageVerdict> v =
+        first.Apply(rows, ctx.sigma_upload, &report);
+    passed.clear();
+    for (FirstStageVerdict x : v) {
+      passed.push_back(x == FirstStageVerdict::kAccepted);
+    }
+    Result<std::vector<size_t>> sel = second.SelectWorkers(
+        rows, *ctx.server_gradient, ctx.gamma, ctx.client_ids);
+    EXPECT_TRUE(sel.ok());
+    selected = sel.ok() ? sel.value() : std::vector<size_t>{};
+    std::vector<float> out(rows.dim, 0.0f);
+    for (size_t idx : selected) {
+      ops::Axpy(1.0f, rows.Row(idx), out.data(), rows.dim);
+    }
+    // ProtocolOptions' default update scale: 1/|G_s|.
+    double denom = static_cast<double>(std::max<size_t>(selected.size(), 1));
+    ops::Scale(static_cast<float>(1.0 / denom), out.data(), rows.dim);
+    return out;
+  }
+};
+
+// One row of each kind the round meets, at dimension d: accepted honest
+// rows, an anti-aligned one, NaN, +inf, -inf, a norm reject, a KS reject
+// (±σ: the norm of a Gaussian row, far from its shape) and a zero row.
+void FillMixedRows(size_t d, uint64_t seed, fl::UploadArena* arena) {
+  const size_t kRows = 10;
+  const float inf = std::numeric_limits<float>::infinity();
+  arena->Reset(kRows, d);
+  SplitRng dir_rng(seed);
+  std::vector<float> dir(d);
+  dir_rng.FillGaussian(dir.data(), d, 1.0);
+  ops::NormalizeInPlace(dir.data(), d);
+  for (size_t i = 0; i < kRows; ++i) {
+    float* row = arena->Row(i);
+    SplitRng rng(seed, {i});
+    rng.FillGaussian(row, d, kSigmaUp);
+    float signal = i == 3 ? -0.5f : 0.2f;
+    ops::Axpy(signal, dir.data(), row, d);
+  }
+  arena->Row(4)[d / 2] = std::numeric_limits<float>::quiet_NaN();
+  arena->Row(5)[0] = inf;
+  arena->Row(6)[d - 1] = -inf;
+  ops::Scale(3.0f, arena->Row(7), d);
+  SplitRng sign_rng(seed, {99});
+  for (size_t c = 0; c < d; ++c) {
+    arena->Row(8)[c] = (sign_rng.Next64() & 1) != 0 ? kSigmaUp : -kSigmaUp;
+  }
+  std::fill(arena->Row(9), arena->Row(9) + d, 0.0f);
+}
+
+void ExpectOnePassMatchesTwoPass(size_t d, const std::vector<float>& gs,
+                                 const std::vector<int>* ids) {
+  DpbrAggregator fused;
+  TwoPassReference ref;
+  for (int round = 1; round <= 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    fl::UploadArena rows;
+    FillMixedRows(d, 500 + static_cast<uint64_t>(round), &rows);
+    fl::UploadArena ref_rows = rows;
+    agg::AggregationContext ctx = Ctx(&gs, 0.4);
+    ctx.dim = d;
+    ctx.round = round;
+    ctx.client_ids = ids;
+    Result<std::vector<float>> got = fused.Aggregate(rows.span(), ctx);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    std::vector<float> want = ref.Aggregate(ref_rows.span(), ctx);
+
+    const DpbrRoundDiagnostics& diag = fused.last_round();
+    EXPECT_EQ(diag.first_stage_passed, ref.passed);
+    EXPECT_EQ(diag.first_stage.total, ref.report.total);
+    EXPECT_EQ(diag.first_stage.accepted, ref.report.accepted);
+    EXPECT_EQ(diag.first_stage.rejected_norm, ref.report.rejected_norm);
+    EXPECT_EQ(diag.first_stage.rejected_ks, ref.report.rejected_ks);
+    EXPECT_EQ(0, std::memcmp(rows.Row(0), ref_rows.Row(0),
+                             rows.rows() * d * sizeof(float)));
+    EXPECT_TRUE(SameBytes(fused.second_stage().last_round_scores(),
+                          ref.second.last_round_scores()));
+    EXPECT_TRUE(SameBytes(fused.second_stage().cumulative_scores(),
+                          ref.second.cumulative_scores()));
+    EXPECT_EQ(diag.selected, ref.selected);
+    EXPECT_TRUE(SameBytes(got.value(), want));
+  }
+}
+
+TEST(DpbrOnePassTest, MatchesApplyThenSelectWorkersBitwise) {
+  const size_t hw = std::max(2u, std::thread::hardware_concurrency());
+  const float inf = std::numeric_limits<float>::infinity();
+  // kDim exercises every verdict; d = 8 has a norm window starting at 0,
+  // so the zero row passes the norm test there.
+  for (size_t d : {kDim, size_t{8}}) {
+    SplitRng rng(31, {d});
+    std::vector<float> finite(d);
+    rng.FillGaussian(finite.data(), d, 0.5);
+    std::vector<float> with_inf = finite;
+    with_inf[d / 3] = -inf;
+    std::vector<float> with_nan = finite;
+    with_nan[d - 1] = std::numeric_limits<float>::quiet_NaN();
+    std::vector<int> ids;
+    for (int i = 0; i < 10; ++i) ids.push_back(2 * (9 - i) + 1);
+    for (size_t threads : {size_t{1}, size_t{2}, hw}) {
+      ThreadPool pool(threads);
+      ScopedPoolOverride route(&pool);
+      SCOPED_TRACE("d " + std::to_string(d) + ", pool " +
+                   std::to_string(threads));
+      ExpectOnePassMatchesTwoPass(d, finite, nullptr);
+      ExpectOnePassMatchesTwoPass(d, finite, &ids);
+      ExpectOnePassMatchesTwoPass(d, with_inf, nullptr);
+      ExpectOnePassMatchesTwoPass(d, with_nan, &ids);
+    }
+  }
+}
+
+TEST(DpbrOnePassTest, MixedRowsMeetEveryVerdict) {
+  // The rows above reach every branch of the pass at kDim.
+  fl::UploadArena rows;
+  FillMixedRows(kDim, 501, &rows);
+  FirstStageReport report;
+  FirstStageFilter(ProtocolOptions{}).Apply(rows.span(), kSigmaUp, &report);
+  EXPECT_GE(report.accepted, 3u);
+  EXPECT_GE(report.rejected_norm, 5u);  // NaN, ±inf, 3σ, zero
+  EXPECT_GE(report.rejected_ks, 1u);    // ±σ
 }
 
 }  // namespace

@@ -130,6 +130,44 @@ TEST(SecondStageTest, InputValidation) {
       s.SelectWorkers(ConstRowSpan(wide.data(), 1, 2), {1.0f}, 0.5).ok());
 }
 
+TEST(SecondStageTest, SelectFromScoresIsSelectWorkersAfterItsScores) {
+  // SelectWorkers is its dot products, then SelectFromScores: over
+  // rounds with changing ids, selections, round scores and cumulative
+  // scores agree bit for bit.
+  SecondStageAggregator from_rows;
+  SecondStageAggregator from_scores;
+  const std::vector<std::vector<float>> rounds = {
+      {5, -1, 3, 0, 2}, {1, 4, -2, 6, 0}, {0, 0, 7, -3, 2}};
+  const std::vector<std::vector<int>> ids = {
+      {0, 1, 2, 3, 4}, {7, 1, 3, 2, 9}, {4, 9, 0, 7, 1}};
+  for (size_t r = 0; r < rounds.size(); ++r) {
+    std::vector<double> scores;
+    for (float v : rounds[r]) scores.push_back(static_cast<double>(v) * 2.0);
+    auto want = from_rows.SelectWorkers(ScalarUploads(rounds[r]), {2.0f},
+                                        0.4, &ids[r]);
+    auto got = from_scores.SelectFromScores(scores, 0.4, &ids[r]);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(want.value(), got.value()) << "round " << r;
+    EXPECT_EQ(from_rows.last_round_scores(), from_scores.last_round_scores());
+    EXPECT_EQ(from_rows.cumulative_scores(), from_scores.cumulative_scores());
+  }
+}
+
+TEST(SecondStageTest, SelectFromScoresValidatesBeforeItTouchesState) {
+  SecondStageAggregator s;
+  ASSERT_TRUE(s.SelectFromScores({3.0, 1.0}, 0.5).ok());
+  const std::vector<double> cumulative = s.cumulative_scores();
+  const std::vector<double> last = s.last_round_scores();
+  EXPECT_FALSE(s.SelectFromScores({}, 0.5).ok());
+  std::vector<int> short_ids = {0};
+  EXPECT_FALSE(s.SelectFromScores({1.0, 2.0}, 0.5, &short_ids).ok());
+  std::vector<int> negative = {0, -1};
+  EXPECT_FALSE(s.SelectFromScores({1.0, 2.0}, 0.5, &negative).ok());
+  EXPECT_EQ(s.cumulative_scores(), cumulative);
+  EXPECT_EQ(s.last_round_scores(), last);
+}
+
 TEST(SecondStageTest, ResetClearsState) {
   SecondStageAggregator s;
   ASSERT_TRUE(s.SelectWorkers(ScalarUploads({5, 1}), {1.0f}, 0.5).ok());

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "aggregators/mean.h"
@@ -385,6 +386,88 @@ TEST(WorkerSlotTest, UploadDoesNotDependOnWhatTheSlotRanBefore) {
   server.AuxGradientRowInto(0, row.data());
   server.EvaluateAccuracy(Range(&bundle.train, 0, 64));
   ExpectBitwiseEqual(want, upload_on(after_server));
+}
+
+TEST(WorkerSlotTest, EveryParameterChangeReachesTheSharedSlots) {
+  // A slot reloads only at a new parameter version. With one ComputeSlots
+  // shared by a server and a worker, as in the trainer, every change of
+  // the parameters — a server step (in place), SetParams, a restore of
+  // earlier parameters, a caller's in-place edit before ComputeUpdateInto
+  // — must reach the next pass of every kind: a local step through the
+  // round's own entry points (BeginRound, Examples, FinishInto), an aux
+  // row and an evaluation. Each must equal the same pass on fresh slots.
+  data::DatasetBundle bundle = SmallBundle();
+  nn::ModelFactory f = nn::MlpFactory(16, 8, 4);
+  const data::DatasetView train = data::DatasetView::All(&bundle.train);
+  const data::DatasetView aux = data::DatasetView::All(&bundle.val);
+  const data::DatasetView test = data::DatasetView::All(&bundle.test);
+  for (size_t threads : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE("pool " + std::to_string(threads));
+    ThreadPool pool(threads);
+    ScopedPoolOverride route(&pool);
+    auto shared = std::make_shared<ComputeSlots>(f);
+    Server server(shared, std::make_unique<agg::MeanAggregator>(), aux, 33);
+    HonestDpWorker worker(0, train, shared, Opts(1.0), 9);
+    // The twin keeps the worker's momentum in step on slots of its own,
+    // and is handed each parameter state in a vector that stays alive
+    // and is never edited, so its slots load every state afresh.
+    HonestDpWorker twin(0, train, f, Opts(1.0), 9);
+    std::vector<std::vector<float>> states;
+    auto twin_upload = [&](const std::vector<float>& params, int round) {
+      states.push_back(params);
+      return Upload(twin, states.back(), round);
+    };
+    auto fresh_server = [&](const std::vector<float>& params) {
+      auto s = std::make_unique<Server>(
+          f, std::make_unique<agg::MeanAggregator>(), aux, 1);
+      EXPECT_TRUE(s->SetParams(params).ok());
+      return s;
+    };
+    int round = 0;
+    auto expect_passes_match = [&](const char* after) {
+      SCOPED_TRACE(after);
+      ++round;
+      std::vector<float> got(worker.dim());
+      worker.BeginRound(round);
+      ParallelFor(0, worker.batch_size(), [&](size_t j) {
+        worker.Examples(server.params(), j, j + 1);
+      });
+      worker.FinishInto(got.data());
+      ExpectBitwiseEqual(twin_upload(server.params(), round), got);
+
+      std::unique_ptr<Server> fresh = fresh_server(server.params());
+      std::vector<float> want_row(server.dim());
+      fresh->AuxGradientRowInto(1, want_row.data());
+      std::vector<float> row(server.dim());
+      server.AuxGradientRowInto(1, row.data());
+      ExpectBitwiseEqual(want_row, row);
+      EXPECT_EQ(fresh->EvaluateAccuracy(test), server.EvaluateAccuracy(test));
+    };
+
+    expect_passes_match("initial parameters");
+    std::vector<float> block(2 * server.dim(), 0.25f);
+    ASSERT_TRUE(server
+                    .Step(RowSpan(block.data(), 2, server.dim()), 0.5,
+                          agg::AggregationContext{})
+                    .ok());
+    expect_passes_match("Step");
+    const std::vector<float> saved = server.params();
+    ASSERT_TRUE(server.SetParams(InitialParams(f, 44)).ok());
+    expect_passes_match("SetParams");
+    ASSERT_TRUE(server.SetParams(saved).ok());
+    expect_passes_match("restore");
+
+    // A caller's vector edited in place between two ComputeUpdateInto
+    // calls on the shared slots.
+    std::vector<float> params = server.params();
+    ++round;
+    ExpectBitwiseEqual(twin_upload(params, round),
+                       Upload(worker, params, round));
+    for (size_t i = 0; i < params.size(); i += 3) params[i] *= -0.5f;
+    ++round;
+    ExpectBitwiseEqual(twin_upload(params, round),
+                       Upload(worker, params, round));
+  }
 }
 
 TEST(WorkerSlotDeathTest, PassOnAnUnpreparedSlotDies) {
