@@ -49,7 +49,9 @@ int main(int argc, char** argv) {
                   benchutil::AccCell(benchutil::MustRun(c).accuracy)});
   }
 
-  // 2. Momentum handling (no attack needed: it is a pure-utility knob).
+  // 2. Momentum handling. Not a pure-utility knob: only reset-to-upload
+  // keeps the reported ε; the persist default folds raw gradients into
+  // state that outlives their rounds (docs/privacy_accounting.md).
   {
     core::ExperimentConfig c = base;
     c.attack = "label_flip";

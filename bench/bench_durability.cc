@@ -111,6 +111,44 @@ void BM_CheckpointWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckpointWrite)->Arg(512)->Arg(25450);
 
+// The trainer's in-run snapshot: the same nested-momentum state streamed
+// through the encoder from its live vectors, never encoded to a string.
+// fsync-bound like BM_CheckpointWrite, so no gate reads it.
+void BM_CheckpointWriteLive(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  std::string dir = MakeTempDir();
+  std::vector<float> params(dim, 0.5f);
+  std::vector<std::vector<std::vector<float>>> momentum(
+      8, std::vector<std::vector<float>>(16, std::vector<float>(dim, 0.1f)));
+  std::string aggregator_state;
+  dp::SpentLedger ledger;
+  fl::TrainingHistory history;
+  fl::RoundStateView view;
+  view.fingerprint.dim = dim;
+  view.completed_round = 1;
+  view.model_params = &params;
+  for (const auto& m : momentum) view.honest_momentum.push_back(&m);
+  view.worker_rng_keys.assign(8, 7);
+  view.aggregator_state = &aggregator_state;
+  view.ledger = &ledger;
+  view.history = &history;
+  auto encode = [&](durability::ByteWriter* w) {
+    fl::EncodeRoundState(view, w);
+  };
+  const size_t bytes = durability::EncodeToString(encode).size();
+  int64_t round = 1;
+  for (auto _ : state) {
+    Status s = durability::WriteCheckpoint(dir, round++, encode);
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      break;
+    }
+  }
+  RemoveTree(dir);
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_CheckpointWriteLive)->Arg(512)->Arg(25450);
+
 // The one-byte-per-step table CRC-32 that slicing-by-8 replaced: the
 // ratio gate's reference, same polynomial and values.
 uint32_t BytewiseCrc32(const unsigned char* p, size_t len) {

@@ -1,6 +1,7 @@
 #include "core/second_stage.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "aggregators/aggregator.h"
@@ -57,22 +58,26 @@ Result<std::vector<size_t>> SecondStageAggregator::SelectFromScores(
     scores_.resize(static_cast<size_t>(max_id) + 1, 0.0);
   }
   last_scores_ = std::move(scores);
+  const size_t k = agg::TrustedCount(gamma, n);
 
-  // Line 9: μ̂ = mean of the top ⌈γn⌉ round scores.
-  size_t k = agg::TrustedCount(gamma, n);
-  std::vector<double> sorted = last_scores_;
-  std::nth_element(sorted.begin(), sorted.begin() + (k - 1), sorted.end(),
-                   std::greater<double>());
-  double mu_hat = 0.0;
-  // nth_element leaves the top-k block in the first k slots (unordered).
-  for (size_t i = 0; i < k; ++i) mu_hat += sorted[i];
-  mu_hat /= static_cast<double>(k);
+  // A round with a non-finite score adds nothing to S (see the header).
+  if (std::all_of(last_scores_.begin(), last_scores_.end(),
+                  [](double s) { return std::isfinite(s); })) {
+    // Line 9: μ̂ = mean of the top ⌈γn⌉ round scores.
+    std::vector<double> sorted = last_scores_;
+    std::nth_element(sorted.begin(), sorted.begin() + (k - 1), sorted.end(),
+                     std::greater<double>());
+    double mu_hat = 0.0;
+    // nth_element leaves the top-k block in the first k slots (unordered).
+    for (size_t i = 0; i < k; ++i) mu_hat += sorted[i];
+    mu_hat /= static_cast<double>(k);
 
-  // Lines 10-13: suppress below-threshold scores, accumulate into S
-  // under the row's stable id.
-  for (size_t i = 0; i < n; ++i) {
-    double s = last_scores_[i] < mu_hat ? 0.0 : last_scores_[i];
-    scores_[ids[i]] += s;
+    // Lines 10-13: suppress below-threshold scores, accumulate into S
+    // under the row's stable id.
+    for (size_t i = 0; i < n; ++i) {
+      double s = last_scores_[i] < mu_hat ? 0.0 : last_scores_[i];
+      scores_[ids[i]] += s;
+    }
   }
 
   // Line 14: pick the top ⌈γn⌉ *cumulative* scores among this round's

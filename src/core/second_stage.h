@@ -12,6 +12,13 @@
 // caller that already holds them: the dpbr aggregator scores each row in
 // its first-stage item, and a row the first stage zeroed scores +0.0
 // without a dot when g_s is finite (the dot's exact value).
+//
+// Non-finite rounds. A round score is NaN or ±inf only when g_s or an
+// upload holds a non-finite value (the server zeroes non-finite uploads,
+// so in a run that means g_s). Such a round adds nothing to S: μ̂ and the
+// accumulation are skipped, so no NaN ever enters S, nth_element or the
+// sort, and the round selects on S as it stands. last_round_scores()
+// still reports the round's scores.
 
 #ifndef DPBR_CORE_SECOND_STAGE_H_
 #define DPBR_CORE_SECOND_STAGE_H_

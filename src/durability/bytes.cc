@@ -1,42 +1,83 @@
 #include "durability/bytes.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "common/logging.h"
 
 namespace dpbr {
 namespace durability {
 
-ByteWriter::ByteWriter(size_t chunk_bytes, ChunkSink sink)
-    : chunk_bytes_(chunk_bytes), sink_(std::move(sink)) {
-  buf_.reserve(chunk_bytes_);
+ByteWriter::ByteWriter(size_t batch_bytes, BatchSink sink)
+    : batch_bytes_(batch_bytes), sink_(std::move(sink)) {
+  DPBR_CHECK_GT(batch_bytes_, 0u);
+  buf_.reserve(std::min(batch_bytes_, kMaxStagingBytes));
 }
 
 void ByteWriter::PutBytes(const void* p, size_t n) {
   const char* src = static_cast<const char*>(p);
-  if (chunk_bytes_ > 0) {
-    if (!sink_status_.ok()) return;
-    // Top the chunk up and hand it over until the rest fits.
-    while (buf_.size() + n > chunk_bytes_) {
-      size_t take = chunk_bytes_ - buf_.size();
-      buf_.append(src, take);
-      src += take;
-      n -= take;
-      Flush();
-      if (!sink_status_.ok()) return;
-    }
+  if (batch_bytes_ == 0) {
+    buf_.append(src, n);
+    return;
   }
-  buf_.append(src, n);
+  const bool by_reference = n >= kMinReferencedBytes;
+  while (n > 0 && sink_status_.ok()) {
+    size_t take = std::min(n, batch_bytes_ - batch_size_);
+    if (by_reference) {
+      batch_.push_back({src, take});
+      staged_tail_ = false;
+    } else {
+      take = std::min(take, buf_.capacity() - buf_.size());
+      if (take == 0) {  // staging full: the batch ends early
+        Flush();
+        continue;
+      }
+      const char* dst = buf_.data() + buf_.size();
+      buf_.append(src, take);  // within capacity: never reallocates
+      if (staged_tail_) {
+        batch_.back().size += take;
+      } else {
+        batch_.push_back({dst, take});
+        staged_tail_ = true;
+      }
+    }
+    src += take;
+    n -= take;
+    batch_size_ += take;
+    if (batch_size_ == batch_bytes_) Flush();
+  }
 }
 
 void ByteWriter::Flush() {
-  if (sink_status_.ok() && !buf_.empty()) {
-    sink_status_ = sink_(buf_.data(), buf_.size());
+  if (sink_status_.ok() && !batch_.empty()) {
+    sink_status_ = sink_(batch_.data(), batch_.size());
   }
+  batch_.clear();
   buf_.clear();
+  batch_size_ = 0;
+  staged_tail_ = false;
 }
 
 Status ByteWriter::Finish() {
-  if (chunk_bytes_ > 0) Flush();
+  if (batch_bytes_ > 0) Flush();
   return sink_status_;
+}
+
+std::string EncodeToString(const std::function<void(ByteWriter*)>& encode) {
+  size_t size = 0;
+  ByteWriter counter(ByteWriter::kMaxStagingBytes,
+                     [&](const ByteSpan* pieces, size_t count) {
+                       for (size_t i = 0; i < count; ++i) {
+                         size += pieces[i].size;
+                       }
+                       return Status::OK();
+                     });
+  encode(&counter);
+  (void)counter.Finish();  // the counting sink never fails
+  ByteWriter w;
+  w.Reserve(size);
+  encode(&w);
+  return w.Take();
 }
 
 void ByteWriter::PutU8(uint8_t v) { PutBytes(&v, sizeof(v)); }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "durability/bytes.h"
 #include "durability/crc32.h"
 #include "durability/io.h"
@@ -64,12 +65,33 @@ Status WriteFramedPayload(const PayloadEncoder& encode, FileSink* file) {
   DPBR_RETURN_NOT_OK(file->Write(reserved, sizeof(reserved)));
   uint32_t crc = 0;
   uint64_t length = 0;
-  auto sink = [&](const char* data, size_t n) {
-    crc = Crc32(data, n, crc);  // while the chunk is still in cache
+  std::vector<ByteSpan> segments;
+  std::vector<uint32_t> segment_crcs;
+  auto sink = [&](const ByteSpan* pieces, size_t count) {
+    segments.clear();
+    uint64_t n = 0;
+    for (const ByteSpan* p = pieces; p != pieces + count; ++p) {
+      for (size_t off = 0; off < p->size; off += kCheckpointChunkBytes) {
+        segments.push_back(
+            {p->data + off, std::min(p->size - off, kCheckpointChunkBytes)});
+      }
+      n += p->size;
+    }
+    // Each segment's CRC from zero, joined in stream order: the CRC of
+    // the batch continued from the bytes before it.
+    segment_crcs.resize(segments.size());
+    ParallelFor(0, segments.size(), [&](size_t i) {
+      segment_crcs[i] = Crc32(segments[i].data, segments[i].size);
+    });
+    for (size_t i = 0; i < segments.size(); ++i) {
+      crc = Crc32Combine(crc, segment_crcs[i], segments[i].size);
+    }
+    DPBR_RETURN_NOT_OK(file->WriteV(pieces, count));
+    file->StartWriteback(kHeaderBytes + length, n);
     length += n;
-    return file->Write(data, n);
+    return Status::OK();
   };
-  ByteWriter payload(kCheckpointChunkBytes, sink);
+  ByteWriter payload(kCheckpointBatchBytes, sink);
   encode(&payload);
   DPBR_RETURN_NOT_OK(payload.Finish());
   ByteWriter header;

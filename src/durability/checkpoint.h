@@ -9,10 +9,16 @@
 //   u64 payload len
 //   payload bytes    (opaque to this layer; see fl/round_state.h)
 //
-// The writer streams the payload from its producer through one fixed
-// chunk buffer, CRC'ing each chunk as it goes to the temp file, and fills
-// in the header last (its CRC and length are known only then) — so a
-// checkpoint costs one chunk of memory, not a copy of the payload.
+// The writer streams the payload from its producer in batches of
+// kCheckpointBatchBytes and fills in the header last (its CRC and length
+// are known only then). A batch references the producer's large spans
+// (the model and momentum vectors) where they live and copies only the
+// small fields, into a staging buffer of at most 1 MiB, so a checkpoint
+// costs neither a copy of the payload nor a pass to make one. Each batch
+// is CRC'd in parallel, in segments of at most kCheckpointChunkBytes
+// joined in stream order by Crc32Combine, goes to the temp file as one
+// gathered write, and has its writeback started at once, so the closing
+// fsync waits on little more than the last batch.
 //
 // Files are named checkpoint-<round>.ckpt inside a state directory that
 // also holds the WAL. Because writes are atomic, a directory can only
@@ -37,8 +43,10 @@ namespace durability {
 
 inline constexpr uint64_t kCheckpointMagic = 0x31504B4352425044ull;
 inline constexpr uint32_t kCheckpointVersion = 1;
-/// Size of the writer's streaming buffer: the chunk each CRC update and
-/// write(2) covers.
+/// Bytes per batch of the streaming writer: one gathered write and one
+/// writeback range each.
+inline constexpr size_t kCheckpointBatchBytes = size_t{4} << 20;
+/// The longest segment one parallel CRC task covers.
 inline constexpr size_t kCheckpointChunkBytes = size_t{1} << 20;
 
 /// How many snapshots WriteCheckpoint retains (the newest plus one
@@ -55,7 +63,10 @@ using PayloadEncoder = std::function<void(ByteWriter*)>;
 /// checkpoint-<round>.ckpt in `dir` (created when missing), atomically,
 /// then prunes all but the newest kCheckpointsRetained checkpoints. After
 /// OK, a crash at any point leaves the file either fully present or
-/// fully absent; on failure no new file or temp file remains.
+/// fully absent; on failure no new file or temp file remains. Every
+/// buffer `encode` hands the writer must stay unchanged until
+/// WriteCheckpoint returns (see ByteWriter). The CRC runs on the ambient
+/// pool: call it outside any dispatch, or its segments run inline.
 [[nodiscard]] Status WriteCheckpoint(const std::string& dir, int64_t round,
                                      const PayloadEncoder& encode);
 

@@ -42,7 +42,46 @@ inline uint32_t LoadLe32(const unsigned char* p) {
   return v << 8 | p[0];
 }
 
+// Products in GF(2)[x] modulo the reflected polynomial, on bit-reversed
+// words (bit 31 is x^0): a·b mod P, one conditional xor per bit of a.
+uint32_t MultModP(uint32_t a, uint32_t b) {
+  uint32_t product = 0;
+  for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if (a & m) product ^= b;
+    b = (b & 1u) ? 0xEDB88320u ^ (b >> 1) : b >> 1;
+  }
+  return product;
+}
+
+// x^(2^k) mod P for k = 0..31, by repeated squaring from x^1. The
+// order of x divides 2^32 − 1, so x^(2^(k+32)) = x^(2^k).
+struct PowersOfX {
+  uint32_t x2k[32];
+
+  PowersOfX() {
+    uint32_t p = 1u << 30;  // x^1
+    for (uint32_t& e : x2k) {
+      e = p;
+      p = MultModP(p, p);
+    }
+  }
+};
+
+// x^(8·n) mod P: the operator that shifts a CRC past n zero bytes.
+uint32_t XPow8n(uint64_t n) {
+  static const PowersOfX powers;
+  uint32_t p = 1u << 31;  // x^0
+  for (int k = 3; n != 0; n >>= 1, ++k) {
+    if (n & 1u) p = MultModP(powers.x2k[k & 31], p);
+  }
+  return p;
+}
+
 }  // namespace
+
+uint32_t Crc32Combine(uint32_t crc1, uint32_t crc2, uint64_t len2) {
+  return MultModP(XPow8n(len2), crc1) ^ crc2;
+}
 
 uint32_t Crc32(const void* data, size_t len, uint32_t crc) {
   const unsigned char* p = static_cast<const unsigned char*>(data);

@@ -3,6 +3,7 @@
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -106,6 +107,49 @@ Status FileSink::WriteAt(const void* data, size_t n, uint64_t offset) {
     offset += static_cast<uint64_t>(w);
   }
   return Status::OK();
+}
+
+Status FileSink::WriteV(const ByteSpan* pieces, size_t count) {
+  constexpr size_t kMaxIov = 256;  // well under every IOV_MAX
+  struct iovec iov[kMaxIov];
+  size_t done = 0;  // bytes of pieces[0] already written
+  while (count > 0) {
+    size_t m = 0;
+    for (; m < count && m < kMaxIov; ++m) {
+      const size_t skip = m == 0 ? done : 0;
+      iov[m].iov_base = const_cast<char*>(pieces[m].data + skip);
+      iov[m].iov_len = pieces[m].size - skip;
+    }
+    ssize_t w = ::pwritev(fd_, iov, static_cast<int>(m),
+                          static_cast<off_t>(end_));
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return Status::Internal(Errno("write", path_));
+    }
+    end_ += static_cast<uint64_t>(w);
+    size_t left = static_cast<size_t>(w);
+    while (count > 0 && left >= pieces->size - done) {
+      left -= pieces->size - done;
+      done = 0;
+      ++pieces;
+      --count;
+    }
+    if (w == 0 && count > 0) {
+      return Status::Internal("write '" + path_ + "': no progress");
+    }
+    done += left;
+  }
+  return Status::OK();
+}
+
+void FileSink::StartWriteback(uint64_t offset, uint64_t n) {
+#ifdef __linux__
+  (void)::sync_file_range(fd_, static_cast<off64_t>(offset),
+                          static_cast<off64_t>(n), SYNC_FILE_RANGE_WRITE);
+#else
+  (void)offset;
+  (void)n;
+#endif
 }
 
 Status StreamFileAtomic(const std::string& path,

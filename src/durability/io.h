@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "durability/bytes.h"
 
 namespace dpbr {
 namespace durability {
@@ -45,6 +46,14 @@ class FileSink {
   /// Writes `n` bytes at `offset` (short writes retried); later Writes
   /// still append where the previous Write ended.
   [[nodiscard]] Status WriteAt(const void* data, size_t n, uint64_t offset);
+  /// Appends `count` pieces, in order, with gathered writes (pwritev;
+  /// short writes retried).
+  [[nodiscard]] Status WriteV(const ByteSpan* pieces, size_t count);
+  /// Starts writing `n` bytes at `offset` back to the device without
+  /// waiting (Linux sync_file_range; nothing elsewhere), so the closing
+  /// fsync finds little left to write. A hint only: the fsync still
+  /// decides, and reports any write error.
+  void StartWriteback(uint64_t offset, uint64_t n);
 
  private:
   int fd_;

@@ -10,30 +10,21 @@ namespace dpbr {
 namespace fl {
 
 Tensor ComputeSlots::Slot::Forward(const data::DatasetView& view,
-                                  const size_t* idx, size_t n) {
+                                  size_t i) {
   const data::Dataset* base = view.base();
-  size_t feature_dim = base->feature_dim();
-  std::vector<size_t> shape;
-  shape.push_back(n);
+  std::vector<size_t> shape{1};
   for (size_t d : base->example_shape()) shape.push_back(d);
   Tensor x(std::move(shape));
-  for (size_t j = 0; j < n; ++j) {
-    std::memcpy(x.data() + j * feature_dim, view.FeaturesAt(idx[j]),
-                feature_dim * sizeof(float));
-  }
+  std::memcpy(x.data(), view.FeaturesAt(i),
+              base->feature_dim() * sizeof(float));
   return model->ForwardBatch(x);
 }
 
-void ComputeSlots::Slot::PerExampleGradients(const data::DatasetView& view,
-                                             const size_t* idx, size_t n,
-                                             float* rows) {
-  std::vector<size_t> labels(n);
-  for (size_t j = 0; j < n; ++j) {
-    labels[j] = static_cast<size_t>(view.LabelAt(idx[j]));
-  }
-  nn::BatchLossGrad lg =
-      nn::SoftmaxCrossEntropyBatch(Forward(view, idx, n), labels);
-  model->BackwardBatchTo(lg.grad_logits, n, rows);
+void ComputeSlots::Slot::ExampleGradient(const data::DatasetView& view,
+                                         size_t i, float* row) {
+  nn::BatchLossGrad lg = nn::SoftmaxCrossEntropyBatch(
+      Forward(view, i), {static_cast<size_t>(view.LabelAt(i))});
+  model->BackwardBatchTo(lg.grad_logits, 1, row);
 }
 
 ComputeSlots::ComputeSlots(nn::ModelFactory factory)

@@ -41,13 +41,12 @@ class ComputeSlots {
     const float* loaded_from = nullptr;
     uint64_t loaded_version = 0;
 
-    /// Logits of view examples idx[0..n): one batched forward pass.
-    Tensor Forward(const data::DatasetView& view, const size_t* idx,
-                   size_t n);
-    /// Writes the flat loss gradient of view examples idx[0..n) to
-    /// rows + j·dim: one batched forward and backward pass.
-    void PerExampleGradients(const data::DatasetView& view,
-                             const size_t* idx, size_t n, float* rows);
+    /// The (1, classes) logits of view example i: one forward pass.
+    Tensor Forward(const data::DatasetView& view, size_t i);
+    /// Writes the flat loss gradient of view example i to `row` (dim
+    /// floats): one forward and backward pass.
+    void ExampleGradient(const data::DatasetView& view, size_t i,
+                         float* row);
   };
 
   /// Builds the ambient pool's slots (see Prepare).

@@ -206,9 +206,8 @@ std::string EncodeRoundState(const PersistentRoundState& state) {
   view.aggregator_state = &state.aggregator_state;
   view.ledger = &state.ledger;
   view.history = &state.history;
-  ByteWriter w;
-  EncodeRoundState(view, &w);
-  return w.Take();
+  return durability::EncodeToString(
+      [&](ByteWriter* w) { EncodeRoundState(view, w); });
 }
 
 Result<PersistentRoundState> DecodeRoundState(const std::string& payload) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <numeric>
 
 #include "common/logging.h"
 #include "common/simd.h"
@@ -16,9 +15,9 @@ namespace dpbr {
 namespace fl {
 namespace {
 
-// Examples per evaluation task, and per partial sum of the auxiliary
-// gradient fold; fixed so that every reduction order is independent of
-// the pool size.
+// Examples per partial sum of the auxiliary gradient fold: the fold
+// order the run digests pin, fixed so that it is independent of the pool
+// size.
 constexpr size_t kExampleBlock = 64;
 
 }  // namespace
@@ -82,7 +81,7 @@ Status Server::Step(RowSpan uploads, double lr,
 }
 
 void Server::AuxGradientRowInto(size_t i, float* row) {
-  slots_->LoadedSlot(params_).PerExampleGradients(aux_, &i, 1, row);
+  slots_->LoadedSlot(params_).ExampleGradient(aux_, i, row);
 }
 
 void Server::FoldAuxGradientInto(const float* rows, size_t lo, size_t hi,
@@ -136,20 +135,15 @@ Result<std::vector<float>> Server::ComputeServerGradient() {
 double Server::EvaluateAccuracy(const data::DatasetView& view) {
   DPBR_CHECK(!view.empty());
   slots_->Prepare();
-  // Inference-only on the slot models, each block loading w first;
-  // per-example hits land in disjoint slots (integer counting — exact
-  // under any schedule).
-  std::vector<size_t> order(view.size());
-  std::iota(order.begin(), order.end(), size_t{0});
+  // Inference-only on the slot models, one item per example like the
+  // round's example items, so a slot's workspaces stay sized for one
+  // example. Hits land in disjoint entries and are counted as integers:
+  // exact under any schedule.
   std::vector<uint8_t> hit(view.size(), 0);
-  ParallelForBlocked(view.size(), kExampleBlock, [&](size_t lo, size_t hi) {
-    Tensor logits =
-        slots_->LoadedSlot(params_).Forward(view, order.data() + lo, hi - lo);
-    size_t classes = logits.dim(1);
-    for (size_t i = lo; i < hi; ++i) {
-      const float* row = logits.data() + (i - lo) * classes;
-      hit[i] = static_cast<int>(nn::Argmax(row, classes)) == view.LabelAt(i);
-    }
+  ParallelFor(0, view.size(), [&](size_t i) {
+    Tensor logits = slots_->LoadedSlot(params_).Forward(view, i);
+    hit[i] = static_cast<int>(nn::Argmax(logits.data(), logits.dim(1))) ==
+             view.LabelAt(i);
   });
   size_t correct = 0;
   for (uint8_t h : hit) correct += h;

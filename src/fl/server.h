@@ -90,7 +90,8 @@ class Server {
   /// One dispatch of AuxGradientRowInto over D_p, then FoldAuxGradient.
   Result<std::vector<float>> ComputeServerGradient();
 
-  /// Top-1 accuracy of the current model over `view`.
+  /// Top-1 accuracy of the current model over `view`: one forward pass
+  /// per example, one dispatch item each.
   double EvaluateAccuracy(const data::DatasetView& view);
 
  private:

@@ -75,7 +75,7 @@ void HonestDpWorker::Examples(const std::vector<float>& global_params,
   // as (1−β)·g + β·φ_j: two products, one sum. The fold returns the
   // chained sum of squares the inverse norm's bracket starts from.
   for (size_t j = lo; j < hi; ++j) {
-    slot.PerExampleGradients(shard_, &batch_[j], 1, g);
+    slot.ExampleGradient(shard_, batch_[j], g);
     float* phi = momentum_[j].data();
     double sq = ops::MomentumFold(b, omb, g, phi, d);
     inv_norm_[j] = ops::InverseNorm(phi, d, sq);

@@ -15,8 +15,9 @@
 // tier (tests/nn/im2col_test.cc pins them to their row-wise references).
 //
 // Nothing here touches the thread pool: every nn pass runs on the
-// calling thread. A federated round parallelizes across its local steps,
-// server-gradient rows and evaluation blocks, one pass per pool task.
+// calling thread. A federated round parallelizes across its local-step
+// examples, server-gradient rows and evaluated examples, one pass per
+// pool task.
 //
 // Layers call these kernels through a Workspace they own, so hot-loop
 // invocations reuse grow-only scratch buffers instead of allocating.

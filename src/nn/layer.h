@@ -19,8 +19,9 @@
 //
 // Every layer computes on the calling thread and never touches the
 // thread pool. A federated round is one dispatch whose items are whole
-// passes (a local step, a server-gradient row, an evaluation block), so
-// the parallelism lives there, one model per thread slot.
+// passes (an example of a local step, a server-gradient row, an
+// evaluated example), so the parallelism lives there, one model per
+// thread slot.
 
 #ifndef DPBR_NN_LAYER_H_
 #define DPBR_NN_LAYER_H_

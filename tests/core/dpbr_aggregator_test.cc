@@ -330,6 +330,61 @@ TEST(DpbrOnePassTest, MixedRowsMeetEveryVerdict) {
   EXPECT_GE(report.rejected_ks, 1u);    // ±σ
 }
 
+// --- A round with a non-finite g_s scores every row NaN or ±inf. It
+// must add nothing to S: S after finite, non-finite, finite rounds equals
+// S after the two finite rounds alone, on the one-pass path (both stages)
+// and on the two-pass path (second stage only, SelectWorkers).
+
+std::vector<double> CumulativeAfter(const ProtocolOptions& opts,
+                                    const std::vector<const std::vector<float>*>&
+                                        server_grads) {
+  std::vector<float> dir = TrueGradientDirection();
+  DpbrAggregator aggregator(opts);
+  int round = 0;
+  for (const std::vector<float>* gs : server_grads) {
+    ++round;
+    // The rows of a round depend only on its g_s's position among the
+    // finite rounds, so both sequences see the same finite rounds.
+    const uint64_t seed = gs->front() == 0.5f ? 900 : 950;
+    fl::UploadArena rows;
+    rows.Reset(6, kDim);
+    for (size_t i = 0; i < 6; ++i) {
+      HonestUpload(seed + i, dir, rows.Row(i), i == 5 ? -0.4 : 0.2);
+    }
+    agg::AggregationContext ctx = Ctx(gs, 0.5);
+    ctx.round = round;
+    Result<std::vector<float>> got = aggregator.Aggregate(rows.span(), ctx);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+  }
+  return aggregator.second_stage().cumulative_scores();
+}
+
+TEST(DpbrNonFiniteRoundTest, AddsNothingToTheCumulativeScores) {
+  const std::vector<float> dir = TrueGradientDirection();
+  std::vector<float> first = ops::Scaled(dir, 1.0f);
+  std::vector<float> last = ops::Scaled(dir, 0.7f);
+  first[0] = 0.5f;  // marks the round's rows (see CumulativeAfter)
+  last[0] = 0.25f;
+  const float inf = std::numeric_limits<float>::infinity();
+  ProtocolOptions one_pass;
+  ProtocolOptions two_pass;
+  two_pass.enable_first_stage = false;
+  for (const ProtocolOptions& opts : {one_pass, two_pass}) {
+    const std::vector<double> want = CumulativeAfter(opts, {&first, &last});
+    ASSERT_FALSE(want.empty());
+    for (float bad : {std::numeric_limits<float>::quiet_NaN(), inf, -inf}) {
+      std::vector<float> broken = last;
+      broken[kDim / 2] = bad;
+      SCOPED_TRACE(std::string(opts.enable_first_stage ? "one" : "two") +
+                   "-pass, g_s holding " + std::to_string(bad));
+      const std::vector<double> got =
+          CumulativeAfter(opts, {&first, &broken, &last});
+      for (double v : got) EXPECT_TRUE(std::isfinite(v));
+      EXPECT_TRUE(SameBytes(got, want));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace dpbr

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -166,6 +167,24 @@ TEST(SecondStageTest, SelectFromScoresValidatesBeforeItTouchesState) {
   EXPECT_FALSE(s.SelectFromScores({1.0, 2.0}, 0.5, &negative).ok());
   EXPECT_EQ(s.cumulative_scores(), cumulative);
   EXPECT_EQ(s.last_round_scores(), last);
+}
+
+TEST(SecondStageTest, NonFiniteRoundSelectsOnUnchangedScores) {
+  // S after round 1: {0, 0, 3, 3} (1.0 is below μ̂ = 3). A round with a
+  // NaN or ±inf score leaves S as it is and selects its top two entries;
+  // the round's scores are still reported.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::nan(""), inf, -inf}) {
+    SecondStageAggregator s;
+    ASSERT_TRUE(s.SelectFromScores({0.0, 1.0, 3.0, 3.0}, 0.5).ok());
+    const std::vector<double> before = s.cumulative_scores();
+    auto sel = s.SelectFromScores({9.0, bad, 9.0, 9.0}, 0.5);
+    ASSERT_TRUE(sel.ok());
+    EXPECT_EQ(sel.value(), (std::vector<size_t>{2, 3}));
+    EXPECT_EQ(s.cumulative_scores(), before);
+    ASSERT_EQ(s.last_round_scores().size(), 4u);
+    EXPECT_EQ(s.last_round_scores()[0], 9.0);
+  }
 }
 
 TEST(SecondStageTest, ResetClearsState) {

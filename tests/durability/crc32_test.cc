@@ -1,7 +1,7 @@
 // Crc32 (slicing-by-8) against a bytewise reference of the same
 // polynomial: every short length at every alignment, large random
-// buffers, incremental chaining at every cut point, and the standard
-// check value.
+// buffers, incremental chaining at every cut point, the standard check
+// value, and Crc32Combine against the CRC of the concatenation.
 
 #include "durability/crc32.h"
 
@@ -86,6 +86,37 @@ TEST(Crc32Test, ChainingEqualsOneShotAtEveryCut) {
     EXPECT_EQ(Crc32(buf.data() + cut, buf.size() - cut, a), whole)
         << "cut " << cut;
   }
+}
+
+TEST(Crc32Test, CombineEqualsTheCrcOfTheConcatenation) {
+  const size_t sizes[] = {0, 1, 7, 8, 4095, (size_t{1} << 20) + 3};
+  const std::vector<unsigned char> buf =
+      RandomBytes(2 * ((size_t{1} << 20) + 3), 4);
+  for (size_t na : sizes) {
+    for (size_t nb : sizes) {
+      const unsigned char* a = buf.data();
+      const unsigned char* b = buf.data() + na;
+      const uint32_t crc_b = Crc32(b, nb);
+      for (uint32_t start : {0u, 0x9E3779B9u}) {
+        const uint32_t want = ReferenceCrc32(buf.data(), na + nb, start);
+        EXPECT_EQ(Crc32Combine(Crc32(a, na, start), crc_b, nb), want)
+            << "|a| " << na << " |b| " << nb << " start " << start;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, CombineJoinsManySegmentsInOrder) {
+  // The checkpoint writer's shape: segments CRC'd from zero, joined left
+  // to right onto the running CRC.
+  const std::vector<unsigned char> buf = RandomBytes(100000, 5);
+  const size_t cuts[] = {0, 1, 9, 4096, 4100, 65536, 99999, 100000};
+  uint32_t crc = 0;
+  for (size_t i = 0; i + 1 < sizeof(cuts) / sizeof(cuts[0]); ++i) {
+    const size_t n = cuts[i + 1] - cuts[i];
+    crc = Crc32Combine(crc, Crc32(buf.data() + cuts[i], n), n);
+  }
+  EXPECT_EQ(crc, ReferenceCrc32(buf.data(), buf.size()));
 }
 
 }  // namespace

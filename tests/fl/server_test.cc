@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -384,6 +386,103 @@ TEST(ServerTest, UntrainedAccuracyIsNearChance) {
   double acc = s.EvaluateAccuracy(data::DatasetView::All(&bundle.test));
   EXPECT_GT(acc, 0.02);
   EXPECT_LT(acc, 0.65);  // 4 classes, untrained: near 0.25
+}
+
+// Correct predictions over `view` by a fresh factory model at `params`,
+// one batch-of-1 forward pass per example.
+size_t PerExampleHits(const nn::ModelFactory& factory,
+                      const std::vector<float>& params,
+                      const data::DatasetView& view) {
+  std::unique_ptr<nn::Sequential> model = factory();
+  model->SetParamsFrom(params.data());
+  std::vector<size_t> shape = {1};
+  for (size_t d : view.base()->example_shape()) shape.push_back(d);
+  const size_t feature_dim = view.base()->feature_dim();
+  size_t hits = 0;
+  for (size_t i = 0; i < view.size(); ++i) {
+    const float* feat = view.FeaturesAt(i);
+    Tensor logits = model->ForwardBatch(
+        Tensor(shape, std::vector<float>(feat, feat + feature_dim)));
+    hits += static_cast<int>(nn::Argmax(logits.data(), logits.dim(1))) ==
+            view.LabelAt(i);
+  }
+  return hits;
+}
+
+data::DatasetBundle PaperImageBundle(size_t test_size) {
+  data::SyntheticSpec spec;
+  spec.num_classes = 10;
+  spec.image_h = 16;
+  spec.image_w = 16;
+  spec.feature_dim = 256;
+  spec.train_size = 20;
+  spec.val_size = 20;
+  spec.test_size = test_size;
+  spec.class_separation = 3.0;
+  auto b = data::GenerateSynthetic(spec, 17);
+  EXPECT_TRUE(b.ok());
+  return std::move(b).value();
+}
+
+TEST(ServerEvalTest, HitsMatchPerExampleReferenceAcrossPools) {
+  // 150 examples: more than two of the old 64-example blocks, the last
+  // one partial. At the initial parameters and at moved ones, which
+  // every slot must pick up.
+  data::DatasetBundle bundle = PaperImageBundle(150);
+  const data::DatasetView test = data::DatasetView::All(&bundle.test);
+  const size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
+  for (const nn::ModelFactory& factory :
+       {nn::MlpFactory(256, 8, 10), nn::CnnFactory(1, 4, 3, 10)}) {
+    Server s(factory, std::make_unique<agg::MeanAggregator>(),
+             data::DatasetView(), 5);
+    for (int step = 0; step < 2; ++step) {
+      if (step == 1) {
+        std::vector<float> moved = s.params();
+        SplitRng rng(4, {0xE7A1});
+        rng.AddGaussian(moved.data(), moved.size(), 0.2);
+        ASSERT_TRUE(s.SetParams(std::move(moved)).ok());
+      }
+      const size_t want = PerExampleHits(factory, s.params(), test);
+      for (size_t size : {size_t{1}, size_t{2}, hw}) {
+        ThreadPool pool(size);
+        ScopedPoolOverride route(&pool);
+        EXPECT_EQ(s.EvaluateAccuracy(test),
+                  static_cast<double>(want) / static_cast<double>(test.size()))
+            << "pool " << size << " step " << step;
+      }
+    }
+  }
+}
+
+// In-use heap bytes: the small-block arenas plus mmapped blocks.
+size_t HeapInUse() {
+  struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+TEST(ServerTest, EvaluationKeepsEachSlotAtOneExample) {
+  // Once a slot model has run one example, evaluating hundreds more must
+  // not grow its layer workspaces: every pass is one example. A batched
+  // pass of 64 paper-CNN examples keeps several MiB of im2col matrices
+  // and activations in each slot model that ran one.
+  data::DatasetBundle bundle = PaperImageBundle(256);
+  const data::DatasetView test = data::DatasetView::All(&bundle.test);
+  const data::DatasetView first(&bundle.test, {0});
+  const size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
+  for (size_t size : {size_t{1}, hw}) {
+    ThreadPool pool(size);
+    ScopedPoolOverride route(&pool);
+    Server s(nn::CnnFactory(1, 16, 5, 10),
+             std::make_unique<agg::MeanAggregator>(), data::DatasetView(), 6);
+    (void)s.EvaluateAccuracy(first);
+    const size_t before = HeapInUse();
+    (void)s.EvaluateAccuracy(test);
+    const size_t after = HeapInUse();
+    const size_t allowed = ThreadSlotCount() * (size_t{1} << 20);
+    EXPECT_LT(after, before + allowed)
+        << "pool " << size << ": heap grew by " << (after - before)
+        << " bytes over " << ThreadSlotCount() << " slots";
+  }
 }
 
 }  // namespace
