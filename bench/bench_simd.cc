@@ -3,10 +3,9 @@
 // detected) table and once pinned to the scalar reference via
 // ScopedForceIsa — so the ratio between the pair is machine-independent
 // and gateable. scripts/check_bench_regression.py enforces >= 1.5x
-// floors on the GEMM microkernel, the ReLU sweep, the Krum distance
-// scan and the pipelined ziggurat fill (the GEMM tile pairs, which time
-// the raw table entries at the CNN's conv2 shapes, are reported but
-// ungated).
+// floors on the GEMM microkernel, the Krum distance scan and the
+// pipelined ziggurat fill (the GEMM tile pairs, which time the raw table
+// entries at the CNN's conv2 shapes, are reported but ungated).
 //
 // Before timing, main() asserts the active table agrees bitwise with
 // the scalar reference on a dot/axpy spot check, mirroring the
@@ -134,33 +133,6 @@ void BM_ScalarGemmTileNT(benchmark::State& state) {
   GemmTileNT(state, simd::IsaLevel::kScalar);
 }
 BENCHMARK(BM_ScalarGemmTileNT)->Unit(benchmark::kMicrosecond);
-
-// --- ReLU element sweep over an L1/L2-resident activation block. The
-// kernel is branch-free compare-and-zero on every tier, so the timing
-// is data-independent even though ReLU is idempotent in place.
-
-constexpr size_t kSweepN = 16384;
-
-void ReluSweep(benchmark::State& state, simd::IsaLevel level) {
-  simd::ScopedForceIsa force(level);
-  const simd::SimdKernels& kern = simd::Kernels();
-  std::vector<float> y = RandomVec(kSweepN, 21);
-  for (auto _ : state) {
-    kern.relu_f32(y.data(), kSweepN);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kSweepN);
-}
-
-void BM_SimdReluSweep(benchmark::State& state) {
-  ReluSweep(state, simd::DetectedIsa());
-}
-BENCHMARK(BM_SimdReluSweep)->Unit(benchmark::kMicrosecond);
-
-void BM_ScalarReluSweep(benchmark::State& state) {
-  ReluSweep(state, simd::IsaLevel::kScalar);
-}
-BENCHMARK(BM_ScalarReluSweep)->Unit(benchmark::kMicrosecond);
 
 // --- Krum distance scan: one pairwise distsq8_f64 over an
 // acceptance-scale upload row (100k coordinates), the unit of work

@@ -10,9 +10,17 @@
 
 #include "common/flags.h"
 #include "common/table_printer.h"
-#include "core/lr_transfer.h"
 #include "dp/privacy_params.h"
 #include "strict_flags.h"
+
+namespace {
+
+int Fail(const dpbr::Status& status) {
+  std::cerr << status.ToString() << "\n";
+  return 1;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using dpbr::examples::DoubleFlag;
@@ -27,24 +35,29 @@ int main(int argc, char** argv) {
   spec.batch_size = 16;
   spec.epochs = 8;
 
-  auto rule =
-      dpbr::core::LrTransferRule::FromBaseEpsilon(base_lr, base_eps, spec);
-  if (!rule.ok()) {
-    std::cerr << rule.status().ToString() << "\n";
-    return 1;
+  // The anchor: sigma_b at --base_eps (a non-positive one calibrates no
+  // noise). Transferring to the anchor itself rejects a non-positive
+  // --base_lr before anything is printed.
+  if (base_eps <= 0.0) {
+    return Fail(dpbr::Status::InvalidArgument("base_epsilon must be > 0"));
   }
+  spec.epsilon = base_eps;
+  auto base = dpbr::dp::CalibratePrivacy(spec);
+  if (!base.ok()) return Fail(base.status());
+  const double sigma_b = base.value().sigma;
+  auto anchor = dpbr::dp::TransferLearningRate(base_lr, sigma_b, sigma_b);
+  if (!anchor.ok()) return Fail(anchor.status());
   std::printf("base: eps=%.3f  lr=%.3f  sigma_b=%.4f\n\n", base_eps, base_lr,
-              rule.value().base_sigma());
+              sigma_b);
 
   dpbr::TablePrinter table({"eps", "sigma", "transferred lr", "lr*sigma"});
   for (double eps : {0.125, 0.25, 0.5, 1.0, 2.0}) {
     spec.epsilon = eps;
     auto params = dpbr::dp::CalibratePrivacy(spec);
-    if (!params.ok()) {
-      std::cerr << params.status().ToString() << "\n";
-      return 1;
-    }
-    double lr = rule.value().LrFor(params.value());
+    if (!params.ok()) return Fail(params.status());
+    double lr = dpbr::dp::TransferLearningRate(base_lr, sigma_b,
+                                               params.value().sigma)
+                    .value();
     table.AddRow({dpbr::TablePrinter::Num(eps, 3),
                   dpbr::TablePrinter::Num(params.value().sigma, 4),
                   dpbr::TablePrinter::Num(lr, 4),

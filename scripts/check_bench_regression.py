@@ -60,7 +60,6 @@ HOT_BENCHMARKS = [
     "BM_AggregateArena/10000",
     "BM_AggregateArena/100000",
     "BM_SimdGemmConvShape",
-    "BM_SimdReluSweep",
     "BM_SimdKrumDistScan",
     "BM_SimdZigguratFill",
 ]
@@ -184,7 +183,7 @@ RATIO_GATES = [
     # (bench_simd.cc): each pair runs the same kernel on the best
     # detected tier and pinned to the scalar reference, so the ratio is
     # machine-independent wherever AVX2 exists (dev container: GEMM
-    # ~4.2x, ReLU ~10x, Krum scan ~2.6x, ziggurat fill ~2.6x). The
+    # ~4.2x, Krum scan ~2.6x, ziggurat fill ~2.6x). The
     # ziggurat kernel computes four 8-draw batches ahead of its commit;
     # unpipelined, each batch waited on the last one's accept mask and
     # the pair read ~0.9-1.1x.
@@ -193,12 +192,6 @@ RATIO_GATES = [
         "BM_SimdGemmConvShape",
         1.5,
         "SIMD GEMM microkernel >= 1.5x scalar reference",
-    ),
-    (
-        "BM_ScalarReluSweep",
-        "BM_SimdReluSweep",
-        1.5,
-        "SIMD ReLU sweep >= 1.5x scalar reference",
     ),
     (
         "BM_ScalarKrumDistScan",

@@ -41,11 +41,6 @@ DPBR_NOVEC_FN void ScalarScaleF32(float a, float* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] *= a;
 }
 
-DPBR_NOVEC_FN void ScalarAddScalarF32(float a, float* y, size_t n) {
-  DPBR_NOVEC_LOOP
-  for (size_t i = 0; i < n; ++i) y[i] += a;
-}
-
 // The momentum fold's defining sequence: scale, axpy, then the eight-chain
 // sum of squares in ops::ChainedSquaredNorm's order.
 DPBR_NOVEC_FN double ScalarMomentumFoldF32(float beta, float omb,
@@ -167,33 +162,18 @@ DPBR_NOVEC_FN double ScalarSum8F64(const float* x, size_t n) {
   return (s01 + s23) + (s45 + s67);
 }
 
-DPBR_NOVEC_FN void ScalarReluF32(float* y, size_t n) {
-  DPBR_NOVEC_LOOP
-  for (size_t i = 0; i < n; ++i) {
-    if (y[i] < 0.0f) y[i] = 0.0f;
-  }
-}
-
-DPBR_NOVEC_FN void ScalarReluGradF32(float* g, const float* y, size_t n) {
-  DPBR_NOVEC_LOOP
-  for (size_t i = 0; i < n; ++i) {
-    if (y[i] == 0.0f) g[i] = 0.0f;
-  }
-}
-
-DPBR_NOVEC_FN void ScalarEluF32(float* y, size_t n, float alpha) {
+DPBR_NOVEC_FN void ScalarEluF32(float* y, size_t n) {
   DPBR_NOVEC_LOOP
   for (size_t i = 0; i < n; ++i) {
     float v = y[i];
-    if (!(v > 0.0f)) y[i] = alpha * (std::exp(v) - 1.0f);
+    if (!(v > 0.0f)) y[i] = std::exp(v) - 1.0f;
   }
 }
 
-DPBR_NOVEC_FN void ScalarEluGradF32(float* g, const float* y, size_t n,
-                                    float alpha) {
+DPBR_NOVEC_FN void ScalarEluGradF32(float* g, const float* y, size_t n) {
   DPBR_NOVEC_LOOP
   for (size_t i = 0; i < n; ++i) {
-    if (y[i] <= 0.0f) g[i] = g[i] * (y[i] + alpha);
+    if (y[i] <= 0.0f) g[i] = g[i] * (y[i] + 1.0f);
   }
 }
 
@@ -265,14 +245,11 @@ const SimdKernels& ScalarTable() {
       /*isa=*/IsaLevel::kScalar,
       /*axpy_f32=*/&ScalarAxpyF32,
       /*scale_f32=*/&ScalarScaleF32,
-      /*add_scalar_f32=*/&ScalarAddScalarF32,
       /*momentum_fold_f32=*/&ScalarMomentumFoldF32,
       /*gemm_nn_tile_f32=*/&ScalarGemmNNTileF32,
       /*gemm_nt_tile_f32=*/&ScalarGemmNTTileF32,
       /*distsq8_f64=*/&ScalarDistSq8F64,
       /*sum8_f64=*/&ScalarSum8F64,
-      /*relu_f32=*/&ScalarReluF32,
-      /*relu_grad_f32=*/&ScalarReluGradF32,
       /*elu_f32=*/&ScalarEluF32,
       /*elu_grad_f32=*/&ScalarEluGradF32,
       /*gnorm_norm_f32=*/&ScalarGNormNormF32,

@@ -1,9 +1,11 @@
 // Runtime-dispatched SIMD kernel layer for the hot inner loops.
 //
 // Layering (the avx_traits idiom): `simd_traits.h` defines width-templated
-// intrinsic traits (scalar / SSE2 / AVX2 / AVX-512) plus generic kernels
-// written once against the trait interface; each ISA gets its own
-// translation unit compiled with exactly the -m flags it needs, and this
+// intrinsic traits (SSE2 / AVX2 / AVX-512) plus generic kernels written
+// once against the trait interface, and one helper that fills every
+// generic slot of a table from them. Each ISA gets its own translation
+// unit, compiled with exactly the -m flags it needs, that adds only its
+// ISA-specific kernels (the transpose tiles, the ziggurat batches); this
 // header exposes one table of function pointers per ISA. A one-time CPUID
 // probe (plus the DPBR_FORCE_SCALAR environment override) picks the active
 // table; hot loops fetch it via Kernels() and stay ISA-agnostic.
@@ -68,8 +70,8 @@ const char* IsaName(IsaLevel level);
 constexpr size_t kFoldLanes = 8;
 
 /// One table of kernel entry points per ISA tier. All pointers are
-/// non-null in every table (lower tiers fill in for kernels an ISA does
-/// not specialize), except zig_try_fill_f32 which may be null (caller
+/// non-null in every table (a tier without its own transpose takes the
+/// next lower tier's), except zig_try_fill_f32 which may be null (caller
 /// falls back to the scalar rejection loop).
 struct SimdKernels {
   IsaLevel isa;
@@ -80,9 +82,6 @@ struct SimdKernels {
 
   /// y[i] *= a.
   void (*scale_f32)(float a, float* y, size_t n);
-
-  /// y[i] += a.
-  void (*add_scalar_f32)(float a, float* y, size_t n);
 
   /// The momentum fold and its norm in one pass: phi[i] = beta·phi[i] +
   /// omb·g[i] (two products, one sum, never fused: the bits of
@@ -123,20 +122,13 @@ struct SimdKernels {
   /// 8-chain double sum of float elements, same lane/combine structure.
   double (*sum8_f64)(const float* x, size_t n);
 
-  /// In place: y[i] = y[i] < 0 ? 0 : y[i]. NaN and -0.0 pass through
-  /// (compare-and-zero, never max()).
-  void (*relu_f32)(float* y, size_t n);
+  /// In place ELU (α = 1): y[i] = y[i] > 0 ? y[i] : exp(y[i]) - 1. The
+  /// exp stays scalar libm (the bitwise reference); vector code only
+  /// skips all-positive blocks, so this kernel is exp-bound on mixed signs.
+  void (*elu_f32)(float* y, size_t n);
 
-  /// g[i] = (y[i] == 0) ? 0 : g[i] (the subgradient-0 convention).
-  void (*relu_grad_f32)(float* g, const float* y, size_t n);
-
-  /// In place ELU: y[i] = y[i] > 0 ? y[i] : alpha*(exp(y[i])-1). The exp
-  /// stays scalar libm (the bitwise reference); vector code only skips
-  /// all-positive blocks, so this kernel is exp-bound on mixed signs.
-  void (*elu_f32)(float* y, size_t n, float alpha);
-
-  /// g[i] = y[i] <= 0 ? g[i] * (y[i] + alpha) : g[i].
-  void (*elu_grad_f32)(float* g, const float* y, size_t n, float alpha);
+  /// g[i] = y[i] <= 0 ? g[i] * (y[i] + 1) : g[i].
+  void (*elu_grad_f32)(float* g, const float* y, size_t n);
 
   /// GroupNorm normalize sweep: xhat[i] = float((x[i]-mean)*inv_std) in
   /// double, y[i] = gamma*xhat[i] + beta in float (mul then add).

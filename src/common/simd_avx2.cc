@@ -16,59 +16,6 @@ namespace simd {
 
 namespace {
 
-using K8 = detail::Kernels8<detail::TraitsAvx2>;
-using Tiles = detail::GemmTiles<detail::TraitsAvx2>;
-
-double Avx2DistSq8F64(const float* a, const float* b, size_t n) {
-  __m256d acc_lo = _mm256_setzero_pd();  // fold lanes 0..3
-  __m256d acc_hi = _mm256_setzero_pd();  // fold lanes 4..7
-  size_t p = 0;
-  for (; p + kFoldLanes <= n; p += kFoldLanes) {
-    __m256 va = _mm256_loadu_ps(a + p);
-    __m256 vb = _mm256_loadu_ps(b + p);
-    __m256d d_lo = _mm256_sub_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(va)),
-                                 _mm256_cvtps_pd(_mm256_castps256_ps128(vb)));
-    __m256d d_hi = _mm256_sub_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(va, 1)),
-                                 _mm256_cvtps_pd(_mm256_extractf128_ps(vb, 1)));
-    acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(d_lo, d_lo));
-    acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(d_hi, d_hi));
-  }
-  double acc[kFoldLanes];
-  _mm256_storeu_pd(acc, acc_lo);
-  _mm256_storeu_pd(acc + 4, acc_hi);
-  for (size_t l = 0; p + l < n; ++l) {
-    double d = static_cast<double>(a[p + l]) - static_cast<double>(b[p + l]);
-    acc[l] += d * d;
-  }
-  double s01 = acc[0] + acc[1];
-  double s23 = acc[2] + acc[3];
-  double s45 = acc[4] + acc[5];
-  double s67 = acc[6] + acc[7];
-  return (s01 + s23) + (s45 + s67);
-}
-
-double Avx2Sum8F64(const float* x, size_t n) {
-  __m256d acc_lo = _mm256_setzero_pd();
-  __m256d acc_hi = _mm256_setzero_pd();
-  size_t p = 0;
-  for (; p + kFoldLanes <= n; p += kFoldLanes) {
-    __m256 v = _mm256_loadu_ps(x + p);
-    acc_lo = _mm256_add_pd(acc_lo,
-                           _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
-    acc_hi = _mm256_add_pd(acc_hi,
-                           _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
-  }
-  double acc[kFoldLanes];
-  _mm256_storeu_pd(acc, acc_lo);
-  _mm256_storeu_pd(acc + 4, acc_hi);
-  for (size_t l = 0; p + l < n; ++l) acc[l] += static_cast<double>(x[p + l]);
-  double s01 = acc[0] + acc[1];
-  double s23 = acc[2] + acc[3];
-  double s45 = acc[4] + acc[5];
-  double s67 = acc[6] + acc[7];
-  return (s01 + s23) + (s45 + s67);
-}
-
 // 8x8 in-register transpose (unpack / shuffle / 128-bit permute).
 void Transpose8x8(const float* src, size_t ss, float* dst, size_t ds) {
   __m256 r0 = _mm256_loadu_ps(src + 0 * ss);
@@ -222,24 +169,8 @@ size_t Avx2ZigTryFillF32(uint64_t key, uint64_t counter, const double* w,
 
 const SimdKernels* detail::Avx2Table() {
   static const SimdKernels table = [] {
-    const SimdKernels* base = Sse2Table();
-    SimdKernels t = base != nullptr ? *base : ScalarTable();
-    t.isa = IsaLevel::kAvx2;
-    t.axpy_f32 = &K8::AxpyF32;
-    t.scale_f32 = &K8::ScaleF32;
-    t.add_scalar_f32 = &K8::AddScalarF32;
-    t.momentum_fold_f32 = &K8::MomentumFoldF32;
-    t.gemm_nn_tile_f32 = &Tiles::NNTileF32;
-    t.gemm_nt_tile_f32 = &Tiles::NTTileF32;
-    t.distsq8_f64 = &Avx2DistSq8F64;
-    t.sum8_f64 = &Avx2Sum8F64;
-    t.relu_f32 = &K8::ReluF32;
-    t.relu_grad_f32 = &K8::ReluGradF32;
-    t.elu_f32 = &K8::EluF32;
-    t.elu_grad_f32 = &K8::EluGradF32;
-    t.gnorm_norm_f32 = &K8::GNormNormF32;
-    t.gnorm_dx_f32 = &K8::GNormDxF32;
-    t.all_finite_f32 = &K8::AllFiniteF32;
+    SimdKernels t = detail::GenericTable<detail::TraitsAvx2>(IsaLevel::kAvx2,
+                                                              ScalarTable());
     t.transpose_f32 = &Avx2TransposeF32;
     t.zig_try_fill_f32 = &Avx2ZigTryFillF32;
     return t;

@@ -2,14 +2,12 @@
 // -ffp-contract=off when the toolchain supports it; self-gated so the
 // file compiles to a null table otherwise.
 //
-// The element-wise kernels and the GEMM tiles widen to 512 bits (the
-// NT tile packs two columns' 8-lane folds into one zmm). The ziggurat
-// batch runs its eight draws in one zmm with native 64-bit multiplies
-// (~2.6 against ~3.5 ns per draw for the AVX2 batch on one core of the
-// 4-vCPU AVX-512 dev host). The pinned 8-lane reductions and the
-// transpose keep their AVX2 implementations: the fold width is fixed at
-// 8 by the determinism contract, so a 16-lane version of one dot would
-// have to emulate the 8-lane tree anyway and wins nothing.
+// The generic kernels widen to 512 bits: the NT tile packs two columns'
+// 8-lane folds into one zmm, and a chained-reduction step feeds 16
+// floats to the 8 pinned lanes. The ziggurat batch runs its eight draws
+// in one zmm with native 64-bit multiplies (~2.6 against ~3.5 ns per
+// draw for the AVX2 batch on one core of the 4-vCPU AVX-512 dev host).
+// The transpose keeps its AVX2 tile.
 
 #include "common/simd_internal.h"
 
@@ -23,8 +21,6 @@ namespace simd {
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
 
 namespace {
-using K8 = detail::Kernels8<detail::TraitsAvx512>;
-using Tiles = detail::GemmTiles<detail::TraitsAvx512>;
 
 // The ziggurat batch of Avx2ZigTryFillF32 in one zmm: the 64-bit
 // multiplies of Mix64 and the u64 -> f64 conversion (exact below 2^53)
@@ -75,21 +71,8 @@ size_t Avx512ZigTryFillF32(uint64_t key, uint64_t counter, const double* w,
 const SimdKernels* detail::Avx512Table() {
   static const SimdKernels table = [] {
     const SimdKernels* base = Avx2Table();
-    SimdKernels t = base != nullptr ? *base : ScalarTable();
-    t.isa = IsaLevel::kAvx512;
-    t.axpy_f32 = &K8::AxpyF32;
-    t.scale_f32 = &K8::ScaleF32;
-    t.add_scalar_f32 = &K8::AddScalarF32;
-    t.momentum_fold_f32 = &K8::MomentumFoldF32;
-    t.gemm_nn_tile_f32 = &Tiles::NNTileF32;
-    t.gemm_nt_tile_f32 = &Tiles::NTTileF32;
-    t.relu_f32 = &K8::ReluF32;
-    t.relu_grad_f32 = &K8::ReluGradF32;
-    t.elu_f32 = &K8::EluF32;
-    t.elu_grad_f32 = &K8::EluGradF32;
-    t.gnorm_norm_f32 = &K8::GNormNormF32;
-    t.gnorm_dx_f32 = &K8::GNormDxF32;
-    t.all_finite_f32 = &K8::AllFiniteF32;
+    SimdKernels t = detail::GenericTable<detail::TraitsAvx512>(
+        IsaLevel::kAvx512, base != nullptr ? *base : ScalarTable());
     t.zig_try_fill_f32 = &Avx512ZigTryFillF32;
     return t;
   }();

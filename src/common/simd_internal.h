@@ -16,8 +16,9 @@ namespace detail {
 const SimdKernels& ScalarTable();
 
 /// Per-ISA tables, or nullptr when the build cannot target the ISA
-/// (non-x86, or the compiler lacks the -m flags). Each builder starts
-/// from the next table down and overrides what it specializes, so every
+/// (non-x86, or the compiler lacks the -m flags). Each builder fills the
+/// generic slots with detail::GenericTable and sets its ISA-specific
+/// ones; a tier without its own transpose takes a lower tier's, so every
 /// slot stays populated. Calling the builder is safe on any CPU; calling
 /// through the table it returns requires the ISA (the dispatcher checks
 /// CPUID first).

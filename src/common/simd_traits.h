@@ -11,8 +11,7 @@
 //   Set1F/LoadF/StoreF/AddF/SubF/MulF        float vector ops (never FMA)
 //   Set1D/StoreD/AddD/SubD/MulD              double vector ops
 //   CvtLoF2D/CvtHiF2D/CvtD2F                 float<->double widen/narrow
-//   CmpLtZeroF/CmpLeZeroF/CmpEqZeroF         ordered compares vs 0
-//   ZeroWhere/SelectF                        mask-driven blends
+//   CmpLeZeroF/SelectF                       ordered compare vs 0, blend
 //   AllGtZeroF/AllFiniteF                    whole-vector predicates
 //   V8 / kJ8                                 pinned-fold view: one dot8
 //                                            accumulator per kJ8 columns
@@ -20,13 +19,15 @@
 //                                            Fold8 is the dot8 tree)
 //   kNnRows/kNnVecs/kNtRows/kNtGroups        GEMM register-tile shapes
 //
-// Kernels8<Traits> then implements the element-wise kernel bodies (and
-// the momentum fold with its eight-chain sum of squares) once, and
-// GemmTiles<Traits> the register-blocked GEMM tiles; the other chained
-// reductions (pinned 8-lane folds) and the ziggurat batch are
-// hand-written per ISA in their translation units because their shape
-// is width-specific by definition. ZigPipelinedFill is the ziggurat
-// commit loop the AVX2 and AVX-512 batches share.
+// Kernels8<Traits> then implements the element-wise kernel bodies and
+// the chained double reductions (the momentum fold's sum of squares,
+// distsq8, sum8: one pinned 8-lane fold, Fold8F64, whatever the vector
+// width) once, and GemmTiles<Traits> the register-blocked GEMM tiles.
+// GenericTable fills every one of those slots, so an ISA's table builder
+// sets only its tier and what is hand-written in its translation unit:
+// the transpose tiles (SSE2, AVX2) and the ziggurat batches (AVX2,
+// AVX-512), whose shuffles and gathers have no trait form.
+// ZigPipelinedFill is the ziggurat commit loop those two batches share.
 //
 // All kernels handle arbitrary n: full vectors in the main loop, then a
 // scalar tail that never reads or writes past index n-1 (the equivalence
@@ -77,10 +78,7 @@ struct TraitsSse2 {
     return _mm_movelh_ps(_mm_cvtpd_ps(lo), _mm_cvtpd_ps(hi));
   }
 
-  static MF CmpLtZeroF(VF v) { return _mm_cmplt_ps(v, _mm_setzero_ps()); }
   static MF CmpLeZeroF(VF v) { return _mm_cmple_ps(v, _mm_setzero_ps()); }
-  static MF CmpEqZeroF(VF v) { return _mm_cmpeq_ps(v, _mm_setzero_ps()); }
-  static VF ZeroWhere(MF m, VF v) { return _mm_andnot_ps(m, v); }
   static VF SelectF(MF m, VF a, VF b) {
     return _mm_or_ps(_mm_and_ps(m, a), _mm_andnot_ps(m, b));
   }
@@ -162,16 +160,9 @@ struct TraitsAvx2 {
                                 _mm256_cvtpd_ps(hi), 1);
   }
 
-  static MF CmpLtZeroF(VF v) {
-    return _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_LT_OQ);
-  }
   static MF CmpLeZeroF(VF v) {
     return _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_LE_OQ);
   }
-  static MF CmpEqZeroF(VF v) {
-    return _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_EQ_OQ);
-  }
-  static VF ZeroWhere(MF m, VF v) { return _mm256_andnot_ps(m, v); }
   static VF SelectF(MF m, VF a, VF b) { return _mm256_blendv_ps(b, a, m); }
   static bool AllGtZeroF(VF v) {
     return _mm256_movemask_ps(_mm256_cmp_ps(v, _mm256_setzero_ps(),
@@ -246,17 +237,8 @@ struct TraitsAvx512 {
         _mm512_castps_pd(out), _mm256_castps_pd(_mm512_cvtpd_ps(hi)), 1));
   }
 
-  static MF CmpLtZeroF(VF v) {
-    return _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_LT_OQ);
-  }
   static MF CmpLeZeroF(VF v) {
     return _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_LE_OQ);
-  }
-  static MF CmpEqZeroF(VF v) {
-    return _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_EQ_OQ);
-  }
-  static VF ZeroWhere(MF m, VF v) {
-    return _mm512_maskz_mov_ps(static_cast<__mmask16>(~m), v);
   }
   static VF SelectF(MF m, VF a, VF b) {
     return _mm512_mask_blend_ps(m, b, a);
@@ -303,15 +285,15 @@ struct TraitsAvx512 {
 
 #endif  // __AVX512F__ && __AVX512DQ__
 
-// Generic element-wise kernels over a trait. Each body mirrors the
-// scalar reference in simd.cc operation-for-operation (multiply then
-// add, ordered compares, doubles where the scalar uses doubles), so the
+// Generic element-wise kernels and chained reductions over a trait.
+// Each body mirrors the scalar reference in simd.cc
+// operation-for-operation (multiply then add, ordered compares, doubles
+// where the scalar uses doubles, the reductions' lane order), so the
 // vector main loop and the scalar tail produce identical bits.
 template <typename T>
 struct Kernels8 {
   using VF = typename T::VF;
   using VD = typename T::VD;
-  using MF = typename T::MF;
 
   static void AxpyF32(float a, const float* x, float* y, size_t n) {
     VF va = T::Set1F(a);
@@ -332,78 +314,60 @@ struct Kernels8 {
   }
 
   // phi[i] = beta·phi[i] + omb·g[i] (two products, one sum, never
-  // fused), then the new phi's eight-chain sum of squares: chain k takes
-  // i ≡ k (mod 8) in ascending i, the n % 8 tail goes to chain 0, and
-  // the chains combine ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)). A step
-  // covers max(kF, 8) floats, and its double vectors feed the chains in
-  // index order, so every chain adds its terms in the scalar order.
+  // fused), then the new phi's eight-chain sum of squares (Fold8F64,
+  // with the n % 8 tail on chain 0).
   static double MomentumFoldF32(float beta, float omb, const float* g,
                                 float* phi, size_t n) {
-    constexpr size_t kAcc = kFoldLanes / T::kD;
-    constexpr size_t kStep = T::kF > kFoldLanes ? T::kF : kFoldLanes;
     VF vb = T::Set1F(beta);
     VF vo = T::Set1F(omb);
-    VD acc[kAcc];
-    for (size_t a = 0; a < kAcc; ++a) acc[a] = T::Set1D(0.0);
-    size_t i = 0;
-    for (; i + kStep <= n; i += kStep) {
-      for (size_t f = 0; f < kStep / T::kF; ++f) {
-        float* p = phi + i + f * T::kF;
-        VF v = T::AddF(T::MulF(vb, T::LoadF(p)),
-                       T::MulF(vo, T::LoadF(g + i + f * T::kF)));
-        T::StoreF(p, v);
-        VD lo = T::CvtLoF2D(v);
-        VD hi = T::CvtHiF2D(v);
-        size_t a = (2 * f) % kAcc;
-        acc[a] = T::AddD(acc[a], T::MulD(lo, lo));
-        a = (2 * f + 1) % kAcc;
-        acc[a] = T::AddD(acc[a], T::MulD(hi, hi));
-      }
-    }
-    double lanes[kFoldLanes];
-    for (size_t a = 0; a < kAcc; ++a) T::StoreD(lanes + a * T::kD, acc[a]);
-    for (; i < n; ++i) {
-      float v = beta * phi[i] + omb * g[i];
-      phi[i] = v;
-      double dv = static_cast<double>(v);
-      lanes[n - i > n % kFoldLanes ? i % kFoldLanes : 0] += dv * dv;
-    }
-    return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-           ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+    return Fold8F64(
+        n, /*tail_to_lane0=*/true,
+        [&](size_t i) {
+          VF v = T::AddF(T::MulF(vb, T::LoadF(phi + i)),
+                         T::MulF(vo, T::LoadF(g + i)));
+          T::StoreF(phi + i, v);
+          VD lo = T::CvtLoF2D(v);
+          VD hi = T::CvtHiF2D(v);
+          return VD2{T::MulD(lo, lo), T::MulD(hi, hi)};
+        },
+        [&](size_t i) {
+          float v = beta * phi[i] + omb * g[i];
+          phi[i] = v;
+          double dv = static_cast<double>(v);
+          return dv * dv;
+        });
   }
 
-  static void AddScalarF32(float a, float* y, size_t n) {
-    VF va = T::Set1F(a);
-    size_t i = 0;
-    for (; i + T::kF <= n; i += T::kF) {
-      T::StoreF(y + i, T::AddF(T::LoadF(y + i), va));
-    }
-    for (; i < n; ++i) y[i] += a;
+  // (double(a[i]) - double(b[i]))² on the eight lanes (Fold8F64, tail
+  // lanes by index).
+  static double DistSq8F64(const float* a, const float* b, size_t n) {
+    return Fold8F64(
+        n, /*tail_to_lane0=*/false,
+        [&](size_t i) {
+          VF va = T::LoadF(a + i);
+          VF vb = T::LoadF(b + i);
+          VD lo = T::SubD(T::CvtLoF2D(va), T::CvtLoF2D(vb));
+          VD hi = T::SubD(T::CvtHiF2D(va), T::CvtHiF2D(vb));
+          return VD2{T::MulD(lo, lo), T::MulD(hi, hi)};
+        },
+        [&](size_t i) {
+          double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
+          return d * d;
+        });
   }
 
-  static void ReluF32(float* y, size_t n) {
-    size_t i = 0;
-    for (; i + T::kF <= n; i += T::kF) {
-      VF v = T::LoadF(y + i);
-      T::StoreF(y + i, T::ZeroWhere(T::CmpLtZeroF(v), v));
-    }
-    for (; i < n; ++i) {
-      if (y[i] < 0.0f) y[i] = 0.0f;
-    }
+  // double(x[i]) on the eight lanes (Fold8F64, tail lanes by index).
+  static double Sum8F64(const float* x, size_t n) {
+    return Fold8F64(
+        n, /*tail_to_lane0=*/false,
+        [&](size_t i) {
+          VF v = T::LoadF(x + i);
+          return VD2{T::CvtLoF2D(v), T::CvtHiF2D(v)};
+        },
+        [&](size_t i) { return static_cast<double>(x[i]); });
   }
 
-  static void ReluGradF32(float* g, const float* y, size_t n) {
-    size_t i = 0;
-    for (; i + T::kF <= n; i += T::kF) {
-      VF vg = T::LoadF(g + i);
-      T::StoreF(g + i, T::ZeroWhere(T::CmpEqZeroF(T::LoadF(y + i)), vg));
-    }
-    for (; i < n; ++i) {
-      if (y[i] == 0.0f) g[i] = 0.0f;
-    }
-  }
-
-  static void EluF32(float* y, size_t n, float alpha) {
+  static void EluF32(float* y, size_t n) {
     // exp() stays scalar libm — the bitwise reference admits no vector
     // polynomial — so the vector pass only skips all-positive blocks
     // (which ELU maps to themselves).
@@ -412,26 +376,26 @@ struct Kernels8 {
       if (T::AllGtZeroF(T::LoadF(y + i))) continue;
       for (size_t l = 0; l < T::kF; ++l) {
         float v = y[i + l];
-        if (!(v > 0.0f)) y[i + l] = alpha * (std::exp(v) - 1.0f);
+        if (!(v > 0.0f)) y[i + l] = std::exp(v) - 1.0f;
       }
     }
     for (; i < n; ++i) {
       float v = y[i];
-      if (!(v > 0.0f)) y[i] = alpha * (std::exp(v) - 1.0f);
+      if (!(v > 0.0f)) y[i] = std::exp(v) - 1.0f;
     }
   }
 
-  static void EluGradF32(float* g, const float* y, size_t n, float alpha) {
-    VF va = T::Set1F(alpha);
+  static void EluGradF32(float* g, const float* y, size_t n) {
+    VF one = T::Set1F(1.0f);
     size_t i = 0;
     for (; i + T::kF <= n; i += T::kF) {
       VF vy = T::LoadF(y + i);
       VF vg = T::LoadF(g + i);
-      VF neg = T::MulF(vg, T::AddF(vy, va));
+      VF neg = T::MulF(vg, T::AddF(vy, one));
       T::StoreF(g + i, T::SelectF(T::CmpLeZeroF(vy), neg, vg));
     }
     for (; i < n; ++i) {
-      if (y[i] <= 0.0f) g[i] = g[i] * (y[i] + alpha);
+      if (y[i] <= 0.0f) g[i] = g[i] * (y[i] + 1.0f);
     }
   }
 
@@ -494,6 +458,48 @@ struct Kernels8 {
       if (!std::isfinite(x[i])) return false;
     }
     return true;
+  }
+
+ private:
+  // The double terms of kF consecutive floats: elements 0..kD-1 in lo,
+  // kD..kF-1 in hi.
+  struct VD2 {
+    VD lo, hi;
+  };
+
+  // The pinned eight-lane double fold of the chained reductions: lane l
+  // adds term(i) for i ≡ l (mod 8) in ascending i, and the lanes combine
+  // ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)). With tail_to_lane0 the n % 8
+  // tail goes to lane 0 instead (ops::ChainedSquaredNorm's rule). A step
+  // covers max(kF, 8) floats; vec_terms(i) returns the terms of the kF
+  // floats at i, and their double vectors feed the lanes in index order,
+  // so every lane adds its terms in the scalar order. The floats past the
+  // last full step take term(i), one at a time in ascending i.
+  template <typename VecTerms, typename Term>
+  static double Fold8F64(size_t n, bool tail_to_lane0, VecTerms vec_terms,
+                         Term term) {
+    constexpr size_t kAcc = kFoldLanes / T::kD;
+    constexpr size_t kStep = T::kF > kFoldLanes ? T::kF : kFoldLanes;
+    VD acc[kAcc];
+    for (size_t a = 0; a < kAcc; ++a) acc[a] = T::Set1D(0.0);
+    size_t i = 0;
+    for (; i + kStep <= n; i += kStep) {
+      for (size_t f = 0; f < kStep / T::kF; ++f) {
+        VD2 t = vec_terms(i + f * T::kF);
+        size_t a = (2 * f) % kAcc;
+        acc[a] = T::AddD(acc[a], t.lo);
+        a = (2 * f + 1) % kAcc;
+        acc[a] = T::AddD(acc[a], t.hi);
+      }
+    }
+    double lanes[kFoldLanes];
+    for (size_t a = 0; a < kAcc; ++a) T::StoreD(lanes + a * T::kD, acc[a]);
+    const size_t tail = n % kFoldLanes;
+    for (; i < n; ++i) {
+      lanes[tail_to_lane0 && n - i <= tail ? 0 : i % kFoldLanes] += term(i);
+    }
+    return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+           ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
   }
 };
 
@@ -755,6 +761,31 @@ struct GemmTiles {
     }
   }
 };
+
+// `base` with every generic slot filled from the kernels over trait T
+// and tagged `isa`; base supplies only transpose_f32 and
+// zig_try_fill_f32, which the caller then overrides where its ISA has
+// its own.
+template <typename T>
+SimdKernels GenericTable(IsaLevel isa, SimdKernels base) {
+  using K8 = Kernels8<T>;
+  using Tiles = GemmTiles<T>;
+  SimdKernels t = base;
+  t.isa = isa;
+  t.axpy_f32 = &K8::AxpyF32;
+  t.scale_f32 = &K8::ScaleF32;
+  t.momentum_fold_f32 = &K8::MomentumFoldF32;
+  t.gemm_nn_tile_f32 = &Tiles::NNTileF32;
+  t.gemm_nt_tile_f32 = &Tiles::NTTileF32;
+  t.distsq8_f64 = &K8::DistSq8F64;
+  t.sum8_f64 = &K8::Sum8F64;
+  t.elu_f32 = &K8::EluF32;
+  t.elu_grad_f32 = &K8::EluGradF32;
+  t.gnorm_norm_f32 = &K8::GNormNormF32;
+  t.gnorm_dx_f32 = &K8::GNormDxF32;
+  t.all_finite_f32 = &K8::AllFiniteF32;
+  return t;
+}
 
 }  // namespace detail
 }  // namespace simd

@@ -24,7 +24,8 @@ Result<std::vector<float>> DpbrAggregator::Aggregate(
   // zeroed in place, exactly as FirstAGG outputs g ← 0 — no copy of the
   // arena is taken. The stage requires a known DP noise level; without DP
   // there is no reference distribution.
-  if (options_.enable_first_stage && ctx.sigma_upload <= 0.0) {
+  const bool first = options_.enable_first_stage;
+  if (first && ctx.sigma_upload <= 0.0) {
     return Status::FailedPrecondition(
         "first-stage aggregation requires DP noise (sigma_upload > 0); "
         "disable the stage explicitly for non-DP runs");
@@ -33,51 +34,45 @@ Result<std::vector<float>> DpbrAggregator::Aggregate(
   // scores keyed on ctx.client_ids (on positions when null). Falls back
   // to "select everything that passed stage 1" when disabled
   // (first-stage-only ablation).
-  if (options_.enable_second_stage && ctx.server_gradient == nullptr) {
+  const bool second = options_.enable_second_stage;
+  const std::vector<float>* gs = ctx.server_gradient;
+  if (second && gs == nullptr) {
     return Status::FailedPrecondition(
         "second-stage aggregation needs ctx.server_gradient");
   }
-  const std::vector<float>* gs = ctx.server_gradient;
+  if (second && gs->size() != uploads.dim) {
+    return Status::InvalidArgument("upload/server gradient size mismatch");
+  }
+  // One pass: each item tests its row and zeroes it if rejected (stage
+  // 1), then scores it (stage 2). A zeroed row's ⟨0, g_s⟩ is +0.0
+  // whenever g_s is finite — each term (+0.0f)·g_i is ±0, and a
+  // round-to-nearest sum that starts at +0.0 stays +0.0 — so only
+  // accepted rows (and every row, if g_s holds an inf or NaN) pay for
+  // the dot.
+  const bool gs_finite =
+      second && simd::Kernels().all_finite_f32(gs->data(), gs->size());
   std::vector<FirstStageVerdict> verdicts(n, FirstStageVerdict::kAccepted);
-  std::vector<size_t> selected;
-  if (options_.enable_first_stage && options_.enable_second_stage &&
-      gs->size() == uploads.dim) {
-    // Both stages in one pass: each item tests its row, zeroes it if
-    // rejected and scores it. A zeroed row's ⟨0, g_s⟩ is +0.0 whenever
-    // g_s is finite — each term (+0.0f)·g_i is ±0, and a round-to-nearest
-    // sum that starts at +0.0 stays +0.0 — so only accepted rows (and
-    // every row, if g_s holds an inf or NaN) pay for the dot. A g_s of
-    // the wrong size takes the two-pass path, whose SelectWorkers
-    // reports it.
-    const bool gs_finite =
-        simd::Kernels().all_finite_f32(gs->data(), gs->size());
-    std::vector<double> scores(n);
-    ParallelFor(0, n, [&](size_t i) {
-      float* row = uploads.Row(i);
+  std::vector<double> scores(second ? n : 0);
+  ParallelFor(0, n, [&](size_t i) {
+    float* row = uploads.Row(i);
+    if (first) {
       verdicts[i] = first_stage_.ApplyRow(row, uploads.dim, ctx.sigma_upload);
+    }
+    if (second) {
       scores[i] = verdicts[i] != FirstStageVerdict::kAccepted && gs_finite
                       ? 0.0
                       : ops::Dot(row, gs->data(), uploads.dim);
-    });
-    diag_.first_stage = FirstStageFilter::Tally(verdicts);
+    }
+  });
+  if (first) diag_.first_stage = FirstStageFilter::Tally(verdicts);
+  std::vector<size_t> selected;
+  if (second) {
     DPBR_ASSIGN_OR_RETURN(selected,
                           second_stage_.SelectFromScores(
                               std::move(scores), ctx.gamma, ctx.client_ids));
   } else {
-    if (options_.enable_first_stage) {
-      verdicts =
-          first_stage_.Apply(uploads, ctx.sigma_upload, &diag_.first_stage);
-    }
-    if (options_.enable_second_stage) {
-      DPBR_ASSIGN_OR_RETURN(
-          selected, second_stage_.SelectWorkers(uploads, *gs, ctx.gamma,
-                                                ctx.client_ids));
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        if (verdicts[i] == FirstStageVerdict::kAccepted) {
-          selected.push_back(i);
-        }
-      }
+    for (size_t i = 0; i < n; ++i) {
+      if (verdicts[i] == FirstStageVerdict::kAccepted) selected.push_back(i);
     }
   }
   diag_.first_stage_passed.resize(n);

@@ -38,10 +38,13 @@ class DpbrAggregator : public agg::Aggregator {
   /// by the *total* worker count n, exactly Algorithm 1 line 14.
   /// First-stage rejection zeroes rows of `uploads` in place (the arena
   /// rows are rewritten by the workers next round; a caller that needs
-  /// its rows afterwards aggregates a copy). With both stages on, one
-  /// dispatch tests, zeroes and scores each row; the verdicts, scores and
-  /// selection are bitwise those of FirstStageFilter::Apply followed by
-  /// SecondStageAggregator::SelectWorkers.
+  /// its rows afterwards aggregates a copy). One dispatch tests and
+  /// zeroes each row (stage 1 on) and scores it (stage 2 on); the
+  /// verdicts, scores and selection are bitwise those of
+  /// FirstStageFilter::Apply followed by
+  /// SecondStageAggregator::SelectWorkers. Every precondition (σ_up for
+  /// stage 1; a g_s of `uploads.dim` floats for stage 2) is checked
+  /// before any row is touched.
   Result<std::vector<float>> Aggregate(
       RowSpan uploads, const agg::AggregationContext& ctx) override;
 

@@ -77,5 +77,15 @@ Result<PrivacyParams> CalibratePrivacy(const PrivacySpec& spec) {
   return p;
 }
 
+Result<double> TransferLearningRate(double base_lr, double base_sigma,
+                                    double sigma) {
+  if (base_lr <= 0.0) return Status::InvalidArgument("base_lr must be > 0");
+  if (base_sigma <= 0.0) {
+    return Status::InvalidArgument("base_sigma must be > 0");
+  }
+  if (sigma <= 0.0) return base_lr;
+  return base_lr * base_sigma / sigma;
+}
+
 }  // namespace dp
 }  // namespace dpbr

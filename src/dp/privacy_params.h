@@ -56,6 +56,15 @@ struct PrivacyParams {
 /// Calibrates the noise for `spec`. Validates every field.
 Result<PrivacyParams> CalibratePrivacy(const PrivacySpec& spec);
 
+/// Learning-rate transfer (paper Theorem 1 / CLAIM 6). With normalized
+/// gradients the optimal rate scales as 1/σ (Equation 4), so a rate η_b
+/// tuned once at noise σ_b gives η = η_b·σ_b/σ at every other privacy
+/// level: the (η, C, ε) grid of vanilla DP-SGD becomes one 1-d sweep. A
+/// level without noise (σ <= 0) keeps η_b. Rejects η_b <= 0 and σ_b <= 0
+/// (an anchor without noise fixes no rate).
+Result<double> TransferLearningRate(double base_lr, double base_sigma,
+                                    double sigma);
+
 }  // namespace dp
 }  // namespace dpbr
 

@@ -127,7 +127,9 @@ Status FederatedTrainer::Setup() {
       base_spec.epsilon = options_.transfer_base_epsilon;
       DPBR_ASSIGN_OR_RETURN(base_privacy, dp::CalibratePrivacy(base_spec));
     }
-    lr_ = options_.base_lr * base_privacy.sigma / privacy_.sigma;
+    DPBR_ASSIGN_OR_RETURN(
+        lr_, dp::TransferLearningRate(options_.base_lr, base_privacy.sigma,
+                                      privacy_.sigma));
   }
 
   // --- Honest workers (Algorithm 1 clients). ---

@@ -42,7 +42,8 @@ struct TrainerOptions {
   int epochs = 8;
   MomentumReset momentum_reset = WorkerOptions{}.momentum_reset;
 
-  // Learning rate: η = base_lr · σ_b/σ where σ_b is calibrated at
+  // Learning rate: η = base_lr · σ_b/σ (dp::TransferLearningRate, which
+  // rejects base_lr <= 0) where σ_b is calibrated at
   // transfer_base_epsilon; set transfer_base_epsilon <= 0 to use base_lr
   // verbatim (then base_lr is η itself).
   double base_lr = 0.2;

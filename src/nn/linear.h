@@ -25,7 +25,7 @@ class Linear : public Layer {
                        const PerExampleGradSink& sink) override;
   std::vector<ParamView> Params() override;
 
-  /// He-uniform weights (suits the ELU/ReLU nets used here), zero bias.
+  /// He-uniform weights (suits the ELU nets used here), zero bias.
   void InitParams(SplitRng* rng) override;
 
   std::string name() const override { return "Linear"; }

@@ -1,7 +1,6 @@
 #include "nn/pooling.h"
 
 #include "common/logging.h"
-#include "common/simd.h"
 
 namespace dpbr {
 namespace nn {
@@ -47,10 +46,9 @@ void AdaptiveAvgPool2d::PlaneForward(const float* plane, size_t h, size_t w,
 
 void AdaptiveAvgPool2d::PlaneBackward(const float* gy_plane, size_t h,
                                       size_t w, float* dx_plane) const {
-  // Broadcast-add per row segment is element-wise (one add per element),
-  // so the SIMD path is bitwise equal to the scalar loop. The forward
-  // region sums stay sequential scalar.
-  const simd::SimdKernels& kern = simd::Kernels();
+  // One add per element of the region. A region row is narrower than a
+  // vector on the repo's CNNs (at most 7 floats: a 4×4 pool over at most
+  // 28 columns), so this stays a plain loop.
   for (size_t i = 0; i < out_h_; ++i) {
     size_t h0 = RegionStart(i, h, out_h_), h1 = RegionEnd(i, h, out_h_);
     for (size_t j = 0; j < out_w_; ++j) {
@@ -58,7 +56,7 @@ void AdaptiveAvgPool2d::PlaneBackward(const float* gy_plane, size_t h,
       float g = gy_plane[i * out_w_ + j] /
                 static_cast<float>((h1 - h0) * (w1 - w0));
       for (size_t a = h0; a < h1; ++a) {
-        kern.add_scalar_f32(g, dx_plane + a * w + w0, w1 - w0);
+        for (size_t b = w0; b < w1; ++b) dx_plane[a * w + b] += g;
       }
     }
   }

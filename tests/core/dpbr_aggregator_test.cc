@@ -186,20 +186,32 @@ TEST(DpbrAggregatorTest, ResetClearsCumulativeState) {
   EXPECT_TRUE(aggregator.second_stage().cumulative_scores().empty());
 }
 
-// --- One pass per upload. With both stages on, Aggregate tests, zeroes
-// and scores each row in one item, skipping the dot for a zeroed row
-// when g_s is finite. It must equal the two-pass reference below — Apply,
-// then SelectWorkers on the zeroed rows, then the sum of the selected
-// rows — bit for bit in every output and in the arena it leaves.
+// --- One pass per upload. Aggregate tests, zeroes and scores each row
+// in one item, skipping the dot for a zeroed row when g_s is finite. It
+// must equal the two-pass reference below — Apply, then SelectWorkers on
+// the zeroed rows, then the sum of the selected rows — bit for bit in
+// every output and in the arena it leaves, in every stage setting (a
+// stage that is off drops out of the reference too).
 
 template <typename T>
 bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+bool SameArena(const fl::UploadArena& a, const fl::UploadArena& b) {
+  return a.rows() == b.rows() &&
+         std::memcmp(a.Row(0), b.Row(0),
+                     a.rows() * a.dim() * sizeof(float)) == 0;
 }
 
 struct TwoPassReference {
-  FirstStageFilter first{ProtocolOptions{}};
+  explicit TwoPassReference(const ProtocolOptions& opts)
+      : options(opts), first(opts) {}
+
+  ProtocolOptions options;
+  FirstStageFilter first;
   SecondStageAggregator second;
   std::vector<bool> passed;
   FirstStageReport report;
@@ -207,16 +219,22 @@ struct TwoPassReference {
 
   std::vector<float> Aggregate(RowSpan rows,
                                const agg::AggregationContext& ctx) {
-    std::vector<FirstStageVerdict> v =
-        first.Apply(rows, ctx.sigma_upload, &report);
-    passed.clear();
-    for (FirstStageVerdict x : v) {
-      passed.push_back(x == FirstStageVerdict::kAccepted);
+    std::vector<FirstStageVerdict> v(rows.rows, FirstStageVerdict::kAccepted);
+    if (options.enable_first_stage) {
+      v = first.Apply(rows, ctx.sigma_upload, &report);
     }
-    Result<std::vector<size_t>> sel = second.SelectWorkers(
-        rows, *ctx.server_gradient, ctx.gamma, ctx.client_ids);
-    EXPECT_TRUE(sel.ok());
-    selected = sel.ok() ? sel.value() : std::vector<size_t>{};
+    passed.clear();
+    selected.clear();
+    for (size_t i = 0; i < v.size(); ++i) {
+      passed.push_back(v[i] == FirstStageVerdict::kAccepted);
+      if (passed.back()) selected.push_back(i);
+    }
+    if (options.enable_second_stage) {
+      Result<std::vector<size_t>> sel = second.SelectWorkers(
+          rows, *ctx.server_gradient, ctx.gamma, ctx.client_ids);
+      EXPECT_TRUE(sel.ok());
+      selected = sel.ok() ? sel.value() : std::vector<size_t>{};
+    }
     std::vector<float> out(rows.dim, 0.0f);
     for (size_t idx : selected) {
       ops::Axpy(1.0f, rows.Row(idx), out.data(), rows.dim);
@@ -258,9 +276,10 @@ void FillMixedRows(size_t d, uint64_t seed, fl::UploadArena* arena) {
 }
 
 void ExpectOnePassMatchesTwoPass(size_t d, const std::vector<float>& gs,
-                                 const std::vector<int>* ids) {
-  DpbrAggregator fused;
-  TwoPassReference ref;
+                                 const std::vector<int>* ids,
+                                 const ProtocolOptions& opts) {
+  DpbrAggregator fused(opts);
+  TwoPassReference ref(opts);
   for (int round = 1; round <= 3; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     fl::UploadArena rows;
@@ -280,8 +299,7 @@ void ExpectOnePassMatchesTwoPass(size_t d, const std::vector<float>& gs,
     EXPECT_EQ(diag.first_stage.accepted, ref.report.accepted);
     EXPECT_EQ(diag.first_stage.rejected_norm, ref.report.rejected_norm);
     EXPECT_EQ(diag.first_stage.rejected_ks, ref.report.rejected_ks);
-    EXPECT_EQ(0, std::memcmp(rows.Row(0), ref_rows.Row(0),
-                             rows.rows() * d * sizeof(float)));
+    EXPECT_TRUE(SameArena(rows, ref_rows));
     EXPECT_TRUE(SameBytes(fused.second_stage().last_round_scores(),
                           ref.second.last_round_scores()));
     EXPECT_TRUE(SameBytes(fused.second_stage().cumulative_scores(),
@@ -306,16 +324,43 @@ TEST(DpbrOnePassTest, MatchesApplyThenSelectWorkersBitwise) {
     with_nan[d - 1] = std::numeric_limits<float>::quiet_NaN();
     std::vector<int> ids;
     for (int i = 0; i < 10; ++i) ids.push_back(2 * (9 - i) + 1);
+    ProtocolOptions first_only;
+    first_only.enable_second_stage = false;
+    ProtocolOptions second_only;
+    second_only.enable_first_stage = false;
     for (size_t threads : {size_t{1}, size_t{2}, hw}) {
       ThreadPool pool(threads);
       ScopedPoolOverride route(&pool);
-      SCOPED_TRACE("d " + std::to_string(d) + ", pool " +
-                   std::to_string(threads));
-      ExpectOnePassMatchesTwoPass(d, finite, nullptr);
-      ExpectOnePassMatchesTwoPass(d, finite, &ids);
-      ExpectOnePassMatchesTwoPass(d, with_inf, nullptr);
-      ExpectOnePassMatchesTwoPass(d, with_nan, &ids);
+      for (const ProtocolOptions& opts :
+           {ProtocolOptions{}, first_only, second_only}) {
+        SCOPED_TRACE("d " + std::to_string(d) + ", pool " +
+                     std::to_string(threads) + ", stages " +
+                     (opts.enable_first_stage ? "1" : "") +
+                     (opts.enable_second_stage ? "2" : ""));
+        ExpectOnePassMatchesTwoPass(d, finite, nullptr, opts);
+        ExpectOnePassMatchesTwoPass(d, finite, &ids, opts);
+        ExpectOnePassMatchesTwoPass(d, with_inf, nullptr, opts);
+        ExpectOnePassMatchesTwoPass(d, with_nan, &ids, opts);
+      }
     }
+  }
+}
+
+// A g_s of the wrong size fails before the first stage zeroes any row.
+TEST(DpbrOnePassTest, WrongSizeServerGradientLeavesTheUploadsUntouched) {
+  fl::UploadArena rows;
+  FillMixedRows(kDim, 503, &rows);  // rows the first stage would zero
+  const fl::UploadArena before = rows;
+  for (size_t size : {size_t{0}, kDim - 1, kDim + 1}) {
+    SCOPED_TRACE("g_s size " + std::to_string(size));
+    std::vector<float> gs(size, 0.5f);
+    DpbrAggregator aggregator;
+    Result<std::vector<float>> got =
+        aggregator.Aggregate(rows.span(), Ctx(&gs, 0.4));
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(SameArena(rows, before));
+    EXPECT_TRUE(aggregator.second_stage().cumulative_scores().empty());
   }
 }
 
@@ -332,8 +377,8 @@ TEST(DpbrOnePassTest, MixedRowsMeetEveryVerdict) {
 
 // --- A round with a non-finite g_s scores every row NaN or ±inf. It
 // must add nothing to S: S after finite, non-finite, finite rounds equals
-// S after the two finite rounds alone, on the one-pass path (both stages)
-// and on the two-pass path (second stage only, SelectWorkers).
+// S after the two finite rounds alone, with both stages on and with the
+// second stage alone.
 
 std::vector<double> CumulativeAfter(const ProtocolOptions& opts,
                                     const std::vector<const std::vector<float>*>&
@@ -366,17 +411,18 @@ TEST(DpbrNonFiniteRoundTest, AddsNothingToTheCumulativeScores) {
   first[0] = 0.5f;  // marks the round's rows (see CumulativeAfter)
   last[0] = 0.25f;
   const float inf = std::numeric_limits<float>::infinity();
-  ProtocolOptions one_pass;
-  ProtocolOptions two_pass;
-  two_pass.enable_first_stage = false;
-  for (const ProtocolOptions& opts : {one_pass, two_pass}) {
+  ProtocolOptions both_stages;
+  ProtocolOptions second_only;
+  second_only.enable_first_stage = false;
+  for (const ProtocolOptions& opts : {both_stages, second_only}) {
     const std::vector<double> want = CumulativeAfter(opts, {&first, &last});
     ASSERT_FALSE(want.empty());
     for (float bad : {std::numeric_limits<float>::quiet_NaN(), inf, -inf}) {
       std::vector<float> broken = last;
       broken[kDim / 2] = bad;
-      SCOPED_TRACE(std::string(opts.enable_first_stage ? "one" : "two") +
-                   "-pass, g_s holding " + std::to_string(bad));
+      SCOPED_TRACE(std::string(opts.enable_first_stage ? "both stages"
+                                                       : "second stage") +
+                   ", g_s holding " + std::to_string(bad));
       const std::vector<double> got =
           CumulativeAfter(opts, {&first, &broken, &last});
       for (double v : got) EXPECT_TRUE(std::isfinite(v));

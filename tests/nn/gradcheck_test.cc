@@ -102,17 +102,6 @@ TEST(GradCheckTest, LinearEluStack) {
   CheckGradients(std::move(m), RandomInput({8}, 2), 1);
 }
 
-TEST(GradCheckTest, ReluStack) {
-  auto m = std::make_unique<Sequential>();
-  m->Add(std::make_unique<Linear>(8, 6));
-  m->Add(std::make_unique<Relu>());
-  m->Add(std::make_unique<Linear>(6, 3));
-  // Shift inputs away from the ReLU kink where central differences lie.
-  Tensor x = RandomInput({8}, 3);
-  for (size_t i = 0; i < x.size(); ++i) x[i] += (x[i] >= 0 ? 0.3f : -0.3f);
-  CheckGradients(std::move(m), x, 0);
-}
-
 TEST(GradCheckTest, Conv2dNoPadding) {
   auto m = std::make_unique<Sequential>();
   m->Add(std::make_unique<Conv2d>(2, 3, 3, 0));

@@ -45,22 +45,11 @@ TEST(LinearTest, BackwardAccumulatesIntoSinkRow) {
 }
 
 TEST(EluTest, ForwardValues) {
-  Elu elu(1.0);
+  Elu elu;
   Tensor y = elu.ForwardBatch(Tensor({1, 3}, {1.0f, 0.0f, -1.0f}));
   EXPECT_FLOAT_EQ(y[0], 1.0f);
   EXPECT_FLOAT_EQ(y[1], 0.0f);
   EXPECT_NEAR(y[2], std::exp(-1.0) - 1.0, 1e-6);
-}
-
-TEST(ReluTest, ForwardAndMask) {
-  Relu relu;
-  Tensor y = relu.ForwardBatch(Tensor({1, 3}, {2.0f, -3.0f, 0.5f}));
-  EXPECT_FLOAT_EQ(y[0], 2.0f);
-  EXPECT_FLOAT_EQ(y[1], 0.0f);
-  Tensor dx = relu.BackwardBatch(Tensor({1, 3}, {1.0f, 1.0f, 1.0f}), {});
-  EXPECT_FLOAT_EQ(dx[0], 1.0f);
-  EXPECT_FLOAT_EQ(dx[1], 0.0f);
-  EXPECT_FLOAT_EQ(dx[2], 1.0f);
 }
 
 TEST(Conv2dTest, IdentityKernel) {
