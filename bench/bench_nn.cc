@@ -1,14 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the nn compute layer: the
 // im2col+GEMM Conv2d against the direct loop nest of
-// tests/nn/conv2d_reference.h at the
-// CIFAR-like acceptance shape (3→32 channels, 32×32, k=3), raw GEMM
-// throughput, batched Linear, and a full DP worker local step
-// (HonestDpWorker::ComputeUpdateInto) on both MLP and CNN models.
+// tests/nn/conv2d_reference.h at the CIFAR-like acceptance shape (3→32
+// channels, 32×32, k=3), raw GEMM throughput, Linear, GroupNorm and
+// pooling passes, and a full DP worker local step
+// (HonestDpWorker::ComputeUpdateInto) on both MLP and CNN models. Every
+// layer entry times kExamples one-example passes per iteration, the
+// one-thread passes a federated round runs inside its pool tasks.
 //
 // Before timing, main() asserts at the acceptance shape that the GEMM
-// conv is bit-identical under serial and parallel pools, agrees with the
-// direct loop nest, and reproduces every batch-of-1 pass row for row,
-// mirroring bench_micro's Krum determinism check.
+// conv is bit-identical under serial and parallel pools and agrees with
+// the direct loop nest, mirroring bench_micro's Krum determinism check.
 
 #include <benchmark/benchmark.h>
 
@@ -55,36 +56,32 @@ nn::Conv2d MakeConv() {
   return conv;
 }
 
-// --- Batched conv forward: the per-example im2col + GEMM loop against
-// the direct loop nest and against the same work run as kBatch
-// batch-of-1 passes. Every layer entry here times the one-thread pass a
-// federated round runs inside a pool task.
+// --- Conv forward: the im2col + GEMM pass against the direct loop
+// nest, each over kExamples examples.
 
-constexpr size_t kBatch = 16;
+constexpr size_t kExamples = 16;
 
-Tensor RandomBatch(uint64_t seed) {
+// kExamples examples of shape (1, ch, kImg, kImg).
+std::vector<Tensor> RandomExamples(size_t ch, uint64_t seed) {
   SplitRng rng(seed);
-  Tensor x({kBatch, kInCh, kImg, kImg});
-  x.FillGaussian(&rng, 1.0);
-  return x;
-}
-
-// Example `ex` of a batch tensor, as a batch of 1.
-Tensor Example(const Tensor& batch, size_t ex) {
-  std::vector<size_t> shape = batch.shape();
-  size_t stride = batch.size() / shape[0];
-  shape[0] = 1;
-  return Tensor(shape, std::vector<float>(batch.data() + ex * stride,
-                                          batch.data() + (ex + 1) * stride));
+  std::vector<Tensor> examples;
+  for (size_t ex = 0; ex < kExamples; ++ex) {
+    Tensor x({1, ch, kImg, kImg});
+    x.FillGaussian(&rng, 1.0);
+    examples.push_back(std::move(x));
+  }
+  return examples;
 }
 
 void BM_Conv2dForwardBatch(benchmark::State& state) {
   nn::Conv2d conv = MakeConv();
-  Tensor x = RandomBatch(13);
+  std::vector<Tensor> examples = RandomExamples(kInCh, 13);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.ForwardBatch(x));
+    for (const Tensor& x : examples) {
+      benchmark::DoNotOptimize(conv.ForwardBatch(x));
+    }
   }
-  state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
+  state.SetItemsProcessed(state.iterations() * kExamples * kOutCh * kImg *
                           kImg);
 }
 BENCHMARK(BM_Conv2dForwardBatch)->Unit(benchmark::kMicrosecond);
@@ -92,171 +89,110 @@ BENCHMARK(BM_Conv2dForwardBatch)->Unit(benchmark::kMicrosecond);
 void BM_Conv2dForwardBatchNaive(benchmark::State& state) {
   nn::Conv2d conv = MakeConv();
   std::vector<nn::ParamView> params = conv.Params();
-  Tensor x = RandomBatch(13);
+  std::vector<Tensor> examples = RandomExamples(kInCh, 13);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::ReferenceConv2dForward(params, kGeometry, x));
+    for (const Tensor& x : examples) {
+      benchmark::DoNotOptimize(
+          nn::ReferenceConv2dForward(params, kGeometry, x));
+    }
   }
-  state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
+  state.SetItemsProcessed(state.iterations() * kExamples * kOutCh * kImg *
                           kImg);
 }
 BENCHMARK(BM_Conv2dForwardBatchNaive)->Unit(benchmark::kMicrosecond);
 
-void BM_Conv2dForwardBatchPerExample(benchmark::State& state) {
-  nn::Conv2d conv = MakeConv();
-  Tensor x = RandomBatch(13);
-  std::vector<Tensor> examples;
-  for (size_t ex = 0; ex < kBatch; ++ex) examples.push_back(Example(x, ex));
-  for (auto _ : state) {
-    for (const Tensor& example : examples) {
-      benchmark::DoNotOptimize(conv.ForwardBatch(example));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
-                          kImg);
-}
-BENCHMARK(BM_Conv2dForwardBatchPerExample)->Unit(benchmark::kMicrosecond);
-
-// --- Batched conv backward: the batched path (per-example dW/db rows
-// into the sink + dX via col2im) against the same work run as kBatch
-// batch-of-1 passes, each into one re-zeroed gradient row. Every
-// backward needs its own forward, so both sides time a full
-// forward+backward round trip — the forward work is identical, so the
-// ratio isolates the per-call overhead and the sink-row traffic.
+// --- Conv backward: dW/db into a re-zeroed gradient row plus dX via
+// col2im. Every backward needs its own forward, so each example times a
+// full forward+backward round trip.
 
 void BM_Conv2dBackwardBatch(benchmark::State& state) {
   nn::Conv2d conv = MakeConv();
-  Tensor x = RandomBatch(13);
-  SplitRng rng(29);
-  Tensor gy({kBatch, kOutCh, kImg, kImg});
-  gy.FillGaussian(&rng, 1.0);
-  size_t dim = conv.NumParams();
-  std::vector<float> sink(kBatch * dim);
+  std::vector<Tensor> examples = RandomExamples(kInCh, 13);
+  std::vector<Tensor> grads = RandomExamples(kOutCh, 29);
+  std::vector<float> row(conv.NumParams());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.ForwardBatch(x));
-    std::fill(sink.begin(), sink.end(), 0.0f);
-    benchmark::DoNotOptimize(conv.BackwardBatch(gy, {sink.data(), dim, 0}));
+    for (size_t ex = 0; ex < kExamples; ++ex) {
+      benchmark::DoNotOptimize(conv.ForwardBatch(examples[ex]));
+      std::fill(row.begin(), row.end(), 0.0f);
+      benchmark::DoNotOptimize(conv.BackwardBatch(grads[ex], {row.data(), 0}));
+    }
   }
-  state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
+  state.SetItemsProcessed(state.iterations() * kExamples * kOutCh * kImg *
                           kImg);
 }
 BENCHMARK(BM_Conv2dBackwardBatch)->Unit(benchmark::kMicrosecond);
 
-void BM_Conv2dBackwardBatchPerExample(benchmark::State& state) {
-  nn::Conv2d conv = MakeConv();
-  Tensor x = RandomBatch(13);
-  SplitRng rng(29);
-  Tensor gyb({kBatch, kOutCh, kImg, kImg});
-  gyb.FillGaussian(&rng, 1.0);
-  std::vector<Tensor> examples, grads;
-  for (size_t ex = 0; ex < kBatch; ++ex) {
-    examples.push_back(Example(x, ex));
-    grads.push_back(Example(gyb, ex));
-  }
-  size_t dim = conv.NumParams();
-  std::vector<float> row(dim);
-  for (auto _ : state) {
-    for (size_t ex = 0; ex < kBatch; ++ex) {
-      benchmark::DoNotOptimize(conv.ForwardBatch(examples[ex]));
-      std::fill(row.begin(), row.end(), 0.0f);
-      benchmark::DoNotOptimize(
-          conv.BackwardBatch(grads[ex], {row.data(), dim, 0}));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
-                          kImg);
-}
-BENCHMARK(BM_Conv2dBackwardBatchPerExample)->Unit(benchmark::kMicrosecond);
-
-// Batched Linear backward (dW/db sink rows + one dX GEMM) at the e2e
-// model shape, against 16 batch-of-1 passes.
+// Linear forward+backward (dW/db into a re-zeroed gradient row, one dX
+// GEMM) at the e2e model shape, 512→32.
 void BM_LinearBackwardBatch(benchmark::State& state) {
   nn::Linear linear(512, 32);
   SplitRng rng(11);
   linear.InitParams(&rng);
-  Tensor x({16, 512});
-  x.FillGaussian(&rng, 1.0);
-  Tensor gy({16, 32});
-  gy.FillGaussian(&rng, 1.0);
-  size_t dim = linear.NumParams();
-  std::vector<float> sink(16 * dim);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linear.ForwardBatch(x));
-    std::fill(sink.begin(), sink.end(), 0.0f);
-    benchmark::DoNotOptimize(
-        linear.BackwardBatch(gy, {sink.data(), dim, 0}));
-  }
-  state.SetItemsProcessed(state.iterations() * 16 * 512 * 32);
-}
-BENCHMARK(BM_LinearBackwardBatch)->Unit(benchmark::kMicrosecond);
-
-void BM_LinearBackwardBatchPerExample(benchmark::State& state) {
-  nn::Linear linear(512, 32);
-  SplitRng rng(11);
-  linear.InitParams(&rng);
-  Tensor xb({16, 512});
-  xb.FillGaussian(&rng, 1.0);
-  Tensor gyb({16, 32});
-  gyb.FillGaussian(&rng, 1.0);
   std::vector<Tensor> examples, grads;
-  for (size_t ex = 0; ex < 16; ++ex) {
-    examples.push_back(Example(xb, ex));
-    grads.push_back(Example(gyb, ex));
+  for (size_t ex = 0; ex < kExamples; ++ex) {
+    Tensor x({1, 512});
+    x.FillGaussian(&rng, 1.0);
+    examples.push_back(std::move(x));
+    Tensor gy({1, 32});
+    gy.FillGaussian(&rng, 1.0);
+    grads.push_back(std::move(gy));
   }
-  size_t dim = linear.NumParams();
-  std::vector<float> row(dim);
+  std::vector<float> row(linear.NumParams());
   for (auto _ : state) {
-    for (size_t ex = 0; ex < 16; ++ex) {
+    for (size_t ex = 0; ex < kExamples; ++ex) {
       benchmark::DoNotOptimize(linear.ForwardBatch(examples[ex]));
       std::fill(row.begin(), row.end(), 0.0f);
       benchmark::DoNotOptimize(
-          linear.BackwardBatch(grads[ex], {row.data(), dim, 0}));
+          linear.BackwardBatch(grads[ex], {row.data(), 0}));
     }
   }
-  state.SetItemsProcessed(state.iterations() * 16 * 512 * 32);
+  state.SetItemsProcessed(state.iterations() * kExamples * 512 * 32);
 }
-BENCHMARK(BM_LinearBackwardBatchPerExample)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LinearBackwardBatch)->Unit(benchmark::kMicrosecond);
 
-// --- Batched GroupNorm / pooling at the post-conv CNN stage activation
-// shape: (16, 32, 32, 32).
-
-Tensor RandomStageBatch(uint64_t seed) {
-  SplitRng rng(seed);
-  Tensor x({kBatch, kOutCh, kImg, kImg});
-  x.FillGaussian(&rng, 1.0);
-  return x;
-}
+// --- GroupNorm / pooling at the post-conv CNN stage activation shape:
+// (1, 32, 32, 32) per example.
 
 void BM_GroupNormForwardBatch(benchmark::State& state) {
-  nn::GroupNorm gn(4, kOutCh, 1e-5, /*affine=*/false);
-  Tensor x = RandomStageBatch(17);
+  nn::GroupNorm gn(4, kOutCh);
+  std::vector<Tensor> examples = RandomExamples(kOutCh, 17);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gn.ForwardBatch(x));
+    for (const Tensor& x : examples) {
+      benchmark::DoNotOptimize(gn.ForwardBatch(x));
+    }
   }
-  state.SetItemsProcessed(state.iterations() * x.size());
+  state.SetItemsProcessed(state.iterations() * kExamples * kOutCh * kImg *
+                          kImg);
 }
 BENCHMARK(BM_GroupNormForwardBatch)->Unit(benchmark::kMicrosecond);
 
+// The backward of one forward, once per example gradient: a backward
+// reads only its forward's cache, so the work matches kExamples
+// forward+backward pairs minus the forwards.
 void BM_GroupNormBackwardBatch(benchmark::State& state) {
-  nn::GroupNorm gn(4, kOutCh, 1e-5, /*affine=*/false);
-  Tensor x = RandomStageBatch(17);
-  Tensor y = gn.ForwardBatch(x);
-  SplitRng rng(19);
-  Tensor gy(y.shape());
-  gy.FillGaussian(&rng, 1.0);
+  nn::GroupNorm gn(4, kOutCh);
+  gn.ForwardBatch(RandomExamples(kOutCh, 17)[0]);
+  std::vector<Tensor> grads = RandomExamples(kOutCh, 19);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gn.BackwardBatch(gy, {}));
+    for (const Tensor& gy : grads) {
+      benchmark::DoNotOptimize(gn.BackwardBatch(gy, {}));
+    }
   }
-  state.SetItemsProcessed(state.iterations() * x.size());
+  state.SetItemsProcessed(state.iterations() * kExamples * kOutCh * kImg *
+                          kImg);
 }
 BENCHMARK(BM_GroupNormBackwardBatch)->Unit(benchmark::kMicrosecond);
 
 void BM_PoolForwardBatch(benchmark::State& state) {
   nn::AdaptiveAvgPool2d pool(4, 4);
-  Tensor x = RandomStageBatch(23);
+  std::vector<Tensor> examples = RandomExamples(kOutCh, 23);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.ForwardBatch(x));
+    for (const Tensor& x : examples) {
+      benchmark::DoNotOptimize(pool.ForwardBatch(x));
+    }
   }
-  state.SetItemsProcessed(state.iterations() * x.size());
+  state.SetItemsProcessed(state.iterations() * kExamples * kOutCh * kImg *
+                          kImg);
 }
 BENCHMARK(BM_PoolForwardBatch)->Unit(benchmark::kMicrosecond);
 
@@ -372,17 +308,23 @@ void BM_Col2ImAccumulate(benchmark::State& state) {
 }
 BENCHMARK(BM_Col2ImAccumulate)->Unit(benchmark::kMicrosecond);
 
-// Batched Linear forward at the e2e model shape (batch 16, 512→32).
+// Linear forward at the e2e model shape (512→32).
 void BM_LinearForwardBatch(benchmark::State& state) {
   nn::Linear linear(512, 32);
   SplitRng rng(11);
   linear.InitParams(&rng);
-  Tensor x({16, 512});
-  x.FillGaussian(&rng, 1.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linear.ForwardBatch(x));
+  std::vector<Tensor> examples;
+  for (size_t ex = 0; ex < kExamples; ++ex) {
+    Tensor x({1, 512});
+    x.FillGaussian(&rng, 1.0);
+    examples.push_back(std::move(x));
   }
-  state.SetItemsProcessed(state.iterations() * 16 * 512 * 32);
+  for (auto _ : state) {
+    for (const Tensor& x : examples) {
+      benchmark::DoNotOptimize(linear.ForwardBatch(x));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kExamples * 512 * 32);
 }
 BENCHMARK(BM_LinearForwardBatch)->Unit(benchmark::kMicrosecond);
 
@@ -420,7 +362,7 @@ data::DatasetBundle FlatBundle() {
   return std::move(b).value();
 }
 
-// One full DP local step (Algorithm 1 lines 5-11): microbatch gradients,
+// One full DP local step (Algorithm 1 lines 5-11): per-example gradients,
 // momentum, normalization, upload — the per-round unit of worker cost.
 void LocalStep(benchmark::State& state, const data::DatasetBundle& bundle,
                nn::ModelFactory factory) {
@@ -453,11 +395,11 @@ void BM_LocalStepCnn(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalStepCnn)->Unit(benchmark::kMillisecond);
 
-// --- Whole-CNN batched step: the per-layer ForwardBatch /
-// BackwardBatch loop, all on the calling thread.
-// Forward-only and forward+loss+backward variants; the backward variant
-// times the full round trip (the cached-state contract ties each
-// backward to its own forward).
+// --- Whole-CNN passes: the per-layer ForwardBatch / BackwardBatch loop
+// of kExamples examples, all on the calling thread. Forward-only and
+// forward+loss+backward variants; the backward variant times the full
+// round trip (the cached-state contract ties each backward to its own
+// forward).
 
 std::unique_ptr<nn::Sequential> StepCnn(SplitRng* rng) {
   std::unique_ptr<nn::Sequential> model =
@@ -469,45 +411,41 @@ std::unique_ptr<nn::Sequential> StepCnn(SplitRng* rng) {
 void BM_LocalStepCnnForward(benchmark::State& state) {
   SplitRng rng(31);
   std::unique_ptr<nn::Sequential> model = StepCnn(&rng);
-  constexpr size_t kN = 16;
-  Tensor batch({kN, 1, kImg, kImg});
-  batch.FillGaussian(&rng, 1.0);
+  std::vector<Tensor> examples = RandomExamples(1, 37);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model->ForwardBatch(batch));
+    for (const Tensor& x : examples) {
+      benchmark::DoNotOptimize(model->ForwardBatch(x));
+    }
   }
-  state.SetItemsProcessed(state.iterations() * kN);
+  state.SetItemsProcessed(state.iterations() * kExamples);
 }
 BENCHMARK(BM_LocalStepCnnForward)->Unit(benchmark::kMillisecond);
 
-// The backward-dominated unit of the worker step in isolation: batched
-// forward + loss + per-example-gradient backward through the whole CNN.
-// This is the surface the batched backward GEMMs accelerate
-// (BM_LocalStepCnn adds clipping, momentum and noise on top).
+// The backward-dominated unit of the worker step in isolation: forward +
+// loss + per-example-gradient backward through the whole CNN, each
+// example into the one gradient row a slot keeps (BM_LocalStepCnn adds
+// normalization, momentum and noise on top).
 void BM_LocalStepCnnBackward(benchmark::State& state) {
   SplitRng rng(31);
   std::unique_ptr<nn::Sequential> model = StepCnn(&rng);
-  constexpr size_t kN = 16;
-  Tensor batch({kN, 1, kImg, kImg});
-  batch.FillGaussian(&rng, 1.0);
-  std::vector<size_t> labels(kN);
-  for (size_t ex = 0; ex < kN; ++ex) labels[ex] = ex % 10;
+  std::vector<Tensor> examples = RandomExamples(1, 37);
   size_t dim = model->NumParams();
-  std::vector<float> grads(kN * dim);
+  std::vector<float> row(dim);
   for (auto _ : state) {
-    Tensor logits = model->ForwardBatch(batch);
-    nn::BatchLossGrad lg = nn::SoftmaxCrossEntropyBatch(logits, labels);
-    benchmark::DoNotOptimize(
-        model->BackwardBatchTo(lg.grad_logits, kN, grads.data()));
+    for (size_t ex = 0; ex < kExamples; ++ex) {
+      nn::LossGrad lg =
+          nn::SoftmaxCrossEntropy(model->ForwardBatch(examples[ex]), ex % 10);
+      benchmark::DoNotOptimize(model->BackwardTo(lg.grad_logits, row.data()));
+    }
   }
   state.counters["d"] = static_cast<double>(dim);
-  state.SetItemsProcessed(state.iterations() * kN);
+  state.SetItemsProcessed(state.iterations() * kExamples);
 }
 BENCHMARK(BM_LocalStepCnnBackward)->Unit(benchmark::kMillisecond);
 
-// GEMM conv must agree with itself bit-for-bit across pool sizes, with
-// the naive kernel to 1e-4, and row for row with batch-of-1 passes —
-// checked before the timing loops so a regression fails the bench smoke
-// job loudly.
+// GEMM conv must agree with itself bit-for-bit across pool sizes and
+// with the naive kernel to 1e-4 — checked before the timing loops so a
+// regression fails the bench smoke job loudly.
 void Fail(const char* what) {
   std::fprintf(stderr, "FATAL: %s\n", what);
   std::exit(1);
@@ -515,64 +453,37 @@ void Fail(const char* what) {
 
 void CheckConvDeterminism() {
   size_t hw = std::max<size_t>(4, std::thread::hardware_concurrency());
-  Tensor xb = RandomBatch(13);
-  std::vector<Tensor> outs;
+  std::vector<Tensor> examples = RandomExamples(kInCh, 13);
+  std::vector<std::vector<Tensor>> outs;
   for (size_t threads : {size_t{1}, size_t{2}, hw}) {
     ThreadPool pool(threads);
     ScopedPoolOverride override_pool(&pool);
     nn::Conv2d conv = MakeConv();
-    outs.push_back(conv.ForwardBatch(xb));
-  }
-  for (size_t i = 1; i < outs.size(); ++i) {
-    for (size_t j = 0; j < outs[0].size(); ++j) {
-      if (outs[0][j] != outs[i][j]) Fail("GEMM conv differs across pools");
+    outs.emplace_back();
+    for (const Tensor& x : examples) {
+      outs.back().push_back(conv.ForwardBatch(x));
     }
   }
   nn::Conv2d ref = MakeConv();
-  Tensor yn = nn::ReferenceConv2dForward(ref.Params(), kGeometry, xb);
-  for (size_t j = 0; j < yn.size(); ++j) {
-    double scale = std::max(1.0, std::abs(static_cast<double>(yn[j])));
-    if (std::abs(static_cast<double>(yn[j]) - outs[0][j]) > 1e-4 * scale) {
-      Fail("GEMM conv diverges from naive kernel");
-    }
-  }
-  // Row j of the batched forward+backward (sink dW/db rows + col2im dX)
-  // must reproduce the batch-1 pass of example j bit for bit.
-  nn::Conv2d conv = MakeConv();
-  SplitRng grng(37);
-  Tensor gyb({kBatch, kOutCh, kImg, kImg});
-  gyb.FillGaussian(&grng, 1.0);
-  size_t dim = conv.NumParams();
-  std::vector<float> sink(kBatch * dim, 0.0f);
-  Tensor yb = conv.ForwardBatch(xb);
-  Tensor dxb = conv.BackwardBatch(gyb, {sink.data(), dim, 0});
-  size_t feat = kInCh * kImg * kImg;
-  size_t out_stride = kOutCh * kImg * kImg;
-  std::vector<float> row(dim);
-  for (size_t ex = 0; ex < kBatch; ++ex) {
-    Tensor y = conv.ForwardBatch(Example(xb, ex));
-    std::fill(row.begin(), row.end(), 0.0f);
-    Tensor dx = conv.BackwardBatch(Example(gyb, ex), {row.data(), dim, 0});
-    for (size_t j = 0; j < out_stride; ++j) {
-      if (yb[ex * out_stride + j] != y[j]) {
-        Fail("batched conv forward row differs from batch of 1");
+  for (size_t ex = 0; ex < kExamples; ++ex) {
+    const Tensor& y = outs[0][ex];
+    for (size_t i = 1; i < outs.size(); ++i) {
+      for (size_t j = 0; j < y.size(); ++j) {
+        if (y[j] != outs[i][ex][j]) Fail("GEMM conv differs across pools");
       }
     }
-    for (size_t j = 0; j < feat; ++j) {
-      if (dxb[ex * feat + j] != dx[j]) {
-        Fail("batched conv backward dX row differs from batch of 1");
-      }
-    }
-    for (size_t j = 0; j < dim; ++j) {
-      if (sink[ex * dim + j] != row[j]) {
-        Fail("batched conv backward sink row differs from batch of 1");
+    Tensor yn = nn::ReferenceConv2dForward(ref.Params(), kGeometry,
+                                           examples[ex]);
+    for (size_t j = 0; j < yn.size(); ++j) {
+      double scale = std::max(1.0, std::abs(static_cast<double>(yn[j])));
+      if (std::abs(static_cast<double>(yn[j]) - y[j]) > 1e-4 * scale) {
+        Fail("GEMM conv diverges from naive kernel");
       }
     }
   }
   std::fprintf(stderr,
                "conv determinism check: pools {1,2,%zu} bit-identical, "
-               "naive agreement within 1e-4, batched fwd+bwd rows == "
-               "batch of 1\n",
+               "naive agreement within 1e-4\n",
                hw);
 }
 

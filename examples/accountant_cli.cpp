@@ -123,11 +123,17 @@ int main(int argc, char** argv) {
   double qc = DoubleFlag(flags, "qc", 1.0);
   int steps = IntFlag(flags, "steps", 500);
   double delta = DoubleFlag(flags, "delta", 1e-4);
+  if (!(qc >= 0.0 && qc <= 1.0)) {
+    std::cerr << dpbr::Status::InvalidArgument(
+                     "client sampling rate q_client must lie in [0, 1]")
+                     .ToString()
+              << "\n";
+    return 1;
+  }
 
   if (flags.Has("sigma")) {
     double sigma = DoubleFlag(flags, "sigma", 1.0);
-    auto eps =
-        dpbr::dp::ComputeEpsilonClientSubsampled(qc, q, sigma, steps, delta);
+    auto eps = dpbr::dp::ComputeEpsilon(qc * q, sigma, steps, delta);
     if (!eps.ok()) {
       std::cerr << eps.status().ToString() << "\n";
       return 1;
@@ -138,8 +144,7 @@ int main(int argc, char** argv) {
   }
 
   double eps = DoubleFlag(flags, "eps", 1.0);
-  auto sigma =
-      dpbr::dp::NoiseMultiplierForClientSubsampled(qc, q, steps, eps, delta);
+  auto sigma = dpbr::dp::NoiseMultiplierFor(qc * q, steps, eps, delta);
   if (!sigma.ok()) {
     std::cerr << sigma.status().ToString() << "\n";
     return 1;

@@ -154,31 +154,6 @@ RATIO_GATES = [
         2.0,
         "padded-plane Im2Col >= 2x row-wise reference",
     ),
-    # Parity floors for the batched backward passes: both sides run the
-    # same serial per-example work on the calling thread (nn layers never
-    # dispatch, on any core count), so the batched pass sits at parity
-    # with a loop of batch-of-1 passes and the bound is parity minus
-    # run-to-run noise (~8% observed at min_time=0.05). A lost batched
-    # path fails this by a wide margin (e.g. a mis-batched kernel measured
-    # ~0.1x during development); the bitwise row guarantees are enforced
-    # exactly in tests/nn/kernel_equivalence_test.cc.
-    (
-        "BM_Conv2dBackwardBatchPerExample",
-        "BM_Conv2dBackwardBatch",
-        0.9,
-        "batched conv backward >= per-example loop (parity floor)",
-    ),
-    # Linear's floor is lower: its dW is memory-bound, and the batched
-    # side streams one distinct 64 KB sink row per example (the
-    # per-example separation DP clipping requires) where the reference
-    # rewrites a single cache-hot gradient row, which costs up to ~10%
-    # at parity.
-    (
-        "BM_LinearBackwardBatchPerExample",
-        "BM_LinearBackwardBatch",
-        0.85,
-        "batched linear backward >= per-example loop (parity floor)",
-    ),
     # SIMD-vs-scalar floors for the dispatched kernel layer
     # (bench_simd.cc): each pair runs the same kernel on the best
     # detected tier and pinned to the scalar reference, so the ratio is

@@ -3,7 +3,7 @@
 probe dynamically.
 
 The repo's correctness story rests on prose contracts — bitwise
-deterministic aggregation, grow-only workspaces with no allocation
+deterministic aggregation, grow-only buffers with no allocation
 inside `ParallelFor` bodies, per-ISA SIMD translation units reached only
 through the dispatch table, and `Status`/`Result` error propagation.
 This checker turns them into machine-checked rules over the
@@ -128,7 +128,7 @@ HOTPATH_ALLOC_CALLS = {
 HOTPATH_SIZED_CONTAINERS = {"vector", "string"}
 HOTPATH_OWNING_MAKERS = {"make_unique", "make_shared"}
 # Calls of an nn::ModelFactory build a whole model (layers, parameters,
-# workspaces); hot bodies borrow a model built before the dispatch.
+# caches); hot bodies borrow a model built before the dispatch.
 HOTPATH_MODEL_FACTORY_CALLS = {
     "factory", "factory_", "model_factory", "model_factory_",
 }
@@ -498,15 +498,15 @@ def _scan_hot_body(rel, ct, lo, hi, findings):
         if t.text == "new" and prev not in (".", "->", "::"):
             findings.append(Finding(
                 rel, t.line, "hotpath-alloc",
-                "'new' inside a ParallelFor body; allocate into a "
-                "grow-only Workspace slot before dispatch"))
+                "'new' inside a ParallelFor body; allocate a grow-only "
+                "buffer before dispatch"))
         elif (t.text in HOTPATH_SIZED_CONTAINERS
               and _constructs_sized_container(ct, i, hi)):
             findings.append(Finding(
                 rel, t.line, "hotpath-alloc",
                 f"sized 'std::{t.text}' construction inside a "
                 "ParallelFor body; size the buffer before the dispatch "
-                "(grow-only Workspace rule, docs/architecture.md)"))
+                "(grow-only buffer rule, docs/static_analysis.md)"))
         elif t.text in HOTPATH_OWNING_MAKERS and nxt in ("<", "("):
             findings.append(Finding(
                 rel, t.line, "hotpath-alloc",
@@ -526,8 +526,8 @@ def _scan_hot_body(rel, ct, lo, hi, findings):
             findings.append(Finding(
                 rel, t.line, "hotpath-alloc",
                 f"'{t.text}' ({kind}) inside a ParallelFor body; "
-                "size buffers before dispatch (grow-only Workspace "
-                "rule, docs/architecture.md)"))
+                "size buffers before dispatch (grow-only buffer "
+                "rule, docs/static_analysis.md)"))
         elif t.text == "function" and prev == "::" and nxt == "<":
             findings.append(Finding(
                 rel, t.line, "hotpath-alloc",

@@ -100,7 +100,7 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
   DPBR_ASSIGN_OR_RETURN(data::BenchmarkInfo info,
                         data::GetBenchmark(config.dataset));
   DPBR_ASSIGN_OR_RETURN(data::DatasetBundle bundle,
-                        data::GenerateSynthetic(info.spec, config.data_seed));
+                        data::GenerateSynthetic(info.spec, kDataSeed));
 
   // Optional out-of-distribution auxiliary source (supp. Table 17).
   std::unique_ptr<data::DatasetBundle> ood_bundle;
@@ -115,12 +115,12 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
     }
     DPBR_ASSIGN_OR_RETURN(
         data::DatasetBundle b,
-        data::GenerateSynthetic(ood_info.spec, config.data_seed + 1));
+        data::GenerateSynthetic(ood_info.spec, kDataSeed + 1));
     ood_bundle = std::make_unique<data::DatasetBundle>(std::move(b));
   }
 
   nn::ModelFactory factory = nn::MlpFactory(
-      info.spec.feature_dim, config.mlp_hidden, info.spec.num_classes);
+      info.spec.feature_dim, kMlpHidden, info.spec.num_classes);
 
   ExperimentResult result;
   if (config.seeds.empty()) {

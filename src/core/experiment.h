@@ -19,6 +19,12 @@
 namespace dpbr {
 namespace core {
 
+/// Seed of the synthetic data generation itself (fixed: the paper's
+/// datasets do not change across repetition seeds).
+inline constexpr uint64_t kDataSeed = 42;
+/// Hidden width of the paper's MLP (d = 25450 on 784 inputs).
+inline constexpr size_t kMlpHidden = 32;
+
 /// One paper-style experiment cell.
 struct ExperimentConfig {
   std::string dataset = "synth_mnist";
@@ -66,10 +72,6 @@ struct ExperimentConfig {
 
   /// Seeds to repeat over (the paper uses {1, 2, 3}).
   std::vector<uint64_t> seeds = {1, 2, 3};
-  /// Seed of the synthetic data generation itself (fixed: the paper's
-  /// datasets do not change across repetition seeds).
-  uint64_t data_seed = 42;
-  size_t mlp_hidden = 32;
 };
 
 /// Aggregated outcome across seeds.

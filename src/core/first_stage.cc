@@ -14,18 +14,17 @@
 namespace dpbr {
 namespace core {
 
-FirstStageFilter::FirstStageFilter(const ProtocolOptions& options)
-    : options_(options) {
+FirstStageFilter::FirstStageFilter(const ProtocolOptions& options) {
   DPBR_CHECK_OK(ValidateProtocolOptions(options));
 }
 
 std::pair<double, double> FirstStageFilter::NormWindow(
     size_t d, double sigma_upload) const {
-  // ‖g‖²/σ² ~ χ²_d ≈ N(d, 2d); the window spans ±norm_window_sigmas
+  // ‖g‖²/σ² ~ χ²_d ≈ N(d, 2d); the window spans ±kNormWindowSigmas
   // standard deviations (paper: 3 → the 68-95-99.7 rule).
   double dd = static_cast<double>(d);
   double s2 = sigma_upload * sigma_upload;
-  double half = options_.norm_window_sigmas * s2 * std::sqrt(2.0 * dd);
+  double half = kNormWindowSigmas * s2 * std::sqrt(2.0 * dd);
   double lo = s2 * dd - half;
   double hi = s2 * dd + half;
   return {std::max(lo, 0.0), hi};
@@ -45,7 +44,7 @@ FirstStageVerdict FirstStageFilter::Test(const float* upload, size_t d,
   if (!std::isfinite(sq) || near_edge) sq = ops::SquaredNorm(upload, d);
   if (!(sq >= lo && sq <= hi)) return FirstStageVerdict::kRejectedNorm;
   if (!stats::KsGaussianAccepts(upload, d, sigma_upload,
-                                options_.ks_significance)) {
+                                kKsSignificance)) {
     return FirstStageVerdict::kRejectedKs;
   }
   return FirstStageVerdict::kAccepted;
@@ -115,7 +114,7 @@ std::pair<double, double> FirstStageFilter::EnvelopeInterval(
 }
 
 double FirstStageFilter::KsStatisticBound(size_t d) const {
-  return stats::KsCriticalValue(d, options_.ks_significance);
+  return stats::KsCriticalValue(d, kKsSignificance);
 }
 
 }  // namespace core

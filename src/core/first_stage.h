@@ -44,6 +44,8 @@ struct FirstStageReport {
 
 class FirstStageFilter {
  public:
+  /// The test constants are kKsSignificance and kNormWindowSigmas;
+  /// `options` is only validated.
   explicit FirstStageFilter(const ProtocolOptions& options);
 
   /// The norm-test acceptance window on ‖g‖² for dimension d.
@@ -76,12 +78,9 @@ class FirstStageFilter {
                                                     double d_ks,
                                                     double sigma_upload);
 
-  /// The KS statistic bound implied by (d, significance): the critical
-  /// value D such that p-value(D) == significance.
+  /// The KS statistic bound implied by (d, kKsSignificance): the critical
+  /// value D such that p-value(D) == kKsSignificance.
   double KsStatisticBound(size_t d) const;
-
- private:
-  ProtocolOptions options_;
 };
 
 }  // namespace core

@@ -4,12 +4,6 @@ namespace dpbr {
 namespace core {
 
 Status ValidateProtocolOptions(const ProtocolOptions& options) {
-  if (options.ks_significance <= 0.0 || options.ks_significance >= 1.0) {
-    return Status::InvalidArgument("ks_significance must lie in (0, 1)");
-  }
-  if (options.norm_window_sigmas <= 0.0) {
-    return Status::InvalidArgument("norm_window_sigmas must be positive");
-  }
   if (!options.enable_first_stage && !options.enable_second_stage) {
     return Status::InvalidArgument(
         "at least one aggregation stage must be enabled");

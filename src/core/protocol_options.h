@@ -21,20 +21,21 @@ enum class UpdateScale {
   kOverSelected,
 };
 
+/// Significance level of the first-stage KS test (paper: 0.05).
+inline constexpr double kKsSignificance = 0.05;
+/// Half-width of the first-stage norm window in units of std of ‖g‖²
+/// (paper: 3, the 99.7% band).
+inline constexpr double kNormWindowSigmas = 3.0;
+
 /// Knobs of Algorithms 2 and 3. Defaults are the paper's settings.
 struct ProtocolOptions {
-  /// Significance level of the first-stage KS test (paper: 0.05).
-  double ks_significance = 0.05;
-  /// Half-width of the first-stage norm window in units of std of ‖g‖²
-  /// (paper: 3, the 99.7% band).
-  double norm_window_sigmas = 3.0;
   /// Ablation switches (paper §4.7 discusses why both stages are needed).
   bool enable_first_stage = true;
   bool enable_second_stage = true;
   UpdateScale update_scale = UpdateScale::kOverSelected;
 };
 
-/// Validates option ranges.
+/// Rejects options with both stages disabled.
 Status ValidateProtocolOptions(const ProtocolOptions& options);
 
 }  // namespace core

@@ -65,13 +65,12 @@ Result<PrivacyParams> CalibratePrivacy(const PrivacySpec& spec) {
   }
 
   // Client subsampling amplifies each round to effective rate q_c·q
-  // (see RdpClientSubsampledGaussian); q_c == 1 degenerates to the plain
+  // (see rdp_accountant.h); q_c == 1 degenerates to the plain
   // sampled-Gaussian calibration exactly.
   DPBR_ASSIGN_OR_RETURN(
       p.noise_multiplier,
-      NoiseMultiplierForClientSubsampled(p.client_sampling_rate,
-                                         p.sampling_rate, p.steps, p.epsilon,
-                                         p.delta));
+      NoiseMultiplierFor(p.client_sampling_rate * p.sampling_rate, p.steps,
+                         p.epsilon, p.delta));
   p.sigma = kNormalizedSumSensitivity * p.noise_multiplier;
   p.sigma_upload = p.sigma / spec.batch_size;
   return p;

@@ -4,7 +4,7 @@
 //   q_c ∈ (0, 1]                       (client-level per-round rate)
 //   T  = epochs * |D| / (bc · q_c)     (rounds; q_c = 1 ⇒ legacy count)
 //   δ  = 1 / |D|^1.1                   (paper §6.1)
-//   σ_mult = NoiseMultiplierForClientSubsampled(q_c, q, T, ε, δ)
+//   σ_mult = NoiseMultiplierFor(q_c·q, T, ε, δ)
 //            (sensitivity-1 units; effective per-round rate q_c·q)
 //   σ  = Δ · σ_mult with Δ = 2         (ℓ2-sensitivity of Σ_j φ_j/‖φ_j‖)
 //   σ_up = σ / bc                      (per-coordinate std of the upload)

@@ -249,48 +249,5 @@ Result<double> NoiseMultiplierFor(double q, int steps, double epsilon,
   return hi;
 }
 
-double RdpClientSubsampledGaussian(double q_client, double q_record,
-                                   double sigma, double order) {
-  DPBR_CHECK_GE(q_client, 0.0);
-  DPBR_CHECK_LE(q_client, 1.0);
-  // Product of two independent Poisson inclusion events: the round is one
-  // sampled-Gaussian step at rate q_client·q_record. q_client == 1.0 makes
-  // the product bitwise equal to q_record, so the identity property holds
-  // exactly, not just analytically.
-  return RdpSampledGaussian(q_client * q_record, sigma, order);
-}
-
-std::vector<double> RdpClientSubsampledGaussian(
-    double q_client, double q_record, double sigma,
-    const std::vector<double>& orders) {
-  std::vector<double> rdp(orders.size());
-  for (size_t i = 0; i < orders.size(); ++i) {
-    rdp[i] = RdpClientSubsampledGaussian(q_client, q_record, sigma,
-                                         orders[i]);
-  }
-  return rdp;
-}
-
-Result<double> ComputeEpsilonClientSubsampled(double q_client,
-                                              double q_record, double sigma,
-                                              int steps, double delta) {
-  if (q_client < 0.0 || q_client > 1.0) {
-    return Status::InvalidArgument(
-        "client sampling rate q_client must lie in [0, 1]");
-  }
-  return ComputeEpsilon(q_client * q_record, sigma, steps, delta);
-}
-
-Result<double> NoiseMultiplierForClientSubsampled(double q_client,
-                                                  double q_record, int steps,
-                                                  double epsilon,
-                                                  double delta) {
-  if (q_client < 0.0 || q_client > 1.0) {
-    return Status::InvalidArgument(
-        "client sampling rate q_client must lie in [0, 1]");
-  }
-  return NoiseMultiplierFor(q_client * q_record, steps, epsilon, delta);
-}
-
 }  // namespace dp
 }  // namespace dpbr

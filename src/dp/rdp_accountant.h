@@ -9,6 +9,14 @@
 // Conventions: `q` is the Poisson sampling rate (batch/dataset), `sigma`
 // is the noise multiplier in sensitivity-1 units, `steps` is the number of
 // compositions T.
+//
+// Client-level Poisson participation at rate q_c needs no entry point of
+// its own: from one record's point of view the client draw and the record
+// draw are independent Bernoulli events, so its per-round inclusion is
+// Poisson at the product q_c·q and a round is one step at that rate
+// (amplification by Poisson subsampling composes multiplicatively;
+// Mironov–Talwar–Zhang 2019, Zhu–Wang 2019). Callers pass q = q_c·q;
+// q_c = 1 leaves q bitwise unchanged.
 
 #ifndef DPBR_DP_RDP_ACCOUNTANT_H_
 #define DPBR_DP_RDP_ACCOUNTANT_H_
@@ -57,43 +65,6 @@ Result<double> ComputeEpsilon(double q, double sigma, int steps, double delta);
 /// target is unachievable within σ ∈ [0.2, 2^20].
 Result<double> NoiseMultiplierFor(double q, int steps, double epsilon,
                                   double delta);
-
-/// \brief RDP ε(α) of one round under *client-level* Poisson subsampling
-/// on top of record-level Poisson sampling.
-///
-/// Each client participates in a round independently with probability
-/// `q_client`; a participating client's record enters its mini-batch with
-/// probability `q_record`. From one record's point of view the two
-/// Bernoulli draws are independent, so its per-round inclusion is Poisson
-/// with the product rate q_client·q_record, and the round is exactly one
-/// step of the sampled Gaussian mechanism at that effective rate
-/// (amplification by Poisson subsampling composes multiplicatively;
-/// Mironov–Talwar–Zhang 2019, Zhu–Wang 2019).
-///
-/// Properties pinned by tests/dp/accountant_properties_test.cc:
-///   - q_client == 1 recovers RdpSampledGaussian(q_record, ...) exactly;
-///   - monotone non-decreasing in q_client (more participation, more loss).
-double RdpClientSubsampledGaussian(double q_client, double q_record,
-                                   double sigma, double order);
-
-/// Vectorized client-subsampled single-round RDP across `orders`.
-std::vector<double> RdpClientSubsampledGaussian(
-    double q_client, double q_record, double sigma,
-    const std::vector<double>& orders);
-
-/// End-to-end ε with client subsampling: `steps` compositions of the
-/// sampled Gaussian mechanism at effective rate q_client·q_record.
-Result<double> ComputeEpsilonClientSubsampled(double q_client,
-                                              double q_record, double sigma,
-                                              int steps, double delta);
-
-/// Inverse with client subsampling: smallest σ achieving (ε, δ) over
-/// `steps` rounds at effective rate q_client·q_record. q_client == 1
-/// degenerates to NoiseMultiplierFor bit-for-bit.
-Result<double> NoiseMultiplierForClientSubsampled(double q_client,
-                                                  double q_record, int steps,
-                                                  double epsilon,
-                                                  double delta);
 
 }  // namespace dp
 }  // namespace dpbr

@@ -26,10 +26,8 @@ Result<double> SpentLedger::CurrentEpsilon() const {
   if (rounds_charged_ > std::numeric_limits<int>::max()) {
     return Status::OutOfRange("spent ledger: too many rounds to compose");
   }
-  return ComputeEpsilonClientSubsampled(q_client_, q_record_,
-                                        noise_multiplier_,
-                                        static_cast<int>(rounds_charged_),
-                                        delta_);
+  return ComputeEpsilon(q_client_ * q_record_, noise_multiplier_,
+                        static_cast<int>(rounds_charged_), delta_);
 }
 
 std::string SpentLedger::ToString() const {
@@ -68,6 +66,10 @@ Result<SpentLedger> SpentLedger::DecodeFrom(durability::ByteReader* r) {
   DPBR_RETURN_NOT_OK(r->GetDouble(&ledger.delta_));
   DPBR_RETURN_NOT_OK(r->GetI64(&ledger.rounds_charged_));
   DPBR_RETURN_NOT_OK(r->GetI64(&ledger.last_round_));
+  if (!(ledger.q_client_ >= 0.0 && ledger.q_client_ <= 1.0)) {
+    return Status::InvalidArgument(
+        "spent ledger: client sampling rate q_client must lie in [0, 1]");
+  }
   if (ledger.rounds_charged_ < 0) {
     return Status::InvalidArgument("spent ledger: negative round count");
   }

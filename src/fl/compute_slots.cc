@@ -22,9 +22,9 @@ Tensor ComputeSlots::Slot::Forward(const data::DatasetView& view,
 
 void ComputeSlots::Slot::ExampleGradient(const data::DatasetView& view,
                                          size_t i, float* row) {
-  nn::BatchLossGrad lg = nn::SoftmaxCrossEntropyBatch(
-      Forward(view, i), {static_cast<size_t>(view.LabelAt(i))});
-  model->BackwardBatchTo(lg.grad_logits, 1, row);
+  nn::LossGrad lg = nn::SoftmaxCrossEntropy(
+      Forward(view, i), static_cast<size_t>(view.LabelAt(i)));
+  model->BackwardTo(lg.grad_logits, row);
 }
 
 ComputeSlots::ComputeSlots(nn::ModelFactory factory)

@@ -4,8 +4,8 @@
 // randomness (Algorithm 1) and the server only w; models are scratch.
 // The bodies of one dispatch run on distinct slots, so local steps, aux
 // rows and evaluation share the models without locking. Every pass
-// runs on a model loaded from its parameters and no workspace carries a
-// value between passes, so a result never depends on which slot ran it.
+// runs on a model loaded from its parameters and no layer cache carries
+// a value between passes, so a result never depends on which slot ran it.
 // A slot copies a parameter vector only when it last loaded another
 // vector or an older parameter version: whoever changes a vector the
 // slots load from calls ParamsChanged() before the next pass (the

@@ -136,9 +136,8 @@ double Server::EvaluateAccuracy(const data::DatasetView& view) {
   DPBR_CHECK(!view.empty());
   slots_->Prepare();
   // Inference-only on the slot models, one item per example like the
-  // round's example items, so a slot's workspaces stay sized for one
-  // example. Hits land in disjoint entries and are counted as integers:
-  // exact under any schedule.
+  // round's example items. Hits land in disjoint entries and are counted
+  // as integers: exact under any schedule.
   std::vector<uint8_t> hit(view.size(), 0);
   ParallelFor(0, view.size(), [&](size_t i) {
     Tensor logits = slots_->LoadedSlot(params_).Forward(view, i);

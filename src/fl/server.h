@@ -66,8 +66,8 @@ class Server {
   Status Step(RowSpan uploads, double lr, agg::AggregationContext ctx);
 
   /// Writes auxiliary example i's gradient ∇f(x_i; w) at the current
-  /// parameters into `row` (dim() floats, wholly overwritten): a
-  /// batch-of-1 pass on the calling thread's slot model. Safe to run
+  /// parameters into `row` (dim() floats, wholly overwritten): one
+  /// example pass on the calling thread's slot model. Safe to run
   /// concurrently for distinct i from the bodies of one dispatch; the
   /// round runs these rows in the same dispatch as the local steps.
   void AuxGradientRowInto(size_t i, float* row);

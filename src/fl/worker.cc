@@ -69,10 +69,10 @@ void HonestDpWorker::Examples(const std::vector<float>& global_params,
   const float b = static_cast<float>(options_.beta);
   const float omb = static_cast<float>(1.0 - options_.beta);
   float* g = slot.grad.data();
-  // Lines 6-8: example j's gradient (a batch-of-1 pass, bitwise row j
-  // of a batched one) folded into its momentum slot; the slot's norm is
-  // all line 9 needs from it. Without FMA, β·φ_j + (1−β)·g rounds exactly
-  // as (1−β)·g + β·φ_j: two products, one sum. The fold returns the
+  // Lines 6-8: example j's gradient (one forward and backward pass)
+  // folded into its momentum slot; the slot's norm is all line 9 needs
+  // from it. Without FMA, β·φ_j + (1−β)·g rounds exactly as
+  // (1−β)·g + β·φ_j: two products, one sum. The fold returns the
   // chained sum of squares the inverse norm's bracket starts from.
   for (size_t j = lo; j < hi; ++j) {
     slot.ExampleGradient(shard_, batch_[j], g);

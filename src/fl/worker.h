@@ -80,7 +80,7 @@ class HonestDpWorker {
   void BeginRound(int round);
 
   /// Lines 6-8 for batch examples [lo, hi): each example's gradient at
-  /// `global_params`, one batch-of-1 pass on the calling thread's slot,
+  /// `global_params`, one example pass on the calling thread's slot,
   /// folded into its momentum slot φ_j, whose inverse norm is kept for
   /// FinishInto. Disjoint ranges may run in any order, concurrently on
   /// distinct threads; the caller orders them all before FinishInto.

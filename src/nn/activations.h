@@ -2,16 +2,14 @@
 //
 // The layer caches only its *output*: the derivative is recoverable from
 // the output sign (x <= 0 ⟺ y <= 0), which halves the cached state. The
-// cached output lives in a grow-only Workspace slot. A microbatch is one
-// serial elementwise kernel call over the whole tensor: a longer run of
-// independent elements.
+// example is one serial elementwise kernel call over the whole tensor.
 
 #ifndef DPBR_NN_ACTIVATIONS_H_
 #define DPBR_NN_ACTIVATIONS_H_
 
 #include <string>
+#include <vector>
 
-#include "nn/gemm.h"
 #include "nn/layer.h"
 
 namespace dpbr {
@@ -26,7 +24,7 @@ class Elu : public Layer {
                        const PerExampleGradSink& sink) override;
 
  private:
-  Workspace ws_;  // slot 0: cached output
+  std::vector<float> output_;  // the last forward's output
 };
 
 }  // namespace nn

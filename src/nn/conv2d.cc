@@ -1,15 +1,13 @@
 #include "nn/conv2d.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "common/logging.h"
+#include "nn/gemm.h"
 
 namespace dpbr {
 namespace nn {
 namespace {
-
-constexpr size_t kInputSlot = 0;  // workspace slot: cached forward input
 
 // db[oc] += Σ_i gy[oc·q + i], accumulated in double.
 void AccumulateBiasRowSums(const float* gy, size_t out_ch, size_t q,
@@ -38,63 +36,48 @@ Conv2d::Conv2d(size_t in_channels, size_t out_channels, size_t kernel_size,
 }
 
 Tensor Conv2d::ForwardBatch(const Tensor& x) {
-  size_t batch = RequireBatchedInput(x, 4);
+  RecordInput(x, 4);
   DPBR_CHECK_EQ(x.dim(1), in_ch_);
   size_t h = x.dim(2), w = x.dim(3);
   DPBR_CHECK_GE(h + 2 * pad_ + 1, k_);
   DPBR_CHECK_GE(w + 2 * pad_ + 1, k_);
-  float* cached = ws_.Get(kInputSlot, x.size());
-  std::memcpy(cached, x.data(), x.size() * sizeof(float));
-  state_.SetBatched(x.shape());
+  input_.assign(x.data(), x.data() + x.size());
   size_t oh = h + 2 * pad_ - k_ + 1;
   size_t ow = w + 2 * pad_ - k_ + 1;
-  Tensor y({batch, out_ch_, oh, ow});
-  size_t in_stride = in_ch_ * h * w;
-  size_t out_stride = out_ch_ * oh * ow;
-  // Each example's im2col panel is expanded into per-thread scratch
-  // right before its tile call and consumed while cache-hot. Each output
-  // element accumulates its products in ascending-p order within its own
-  // example, so the result is independent of the batch size.
+  Tensor y({1, out_ch_, oh, ow});
+  // The im2col panel is expanded into per-thread scratch right before
+  // the tile call and consumed while cache-hot; each output element
+  // accumulates its products in ascending-p order.
   size_t q = oh * ow;
   size_t kk = in_ch_ * k_ * k_;
   float* col = ThreadPanel(kPanelSlotCol, kk * q);
-  for (size_t ex = 0; ex < batch; ++ex) {
-    Im2Col(cached + ex * in_stride, in_ch_, h, w, k_, pad_, col);
-    GemmNN(out_ch_, kk, q, weight_.data(), col, y.data() + ex * out_stride,
-           bias_.data());
-  }
+  Im2Col(input_.data(), in_ch_, h, w, k_, pad_, col);
+  GemmNN(out_ch_, kk, q, weight_.data(), col, y.data(), bias_.data());
   return y;
 }
 
 Tensor Conv2d::BackwardBatch(const Tensor& grad_out,
                              const PerExampleGradSink& sink) {
-  const std::vector<size_t>& in = RequireBatchedState();
-  size_t batch = in[0], h = in[2], w = in[3];
+  const std::vector<size_t>& in = RequireForward();
+  size_t h = in[2], w = in[3];
   size_t oh = h + 2 * pad_ - k_ + 1;
   size_t ow = w + 2 * pad_ - k_ + 1;
-  RequireGradShape(grad_out, {batch, out_ch_, oh, ow});
-  const float* x = ws_.Get(kInputSlot, batch * in_ch_ * h * w);
-  Tensor dx({batch, in_ch_, h, w});
-  size_t in_stride = in_ch_ * h * w;
-  size_t out_stride = out_ch_ * oh * ow;
-  // Per example: re-expand its im2col panel, then dW = dY·Colᵀ straight
-  // into its sink row, the db row sums, and dX as the column-space panel
-  // Wᵀ·dY scattered by col2im. The sink row takes no cross-example
-  // reduction, exactly as DP clipping requires, and every value is
-  // independent of the batch size.
+  RequireGradShape(grad_out, {1, out_ch_, oh, ow});
+  Tensor dx({1, in_ch_, h, w});
+  // Re-expand the im2col panel, then dW = dY·Colᵀ straight into the
+  // sink row, the db row sums, and dX as the column-space panel Wᵀ·dY
+  // scattered by col2im.
   size_t q = oh * ow;
   size_t kk = in_ch_ * k_ * k_;
   float* col = ThreadPanel(kPanelSlotCol, kk * q);
   float* dcol = ThreadPanel(kPanelSlotDcol, kk * q);
-  for (size_t ex = 0; ex < batch; ++ex) {
-    const float* gy = grad_out.data() + ex * out_stride;
-    float* row = sink.Slot(ex);
-    Im2Col(x + ex * in_stride, in_ch_, h, w, k_, pad_, col);
-    GemmNT(out_ch_, q, kk, gy, col, row, /*accumulate=*/true);
-    AccumulateBiasRowSums(gy, out_ch_, q, row + weight_.size());
-    GemmTN(kk, out_ch_, q, weight_.data(), gy, dcol);
-    Col2ImAccumulate(dcol, in_ch_, h, w, k_, pad_, dx.data() + ex * in_stride);
-  }
+  const float* gy = grad_out.data();
+  float* row = sink.Row();
+  Im2Col(input_.data(), in_ch_, h, w, k_, pad_, col);
+  GemmNT(out_ch_, q, kk, gy, col, row, /*accumulate=*/true);
+  AccumulateBiasRowSums(gy, out_ch_, q, row + weight_.size());
+  GemmTN(kk, out_ch_, q, weight_.data(), gy, dcol);
+  Col2ImAccumulate(dcol, in_ch_, h, w, k_, pad_, dx.data());
   return dx;
 }
 

@@ -1,12 +1,9 @@
-// 2-d convolution on (N, C, H, W) microbatches.
+// 2-d convolution of one (1, C, H, W) example.
 //
-// The production kernel lowers the convolution to im2col + GEMM
-// (src/nn/gemm.h), one example at a time on the calling thread: the
-// forward is one NN tile call per example, the backward writes each
-// example's dW/db row straight into its own PerExampleGradSink slot and
-// its dX slice through col2im — so DP per-example gradient clipping is
-// preserved, and row j of a batch-N pass is bitwise equal to the batch-1
-// pass of example j. tests/nn/kernel_equivalence_test.cc checks it
+// The kernel lowers the convolution to im2col + GEMM (src/nn/gemm.h) on
+// the calling thread: the forward is one NN tile call; the backward
+// writes dW/db straight into the example's PerExampleGradSink row and
+// dX through col2im. tests/nn/kernel_equivalence_test.cc checks it
 // against the direct loop nest in tests/nn/conv2d_reference.h.
 
 #ifndef DPBR_NN_CONV2D_H_
@@ -15,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/gemm.h"
 #include "nn/layer.h"
 
 namespace dpbr {
@@ -43,8 +39,7 @@ class Conv2d : public Layer {
   size_t pad_;
   std::vector<float> weight_;  // (out, in, k, k)
   std::vector<float> bias_;    // (out)
-  // The cached forward input.
-  Workspace ws_;
+  std::vector<float> input_;  // the last forward's input
 };
 
 }  // namespace nn

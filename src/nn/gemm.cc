@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/simd.h"
@@ -19,20 +21,6 @@ float* ThreadPanel(size_t slot, size_t n) {
   std::vector<float>& p = panels[slot];
   if (p.size() < n) p.resize(n);
   return p.data();
-}
-
-float* Workspace::Get(size_t slot, size_t n) {
-  while (buffers_.size() <= slot) buffers_.emplace_back();
-  std::vector<float>& buf = buffers_[slot];
-  if (buf.size() < n) buf.resize(n);
-  return buf.data();
-}
-
-double* Workspace::GetDouble(size_t slot, size_t n) {
-  while (dbuffers_.size() <= slot) dbuffers_.emplace_back();
-  std::vector<double>& buf = dbuffers_[slot];
-  if (buf.size() < n) buf.resize(n);
-  return buf.data();
 }
 
 void GemmNN(size_t m, size_t k, size_t n, const float* a, const float* b,

@@ -1,5 +1,5 @@
 // Serial GEMM entry points over the register-blocked SIMD tiles, and the
-// per-layer workspace arena the nn compute layer runs on.
+// conv data movement around them.
 //
 // Every product is one call of one simd::SimdKernels entry:
 // gemm_nn_tile_f32 (NN, and TN by reading A transposed in place) or
@@ -18,41 +18,14 @@
 // calling thread. A federated round parallelizes across its local-step
 // examples, server-gradient rows and evaluated examples, one pass per
 // pool task.
-//
-// Layers call these kernels through a Workspace they own, so hot-loop
-// invocations reuse grow-only scratch buffers instead of allocating.
 
 #ifndef DPBR_NN_GEMM_H_
 #define DPBR_NN_GEMM_H_
 
 #include <cstddef>
-#include <deque>
-#include <vector>
 
 namespace dpbr {
 namespace nn {
-
-/// Grow-only scratch-buffer arena. Each slot is a persistent buffer that
-/// is resized (never shrunk) on request; repeated calls with the same
-/// shapes perform no allocation and no clearing after the first — slots
-/// whose every element the caller overwrites carry zero steady-state
-/// cost. A Workspace belongs to exactly one layer instance and is not
-/// thread-safe — layers already serve one example (or one microbatch) at
-/// a time. Float and double slots live in independent index spaces.
-class Workspace {
- public:
-  /// Returns slot `slot` grown to hold at least `n` floats. The pointer
-  /// is stable until the next Get() on the same slot with a larger `n`.
-  float* Get(size_t slot, size_t n);
-
-  /// Double-precision counterpart of Get() (e.g. GroupNorm's per-group
-  /// 1/std, which the kernels compute in double).
-  double* GetDouble(size_t slot, size_t n);
-
- private:
-  std::deque<std::vector<float>> buffers_;
-  std::deque<std::vector<double>> dbuffers_;
-};
 
 // --- Per-thread panel arena -----------------------------------------
 //

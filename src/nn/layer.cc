@@ -5,35 +5,23 @@
 namespace dpbr {
 namespace nn {
 
-void BatchState::SetBatched(const std::vector<size_t>& shape) {
-  has_forward_ = true;
-  shape_ = shape;
-}
-
-const std::vector<size_t>& BatchState::RequireBatched(
-    const char* layer) const {
-  if (!has_forward_) {
-    DPBR_LOG_STREAM(Fatal)
-        << layer << ": cached-state contract violated — BackwardBatch "
-        << "requires a preceding ForwardBatch, but no forward has run";
-  }
-  return shape_;
-}
-
-size_t Layer::RequireBatchedInput(const Tensor& x, size_t rank,
-                                  bool at_least_rank) const {
+void Layer::RecordInput(const Tensor& x, size_t rank, bool at_least_rank) {
   if (at_least_rank) {
     DPBR_CHECK_GE(x.ndim(), rank);
   } else {
     DPBR_CHECK_EQ(x.ndim(), rank);
   }
-  size_t batch = x.dim(0);
-  DPBR_CHECK_GT(batch, 0u);
-  return batch;
+  DPBR_CHECK_EQ(x.dim(0), 1u);
+  input_shape_ = x.shape();
 }
 
-const std::vector<size_t>& Layer::RequireBatchedState() const {
-  return state_.RequireBatched(name().c_str());
+const std::vector<size_t>& Layer::RequireForward() const {
+  if (input_shape_.empty()) {
+    DPBR_LOG_STREAM(Fatal)
+        << name() << ": cached-state contract violated — BackwardBatch "
+        << "requires a preceding ForwardBatch, but no forward has run";
+  }
+  return input_shape_;
 }
 
 void Layer::RequireGradShape(const Tensor& grad_out,

@@ -1,7 +1,6 @@
-// Fully connected layer: Y = X Wᵀ + b over (N, in) microbatches, on the
-// shared GEMM primitive (src/nn/gemm.h) with a workspace-cached input.
-// The backward writes each example's dW/db row into its own
-// PerExampleGradSink slot.
+// Fully connected layer: y = W x + b for one (1, in) example, on the
+// shared GEMM primitive (src/nn/gemm.h). The backward adds the example's
+// dW/db into its PerExampleGradSink row.
 
 #ifndef DPBR_NN_LINEAR_H_
 #define DPBR_NN_LINEAR_H_
@@ -9,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/gemm.h"
 #include "nn/layer.h"
 
 namespace dpbr {
@@ -38,8 +36,7 @@ class Linear : public Layer {
   size_t out_;
   std::vector<float> weight_;  // out x in, row-major
   std::vector<float> bias_;    // out
-  // Workspace-cached input from the last forward pass.
-  Workspace ws_;
+  std::vector<float> input_;  // the last forward's input
 };
 
 }  // namespace nn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -17,34 +18,28 @@ size_t Argmax(const float* v, size_t n) {
   return best;
 }
 
-BatchLossGrad SoftmaxCrossEntropyBatch(const Tensor& logits,
-                                       const std::vector<size_t>& labels) {
+LossGrad SoftmaxCrossEntropy(const Tensor& logits, size_t label) {
   DPBR_CHECK_EQ(logits.ndim(), 2u);
-  size_t batch = logits.dim(0), classes = logits.dim(1);
-  DPBR_CHECK_EQ(labels.size(), batch);
-  BatchLossGrad out;
-  out.losses.resize(batch);
-  out.grad_logits = Tensor({batch, classes});
+  DPBR_CHECK_EQ(logits.dim(0), 1u);
+  size_t classes = logits.dim(1);
+  DPBR_CHECK_LT(label, classes);
+  const float* row = logits.data();
+  double mx = row[0];
+  for (size_t i = 1; i < classes; ++i) {
+    mx = std::max(mx, static_cast<double>(row[i]));
+  }
   std::vector<double> p(classes);
-  for (size_t ex = 0; ex < batch; ++ex) {
-    const float* row = logits.data() + ex * classes;
-    size_t label = labels[ex];
-    DPBR_CHECK_LT(label, classes);
-    double mx = row[0];
-    for (size_t i = 1; i < classes; ++i) {
-      mx = std::max(mx, static_cast<double>(row[i]));
-    }
-    double z = 0.0;
-    for (size_t i = 0; i < classes; ++i) {
-      p[i] = std::exp(static_cast<double>(row[i]) - mx);
-      z += p[i];
-    }
-    for (size_t i = 0; i < classes; ++i) p[i] /= z;
-    out.losses[ex] = -std::log(std::max(p[label], 1e-30));
-    float* grad = out.grad_logits.data() + ex * classes;
-    for (size_t i = 0; i < classes; ++i) {
-      grad[i] = static_cast<float>(p[i] - (i == label ? 1.0 : 0.0));
-    }
+  double z = 0.0;
+  for (size_t i = 0; i < classes; ++i) {
+    p[i] = std::exp(static_cast<double>(row[i]) - mx);
+    z += p[i];
+  }
+  for (size_t i = 0; i < classes; ++i) p[i] /= z;
+  LossGrad out;
+  out.loss = -std::log(std::max(p[label], 1e-30));
+  out.grad_logits = Tensor({1, classes});
+  for (size_t i = 0; i < classes; ++i) {
+    out.grad_logits[i] = static_cast<float>(p[i] - (i == label ? 1.0 : 0.0));
   }
   return out;
 }

@@ -4,7 +4,6 @@
 #define DPBR_NN_LOSS_H_
 
 #include <cstddef>
-#include <vector>
 
 #include "tensor/tensor.h"
 
@@ -14,16 +13,14 @@ namespace nn {
 /// Index of the maximum over a raw span (first maximum wins).
 size_t Argmax(const float* v, size_t n);
 
-/// Softmax cross-entropy over (N, C) logits: per-example losses plus
-/// the (N, C) logit-gradient tensor, row j belonging to example j, with
-/// grad = softmax(logits) - onehot(label). Softmax is computed
-/// numerically stably (max-shifted) in double.
-struct BatchLossGrad {
-  std::vector<double> losses;
+/// Softmax cross-entropy of one example's (1, C) logits: the loss plus
+/// the (1, C) logit gradient softmax(logits) - onehot(label). Softmax is
+/// computed numerically stably (max-shifted) in double.
+struct LossGrad {
+  double loss = 0.0;
   Tensor grad_logits;
 };
-BatchLossGrad SoftmaxCrossEntropyBatch(const Tensor& logits,
-                                       const std::vector<size_t>& labels);
+LossGrad SoftmaxCrossEntropy(const Tensor& logits, size_t label);
 
 }  // namespace nn
 }  // namespace dpbr

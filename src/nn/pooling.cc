@@ -14,9 +14,9 @@ inline size_t RegionEnd(size_t i, size_t in, size_t out) {
   return ((i + 1) * in + out - 1) / out;  // ceil
 }
 
-size_t ShapeProduct(const std::vector<size_t>& shape, size_t from) {
+size_t ShapeProduct(const std::vector<size_t>& shape) {
   size_t p = 1;
-  for (size_t i = from; i < shape.size(); ++i) p *= shape[i];
+  for (size_t d : shape) p *= d;
   return p;
 }
 
@@ -63,50 +63,42 @@ void AdaptiveAvgPool2d::PlaneBackward(const float* gy_plane, size_t h,
 }
 
 Tensor AdaptiveAvgPool2d::ForwardBatch(const Tensor& x) {
-  size_t batch = RequireBatchedInput(x, 4);
+  RecordInput(x, 4);
   size_t c = x.dim(1), h = x.dim(2), w = x.dim(3);
   DPBR_CHECK_GE(h, out_h_);
   DPBR_CHECK_GE(w, out_w_);
-  state_.SetBatched(x.shape());
-  Tensor y({batch, c, out_h_, out_w_});
-  // The (N, C, H, W) layout is batch·C consecutive planes, so the batch
-  // is one plane loop.
-  const float* xd = x.data();
-  float* yd = y.data();
-  for (size_t p = 0; p < batch * c; ++p) {
-    PlaneForward(xd + p * h * w, h, w, yd + p * out_h_ * out_w_);
+  Tensor y({1, c, out_h_, out_w_});
+  for (size_t p = 0; p < c; ++p) {
+    PlaneForward(x.data() + p * h * w, h, w, y.data() + p * out_h_ * out_w_);
   }
   return y;
 }
 
 Tensor AdaptiveAvgPool2d::BackwardBatch(const Tensor& grad_out,
                                         const PerExampleGradSink& /*sink*/) {
-  const std::vector<size_t>& in = RequireBatchedState();
-  size_t batch = in[0], c = in[1], h = in[2], w = in[3];
-  RequireGradShape(grad_out, {batch, c, out_h_, out_w_});
-  Tensor dx({batch, c, h, w});
+  const std::vector<size_t>& in = RequireForward();
+  size_t c = in[1], h = in[2], w = in[3];
+  RequireGradShape(grad_out, {1, c, out_h_, out_w_});
+  Tensor dx(in);
   // Same plane loop as the forward, onto the zero-initialized dx.
-  const float* gy = grad_out.data();
-  float* dxd = dx.data();
-  for (size_t p = 0; p < batch * c; ++p) {
-    PlaneBackward(gy + p * out_h_ * out_w_, h, w, dxd + p * h * w);
+  for (size_t p = 0; p < c; ++p) {
+    PlaneBackward(grad_out.data() + p * out_h_ * out_w_, h, w,
+                  dx.data() + p * h * w);
   }
   return dx;
 }
 
 Tensor Flatten::ForwardBatch(const Tensor& x) {
-  RequireBatchedInput(x, 2, /*at_least_rank=*/true);
-  state_.SetBatched(x.shape());
-  auto r = x.Reshape({x.dim(0), ShapeProduct(x.shape(), 1)});
+  RecordInput(x, 2, /*at_least_rank=*/true);
+  auto r = x.Reshape({1, x.size()});
   DPBR_CHECK(r.ok());
   return std::move(r).value();
 }
 
 Tensor Flatten::BackwardBatch(const Tensor& grad_out,
                               const PerExampleGradSink& /*sink*/) {
-  const std::vector<size_t>& in = RequireBatchedState();
-  DPBR_CHECK_EQ(grad_out.dim(0), in[0]);
-  DPBR_CHECK_EQ(grad_out.size(), ShapeProduct(in, 0));
+  const std::vector<size_t>& in = RequireForward();
+  RequireGradShape(grad_out, {1, ShapeProduct(in)});
   auto r = grad_out.Reshape(in);
   DPBR_CHECK(r.ok());
   return std::move(r).value();

@@ -1,7 +1,6 @@
-// Adaptive average pooling and flattening over microbatches. Both
-// layers cache only the input *shape* (never activations), recorded in
-// a BatchState; the pool runs one plane kernel over all (example,
-// channel) planes in a serial loop.
+// Adaptive average pooling and flattening of one example. Both layers
+// cache only the input *shape* (never activations); the pool runs one
+// plane kernel over the example's channel planes in a serial loop.
 
 #ifndef DPBR_NN_POOLING_H_
 #define DPBR_NN_POOLING_H_
@@ -14,8 +13,8 @@
 namespace dpbr {
 namespace nn {
 
-/// AdaptiveAvgPool2d: averages an (N, C, H, W) input into
-/// (N, C, out_h, out_w) using PyTorch's region convention
+/// AdaptiveAvgPool2d: averages a (1, C, H, W) input into
+/// (1, C, out_h, out_w) using PyTorch's region convention
 ///   start = floor(i·H/out_h), end = ceil((i+1)·H/out_h).
 class AdaptiveAvgPool2d : public Layer {
  public:
@@ -28,8 +27,8 @@ class AdaptiveAvgPool2d : public Layer {
 
  private:
   /// Pools one (H, W) plane; the backward variant scatters the
-  /// gradient. Every (example, channel) plane is independent, so a
-  /// batch is a loop over this one plane kernel.
+  /// gradient. Every channel plane is independent, so an example is a
+  /// loop over this one plane kernel.
   void PlaneForward(const float* plane, size_t h, size_t w,
                     float* out_plane) const;
   void PlaneBackward(const float* gy_plane, size_t h, size_t w,
@@ -39,8 +38,8 @@ class AdaptiveAvgPool2d : public Layer {
   size_t out_w_;
 };
 
-/// Flattens each example to 1-d, mapping (N, d1, ..., dk) to
-/// (N, d1·...·dk); the backward restores the original shape.
+/// Flattens the example to 1-d, mapping (1, d1, ..., dk) to
+/// (1, d1·...·dk); the backward restores the original shape.
 class Flatten : public Layer {
  public:
   Tensor ForwardBatch(const Tensor& x) override;

@@ -32,16 +32,14 @@ Tensor Sequential::BackwardBatch(const Tensor& grad_out,
   return g;
 }
 
-Tensor Sequential::BackwardBatchTo(const Tensor& grad_out, size_t batch,
-                                   float* grads) {
+Tensor Sequential::BackwardTo(const Tensor& grad_out, float* row) {
   size_t dim = total_params_;
   // Guards the Add()-time offset cache against any future layer whose
   // parameter count changes after registration: a stale table would
-  // misalign every downstream sink row silently.
+  // misalign every downstream sink offset silently.
   DPBR_CHECK_EQ(dim, NumParams());
-  std::memset(grads, 0, batch * dim * sizeof(float));
-  PerExampleGradSink sink{grads, dim, 0};
-  return BackwardBatch(grad_out, sink);
+  std::memset(row, 0, dim * sizeof(float));
+  return BackwardBatch(grad_out, {row, 0});
 }
 
 std::vector<ParamView> Sequential::Params() {

@@ -29,11 +29,11 @@ class Sequential : public Layer {
   void InitParams(SplitRng* rng) override;
   std::string name() const override { return "Sequential"; }
 
-  /// Batched backward writing example j's full flat parameter gradient
-  /// (dimension NumParams()) to grads + j·NumParams(). Zeroes the rows
-  /// first; returns dL/d(input) with leading batch dimension. This is
-  /// the per-example gradient entry point the DP worker clips against.
-  Tensor BackwardBatchTo(const Tensor& grad_out, size_t batch, float* grads);
+  /// Backward writing the example's full flat parameter gradient
+  /// (dimension NumParams()) to `row`, which it zeroes first; returns
+  /// dL/d(input). This is the per-example gradient entry point the DP
+  /// worker normalizes.
+  Tensor BackwardTo(const Tensor& grad_out, float* row);
 
   Layer* layer(size_t i) { return layers_[i].get(); }
 
@@ -50,8 +50,8 @@ class Sequential : public Layer {
 
  private:
   std::vector<LayerPtr> layers_;
-  // Flat-parameter offset of each sublayer (maintained by Add, so the
-  // per-microbatch BackwardBatch never re-derives or reallocates it).
+  // Flat-parameter offset of each sublayer (maintained by Add, so a
+  // BackwardBatch never re-derives or reallocates it).
   std::vector<size_t> param_offsets_;
   size_t total_params_ = 0;
 };

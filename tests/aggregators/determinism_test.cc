@@ -295,31 +295,38 @@ TEST(FillGaussianDeterminismTest, AddGaussianMatchesFillGaussian) {
   }
 }
 
-// --- PerExampleGradSink row layout: every layer computes on the
-// calling thread and writes example j's dW/db row into row j only. The
-// rows (and the dX chain feeding them) must land bit-identically
-// regardless of the pool size the pass is issued under — this is the
-// TSan-tier case for the sink-row ownership contract (the suite runs
-// under -fsanitize=thread in CI's race check).
+// --- PerExampleGradSink rows: every layer computes on the calling
+// thread and writes the example's dW/db into its own gradient row. A
+// loop of one-example passes through one model must land its rows (and
+// the dX chain feeding them) bit-identically regardless of the pool size
+// the passes are issued under — this is the TSan-tier case for the
+// gradient-row contract (the suite runs under -fsanitize=thread in CI's
+// race check).
 TEST(PerExampleGradSinkDeterminismTest, BackwardBatchRowsPoolInvariant) {
-  constexpr size_t kBatch = 7;  // ragged against every pool size swept
-  Tensor batch({kBatch, 1, 8, 8});
+  constexpr size_t kExamples = 7;  // ragged against every pool size swept
+  std::vector<Tensor> examples;
   SplitRng data_rng(17);
-  batch.FillGaussian(&data_rng, 1.0);
-  std::vector<size_t> labels(kBatch);
-  for (size_t ex = 0; ex < kBatch; ++ex) labels[ex] = ex % 4;
+  for (size_t ex = 0; ex < kExamples; ++ex) {
+    Tensor x({1, 1, 8, 8});
+    x.FillGaussian(&data_rng, 1.0);
+    examples.push_back(std::move(x));
+  }
   ExpectPoolInvariant([&] {
     auto model = nn::MakeCnn(1, 8, 3, 4);
     SplitRng rng(19);
     model->InitParams(&rng);
-    Tensor logits = model->ForwardBatch(batch);
-    nn::BatchLossGrad lg = nn::SoftmaxCrossEntropyBatch(logits, labels);
     size_t dim = model->NumParams();
-    // The flat sink rows are the result under test: one row per example,
-    // with conv/linear/GroupNorm segments.
-    std::vector<float> rows(kBatch * dim);
-    Tensor dx = model->BackwardBatchTo(lg.grad_logits, kBatch, rows.data());
-    rows.insert(rows.end(), dx.data(), dx.data() + dx.size());
+    // The flat gradient rows are the result under test: one row per
+    // example, with conv/linear segments, then every example's dX.
+    std::vector<float> rows(kExamples * dim);
+    std::vector<float> dxs;
+    for (size_t ex = 0; ex < kExamples; ++ex) {
+      nn::LossGrad lg =
+          nn::SoftmaxCrossEntropy(model->ForwardBatch(examples[ex]), ex % 4);
+      Tensor dx = model->BackwardTo(lg.grad_logits, rows.data() + ex * dim);
+      dxs.insert(dxs.end(), dx.data(), dx.data() + dx.size());
+    }
+    rows.insert(rows.end(), dxs.begin(), dxs.end());
     return rows;
   });
 }

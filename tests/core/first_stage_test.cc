@@ -61,7 +61,6 @@ TEST(FirstStageTest, HonestUploadsPass) {
 TEST(FirstStageTest, PureNoiseUploadsPassAtNominalRate) {
   // The KS test's own rate over every row: the filter skips KS on rows
   // the norm test rejects, so the test is called directly.
-  ProtocolOptions options;
   int rejected_ks = 0;
   const int kTrials = 200;
   for (int t = 0; t < kTrials; ++t) {
@@ -69,7 +68,7 @@ TEST(FirstStageTest, PureNoiseUploadsPassAtNominalRate) {
     SplitRng rng(5000 + t);
     rng.FillGaussian(u.data(), kDim, kSigmaUp);
     if (stats::KsTestGaussian(u.data(), u.size(), kSigmaUp).p_value <
-        options.ks_significance) {
+        kKsSignificance) {
       ++rejected_ks;
     }
   }
@@ -271,8 +270,7 @@ TEST(FirstStageConformanceTest, NullRowsRejectAtNominalRates) {
   // arena-sized batches, as the round runs them; Apply skips KS on rows
   // the norm test rejects, so the KS tally calls the test directly on
   // every row first.
-  ProtocolOptions options;
-  FirstStageFilter f{options};
+  FirstStageFilter f{ProtocolOptions{}};
   const size_t kBatches = 8;
   const size_t kBatchRows = 500;
   const size_t kRows = kBatches * kBatchRows;
@@ -284,7 +282,7 @@ TEST(FirstStageConformanceTest, NullRowsRejectAtNominalRates) {
     rng.FillGaussian(block.data(), block.size(), kSigmaUp);
     for (size_t r = 0; r < kBatchRows; ++r) {
       if (stats::KsTestGaussian(block.data() + r * kDim, kDim, kSigmaUp)
-              .p_value < options.ks_significance) {
+              .p_value < kKsSignificance) {
         ++ks_rejected;
       }
     }
@@ -295,7 +293,7 @@ TEST(FirstStageConformanceTest, NullRowsRejectAtNominalRates) {
     }
   }
   auto [ks_lo, ks_hi] =
-      BinomialInterval(kRows, options.ks_significance, 0.01);
+      BinomialInterval(kRows, kKsSignificance, 0.01);
   EXPECT_GE(ks_rejected, ks_lo);
   EXPECT_LE(ks_rejected, ks_hi);
   double norm_rate = 2.0 * (1.0 - stats::NormalCdf(3.0));
@@ -339,15 +337,13 @@ TEST(EnvelopeTest, TailsAreUnbounded) {
 TEST(EnvelopeTest, SortedCoordinatesOfPassingUploadRespectEnvelope) {
   // Property (Theorem 2): every upload accepted by the KS test has its
   // k-th sorted coordinate inside EnvelopeInterval(k).
-  ProtocolOptions options;
-  FirstStageFilter f{options};
+  FirstStageFilter f{ProtocolOptions{}};
   const size_t d = 500;
   double d_ks = f.KsStatisticBound(d);
   std::vector<float> u(d);
   SplitRng rng(6);
   rng.FillGaussian(u.data(), d, 1.0);
-  if (stats::KsTestGaussian(u.data(), d, 1.0).p_value >=
-      options.ks_significance) {
+  if (stats::KsTestGaussian(u.data(), d, 1.0).p_value >= kKsSignificance) {
     std::sort(u.begin(), u.end());
     for (size_t k = 1; k <= d; ++k) {
       auto [lo, hi] = FirstStageFilter::EnvelopeInterval(k, d, d_ks, 1.0);
@@ -359,12 +355,6 @@ TEST(EnvelopeTest, SortedCoordinatesOfPassingUploadRespectEnvelope) {
 
 TEST(FirstStageTest, OptionValidation) {
   ProtocolOptions bad;
-  bad.ks_significance = 0.0;
-  EXPECT_FALSE(ValidateProtocolOptions(bad).ok());
-  bad = ProtocolOptions{};
-  bad.norm_window_sigmas = -1.0;
-  EXPECT_FALSE(ValidateProtocolOptions(bad).ok());
-  bad = ProtocolOptions{};
   bad.enable_first_stage = false;
   bad.enable_second_stage = false;
   EXPECT_FALSE(ValidateProtocolOptions(bad).ok());

@@ -72,7 +72,6 @@ TEST_P(FirstStageRegimeTest, ScaledUploadsRejected) {
 
 TEST_P(FirstStageRegimeTest, UniformShapeRejectedByKs) {
   auto [d, sigma_up] = GetParam();
-  ProtocolOptions options;
   // Uniform on [-√3σ, √3σ] matches the Gaussian's variance (and thus the
   // norm window in expectation) but not its shape. The KS test is called
   // directly: the filter runs it only on rows inside the norm window.
@@ -83,7 +82,7 @@ TEST_P(FirstStageRegimeTest, UniformShapeRejectedByKs) {
     v = static_cast<float>(rng.Uniform(-half_width, half_width));
   }
   EXPECT_LT(stats::KsTestGaussian(u.data(), d, sigma_up).p_value,
-            options.ks_significance)
+            kKsSignificance)
       << "d=" << d << " sigma_up=" << sigma_up;
 }
 

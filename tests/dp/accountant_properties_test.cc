@@ -153,38 +153,31 @@ TEST(AccountantOrderingTest, BatchSizeTradesQAgainstSteps) {
 }
 
 TEST(ClientSubsamplingTest, FullParticipationIsTheIdentity) {
-  // q_c = 1 must recover the plain sampled-Gaussian accountant EXACTLY
-  // (the product rate 1·q is bitwise q), so enabling the client-level
-  // machinery cannot perturb any legacy calibration.
-  std::vector<double> orders = DefaultRdpOrders();
-  for (double q : {0.001, 0.016, 0.3}) {
-    for (double sigma : {0.8, 3.0}) {
-      std::vector<double> plain = RdpSampledGaussian(q, sigma, orders);
-      std::vector<double> sub =
-          RdpClientSubsampledGaussian(1.0, q, sigma, orders);
-      ASSERT_EQ(plain.size(), sub.size());
-      for (size_t i = 0; i < plain.size(); ++i) {
-        EXPECT_EQ(plain[i], sub[i]) << "q=" << q << " order=" << orders[i];
-      }
-    }
-  }
-  auto plain_eps = ComputeEpsilon(0.016, 1.1, 400, 1e-5);
-  auto sub_eps = ComputeEpsilonClientSubsampled(1.0, 0.016, 1.1, 400, 1e-5);
-  ASSERT_TRUE(plain_eps.ok());
-  ASSERT_TRUE(sub_eps.ok());
-  EXPECT_EQ(plain_eps.value(), sub_eps.value());
+  // q_c = 1 must recover the plain sampled-Gaussian calibration EXACTLY
+  // (the product rate 1·q is bitwise q), so client sampling cannot
+  // perturb any full-participation calibration.
+  PrivacySpec spec;
+  spec.dataset_size = 1000;
+  spec.batch_size = 16;
+  spec.epochs = 8;
+  spec.epsilon = 1.0;
+  auto p = CalibratePrivacy(spec);
+  ASSERT_TRUE(p.ok());
+  EXPECT_EQ(p.value().noise_multiplier,
+            NoiseMultiplierFor(p.value().sampling_rate, p.value().steps, 1.0,
+                               p.value().delta)
+                .value());
 }
 
 TEST(ClientSubsamplingTest, RdpMonotoneInClientRate) {
-  // Fewer participating clients → smaller effective rate → never more
-  // privacy loss. Monotone non-decreasing at every order.
+  // Fewer participating clients → smaller effective rate q_c·q → never
+  // more privacy loss. Monotone non-decreasing at every order.
   std::vector<double> orders = DefaultRdpOrders();
   std::vector<double> rates = {0.05, 0.1, 0.25, 0.5, 0.75, 1.0};
   for (double sigma : {0.9, 2.5}) {
     std::vector<double> prev(orders.size(), 0.0);
     for (double qc : rates) {
-      std::vector<double> rdp =
-          RdpClientSubsampledGaussian(qc, 0.016, sigma, orders);
+      std::vector<double> rdp = RdpSampledGaussian(qc * 0.016, sigma, orders);
       for (size_t i = 0; i < orders.size(); ++i) {
         EXPECT_GE(rdp[i], prev[i])
             << "qc=" << qc << " order=" << orders[i] << " sigma=" << sigma;
@@ -197,7 +190,7 @@ TEST(ClientSubsamplingTest, RdpMonotoneInClientRate) {
 TEST(ClientSubsamplingTest, EpsilonMonotoneInClientRate) {
   double prev = 0.0;
   for (double qc : {0.1, 0.3, 0.6, 1.0}) {
-    auto eps = ComputeEpsilonClientSubsampled(qc, 0.016, 1.1, 400, 1e-5);
+    auto eps = ComputeEpsilon(qc * 0.016, 1.1, 400, 1e-5);
     ASSERT_TRUE(eps.ok());
     EXPECT_GE(eps.value(), prev) << "qc=" << qc;
     prev = eps.value();
@@ -207,13 +200,11 @@ TEST(ClientSubsamplingTest, EpsilonMonotoneInClientRate) {
 TEST(ClientSubsamplingTest, AmplificationBuysNoiseAtFixedRounds) {
   // At a FIXED round count, sampling half the clients per round needs
   // less noise for the same (ε, δ).
-  auto full = NoiseMultiplierForClientSubsampled(1.0, 0.016, 400, 1.0, 1e-5);
-  auto half = NoiseMultiplierForClientSubsampled(0.5, 0.016, 400, 1.0, 1e-5);
+  auto full = NoiseMultiplierFor(0.016, 400, 1.0, 1e-5);
+  auto half = NoiseMultiplierFor(0.5 * 0.016, 400, 1.0, 1e-5);
   ASSERT_TRUE(full.ok());
   ASSERT_TRUE(half.ok());
   EXPECT_LT(half.value(), full.value());
-  EXPECT_EQ(full.value(),
-            NoiseMultiplierFor(0.016, 400, 1.0, 1e-5).value());
 }
 
 TEST(ClientSubsamplingTest, CalibrationScalesRoundsAndValidates) {
@@ -232,8 +223,8 @@ TEST(ClientSubsamplingTest, CalibrationScalesRoundsAndValidates) {
   EXPECT_EQ(half.value().steps, 2 * full.value().steps);
   EXPECT_EQ(half.value().client_sampling_rate, 0.5);
   // The calibrated multiplier still meets (ε, δ) at the effective rate.
-  auto realized = ComputeEpsilonClientSubsampled(
-      0.5, half.value().sampling_rate, half.value().noise_multiplier,
+  auto realized = ComputeEpsilon(
+      0.5 * half.value().sampling_rate, half.value().noise_multiplier,
       half.value().steps, half.value().delta);
   ASSERT_TRUE(realized.ok());
   EXPECT_LE(realized.value(), 1.0 * (1.0 + 1e-6));

@@ -136,13 +136,27 @@ TEST(SpentLedgerTest, RoundTripsBitwise) {
   EXPECT_EQ(w2.data(), buf);
 }
 
+TEST(SpentLedgerTest, ClientRateOutsideUnitIntervalFailsToDecode) {
+  for (double q_client : {2.0, -0.5, std::nan("")}) {
+    dp::SpentLedger ledger(q_client, 0.05, 2.0, 1e-5);
+    ledger.ChargeRound(1);
+    ByteWriter w;
+    ledger.EncodeTo(&w);
+    std::string buf = w.Take();
+    ByteReader r(buf);
+    auto decoded = dp::SpentLedger::DecodeFrom(&r);
+    ASSERT_FALSE(decoded.ok()) << "q_client=" << q_client;
+    EXPECT_NE(decoded.status().message().find("q_client"), std::string::npos)
+        << decoded.status().ToString();
+  }
+}
+
 TEST(SpentLedgerTest, EpsilonMatchesAccountant) {
   dp::SpentLedger ledger(1.0, 0.05, 2.0, 1e-5);
   for (int r = 1; r <= 40; ++r) ledger.ChargeRound(r);
   auto eps = ledger.CurrentEpsilon();
   ASSERT_TRUE(eps.ok());
-  auto direct =
-      dp::ComputeEpsilonClientSubsampled(1.0, 0.05, 2.0, 40, 1e-5);
+  auto direct = dp::ComputeEpsilon(0.05, 2.0, 40, 1e-5);
   ASSERT_TRUE(direct.ok());
   EXPECT_DOUBLE_EQ(eps.value(), direct.value());
 }

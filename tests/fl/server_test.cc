@@ -80,9 +80,9 @@ TEST(ServerTest, ServerGradientMatchesManualComputation) {
   for (size_t i = 0; i < aux.size(); ++i) {
     const float* feat = aux.FeaturesAt(i);
     Tensor x({1, 16}, std::vector<float>(feat, feat + 16));
-    nn::BatchLossGrad lg = nn::SoftmaxCrossEntropyBatch(
-        model->ForwardBatch(x), {static_cast<size_t>(aux.LabelAt(i))});
-    model->BackwardBatchTo(lg.grad_logits, 1, g.data());
+    nn::LossGrad lg = nn::SoftmaxCrossEntropy(
+        model->ForwardBatch(x), static_cast<size_t>(aux.LabelAt(i)));
+    model->BackwardTo(lg.grad_logits, g.data());
     ops::Axpy(1.0f, g.data(), acc.data(), acc.size());
   }
   ops::Scale(1.0f / 3.0f, acc.data(), acc.size());
@@ -191,35 +191,31 @@ TEST(ServerTest, SanitizeNeutralizesIdenticallyAcrossSimdTiers) {
 }
 
 // Reference server gradient: per 64-example block, a fresh factory model
-// and one batched pass, the block's rows summed in index order into a
+// and one pass per example, the block's rows summed in index order into a
 // zeroed partial; the partials summed in block order into a zeroed
 // total, then scaled by 1/|D_p|.
-std::vector<float> BlockBatchedServerGradient(const nn::ModelFactory& factory,
-                                              const std::vector<float>& params,
-                                              const data::DatasetView& aux) {
+std::vector<float> BlockServerGradient(const nn::ModelFactory& factory,
+                                       const std::vector<float>& params,
+                                       const data::DatasetView& aux) {
   size_t dim = params.size();
   size_t feature_dim = aux.base()->feature_dim();
+  std::vector<size_t> shape = {1};
+  for (size_t d : aux.base()->example_shape()) shape.push_back(d);
   std::vector<float> acc(dim, 0.0f);
   for (size_t lo = 0; lo < aux.size(); lo += 64) {
     size_t hi = std::min(aux.size(), lo + 64);
-    size_t n = hi - lo;
     std::unique_ptr<nn::Sequential> model = factory();
     model->SetParamsFrom(params.data());
-    std::vector<size_t> shape = {n};
-    for (size_t d : aux.base()->example_shape()) shape.push_back(d);
-    Tensor x(shape);
-    std::vector<size_t> labels(n);
+    std::vector<float> grads((hi - lo) * dim);
     for (size_t i = lo; i < hi; ++i) {
-      std::memcpy(x.data() + (i - lo) * feature_dim, aux.FeaturesAt(i),
-                  feature_dim * sizeof(float));
-      labels[i - lo] = static_cast<size_t>(aux.LabelAt(i));
+      Tensor x(shape);
+      std::memcpy(x.data(), aux.FeaturesAt(i), feature_dim * sizeof(float));
+      nn::LossGrad lg = nn::SoftmaxCrossEntropy(
+          model->ForwardBatch(x), static_cast<size_t>(aux.LabelAt(i)));
+      model->BackwardTo(lg.grad_logits, grads.data() + (i - lo) * dim);
     }
-    nn::BatchLossGrad lg =
-        nn::SoftmaxCrossEntropyBatch(model->ForwardBatch(x), labels);
-    std::vector<float> grads(n * dim);
-    model->BackwardBatch(lg.grad_logits, {grads.data(), dim, 0});
     std::vector<float> partial(dim, 0.0f);
-    for (size_t j = 0; j < n; ++j) {
+    for (size_t j = 0; j < hi - lo; ++j) {
       ops::Axpy(1.0f, grads.data() + j * dim, partial.data(), dim);
     }
     ops::Axpy(1.0f, partial.data(), acc.data(), dim);
@@ -237,11 +233,11 @@ void ExpectBitwiseEqual(const std::vector<float>& want,
       << what;
 }
 
-// Checks ComputeServerGradient against the block-batched reference at
+// Checks ComputeServerGradient against the block reference at
 // pools 1, 2 and hw, at the initial parameters and at perturbed ones
 // (which the slot models must pick up). The server is built under a
 // one-thread pool, so larger pools must grow its slots.
-void CheckServerGradientMatchesBlockBatched(const nn::ModelFactory& factory,
+void CheckServerGradientMatchesBlockReference(const nn::ModelFactory& factory,
                                             const data::DatasetView& aux) {
   ThreadPool one(1);
   std::unique_ptr<Server> s;
@@ -259,7 +255,7 @@ void CheckServerGradientMatchesBlockBatched(const nn::ModelFactory& factory,
       ASSERT_TRUE(s->SetParams(std::move(moved)).ok());
     }
     std::vector<float> want =
-        BlockBatchedServerGradient(factory, s->params(), aux);
+        BlockServerGradient(factory, s->params(), aux);
     for (size_t size : {size_t{1}, size_t{2}, hw}) {
       ThreadPool pool(size);
       ScopedPoolOverride route(&pool);
@@ -287,7 +283,7 @@ data::DatasetBundle ImageBundle() {
   return std::move(b).value();
 }
 
-TEST(ServerGradientTest, MlpMatchesBlockBatchedAcrossPools) {
+TEST(ServerGradientTest, MlpMatchesBlockReferenceAcrossPools) {
   // 70 examples: two fold blocks, the second partial.
   data::SyntheticSpec spec;
   spec.num_classes = 4;
@@ -299,16 +295,16 @@ TEST(ServerGradientTest, MlpMatchesBlockBatchedAcrossPools) {
   ASSERT_TRUE(bundle.ok());
   std::vector<size_t> idx(70);
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  CheckServerGradientMatchesBlockBatched(
+  CheckServerGradientMatchesBlockReference(
       nn::MlpFactory(16, 8, 4),
       data::DatasetView(&bundle.value().val, std::move(idx)));
 }
 
-TEST(ServerGradientTest, CnnMatchesBlockBatchedAcrossPools) {
+TEST(ServerGradientTest, CnnMatchesBlockReferenceAcrossPools) {
   data::DatasetBundle bundle = ImageBundle();
   data::DatasetView aux = data::DatasetView::All(&bundle.val);
-  CheckServerGradientMatchesBlockBatched(nn::CnnFactory(1, 4, 3, 4), aux);
-  CheckServerGradientMatchesBlockBatched(nn::ResidualCnnFactory(1, 4, 3, 4),
+  CheckServerGradientMatchesBlockReference(nn::CnnFactory(1, 4, 3, 4), aux);
+  CheckServerGradientMatchesBlockReference(nn::ResidualCnnFactory(1, 4, 3, 4),
                                          aux);
 }
 
@@ -462,8 +458,8 @@ size_t HeapInUse() {
 
 TEST(ServerTest, EvaluationKeepsEachSlotAtOneExample) {
   // Once a slot model has run one example, evaluating hundreds more must
-  // not grow its layer workspaces: every pass is one example. A batched
-  // pass of 64 paper-CNN examples keeps several MiB of im2col matrices
+  // not grow its layer caches: every pass is one example. A pass over 64
+  // paper-CNN examples at once would keep several MiB of im2col matrices
   // and activations in each slot model that ran one.
   data::DatasetBundle bundle = PaperImageBundle(256);
   const data::DatasetView test = data::DatasetView::All(&bundle.test);

@@ -1,5 +1,5 @@
 // Known-bad fixture: allocation, locking and I/O inside lambdas passed
-// to ParallelFor / ParallelForBlocked (the grow-only Workspace rule
+// to ParallelFor / ParallelForBlocked (the grow-only buffer rule
 // from docs/architecture.md). The same constructs OUTSIDE a dispatch
 // body are legal and must not fire.
 // lint-as: src/fixture/bad_hotpath.cc

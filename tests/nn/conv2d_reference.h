@@ -50,41 +50,37 @@ inline size_t WeightIndex(const ConvGeometry& g, size_t oc, size_t ic,
 
 }  // namespace conv2d_reference_internal
 
-/// y = conv(x) + b for an (N, in_ch, H, W) batch, each output summed in
-/// double over (ic, kh, kw) in ascending order.
+/// y = conv(x) + b for one (1, in_ch, H, W) example, each output summed
+/// in double over (ic, kh, kw) in ascending order.
 inline Tensor ReferenceConv2dForward(const std::vector<ParamView>& params,
                                      const ConvGeometry& g, const Tensor& x) {
   using conv2d_reference_internal::InputIndex;
   using conv2d_reference_internal::WeightIndex;
   DPBR_CHECK_EQ(params.size(), 2u);
   DPBR_CHECK_EQ(x.ndim(), 4u);
+  DPBR_CHECK_EQ(x.dim(0), 1u);
   DPBR_CHECK_EQ(x.dim(1), g.in_ch);
   const float* weight = params[0].value;
   const float* bias = params[1].value;
-  size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
+  size_t h = x.dim(2), w = x.dim(3);
   size_t oh = h + 2 * g.pad - g.k + 1;
   size_t ow = w + 2 * g.pad - g.k + 1;
-  Tensor y({batch, g.out_ch, oh, ow});
-  for (size_t ex = 0; ex < batch; ++ex) {
-    const float* xe = x.data() + ex * g.in_ch * h * w;
-    float* ye = y.data() + ex * g.out_ch * oh * ow;
-    for (size_t oc = 0; oc < g.out_ch; ++oc) {
-      for (size_t i = 0; i < oh; ++i) {
-        for (size_t j = 0; j < ow; ++j) {
-          double s = bias[oc];
-          for (size_t ic = 0; ic < g.in_ch; ++ic) {
-            for (size_t kh = 0; kh < g.k; ++kh) {
-              for (size_t kw = 0; kw < g.k; ++kw) {
-                size_t idx;
-                if (!InputIndex(g, h, w, ic, i, j, kh, kw, &idx)) continue;
-                s += static_cast<double>(weight[WeightIndex(g, oc, ic, kh,
-                                                            kw)]) *
-                     xe[idx];
-              }
+  Tensor y({1, g.out_ch, oh, ow});
+  for (size_t oc = 0; oc < g.out_ch; ++oc) {
+    for (size_t i = 0; i < oh; ++i) {
+      for (size_t j = 0; j < ow; ++j) {
+        double s = bias[oc];
+        for (size_t ic = 0; ic < g.in_ch; ++ic) {
+          for (size_t kh = 0; kh < g.k; ++kh) {
+            for (size_t kw = 0; kw < g.k; ++kw) {
+              size_t idx;
+              if (!InputIndex(g, h, w, ic, i, j, kh, kw, &idx)) continue;
+              s += static_cast<double>(weight[WeightIndex(g, oc, ic, kh, kw)]) *
+                   x[idx];
             }
           }
-          ye[(oc * oh + i) * ow + j] = static_cast<float>(s);
         }
+        y[(oc * oh + i) * ow + j] = static_cast<float>(s);
       }
     }
   }
@@ -92,44 +88,39 @@ inline Tensor ReferenceConv2dForward(const std::vector<ParamView>& params,
 }
 
 /// The backward of ReferenceConv2dForward for output gradient `gy`:
-/// returns dx and adds example j's dW then db into sink.Slot(j) (rows
-/// zeroed by the caller, as for Layer::BackwardBatch).
+/// returns dx and adds dW then db into `grad_row` (zeroed by the caller,
+/// as a Layer::BackwardBatch sink row is).
 inline Tensor ReferenceConv2dBackward(const std::vector<ParamView>& params,
                                       const ConvGeometry& g, const Tensor& x,
-                                      const Tensor& gy,
-                                      const PerExampleGradSink& sink) {
+                                      const Tensor& gy, float* grad_row) {
   using conv2d_reference_internal::InputIndex;
   using conv2d_reference_internal::WeightIndex;
   DPBR_CHECK_EQ(params.size(), 2u);
   DPBR_CHECK_EQ(x.ndim(), 4u);
+  DPBR_CHECK_EQ(x.dim(0), 1u);
   DPBR_CHECK_EQ(x.dim(1), g.in_ch);
   const float* weight = params[0].value;
-  size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
+  size_t h = x.dim(2), w = x.dim(3);
   size_t oh = h + 2 * g.pad - g.k + 1;
   size_t ow = w + 2 * g.pad - g.k + 1;
-  DPBR_CHECK_EQ(gy.size(), batch * g.out_ch * oh * ow);
-  Tensor dx({batch, g.in_ch, h, w});
-  for (size_t ex = 0; ex < batch; ++ex) {
-    const float* xe = x.data() + ex * g.in_ch * h * w;
-    const float* gye = gy.data() + ex * g.out_ch * oh * ow;
-    float* dxe = dx.data() + ex * g.in_ch * h * w;
-    float* wgrad = sink.Slot(ex);
-    float* bgrad = wgrad + params[0].size;
-    for (size_t oc = 0; oc < g.out_ch; ++oc) {
-      for (size_t i = 0; i < oh; ++i) {
-        for (size_t j = 0; j < ow; ++j) {
-          float gv = gye[(oc * oh + i) * ow + j];
-          if (gv == 0.0f) continue;
-          bgrad[oc] += gv;
-          for (size_t ic = 0; ic < g.in_ch; ++ic) {
-            for (size_t kh = 0; kh < g.k; ++kh) {
-              for (size_t kw = 0; kw < g.k; ++kw) {
-                size_t idx;
-                if (!InputIndex(g, h, w, ic, i, j, kh, kw, &idx)) continue;
-                size_t widx = WeightIndex(g, oc, ic, kh, kw);
-                wgrad[widx] += gv * xe[idx];
-                dxe[idx] += gv * weight[widx];
-              }
+  DPBR_CHECK_EQ(gy.size(), g.out_ch * oh * ow);
+  Tensor dx({1, g.in_ch, h, w});
+  float* wgrad = grad_row;
+  float* bgrad = wgrad + params[0].size;
+  for (size_t oc = 0; oc < g.out_ch; ++oc) {
+    for (size_t i = 0; i < oh; ++i) {
+      for (size_t j = 0; j < ow; ++j) {
+        float gv = gy[(oc * oh + i) * ow + j];
+        if (gv == 0.0f) continue;
+        bgrad[oc] += gv;
+        for (size_t ic = 0; ic < g.in_ch; ++ic) {
+          for (size_t kh = 0; kh < g.k; ++kh) {
+            for (size_t kw = 0; kw < g.k; ++kw) {
+              size_t idx;
+              if (!InputIndex(g, h, w, ic, i, j, kh, kw, &idx)) continue;
+              size_t widx = WeightIndex(g, oc, ic, kh, kw);
+              wgrad[widx] += gv * x[idx];
+              dx[idx] += gv * weight[widx];
             }
           }
         }

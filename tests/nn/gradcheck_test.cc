@@ -1,6 +1,6 @@
 // Finite-difference gradient checks: the per-example gradients that feed
-// the DP protocol (a batch of 1's sink row) must be exact for every layer
-// type the model zoo uses.
+// the DP protocol (an example's gradient row) must be exact for every
+// layer type the model zoo uses.
 
 #include <gtest/gtest.h>
 
@@ -21,26 +21,24 @@ namespace dpbr {
 namespace nn {
 namespace {
 
-// Loss of `model` on the batch-of-1 (x, label) at its current
-// parameters.
+// Loss of `model` on the example (x, label) at its current parameters.
 double LossAt(Sequential* model, const Tensor& x, size_t label) {
-  return SoftmaxCrossEntropyBatch(model->ForwardBatch(x), {label}).losses[0];
+  return SoftmaxCrossEntropy(model->ForwardBatch(x), label).loss;
 }
 
 // Checks d(loss)/d(params) against central differences on a sample of
 // parameter coordinates, and d(loss)/d(input) on all input coordinates.
-// `x` is a batch of one example.
+// `x` is one example (leading dimension 1).
 void CheckGradients(std::unique_ptr<Sequential> model, Tensor x,
                     size_t label, double fd_eps = 5e-3,
                     double tolerance = 2e-2) {
   SplitRng rng(99);
   model->InitParams(&rng);
 
-  // Analytic gradients: the example's sink row.
-  Tensor logits = model->ForwardBatch(x);
-  BatchLossGrad lg = SoftmaxCrossEntropyBatch(logits, {label});
+  // Analytic gradients: the example's gradient row.
+  LossGrad lg = SoftmaxCrossEntropy(model->ForwardBatch(x), label);
   std::vector<float> analytic(model->NumParams());
-  Tensor dx = model->BackwardBatchTo(lg.grad_logits, 1, analytic.data());
+  Tensor dx = model->BackwardTo(lg.grad_logits, analytic.data());
   std::vector<float> params = model->FlatParams();
 
   // Parameter gradients on a deterministic sample of coordinates.
@@ -79,7 +77,7 @@ void CheckGradients(std::unique_ptr<Sequential> model, Tensor x,
   }
 }
 
-// A batch of one example of shape `shape`.
+// One example of shape `shape` (leading dimension 1).
 Tensor RandomInput(std::vector<size_t> shape, uint64_t seed) {
   SplitRng rng(seed);
   shape.insert(shape.begin(), 1);
@@ -118,19 +116,10 @@ TEST(GradCheckTest, Conv2dWithPadding) {
   CheckGradients(std::move(m), RandomInput({1, 5, 5}, 5), 1);
 }
 
-TEST(GradCheckTest, GroupNormAffine) {
+TEST(GradCheckTest, GroupNorm) {
   auto m = std::make_unique<Sequential>();
   m->Add(std::make_unique<Conv2d>(1, 4, 3, 1));
-  m->Add(std::make_unique<GroupNorm>(2, 4));
-  m->Add(std::make_unique<Flatten>());
-  m->Add(std::make_unique<Linear>(4 * 5 * 5, 3));
-  CheckGradients(std::move(m), RandomInput({1, 5, 5}, 6), 0);
-}
-
-TEST(GradCheckTest, GroupNormNoAffine) {
-  auto m = std::make_unique<Sequential>();
-  m->Add(std::make_unique<Conv2d>(1, 4, 3, 1));
-  m->Add(std::make_unique<GroupNorm>(4, 4, 1e-5, /*affine=*/false));
+  m->Add(std::make_unique<GroupNorm>(4, 4));
   m->Add(std::make_unique<Flatten>());
   m->Add(std::make_unique<Linear>(4 * 5 * 5, 3));
   CheckGradients(std::move(m), RandomInput({1, 5, 5}, 7), 2);

@@ -11,7 +11,7 @@ namespace dpbr {
 namespace nn {
 namespace {
 
-// Two Gaussian blobs in 2-d, linearly separable; each x is a batch of 1.
+// Two Gaussian blobs in 2-d, linearly separable; each x is one example.
 struct Blobs {
   std::vector<Tensor> xs;
   std::vector<size_t> ys;
@@ -38,7 +38,7 @@ size_t Predict(Sequential* m, const Tensor& x) {
 }
 
 double Loss(Sequential* m, const Tensor& x, size_t label) {
-  return SoftmaxCrossEntropyBatch(m->ForwardBatch(x), {label}).losses[0];
+  return SoftmaxCrossEntropy(m->ForwardBatch(x), label).loss;
 }
 
 double Accuracy(Sequential* m, const Blobs& b) {
@@ -61,9 +61,8 @@ class MomentumSgd {
         grad_(model->NumParams()) {}
 
   void Step(const Tensor& x, size_t label) {
-    BatchLossGrad lg =
-        SoftmaxCrossEntropyBatch(model_->ForwardBatch(x), {label});
-    model_->BackwardBatchTo(lg.grad_logits, 1, grad_.data());
+    LossGrad lg = SoftmaxCrossEntropy(model_->ForwardBatch(x), label);
+    model_->BackwardTo(lg.grad_logits, grad_.data());
     std::vector<float> w = model_->FlatParams();
     for (size_t i = 0; i < w.size(); ++i) {
       buf_[i] = momentum_ * buf_[i] + grad_[i];
