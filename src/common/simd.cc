@@ -178,26 +178,24 @@ DPBR_NOVEC_FN void ScalarEluGradF32(float* g, const float* y, size_t n) {
 }
 
 DPBR_NOVEC_FN void ScalarGNormNormF32(const float* x, size_t n, double mean,
-                                      double inv_std, float gamma, float beta,
-                                      float* xhat, float* y) {
+                                      double inv_std, float* xhat, float* y) {
   DPBR_NOVEC_LOOP
   for (size_t i = 0; i < n; ++i) {
     float xh = static_cast<float>((x[i] - mean) * inv_std);
     xhat[i] = xh;
-    y[i] = gamma * xh + beta;
+    y[i] = xh + 0.0f;
   }
 }
 
 DPBR_NOVEC_FN void ScalarGNormDxF32(const float* dy, const float* xhat,
-                                    size_t n, double gamma, double mean_dxhat,
-                                    double mean_dxhat_xhat, double inv_std,
+                                    size_t n, double mean_dy,
+                                    double mean_dy_xhat, double inv_std,
                                     float* dx) {
   DPBR_NOVEC_LOOP
   for (size_t i = 0; i < n; ++i) {
-    double dxh = static_cast<double>(dy[i]) * gamma;
     dx[i] = static_cast<float>(
-        inv_std * (dxh - mean_dxhat -
-                   static_cast<double>(xhat[i]) * mean_dxhat_xhat));
+        inv_std * (static_cast<double>(dy[i]) - mean_dy -
+                   static_cast<double>(xhat[i]) * mean_dy_xhat));
   }
 }
 

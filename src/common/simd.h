@@ -131,18 +131,16 @@ struct SimdKernels {
   void (*elu_grad_f32)(float* g, const float* y, size_t n);
 
   /// GroupNorm normalize sweep: xhat[i] = float((x[i]-mean)*inv_std) in
-  /// double, y[i] = gamma*xhat[i] + beta in float (mul then add).
+  /// double, y[i] = xhat[i] + 0.0f (so a -0 xhat gives +0 in y).
   void (*gnorm_norm_f32)(const float* x, size_t n, double mean,
-                         double inv_std, float gamma, float beta,
-                         float* xhat, float* y);
+                         double inv_std, float* xhat, float* y);
 
   /// GroupNorm input-gradient sweep, all double until the final cast:
-  /// dxhat = double(dy[i]) * gamma;
-  /// dx[i] = float(inv_std * ((dxhat - mean_dxhat)
-  ///                          - double(xhat[i]) * mean_dxhat_xhat)).
+  /// dx[i] = float(inv_std * ((double(dy[i]) - mean_dy)
+  ///                          - double(xhat[i]) * mean_dy_xhat)).
   void (*gnorm_dx_f32)(const float* dy, const float* xhat, size_t n,
-                       double gamma, double mean_dxhat,
-                       double mean_dxhat_xhat, double inv_std, float* dx);
+                       double mean_dy, double mean_dy_xhat, double inv_std,
+                       float* dx);
 
   /// True iff every element is finite (no NaN/±Inf).
   bool (*all_finite_f32)(const float* x, size_t n);

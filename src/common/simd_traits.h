@@ -400,12 +400,10 @@ struct Kernels8 {
   }
 
   static void GNormNormF32(const float* x, size_t n, double mean,
-                           double inv_std, float gamma, float beta,
-                           float* xhat, float* y) {
+                           double inv_std, float* xhat, float* y) {
     VD vm = T::Set1D(mean);
     VD vs = T::Set1D(inv_std);
-    VF vg = T::Set1F(gamma);
-    VF vb = T::Set1F(beta);
+    VF vzero = T::Set1F(0.0f);
     size_t i = 0;
     for (; i + T::kF <= n; i += T::kF) {
       VF vx = T::LoadF(x + i);
@@ -413,39 +411,35 @@ struct Kernels8 {
       VD hi = T::MulD(T::SubD(T::CvtHiF2D(vx), vm), vs);
       VF xh = T::CvtD2F(lo, hi);
       T::StoreF(xhat + i, xh);
-      T::StoreF(y + i, T::AddF(T::MulF(vg, xh), vb));
+      T::StoreF(y + i, T::AddF(xh, vzero));
     }
     for (; i < n; ++i) {
       float xh = static_cast<float>((x[i] - mean) * inv_std);
       xhat[i] = xh;
-      y[i] = gamma * xh + beta;
+      y[i] = xh + 0.0f;
     }
   }
 
   static void GNormDxF32(const float* dy, const float* xhat, size_t n,
-                         double gamma, double mean_dxhat,
-                         double mean_dxhat_xhat, double inv_std, float* dx) {
-    VD vg = T::Set1D(gamma);
-    VD vmd = T::Set1D(mean_dxhat);
-    VD vmdx = T::Set1D(mean_dxhat_xhat);
+                         double mean_dy, double mean_dy_xhat, double inv_std,
+                         float* dx) {
+    VD vmd = T::Set1D(mean_dy);
+    VD vmdx = T::Set1D(mean_dy_xhat);
     VD vis = T::Set1D(inv_std);
     size_t i = 0;
     for (; i + T::kF <= n; i += T::kF) {
       VF vdy = T::LoadF(dy + i);
       VF vxh = T::LoadF(xhat + i);
-      VD dxh_lo = T::MulD(T::CvtLoF2D(vdy), vg);
-      VD dxh_hi = T::MulD(T::CvtHiF2D(vdy), vg);
-      VD lo = T::MulD(vis, T::SubD(T::SubD(dxh_lo, vmd),
+      VD lo = T::MulD(vis, T::SubD(T::SubD(T::CvtLoF2D(vdy), vmd),
                                    T::MulD(T::CvtLoF2D(vxh), vmdx)));
-      VD hi = T::MulD(vis, T::SubD(T::SubD(dxh_hi, vmd),
+      VD hi = T::MulD(vis, T::SubD(T::SubD(T::CvtHiF2D(vdy), vmd),
                                    T::MulD(T::CvtHiF2D(vxh), vmdx)));
       T::StoreF(dx + i, T::CvtD2F(lo, hi));
     }
     for (; i < n; ++i) {
-      double dxh = static_cast<double>(dy[i]) * gamma;
       dx[i] = static_cast<float>(
-          inv_std * (dxh - mean_dxhat -
-                     static_cast<double>(xhat[i]) * mean_dxhat_xhat));
+          inv_std * (static_cast<double>(dy[i]) - mean_dy -
+                     static_cast<double>(xhat[i]) * mean_dy_xhat));
     }
   }
 

@@ -1,4 +1,4 @@
-// High-level experiment driver: every paper-reproduction bench target
+// High-level experiment driver: every experiment of bench_paper
 // (docs/benchmarks.md, "The binaries") is a thin loop over
 // RunExperiment configurations.
 

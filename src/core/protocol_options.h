@@ -17,7 +17,7 @@ enum class UpdateScale {
   /// (1/|G_s|)·Σ_{g∈G_s} g. Since |G_s| = ⌈γn⌉ every round, this is the
   /// paper's rule under the constant learning-rate reparameterization
   /// η' = η·n/⌈γn⌉; it keeps the step size invariant to the Byzantine
-  /// fraction. Default; bench_ablations compares both.
+  /// fraction. Default; bench_paper's ablations experiment compares both.
   kOverSelected,
 };
 

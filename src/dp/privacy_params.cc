@@ -31,7 +31,8 @@ Result<PrivacyParams> CalibratePrivacy(const PrivacySpec& spec) {
   if (spec.epochs <= 0) {
     return Status::InvalidArgument("epochs must be positive");
   }
-  if (spec.client_sampling_rate <= 0.0 || spec.client_sampling_rate > 1.0) {
+  if (!(spec.client_sampling_rate > 0.0 &&
+        spec.client_sampling_rate <= 1.0)) {
     return Status::InvalidArgument(
         "client_sampling_rate must lie in (0, 1]");
   }

@@ -179,7 +179,7 @@ Result<EpsResult> RdpToEpsilon(const std::vector<double>& orders,
   if (orders.size() != rdp.size() || orders.empty()) {
     return Status::InvalidArgument("orders/rdp size mismatch or empty");
   }
-  if (delta <= 0.0 || delta >= 1.0) {
+  if (!(delta > 0.0 && delta < 1.0)) {
     return Status::InvalidArgument("delta must lie in (0, 1)");
   }
   double best_eps = std::numeric_limits<double>::infinity();
@@ -206,10 +206,10 @@ Result<EpsResult> RdpToEpsilon(const std::vector<double>& orders,
 
 Result<double> ComputeEpsilon(double q, double sigma, int steps,
                               double delta) {
-  if (q < 0.0 || q > 1.0) {
+  if (!(q >= 0.0 && q <= 1.0)) {
     return Status::InvalidArgument("sampling rate q must lie in [0, 1]");
   }
-  if (sigma <= 0.0) {
+  if (!(sigma > 0.0)) {
     return Status::InvalidArgument("noise multiplier must be positive");
   }
   if (steps < 0) return Status::InvalidArgument("steps must be >= 0");
@@ -222,7 +222,7 @@ Result<double> ComputeEpsilon(double q, double sigma, int steps,
 
 Result<double> NoiseMultiplierFor(double q, int steps, double epsilon,
                                   double delta) {
-  if (epsilon <= 0.0) {
+  if (!(epsilon > 0.0)) {
     return Status::InvalidArgument("epsilon must be positive");
   }
   const double kLo = 0.2;

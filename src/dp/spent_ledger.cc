@@ -70,6 +70,14 @@ Result<SpentLedger> SpentLedger::DecodeFrom(durability::ByteReader* r) {
     return Status::InvalidArgument(
         "spent ledger: client sampling rate q_client must lie in [0, 1]");
   }
+  if (!(ledger.q_record_ >= 0.0 && ledger.q_record_ <= 1.0)) {
+    return Status::InvalidArgument(
+        "spent ledger: record sampling rate q_record must lie in [0, 1]");
+  }
+  if (!(ledger.noise_multiplier_ >= 0.0)) {
+    return Status::InvalidArgument(
+        "spent ledger: noise multiplier must be >= 0 (0 without DP)");
+  }
   if (ledger.rounds_charged_ < 0) {
     return Status::InvalidArgument("spent ledger: negative round count");
   }

@@ -59,8 +59,9 @@ class SpentLedger {
   /// Appends the ledger to `w` (bitwise round-trip with DecodeFrom).
   void EncodeTo(durability::ByteWriter* w) const;
 
-  /// Reads a ledger previously written by EncodeTo. Rejects a client rate
-  /// outside [0, 1] and a negative round count.
+  /// Reads a ledger previously written by EncodeTo. Rejects a sampling
+  /// rate outside [0, 1], a NaN or negative noise multiplier and a
+  /// negative round count.
   static Result<SpentLedger> DecodeFrom(durability::ByteReader* r);
 
  private:

@@ -100,7 +100,6 @@ Status FederatedTrainer::Setup() {
   // --- Privacy calibration (Theorem 3 via the RDP accountant). ---
   dp::PrivacySpec spec;
   spec.epsilon = options_.epsilon;
-  spec.delta = options_.delta;
   spec.dataset_size = static_cast<int>(min_shard);
   spec.batch_size = std::min<int>(options_.batch_size,
                                   static_cast<int>(min_shard));

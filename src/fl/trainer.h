@@ -36,7 +36,6 @@ struct TrainerOptions {
 
   // DP protocol (Algorithm 1).
   double epsilon = 1.0;  ///< <= 0 disables DP
-  double delta = -1.0;   ///< < 0 derives 1/|D|^1.1
   int batch_size = 16;   ///< bc
   double beta = 0.1;     ///< momentum
   int epochs = 8;

@@ -47,8 +47,9 @@ struct WorkerOptions {
   /// The default deviates from Algorithm 1 line 11's literal reading
   /// (φ[j] ← g_i): at this reproduction's scale, persisting the per-slot
   /// momentum trains markedly better, while the literal reset feeds the
-  /// upload noise back into the momentum state (bench_ablations measures
-  /// both). TrainerOptions and core::ExperimentConfig initialise from it.
+  /// upload noise back into the momentum state (bench_paper's ablations
+  /// experiment measures both). TrainerOptions and core::ExperimentConfig
+  /// initialise from it.
   MomentumReset momentum_reset = MomentumReset::kPersist;
 };
 

@@ -41,9 +41,10 @@ Tensor GroupNorm::ForwardBatch(const Tensor& x) {
     inv_std_[g] = inv_std;
     // Normalize sweep: element-wise in double then narrowed, so the SIMD
     // path is bitwise equal to the scalar reference. The statistics above
-    // stay sequential scalar (they feed the training trajectory). γ = 1
-    // and β = 0 make y = 1·x̂ + 0, which turns a −0 x̂ into +0.
-    kern.gnorm_norm_f32(gx, group_size, mean, inv_std, 1.0f, 0.0f,
+    // stay sequential scalar (they feed the training trajectory). The
+    // layer has no affine parameters: y = x̂ + 0, which turns a −0 x̂
+    // into +0.
+    kern.gnorm_norm_f32(gx, group_size, mean, inv_std,
                         xhat_.data() + g * group_size,
                         y.data() + g * group_size);
   }
@@ -69,7 +70,7 @@ Tensor GroupNorm::BackwardBatch(const Tensor& grad_out,
       sum_dy += d;
       sum_dy_xhat += d * xhat[i];
     }
-    kern.gnorm_dx_f32(dy, xhat, group_size, 1.0, sum_dy * inv_m,
+    kern.gnorm_dx_f32(dy, xhat, group_size, sum_dy * inv_m,
                       sum_dy_xhat * inv_m, inv_std_[g],
                       dx.data() + g * group_size);
   }

@@ -416,13 +416,23 @@ TEST(SimdKernelTest, GroupNormNormalizeBitwise) {
   ForEachIsa([](const SimdKernels& ref, const SimdKernels& k) {
     for (size_t n : kSizes) {
       std::vector<float> x = FiniteEdgeVec(n, 1900 + n);
-      std::vector<float> xhat_want(n), y_want(n), xhat_got(n), y_got(n);
-      ref.gnorm_norm_f32(x.data(), n, 0.173, 1.42, 1.1f, -0.2f,
-                         xhat_want.data(), y_want.data());
-      k.gnorm_norm_f32(x.data(), n, 0.173, 1.42, 1.1f, -0.2f,
-                       xhat_got.data(), y_got.data());
-      ExpectBitEqual(xhat_want, xhat_got);
-      ExpectBitEqual(y_want, y_got);
+      for (size_t i = 0; i < n; i += 5) x[i] = -0.0f;
+      // At mean 0 a -0 input has x̂ = -0, which y must turn into +0.
+      for (double mean : {0.173, 0.0}) {
+        std::vector<float> xhat_want(n), y_want(n), xhat_got(n), y_got(n);
+        ref.gnorm_norm_f32(x.data(), n, mean, 1.42, xhat_want.data(),
+                           y_want.data());
+        k.gnorm_norm_f32(x.data(), n, mean, 1.42, xhat_got.data(),
+                         y_got.data());
+        ExpectBitEqual(xhat_want, xhat_got);
+        ExpectBitEqual(y_want, y_got);
+        if (mean != 0.0) continue;
+        for (size_t i = 0; i < n; i += 5) {
+          EXPECT_TRUE(std::signbit(xhat_got[i])) << "i=" << i;
+          EXPECT_EQ(y_got[i], 0.0f) << "i=" << i;
+          EXPECT_FALSE(std::signbit(y_got[i])) << "i=" << i;
+        }
+      }
     }
   });
 }
@@ -433,9 +443,9 @@ TEST(SimdKernelTest, GroupNormDxBitwise) {
       std::vector<float> dy = FiniteEdgeVec(n, 2000 + n);
       std::vector<float> xhat = RandomVec(n, 2100 + n);
       std::vector<float> want(n), got(n);
-      ref.gnorm_dx_f32(dy.data(), xhat.data(), n, 1.3, 0.01, -0.02, 2.7,
+      ref.gnorm_dx_f32(dy.data(), xhat.data(), n, 0.01, -0.02, 2.7,
                        want.data());
-      k.gnorm_dx_f32(dy.data(), xhat.data(), n, 1.3, 0.01, -0.02, 2.7,
+      k.gnorm_dx_f32(dy.data(), xhat.data(), n, 0.01, -0.02, 2.7,
                      got.data());
       ExpectBitEqual(want, got);
     }

@@ -79,6 +79,15 @@ TEST(PrivacyParamsTest, Validation) {
   s = BaseSpec();
   s.epochs = 0;
   EXPECT_FALSE(CalibratePrivacy(s).ok());
+
+  // NaN is rejected, never read as non-DP or cast into a round count.
+  s = BaseSpec();
+  s.client_sampling_rate = std::nan("");
+  EXPECT_FALSE(CalibratePrivacy(s).ok());
+
+  s = BaseSpec();
+  s.epsilon = std::nan("");
+  EXPECT_FALSE(CalibratePrivacy(s).ok());
 }
 
 TEST(PrivacyParamsTest, ToStringMentionsKeyFields) {

@@ -76,6 +76,7 @@ TEST(RdpToEpsilonTest, ValidatesInput) {
   EXPECT_FALSE(RdpToEpsilon({2.0}, {0.1}, 0.0).ok());
   EXPECT_FALSE(RdpToEpsilon({2.0}, {0.1}, 1.0).ok());
   EXPECT_FALSE(RdpToEpsilon({2.0, 3.0}, {0.1}, 1e-5).ok());
+  EXPECT_FALSE(RdpToEpsilon({2.0}, {0.1}, std::nan("")).ok());
 }
 
 TEST(RdpToEpsilonTest, TighterThanClassicalGaussianBound) {
@@ -106,6 +107,11 @@ TEST(ComputeEpsilonTest, ValidatesInput) {
   EXPECT_FALSE(ComputeEpsilon(1.1, 1.0, 10, 1e-5).ok());
   EXPECT_FALSE(ComputeEpsilon(0.1, 0.0, 10, 1e-5).ok());
   EXPECT_FALSE(ComputeEpsilon(0.1, 1.0, -1, 1e-5).ok());
+  // NaN fails every range check instead of reaching the RDP curve, whose
+  // own check aborts the process on a NaN rate or noise multiplier.
+  EXPECT_FALSE(ComputeEpsilon(std::nan(""), 1.0, 10, 1e-5).ok());
+  EXPECT_FALSE(ComputeEpsilon(0.1, std::nan(""), 10, 1e-5).ok());
+  EXPECT_FALSE(ComputeEpsilon(0.1, 1.0, 10, std::nan("")).ok());
 }
 
 struct CalibrationCase {
@@ -152,6 +158,9 @@ TEST(NoiseSearchTest, LargerEpsilonNeedsLessNoise) {
 TEST(NoiseSearchTest, RejectsNonPositiveEpsilon) {
   EXPECT_FALSE(NoiseMultiplierFor(0.01, 10, 0.0, 1e-5).ok());
   EXPECT_FALSE(NoiseMultiplierFor(0.01, 10, -1.0, 1e-5).ok());
+  // A NaN target compares false against every ε(σ), so the bisection
+  // would "solve" it at the bracket's low end, σ = 0.2.
+  EXPECT_FALSE(NoiseMultiplierFor(0.01, 10, std::nan(""), 1e-5).ok());
 }
 
 TEST(DefaultOrdersTest, CoverWideRange) {

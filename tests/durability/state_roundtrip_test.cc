@@ -136,17 +136,32 @@ TEST(SpentLedgerTest, RoundTripsBitwise) {
   EXPECT_EQ(w2.data(), buf);
 }
 
-TEST(SpentLedgerTest, ClientRateOutsideUnitIntervalFailsToDecode) {
-  for (double q_client : {2.0, -0.5, std::nan("")}) {
-    dp::SpentLedger ledger(q_client, 0.05, 2.0, 1e-5);
+TEST(SpentLedgerTest, OutOfRangeRateOrNoiseFailsToDecode) {
+  struct Case {
+    double q_client;
+    double q_record;
+    double noise_multiplier;
+    const char* field;
+  };
+  const double nan = std::nan("");
+  const Case cases[] = {{2.0, 0.05, 2.0, "q_client"},
+                        {-0.5, 0.05, 2.0, "q_client"},
+                        {nan, 0.05, 2.0, "q_client"},
+                        {0.5, 1.5, 2.0, "q_record"},
+                        {0.5, -0.1, 2.0, "q_record"},
+                        {0.5, nan, 2.0, "q_record"},
+                        {0.5, 0.05, -1.0, "noise multiplier"},
+                        {0.5, 0.05, nan, "noise multiplier"}};
+  for (const Case& c : cases) {
+    dp::SpentLedger ledger(c.q_client, c.q_record, c.noise_multiplier, 1e-5);
     ledger.ChargeRound(1);
     ByteWriter w;
     ledger.EncodeTo(&w);
     std::string buf = w.Take();
     ByteReader r(buf);
     auto decoded = dp::SpentLedger::DecodeFrom(&r);
-    ASSERT_FALSE(decoded.ok()) << "q_client=" << q_client;
-    EXPECT_NE(decoded.status().message().find("q_client"), std::string::npos)
+    ASSERT_FALSE(decoded.ok()) << c.field << " case";
+    EXPECT_NE(decoded.status().message().find(c.field), std::string::npos)
         << decoded.status().ToString();
   }
 }
